@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check staticcheck test race sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke bench-kernel bench-routing bench-dataplane bench ci
+.PHONY: build vet fmt-check staticcheck test race sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke bench-kernel bench-routing bench-dataplane bench bench-record ci
 
 build:
 	$(GO) build ./...
@@ -35,9 +35,13 @@ test:
 # registry sweeps on the same engine, so it rides along (-short trims its
 # 20-seed property suite to keep the race pass quick); its catalogue ×
 # AllProtocols matrix covers GPSR and the urban street-grid workloads.
+# The serve daemon (admission gate, cache, stream broadcast, drain) is
+# the most concurrent code in the tree; it and the CLI that hosts it run
+# here in full.
 race:
 	$(GO) test -race ./internal/exp/ ./internal/stats/ ./internal/rng/ ./internal/core/
 	$(GO) test -race -short ./internal/scenario/...
+	$(GO) test -race ./internal/serve/ ./cmd/cavenet/
 
 # Tiny end-to-end grid through the sweep subcommand: catches CLI wiring
 # and engine regressions in a few seconds.
@@ -100,14 +104,16 @@ bench-mobility-smoke:
 	$(GO) test ./internal/mobility/ -bench 'MobilityRecordRoadN1k|MobilityStreamRoadN1k' -benchtime=1x -benchmem -run XXX
 
 # One iteration of the 10k-ticker kernel bench on both queue paths:
-# catches the calendar queue silently losing its O(1) behavior (or the
-# oracle switch breaking) without the full depth table from PERF.md.
+# catches the calendar queue silently losing its O(1) behavior (or
+# sim.KernelConfig.HeapOracle, the switch the bench selects the heap
+# with, breaking) without the full depth table from PERF.md.
 bench-kernel-smoke:
 	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k' -benchtime=1x -benchmem -run XXX
 
 # One iteration of the AODV/DYMO data-plane benches on both table paths:
 # catches the dense tables silently allocating (their 0 allocs/op is the
-# point) or the oracle switch breaking, in seconds.
+# point) or aodv/dymo Config.Oracle, the switch the benches select the
+# map tables with, breaking, in seconds.
 bench-dataplane-smoke:
 	$(GO) test ./internal/routing/aodv/ -bench 'AODVForward|AODVRREQStorm' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench 'DYMOForward|DYMORREQStorm' -benchtime=1x -benchmem -run XXX
@@ -138,5 +144,11 @@ bench:
 	$(GO) test ./internal/phy/ -bench 'ChannelBroadcast|MobilityTick' -benchmem -benchtime=2000x -run XXX
 	$(GO) test ./internal/netsim/ -bench 'Connectivity|Components' -benchmem -benchtime=20x -run XXX
 	$(GO) test ./internal/sim/ -bench . -benchmem -run XXX
+
+# The end-to-end benchmark ledger (bench/README.md): every workload ×
+# every metric into one record; diff two records of one seed with
+# `go run ./bench -compare a.json b.json`. Takes several minutes.
+bench-record:
+	$(GO) run ./bench -o bench/out/record.json
 
 ci: build vet fmt-check staticcheck test bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke

@@ -29,11 +29,31 @@ func TestExitCodes(t *testing.T) {
 		{"scenario unknown subcommand", []string{"scenario", "frobnicate"}, 2},
 		{"scenario run no name", []string{"scenario", "run"}, 2},
 		{"scenario run unknown name", []string{"scenario", "run", "motorway9"}, 1},
+		// Out-of-range overrides are usage errors, not silently ignored
+		// (a `> 0` guard alone runs the unmodified spec).
+		{"scenario run negative time", []string{"scenario", "run", "highway", "-time", "-5"}, 2},
+		{"scenario run negative duration", []string{"scenario", "run", "highway", "-duration", "-5"}, 2},
+		{"scenario run negative nodes", []string{"scenario", "run", "highway", "-nodes", "-3"}, 2},
+		{"scenario run negative churn", []string{"scenario", "run", "highway", "-churn", "-1"}, 2},
+		{"scenario run NaN time", []string{"scenario", "run", "highway", "-time", "NaN"}, 2},
+		{"scenario sweep negative time", []string{"scenario", "sweep", "-time", "-5"}, 2},
+		{"scenario sweep negative nodes", []string{"scenario", "sweep", "-nodes", "-3"}, 2},
+		// The reference-path flags are gone: a reference is chosen by a
+		// test inside internal/, never from the command line.
+		{"scenario run -kernel-oracle", []string{"scenario", "run", "highway", "-kernel-oracle"}, 2},
+		{"scenario run -dataplane-oracle", []string{"scenario", "run", "highway", "-dataplane-oracle"}, 2},
+		{"scenario run -gpsr-oracle", []string{"scenario", "run", "manhattan", "-gpsr-oracle"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// Every row fails (or helps) before any simulation runs; the
+			// bound catches a rejection that ran the experiment first.
+			start := time.Now()
 			if got := run(tc.args); got != tc.want {
 				t.Fatalf("run(%q) = %d, want %d", tc.args, got, tc.want)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("run(%q) took %v — it ran an experiment first", tc.args, d)
 			}
 		})
 	}

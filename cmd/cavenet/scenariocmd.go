@@ -73,9 +73,6 @@ func scenarioRun(w io.Writer, args []string) error {
 	checked := fs.Bool("check", true, "run under the invariant harness")
 	format := fs.String("format", "text", "text or json")
 	churn := fs.Float64("churn", 0, "inject node churn at this rate per node per minute (4 s crash outages); shorthand for -faults churn:RATE")
-	gpsrOracle := fs.Bool("gpsr-oracle", false, "route GPSR greedy decisions through the brute-force differential oracle (bit-identical to the spatial-grid fast path)")
-	kernelOracle := fs.Bool("kernel-oracle", false, "run on the kernel's binary-heap differential oracle instead of the calendar event queue (bit-identical, slower)")
-	dataPlaneOracle := fs.Bool("dataplane-oracle", false, "route the AODV/DYMO routing tables through the map-based differential oracles instead of the dense-index fast paths (bit-identical, slower)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a post-run heap profile to this file")
 	faults := fs.String("faults", "", "fault plan, ';'-joined clauses: churn:RATE[,DOWNSEC[,graceful]] | blackout:START,DUR[,FRACTION] | partition:START,DUR | impair:A-B,START,DUR[,LOSS[,ATTENDB]]; replaces the scenario's declared faults")
@@ -92,10 +89,15 @@ func scenarioRun(w io.Writer, args []string) error {
 	} else if name == "" || fs.NArg() > 0 {
 		return badUsage("usage: cavenet scenario run <name> [flags]; see 'cavenet scenario list'")
 	}
-	// Fail unknown formats before the simulation runs, not after.
+	// Fail unknown formats and out-of-range overrides before the
+	// simulation runs, not after — a `> 0` guard alone would skip a
+	// negative (or NaN) override and silently run the unmodified spec.
 	outFormat, err := parseFormat(*format, "text", "json")
 	if err != nil {
 		return err
+	}
+	if !(simTime >= 0) || *nodes < 0 || !(*churn >= 0) {
+		return badUsage("-time, -nodes and -churn must not be negative")
 	}
 	spec, ok := scenario.Get(name)
 	if !ok {
@@ -119,11 +121,7 @@ func scenarioRun(w io.Writer, args []string) error {
 		spec = scaled
 	}
 	if simTime > 0 {
-		spec.SimTime = sim.Seconds(simTime)
-		for i := range spec.Flows {
-			spec.Flows[i].Start = 0 // re-derive the window from the new horizon
-			spec.Flows[i].Stop = 0
-		}
+		spec = spec.WithSimTime(sim.Seconds(simTime))
 	}
 	if *faults != "" {
 		fspec, err := fault.ParseSpec(*faults)
@@ -134,15 +132,6 @@ func scenarioRun(w io.Writer, args []string) error {
 	}
 	if *churn > 0 {
 		spec.Faults.ChurnRatePerMin = *churn
-	}
-	if *gpsrOracle {
-		spec.GPSROracle = true
-	}
-	if *kernelOracle {
-		spec.KernelOracle = true
-	}
-	if *dataPlaneOracle {
-		spec.DataPlaneOracle = true
 	}
 
 	if *cpuProfile != "" {
@@ -331,6 +320,9 @@ func scenarioSweep(w io.Writer, args []string) error {
 	outFormat, err := parseFormat(*format, "csv", "json")
 	if err != nil {
 		return err
+	}
+	if !(*simTime >= 0) || *nodes < 0 {
+		return badUsage("-time and -nodes must not be negative")
 	}
 	var names []string
 	if !strings.EqualFold(*scenarios, "all") {

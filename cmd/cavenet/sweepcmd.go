@@ -8,26 +8,22 @@ import (
 	"strings"
 
 	"cavenet"
+	"cavenet/internal/scenario"
 )
 
-func parseProtocolList(s string) ([]cavenet.Protocol, error) {
+// parseProtocolList resolves a -protocols value against the scenario
+// registry's protocol set, so a protocol added there is sweepable here.
+func parseProtocolList(s string) ([]scenario.Protocol, error) {
 	if strings.EqualFold(s, "all") {
-		return []cavenet.Protocol{cavenet.AODV, cavenet.OLSR, cavenet.DYMO, cavenet.GPSR}, nil
+		return scenario.AllProtocols(), nil
 	}
-	var out []cavenet.Protocol
+	var out []scenario.Protocol
 	for _, name := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "aodv":
-			out = append(out, cavenet.AODV)
-		case "olsr":
-			out = append(out, cavenet.OLSR)
-		case "dymo":
-			out = append(out, cavenet.DYMO)
-		case "gpsr":
-			out = append(out, cavenet.GPSR)
-		default:
-			return nil, fmt.Errorf("unknown protocol %q", name)
+		p, err := scenario.ParseProtocol(strings.ToLower(strings.TrimSpace(name)))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -180,32 +180,10 @@ func BuildCircuitTrace(cfg ScenarioConfig) (*mobility.SampledTrace, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	cells := int(math.Round(cfg.CircuitMeters / ca.CellLength))
-	boundary := ca.RingBoundary
-	var placement geometry.LanePlacement = geometry.Ring{
-		Center:        geometry.Vec2{X: cfg.CircuitMeters / 2, Y: cfg.CircuitMeters / 2},
-		Circumference: cfg.CircuitMeters,
-	}
-	if cfg.StraightLine {
-		boundary = ca.OpenBoundary
-		placement = geometry.Line{Transform: geometry.Translate(0, 10)}
-	}
-	src := rng.NewSource(cfg.Seed)
-	road, err := ca.NewRoad([]ca.LaneSpec{{
-		Config: ca.Config{
-			Length:    cells,
-			Vehicles:  cfg.Nodes,
-			SlowdownP: cfg.SlowdownP,
-			Boundary:  boundary,
-		},
-		Placement: placement,
-	}}, src.Stream("ca"))
+	trace, err := cfg.circuitTrace()
 	if err != nil {
 		return nil, err
 	}
-	mobility.WarmupRoad(road, cfg.CAWarmup)
-	steps := int(cfg.SimTime/sim.Second) + 1
-	trace := mobility.RecordRoad(road, steps)
 	if cfg.StaticNodes {
 		for n := range trace.Positions {
 			for i := range trace.Positions[n] {
@@ -214,6 +192,29 @@ func BuildCircuitTrace(cfg ScenarioConfig) (*mobility.SampledTrace, error) {
 		}
 	}
 	return trace, nil
+}
+
+// circuitTrace records the ring through the scenario substrate (it is
+// cfg.spec()'s own single-lane road); only the pre-improvement
+// open-boundary straight line, which no Spec expresses, is built here.
+func (c *ScenarioConfig) circuitTrace() (*mobility.SampledTrace, error) {
+	if !c.StraightLine {
+		return scenario.BuildTrace(c.spec())
+	}
+	road, err := ca.NewRoad([]ca.LaneSpec{{
+		Config: ca.Config{
+			Length:    int(math.Round(c.CircuitMeters / ca.CellLength)),
+			Vehicles:  c.Nodes,
+			SlowdownP: c.SlowdownP,
+			Boundary:  ca.OpenBoundary,
+		},
+		Placement: geometry.Line{Transform: geometry.Translate(0, 10)},
+	}}, rng.NewSource(c.Seed).Stream("ca"))
+	if err != nil {
+		return nil, err
+	}
+	mobility.WarmupRoad(road, c.CAWarmup)
+	return mobility.RecordRoad(road, int(c.SimTime/sim.Second)+1), nil
 }
 
 // RunScenario executes one Table I protocol evaluation and returns the
@@ -229,9 +230,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	return RunScenarioOnTrace(cfg, trace)
 }
 
-// spec maps the Table I configuration onto the scenario substrate. The
-// road fields only matter for spec-driven mobility generation; the Table I
-// entry points always supply their own circuit trace.
+// spec maps the Table I configuration onto the scenario substrate: its
+// road fields generate the circuit trace (circuitTrace), the rest drives
+// the protocol evaluation over it.
 func (c *ScenarioConfig) spec() scenario.Spec {
 	flows := make([]scenario.Flow, len(c.Senders))
 	for i, s := range c.Senders {

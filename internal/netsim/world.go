@@ -45,11 +45,10 @@ type WorldConfig struct {
 	Static []geometry.Vec2
 	// MobilityInterval is how often positions refresh (default 100 ms).
 	MobilityInterval sim.Time
-	// KernelOracle runs the world on the kernel's retained binary-heap
-	// event queue instead of the calendar queue. Pop order is
-	// bit-identical, so whole runs reproduce exactly; the heap path is
-	// only useful as a differential cross-check (see sim.KernelConfig).
-	KernelOracle bool
+	// Kernel selects the event-queue implementation; only the scenario
+	// run-identity test sets it (sim.KernelConfig.HeapOracle) — no Spec
+	// field or CLI flag reaches it.
+	Kernel sim.KernelConfig
 }
 
 // World is an assembled scenario: kernel, channel, nodes.
@@ -118,7 +117,7 @@ func NewWorld(cfg WorldConfig, factory RouterFactory) (*World, error) {
 		cfg.MobilityInterval = 100 * sim.Millisecond
 	}
 	w := &World{
-		Kernel:  sim.NewKernelWithConfig(sim.KernelConfig{HeapOracle: cfg.KernelOracle}),
+		Kernel:  sim.NewKernelWithConfig(cfg.Kernel),
 		cfg:     cfg,
 		src:     rng.NewSource(cfg.Seed),
 		factory: factory,

@@ -27,8 +27,8 @@ type Config struct {
 	BufferCap int
 	// Oracle routes the routing table through the retained map-based
 	// implementation instead of the dense-index fast path. Whole runs are
-	// bit-identical between the two (differential run-identity tests);
-	// the switch lets any run be replayed against the oracle.
+	// bit-identical between the two. Only differential tests and
+	// micro-benchmarks set it; no Spec field or CLI flag reaches it.
 	Oracle bool
 }
 

@@ -15,22 +15,12 @@ import (
 // would flip at the same tick (a heap item's deadline never exceeds its
 // entry's expiresAt, so every expired entry has surfaced by the time the
 // purge runs).
-//
-// Interning is hybrid: real node ids are small and dense, so they map
-// through a direct slice; ids outside [0, denseDirectLimit) — the HNA
-// uplink's synthetic external addresses — fall back to a map that the
-// steady-state forwarding path never touches.
 type denseTable struct {
 	kernel  *sim.Kernel
-	direct  []int32                 // NodeID -> entry index + 1; 0 = absent
-	ext     map[netsim.NodeID]int32 // entry index for ids outside the direct range
+	ids     netsim.Interner // dst -> index into entries
 	entries []denseEntry
 	exp     sim.ExpiryHeap[int32]
 }
-
-// denseDirectLimit bounds the direct-slice id range; beyond it (synthetic
-// external destinations validate up to 1<<30) the map fallback applies.
-const denseDirectLimit = 1 << 16
 
 type denseEntry struct {
 	dst       netsim.NodeID
@@ -50,38 +40,12 @@ func newDenseTable(k *sim.Kernel) *denseTable {
 	return &denseTable{kernel: k}
 }
 
-// index returns the entry index for id, or -1 when no entry exists.
-func (t *denseTable) index(id netsim.NodeID) int32 {
-	if i := int(id); i >= 0 && i < len(t.direct) {
-		return t.direct[i] - 1
-	}
-	if int(id) >= 0 && int(id) < denseDirectLimit {
-		return -1 // inside the direct range but the slice hasn't grown there
-	}
-	if x, ok := t.ext[id]; ok {
-		return x
-	}
-	return -1
-}
-
 // intern returns the entry index for id, creating an empty entry slot on
 // first sight.
 func (t *denseTable) intern(id netsim.NodeID) int32 {
-	if x := t.index(id); x >= 0 {
-		return x
-	}
-	x := int32(len(t.entries))
-	t.entries = append(t.entries, denseEntry{dst: id})
-	if i := int(id); i >= 0 && i < denseDirectLimit {
-		for len(t.direct) <= i {
-			t.direct = append(t.direct, 0)
-		}
-		t.direct[i] = x + 1
-	} else {
-		if t.ext == nil {
-			t.ext = make(map[netsim.NodeID]int32)
-		}
-		t.ext[id] = x
+	x, isNew := t.ids.Intern(id)
+	if isNew {
+		t.entries = append(t.entries, denseEntry{dst: id})
 	}
 	return x
 }
@@ -90,7 +54,7 @@ func (t *denseTable) intern(id netsim.NodeID) int32 {
 // flipping a valid-but-expired entry to invalid (the oracle's read side
 // effect). The pointer is only valid until the next intern.
 func (t *denseTable) liveEntry(dst netsim.NodeID) *denseEntry {
-	x := t.index(dst)
+	x := t.ids.Index(dst)
 	if x < 0 {
 		return nil
 	}
@@ -122,7 +86,7 @@ func (t *denseTable) replyInfo(dst netsim.NodeID) (int, uint32, bool, sim.Time, 
 }
 
 func (t *denseTable) lastSeq(dst netsim.NodeID) (uint32, bool, bool) {
-	x := t.index(dst)
+	x := t.ids.Index(dst)
 	if x < 0 {
 		return 0, false, false
 	}
@@ -168,7 +132,7 @@ func (t *denseTable) refresh(dst netsim.NodeID, lifetime sim.Time) {
 }
 
 func (t *denseTable) addPrecursor(dst, prev netsim.NodeID) {
-	if x := t.index(dst); x >= 0 {
+	if x := t.ids.Index(dst); x >= 0 {
 		t.entries[x].hasPrec = true
 	}
 }
@@ -186,7 +150,7 @@ func (t *denseTable) breakVia(next netsim.NodeID, buf []UnreachableDst) []Unreac
 }
 
 func (t *denseTable) rerrApply(dst, from netsim.NodeID, seq uint32) (uint32, bool, bool) {
-	x := t.index(dst)
+	x := t.ids.Index(dst)
 	if x < 0 {
 		return 0, false, false
 	}

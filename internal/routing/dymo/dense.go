@@ -21,23 +21,13 @@ import (
 // dense table uses an ExpiryHeap instead; that approach needs lifetimes
 // to be non-shrinking, which DYMO's reset-on-accept update rule violates
 // (a route can be invalidated and relearned with a shorter lifetime).
-//
-// Interning is hybrid, as in AODV: real node ids map through a direct
-// slice; ids outside [0, denseDirectLimit) — synthetic external uplink
-// addresses, whose bases validate up to 1<<30 — fall back to a map the
-// steady-state path never touches.
 type denseTable struct {
 	kernel    *sim.Kernel
 	timeout   sim.Time
-	direct    []int32                 // NodeID -> entry index + 1; 0 = absent
-	ext       map[netsim.NodeID]int32 // entry index for ids outside the direct range
+	ids       netsim.Interner // dst -> index into entries
 	entries   []denseEntry
 	lastPurge sim.Time
 }
-
-// denseDirectLimit bounds the direct-slice id range; beyond it (synthetic
-// external destinations validate up to 1<<30) the map fallback applies.
-const denseDirectLimit = 1 << 16
 
 type denseEntry struct {
 	dst       netsim.NodeID
@@ -55,38 +45,12 @@ func newDenseTable(k *sim.Kernel, timeout sim.Time) *denseTable {
 	return &denseTable{kernel: k, timeout: timeout, lastPurge: -1}
 }
 
-// index returns the entry index for id, or -1 when no entry exists.
-func (t *denseTable) index(id netsim.NodeID) int32 {
-	if i := int(id); i >= 0 && i < len(t.direct) {
-		return t.direct[i] - 1
-	}
-	if int(id) >= 0 && int(id) < denseDirectLimit {
-		return -1
-	}
-	if x, ok := t.ext[id]; ok {
-		return x
-	}
-	return -1
-}
-
 // intern returns the entry index for id, creating an empty slot on first
 // sight.
 func (t *denseTable) intern(id netsim.NodeID) int32 {
-	if x := t.index(id); x >= 0 {
-		return x
-	}
-	x := int32(len(t.entries))
-	t.entries = append(t.entries, denseEntry{dst: id})
-	if i := int(id); i >= 0 && i < denseDirectLimit {
-		for len(t.direct) <= i {
-			t.direct = append(t.direct, 0)
-		}
-		t.direct[i] = x + 1
-	} else {
-		if t.ext == nil {
-			t.ext = make(map[netsim.NodeID]int32)
-		}
-		t.ext[id] = x
+	x, isNew := t.ids.Intern(id)
+	if isNew {
+		t.entries = append(t.entries, denseEntry{dst: id})
 	}
 	return x
 }
@@ -109,7 +73,7 @@ func (t *denseTable) stateValid(e *denseEntry) bool {
 // flipping a valid-but-expired entry to invalid (the oracle's read side
 // effect). The pointer is only valid until the next intern.
 func (t *denseTable) liveEntry(dst netsim.NodeID) *denseEntry {
-	x := t.index(dst)
+	x := t.ids.Index(dst)
 	if x < 0 {
 		return nil
 	}
@@ -133,7 +97,7 @@ func (t *denseTable) validNext(dst netsim.NodeID) (netsim.NodeID, int, bool) {
 }
 
 func (t *denseTable) lastSeq(dst netsim.NodeID) (uint32, bool, bool) {
-	x := t.index(dst)
+	x := t.ids.Index(dst)
 	if x < 0 {
 		return 0, false, false
 	}
@@ -185,7 +149,7 @@ func (t *denseTable) breakVia(neighbor netsim.NodeID, buf []AddrBlock) []AddrBlo
 }
 
 func (t *denseTable) rerrApply(dst, from netsim.NodeID, seq uint32) (uint32, bool) {
-	x := t.index(dst)
+	x := t.ids.Index(dst)
 	if x < 0 {
 		return 0, false
 	}

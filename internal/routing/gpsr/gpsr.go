@@ -45,8 +45,8 @@ type Config struct {
 	NeighborHold sim.Time
 	// Oracle routes greedy decisions through the retained brute-force
 	// neighbor scan instead of the spatial-grid fast path. Both produce
-	// bit-identical next hops (differential-tested); the switch lets any
-	// run be replayed against the oracle.
+	// bit-identical next hops. Only differential tests set it; no Spec
+	// field or CLI flag reaches it.
 	Oracle bool
 	// CellSize is the neighbor index cell edge in meters (default 250 m,
 	// the two-ray receive range bounding neighbor distances). A

@@ -109,8 +109,8 @@ func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {
 	if msg.Origin == r.node.ID() {
 		return
 	}
-	fi, ok := r.idxOf[from]
-	if !ok || !r.links[fi].present || r.links[fi].symUntil <= now {
+	fi := r.idx.Index(from)
+	if fi < 0 || !r.links[fi].present || r.links[fi].symUntil <= now {
 		return
 	}
 	key := dupKey{origin: msg.Origin, seq: msg.Seq}

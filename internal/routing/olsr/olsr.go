@@ -158,8 +158,8 @@ type Router struct {
 	// small dense index so the recompute kernels run over slices and
 	// epoch-stamp arrays instead of maps. Indices are never recycled; the
 	// universe is bounded by the number of distinct nodes ever heard of.
-	idxOf map[netsim.NodeID]int32
-	ids   []netsim.NodeID
+	idx netsim.Interner
+	ids []netsim.NodeID // index -> NodeID
 
 	links    []linkTuple // slot per interned id
 	linkList []int32     // indices of present link tuples
@@ -232,7 +232,6 @@ func New(node *netsim.Node, cfg Config) *Router {
 	r := &Router{
 		cfg:           cfg,
 		node:          node,
-		idxOf:         make(map[netsim.NodeID]int32),
 		selectors:     make(map[netsim.NodeID]sim.Time),
 		lastRecompute: -1,
 	}
@@ -249,11 +248,10 @@ func New(node *netsim.Node, cfg Config) *Router {
 // intern maps id to its dense index, growing every per-index array when the
 // id is new.
 func (r *Router) intern(id netsim.NodeID) int32 {
-	if i, ok := r.idxOf[id]; ok {
+	i, isNew := r.idx.Intern(id)
+	if !isNew {
 		return i
 	}
-	i := int32(len(r.ids))
-	r.idxOf[id] = i
 	r.ids = append(r.ids, id)
 	r.links = append(r.links, linkTuple{})
 	r.linkPos = append(r.linkPos, -1)
@@ -340,8 +338,8 @@ func (r *Router) routeFor(dst netsim.NodeID) (routeEntry, bool) {
 	if r.routeEpoch == 0 {
 		return routeEntry{}, false
 	}
-	i, ok := r.idxOf[dst]
-	if !ok || r.routeStamp[i] != r.routeEpoch {
+	i := r.idx.Index(dst)
+	if i < 0 || r.routeStamp[i] != r.routeEpoch {
 		return routeEntry{}, false
 	}
 	return r.routeOf[i], true
@@ -535,7 +533,7 @@ func (r *Router) makeTC(now sim.Time) *TC {
 	if r.cfg.ETX {
 		msg.LQs = make([]float64, len(adv))
 		for i, id := range adv {
-			if fi, ok := r.idxOf[id]; ok {
+			if fi := r.idx.Index(id); fi >= 0 {
 				if lt := &r.links[fi]; lt.present && lt.lq != nil {
 					msg.LQs[i] = lt.lq.ratio()
 				}
@@ -741,8 +739,8 @@ func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
 	}
 	// Only process/forward messages received over a symmetric link
 	// (RFC 3626 §3.4 default forwarding algorithm).
-	fi, ok := r.idxOf[from]
-	if !ok || !r.links[fi].present || r.links[fi].symUntil <= now {
+	fi := r.idx.Index(from)
+	if fi < 0 || !r.links[fi].present || r.links[fi].symUntil <= now {
 		return
 	}
 	key := dupKey{origin: msg.Origin, seq: msg.Seq}
@@ -843,7 +841,7 @@ func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 		r.node.DropData(p, "olsr:link-failure")
 	}
 	material := false
-	if fi, ok := r.idxOf[next]; ok {
+	if fi := r.idx.Index(next); fi >= 0 {
 		lt := &r.links[fi]
 		if lt.present {
 			lt.symUntil, lt.asymUntil, lt.until = 0, 0, 0

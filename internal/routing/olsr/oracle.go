@@ -116,7 +116,7 @@ func (r *Router) oracleSelectMPRs(now sim.Time, epoch uint64) {
 	r.mprEpoch = epoch
 	r.mprList = r.mprList[:0]
 	for id := range mprs {
-		r.mprStamp[r.idxOf[id]] = epoch
+		r.mprStamp[r.idx.Index(id)] = epoch
 		r.mprList = append(r.mprList, id)
 	}
 	sort.Slice(r.mprList, func(i, j int) bool { return r.mprList[i] < r.mprList[j] })
@@ -203,7 +203,7 @@ func (r *Router) oracleComputeRoutes(now sim.Time, epoch uint64) {
 	// tuple), so the index lookup cannot miss.
 	r.routeEpoch = epoch
 	for id, e := range routes {
-		i := r.idxOf[id]
+		i := r.idx.Index(id)
 		r.routeOf[i] = e
 		r.routeStamp[i] = epoch
 	}

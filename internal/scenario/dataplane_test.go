@@ -1,9 +1,6 @@
 package scenario
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestDataPlaneOracleRunIdentity is the whole-run differential contract
 // for the AODV and DYMO dense-index routing tables: a scenario routed
@@ -25,22 +22,7 @@ func TestDataPlaneOracleRunIdentity(t *testing.T) {
 				run := spec.Shrunk()
 				run.Protocol = proto
 				run.Seed = 23
-				fast, err := Run(run)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run.DataPlaneOracle = true
-				oracle, err := Run(run)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The result echoes its spec; align the one knob that
-				// legitimately differs so DeepEqual checks only the
-				// simulation outputs.
-				oracle.Spec.DataPlaneOracle = false
-				if !reflect.DeepEqual(fast, oracle) {
-					t.Fatal("dataplane oracle and dense-path runs diverged")
-				}
+				assertRunIdentity(t, run, referencePaths{dataPlane: true})
 			})
 		}
 	}

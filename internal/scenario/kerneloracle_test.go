@@ -20,22 +20,46 @@ func TestKernelOracleRunIdentity(t *testing.T) {
 			}
 			run := spec.Shrunk()
 			run.Seed = 17
-			fast, err := Run(run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run.KernelOracle = true
-			oracle, err := Run(run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The result echoes its spec; align the one knob that
-			// legitimately differs so DeepEqual checks only the simulation
-			// outputs.
-			oracle.Spec.KernelOracle = false
-			if !reflect.DeepEqual(fast, oracle) {
-				t.Fatal("kernel oracle and calendar-queue runs diverged")
-			}
+			assertRunIdentity(t, run, referencePaths{kernel: true})
 		})
+	}
+}
+
+// assertRunIdentity runs spec twice — through Run, the fast paths every
+// exported entry point takes, and with the given reference paths selected
+// through the unexported runOnSource argument — and requires the two
+// Results to be deeply equal, echoed Spec included, under one content
+// address: the choice of path is not part of a run's identity.
+func assertRunIdentity(t *testing.T, spec Spec, ref referencePaths) {
+	t.Helper()
+	fast, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec.clone()
+	if err := s.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := buildSource(&s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference, err := runOnSource(&s, src, nil, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fast, reference) {
+		t.Fatalf("fast-path and reference %+v runs diverged", ref)
+	}
+	fh, err := fast.Spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh, err := reference.Spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fh != rh {
+		t.Fatalf("one workload, two content addresses: fast %s, reference %s", fh, rh)
 	}
 }

@@ -38,9 +38,19 @@ func ParseProtocol(name string) (Protocol, error) {
 	}
 }
 
+// referencePaths selects the retained reference implementation of a fast
+// path: the kernel's binary heap, the AODV/DYMO map tables, GPSR's
+// brute-force neighbor scan. Results are bit-identical either way, so it
+// is not part of Spec — nothing a user, a JSON document, Spec.Hash or the
+// CLI can reach sets it. Every exported entry point passes the zero
+// value; only the in-package run-identity tests pass anything else.
+type referencePaths struct {
+	kernel, dataPlane, gpsr bool
+}
+
 // routerFactory builds the per-node router for the spec's protocol and
 // ablation knobs.
-func (s *Spec) routerFactory() netsim.RouterFactory {
+func (s *Spec) routerFactory(ref referencePaths) netsim.RouterFactory {
 	switch s.Protocol {
 	case OLSR:
 		etx := s.OLSRETX
@@ -64,21 +74,18 @@ func (s *Spec) routerFactory() netsim.RouterFactory {
 			return r
 		}
 	case GPSR:
-		oracle := s.GPSROracle
 		return func(n *netsim.Node) netsim.Router {
-			return gpsr.New(n, gpsr.Config{Oracle: oracle})
+			return gpsr.New(n, gpsr.Config{Oracle: ref.gpsr})
 		}
 	case DYMO:
 		pa := !s.DYMONoPathAccumulation
-		oracle := s.DataPlaneOracle
 		return func(n *netsim.Node) netsim.Router {
-			return dymo.New(n, dymo.Config{PathAccumulation: &pa, Oracle: oracle})
+			return dymo.New(n, dymo.Config{PathAccumulation: &pa, Oracle: ref.dataPlane})
 		}
 	default:
 		er := !s.AODVNoExpandingRing
-		oracle := s.DataPlaneOracle
 		return func(n *netsim.Node) netsim.Router {
-			return aodv.New(n, aodv.Config{ExpandingRing: &er, Oracle: oracle})
+			return aodv.New(n, aodv.Config{ExpandingRing: &er, Oracle: ref.dataPlane})
 		}
 	}
 }

@@ -101,7 +101,7 @@ func Run(s Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runOnSource(&s, src, nil)
+	return runOnSource(&s, src, nil, referencePaths{})
 }
 
 // RunOnSource executes the scenario's network evaluation over a
@@ -111,7 +111,7 @@ func RunOnSource(s Spec, src mobility.Source) (*Result, error) {
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}
-	return runOnSource(&s, src, nil)
+	return runOnSource(&s, src, nil, referencePaths{})
 }
 
 // RunOnTrace executes the scenario's network evaluation over a
@@ -167,7 +167,7 @@ func RunCheckedOnTrace(s Spec, trace *mobility.SampledTrace) (*Result, *check.Re
 }
 
 func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
-	res, err := runOnSource(s, src, report)
+	res, err := runOnSource(s, src, report, referencePaths{})
 	if err != nil {
 		return nil, err
 	}
@@ -202,8 +202,9 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // Table I entry points delegate here — and executes the run, pulling node
 // positions from the mobility source per tick. A non-nil report
 // additionally installs the invariant ledger and runs the post-run loop
-// walk and custody settlement.
-func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
+// walk and custody settlement. ref is the zero value except in the
+// run-identity tests (see referencePaths).
+func runOnSource(s *Spec, src mobility.Source, report *check.Report, ref referencePaths) (*Result, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
@@ -217,10 +218,10 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, e
 			CSRangeM:     s.RangeMeters * 2.2,
 			CaptureRatio: capture,
 		},
-		MAC:          mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold},
-		Mobility:     src,
-		KernelOracle: s.KernelOracle,
-	}, s.routerFactory())
+		MAC:      mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold},
+		Mobility: src,
+		Kernel:   sim.KernelConfig{HeapOracle: ref.kernel},
+	}, s.routerFactory(ref))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

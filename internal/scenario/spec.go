@@ -174,18 +174,6 @@ type Spec struct {
 	DYMONoPathAccumulation bool
 	NoCapture              bool
 	RTSThreshold           int
-	// GPSROracle routes GPSR greedy next-hop selection through the
-	// retained brute-force neighbor scan (the differential oracle)
-	// instead of the spatial-grid fast path; results are bit-identical.
-	GPSROracle bool
-	// DataPlaneOracle routes the AODV and DYMO routing tables through
-	// their retained map-based implementations (the differential oracles)
-	// instead of the dense-index fast paths; results are bit-identical.
-	DataPlaneOracle bool
-	// KernelOracle runs the simulation on the kernel's retained
-	// binary-heap event queue instead of the calendar queue; pop order
-	// (and therefore every result) is bit-identical, only slower.
-	KernelOracle bool
 
 	// ---- Fault injection ----
 
@@ -611,6 +599,20 @@ func (s Spec) WithVehicles(n int) (Spec, error) {
 	s.Nodes = n
 	err := s.normalize()
 	return s, err
+}
+
+// WithSimTime returns a copy of the spec with the simulated duration
+// replaced and every flow window cleared, so normalization re-derives the
+// windows from the new horizon — the `-time` override of `cavenet
+// scenario run` and `scenario sweep`. The copy is not normalized.
+func (s Spec) WithSimTime(d sim.Time) Spec {
+	s = s.clone()
+	s.SimTime = d
+	for i := range s.Flows {
+		s.Flows[i].Start = 0
+		s.Flows[i].Stop = 0
+	}
+	return s
 }
 
 // activationSteps reports, for a ramp scenario, the trace sample index at

@@ -144,11 +144,7 @@ func NewGrid(cfg SweepConfig) (*Grid, error) {
 			s = scaled
 		}
 		if cfg.OverrideTimeSec > 0 {
-			s.SimTime = sim.Seconds(cfg.OverrideTimeSec)
-			for f := range s.Flows {
-				s.Flows[f].Start = 0 // re-derive the window from the new horizon
-				s.Flows[f].Stop = 0
-			}
+			s = s.WithSimTime(sim.Seconds(cfg.OverrideTimeSec))
 			if err := s.Validate(); err != nil {
 				return nil, err
 			}
@@ -237,7 +233,7 @@ func (g *Grid) RunCell(j int, protocols []Protocol) ([]TrialResult, error) {
 			}
 			res, violations = r, report.Total()
 		} else {
-			r, err := runOnSource(&run, msrc, nil)
+			r, err := runOnSource(&run, msrc, nil, referencePaths{})
 			if err != nil {
 				return nil, fmt.Errorf("scenario: sweep %s/%s trial %d: %w", base.Name, p, trial, err)
 			}

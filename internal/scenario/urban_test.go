@@ -143,21 +143,7 @@ func TestGPSROracleRunIdentity(t *testing.T) {
 	}
 	run := spec.Shrunk()
 	run.Seed = 11
-	fast, err := Run(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run.GPSROracle = true
-	oracle, err := Run(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The result echoes its spec; align the one knob that legitimately
-	// differs so DeepEqual checks only the simulation outputs.
-	oracle.Spec.GPSROracle = false
-	if !reflect.DeepEqual(fast, oracle) {
-		t.Fatal("GPSR oracle and fast-path runs diverged")
-	}
+	assertRunIdentity(t, run, referencePaths{gpsr: true})
 }
 
 // TestUplinkStats pins the V2I accounting: a downtown run reports the
