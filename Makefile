@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check staticcheck test race sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke bench-kernel bench-routing bench-dataplane bench bench-record ci
+.PHONY: build vet fmt-check staticcheck test race sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab ci
 
 build:
 	$(GO) build ./...
@@ -150,5 +150,17 @@ bench:
 # `go run ./bench -compare a.json b.json`. Takes several minutes.
 bench-record:
 	$(GO) run ./bench -o bench/out/record.json
+
+# bench/README.md's A/B protocol as one command: export BASE's committed
+# files and a snapshot of the working tree to a temporary directory,
+# alternate `bench/run.sh --workload $(W) --trace 0` parent/change for
+# PAIRS pairs at seed 1 and at the held-out seed, print medians,
+# quartiles, pair wins and whether the result digests agree. E.g.
+# `make bench-ab W=urban_olsr BASE=HEAD~1` (≈ 9 minutes).
+PAIRS ?= 10
+HELDOUT ?= 47
+bench-ab:
+	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make bench-ab W=<workload> BASE=<rev> [PAIRS=10] [HELDOUT=47]"; exit 2; }
+	bash scripts/bench-ab.sh $(W) $(BASE) $(PAIRS) $(HELDOUT)
 
 ci: build vet fmt-check staticcheck test bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke

@@ -40,7 +40,8 @@ func seedControlState(w *netsim.World, r *Router, n int) {
 // BenchmarkOLSRControlPlane measures one full MPR+route recompute on a
 // converged control table — the operation the seed implementation ran once
 // per received HELLO/TC. "dense" is the production path (zero steady-state
-// allocations); "oracle" is the retained map-based reference, which is
+// allocations; the flush is what runs its kernels — recomputeNow alone
+// only stamps); "oracle" is the retained map-based reference, which is
 // also the pre-optimization cost profile. See PERF.md for the table.
 func BenchmarkOLSRControlPlane(b *testing.B) {
 	for _, n := range []int{100, 1000} {
@@ -52,7 +53,7 @@ func BenchmarkOLSRControlPlane(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					r.dirty = true
-					r.recomputeNow()
+					r.flush()
 				}
 			})
 		}
@@ -74,17 +75,16 @@ func BenchmarkOLSRPurge(b *testing.B) {
 // BenchmarkOLSRWorld runs a full 200-node static-grid world — HELLO/TC
 // emission, MPR forwarding, recomputes, purges — for five simulated
 // seconds per iteration. Modes: "dense" is the production control plane
-// (coalesced + change-filtered triggers, dense kernels); "oracle" keeps
-// the new triggers but the map-based kernels; "seed" reconstructs the
-// pre-optimization behavior (map-based kernels, one recompute per received
-// message and per purge tick). Iteration-based benchtime only.
+// (coalesced + change-filtered triggers, dense kernels run on demand);
+// "oracle" keeps the triggers but runs the map-based kernels at every
+// stamp. Iteration-based benchtime only.
 func BenchmarkOLSRWorld(b *testing.B) {
 	const n = 200
 	positions := make([]geometry.Vec2, n)
 	for i := range positions {
 		positions[i] = geometry.Vec2{X: float64(i%20) * 180, Y: float64(i/20) * 180}
 	}
-	for _, mode := range []string{"dense", "oracle", "seed"} {
+	for _, mode := range []string{"dense", "oracle"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -92,9 +92,7 @@ func BenchmarkOLSRWorld(b *testing.B) {
 				w, err := netsim.NewWorld(netsim.WorldConfig{
 					Nodes: n, Seed: 1, Static: positions,
 				}, func(node *netsim.Node) netsim.Router {
-					r := New(node, Config{OracleRecompute: mode != "dense"})
-					r.eagerRecompute = mode == "seed"
-					return r
+					return New(node, Config{OracleRecompute: mode == "oracle"})
 				})
 				if err != nil {
 					b.Fatal(err)

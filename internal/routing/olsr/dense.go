@@ -149,8 +149,9 @@ func resizeBool(s []bool, n int) []bool {
 	return s
 }
 
-func (r *Router) recomputeDense() {
-	now := r.now()
+// recomputeDense materializes the recompute stamped at now (flush passes
+// the stamp's time, which may lie in the past; see recomputeNow).
+func (r *Router) recomputeDense(now sim.Time) {
 	epoch := r.nextEpoch()
 	r.ensureScratch()
 	r.denseSelectMPRs(now, epoch)

@@ -8,10 +8,11 @@
 // The control plane is built for scale: NodeIDs are interned to small
 // dense indices per router, MPR/route recomputation runs on reusable
 // slice/stamp scratch (zero steady-state allocations), recompute triggers
-// are coalesced to at most one run per kernel timestamp through a dirty
-// flag, and tuple expiry is tracked by lazy min-heaps so the periodic
-// purge costs O(expired) instead of sweeping every live entry. The
-// original map-based recompute is retained in oracle.go as the
+// are coalesced to at most one stamp per kernel timestamp through a dirty
+// flag, the kernels themselves run only when somebody reads the result
+// (see recomputeNow), and tuple expiry is tracked by lazy min-heaps so the
+// periodic purge costs O(expired) instead of sweeping every live entry.
+// The original map-based recompute is retained in oracle.go as the
 // differential-testing reference (Config.OracleRecompute).
 package olsr
 
@@ -195,17 +196,15 @@ type Router struct {
 	mprEpoch     uint64
 	mprList      []netsim.NodeID // sorted by NodeID
 
-	// Coalesced recompute: handlers mark the router dirty and schedule at
-	// most one recompute event per kernel timestamp; reads flush
-	// synchronously so observable state is never stale.
+	// Coalesced, demand-driven recompute: handlers mark the router dirty
+	// and schedule at most one recompute event per kernel timestamp; the
+	// event only stamps the recompute as due as of lastRecompute, and reads
+	// flush synchronously so observable state is never stale.
 	dirty         bool
-	lastRecompute sim.Time
-	recomputes    uint64
-	// eagerRecompute disables coalescing and change filtering: every
-	// handler invocation recomputes synchronously, material or not. It
-	// reconstructs the seed implementation's cost profile for the
-	// before/after benchmarks (set directly, in-package only).
-	eagerRecompute bool
+	lastRecompute sim.Time // time of the last stamp
+	recomputes    uint64   // stamps
+	pending       bool     // the last stamp has not been materialized yet
+	materialized  uint64   // kernel runs
 
 	scratch denseScratch
 
@@ -288,14 +287,17 @@ func (r *Router) Stop() {
 func (r *Router) ControlTraffic() (uint64, uint64) { return r.ctrlPackets, r.ctrlBytes }
 
 // TableStats reports live control-state sizes, including the expiry-heap
-// backlog (for analysis and the memory-stability tests).
+// backlog (for analysis and the memory-stability tests), and how many
+// recompute stamps and kernel runs they cost so far.
 type TableStats struct {
-	Links     int
-	TwoHop    int
-	Topology  int
-	Selectors int
-	Dups      int
-	HeapItems int
+	Links        int
+	TwoHop       int
+	Topology     int
+	Selectors    int
+	Dups         int
+	HeapItems    int
+	Recomputes   uint64 // coalesced stamps (see recomputeNow)
+	Materialized uint64 // MPR/route kernel runs readers demanded
 }
 
 // TableStats implements the memory introspection used by stability tests.
@@ -308,6 +310,8 @@ func (r *Router) TableStats() TableStats {
 		Dups:      r.dups.Len(),
 		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopExp.Len() +
 			r.topoExp.Len() + r.selExp.Len() + r.dups.Deadlines(),
+		Recomputes:   r.recomputes,
+		Materialized: r.materialized,
 	}
 }
 
@@ -347,6 +351,7 @@ func (r *Router) routeFor(dst netsim.NodeID) (routeEntry, bool) {
 
 // routesSnapshot materializes the route table as a map (tests only).
 func (r *Router) routesSnapshot() map[netsim.NodeID]routeEntry {
+	r.flush()
 	out := make(map[netsim.NodeID]routeEntry)
 	if r.routeEpoch == 0 {
 		return out
@@ -362,21 +367,15 @@ func (r *Router) routesSnapshot() map[netsim.NodeID]routeEntry {
 func (r *Router) now() sim.Time { return r.node.Kernel().Now() }
 
 // noteChange is the handlers' recompute trigger: material changes mark the
-// router dirty (pure lifetime refreshes never force a rebuild). In eager
-// mode every call recomputes immediately, replicating the seed's
-// per-message rebuild for benchmarking.
+// router dirty (pure lifetime refreshes never force a rebuild).
 func (r *Router) noteChange(material bool) {
-	if r.eagerRecompute {
-		r.recomputeNow()
-		return
-	}
 	if material {
 		r.markDirty()
 	}
 }
 
 // markDirty notes that state feeding MPR selection or route computation
-// changed, and schedules at most one coalesced recompute per kernel
+// changed, and schedules at most one coalesced recompute stamp per kernel
 // timestamp: a node forwarding k TCs in one slot pays one rebuild, not k.
 func (r *Router) markDirty() {
 	if r.dirty {
@@ -406,24 +405,55 @@ func recomputeEvent(a any) {
 	}
 }
 
-// flush recomputes synchronously if state changed since the last run, so
-// reads (route lookups, MPR queries, wire emission) never observe staleness
-// from the coalescing.
+// flush stamps synchronously if state changed since the last stamp and
+// materializes the pending stamp, so reads (route lookups, MPR queries,
+// wire emission) never observe staleness from the coalescing or the
+// deferral. Every reader of mprStamp/mprList/routeOf goes through it.
 func (r *Router) flush() {
 	if r.dirty {
 		r.recomputeNow()
 	}
+	if r.pending {
+		r.pending = false
+		r.materialized++
+		r.recomputeDense(r.lastRecompute)
+	}
 }
 
+// recomputeNow stamps the recompute as due as of τ = now; the dense
+// kernels run later, in flush, evaluated at τ — and not at all when another
+// stamp overwrites this one unread (nine in ten, on the urban workloads).
+//
+// Lemma (why deferring is exact). Write R(S, τ) for the kernels' output on
+// control state S evaluated at time τ; they read S's lifetimes only through
+// `until > τ`. Between a stamp at τ and the read, only non-material
+// mutations can have happened — a material one re-dirties and re-stamps —
+// and a non-material mutation at t ≥ τ only moves the symUntil / 2-hop /
+// topology `until` of an existing tuple still valid at t, hence at τ, to a
+// later value, still valid at τ. Inserts, removals, revivals from soft
+// expiry, ANSN discards, link failures and every ETX quality move are
+// reported material; the one unreported mutation, lq.tick() in sendHello,
+// runs after that function's own flush. So R(state_at_read, τ) =
+// R(state_at_τ, τ). The rule this imposes on handlers: a mutation not
+// reported through noteChange(true) must leave R(·, τ) unchanged for every
+// τ ≤ now.
+//
+// The coalesced event stays although it only stamps (O(1)): it is what pins
+// τ. Deriving τ inside markDirty would make it depend on whether another
+// event of the same timestamp ran before or after the coalesced one.
+//
+// The oracle recomputes eagerly at stamp time, which makes it the reference
+// the lemma is tested against (TestDeferredMatchesEagerTrajectory).
 func (r *Router) recomputeNow() {
 	r.dirty = false
 	r.lastRecompute = r.now()
 	r.recomputes++
 	if r.cfg.OracleRecompute {
+		r.materialized++
 		r.recomputeOracle()
-	} else {
-		r.recomputeDense()
+		return
 	}
+	r.pending = true
 }
 
 func (r *Router) nextEpoch() uint64 {

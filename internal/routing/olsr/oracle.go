@@ -13,7 +13,9 @@ import (
 // per recompute — the pre-optimization cost profile that the control-plane
 // benchmark measures against — and must stay semantically identical to
 // dense.go: TestDenseMatchesOracle asserts bit-identical routes, MPR sets
-// and wire contents across randomized topologies.
+// and wire contents across randomized topologies. It runs eagerly at every
+// recompute stamp, which also makes it the reference for the dense path's
+// demand-driven materialization (see recomputeNow).
 //
 // Two deliberate deviations from the seed implementation, shared with the
 // dense path: route replacement uses the total (cost, hops, next) order of

@@ -61,7 +61,7 @@ type calendar struct {
 	ovDead   int
 
 	// shrinkStreak counts consecutive pops that left the queue below the
-	// shrink threshold; see pop for the hysteresis it implements.
+	// shrink threshold; see popDue for the hysteresis it implements.
 	shrinkStreak int
 
 	scratch []*event // rebuild staging, reused across rebuilds
@@ -216,7 +216,7 @@ func (c *calendar) scanMin(k *Kernel) *event {
 
 // next returns the earliest live event without removing it, or nil when
 // the queue is empty. It leaves the result at the head of the bucket at
-// scanDay, so an immediately following pop is O(1).
+// scanDay, where popDue takes it from without a second search.
 func (c *calendar) next(k *Kernel) *event {
 	for {
 		var ev *event
@@ -257,10 +257,11 @@ func (c *calendar) next(k *Kernel) *event {
 	}
 }
 
-// pop removes and returns the earliest live event, or nil when empty.
-func (c *calendar) pop(k *Kernel) *event {
+// popDue removes and returns the earliest live event if it fires at or
+// before deadline; nil when the queue is empty or nothing is due yet.
+func (c *calendar) popDue(k *Kernel, deadline Time) *event {
 	ev := c.next(k)
-	if ev == nil {
+	if ev == nil || ev.at > deadline {
 		return nil
 	}
 	b := &c.buckets[int(c.scanDay&c.mask)]

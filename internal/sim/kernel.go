@@ -352,21 +352,23 @@ func (k *Kernel) Cancel(h Handle) bool {
 	return true
 }
 
-// Step executes the next pending event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
-func (k *Kernel) Step() bool {
-	var ev *event
+// popDue removes and returns the earliest pending event if it fires at or
+// before deadline, and nil otherwise: one minimum lookup serves both the
+// deadline test and the pop. On the calendar path the lookup may advance
+// the scan cursor and reclaim cancelled records even when nothing is due —
+// deterministic state changes that never affect pop order.
+func (k *Kernel) popDue(deadline Time) *event {
 	if k.oracle {
-		if len(k.heapq) == 0 {
-			return false
+		if len(k.heapq) == 0 || k.heapq[0].at > deadline {
+			return nil
 		}
-		ev = heap.Pop(&k.heapq).(*event)
-	} else {
-		ev = k.cal.pop(k)
-		if ev == nil {
-			return false
-		}
+		return heap.Pop(&k.heapq).(*event)
 	}
+	return k.cal.popDue(k, deadline)
+}
+
+// fire executes a popped event, advancing the clock to its timestamp.
+func (k *Kernel) fire(ev *event) {
 	k.now = ev.at
 	k.processed++
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
@@ -378,25 +380,17 @@ func (k *Kernel) Step() bool {
 	} else {
 		afn(arg)
 	}
-	return true
 }
 
-// peekTime reports the earliest pending event time without executing it.
-// On the calendar path the lookup may advance the scan cursor and reclaim
-// cancelled records — deterministic state changes that never affect pop
-// order.
-func (k *Kernel) peekTime() (Time, bool) {
-	if k.oracle {
-		if len(k.heapq) == 0 {
-			return 0, false
-		}
-		return k.heapq[0].at, true
-	}
-	ev := k.cal.next(k)
+// Step executes the next pending event, advancing the clock to its
+// timestamp. It reports false when the queue is empty.
+func (k *Kernel) Step() bool {
+	ev := k.popDue(MaxTime)
 	if ev == nil {
-		return 0, false
+		return false
 	}
-	return ev.at, true
+	k.fire(ev)
+	return true
 }
 
 // Stop makes the current Run/RunUntil call return after the in-flight event
@@ -415,11 +409,11 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(end Time) {
 	k.stopped = false
 	for !k.stopped {
-		at, ok := k.peekTime()
-		if !ok || at > end {
+		ev := k.popDue(end)
+		if ev == nil {
 			break
 		}
-		k.Step()
+		k.fire(ev)
 	}
 	if !k.stopped && k.now < end {
 		k.now = end
