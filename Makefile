@@ -106,9 +106,12 @@ bench-mobility-smoke:
 # One iteration of the 10k-ticker kernel bench on both queue paths:
 # catches the calendar queue silently losing its O(1) behavior (or
 # sim.KernelConfig.HeapOracle, the switch the bench selects the heap
-# with, breaking) without the full depth table from PERF.md.
+# with, breaking) without the full depth table from PERF.md. The fan-out
+# bench rides along: its batch/each pair shows at a glance whether a
+# sim.Batch still costs one queue entry per transmission rather than one
+# requeue per member.
 bench-kernel-smoke:
-	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k' -benchtime=1x -benchmem -run XXX
+	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|FanOutBatch' -benchtime=1x -benchmem -run XXX
 
 # One iteration of the AODV/DYMO data-plane benches on both table paths:
 # catches the dense tables silently allocating (their 0 allocs/op is the
@@ -127,11 +130,12 @@ bench-dataplane:
 	$(GO) test ./internal/routing/dymo/ -bench DYMOForward -benchmem -benchtime=2s -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench DYMORREQStorm -benchmem -benchtime=20x -run XXX
 
-# Full event-kernel table (mixed workloads plus schedule/pop at
-# 1k/10k/100k pending, calendar vs heap oracle); see the "Event kernel"
-# section of PERF.md.
+# Full event-kernel table (mixed workloads, schedule/pop at 1k/10k/100k
+# pending, and the batched vs per-member fan-out, calendar vs heap
+# oracle); see the "Event kernel" and "Batched signal fan-out" sections of
+# PERF.md.
 bench-kernel:
-	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|CancelHeavy|FarFutureOverflow|MetroArrivals|SchedulePopPending' -benchmem -benchtime=2s -run XXX
+	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|CancelHeavy|FarFutureOverflow|MetroArrivals|SchedulePopPending|FanOutBatch' -benchmem -benchtime=2s -run XXX
 
 # Full routing control-plane table (dense vs oracle at N=100/1k plus the
 # steady-state purge); see the "Routing control plane" section of PERF.md.

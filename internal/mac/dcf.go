@@ -191,8 +191,13 @@ type DCF struct {
 	// hot path pays a nil check instead of a type assertion per frame.
 	sendDone SendDoneObserver
 
+	// queue[qhead:] is the backlog: popping advances qhead and zeroes the
+	// slot, so the array is reused from its base instead of losing a slot
+	// of capacity per MSDU.
 	queue   []txJob
-	current *txJob
+	qhead   int
+	job     txJob  // storage for the in-flight MSDU
+	current *txJob // &job while an MSDU is in service, else nil
 	retries int
 	cw      int
 	backoff int
@@ -253,7 +258,7 @@ func (d *DCF) Stats() Stats { return d.stats }
 // in-flight job still contending or awaiting its ACK/retries. Counting
 // only the queue made the backlog read 0 while a frame was still retrying.
 func (d *DCF) QueueLen() int {
-	n := len(d.queue)
+	n := len(d.queue) - d.qhead
 	if d.current != nil {
 		n++
 	}
@@ -268,7 +273,7 @@ func (d *DCF) EachQueued(f func(payload any)) {
 	if d.current != nil {
 		f(d.current.payload)
 	}
-	for i := range d.queue {
+	for i := d.qhead; i < len(d.queue); i++ {
 		f(d.queue[i].payload)
 	}
 }
@@ -330,8 +335,7 @@ func (d *DCF) Down() {
 	d.navUntil = 0
 	obs, _ := d.upper.(DownObserver)
 	if d.current != nil {
-		job := *d.current
-		d.current = nil
+		job := d.dropCurrent()
 		// Retire the flushed MSDU's sequence number: the receiver may have
 		// cached it in its dedup filter, and a post-recovery frame reusing
 		// it would be ACKed yet silently discarded as a retransmission.
@@ -341,7 +345,7 @@ func (d *DCF) Down() {
 			obs.MACDownDrop(job.to, job.payload)
 		}
 	}
-	for i := range d.queue {
+	for i := d.qhead; i < len(d.queue); i++ {
 		job := d.queue[i]
 		d.queue[i] = txJob{}
 		d.stats.DownDrops++
@@ -349,7 +353,7 @@ func (d *DCF) Down() {
 			obs.MACDownDrop(job.to, job.payload)
 		}
 	}
-	d.queue = d.queue[:0]
+	d.queue, d.qhead = d.queue[:0], 0
 	d.cw = d.cfg.CWMin
 	d.backoff = 0
 }
@@ -370,12 +374,19 @@ func (d *DCF) Send(to Address, payload any, bytes int) {
 		}
 		return
 	}
-	if len(d.queue) >= d.cfg.QueueCap {
+	if len(d.queue)-d.qhead >= d.cfg.QueueCap {
 		d.stats.QueueDrops++
 		if o, ok := d.upper.(QueueDropObserver); ok {
 			o.MACQueueDrop(to, payload)
 		}
 		return
+	}
+	if d.qhead > 0 && len(d.queue) == cap(d.queue) {
+		// A backlog that never drains would otherwise grow the array by its
+		// spent prefix forever: slide it back to the base before growing.
+		n := copy(d.queue, d.queue[d.qhead:])
+		clear(d.queue[n:])
+		d.queue, d.qhead = d.queue[:n], 0
 	}
 	d.queue = append(d.queue, txJob{to: to, payload: payload, bytes: bytes})
 	d.kick()
@@ -383,12 +394,16 @@ func (d *DCF) Send(to Address, payload any, bytes int) {
 
 // kick starts service of the next queued frame when the MAC is idle.
 func (d *DCF) kick() {
-	if d.current != nil || len(d.queue) == 0 {
+	if d.current != nil || d.qhead == len(d.queue) {
 		return
 	}
-	job := d.queue[0]
-	d.queue = d.queue[1:]
-	d.current = &job
+	d.job = d.queue[d.qhead]
+	d.queue[d.qhead] = txJob{}
+	d.qhead++
+	if d.qhead == len(d.queue) {
+		d.queue, d.qhead = d.queue[:0], 0
+	}
+	d.current = &d.job
 	d.retries = 0
 	d.cw = d.cfg.CWMin
 	d.backoff = d.rnd.Intn(d.cw + 1)
@@ -524,8 +539,7 @@ func (d *DCF) retryCurrent() {
 	d.stats.Retries++
 	if d.retries > d.retryLimit(d.current) {
 		d.stats.Failures++
-		job := *d.current
-		d.finishJob()
+		job := d.finishJob()
 		if d.upper != nil {
 			d.upper.MACSendFailed(job.to, job.payload)
 		}
@@ -541,12 +555,22 @@ func (d *DCF) retryCurrent() {
 	d.resume()
 }
 
-// finishJob completes the current frame (success or final failure) and
-// moves on. The sequence number advances per transmitted MSDU.
-func (d *DCF) finishJob() {
+// dropCurrent takes the in-flight MSDU out of service and returns it.
+func (d *DCF) dropCurrent() txJob {
+	job := d.job
+	d.job = txJob{}
 	d.current = nil
+	return job
+}
+
+// finishJob completes the current frame (success or final failure), moves
+// on, and returns the finished job. The sequence number advances per
+// transmitted MSDU.
+func (d *DCF) finishJob() txJob {
+	job := d.dropCurrent()
 	d.seq++
 	d.kick()
+	return job
 }
 
 // Radio handler implementation.
@@ -673,8 +697,7 @@ func (d *DCF) handleAck(frame *Frame) {
 	if d.awaitingAck && frame.From == d.ackFrom && frame.Seq == d.ackSeq {
 		d.awaitingAck = false
 		d.ackTimer.Stop()
-		job := *d.current
-		d.finishJob()
+		job := d.finishJob()
 		if d.sendDone != nil {
 			d.sendDone.MACSendDone(job.to, job.payload)
 		}

@@ -399,3 +399,122 @@ func TestEachQueuedVisitsCustody(t *testing.T) {
 		t.Fatalf("QueueLen = %d", m.QueueLen())
 	}
 }
+
+// downRec is upperRec plus the node-down flush observer.
+type downRec struct {
+	upperRec
+	downDrops []any
+}
+
+func (u *downRec) MACDownDrop(to Address, payload any) {
+	u.downDrops = append(u.downDrops, payload)
+}
+
+// TestSendOneAtATimeAllocFree pins the interface queue's storage reuse: a
+// station that sends one frame at a time pops behind a head index and
+// holds the in-flight job by value, so neither Send nor kick allocates —
+// before, each MSDU cost a heap-allocated job and, because popping by
+// reslicing gave up a slot of capacity, a queue reallocation.
+func TestSendOneAtATimeAllocFree(t *testing.T) {
+	k := sim.NewKernel()
+	c := phy.NewChannel(k, phy.TwoRayGround{}, phy.Config{CaptureRatio: 10})
+	m := New(k, c.Attach(geometry.Vec2{}), 0, Config{}, rand.New(rand.NewSource(1)), &upperRec{})
+	payload := any(&struct{}{})
+
+	// Send, kick and Down alone: the kernel never runs, so no frame is
+	// built and the flush returns the MAC to idle.
+	m.Send(Broadcast, payload, 100)
+	m.Down()
+	m.Up()
+	if a := testing.AllocsPerRun(200, func() {
+		m.Send(Broadcast, payload, 100)
+		m.Down()
+		m.Up()
+	}); a != 0 {
+		t.Fatalf("Send+kick+Down allocated %v times per MSDU, want 0", a)
+	}
+
+	// The whole service cycle of one broadcast MSDU allocates its two
+	// frames (mac.Frame, phy.Frame) and nothing else.
+	m.Send(Broadcast, payload, 100)
+	k.Run()
+	if a := testing.AllocsPerRun(200, func() {
+		m.Send(Broadcast, payload, 100)
+		k.Run()
+	}); a != 2 {
+		t.Fatalf("one broadcast MSDU allocated %v times, want 2 (the frames)", a)
+	}
+	if got := m.Stats().DataTx; got != 202 {
+		t.Fatalf("DataTx = %d, want 202", got)
+	}
+}
+
+// TestQueueHeadIndexKeepsCustody drives the backlog through pops, refills,
+// the never-drains compaction and a Down flush, checking after every step
+// that QueueLen/EachQueued/Down see exactly the in-flight job followed by
+// the backlog in FIFO order, and that popped slots are not retained.
+func TestQueueHeadIndexKeepsCustody(t *testing.T) {
+	k := sim.NewKernel()
+	c := phy.NewChannel(k, phy.TwoRayGround{}, phy.Config{CaptureRatio: 10})
+	up := &downRec{}
+	m := New(k, c.Attach(geometry.Vec2{}), 0, Config{QueueCap: 4}, rand.New(rand.NewSource(1)), up)
+
+	next, want := 0, []any(nil) // want: the custody order, in-flight first
+	check := func(when string) {
+		t.Helper()
+		var seen []any
+		m.EachQueued(func(p any) { seen = append(seen, p) })
+		if len(seen) != len(want) || m.QueueLen() != len(want) {
+			t.Fatalf("%s: EachQueued = %v (QueueLen %d), want %v", when, seen, m.QueueLen(), want)
+		}
+		for i := range want {
+			if seen[i] != want[i] {
+				t.Fatalf("%s: EachQueued = %v, want %v", when, seen, want)
+			}
+		}
+		for i := 0; i < m.qhead; i++ {
+			if m.queue[i] != (txJob{}) {
+				t.Fatalf("%s: popped slot %d still holds %v", when, i, m.queue[i])
+			}
+		}
+	}
+	send := func() {
+		m.Send(Broadcast, next, 100)
+		if len(want) < 5 { // one in flight + QueueCap queued; the rest drop-tail
+			want = append(want, next)
+		}
+		next++
+	}
+	// Keep the backlog from ever draining: one MSDU completes, two arrive
+	// (the surplus is dropped at the tail), for far more rounds than the
+	// array has slots.
+	send()
+	send()
+	check("primed")
+	for round := 0; round < 200; round++ {
+		sent := m.Stats().DataTx
+		for m.Stats().DataTx == sent || m.radio.Transmitting() {
+			if !k.Step() {
+				t.Fatalf("round %d: kernel ran dry with %d in custody", round, m.QueueLen())
+			}
+		}
+		want = want[1:]
+		send()
+		send()
+		check("saturated")
+	}
+	if cap(m.queue) > 4*m.cfg.QueueCap {
+		t.Fatalf("backing array grew to %d slots under a capped backlog of %d", cap(m.queue), m.cfg.QueueCap)
+	}
+	m.Down()
+	if len(up.downDrops) != len(want) {
+		t.Fatalf("Down flushed %v, want %v", up.downDrops, want)
+	}
+	for i := range want {
+		if up.downDrops[i] != want[i] {
+			t.Fatalf("Down flushed %v, want %v", up.downDrops, want)
+		}
+	}
+	want = nil
+	check("down")
+}

@@ -17,6 +17,11 @@ type Frame struct {
 	Bytes    int
 	Duration sim.Time
 	Payload  any
+
+	// ends batches this frame's signalEnd events: receivers start hearing
+	// it in non-decreasing time and Duration is per frame, so each start
+	// appends its end in order.
+	ends sim.Batch
 }
 
 // Config sets the channel-wide radio parameters.
@@ -76,6 +81,7 @@ type Handler interface {
 type Channel struct {
 	kernel      *sim.Kernel
 	prop        Propagation
+	powerAt     func(d float64) float64 // prop's DistancePower at cfg.TxPowerW; nil if it has none
 	cfg         Config
 	rxThreshW   float64
 	csThreshW   float64
@@ -154,6 +160,9 @@ func NewChannel(k *sim.Kernel, prop Propagation, cfg Config) *Channel {
 		kernel: k,
 		prop:   prop,
 		cfg:    cfg,
+	}
+	if dp, ok := prop.(DistancePower); ok {
+		c.powerAt = dp.AtDistance(cfg.TxPowerW)
 	}
 	c.rxThreshW = PowerAtRange(prop, cfg.TxPowerW, cfg.RxRangeM)
 	c.csThreshW = PowerAtRange(prop, cfg.TxPowerW, cfg.CSRangeM)
@@ -244,33 +253,43 @@ func (c *Channel) Transmit(r *Radio, payload any, bytes int, duration sim.Time) 
 	for _, sig := range r.active {
 		sig.corrupted = true
 	}
+	// One queue entry for the whole fan-out: each receiver's signalStart is
+	// a batch member, drawing its sequence number where its event would.
+	starts := c.kernel.NewBatch(signalStartFn)
 	if c.grid != nil {
 		// Detached radios are absent from the grid, so the cull skips them.
 		c.nearBuf = c.grid.Near(c.nearBuf[:0], src, c.csCullM)
 		for _, idx := range c.nearBuf {
 			rx := c.radios[idx]
 			if rx != r {
-				c.propagate(r, rx, f)
+				c.propagate(starts, r, rx, f)
 			}
 		}
 	} else {
 		for _, rx := range c.radios {
 			if rx != r && !rx.detached {
-				c.propagate(r, rx, f)
+				c.propagate(starts, r, rx, f)
 			}
 		}
 	}
+	starts.Commit()
 	r.txFrame = f
 	c.kernel.AfterArg(duration, txDoneFn, r)
 	return f
 }
 
-// propagate schedules the arrival of frame f at rx if the received power
-// clears the carrier-sense threshold.
-func (c *Channel) propagate(tx, rx *Radio, f *Frame) {
+// propagate adds the arrival of frame f at rx to the frame's batch of
+// signal starts if the received power clears the carrier-sense threshold.
+func (c *Channel) propagate(starts sim.Batch, tx, rx *Radio, f *Frame) {
 	src := tx.position
 	rxPos := rx.position
-	power := c.prop.RxPower(c.cfg.TxPowerW, src, rxPos)
+	meters := src.Dist(rxPos)
+	var power float64
+	if c.powerAt != nil {
+		power = c.powerAt(meters)
+	} else {
+		power = c.prop.RxPower(c.cfg.TxPowerW, src, rxPos)
+	}
 	var loss float64
 	if len(c.impairs) > 0 {
 		if imp, ok := c.impairs[impairKey(tx.index, rx.index)]; ok {
@@ -295,10 +314,9 @@ func (c *Channel) propagate(tx, rx *Radio, f *Frame) {
 	sig.power = power
 	delay := sim.Time(0)
 	if !c.cfg.NoPropDelay {
-		meters := src.Dist(rxPos)
 		delay = sim.Time(meters / lightSpeed * float64(sim.Second))
 	}
-	c.kernel.AfterArg(delay, signalStartFn, sig)
+	starts.Add(c.kernel.Now()+delay, sig)
 }
 
 // newSignal takes a signal record from the pool. Records return to the pool
@@ -318,8 +336,8 @@ func (c *Channel) releaseSignal(sig *signal) {
 	c.sigFree = append(c.sigFree, sig)
 }
 
-// Package-level event callbacks: scheduling these through AfterArg reuses a
-// pooled kernel event instead of allocating a closure per signal edge.
+// Package-level event callbacks: scheduling these by value reuses pooled
+// kernel storage instead of allocating a closure per signal edge.
 var (
 	signalStartFn = func(a any) { s := a.(*signal); s.radio.signalStart(s) }
 	signalEndFn   = func(a any) { s := a.(*signal); s.radio.signalEnd(s) }
@@ -479,7 +497,13 @@ func (r *Radio) signalStart(sig *signal) {
 	if !wasBusy && r.handler != nil {
 		r.handler.RadioCarrier(true)
 	}
-	r.channel.kernel.AfterArg(sig.frame.Duration, signalEndFn, sig)
+	k, f := r.channel.kernel, sig.frame
+	if end := k.Now() + f.Duration; !f.ends.Append(end, sig) {
+		// First start of the frame (or its earlier ends have all fired).
+		f.ends = k.NewBatch(signalEndFn)
+		f.ends.Add(end, sig)
+		f.ends.Commit()
+	}
 }
 
 // capturedOver reports whether a signal with power p survives interference

@@ -267,3 +267,51 @@ func payloads(fs []*Frame) []any {
 	}
 	return out
 }
+
+// TestTransmitFanOutAllocatesOnlyFrame pins the steady-state cost of one
+// broadcast through the PHY: the Frame, and nothing else — signal records,
+// the start and end batches, their member storage and their queue entries
+// are all pooled.
+func TestTransmitFanOutAllocatesOnlyFrame(t *testing.T) {
+	for _, cfg := range []Config{{CaptureRatio: 10}, {CaptureRatio: 10, NoPropDelay: true}, {CaptureRatio: 10, BruteForce: true}} {
+		k, _, radios := benchStrip(200, cfg)
+		payload := any(&struct{}{})
+		i := 0
+		cycle := func() {
+			radios[i%len(radios)].Transmit(payload, 512, 100*sim.Microsecond)
+			i++
+			k.Run()
+		}
+		for j := 0; j < 2*len(radios); j++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(400, cycle); allocs != 1 {
+			t.Fatalf("%+v: one broadcast allocated %v times, want 1 (the Frame)", cfg, allocs)
+		}
+	}
+}
+
+// TestShortFrameEndsBeforeLaterStarts covers the one case where a frame's
+// batch of signal ends finishes while the frame is still arriving
+// somewhere: a frame shorter than the spread of propagation delays. The
+// near receiver's end fires (and its end batch is recycled) before the far
+// receiver's start, whose end must then open a fresh batch.
+func TestShortFrameEndsBeforeLaterStarts(t *testing.T) {
+	k, c := testChannel(t, Config{})
+	tx, _ := attach(c, 0, 0)
+	_, near := attach(c, 30, 0) // ≈100 ns away
+	_, far := attach(c, 240, 0) // ≈800 ns away
+	tx.Transmit("x", 1, 200*sim.Nanosecond)
+	k.Run()
+	for name, rec := range map[string]*recorder{"near": near, "far": far} {
+		if len(rec.received) != 1 {
+			t.Fatalf("%s receiver decoded %d frames, want 1", name, len(rec.received))
+		}
+		if len(rec.carrier) != 2 || !rec.carrier[0] || rec.carrier[1] {
+			t.Fatalf("%s receiver carrier edges = %v, want [true false]", name, rec.carrier)
+		}
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("%d events still pending", k.Pending())
+	}
+}

@@ -49,6 +49,16 @@ func propIsDistanceMonotone(m Propagation) bool {
 	return ok && dm.DistanceMonotone()
 }
 
+// DistancePower is the optional fast path for models whose received power
+// depends on geometry only through the tx→rx distance: AtDistance resolves
+// the model's constants once for a transmit power and returns power as a
+// function of distance, which the channel calls per receiver. It must equal
+// RxPower(txW, from, to) at from.Dist(to) bit for bit — implementers define
+// RxPower through it.
+type DistancePower interface {
+	AtDistance(txW float64) func(d float64) float64
+}
+
 // FreeSpace is the Friis free-space model:
 // Pr = Pt·Gt·Gr·λ² / ((4π·d)²·L).
 type FreeSpace struct {
@@ -82,15 +92,32 @@ func (m FreeSpace) params() (gt, gr, l, lambda float64) {
 // strictly with distance.
 func (m FreeSpace) DistanceMonotone() bool { return true }
 
+// friis is FreeSpace with its constants resolved for one transmit power.
+type friis struct {
+	txW float64
+	num float64 // Pt·Gt·Gr·λ²
+	l   float64
+}
+
+func (m FreeSpace) resolve(txW float64) friis {
+	gt, gr, l, lambda := m.params()
+	return friis{txW: txW, num: txW * gt * gr * lambda * lambda, l: l}
+}
+
+func (f friis) at(d float64) float64 {
+	if d == 0 {
+		return f.txW
+	}
+	den := 4 * math.Pi * d
+	return f.num / (den * den * f.l)
+}
+
+// AtDistance implements DistancePower.
+func (m FreeSpace) AtDistance(txW float64) func(d float64) float64 { return m.resolve(txW).at }
+
 // RxPower implements Propagation.
 func (m FreeSpace) RxPower(txW float64, from, to geometry.Vec2) float64 {
-	d := from.Dist(to)
-	if d == 0 {
-		return txW
-	}
-	gt, gr, l, lambda := m.params()
-	den := 4 * math.Pi * d
-	return txW * gt * gr * lambda * lambda / (den * den * l)
+	return m.resolve(txW).at(from.Dist(to))
 }
 
 // TwoRayGround is the two-ray ground-reflection model used by the paper
@@ -132,15 +159,32 @@ func (m TwoRayGround) Crossover() float64 {
 // with distance and the model is continuous at the crossover.
 func (m TwoRayGround) DistanceMonotone() bool { return true }
 
+// twoRay is TwoRayGround with its constants resolved for one transmit power.
+type twoRay struct {
+	near      friis // below the crossover; also carries L
+	crossover float64
+	num       float64 // Pt·Gt·Gr·ht²·hr²
+}
+
+func (m TwoRayGround) resolve(txW float64) twoRay {
+	ht, hr, fs := m.params()
+	gt, gr, _, _ := fs.params()
+	return twoRay{fs.resolve(txW), m.Crossover(), txW * gt * gr * ht * ht * hr * hr}
+}
+
+func (t twoRay) at(d float64) float64 {
+	if d < t.crossover {
+		return t.near.at(d)
+	}
+	return t.num / (d * d * d * d * t.near.l)
+}
+
+// AtDistance implements DistancePower.
+func (m TwoRayGround) AtDistance(txW float64) func(d float64) float64 { return m.resolve(txW).at }
+
 // RxPower implements Propagation.
 func (m TwoRayGround) RxPower(txW float64, from, to geometry.Vec2) float64 {
-	d := from.Dist(to)
-	ht, hr, fs := m.params()
-	if d < m.Crossover() {
-		return fs.RxPower(txW, from, to)
-	}
-	gt, gr, l, _ := fs.params()
-	return txW * gt * gr * ht * ht * hr * hr / (d * d * d * d * l)
+	return m.resolve(txW).at(from.Dist(to))
 }
 
 // Shadowing is the log-normal shadowing model of the paper's future-work

@@ -116,3 +116,77 @@ func TestShadowingBelowReferenceClamped(t *testing.T) {
 		t.Fatalf("distances below d0 should clamp: %v vs %v", a, b)
 	}
 }
+
+// legacyFreeSpace and legacyTwoRay are the RxPower bodies as they stood
+// before DistancePower, kept verbatim as the reference the resolved-
+// constants form must reproduce bit for bit.
+func legacyFreeSpace(m FreeSpace, txW float64, from, to geometry.Vec2) float64 {
+	d := from.Dist(to)
+	if d == 0 {
+		return txW
+	}
+	gt, gr, l, lambda := m.params()
+	den := 4 * math.Pi * d
+	return txW * gt * gr * lambda * lambda / (den * den * l)
+}
+
+func legacyTwoRay(m TwoRayGround, txW float64, from, to geometry.Vec2) float64 {
+	d := from.Dist(to)
+	ht, hr, fs := m.params()
+	if d < m.Crossover() {
+		return legacyFreeSpace(fs, txW, from, to)
+	}
+	gt, gr, l, _ := fs.params()
+	return txW * gt * gr * ht * ht * hr * hr / (d * d * d * d * l)
+}
+
+// TestAtDistanceBitIdentical pins the PHY rider: AtDistance(txW)(d), and
+// RxPower defined through it, equal the pre-change formulas in every bit —
+// over random geometry, at d = 0, and on both sides of (and exactly at) the
+// two-ray crossover — for default and non-default gains, heights, loss and
+// frequency.
+func TestAtDistanceBitIdentical(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	free := []FreeSpace{{}, {Gt: 2.5, Gr: 0.7, L: 1.3, FreqHz: 5.9e9}}
+	twoRay := []TwoRayGround{{}, {Ht: 2.1, Hr: 0.9, Gt: 1.8, Gr: 3.2, L: 1.7, FreqHz: 2.4e9}}
+	check := func(name string, m Propagation, legacy func(txW float64, from, to geometry.Vec2) float64, txW float64, from, to geometry.Vec2) {
+		t.Helper()
+		want := math.Float64bits(legacy(txW, from, to))
+		if got := math.Float64bits(m.RxPower(txW, from, to)); got != want {
+			t.Fatalf("%s RxPower(%v, %v, %v) = %x, legacy %x", name, txW, from, to, got, want)
+		}
+		at := m.(DistancePower).AtDistance(txW)
+		if got := math.Float64bits(at(from.Dist(to))); got != want {
+			t.Fatalf("%s AtDistance(%v)(%v) = %x, legacy %x", name, txW, from.Dist(to), got, want)
+		}
+	}
+	for _, txW := range []float64{0.28183815, 1, 0.001} {
+		for i, m := range free {
+			m := m
+			legacy := func(txW float64, from, to geometry.Vec2) float64 { return legacyFreeSpace(m, txW, from, to) }
+			name := []string{"FreeSpace{}", "FreeSpace{custom}"}[i]
+			check(name, m, legacy, txW, geometry.Vec2{X: 3, Y: 4}, geometry.Vec2{X: 3, Y: 4})
+			for j := 0; j < 2000; j++ {
+				from := geometry.Vec2{X: rnd.Float64() * 3000, Y: rnd.Float64() * 1500}
+				to := geometry.Vec2{X: rnd.Float64() * 3000, Y: rnd.Float64() * 1500}
+				check(name, m, legacy, txW, from, to)
+			}
+		}
+		for i, m := range twoRay {
+			m := m
+			legacy := func(txW float64, from, to geometry.Vec2) float64 { return legacyTwoRay(m, txW, from, to) }
+			name := []string{"TwoRayGround{}", "TwoRayGround{custom}"}[i]
+			check(name, m, legacy, txW, geometry.Vec2{X: -1, Y: 2}, geometry.Vec2{X: -1, Y: 2})
+			dc := m.Crossover()
+			for _, d := range []float64{math.Nextafter(dc, 0), dc, math.Nextafter(dc, math.Inf(1)), dc / 2, dc * 2} {
+				check(name, m, legacy, txW, geometry.Vec2{}, geometry.Vec2{X: d})
+			}
+			for j := 0; j < 2000; j++ {
+				// Distances spread over both branches (dc ≈ 86 m by default).
+				from := geometry.Vec2{X: rnd.Float64() * 400, Y: rnd.Float64() * 100}
+				to := geometry.Vec2{X: rnd.Float64() * 400, Y: rnd.Float64() * 100}
+				check(name, m, legacy, txW, from, to)
+			}
+		}
+	}
+}

@@ -187,3 +187,53 @@ func benchSchedulePop(b *testing.B, n int) {
 func BenchmarkSchedulePopPending1k(b *testing.B)   { benchSchedulePop(b, 1_000) }
 func BenchmarkSchedulePopPending10k(b *testing.B)  { benchSchedulePop(b, 10_000) }
 func BenchmarkSchedulePopPending100k(b *testing.B) { benchSchedulePop(b, 100_000) }
+
+// BenchmarkFanOutBatch is the broadcast-medium shape batches exist for: 12
+// overlapping transmissions, each fanning out to 150 receivers whose
+// arrival times spread over ~2 µs of propagation delay, with foreign
+// timers (DCF slots, ACK timeouts) landing in between. One iteration
+// schedules and runs all 1800 members plus the timers; "batch" submits each
+// fan-out as one sim.Batch, "each" as one ScheduleArg per member — the two
+// fire the identical sequence (TestBatchMatchesScheduleArg), so the gap is
+// the per-receiver trip through the queue. If "batch" is not well ahead of
+// "each", batching has degraded to a requeue per member.
+func BenchmarkFanOutBatch(b *testing.B) {
+	const transmissions, receivers, timers = 12, 150, 60
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Time, receivers)
+	for i := range delays {
+		delays[i] = Time(rng.Intn(1835)) // ≤ 550 m at light speed, in ns
+	}
+	for _, mode := range []struct {
+		name    string
+		batched bool
+	}{{"batch", true}, {"each", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			benchBoth(b, func(b *testing.B, mk func() *Kernel) {
+				k := mk()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for tx := 0; tx < transmissions; tx++ {
+						start := k.Now() + Time(tx)*20*Microsecond
+						if mode.batched {
+							f := k.NewBatch(noopArg)
+							for _, d := range delays {
+								f.Add(start+d, nil)
+							}
+							f.Commit()
+						} else {
+							for _, d := range delays {
+								k.ScheduleArg(start+d, noopArg, nil)
+							}
+						}
+						for j := 0; j < timers/transmissions; j++ {
+							k.AfterArg(Time(tx)*20*Microsecond+Time(j)*400, noopArg, nil)
+						}
+					}
+					k.Run()
+				}
+			})
+		})
+	}
+}

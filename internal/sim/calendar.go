@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -67,19 +66,13 @@ type calendar struct {
 	scratch []*event // rebuild staging, reused across rebuilds
 }
 
-// calBucket is one day list: evs[head:] holds the pending events, in
-// strict (time, seq) order when sorted is set. Future days accept
-// out-of-order appends (sorted drops to false) and are sorted once when
-// the scan cursor reaches them — O(B log B) for the whole day instead of
-// an O(B) memmove per out-of-order insert, which matters when a
-// synchronized fleet parks thousands of same-instant ticks in one day.
-// Slots before head are spent (nil) and are reused by insertions that
-// precede the current minimum; the slice resets to its base once the
-// cursor drains it.
+// calBucket is one day list: evs[head:] holds the pending events in
+// strict (time, seq) order. Slots before head are spent (nil) and are
+// reused by insertions that precede the current minimum; the slice resets
+// to its base once the cursor drains it.
 type calBucket struct {
-	head   int
-	sorted bool
-	evs    []*event
+	head int
+	evs  []*event
 }
 
 const (
@@ -146,28 +139,22 @@ func (c *calendar) insert(k *Kernel, ev *event) {
 	}
 }
 
-// bucketPut inserts ev into day d's bucket. In-order arrivals append and
-// keep the bucket sorted; an out-of-order arrival for a future day appends
-// too and just marks the bucket for a deferred sort (scanMin sorts it when
-// the cursor gets there). Only the day currently being drained inserts
-// positionally — there the insertion point is near the head, and the spent
-// slots the cursor left behind absorb the shift.
+// bucketPut inserts ev into day d's bucket, keeping it sorted. In-order
+// arrivals — the common case: timers re-armed at fixed intervals, and
+// fan-outs arriving as one pre-sorted batch entry rather than a shuffle of
+// per-receiver events — append; the rest insert positionally, shifting
+// whichever side of the insertion point is shorter (the spent slots the
+// cursor left behind absorb a shift towards the head).
 func (c *calendar) bucketPut(d int64, ev *event) {
 	b := &c.buckets[int(d&c.mask)]
 	n := len(b.evs)
 	if b.head == n {
 		b.head = 0
-		b.sorted = true
 		b.evs = append(b.evs[:0], ev)
 		return
 	}
-	if !b.sorted || eventLess(b.evs[n-1], ev) {
+	if eventLess(b.evs[n-1], ev) {
 		b.evs = append(b.evs, ev)
-		return
-	}
-	if d != c.scanDay {
-		b.evs = append(b.evs, ev)
-		b.sorted = false
 		return
 	}
 	act := b.evs[b.head:]
@@ -190,10 +177,6 @@ func (c *calendar) bucketPut(d int64, ev *event) {
 func (c *calendar) scanMin(k *Kernel) *event {
 	for steps := 0; ; {
 		b := &c.buckets[int(c.scanDay&c.mask)]
-		if !b.sorted {
-			slices.SortFunc(b.evs[b.head:], eventCmp)
-			b.sorted = true
-		}
 		for ev := b.first(); ev != nil && ev.dead; ev = b.first() {
 			c.bDead--
 			k.recycle(ev)

@@ -69,17 +69,19 @@ const (
 	calOverflowIdx = -3 // resident in the far-future overflow heap
 )
 
-// event is a pooled scheduled-callback record. Exactly one of fn and afn is
-// set while the event is pending. gen increments every time the record is
-// released, invalidating outstanding handles. dead marks a cancelled record
-// that still physically occupies a calendar bucket (lazy cancellation); it
-// is skipped and recycled when the scan reaches it.
+// event is a pooled scheduled-callback record. Exactly one of fn, afn and
+// batch is set while the event is pending; a batch's entry is keyed by the
+// batch's next member. gen increments every time the record is released,
+// invalidating outstanding handles. dead marks a cancelled record that
+// still physically occupies a calendar bucket (lazy cancellation); it is
+// skipped and recycled when the scan reaches it.
 type event struct {
 	at    Time
 	seq   uint64
 	fn    func()
 	afn   func(any)
 	arg   any
+	batch *batch
 	index int // heap position, or a cal*Idx tier marker, or noIdx
 	gen   uint64
 	dead  bool
@@ -88,28 +90,14 @@ type event struct {
 // eventLess is the kernel's total order: time, then insertion sequence.
 // Both queue implementations pop in exactly this order — it is the
 // determinism contract every downstream golden depends on.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+func eventLess(a, b *event) bool { return keyLess(a.at, a.seq, b.at, b.seq) }
 
-// eventCmp is eventLess as a three-way comparison for slices.SortFunc.
-// Sequence numbers are unique, so the order is total and any comparison
-// sort produces the identical permutation — sort stability is irrelevant
-// to the determinism contract.
-func eventCmp(a, b *event) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
+// keyLess is the (time, seq) order on bare keys.
+func keyLess(at Time, seq uint64, bt Time, bseq uint64) bool {
+	if at != bt {
+		return at < bt
 	}
-	if a.seq < b.seq {
-		return -1
-	}
-	return 1
+	return seq < bseq
 }
 
 // Handle identifies a scheduled event. It is a small value, cheap to copy
@@ -199,6 +187,10 @@ type Kernel struct {
 	heapq     eventQueue // oracle path (HeapOracle)
 	cal       calendar   // production path
 	free      []*event   // recycled event records
+	batchFree []*batch   // recycled batch storage
+	extra     int        // pending batch members not counted by a queue entry
+	boundAt   Time       // with boundSeq: drain's lower bound on queued keys
+	boundSeq  uint64
 	processed uint64
 	stopped   bool
 }
@@ -218,28 +210,33 @@ func NewKernelWithConfig(cfg KernelConfig) *Kernel {
 // Now reports the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Pending reports the number of events waiting in the queue. Cancelled
-// records awaiting lazy reclamation are not counted.
+// Pending reports the number of events waiting to fire, batch members
+// included. Cancelled records awaiting lazy reclamation are not counted.
 func (k *Kernel) Pending() int {
 	if k.oracle {
-		return len(k.heapq)
+		return len(k.heapq) + k.extra
 	}
-	return k.cal.pending()
+	return k.cal.pending() + k.extra
 }
 
 // Processed reports the total number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// alloc takes an event record from the free list, or grows the pool.
-func (k *Kernel) alloc(at Time) *event {
-	var ev *event
+// record takes an event record from the free list, or grows the pool.
+func (k *Kernel) record() *event {
 	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
+		ev := k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-	} else {
-		ev = &event{index: noIdx}
+		return ev
 	}
+	return &event{index: noIdx}
+}
+
+// alloc takes a record for a new event at time at and draws its sequence
+// number.
+func (k *Kernel) alloc(at Time) *event {
+	ev := k.record()
 	ev.at = at
 	ev.seq = k.seq
 	k.seq++
@@ -272,6 +269,9 @@ func (k *Kernel) release(ev *event) {
 }
 
 func (k *Kernel) push(ev *event) Handle {
+	if keyLess(ev.at, ev.seq, k.boundAt, k.boundSeq) {
+		k.boundAt, k.boundSeq = ev.at, ev.seq // see drain
+	}
 	if k.oracle {
 		heap.Push(&k.heapq, ev)
 	} else {
@@ -280,12 +280,18 @@ func (k *Kernel) push(ev *event) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-// Schedule queues fn to run at absolute time at. Scheduling in the past
-// panics: it is always a model bug and silently clamping would hide it.
-func (k *Kernel) Schedule(at Time, fn func()) Handle {
+// checkNotPast panics when at precedes the clock: scheduling in the past is
+// always a model bug and silently clamping would hide it.
+func (k *Kernel) checkNotPast(at Time) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: t=%v: schedule at %v is %v in the past", k.now, at, k.now-at))
 	}
+}
+
+// Schedule queues fn to run at absolute time at. Scheduling in the past
+// panics.
+func (k *Kernel) Schedule(at Time, fn func()) Handle {
+	k.checkNotPast(at)
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
@@ -299,9 +305,7 @@ func (k *Kernel) Schedule(at Time, fn func()) Handle {
 // package-level func plus a pointer argument and avoid allocating a closure
 // per event. The same past-time and nil-callback panics apply.
 func (k *Kernel) ScheduleArg(at Time, fn func(any), arg any) Handle {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: t=%v: schedule at %v is %v in the past", k.now, at, k.now-at))
-	}
+	k.checkNotPast(at)
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
@@ -367,8 +371,25 @@ func (k *Kernel) popDue(deadline Time) *event {
 	return k.cal.popDue(k, deadline)
 }
 
-// fire executes a popped event, advancing the clock to its timestamp.
-func (k *Kernel) fire(ev *event) {
+// peek returns the earliest pending event without removing it, or nil when
+// the queue is empty.
+func (k *Kernel) peek() *event {
+	if k.oracle {
+		if len(k.heapq) == 0 {
+			return nil
+		}
+		return k.heapq[0]
+	}
+	return k.cal.next(k)
+}
+
+// fire executes a popped event, advancing the clock to its timestamp; a
+// batch entry fires every member that is due, or just one when single.
+func (k *Kernel) fire(ev *event, deadline Time, single bool) {
+	if ev.batch != nil {
+		k.drain(ev, deadline, single)
+		return
+	}
 	k.now = ev.at
 	k.processed++
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
@@ -382,14 +403,74 @@ func (k *Kernel) fire(ev *event) {
 	}
 }
 
-// Step executes the next pending event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
+// drain fires members of the batch whose queue entry ev was just popped,
+// back to back, for as long as a queue holding one entry per member would
+// have fired them next; then it requeues the batch under its next member's
+// key, or recycles it once empty. Call an event's (time, seq) its key.
+//
+// (L1) Sequence numbers are drawn at unchanged program points in an
+// unchanged order: Add/Append draw k.seq exactly where the ScheduleArg they
+// replace stood, and a batch's queue entry borrows its next member's key
+// instead of drawing one. So every member carries the key it would have
+// carried as a stand-alone event.
+//
+// (L2) The kernel always fires the smallest key among all queued events and
+// the next member of every pending batch. Members are sorted (Commit sorts;
+// Append only accepts a time >= the last member's, with the largest seq
+// ever drawn) and a queued batch's entry carries its next member's key, so
+// the first member fired after a pop is right. A further member m fires
+// without a pop only if key(m) < (boundAt, boundSeq), a lower bound on
+// every key in the queue: it starts as the queue minimum (one peek, after
+// the pop, so this batch is not in it) and every push a callback makes
+// lowers it (Kernel.push: plain events, other batches' Commits). An Append
+// to another queued batch lands behind that batch's entry key, an Append to
+// this one is seen by the loop itself, and a Cancel only removes keys — so
+// the true minimum is never below the bound, which errs towards an early
+// requeue, never a wrong firing.
+//
+// By induction the firing sequence, each callback's Now() and the k.seq
+// trajectory are those of per-member scheduling, on both queues (drain sits
+// above them and needs only peek/push/pop). Run, RunUntil and Step must not
+// be called from a callback: a nested pop would overtake the members still
+// held here.
+func (k *Kernel) drain(ev *event, deadline Time, single bool) {
+	b := ev.batch
+	k.boundAt, k.boundSeq = MaxTime, math.MaxUint64
+	if min := k.peek(); min != nil {
+		k.boundAt, k.boundSeq = min.at, min.seq
+	}
+	k.extra++ // the popped entry no longer counts the head member
+	for {
+		m := &b.members[b.head]
+		arg := m.arg
+		m.arg = nil
+		b.head++
+		k.extra--
+		k.now = m.at
+		k.processed++
+		b.fn(arg)
+		if b.head == len(b.members) {
+			k.recycleBatch(b)
+			return
+		}
+		next := &b.members[b.head]
+		if single || k.stopped || next.at > deadline ||
+			!keyLess(next.at, next.seq, k.boundAt, k.boundSeq) {
+			k.requeue(b)
+			return
+		}
+	}
+}
+
+// Step executes the next pending event (one member, when that is a batch),
+// advancing the clock to its timestamp. It reports false when the queue is
+// empty.
 func (k *Kernel) Step() bool {
 	ev := k.popDue(MaxTime)
 	if ev == nil {
 		return false
 	}
-	k.fire(ev)
+	k.fire(ev, MaxTime, true)
 	return true
 }
 
@@ -397,24 +478,26 @@ func (k *Kernel) Step() bool {
 // completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Run executes events until the queue drains or Stop is called.
-func (k *Kernel) Run() {
+// run executes events with timestamps <= deadline until none is due or Stop
+// is called.
+func (k *Kernel) run(deadline Time) {
 	k.stopped = false
-	for !k.stopped && k.Step() {
+	for !k.stopped {
+		ev := k.popDue(deadline)
+		if ev == nil {
+			break
+		}
+		k.fire(ev, deadline, false)
 	}
 }
+
+// Run executes events until the queue drains or Stop is called.
+func (k *Kernel) Run() { k.run(MaxTime) }
 
 // RunUntil executes events with timestamps <= end, then sets the clock to
 // end. Events scheduled after end remain queued.
 func (k *Kernel) RunUntil(end Time) {
-	k.stopped = false
-	for !k.stopped {
-		ev := k.popDue(end)
-		if ev == nil {
-			break
-		}
-		k.fire(ev)
-	}
+	k.run(end)
 	if !k.stopped && k.now < end {
 		k.now = end
 	}
