@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fault/ -fuzz FuzzParseSpec -fuzztime 5s -run XXX
 	$(GO) test ./internal/scenario/ -fuzz FuzzUrbanSpec -fuzztime 5s -run XXX
 	$(GO) test ./internal/sim/ -fuzz FuzzKernelDifferential -fuzztime 5s -run XXX
+	$(GO) test ./internal/mac/ -fuzz FuzzBackoffDifferential -fuzztime 5s -run XXX
 
 # One iteration of the broadcast scaling bench: catches gross perf
 # regressions (e.g. the culling silently disabled) without the minutes-long

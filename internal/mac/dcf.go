@@ -4,6 +4,11 @@
 // backoff, unicast acknowledgements with retry limits, broadcast frames,
 // virtual carrier sense (NAV) and a drop-tail interface queue.
 //
+// A backoff is one pausable timer, as in ns-2's Mac802_11: armed once for
+// the whole countdown, and a busy edge converts the elapsed time back into
+// the slots still owed (see freeze). Config.SlotOracle keeps the per-slot
+// countdown it replaced as the reference the tests compare against.
+//
 // Timing and size constants default to the ns-2 802.11 (DSSS) values so the
 // CPS substrate matches what the paper ran on.
 package mac
@@ -44,6 +49,10 @@ type Config struct {
 	RTSBytes     int // RTS frame size, default 20
 	CTSBytes     int // CTS frame size, default 14
 	LongRetry    int // retry limit for RTS-protected frames, default 4
+	// SlotOracle counts the backoff down with one timer event per idle slot
+	// instead of one per backoff: the reference implementation, selected
+	// only by tests. Results are bit-identical either way.
+	SlotOracle bool
 }
 
 func (c *Config) normalize() {
@@ -215,6 +224,9 @@ type DCF struct {
 	ackSeq      uint16
 	ackFrom     Address
 	seq         uint16
+	// sifsResp is the response due one SIFS after the reception that queued
+	// it: an ACK or CTS to send as is, or dataAfterCTS.
+	sifsResp *Frame
 	// Receive dedup state, dense-indexed by sender address (station
 	// addresses are small and dense; data frames never come from
 	// Broadcast). Replaces the two maps the seed used, which cost a map
@@ -440,25 +452,59 @@ func (d *DCF) onDIFS() {
 	d.scheduleSlot()
 }
 
+// scheduleSlot starts (or, after a freeze and a fresh DIFS, resumes) the
+// backoff countdown: one timer for all the slots still owed.
 func (d *DCF) scheduleSlot() {
 	if d.backoff <= 0 {
 		d.transmitCurrent()
 		return
 	}
-	d.slotTimer.Reset(d.cfg.SlotTime)
+	slots := d.backoff
+	if d.cfg.SlotOracle {
+		slots = 1
+	}
+	d.slotTimer.Reset(sim.Time(slots) * d.cfg.SlotTime)
 }
 
 func (d *DCF) onSlot() {
 	if !d.mediumIdle() {
-		// Frozen: after the medium clears we re-defer a full DIFS.
-		return
+		panic(fmt.Sprintf("mac: t=%v: station %d counted a busy slot: every busy edge freezes the countdown", d.kernel.Now(), d.addr))
 	}
-	d.backoff--
+	if d.cfg.SlotOracle {
+		d.backoff--
+	} else {
+		d.backoff = 0
+	}
 	d.scheduleSlot()
 }
 
+// freeze suspends contention at a busy edge. A running countdown keeps the
+// slots it has not yet counted: every slot boundary up to and including
+// this instant has passed, except that a still-pending expiry leaves one.
+//
+// That arithmetic reproduces the per-slot chain (Config.SlotOracle) exactly:
+//
+// (a) Only a PHY signalStart freezes a running countdown — observeNAV runs
+// at a signalEnd, when the carrier edge of that signal has long frozen it,
+// an own response goes out a SIFS after a reception, before any DIFS can
+// elapse, and Down resets backoff. A signalStart draws its sequence number
+// at the sender's transmit instant, at most CS-range/c ≈ 1.8 µs before it
+// fires; the per-slot event of a boundary draws its own a whole slot
+// earlier. On a shared nanosecond the slot event therefore fires first, and
+// the boundary counts. (Precondition: propagation delay inside carrier-
+// sense range < SlotTime, which is what an 802.11 slot is defined to cover.)
+//
+// (b) The expiry fires at the timestamp of the chain's last slot event and
+// only draws its sequence number earlier, when the countdown is armed
+// rather than one slot before. It can change places only with a foreign
+// event on its own nanosecond that was scheduled inside (arm, expiry −
+// slot]; the differential tests and the run-identity gate watch that window.
 func (d *DCF) freeze() {
 	d.difsTimer.Stop()
+	if d.slotTimer.Active() && !d.cfg.SlotOracle {
+		left := d.slotTimer.Deadline() - d.kernel.Now()
+		d.backoff = max(1, int((left+d.cfg.SlotTime-1)/d.cfg.SlotTime))
+	}
 	d.slotTimer.Stop()
 }
 
@@ -637,23 +683,14 @@ func (d *DCF) handleRTS(frame *Frame) {
 		d.observeNAV(frame)
 		return
 	}
-	ctsDur := d.controlDuration(d.cfg.CTSBytes)
 	cts := &Frame{
 		Kind: KindCTS,
 		From: d.addr,
 		To:   frame.From,
 		Seq:  frame.Seq,
-		NAV:  frame.NAV - d.cfg.SIFS - ctsDur,
+		NAV:  frame.NAV - d.cfg.SIFS - d.controlDuration(d.cfg.CTSBytes),
 	}
-	d.kernel.After(d.cfg.SIFS, func() {
-		// The down check matters: the interface may crash during the SIFS
-		// and a detached radio panics on Transmit.
-		if d.down || d.radio.Transmitting() {
-			return
-		}
-		d.stats.CTSTx++
-		d.radio.Transmit(cts, d.cfg.CTSBytes, ctsDur)
-	})
+	d.respondAfterSIFS(cts)
 }
 
 func (d *DCF) handleCTS(frame *Frame) {
@@ -666,13 +703,7 @@ func (d *DCF) handleCTS(frame *Frame) {
 	}
 	d.awaitingCTS = false
 	d.ctsTimer.Stop()
-	job := d.current
-	d.kernel.After(d.cfg.SIFS, func() {
-		if d.down || d.radio.Transmitting() || d.current == nil {
-			return
-		}
-		d.sendDataFrame(job)
-	})
+	d.respondAfterSIFS(dataAfterCTS)
 }
 
 // observeNAV honors the medium reservation of an overheard frame.
@@ -707,7 +738,7 @@ func (d *DCF) handleAck(frame *Frame) {
 func (d *DCF) handleData(frame *Frame) {
 	switch frame.To {
 	case d.addr:
-		d.sendAckAfterSIFS(frame)
+		d.respondAfterSIFS(&Frame{Kind: KindAck, From: d.addr, To: frame.From, Seq: frame.Seq})
 		from := int(frame.From)
 		if from >= len(d.haveLast) {
 			d.growDedup(from)
@@ -744,16 +775,42 @@ func (d *DCF) growDedup(from int) {
 	d.haveLast = hl
 }
 
-func (d *DCF) sendAckAfterSIFS(frame *Frame) {
-	ack := &Frame{Kind: KindAck, From: d.addr, To: frame.From, Seq: frame.Seq}
-	d.kernel.After(d.cfg.SIFS, func() {
-		if d.down || d.radio.Transmitting() {
-			// Down: the interface crashed during the SIFS; a detached radio
-			// panics on Transmit. Transmitting should not happen (SIFS
-			// preempts contention), but never double-transmit.
-			return
-		}
+// dataAfterCTS stands in sifsResp for the station's own data frame, which
+// is built when the SIFS elapses.
+var dataAfterCTS = &Frame{Kind: KindData}
+
+// respondAfterSIFS queues the station's answer to the frame it has just
+// decoded, held on the DCF so that an ACK costs its frame and no closure.
+// One slot suffices: a radio decodes one frame at a time, and a frame
+// lasts at least a preamble, many SIFS.
+func (d *DCF) respondAfterSIFS(resp *Frame) {
+	if d.sifsResp != nil {
+		panic(fmt.Sprintf("mac: t=%v: station %d queued two responses inside one SIFS", d.kernel.Now(), d.addr))
+	}
+	d.sifsResp = resp
+	d.kernel.AfterArg(d.cfg.SIFS, sifsElapsed, d)
+}
+
+func sifsElapsed(a any) {
+	d := a.(*DCF)
+	resp := d.sifsResp
+	d.sifsResp = nil
+	if d.down || d.radio.Transmitting() {
+		// Down: the interface crashed during the SIFS; a detached radio
+		// panics on Transmit. Transmitting should not happen (SIFS
+		// preempts contention), but never double-transmit.
+		return
+	}
+	switch resp.Kind {
+	case KindAck:
 		d.stats.AckTx++
-		d.radio.Transmit(ack, d.cfg.AckBytes, d.ackDuration())
-	})
+		d.radio.Transmit(resp, d.cfg.AckBytes, d.ackDuration())
+	case KindCTS:
+		d.stats.CTSTx++
+		d.radio.Transmit(resp, d.cfg.CTSBytes, d.controlDuration(d.cfg.CTSBytes))
+	default:
+		if d.current != nil {
+			d.sendDataFrame(d.current)
+		}
+	}
 }

@@ -199,6 +199,7 @@ func TestDuplicateFiltering(t *testing.T) {
 	k, macs, ups := testNet(t, 2, 100)
 	frame := &Frame{Kind: KindData, From: 0, To: 1, Seq: 7, Payload: "x"}
 	macs[1].handleData(frame)
+	k.RunUntil(sim.Millisecond) // the ACK goes out; a retransmission cannot arrive sooner
 	retry := &Frame{Kind: KindData, From: 0, To: 1, Seq: 7, Retry: true, Payload: "x"}
 	macs[1].handleData(retry)
 	if len(ups[1].received) != 1 {
@@ -414,7 +415,9 @@ func (u *downRec) MACDownDrop(to Address, payload any) {
 // station that sends one frame at a time pops behind a head index and
 // holds the in-flight job by value, so neither Send nor kick allocates —
 // before, each MSDU cost a heap-allocated job and, because popping by
-// reslicing gave up a slot of capacity, a queue reallocation.
+// reslicing gave up a slot of capacity, a queue reallocation. The ACK path
+// rides along: an acknowledged MSDU allocates its four frames and nothing
+// else.
 func TestSendOneAtATimeAllocFree(t *testing.T) {
 	k := sim.NewKernel()
 	c := phy.NewChannel(k, phy.TwoRayGround{}, phy.Config{CaptureRatio: 10})
@@ -447,7 +450,28 @@ func TestSendOneAtATimeAllocFree(t *testing.T) {
 	if got := m.Stats().DataTx; got != 202 {
 		t.Fatalf("DataTx = %d, want 202", got)
 	}
+
+	// A unicast MSDU adds the receiver's answer, which is again two frames:
+	// the ACK waits out its SIFS held on the DCF, not in a closure.
+	peer := New(k, c.Attach(geometry.Vec2{X: 100}), 1, Config{}, rand.New(rand.NewSource(2)), discardUpper{})
+	m.Send(1, payload, 100)
+	k.Run()
+	if a := testing.AllocsPerRun(200, func() {
+		m.Send(1, payload, 100)
+		k.Run()
+	}); a != 4 {
+		t.Fatalf("one acknowledged MSDU allocated %v times, want 4 (data and ACK frames)", a)
+	}
+	if got := peer.Stats().AckTx; got != 202 {
+		t.Fatalf("AckTx = %d, want 202", got)
+	}
 }
+
+// discardUpper is an upper layer that keeps nothing, for allocation pins.
+type discardUpper struct{}
+
+func (discardUpper) MACReceive(any, Address)    {}
+func (discardUpper) MACSendFailed(Address, any) {}
 
 // TestQueueHeadIndexKeepsCustody drives the backlog through pops, refills,
 // the never-drains compaction and a Down flush, checking after every step

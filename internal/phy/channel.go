@@ -384,7 +384,8 @@ func (r *Radio) Transmitting() bool { return r.transmitting }
 // CarrierBusy reports whether the medium is sensed busy at this radio
 // (own transmission or any in-flight signal above the CS threshold). The
 // flag is maintained incrementally at every transmit and signal edge, so
-// the DCF's per-slot carrier check is a single field load.
+// the DCF's carrier check (at a DIFS or backoff expiry, and whenever it
+// looks for a reason to resume) is a single field load.
 func (r *Radio) CarrierBusy() bool { return r.busy }
 
 // Position reports the radio's current location.

@@ -41,12 +41,13 @@ func ParseProtocol(name string) (Protocol, error) {
 // referencePaths selects the retained reference implementation of a fast
 // path: the kernel's binary heap, the AODV/DYMO map tables, GPSR's
 // brute-force neighbor scan, OLSR's map-based recompute run eagerly at
-// every stamp. Results are bit-identical either way, so it is not part of
-// Spec — nothing a user, a JSON document, Spec.Hash or the CLI can reach
-// sets it. Every exported entry point passes the zero value; only the
-// in-package run-identity tests pass anything else.
+// every stamp, the DCF's per-slot backoff countdown. Results are
+// bit-identical either way, so it is not part of Spec — nothing a user, a
+// JSON document, Spec.Hash or the CLI can reach sets it. Every exported
+// entry point passes the zero value; only the in-package run-identity
+// tests pass anything else.
 type referencePaths struct {
-	kernel, dataPlane, gpsr, olsr bool
+	kernel, dataPlane, gpsr, olsr, mac bool
 }
 
 // routerFactory builds the per-node router for the spec's protocol and

@@ -218,7 +218,7 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, ref referen
 			CSRangeM:     s.RangeMeters * 2.2,
 			CaptureRatio: capture,
 		},
-		MAC:      mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold},
+		MAC:      mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold, SlotOracle: ref.mac},
 		Mobility: src,
 		Kernel:   sim.KernelConfig{HeapOracle: ref.kernel},
 	}, s.routerFactory(ref))
