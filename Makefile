@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check staticcheck test race sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab ci
+.PHONY: build vet fmt-check staticcheck test race scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab ci
 
 build:
 	$(GO) build ./...
@@ -31,9 +31,10 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the parallel experiment engine and everything
-# that schedules work on it; mirrors the ci.yml race job. The scenario
-# registry sweeps on the same engine, so it rides along (-short trims its
-# 20-seed property suite to keep the race pass quick); its catalogue ×
+# that schedules work on it; mirrors the ci.yml race job. The Behavioural
+# Analyzer (internal/core) fans its ensembles out on the engine; the
+# scenario registry sweeps and compares protocols on it (-short trims its
+# 20-seed property suite to keep the race pass quick), and its catalogue ×
 # AllProtocols matrix covers GPSR and the urban street-grid workloads.
 # The serve daemon (admission gate, cache, stream broadcast, drain) is
 # the most concurrent code in the tree; it and the CLI that hosts it run
@@ -42,11 +43,6 @@ race:
 	$(GO) test -race ./internal/exp/ ./internal/stats/ ./internal/rng/ ./internal/core/
 	$(GO) test -race -short ./internal/scenario/...
 	$(GO) test -race ./internal/serve/ ./cmd/cavenet/
-
-# Tiny end-to-end grid through the sweep subcommand: catches CLI wiring
-# and engine regressions in a few seconds.
-sweep-smoke:
-	$(GO) run ./cmd/cavenet sweep -nodes 10,14 -senders 2 -circuit 1000 -trials 2 -time 20 -protocols aodv,dymo
 
 # The scenario catalogue end to end: list the registry, then run one ring
 # and one urban workload under the invariant harness (non-zero exit on any
@@ -142,7 +138,7 @@ bench-kernel:
 # steady-state purge); see the "Routing control plane" section of PERF.md.
 bench-routing:
 	$(GO) test ./internal/routing/olsr/ -bench 'OLSRControlPlane|OLSRPurge' -benchmem -benchtime=50x -run XXX
-	$(GO) test ./internal/core/ -bench 'ScenarioOLSRN1000' -benchmem -benchtime=1x -run XXX
+	$(GO) test ./internal/scenario/ -bench 'ScenarioOLSRN1000' -benchmem -benchtime=1x -run XXX
 
 # Full benchmark tables; see PERF.md for interpretation.
 bench:
@@ -168,4 +164,4 @@ bench-ab:
 	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make bench-ab W=<workload> BASE=<rev> [PAIRS=10] [HELDOUT=47]"; exit 2; }
 	bash scripts/bench-ab.sh $(W) $(BASE) $(PAIRS) $(HELDOUT)
 
-ci: build vet fmt-check staticcheck test bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke sweep-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke
+ci: build vet fmt-check staticcheck test bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke

@@ -134,7 +134,7 @@ func goodputBench(b *testing.B, p Protocol) {
 			b.Fatal(err)
 		}
 		peak = 0
-		for _, s := range res.Config.Senders {
+		for _, s := range res.Senders {
 			for _, bps := range res.Goodput[s] {
 				if bps > peak {
 					peak = bps
@@ -207,8 +207,11 @@ func BenchmarkAblationRingVsLine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg.StraightLine = true
-		r2, err := Run(cfg)
+		trace, err := StraightLineTrace(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r2, err := RunOnTrace(cfg, trace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,11 +333,10 @@ func BenchmarkShortScenarioThroughput(b *testing.B) {
 	// A 10 s scenario as a per-iteration unit, for -benchmem allocation
 	// tracking of the whole CPS stack.
 	cfg := Scenario{
-		Protocol:     DYMO,
-		SimTime:      10 * sim.Second,
-		TrafficStart: 2 * sim.Second,
-		TrafficStop:  9 * sim.Second,
-		Seed:         1,
+		Protocol: DYMO,
+		SimTime:  10 * sim.Second,
+		Flows:    flowsTo0(2*sim.Second, 9*sim.Second, 1, 2, 3, 4, 5, 6, 7, 8),
+		Seed:     1,
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {

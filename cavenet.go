@@ -28,32 +28,41 @@ import (
 
 	"cavenet/internal/core"
 	"cavenet/internal/mobility"
+	"cavenet/internal/scenario"
 	"cavenet/internal/stats"
 	"cavenet/internal/trace"
 )
 
 // Protocol names a routing protocol under test.
-type Protocol = core.Protocol
+type Protocol = scenario.Protocol
 
 // The routing protocols evaluated by the paper, plus the GPSR geographic
 // baseline added for the urban road-network workloads.
 const (
-	AODV = core.AODV
-	OLSR = core.OLSR
-	DYMO = core.DYMO
-	GPSR = core.GPSR
+	AODV = scenario.AODV
+	OLSR = scenario.OLSR
+	DYMO = scenario.DYMO
+	GPSR = scenario.GPSR
 )
 
-// Scenario configures a protocol evaluation; the zero value reproduces the
-// paper's Table I exactly. See core.ScenarioConfig for every knob.
-type Scenario = core.ScenarioConfig
+// Scenario is the declarative description of one experiment: road
+// generator, CBR flows, protocol, radio and metric expectations in one
+// plain struct. The zero value reproduces the paper's Table I exactly;
+// the registered catalogue (scenarios.go) holds the named workloads.
+//
+// Two fields deserve a second look. Nodes is the number of *stations*
+// over the fleet, not the fleet size: N vehicles on the circuit is
+// LaneVehicles: []int{N}. And a flow's zero Start/Stop derive from the
+// horizon (SimTime/10 and SimTime − SimTime/10, Table I's 10 s and 90 s
+// at the default 100 s); spell the window out in Flows to pin it.
+type Scenario = scenario.Spec
 
 // Result carries the evaluation outputs: per-sender goodput series
 // (Figs. 8–10), PDR (Fig. 11), delays, routing overhead and MAC counters.
-type Result = core.ScenarioResult
+type Result = scenario.Result
 
-// Run executes one protocol scenario.
-func Run(s Scenario) (*Result, error) { return core.RunScenario(s) }
+// Run generates the scenario's mobility and executes it.
+func Run(s Scenario) (*Result, error) { return scenario.Run(s) }
 
 // MobilitySource is the streaming mobility substrate: a forward-only
 // cursor over node positions with O(nodes) retained state. A recorded
@@ -64,42 +73,51 @@ type MobilitySource = mobility.Source
 // RunOnTrace executes a scenario over a caller-supplied mobility trace,
 // e.g. one parsed from an ns-2 scenario file.
 func RunOnTrace(s Scenario, t *mobility.SampledTrace) (*Result, error) {
-	return core.RunScenarioOnTrace(s, t)
+	return scenario.RunOnTrace(s, t)
 }
 
 // RunOnSource executes a scenario over any mobility source — streaming
 // (O(nodes) memory, closed-loop capable) or materialized.
 func RunOnSource(s Scenario, src MobilitySource) (*Result, error) {
-	return core.RunScenarioOnSource(s, src)
+	return scenario.RunOnSource(s, src)
 }
 
 // Compare runs the same scenario (and the same mobility trace) once per
 // protocol, the way the paper compares AODV, OLSR and DYMO.
 func Compare(s Scenario, protocols []Protocol) (map[Protocol]*Result, error) {
-	return core.CompareProtocols(s, protocols)
+	return scenario.Compare(s, protocols)
 }
 
-// SweepConfig spans a (node count × protocol × trial) experiment grid; see
-// core.SweepConfig for the determinism contract.
-type SweepConfig = core.SweepConfig
+// SweepConfig spans a scenario × protocol × seed grid. The scenario axis
+// is a list of catalogue names or of Scenario values (Specs): the paper's
+// density sweep is Table I at several LaneVehicles.
+type SweepConfig = scenario.SweepConfig
 
-// SweepPoint is one aggregated (protocol, density) cell of a sweep.
-type SweepPoint = core.SweepPoint
+// SweepRow is one aggregated (scenario, protocol) cell of a sweep.
+type SweepRow = scenario.SweepRow
 
 // Estimate is a mean ± spread summary of Monte-Carlo replications.
 type Estimate = stats.Estimate
 
-// Sweep executes a density × protocol × seed grid on the deterministic
+// Sweep executes a scenario × protocol × seed grid on the deterministic
 // parallel experiment engine: replications run concurrently (one worker
 // per core unless cfg.Workers says otherwise), every trial on its own
-// forked RNG stream, and the aggregated output is bit-identical for any
-// worker count.
-func Sweep(cfg SweepConfig) ([]SweepPoint, error) { return core.Sweep(cfg) }
+// forked RNG stream, all protocols of a trial over the same mobility, and
+// the aggregated output is bit-identical for any worker count.
+func Sweep(cfg SweepConfig) ([]SweepRow, error) { return scenario.Sweep(cfg) }
 
-// CircuitTrace generates the Table I mobility input: vehicles on a ring
-// ("circuit") driven by the NaS cellular automaton, recorded after warmup.
-func CircuitTrace(s Scenario) (*mobility.SampledTrace, error) {
-	return core.BuildCircuitTrace(s)
+// CircuitTrace generates only the scenario's mobility (for Table I:
+// vehicles on a ring "circuit" driven by the NaS cellular automaton,
+// recorded after warmup) without running the network — the materialized
+// view of ScenarioSource.
+func CircuitTrace(s Scenario) (*mobility.SampledTrace, error) { return scenario.BuildTrace(s) }
+
+// StraightLineTrace generates the first CAVENET version's mobility for
+// the scenario's fleet: one open-boundary straight lane instead of the
+// circuit. Run it with RunOnTrace against Run to measure the paper's
+// §III-B improvement.
+func StraightLineTrace(s Scenario) (*mobility.SampledTrace, error) {
+	return core.StraightLineTrace(s)
 }
 
 // ExportNS2 writes a mobility trace as an ns-2 scenario file, the coupling

@@ -7,15 +7,27 @@ import (
 	"cavenet/internal/sim"
 )
 
+// flowsTo0 is Table I's workload shape — every sender to node 0 at the
+// default rate and size — with the traffic window pinned. A Scenario's
+// zero window follows SimTime (a tenth in from either end), which is the
+// paper's 10 s / 90 s only at 100 s.
+func flowsTo0(start, stop sim.Time, senders ...int) []ScenarioFlow {
+	flows := make([]ScenarioFlow, len(senders))
+	for i, s := range senders {
+		flows[i] = ScenarioFlow{Src: s, Dst: 0, Start: start, Stop: stop}
+	}
+	return flows
+}
+
+// quickScenario is a reduced Table I. The fleet is LaneVehicles — Nodes
+// would be the station count over the default 30 vehicles.
 func quickScenario(p Protocol) Scenario {
 	return Scenario{
 		Protocol:      p,
-		Nodes:         10,
+		LaneVehicles:  []int{10},
 		CircuitMeters: 1000,
 		SimTime:       20 * sim.Second,
-		Senders:       []int{1, 2},
-		TrafficStart:  5 * sim.Second,
-		TrafficStop:   15 * sim.Second,
+		Flows:         flowsTo0(5*sim.Second, 15*sim.Second, 1, 2),
 		CAWarmup:      50,
 		Seed:          3,
 	}

@@ -43,6 +43,20 @@ func TestExitCodes(t *testing.T) {
 		{"scenario run -kernel-oracle", []string{"scenario", "run", "highway", "-kernel-oracle"}, 2},
 		{"scenario run -dataplane-oracle", []string{"scenario", "run", "highway", "-dataplane-oracle"}, 2},
 		{"scenario run -gpsr-oracle", []string{"scenario", "run", "manhattan", "-gpsr-oracle"}, 2},
+		// The Table I commands validate the whole grid before its first
+		// run, so an unrunnable one is a usage error, not a worker failure.
+		{"sweep negative trials", []string{"sweep", "-trials", "-1"}, 2},
+		{"sweep zero nodes", []string{"sweep", "-nodes", "0"}, 2},
+		{"sweep empty node count", []string{"sweep", "-nodes", "10,,14"}, 2},
+		{"sweep negative time", []string{"sweep", "-time", "-5"}, 2},
+		{"sweep sender beyond fleet", []string{"sweep", "-senders", "9", "-nodes", "5"}, 2},
+		{"protocols sender beyond fleet", []string{"protocols", "-nodes", "5"}, 2},
+		{"protocols negative time", []string{"protocols", "-time", "-3"}, 2},
+		{"sweep unknown protocol", []string{"sweep", "-protocols", "dsr"}, 2},
+		// A run that ends before Table I's traffic starts (10 s) sends
+		// nothing; it must not succeed with PDR 0.0000.
+		{"sweep ends before traffic", []string{"sweep", "-time", "5"}, 2},
+		{"protocols ends before traffic", []string{"protocols", "-time", "5"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

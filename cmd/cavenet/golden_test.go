@@ -9,9 +9,13 @@ import (
 )
 
 // Golden-file tests lock the user-visible CLI surfaces: the scenario
-// catalogue listing, the scenario sweep CSV, and the density sweep CSV
-// (header *and* values — the engine's determinism contract makes full
-// outputs reproducible). Regenerate with
+// catalogue listing, the scenario sweep CSV, and the Table I commands —
+// density sweep, protocol comparison, ns-2 trace export (header *and*
+// values — the engine's determinism contract makes full outputs
+// reproducible). sweep_table1, protocols and trace were captured from a
+// binary that ran these commands on a separate engine in internal/core;
+// they are the evidence that the scenario grid reproduces it byte for
+// byte, so a diff there is a model change. Regenerate with
 //
 //	go test ./cmd/cavenet -run Golden -update
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -92,4 +96,29 @@ func TestGoldenSweepCSV(t *testing.T) {
 		})
 	})
 	checkGolden(t, "sweep.golden", out)
+}
+
+// TestGoldenSweepTable1CSV is the strong witness for `cavenet sweep`: at
+// Table I's scale (multi-hop, 3 km) all eight rows differ in every column.
+func TestGoldenSweepTable1CSV(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return cmdSweep([]string{
+			"-nodes", "20,30", "-trials", "2", "-time", "40", "-protocols", "all", "-seed", "7",
+		})
+	})
+	checkGolden(t, "sweep_table1.golden", out)
+}
+
+func TestGoldenProtocols(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return cmdProtocols([]string{"-nodes", "25", "-time", "40", "-seed", "5", "-surface"})
+	})
+	checkGolden(t, "protocols.golden", out)
+}
+
+func TestGoldenTrace(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return cmdTrace([]string{"-nodes", "10", "-circuit", "1000", "-duration", "10", "-seed", "1"})
+	})
+	checkGolden(t, "trace.golden", out)
 }

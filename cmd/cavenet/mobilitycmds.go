@@ -6,6 +6,7 @@ import (
 
 	"cavenet"
 	"cavenet/internal/plot"
+	"cavenet/internal/sim"
 )
 
 func cmdFundamental(args []string) error {
@@ -176,9 +177,9 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	tr, err := cavenet.CircuitTrace(cavenet.Scenario{
-		Nodes:         *nodes,
+		LaneVehicles:  []int{*nodes},
 		CircuitMeters: *circuit,
-		SimTime:       secondsToSim(*dur),
+		SimTime:       sim.Seconds(*dur),
 		Seed:          *seed,
 	})
 	if err != nil {

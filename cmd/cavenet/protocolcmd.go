@@ -5,12 +5,44 @@ import (
 	"math"
 	"os"
 
-	"cavenet"
 	"cavenet/internal/plot"
+	"cavenet/internal/scenario"
 	"cavenet/internal/sim"
 )
 
-func secondsToSim(s float64) sim.Time { return sim.Seconds(s) }
+// Table I's traffic window is absolute: 10 s to 90 s whatever the
+// horizon. A Spec's zero window would scale with -time instead, so the
+// Table I commands spell it out in the flows.
+const (
+	table1Start = 10 * sim.Second
+	table1Stop  = 90 * sim.Second
+)
+
+// table1Spec is the paper's Table I scenario as `protocols` and `sweep`
+// parameterize it: nodes vehicles on a circuit of fixed length (so the
+// vehicle count is the density axis), CBR from nodes 1..senders to node
+// 0. A run that ends before the window opens would report PDR 0 over
+// zero packets; that is a usage error.
+func table1Spec(nodes int, circuitM, timeSec float64, senders int) (scenario.Spec, error) {
+	if !(timeSec > table1Start.Seconds()) {
+		return scenario.Spec{}, badUsage("-time %v: Table I's traffic runs from %.0f s to %.0f s, nothing would be sent",
+			timeSec, table1Start.Seconds(), table1Stop.Seconds())
+	}
+	if !(circuitM > 0) || senders < 1 {
+		return scenario.Spec{}, badUsage("need a positive -circuit and at least one sender")
+	}
+	flows := make([]scenario.Flow, senders)
+	for i := range flows {
+		flows[i] = scenario.Flow{Src: i + 1, Dst: 0, Start: table1Start, Stop: table1Stop}
+	}
+	return scenario.Spec{
+		Name:          "table1",
+		LaneVehicles:  []int{nodes},
+		CircuitMeters: circuitM,
+		SimTime:       sim.Seconds(timeSec),
+		Flows:         flows,
+	}, nil
+}
 
 func cmdProtocols(args []string) error {
 	fs := newFlagSet("protocols")
@@ -25,22 +57,25 @@ func cmdProtocols(args []string) error {
 		return err
 	}
 
-	cfg := cavenet.Scenario{
-		Nodes:         *nodes,
-		CircuitMeters: *circuit,
-		SimTime:       secondsToSim(*simTime),
-		Seed:          *seed,
-		OLSRETX:       *etx,
-	}
 	protocols, err := parseProtocolList(*protocol)
 	if err != nil {
 		return err
 	}
-
-	results, err := cavenet.Compare(cfg, protocols)
+	spec, err := table1Spec(*nodes, *circuit, *simTime, 8)
 	if err != nil {
 		return err
 	}
+	spec.Seed = *seed
+	spec.OLSRETX = *etx
+	if err := spec.Validate(); err != nil {
+		return badUsage("%v", err)
+	}
+
+	results, err := scenario.Compare(spec, protocols)
+	if err != nil {
+		return err
+	}
+	senders := results[protocols[0]].Senders
 
 	// Fig. 11: PDR per sender, one column per protocol.
 	fmt.Println("# Fig. 11 — packet delivery ratio per sender")
@@ -49,7 +84,7 @@ func cmdProtocols(args []string) error {
 		fmt.Printf(",%s", p)
 	}
 	fmt.Println()
-	for _, s := range results[protocols[0]].Config.Senders {
+	for _, s := range senders {
 		fmt.Printf("%d", s)
 		for _, p := range protocols {
 			fmt.Printf(",%.3f", results[p].PDR[s])
@@ -63,9 +98,9 @@ func cmdProtocols(args []string) error {
 	fmt.Println("protocol,totalPDR,ctrlPackets,ctrlBytes,meanDelayMaxSender_s,macRetries,peakGoodput_bps")
 	for _, p := range protocols {
 		r := results[p]
-		maxSender := r.Config.Senders[len(r.Config.Senders)-1]
+		maxSender := senders[len(senders)-1]
 		peak := 0.0
-		for _, s := range r.Config.Senders {
+		for _, s := range senders {
 			for _, bps := range r.Goodput[s] {
 				peak = math.Max(peak, bps)
 			}
@@ -79,17 +114,16 @@ func cmdProtocols(args []string) error {
 		for _, p := range protocols {
 			r := results[p]
 			fmt.Printf("\n# goodput surface for %s (Figs. 8-10): rows senders, cols seconds, values bps\n", p)
-			rows := r.Config.Senders
-			bins := len(r.Goodput[rows[0]])
+			bins := len(r.Goodput[senders[0]])
 			cols := make([]float64, bins)
 			for i := range cols {
 				cols[i] = float64(i)
 			}
-			vals := make([][]float64, len(rows))
-			for i, s := range rows {
+			vals := make([][]float64, len(senders))
+			for i, s := range senders {
 				vals[i] = r.Goodput[s]
 			}
-			if err := plot.Surface(os.Stdout, "sender", rows, "t", cols, vals); err != nil {
+			if err := plot.Surface(os.Stdout, "sender", senders, "t", cols, vals); err != nil {
 				return err
 			}
 		}

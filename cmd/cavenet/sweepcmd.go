@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"cavenet"
 	"cavenet/internal/scenario"
 )
 
@@ -21,7 +20,7 @@ func parseProtocolList(s string) ([]scenario.Protocol, error) {
 	for _, name := range strings.Split(s, ",") {
 		p, err := scenario.ParseProtocol(strings.ToLower(strings.TrimSpace(name)))
 		if err != nil {
-			return nil, err
+			return nil, badUsage("%v", err)
 		}
 		out = append(out, p)
 	}
@@ -55,40 +54,38 @@ func cmdSweep(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	// Validate the render knobs before the sweep runs, not after.
+	// Validate the render knobs and the whole grid before the sweep
+	// runs, not after.
 	outFormat, err := parseFormat(*format, "csv", "json")
 	if err != nil {
 		return err
 	}
-
 	protocols, err := parseProtocolList(*protocol)
 	if err != nil {
 		return err
 	}
 	nodes, err := parseIntList(*nodesFlag)
 	if err != nil {
-		return err
+		return badUsage("-nodes: %v", err)
 	}
-	if *senders < 1 {
-		return fmt.Errorf("need at least one sender")
+	// The paper's density axis: N vehicles on the same circuit, i.e. one
+	// Table I spec per count, run without the invariant harness.
+	specs := make([]scenario.Spec, len(nodes))
+	for i, n := range nodes {
+		if specs[i], err = table1Spec(n, *circuit, *simTime, *senders); err != nil {
+			return err
+		}
 	}
-	senderIDs := make([]int, *senders)
-	for i := range senderIDs {
-		senderIDs[i] = i + 1
-	}
-
-	pts, err := cavenet.Sweep(cavenet.SweepConfig{
-		Base: cavenet.Scenario{
-			CircuitMeters: *circuit,
-			SimTime:       secondsToSim(*simTime),
-			Senders:       senderIDs,
-			Seed:          *seed,
-		},
+	grid, err := scenario.NewGrid(scenario.SweepConfig{
+		Specs:     specs,
 		Protocols: protocols,
-		Nodes:     nodes,
 		Trials:    *trials,
-		Workers:   *workers,
+		Seed:      *seed,
 	})
+	if err != nil {
+		return badUsage("%v", err)
+	}
+	rows, err := grid.Run(*workers)
 	if err != nil {
 		return err
 	}
@@ -97,7 +94,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeDensitySweep(out, outFormat, pts); err != nil {
+	if err := writeDensitySweep(out, outFormat, densityRows(rows, len(protocols), *circuit)); err != nil {
 		out.Close()
 		return err
 	}
@@ -105,10 +102,30 @@ func cmdSweep(args []string) error {
 	return out.Close()
 }
 
+// densityRow is the `cavenet sweep` view of one grid row: the scenario
+// axis read as vehicle density on the command's circuit.
+type densityRow struct {
+	scenario.SweepRow
+	DensityPerKM float64 `json:"densityPerKm"`
+}
+
+// densityRows re-orders the grid's scenario-major rows protocol-major
+// (one curve per protocol, densities in the order given) and derives the
+// density column.
+func densityRows(rows []scenario.SweepRow, protocols int, circuitM float64) []densityRow {
+	out := make([]densityRow, 0, len(rows))
+	for pi := 0; pi < protocols; pi++ {
+		for i := pi; i < len(rows); i += protocols {
+			out = append(out, densityRow{rows[i], float64(rows[i].Nodes) / (circuitM / 1000)})
+		}
+	}
+	return out
+}
+
 // writeDensitySweep renders the density-sweep table with every write
 // error-checked: a closed pipe or full disk fails the command instead of
 // silently truncating the output.
-func writeDensitySweep(w io.Writer, format string, pts []cavenet.SweepPoint) error {
+func writeDensitySweep(w io.Writer, format string, pts []densityRow) error {
 	if format == "json" {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

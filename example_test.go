@@ -13,12 +13,10 @@ import (
 func ExampleRun() {
 	res, err := cavenet.Run(cavenet.Scenario{
 		Protocol:      cavenet.DYMO,
-		Nodes:         10,
+		LaneVehicles:  []int{10},
 		CircuitMeters: 1000,
 		SimTime:       20 * sim.Second,
-		Senders:       []int{1},
-		TrafficStart:  5 * sim.Second,
-		TrafficStop:   15 * sim.Second,
+		Flows:         []cavenet.ScenarioFlow{{Src: 1, Dst: 0, Start: 5 * sim.Second, Stop: 15 * sim.Second}},
 		CAWarmup:      50,
 		Seed:          1,
 	})

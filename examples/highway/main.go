@@ -50,11 +50,11 @@ func main() {
 	single.Flows = []cavenet.ScenarioFlow{}
 	single.Nodes = 0
 
-	singleTr, err := cavenet.ScenarioTrace(single)
+	singleTr, err := cavenet.CircuitTrace(single)
 	if err != nil {
 		log.Fatalf("highway: %v", err)
 	}
-	doubleTr, err := cavenet.ScenarioTrace(double)
+	doubleTr, err := cavenet.CircuitTrace(double)
 	if err != nil {
 		log.Fatalf("highway: %v", err)
 	}

@@ -30,10 +30,13 @@ func main() {
 	trials := flag.Int("trials", 1, "replications; > 1 reports ensemble mean ± 95% CI")
 	flag.Parse()
 
-	cfg := cavenet.Scenario{Seed: *seed}
+	cfg := cavenet.Scenario{Name: "table1", Seed: *seed}
 	if !*full {
+		// Table I's window opens at 10 s; the short run closes it at 25 s.
 		cfg.SimTime = 30 * sim.Second
-		cfg.TrafficStop = 25 * sim.Second
+		for s := 1; s <= 8; s++ {
+			cfg.Flows = append(cfg.Flows, cavenet.ScenarioFlow{Src: s, Dst: 0, Start: 10 * sim.Second, Stop: 25 * sim.Second})
+		}
 	}
 	protocols := []cavenet.Protocol{cavenet.AODV, cavenet.OLSR, cavenet.DYMO}
 
@@ -53,7 +56,8 @@ func main() {
 		fmt.Printf("%8s", p)
 	}
 	fmt.Println()
-	for _, s := range results[protocols[0]].Config.Senders {
+	senders := results[protocols[0]].Senders
+	for _, s := range senders {
 		fmt.Printf("%-8d", s)
 		for _, p := range protocols {
 			fmt.Printf("%8.3f", results[p].PDR[s])
@@ -68,7 +72,7 @@ func main() {
 		r := results[p]
 		peak := 0.0
 		var delaySum float64
-		for _, s := range r.Config.Senders {
+		for _, s := range senders {
 			for _, bps := range r.Goodput[s] {
 				if bps > peak {
 					peak = bps
@@ -77,7 +81,7 @@ func main() {
 			delaySum += r.MeanDelaySec[s]
 		}
 		fmt.Printf("%-8s%12.3f%14.0f%16.4f\n",
-			p, r.TotalPDR(), peak, delaySum/float64(len(r.Config.Senders)))
+			p, r.TotalPDR(), peak, delaySum/float64(len(senders)))
 		if p == cavenet.AODV && peak > 3*offered {
 			fmt.Printf("         ^ AODV peak is %.1f× the offered 20480 bps: buffered bursts\n",
 				peak/offered)
@@ -95,9 +99,10 @@ func main() {
 // the parallel experiment engine and prints mean ± 95% CI per protocol.
 func runEnsemble(cfg cavenet.Scenario, protocols []cavenet.Protocol, trials int) {
 	pts, err := cavenet.Sweep(cavenet.SweepConfig{
-		Base:      cfg,
+		Specs:     []cavenet.Scenario{cfg},
 		Protocols: protocols,
 		Trials:    trials,
+		Seed:      cfg.Seed,
 	})
 	if err != nil {
 		log.Fatalf("protocolcompare: %v", err)

@@ -54,9 +54,9 @@ func main() {
 		fmt.Printf("invariants VIOLATED:\n%s", report)
 	}
 
-	// The BA→CPS coupling of the paper's Fig. 3: the same mobility can be
-	// exported as an ns-2 scenario file.
-	trace, err := cavenet.CircuitTrace(cavenet.Scenario{Seed: spec.Seed})
+	// The BA→CPS coupling of the paper's Fig. 3: the same spec's mobility
+	// can be exported as an ns-2 scenario file.
+	trace, err := cavenet.CircuitTrace(spec)
 	if err != nil {
 		log.Fatalf("quickstart: trace: %v", err)
 	}

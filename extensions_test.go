@@ -44,7 +44,7 @@ func TestStationaryRWHasNoDecay(t *testing.T) {
 
 func TestTopologyAnalysisOnCircuitTrace(t *testing.T) {
 	tr, err := CircuitTrace(Scenario{
-		Nodes: 15, CircuitMeters: 1500, SimTime: 30 * sim.Second, CAWarmup: 100, Seed: 4,
+		LaneVehicles: []int{15}, CircuitMeters: 1500, SimTime: 30 * sim.Second, CAWarmup: 100, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +89,9 @@ func TestInterferenceExperimentShape(t *testing.T) {
 }
 
 func TestRTSCTSScenarioOption(t *testing.T) {
-	cfg := Scenario{
-		Protocol:      DYMO,
-		Nodes:         10,
-		CircuitMeters: 1000,
-		SimTime:       20 * sim.Second,
-		Senders:       []int{1, 2},
-		TrafficStart:  5 * sim.Second,
-		TrafficStop:   15 * sim.Second,
-		CAWarmup:      50,
-		Seed:          6,
-		RTSThreshold:  256,
-	}
+	cfg := quickScenario(DYMO)
+	cfg.Seed = 6
+	cfg.RTSThreshold = 256
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 //
 // Multi-lane highway *assembly* moved to the scenario registry (see
 // scenarios.go and `cavenet scenario list`): build traces with
-// ScenarioTrace from a registered or custom ScenarioSpec instead of
+// CircuitTrace from a registered or custom Scenario instead of
 // hand-rolling lane configs.
 
 // ConnectivityComponents groups the trace's nodes, at time tsec, into

@@ -1,8 +1,9 @@
-// Package core assembles CAVENET's two blocks (Fig. 2 of the paper): the
-// Behavioural Analyzer (mobility-model experiments on the NaS cellular
-// automaton) and the Communication Protocol Simulator (the Table I protocol
-// scenarios). Every figure of the paper's evaluation maps to a function
-// here; the bench harness and the CLI both call into this package.
+// Package core is CAVENET's Behavioural Analyzer (Fig. 2 of the paper):
+// the mobility-model experiments on the NaS cellular automaton behind
+// Figs. 4–7, plus the interference, shadowing and connectivity studies of
+// the Fig. 1 discussion and the first version's straight-line trace. The
+// other block, the Communication Protocol Simulator, is
+// internal/scenario: Spec → Grid → Result is the one experiment path.
 package core
 
 import (

@@ -11,34 +11,8 @@ import (
 	"cavenet/internal/scenario/check"
 )
 
-// BuildRoad assembles the spec's cellular-automaton road: one ring lane
-// per Lanes entry, placed on concentric circles LaneSpacingM apart, with
-// signals installed and lane-change coupling enabled when requested.
-func BuildRoad(s Spec) (*ca.Road, error) {
-	s = s.clone()
-	if err := s.normalize(); err != nil {
-		return nil, err
-	}
-	if s.Urban() {
-		return nil, fmt.Errorf("scenario %s: street-grid spec has no ring road; use BuildNetwork", s.Name)
-	}
-	return buildRoad(&s)
-}
-
-// BuildNetwork assembles the spec's urban road network: the Manhattan
-// street grid laid down as a CA network of one-way signalized segments.
-func BuildNetwork(s Spec) (*ca.Network, error) {
-	s = s.clone()
-	if err := s.normalize(); err != nil {
-		return nil, err
-	}
-	if !s.Urban() {
-		return nil, fmt.Errorf("scenario %s: ring spec has no street grid; use BuildRoad", s.Name)
-	}
-	net, _, err := buildNetwork(&s)
-	return net, err
-}
-
+// buildNetwork lays the spec's Manhattan street grid down as a CA network
+// of one-way signalized segments.
 func buildNetwork(s *Spec) (*ca.Network, *geometry.RoadGrid, error) {
 	grid, err := geometry.Manhattan(s.GridRows, s.GridCols, s.BlockMeters, geometry.Vec2{})
 	if err != nil {
@@ -70,6 +44,9 @@ func (s *Spec) rsuPositions(grid *geometry.RoadGrid) []geometry.Vec2 {
 	return []geometry.Vec2{{X: p.X + 6, Y: p.Y + 6}}
 }
 
+// buildRoad assembles the spec's ring road: one lane per Lanes entry on
+// concentric circles LaneSpacingM apart, signals installed, lane-change
+// coupling enabled when requested.
 func buildRoad(s *Spec) (*ca.Road, error) {
 	cells := int(math.Round(s.CircuitMeters / ca.CellLength))
 	src := rng.NewSource(s.Seed)
@@ -132,18 +109,6 @@ func BuildSource(s Spec) (mobility.Source, error) {
 	return buildSource(&s, nil)
 }
 
-// BuildSourceChecked is BuildSource under the CA-sanity and trace-sanity
-// invariants, consumed as the stream advances: the road dynamics are
-// validated at every CA step (collisions, teleports, flow capacity) and
-// every produced sample row is scanned for physically impossible jumps.
-func BuildSourceChecked(s Spec, report *check.Report) (mobility.Source, error) {
-	s = s.clone()
-	if err := s.normalize(); err != nil {
-		return nil, err
-	}
-	return buildSource(&s, report)
-}
-
 // BuildTrace generates the scenario's mobility input as a materialized
 // trace: Record over BuildSource. It is the differential oracle for the
 // streaming path — a run on the recording is bit-identical to a run on
@@ -154,21 +119,11 @@ func BuildTrace(s Spec) (*mobility.SampledTrace, error) {
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}
-	return buildTrace(&s, nil)
+	return buildTrace(&s)
 }
 
-// BuildTraceChecked is BuildTrace under the CA-sanity and trace-sanity
-// invariants, applied while the trace is produced.
-func BuildTraceChecked(s Spec, report *check.Report) (*mobility.SampledTrace, error) {
-	s = s.clone()
-	if err := s.normalize(); err != nil {
-		return nil, err
-	}
-	return buildTrace(&s, report)
-}
-
-func buildTrace(s *Spec, report *check.Report) (*mobility.SampledTrace, error) {
-	src, err := buildSource(s, report)
+func buildTrace(s *Spec) (*mobility.SampledTrace, error) {
+	src, err := buildSource(s, nil)
 	if err != nil {
 		return nil, err
 	}

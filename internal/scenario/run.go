@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"cavenet/internal/exp"
 	"cavenet/internal/fault"
 	"cavenet/internal/mac"
 	"cavenet/internal/metrics"
@@ -125,6 +126,33 @@ func RunOnTrace(s Spec, trace *mobility.SampledTrace) (*Result, error) {
 	return RunOnSource(s, trace)
 }
 
+// Compare runs the scenario once per protocol over the SAME recorded
+// mobility ("the mobility pattern for all scenarios is the same"), which
+// is what makes Fig. 11's per-sender comparison meaningful. The runs
+// execute concurrently on the exp worker pool: each builds its own world
+// and kernel, shares only the read-only trace, and seeds every RNG
+// stream from s.Seed — so the results equal direct runs over that trace
+// for any worker count.
+func Compare(s Spec, protocols []Protocol) (map[Protocol]*Result, error) {
+	trace, err := BuildTrace(s)
+	if err != nil {
+		return nil, err
+	}
+	results, err := exp.Map(exp.Runner{}, len(protocols), func(i int) (*Result, error) {
+		run := s
+		run.Protocol = protocols[i]
+		return RunOnTrace(run, trace)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[Protocol]*Result, len(protocols))
+	for i, p := range protocols {
+		out[p] = results[i]
+	}
+	return out, nil
+}
+
 // RunChecked runs the scenario under the full invariant harness: CA and
 // trace sanity consumed from the mobility stream as it advances, the
 // packet-conservation ledger and TTL discipline during the run, the
@@ -155,15 +183,6 @@ func RunCheckedOnSource(s Spec, src mobility.Source) (*Result, *check.Report, er
 	report := check.NewReport()
 	res, err := runCheckedOnSource(&s, src, report)
 	return res, report, err
-}
-
-// RunCheckedOnTrace is RunCheckedOnSource over a materialized trace;
-// callers that share one recorded trace across protocol runs use it.
-func RunCheckedOnTrace(s Spec, trace *mobility.SampledTrace) (*Result, *check.Report, error) {
-	if trace == nil {
-		return RunCheckedOnSource(s, nil)
-	}
-	return RunCheckedOnSource(s, trace)
 }
 
 func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
@@ -198,12 +217,11 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 }
 
 // runOnSource assembles the world — this is the single place in the repo
-// where a protocol-evaluation world is wired together; the core package's
-// Table I entry points delegate here — and executes the run, pulling node
-// positions from the mobility source per tick. A non-nil report
-// additionally installs the invariant ledger and runs the post-run loop
-// walk and custody settlement. ref is the zero value except in the
-// run-identity tests (see referencePaths).
+// where a protocol-evaluation world is wired together — and executes the
+// run, pulling node positions from the mobility source per tick. A
+// non-nil report additionally installs the invariant ledger and runs the
+// post-run loop walk and custody settlement. ref is the zero value except
+// in the run-identity tests (see referencePaths).
 func runOnSource(s *Spec, src mobility.Source, report *check.Report, ref referencePaths) (*Result, error) {
 	capture := 10.0
 	if s.NoCapture {

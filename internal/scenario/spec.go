@@ -167,13 +167,20 @@ type Spec struct {
 	// Flows is the CBR workload; the default is Table I's nodes 1–8 → 0.
 	Flows []Flow
 
-	// ---- Ablations (shared with the core adapter) ----
+	// ---- Ablations ----
 
-	OLSRETX                bool
-	AODVNoExpandingRing    bool
+	// OLSRETX switches OLSR to the ETX/LQ metric of §III-B.1.
+	OLSRETX bool
+	// AODVNoExpandingRing disables AODV's expanding-ring search.
+	AODVNoExpandingRing bool
+	// DYMONoPathAccumulation disables DYMO path accumulation.
 	DYMONoPathAccumulation bool
-	NoCapture              bool
-	RTSThreshold           int
+	// NoCapture disables PHY capture so any overlap collides.
+	NoCapture bool
+	// RTSThreshold enables the 802.11 RTS/CTS exchange for unicast data of
+	// at least this many bytes. Table I says "RTS/CTS: None", so the
+	// default is off.
+	RTSThreshold int
 
 	// ---- Fault injection ----
 

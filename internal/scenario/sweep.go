@@ -11,13 +11,19 @@ import (
 	"cavenet/internal/stats"
 )
 
-// SweepConfig spans a scenario × protocol × seed grid — the registry
-// generalization of the core package's density sweep: the axis is the
-// whole catalogue, not just the vehicle count.
+// SweepConfig spans a scenario × protocol × seed grid — the one
+// experiment shape of the repo. The scenario axis is a list of specs,
+// named from the catalogue or given directly: the paper's density sweep
+// is Table I at several fleet sizes, an ablation is one spec with a knob
+// flipped.
 type SweepConfig struct {
 	// Scenarios names the registered scenarios to run; default: the whole
 	// catalogue in sorted order.
 	Scenarios []string
+	// Specs is the scenario axis given directly instead of by name
+	// (mutually exclusive with Scenarios). Rows are labelled by Spec.Name;
+	// each spec's Seed is replaced per cell.
+	Specs []Spec
 	// Protocols lists the routing protocols; default all three.
 	Protocols []Protocol
 	// Trials is the number of seeded replications per cell (default 1);
@@ -46,11 +52,18 @@ type SweepConfig struct {
 type SweepRow struct {
 	Scenario string   `json:"scenario"`
 	Protocol Protocol `json:"protocol"`
-	Trials   int      `json:"trials"`
+	// Nodes is the scenario's fleet size (Spec.TotalVehicles).
+	Nodes  int `json:"nodes"`
+	Trials int `json:"trials"`
 	// PDR, DelaySec and ControlPackets are mean ± spread across trials.
 	PDR            stats.Estimate `json:"pdr"`
 	DelaySec       stats.Estimate `json:"delaySec"`
 	ControlPackets stats.Estimate `json:"controlPackets"`
+	// GoodputBPS is the goodput summed over senders, averaged over the
+	// run's 1-s bins (Figs. 8–10); MACRetries the link-layer
+	// retransmissions per trial.
+	GoodputBPS stats.Estimate `json:"goodputBps"`
+	MACRetries stats.Estimate `json:"macRetries"`
 	// Delivered totals delivered packets across trials.
 	Delivered uint64 `json:"delivered"`
 	// Violations totals invariant violations across trials (Checked only).
@@ -72,6 +85,8 @@ type TrialResult struct {
 	PDR            float64 `json:"pdr"`
 	DelaySec       float64 `json:"delaySec"`
 	ControlPackets float64 `json:"controlPackets"`
+	GoodputBPS     float64 `json:"goodputBps"`
+	MACRetries     float64 `json:"macRetries"`
 	DowntimeSec    float64 `json:"downtimeSec"`
 	FaultPDR       float64 `json:"faultPDR"`
 	Delivered      uint64  `json:"delivered"`
@@ -95,19 +110,38 @@ type Grid struct {
 	specs []Spec
 }
 
-// NewGrid validates a sweep config and expands it: scenario names are
-// resolved (shrunk and overridden as requested), the protocol axis is
-// checked, and the trial count defaulted. The returned grid is
-// immutable; its cells can run in any order and still produce identical
-// results.
+// NewGrid validates a sweep config and expands it: the scenario axis is
+// resolved to specs (shrunk and overridden as requested) and every one
+// normalized, the protocol axis is checked, and the trial count
+// defaulted — so a grid that cannot run is rejected here, before its
+// first run. The returned grid is immutable; its cells can run in any
+// order and still produce identical results.
 func NewGrid(cfg SweepConfig) (*Grid, error) {
-	if len(cfg.Scenarios) == 0 {
-		// Heavy catalogue entries (10k-vehicle workloads) join a sweep only
-		// when named explicitly.
-		for _, name := range Names() {
-			if s, ok := Get(name); ok && !s.Heavy {
-				cfg.Scenarios = append(cfg.Scenarios, name)
+	var specs []Spec
+	switch {
+	case len(cfg.Specs) > 0 && len(cfg.Scenarios) > 0:
+		return nil, fmt.Errorf("scenario: a sweep takes Scenarios or Specs, not both")
+	case len(cfg.Specs) > 0:
+		for _, s := range cfg.Specs {
+			cfg.Scenarios = append(cfg.Scenarios, s.Name)
+			specs = append(specs, s.clone())
+		}
+	default:
+		if len(cfg.Scenarios) == 0 {
+			// Heavy catalogue entries (10k-vehicle workloads) join a sweep
+			// only when named explicitly.
+			for _, name := range Names() {
+				if s, ok := Get(name); ok && !s.Heavy {
+					cfg.Scenarios = append(cfg.Scenarios, name)
+				}
 			}
+		}
+		for _, name := range cfg.Scenarios {
+			s, ok := Get(name)
+			if !ok {
+				return nil, fmt.Errorf("scenario: unknown scenario %q", name)
+			}
+			specs = append(specs, s)
 		}
 	}
 	if len(cfg.Protocols) == 0 {
@@ -127,29 +161,23 @@ func NewGrid(cfg SweepConfig) (*Grid, error) {
 	if cfg.Trials < 0 {
 		return nil, fmt.Errorf("scenario: negative trial count %d", cfg.Trials)
 	}
-	specs := make([]Spec, len(cfg.Scenarios))
-	for i, name := range cfg.Scenarios {
-		s, ok := Get(name)
-		if !ok {
-			return nil, fmt.Errorf("scenario: unknown scenario %q", name)
-		}
+	for i, s := range specs {
+		var err error
 		if cfg.Shrunk {
 			s = s.Shrunk()
 		}
 		if cfg.OverrideNodes > 0 {
-			scaled, err := s.WithVehicles(cfg.OverrideNodes)
-			if err != nil {
+			if s, err = s.WithVehicles(cfg.OverrideNodes); err != nil {
 				return nil, err
 			}
-			s = scaled
 		}
 		if cfg.OverrideTimeSec > 0 {
 			s = s.WithSimTime(sim.Seconds(cfg.OverrideTimeSec))
-			if err := s.Validate(); err != nil {
-				return nil, err
-			}
 		}
-		specs[i] = s
+		// Stored normalized: cells only fork the seed, rows read the fleet.
+		if specs[i], err = s.Normalized(); err != nil {
+			return nil, err
+		}
 	}
 	return &Grid{
 		Scenarios: cfg.Scenarios,
@@ -180,11 +208,8 @@ func (g *Grid) CellSpec(j int) (Spec, error) {
 		return Spec{}, fmt.Errorf("scenario: cell %d outside grid of %d", j, g.Cells())
 	}
 	si, trial := j/g.Trials, j%g.Trials
-	base := g.specs[si].clone()
+	base := g.specs[si].clone() // normalized by NewGrid; no default depends on the seed
 	base.Seed = rng.NewSource(g.Seed).Fork(si).Fork(trial).Seed()
-	if err := base.normalize(); err != nil {
-		return Spec{}, err
-	}
 	return base, nil
 }
 
@@ -205,11 +230,9 @@ func (g *Grid) RunCell(j int, protocols []Protocol) ([]TrialResult, error) {
 	_, trial := g.Cell(j)
 	var shared *mobility.SampledTrace
 	if !base.Heavy {
-		src, err := buildSource(&base, nil)
-		if err != nil {
+		if shared, err = buildTrace(&base); err != nil {
 			return nil, fmt.Errorf("scenario: sweep mobility (%s trial %d): %w", base.Name, trial, err)
 		}
-		shared = mobility.Record(src)
 	}
 	out := make([]TrialResult, len(protocols))
 	for pi, p := range protocols {
@@ -239,26 +262,42 @@ func (g *Grid) RunCell(j int, protocols []Protocol) ([]TrialResult, error) {
 			}
 			res = r
 		}
-		var delaySum float64
-		for _, snd := range res.Senders {
-			delaySum += res.MeanDelaySec[snd]
-		}
-		if len(res.Senders) > 0 {
-			delaySum /= float64(len(res.Senders))
-		}
-		out[pi] = TrialResult{
-			PDR:            res.TotalPDR(),
-			DelaySec:       delaySum,
-			ControlPackets: float64(res.ControlPackets),
-			Delivered:      res.TotalDelivered(),
-			Violations:     violations,
-		}
-		if r := res.Resilience; r != nil {
-			out[pi].DowntimeSec = r.DowntimeNodeSec
-			out[pi].FaultPDR = r.PDRDuring
-		}
+		out[pi] = trialOf(res, violations)
 	}
 	return out, nil
+}
+
+// trialOf scalarizes one finished run into the figures a sweep row
+// aggregates: per-sender delays are averaged, per-sender goodput series
+// are summed and averaged over the run's 1-s bins.
+func trialOf(res *Result, violations int) TrialResult {
+	tr := TrialResult{
+		PDR:            res.TotalPDR(),
+		ControlPackets: float64(res.ControlPackets),
+		MACRetries:     float64(res.MACStats.Retries),
+		Delivered:      res.TotalDelivered(),
+		Violations:     violations,
+	}
+	var delaySum, bitsPerSec float64
+	bins := 0
+	for _, snd := range res.Senders {
+		delaySum += res.MeanDelaySec[snd]
+		for _, bps := range res.Goodput[snd] {
+			bitsPerSec += bps
+		}
+		bins = max(bins, len(res.Goodput[snd]))
+	}
+	if n := len(res.Senders); n > 0 {
+		tr.DelaySec = delaySum / float64(n)
+	}
+	if bins > 0 {
+		tr.GoodputBPS = bitsPerSec / float64(bins)
+	}
+	if r := res.Resilience; r != nil {
+		tr.DowntimeSec = r.DowntimeNodeSec
+		tr.FaultPDR = r.PDRDuring
+	}
+	return tr
 }
 
 // Aggregate reduces the per-cell results — cells[j][pi] is cell j under
@@ -271,7 +310,7 @@ func (g *Grid) Aggregate(cells [][]TrialResult) []SweepRow {
 	samples := make([]float64, nt)
 	for si, name := range g.Scenarios {
 		for pi, p := range g.Protocols {
-			row := SweepRow{Scenario: name, Protocol: p, Trials: nt}
+			row := SweepRow{Scenario: name, Protocol: p, Nodes: g.specs[si].TotalVehicles(), Trials: nt}
 			pick := func(f func(TrialResult) float64) stats.Estimate {
 				for t := 0; t < nt; t++ {
 					samples[t] = f(cells[si*nt+t][pi])
@@ -281,6 +320,8 @@ func (g *Grid) Aggregate(cells [][]TrialResult) []SweepRow {
 			row.PDR = pick(func(r TrialResult) float64 { return r.PDR })
 			row.DelaySec = pick(func(r TrialResult) float64 { return r.DelaySec })
 			row.ControlPackets = pick(func(r TrialResult) float64 { return r.ControlPackets })
+			row.GoodputBPS = pick(func(r TrialResult) float64 { return r.GoodputBPS })
+			row.MACRetries = pick(func(r TrialResult) float64 { return r.MACRetries })
 			row.DowntimeSec = pick(func(r TrialResult) float64 { return r.DowntimeSec })
 			row.FaultPDR = pick(func(r TrialResult) float64 { return r.FaultPDR })
 			for t := 0; t < nt; t++ {
@@ -293,20 +334,25 @@ func (g *Grid) Aggregate(cells [][]TrialResult) []SweepRow {
 	return out
 }
 
-// Sweep executes the grid on the deterministic parallel engine. The unit
-// of work is one (scenario, trial) cell (see Grid.RunCell); all
-// randomness derives from the cell's index, so the output is
-// bit-identical for every worker count.
-func Sweep(cfg SweepConfig) ([]SweepRow, error) {
-	g, err := NewGrid(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := exp.Map(exp.Runner{Workers: cfg.Workers}, g.Cells(), func(j int) ([]TrialResult, error) {
+// Run executes the whole grid on the deterministic parallel engine and
+// aggregates it. The unit of work is one (scenario, trial) cell (see
+// RunCell); all randomness derives from the cell's index, so the output
+// is bit-identical for every worker count (<= 0 uses every core).
+func (g *Grid) Run(workers int) ([]SweepRow, error) {
+	cells, err := exp.Map(exp.Runner{Workers: workers}, g.Cells(), func(j int) ([]TrialResult, error) {
 		return g.RunCell(j, g.Protocols)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return g.Aggregate(cells), nil
+}
+
+// Sweep expands cfg into a Grid and runs it.
+func Sweep(cfg SweepConfig) ([]SweepRow, error) {
+	g, err := NewGrid(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return g.Run(cfg.Workers)
 }

@@ -3,7 +3,10 @@ package cavenet
 import (
 	"testing"
 
+	"cavenet/internal/exp"
+	"cavenet/internal/scenario"
 	"cavenet/internal/sim"
+	"cavenet/internal/stats"
 )
 
 // TestPaperConclusionReproduces pins the paper's §V finding — "DYMO has a
@@ -18,12 +21,8 @@ import (
 // contrasts vanish into ties. Seed 2 exhibits the jam-wave churn the
 // paper's conclusions are about.
 func TestPaperConclusionReproduces(t *testing.T) {
-	cfg := Scenario{
-		SimTime:      100 * sim.Second,
-		TrafficStart: 10 * sim.Second,
-		TrafficStop:  90 * sim.Second,
-		Seed:         2,
-	}
+	// At 100 s the default flow window is Table I's 10 s to 90 s.
+	cfg := Scenario{SimTime: 100 * sim.Second, Seed: 2}
 	results, err := Compare(cfg, []Protocol{AODV, OLSR, DYMO})
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +44,7 @@ func TestPaperConclusionReproduces(t *testing.T) {
 			dymo.TotalPDR(), aodv.TotalPDR())
 	}
 	// AODV's route repair costs it delay against DYMO on the far senders.
-	far := cfg.Senders
-	if far == nil {
-		far = results[AODV].Config.Senders
-	}
+	far := aodv.Senders
 	last := far[len(far)-1]
 	if aodv.MeanDelaySec[last] <= dymo.MeanDelaySec[last]*0.8 {
 		t.Errorf("AODV delay %.4fs at sender %d should not clearly beat DYMO %.4fs",
@@ -57,7 +53,7 @@ func TestPaperConclusionReproduces(t *testing.T) {
 	// AODV is the burstiest (Fig. 8): its peak goodput tops the others.
 	peak := func(r *Result) float64 {
 		m := 0.0
-		for _, s := range r.Config.Senders {
+		for _, s := range r.Senders {
 			for _, bps := range r.Goodput[s] {
 				if bps > m {
 					m = bps
@@ -81,7 +77,7 @@ func TestPaperConclusionReproduces(t *testing.T) {
 	// PDR declines with sender distance for every protocol: the nearest
 	// sender beats the farthest.
 	for p, r := range results {
-		senders := r.Config.Senders
+		senders := r.Senders
 		first, lastS := senders[0], senders[len(senders)-1]
 		if r.PDR[first] < r.PDR[lastS] {
 			t.Errorf("%s: nearest sender PDR %.3f below farthest %.3f", p, r.PDR[first], r.PDR[lastS])
@@ -94,19 +90,20 @@ func TestPaperConclusionReproduces(t *testing.T) {
 // straight line, whose wrap-around breaks head/tail communication.
 func TestRingImprovementReproduces(t *testing.T) {
 	base := Scenario{
-		Protocol:     DYMO,
-		SimTime:      60 * sim.Second,
-		TrafficStart: 10 * sim.Second,
-		TrafficStop:  50 * sim.Second,
-		Seed:         1,
+		Protocol: DYMO,
+		SimTime:  60 * sim.Second,
+		Flows:    flowsTo0(10*sim.Second, 50*sim.Second, 1, 2, 3, 4, 5, 6, 7, 8),
+		Seed:     1,
 	}
 	ring, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := base
-	line.StraightLine = true
-	lineRes, err := Run(line)
+	line, err := StraightLineTrace(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineRes, err := RunOnTrace(base, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,4 +111,77 @@ func TestRingImprovementReproduces(t *testing.T) {
 		t.Errorf("circuit PDR %.3f should beat straight-line PDR %.3f (the paper's improvement)",
 			ring.TotalPDR(), lineRes.TotalPDR())
 	}
+}
+
+// TestPaperConclusionEnsemble states the §V conclusions over an ensemble
+// instead of one chosen seed: Table I × {AODV, OLSR, DYMO} × 20 trials on
+// the scenario grid, every protocol of a trial over the same mobility, so
+// the per-trial differences are paired. What the interval resolves is
+// asserted; what it does not is logged, and README's reproduction note
+// says so: this model supports the overhead and the reactive-vs-proactive
+// conclusions and cannot resolve the DYMO-vs-AODV ordering.
+func TestPaperConclusionEnsemble(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 full Table I runs")
+	}
+	const aodv, olsr, dymo = 0, 1, 2
+	g, err := scenario.NewGrid(scenario.SweepConfig{
+		Specs:     []Scenario{{Name: "table1"}},
+		Protocols: []Protocol{AODV, OLSR, DYMO},
+		Trials:    20,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := exp.Map(exp.Runner{}, g.Cells(), func(j int) ([]scenario.TrialResult, error) {
+		return g.RunCell(j, g.Protocols)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// paired reduces one per-trial difference a − b to its mean with a 95 %
+	// interval and the number of trials on which it is not negative.
+	paired := func(name string, metric func(scenario.TrialResult) float64, a, b int) (Estimate, int) {
+		diffs := make([]float64, len(trials))
+		holds := 0
+		for i, tr := range trials {
+			diffs[i] = metric(tr[a]) - metric(tr[b])
+			if diffs[i] >= 0 {
+				holds++
+			}
+		}
+		est := stats.EstimateOf(diffs)
+		t.Logf("%-28s %+10.4f ± %-9.4f >= 0 on %d/%d trials", name, est.Mean, est.CI95, holds, len(trials))
+		return est, holds
+	}
+	ctrl := func(r scenario.TrialResult) float64 { return r.ControlPackets }
+	pdr := func(r scenario.TrialResult) float64 { return r.PDR }
+	delay := func(r scenario.TrialResult) float64 { return r.DelaySec }
+
+	// OLSR floods the most control traffic: on every trial, by an interval
+	// that stays clear of zero.
+	for _, c := range []struct {
+		name  string
+		other int
+	}{{"ctrl packets OLSR - AODV", aodv}, {"ctrl packets OLSR - DYMO", dymo}} {
+		if est, holds := paired(c.name, ctrl, olsr, c.other); holds != len(trials) || est.Mean-est.CI95 <= 0 {
+			t.Errorf("%s = %.0f ± %.0f on %d/%d trials; OLSR should always cost more", c.name, est.Mean, est.CI95, holds, len(trials))
+		}
+	}
+	// Reactive beats proactive on delivery: the mean gap is a percentage
+	// point or two with an interval that brushes zero, so the claim this
+	// model supports is the majority of trials.
+	for _, c := range []struct {
+		name     string
+		reactive int
+	}{{"PDR AODV - OLSR", aodv}, {"PDR DYMO - OLSR", dymo}} {
+		if _, holds := paired(c.name, pdr, c.reactive, olsr); 2*holds <= len(trials) {
+			t.Errorf("%s >= 0 on only %d/%d trials", c.name, holds, len(trials))
+		}
+	}
+	// Not resolved at this ensemble size, logged only: DYMO over AODV on
+	// delivery, and AODV's delay penalty against DYMO.
+	paired("PDR DYMO - AODV", pdr, dymo, aodv)
+	paired("delay AODV - DYMO (s)", delay, aodv, dymo)
 }

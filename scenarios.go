@@ -1,7 +1,6 @@
 package cavenet
 
 import (
-	"cavenet/internal/mobility"
 	"cavenet/internal/scenario"
 	"cavenet/internal/scenario/check"
 )
@@ -13,15 +12,8 @@ import (
 // `cavenet scenario` CLI, sweepable over protocols × seeds, and checkable
 // under the cross-protocol invariant harness.
 
-// ScenarioSpec is the declarative workload description: road generator,
-// traffic flows, protocol and metric expectations in one plain struct.
-type ScenarioSpec = scenario.Spec
-
 // ScenarioFlow is one CBR flow of a scenario workload.
 type ScenarioFlow = scenario.Flow
-
-// ScenarioResult carries a scenario run's metrics.
-type ScenarioResult = scenario.Result
 
 // InvariantReport lists the invariant violations of a checked run.
 type InvariantReport = check.Report
@@ -30,40 +22,19 @@ type InvariantReport = check.Report
 func ScenarioNames() []string { return scenario.Names() }
 
 // ScenarioByName returns a copy of the named registered scenario.
-func ScenarioByName(name string) (ScenarioSpec, bool) { return scenario.Get(name) }
+func ScenarioByName(name string) (Scenario, bool) { return scenario.Get(name) }
 
 // RegisterScenario adds a workload to the registry.
-func RegisterScenario(s ScenarioSpec) error { return scenario.Register(s) }
-
-// RunScenarioSpec generates the scenario's mobility and executes it.
-func RunScenarioSpec(s ScenarioSpec) (*ScenarioResult, error) { return scenario.Run(s) }
-
-// ScenarioTrace generates only the scenario's mobility trace (lanes,
-// signals, lane changes, activation ramps) without running the network —
-// the materialized (differential-oracle) view of ScenarioSource.
-func ScenarioTrace(s ScenarioSpec) (*mobility.SampledTrace, error) { return scenario.BuildTrace(s) }
+func RegisterScenario(s Scenario) error { return scenario.Register(s) }
 
 // ScenarioSource generates the scenario's mobility as a streaming source:
 // the CA road steps live as positions are pulled, retaining O(nodes)
 // state — the substrate that runs the 10k-vehicle metro workload.
-func ScenarioSource(s ScenarioSpec) (MobilitySource, error) { return scenario.BuildSource(s) }
+func ScenarioSource(s Scenario) (MobilitySource, error) { return scenario.BuildSource(s) }
 
 // RunScenarioChecked runs the scenario under the invariant harness:
 // packet conservation, TTL discipline, routing-loop freedom, CA sanity
 // and the spec's metric expectations.
-func RunScenarioChecked(s ScenarioSpec) (*ScenarioResult, *InvariantReport, error) {
+func RunScenarioChecked(s Scenario) (*Result, *InvariantReport, error) {
 	return scenario.RunChecked(s)
 }
-
-// ScenarioSweep runs a scenario × protocol × seed grid on the
-// deterministic parallel engine; the output is bit-identical for any
-// worker count.
-func ScenarioSweep(cfg scenario.SweepConfig) ([]scenario.SweepRow, error) {
-	return scenario.Sweep(cfg)
-}
-
-// ScenarioSweepConfig spans a scenario × protocol × seed grid.
-type ScenarioSweepConfig = scenario.SweepConfig
-
-// ScenarioSweepRow is one aggregated (scenario, protocol) cell.
-type ScenarioSweepRow = scenario.SweepRow
