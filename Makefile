@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario/ -fuzz FuzzUrbanSpec -fuzztime 5s -run XXX
 	$(GO) test ./internal/sim/ -fuzz FuzzKernelDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/mac/ -fuzz FuzzBackoffDifferential -fuzztime 5s -run XXX
+	$(GO) test ./internal/ca/ -fuzz FuzzLaneDifferential -fuzztime 5s -run XXX
 
 # One iteration of the broadcast scaling bench: catches gross perf
 # regressions (e.g. the culling silently disabled) without the minutes-long
@@ -96,9 +97,12 @@ bench-routing-smoke:
 
 # One iteration of the N=1k mobility benches: catches the streaming path
 # silently re-materializing (its B/op is the whole point — see the
-# "Streaming mobility" section of PERF.md).
+# "Streaming mobility" section of PERF.md). The CA benches under them ride
+# along: kernel/reference pairs in ns/vehicle-step, the ledger's unit, show
+# at a glance whether Lane.Step and Road.Step are still the array kernel.
 bench-mobility-smoke:
 	$(GO) test ./internal/mobility/ -bench 'MobilityRecordRoadN1k|MobilityStreamRoadN1k' -benchtime=1x -benchmem -run XXX
+	$(GO) test ./internal/ca/ -bench 'LaneStep|FundamentalPoint|RoadStepCoupled' -benchtime=1x -benchmem -run XXX
 
 # One iteration of the 10k-ticker kernel bench on both queue paths:
 # catches the calendar queue silently losing its O(1) behavior (or

@@ -57,6 +57,16 @@ func TestExitCodes(t *testing.T) {
 		// nothing; it must not succeed with PDR 0.0000.
 		{"sweep ends before traffic", []string{"sweep", "-time", "5"}, 2},
 		{"protocols ends before traffic", []string{"protocols", "-time", "5"}, 2},
+		// The Behavioural-Analyzer commands: a negative count used to reach
+		// make() and die with a stack trace, or run nothing and exit 0.
+		{"velocity negative steps", []string{"velocity", "-steps", "-5"}, 2},
+		{"spacetime negative steps", []string{"spacetime", "-steps", "-1"}, 2},
+		{"spacetime negative warmup", []string{"spacetime", "-warmup", "-1"}, 2},
+		{"transient negative steps", []string{"transient", "-steps", "-1"}, 2},
+		{"periodogram negative steps", []string{"periodogram", "-steps", "-9000"}, 2},
+		{"fundamental negative trials", []string{"fundamental", "-trials", "-1"}, 2},
+		{"fundamental negative iters", []string{"fundamental", "-iters", "-5"}, 2},
+		{"fundamental negative warmup", []string{"fundamental", "-warmup", "-1"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,5 +152,15 @@ func TestScenarioSweepOutputFile(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("-o file differs from golden stdout output:\n%s", got)
+	}
+}
+
+// TestVelocityZeroStepsPrintsDefaultRun: -steps 0 means core's default
+// length; the command used to size its time column from the flag and
+// print a header with no rows under it.
+func TestVelocityZeroStepsPrintsDefaultRun(t *testing.T) {
+	out := captureStdout(t, func() error { return cmdVelocity([]string{"-steps", "0", "-L", "40"}) })
+	if rows := bytes.Count(out, []byte("\n")) - 1; rows != 5000 {
+		t.Fatalf("velocity -steps 0 printed %d rows, want the default 5000", rows)
 	}
 }

@@ -19,18 +19,22 @@ func cmdFundamental(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	cfg := cavenet.FundamentalConfig{
+		LaneLength: *length,
+		Trials:     *trials,
+		Iterations: *iters,
+		Warmup:     *warmup,
+		Seed:       *seed,
+	}
+	if err := cfg.Validate(); err != nil {
+		return badUsage("%v", err)
+	}
 	// The paper's Fig. 4 overlays p=0 and p=0.5.
 	var series [][]float64
 	var density []float64
 	for _, p := range []float64{0, 0.5} {
-		pts, err := cavenet.FundamentalDiagram(cavenet.FundamentalConfig{
-			LaneLength: *length,
-			SlowdownP:  p,
-			Trials:     *trials,
-			Iterations: *iters,
-			Warmup:     *warmup,
-			Seed:       *seed,
-		})
+		cfg.SlowdownP = p
+		pts, err := cavenet.FundamentalDiagram(cfg)
 		if err != nil {
 			return err
 		}
@@ -60,14 +64,18 @@ func cmdSpaceTime(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	rows, err := cavenet.SpaceTime(cavenet.SpaceTimeConfig{
+	cfg := cavenet.SpaceTimeConfig{
 		LaneLength: *length,
 		Density:    *rho,
 		SlowdownP:  *p,
 		Steps:      *steps,
 		Warmup:     *warmup,
 		Seed:       *seed,
-	})
+	}
+	if err := cfg.Validate(); err != nil {
+		return badUsage("%v", err)
+	}
+	rows, err := cavenet.SpaceTime(cfg)
 	if err != nil {
 		return err
 	}
@@ -85,18 +93,22 @@ func cmdVelocity(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	cfg := cavenet.VelocityConfig{LaneLength: *length, SlowdownP: *p, Steps: *steps, Seed: *seed}
+	if err := cfg.Validate(); err != nil {
+		return badUsage("%v", err)
+	}
 	// Fig. 6 overlays ρ=0.1 and ρ=0.5.
 	var cols [][]float64
 	for _, rho := range []float64{0.1, 0.5} {
-		s, err := cavenet.VelocitySeries(cavenet.VelocityConfig{
-			LaneLength: *length, Density: rho, SlowdownP: *p, Steps: *steps, Seed: *seed,
-		})
+		cfg.Density = rho
+		s, err := cavenet.VelocitySeries(cfg)
 		if err != nil {
 			return err
 		}
 		cols = append(cols, s)
 	}
-	ts := make([]float64, *steps)
+	// As long as the series, not the flag: -steps 0 runs the default length.
+	ts := make([]float64, len(cols[0]))
 	for i := range ts {
 		ts[i] = float64(i)
 	}
@@ -113,9 +125,11 @@ func cmdPeriodogram(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	res, err := cavenet.Periodogram(cavenet.VelocityConfig{
-		LaneLength: *length, Density: *rho, SlowdownP: *p, Steps: *steps, Seed: *seed,
-	})
+	cfg := cavenet.VelocityConfig{LaneLength: *length, Density: *rho, SlowdownP: *p, Steps: *steps, Seed: *seed}
+	if err := cfg.Validate(); err != nil {
+		return badUsage("%v", err)
+	}
+	res, err := cavenet.Periodogram(cfg)
 	if err != nil {
 		return err
 	}
@@ -134,9 +148,11 @@ func cmdTransient(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	res, err := cavenet.Transient(cavenet.VelocityConfig{
-		LaneLength: *length, Density: *rho, SlowdownP: *p, Steps: *steps, Seed: *seed,
-	})
+	cfg := cavenet.VelocityConfig{LaneLength: *length, Density: *rho, SlowdownP: *p, Steps: *steps, Seed: *seed}
+	if err := cfg.Validate(); err != nil {
+		return badUsage("%v", err)
+	}
+	res, err := cavenet.Transient(cfg)
 	if err != nil {
 		return err
 	}

@@ -14,11 +14,18 @@
 //
 // With the paper's calibration vmax = 135 km/h and Δt = 1 s, one site is
 // s = 7.5 m, so vmax = 5 sites/step.
+//
+// A Lane keeps its vehicles as parallel int32 arrays and Lane.Step is a few
+// linear, mostly branch-free passes over them (the exactness argument is
+// written next to it). Vehicle is the record handed to readers; its Gap is
+// worked out when somebody asks, not once per step.
 package ca
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 )
 
 // Paper calibration constants (§III-A).
@@ -70,8 +77,9 @@ type Vehicle struct {
 	Pos int
 	// Vel is the current velocity in sites per step.
 	Vel int
-	// Gap is the number of empty sites to the vehicle ahead, refreshed each
-	// step before the rules are applied.
+	// Gap is the number of empty sites to the vehicle ahead — capped by red
+	// signals — that the rules of the next step will see. It is materialised
+	// when a vehicle is read (Lane.Vehicle, Lane.Vehicles), not stored.
 	Gap int
 	// Laps counts completed traversals of the lane (ring boundary), or
 	// teleports (open boundary).
@@ -111,9 +119,12 @@ const (
 	CompactPlacement
 )
 
+// maxSites bounds Length and VMax: sites and velocities are int32.
+const maxSites = 1 << 30
+
 func (c *Config) normalize() error {
-	if c.Length <= 0 {
-		return fmt.Errorf("ca: lane length %d must be positive", c.Length)
+	if c.Length <= 0 || c.Length > maxSites {
+		return fmt.Errorf("ca: lane length %d outside [1,%d]", c.Length, maxSites)
 	}
 	if c.Vehicles < 0 || c.Vehicles > c.Length {
 		return fmt.Errorf("ca: %d vehicles do not fit %d sites", c.Vehicles, c.Length)
@@ -121,8 +132,8 @@ func (c *Config) normalize() error {
 	if c.VMax == 0 {
 		c.VMax = DefaultVMax
 	}
-	if c.VMax < 0 {
-		return fmt.Errorf("ca: vmax %d must be non-negative", c.VMax)
+	if c.VMax < 0 || c.VMax > maxSites {
+		return fmt.Errorf("ca: vmax %d outside [0,%d]", c.VMax, maxSites)
 	}
 	if c.SlowdownP < 0 || c.SlowdownP > 1 {
 		return fmt.Errorf("ca: slowdown probability %v outside [0,1]", c.SlowdownP)
@@ -140,15 +151,26 @@ func (c *Config) normalize() error {
 }
 
 // Lane is one NaS lane: the vector L_n of the paper plus the vehicle
-// structures. All updates are parallel (synchronous), per footnote 1 of the
-// paper.
+// structures, held as parallel int32 arrays. All updates are parallel
+// (synchronous), per footnote 1 of the paper.
+//
+// Slots keep a fixed physical order: the vehicle that is i-th by position
+// (logical i, what Vehicle(i) returns) lives in slot (head+i) mod n. A
+// wrap-around moves head, not memory, so cells — which holds slots, not
+// logical indices — survives it untouched.
 type Lane struct {
-	cfg      Config
-	cells    []int // vehicle index occupying each site, or -1
-	vehicles []Vehicle
-	step     int
-	rnd      *rand.Rand
-	signals  []Signal
+	cfg                     Config
+	pos, vel, gap, id, laps []int32
+	idx                     []int32 // Step scratch: slots that draw in pass 2, logical order
+	head                    int
+	cells                   []int32 // slot occupying each site, or -1
+	velSum                  int     // Σ vel, kept by whatever changes a velocity
+	// gapSigs is the number of signals gap[] was computed against, or -1
+	// once a move has made gap[] stale (see readGaps, ruleGaps).
+	gapSigs int
+	step    int
+	rnd     *rand.Rand
+	signals []Signal
 }
 
 // NewLane builds a lane from cfg using rnd for the stochastic rule and for
@@ -161,25 +183,36 @@ func NewLane(cfg Config, rnd *rand.Rand) (*Lane, error) {
 	if rnd == nil && (cfg.SlowdownP > 0 || cfg.Placement == RandomPlacement) {
 		return nil, fmt.Errorf("ca: config requires randomness but rnd is nil")
 	}
-	l := &Lane{
-		cfg:      cfg,
-		cells:    make([]int, cfg.Length),
-		vehicles: make([]Vehicle, cfg.Vehicles),
-		rnd:      rnd,
-	}
-	for i := range l.cells {
-		l.cells[i] = -1
-	}
 	positions, err := initialPositions(cfg, rnd)
 	if err != nil {
 		return nil, err
 	}
-	for i, pos := range positions {
-		l.vehicles[i] = Vehicle{ID: i, Pos: pos, Vel: cfg.InitialVel}
-		l.cells[pos] = i
+	l := &Lane{
+		cfg:     cfg,
+		cells:   make([]int32, cfg.Length),
+		velSum:  cfg.Vehicles * cfg.InitialVel,
+		gapSigs: -1,
+		rnd:     rnd,
 	}
-	l.refreshGaps()
+	n := cfg.Vehicles
+	buf := make([]int32, 6*n) // one allocation; a lane change grows them apart
+	for i, a := range l.arrays() {
+		*a = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	for i := range l.cells {
+		l.cells[i] = -1
+	}
+	for i, pos := range positions {
+		l.id[i], l.pos[i], l.vel[i] = int32(i), int32(pos), int32(cfg.InitialVel)
+		l.cells[pos] = int32(i)
+	}
 	return l, nil
+}
+
+// arrays lists the per-slot arrays, for the code that resizes or permutes
+// them together.
+func (l *Lane) arrays() [6]*[]int32 {
+	return [6]*[]int32{&l.pos, &l.vel, &l.gap, &l.id, &l.laps, &l.idx}
 }
 
 func initialPositions(cfg Config, rnd *rand.Rand) ([]int, error) {
@@ -195,22 +228,12 @@ func initialPositions(cfg Config, rnd *rand.Rand) ([]int, error) {
 			positions = append(positions, i)
 		}
 	case RandomPlacement:
-		perm := rnd.Perm(cfg.Length)[:n]
-		positions = append(positions, perm...)
-		sortInts(positions)
+		positions = rnd.Perm(cfg.Length)[:n]
+		slices.Sort(positions)
 	default:
 		return nil, fmt.Errorf("ca: unknown placement %d", cfg.Placement)
 	}
 	return positions, nil
-}
-
-func sortInts(s []int) {
-	// Insertion sort: n is small and this avoids importing sort for one call.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }
 
 // Config returns the lane configuration after normalization.
@@ -220,22 +243,48 @@ func (l *Lane) Config() Config { return l.cfg }
 func (l *Lane) Len() int { return l.cfg.Length }
 
 // NumVehicles reports the number of cars N.
-func (l *Lane) NumVehicles() int { return len(l.vehicles) }
+func (l *Lane) NumVehicles() int { return len(l.pos) }
 
 // Density reports ρ = N/L in vehicles per site.
 func (l *Lane) Density() float64 {
-	return float64(len(l.vehicles)) / float64(l.cfg.Length)
+	return float64(len(l.pos)) / float64(l.cfg.Length)
 }
 
 // StepCount reports how many steps have been executed.
 func (l *Lane) StepCount() int { return l.step }
 
-// Vehicle returns a copy of the i-th vehicle structure.
-func (l *Lane) Vehicle(i int) Vehicle { return l.vehicles[i] }
+// slot maps a logical (position-order) index to its physical slot.
+func (l *Lane) slot(i int) int {
+	k := l.head + i
+	if k >= len(l.pos) {
+		k -= len(l.pos)
+	}
+	return k
+}
 
-// Vehicles appends copies of all vehicle structures to dst and returns it.
+// at assembles the vehicle structure of slot k.
+func (l *Lane) at(k int) Vehicle {
+	return Vehicle{ID: int(l.id[k]), Pos: int(l.pos[k]), Vel: int(l.vel[k]), Gap: int(l.gap[k]), Laps: int(l.laps[k])}
+}
+
+// Vehicle returns a copy of the i-th vehicle structure, in position order.
+func (l *Lane) Vehicle(i int) Vehicle {
+	l.readGaps()
+	return l.at(l.slot(i))
+}
+
+// Vehicles appends copies of all vehicle structures, in position order, to
+// dst and returns it.
 func (l *Lane) Vehicles(dst []Vehicle) []Vehicle {
-	return append(dst, l.vehicles...)
+	l.readGaps()
+	dst = slices.Grow(dst, len(l.pos))
+	for k := l.head; k < len(l.pos); k++ {
+		dst = append(dst, l.at(k))
+	}
+	for k := 0; k < l.head; k++ {
+		dst = append(dst, l.at(k))
+	}
+	return dst
 }
 
 // Occupancy returns the site vector: for each site, the velocity of the
@@ -245,194 +294,172 @@ func (l *Lane) Occupancy(dst []int) []int {
 		dst = make([]int, len(l.cells))
 	}
 	dst = dst[:len(l.cells)]
-	for i, v := range l.cells {
-		if v < 0 {
+	for i, k := range l.cells {
+		if k < 0 {
 			dst[i] = -1
 		} else {
-			dst[i] = l.vehicles[v].Vel
+			dst[i] = int(l.vel[k])
 		}
 	}
 	return dst
 }
 
-// refreshGaps recomputes the Gap field of every vehicle. Vehicles are kept
-// sorted by position at all times (overtaking is impossible in 1-D).
+// readGaps materialises gap[] for an outside reader: a no-op unless a move
+// (Step, a lane change) has happened since the last computation.
+func (l *Lane) readGaps() {
+	if l.gapSigs < 0 {
+		l.refreshGaps()
+	}
+}
+
+// ruleGaps is readGaps for the rules of the next step, which — unlike a
+// reader — must also see a signal added since the last computation.
+func (l *Lane) ruleGaps() {
+	if l.gapSigs != len(l.signals) {
+		l.refreshGaps()
+	}
+}
+
+// refreshGaps recomputes gap[] from the positions: one linear pass in slot
+// order, the one negative difference (the logical last vehicle looking
+// across the seam at the first) lifted by L, then the red-signal caps.
 func (l *Lane) refreshGaps() {
-	n := len(l.vehicles)
+	l.gapSigs = len(l.signals)
+	n := len(l.pos)
 	if n == 0 {
 		return
 	}
-	if n == 1 {
-		// A lone vehicle is never gap-limited: a ring shows it the whole
-		// lane, an open lane has open road past the end.
-		if l.cfg.Boundary == RingBoundary {
-			l.vehicles[0].Gap = l.cfg.Length - 1
-		} else {
-			l.vehicles[0].Gap = l.cfg.VMax
-		}
-		l.applySignals()
-		return
+	pos, gap, length := l.pos, l.gap[:n], int32(l.cfg.Length)
+	for k, next := range pos[1:] {
+		g := next - pos[k] - 1
+		gap[k] = g + length&(g>>31)
 	}
-	for i := 0; i < n; i++ {
-		cur := l.vehicles[i].Pos
-		var ahead int
-		if i == n-1 {
-			if l.cfg.Boundary == RingBoundary {
-				ahead = l.vehicles[0].Pos + l.cfg.Length
-			} else {
-				// Leader of an open lane: the end is open road, so the
-				// leader is never gap-limited. It drives off the end and is
-				// shifted back to the beginning (see Step).
-				l.vehicles[i].Gap = l.cfg.VMax
-				continue
-			}
-		} else {
-			ahead = l.vehicles[i+1].Pos
-		}
-		l.vehicles[i].Gap = ahead - cur - 1
+	// A lone vehicle reads -1+L here: on a ring it sees the whole lane.
+	g := pos[0] - pos[n-1] - 1
+	gap[n-1] = g + length&(g>>31)
+	if l.cfg.Boundary == OpenBoundary {
+		// The end of an open lane is open road: its leader is never
+		// gap-limited. It drives off the end and is shifted back (reenter).
+		gap[l.slot(n-1)] = int32(l.cfg.VMax)
 	}
 	l.applySignals()
 }
 
 // Step advances the lane by one time step, applying the NaS rules in
-// parallel to every vehicle.
+// parallel to every vehicle, as linear passes over the arrays: (0) gaps,
+// unless still fresh; (1) rules 1–2 as v ← min(v+1, vmax, gap), collecting
+// in logical order the slots left with v > 0; (2) rule 2', one draw per
+// collected slot; (3) motion, the cell index and Σv.
+//
+// It computes exactly what the per-vehicle loop — rules 1, 2, 2' for vehicle
+// 0, then for vehicle 1, …; kept as the differential reference in
+// reference_test.go — computes, draw for draw:
+//
+//   - state: rules 1–2 of a vehicle read only time-n positions (through
+//     gap[]) and its own velocity, so they may run for every vehicle before
+//     anybody's rule 2'.
+//   - stream: the loop draws once per vehicle whose rules 1–2 leave v > 0,
+//     in ascending position from the smallest. Pass 1 walks [head, n) then
+//     [0, head) — that order — and pass 2 replays its list through the same
+//     Float64 call. (An integer threshold on Int63 is not the same test:
+//     Float64 rounds int→float and redraws at 1.0.) p = 0 draws nothing.
+//   - order: v ≤ gap keeps every vehicle behind its leader's time-n site,
+//     which is < L, so only the logical last vehicle can cross the lane end
+//     and the sorted order stays a rotation: it becomes the new head.
+//
+// A new stochastic rule must draw in logical order too, or declare a model
+// change; anything that moves a vehicle outside Step must mark gaps stale.
 func (l *Lane) Step() {
-	l.refreshGaps()
-	n := len(l.vehicles)
-	vmax := l.cfg.VMax
-	// Phase 1: velocity update (rules 1, 2, 2') for all vehicles, using the
-	// time-n state only — this is the parallel update of footnote 1.
-	for i := 0; i < n; i++ {
-		v := &l.vehicles[i]
-		nv := v.Vel + 1
-		if nv > vmax {
-			nv = vmax
+	l.ruleGaps()
+	c := l.rules(l.head, len(l.pos), 0)
+	c = l.rules(0, l.head, c)
+	vel := l.vel
+	if p := l.cfg.SlowdownP; p > 0 {
+		for _, k := range l.idx[:c] {
+			// Float64() < p is the sign bit of the difference.
+			vel[k] -= int32(math.Float64bits(l.rnd.Float64()-p) >> 63)
 		}
-		if nv > v.Gap {
-			nv = v.Gap
-		}
-		if l.cfg.SlowdownP > 0 && nv > 0 && l.rnd.Float64() < l.cfg.SlowdownP {
-			nv--
-		}
-		v.Vel = nv
 	}
-	// Phase 2: motion (rule 3).
-	for i := range l.cells {
-		l.cells[i] = -1
+	pos, cells, length := l.pos[:len(vel)], l.cells, int32(l.cfg.Length)
+	sum, crossed := 0, -1
+	for k, v := range vel {
+		p := pos[k] + v
+		if p >= length { // at most once a step (order): predictable
+			crossed = k
+			continue
+		}
+		pos[k] = p
+		cells[p] = int32(k)
+		sum += int(v)
 	}
-	switch l.cfg.Boundary {
-	case RingBoundary:
-		for i := 0; i < n; i++ {
-			v := &l.vehicles[i]
-			p := v.Pos + v.Vel
-			if p >= l.cfg.Length {
-				p -= l.cfg.Length
-				v.Laps++
-			}
-			v.Pos = p
-		}
-		// Positions may have wrapped; restore sorted order by rotating the
-		// slice so the smallest position comes first. Relative order is
-		// preserved because vehicles cannot pass each other.
-		l.restoreOrder()
-	case OpenBoundary:
-		// First-version CAVENET: a vehicle that runs off the right end is
-		// shifted back to the beginning of the line (paper §III-B). It
-		// restarts from the first free site with velocity zero — the
-		// "delay" the paper attributes to this scheme. Only the leader can
-		// cross the boundary in a given step (followers are gap-limited by
-		// the leader's previous position), so a single scan suffices.
-		wrapped := -1
-		for i := 0; i < n; i++ {
-			v := &l.vehicles[i]
-			p := v.Pos + v.Vel
-			if p >= l.cfg.Length {
-				wrapped = i
-				continue
-			}
-			v.Pos = p
-		}
-		occupied := make(map[int]bool, n)
-		for i := 0; i < n; i++ {
-			if i != wrapped {
-				occupied[l.vehicles[i].Pos] = true
-			}
-		}
-		if wrapped >= 0 {
-			v := &l.vehicles[wrapped]
-			site := 0
-			for occupied[site] {
-				site++
-			}
-			v.Pos = site
-			v.Vel = 0
-			v.Laps++
-		}
-		// The re-inserted vehicle may land between tail vehicles, so a
-		// rotation is not enough: fully re-sort by position. Stability
-		// keeps IDs deterministic.
-		l.sortByPosition()
+	if crossed >= 0 {
+		sum += l.reenter(crossed)
 	}
-	for i := 0; i < n; i++ {
-		l.cells[l.vehicles[i].Pos] = i
-	}
+	l.velSum = sum
 	l.step++
-	l.refreshGaps()
+	l.gapSigs = -1
 }
 
-// sortByPosition re-sorts vehicles ascending by position (insertion sort;
-// the slice is nearly sorted already).
-func (l *Lane) sortByPosition() {
-	vs := l.vehicles
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j-1].Pos > vs[j].Pos; j-- {
-			vs[j-1], vs[j] = vs[j], vs[j-1]
+// rules is pass 1 of Step over the slots [lo, hi): rules 1–2, the cells of
+// the time-n positions cleared (all of them before pass 3 fills any, so that
+// may run in any order), and the slots left moving appended to idx[c:]. It
+// returns the new c.
+func (l *Lane) rules(lo, hi, c int) int {
+	vel := l.vel[lo:hi]
+	pos, gap, idx, cells := l.pos[lo:hi][:len(vel)], l.gap[lo:hi][:len(vel)], l.idx, l.cells
+	vmax := int32(l.cfg.VMax)
+	for i, v := range vel {
+		nv := min(v+1, vmax, gap[i])
+		vel[i] = nv
+		cells[pos[i]] = -1
+		idx[c] = int32(lo + i)
+		c += int(uint32(-nv) >> 31) // nv > 0, without the branch
+	}
+	return c
+}
+
+// reenter puts the vehicle of slot k, which drove past the lane end this
+// step, back at the start as the new logical first and returns its velocity.
+// On a ring it just carries on. On an open lane — the first CAVENET version
+// (paper §III-B) — it is shifted back to the first free site with velocity
+// zero, the "delay" the paper attributes to that scheme.
+func (l *Lane) reenter(k int) int {
+	l.head = k
+	l.laps[k]++
+	if l.cfg.Boundary == RingBoundary {
+		l.pos[k] += l.vel[k] - int32(l.cfg.Length)
+		l.cells[l.pos[k]] = int32(k)
+		return int(l.vel[k])
+	}
+	site := 0
+	for l.cells[site] >= 0 {
+		site++
+	}
+	l.pos[k], l.vel[k] = int32(site), 0
+	// Sites 0..site-1 are taken, by the next `site` vehicles in logical
+	// order: it lands behind them, so its data moves up that many slots.
+	for ; site > 0; site-- {
+		next := k + 1
+		if next == len(l.pos) {
+			next = 0
 		}
-	}
-}
-
-// restoreOrder rotates l.vehicles so positions are ascending again after a
-// wrap-around. Because overtaking is impossible the sequence is always a
-// rotation of a sorted sequence.
-func (l *Lane) restoreOrder() {
-	n := len(l.vehicles)
-	if n < 2 {
-		return
-	}
-	pivot := -1
-	for i := 1; i < n; i++ {
-		if l.vehicles[i].Pos < l.vehicles[i-1].Pos {
-			pivot = i
-			break
+		for _, a := range l.arrays() {
+			(*a)[k], (*a)[next] = (*a)[next], (*a)[k]
 		}
+		l.cells[l.pos[k]] = int32(k)
+		k = next
 	}
-	if pivot < 0 {
-		return
-	}
-	// Rotate left by pivot in place (three reversals): wraps happen nearly
-	// every step on a busy lane, so this must not allocate.
-	reverseVehicles(l.vehicles[:pivot])
-	reverseVehicles(l.vehicles[pivot:])
-	reverseVehicles(l.vehicles)
-}
-
-func reverseVehicles(v []Vehicle) {
-	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
-		v[i], v[j] = v[j], v[i]
-	}
+	l.cells[l.pos[k]] = int32(k)
+	return 0
 }
 
 // MeanVelocity reports v̄(t) = N⁻¹ Σ v_i in sites per step; zero when the
 // lane is empty.
 func (l *Lane) MeanVelocity() float64 {
-	if len(l.vehicles) == 0 {
+	if len(l.pos) == 0 {
 		return 0
 	}
-	sum := 0
-	for i := range l.vehicles {
-		sum += l.vehicles[i].Vel
-	}
-	return float64(sum) / float64(len(l.vehicles))
+	return float64(l.velSum) / float64(len(l.pos))
 }
 
 // Flow reports J = ρ·v̄, the fundamental-diagram quantity of Fig. 4, in
@@ -443,11 +470,11 @@ func (l *Lane) Flow() float64 { return l.Density() * l.MeanVelocity() }
 // including completed laps (the unbounded coordinate used for trace export;
 // callers may reduce it modulo the circumference).
 func (l *Lane) PositionMeters(i int) float64 {
-	v := &l.vehicles[i]
-	return (float64(v.Laps)*float64(l.cfg.Length) + float64(v.Pos)) * CellLength
+	k := l.slot(i)
+	return (float64(l.laps[k])*float64(l.cfg.Length) + float64(l.pos[k])) * CellLength
 }
 
 // VelocityMetersPerSec reports the speed of vehicle i in m/s.
 func (l *Lane) VelocityMetersPerSec(i int) float64 {
-	return float64(l.vehicles[i].Vel) * CellLength / StepSeconds
+	return float64(l.vel[l.slot(i)]) * CellLength / StepSeconds
 }

@@ -26,6 +26,10 @@ func TestConfigValidation(t *testing.T) {
 		{"bad probability", Config{Length: 10, Vehicles: 1, SlowdownP: 1.5}},
 		{"negative vmax", Config{Length: 10, Vehicles: 1, VMax: -1}},
 		{"bad initial velocity", Config{Length: 10, Vehicles: 1, InitialVel: 99}},
+		// Sites and velocities are int32: refuse what would not fit (and
+		// before allocating Length cells).
+		{"length beyond int32 sites", Config{Length: 1<<30 + 1, Vehicles: 1}},
+		{"vmax beyond int32 sites", Config{Length: 10, Vehicles: 1, VMax: 1<<30 + 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package ca
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // LaneChange parameterizes the symmetric lane-change rule that couples the
@@ -59,10 +60,10 @@ func (r *Road) EnableLaneChanges(cfg LaneChange, rnd *rand.Rand) error {
 	}
 	// Persistent global IDs: lane 0's vehicles first, matching the
 	// uncoupled VehicleGlobalID order at construction time.
-	id := 0
+	id := int32(0)
 	for _, l := range r.lanes {
-		for vi := range l.vehicles {
-			l.vehicles[vi].ID = id
+		for vi := range l.id {
+			l.id[l.slot(vi)] = id
 			id++
 		}
 	}
@@ -81,41 +82,42 @@ type lcMove struct {
 	fromLane, toLane, pos int
 }
 
+// claimedCell marks, in a target lane's cells, a free site already promised
+// to a lane changer. Like -1 it reads as free to the occupancy tests; every
+// claim is filled by its move before applyLaneChanges returns.
+const claimedCell = -2
+
 // applyLaneChanges decides all sideways moves from the current state, then
 // applies them. Conflicts (two vehicles targeting the same cell) are
 // resolved in favor of the first claimant in (lane, position-index) scan
-// order; occupancy tests use the pre-change state, so the rule is
-// conservative but deterministic and collision-free.
+// order — the order lcRnd is drawn in; occupancy tests use the pre-change
+// state, so the rule is conservative but deterministic and collision-free.
 func (r *Road) applyLaneChanges() {
 	for _, l := range r.lanes {
-		l.refreshGaps()
+		l.ruleGaps()
 	}
-	vmax := r.lanes[0].cfg.VMax
-	var moves []lcMove
-	var claimed map[[2]int]bool // {target lane, site} already promised
+	vmax := int32(r.lanes[0].cfg.VMax)
+	r.moves = r.moves[:0]
 	for li, l := range r.lanes {
-		for vi := range l.vehicles {
-			v := &l.vehicles[vi]
-			desired := v.Vel + 1
-			if desired > vmax {
-				desired = vmax
-			}
-			if v.Gap >= desired {
+		for vi := range l.pos {
+			k := l.slot(vi)
+			gap, pos := l.gap[k], int(l.pos[k])
+			if gap >= min(l.vel[k]+1, vmax) {
 				continue // no incentive: the own lane is not limiting
 			}
-			best, bestGap := -1, v.Gap
+			best, bestGap := -1, int(gap)
 			for _, ti := range [2]int{li - 1, li + 1} {
 				if ti < 0 || ti >= len(r.lanes) {
 					continue
 				}
 				t := r.lanes[ti]
-				if t.cells[v.Pos] >= 0 || claimed[[2]int{ti, v.Pos}] {
+				if t.cells[pos] != -1 {
 					continue // sideways cell occupied or already claimed
 				}
-				if !t.clearBehind(v.Pos, r.lc.BackGap) {
+				if !t.clearBehind(pos, r.lc.BackGap) {
 					continue
 				}
-				if g := t.aheadGapAt(v.Pos, vmax+1); g > bestGap {
+				if g := t.aheadGapAt(pos, int(vmax)+1); g > bestGap {
 					best, bestGap = ti, g
 				}
 			}
@@ -125,17 +127,13 @@ func (r *Road) applyLaneChanges() {
 			if r.lcRnd.Float64() >= r.lc.P {
 				continue
 			}
-			if claimed == nil {
-				claimed = make(map[[2]int]bool)
-			}
-			claimed[[2]int{best, v.Pos}] = true
-			moves = append(moves, lcMove{fromLane: li, toLane: best, pos: v.Pos})
+			r.lanes[best].cells[pos] = claimedCell
+			r.moves = append(r.moves, lcMove{fromLane: li, toLane: best, pos: pos})
 		}
 	}
-	for _, m := range moves {
+	for _, m := range r.moves {
 		from := r.lanes[m.fromLane]
-		v := from.takeVehicleAt(from.cells[m.pos])
-		r.lanes[m.toLane].placeVehicle(v)
+		r.lanes[m.toLane].placeVehicle(from.takeVehicleAt(int(from.cells[m.pos])))
 	}
 }
 
@@ -171,29 +169,52 @@ func (l *Lane) clearBehind(pos, need int) bool {
 	return true
 }
 
-// takeVehicleAt removes and returns the vehicle at slice index idx,
-// re-syncing the cell index entries of the vehicles shifted down.
-func (l *Lane) takeVehicleAt(idx int) Vehicle {
-	v := l.vehicles[idx]
+// takeVehicleAt removes and returns the vehicle in slot k, re-syncing the
+// cell index entries of the slots shifted down.
+func (l *Lane) takeVehicleAt(k int) Vehicle {
+	v := l.at(k)
 	l.cells[v.Pos] = -1
-	l.vehicles = append(l.vehicles[:idx], l.vehicles[idx+1:]...)
-	for i := idx; i < len(l.vehicles); i++ {
-		l.cells[l.vehicles[i].Pos] = i
+	l.velSum -= v.Vel
+	for _, a := range l.arrays() {
+		*a = slices.Delete(*a, k, k+1)
 	}
+	if k < l.head {
+		l.head-- // the head slot shifted down
+	} else if l.head == len(l.pos) {
+		l.head = 0 // the head slot was the last one: its successor is slot 0
+	}
+	l.resyncCells(k)
 	return v
 }
 
 // placeVehicle inserts v keeping the position order, re-syncing the cell
-// index entries of the vehicles shifted up. The target cell must be free.
+// index entries of the slots shifted up. The target cell must be free.
 func (l *Lane) placeVehicle(v Vehicle) {
-	idx := 0
-	for idx < len(l.vehicles) && l.vehicles[idx].Pos < v.Pos {
-		idx++
+	n := len(l.pos)
+	j := 0 // v's logical index: the vehicles behind it
+	for j < n && int(l.pos[l.slot(j)]) < v.Pos {
+		j++
 	}
-	l.vehicles = append(l.vehicles, Vehicle{})
-	copy(l.vehicles[idx+1:], l.vehicles[idx:])
-	l.vehicles[idx] = v
-	for i := idx; i < len(l.vehicles); i++ {
-		l.cells[l.vehicles[i].Pos] = i
+	// Logical j sits before slot head+j, or — past the physical end — before
+	// slot head+j-n of the leading segment, which pushes the head slot up.
+	k := l.head + j
+	if k > n {
+		k -= n
+		l.head++
 	}
+	for _, a := range l.arrays() {
+		*a = slices.Insert(*a, k, 0)
+	}
+	l.id[k], l.pos[k], l.vel[k], l.laps[k] = int32(v.ID), int32(v.Pos), int32(v.Vel), int32(v.Laps)
+	l.velSum += v.Vel
+	l.resyncCells(k)
+}
+
+// resyncCells re-points cells at the slots from k up after a splice, and
+// marks the gaps stale: somebody moved.
+func (l *Lane) resyncCells(k int) {
+	for ; k < len(l.pos); k++ {
+		l.cells[l.pos[k]] = int32(k)
+	}
+	l.gapSigs = -1
 }

@@ -3,6 +3,7 @@ package ca
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cavenet/internal/geometry"
 )
@@ -32,6 +33,7 @@ type Road struct {
 	coupled bool
 	lc      LaneChange
 	lcRnd   *rand.Rand
+	moves   []lcMove // applyLaneChanges scratch
 }
 
 // NewRoad builds a road from lane specs. Each lane receives its own RNG
@@ -120,28 +122,20 @@ func (r *Road) VehicleGlobalID(lane, vehicle int) int {
 // mid-trace, which is exactly the violation the scenario invariant
 // harness caught.
 func (r *Road) Positions(dst []geometry.Vec2) []geometry.Vec2 {
-	base := len(dst)
-	for i := 0; i < r.TotalVehicles(); i++ {
-		dst = append(dst, geometry.Vec2{})
-	}
-	laneBase := 0
+	base, total := len(dst), r.TotalVehicles()
+	dst = slices.Grow(dst, total)[:base+total]
 	for li, l := range r.lanes {
-		spec := r.specs[li]
+		spec := &r.specs[li]
 		circuit := float64(l.Len()) * CellLength
-		for vi := 0; vi < l.NumVehicles(); vi++ {
-			v := l.Vehicle(vi)
-			x := float64(v.Pos) * CellLength
+		for k, pos := range l.pos { // slot order: the ID says where it goes
+			x := float64(pos) * CellLength
 			if spec.Reversed {
 				x = circuit - x
 			}
-			id := v.ID
-			if !r.coupled {
-				id += laneBase
-			}
-			dst[base+id] = spec.Placement.Place(x)
+			dst[base+int(l.id[k])] = spec.Placement.Place(x)
 		}
 		if !r.coupled {
-			laneBase += l.NumVehicles()
+			base += l.NumVehicles()
 		}
 	}
 	return dst

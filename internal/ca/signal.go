@@ -39,11 +39,13 @@ func (s Signal) validate(length int) error {
 }
 
 // AddSignal installs a traffic signal on the lane. Signals apply from the
-// next step onward.
+// next step onward: a reader keeps seeing the gaps of the signals that were
+// there when the lane last moved.
 func (l *Lane) AddSignal(s Signal) error {
 	if err := s.validate(l.cfg.Length); err != nil {
 		return err
 	}
+	l.readGaps()
 	l.signals = append(l.signals, s)
 	return nil
 }
@@ -56,30 +58,21 @@ func (l *Lane) Signals() []Signal {
 // applySignals caps each vehicle's gap so that nobody enters a red site
 // this step. Called from refreshGaps after the car-following gaps are set.
 func (l *Lane) applySignals() {
-	if len(l.signals) == 0 {
-		return
-	}
-	length := l.cfg.Length
+	ring, length := l.cfg.Boundary == RingBoundary, int32(l.cfg.Length)
 	for si := range l.signals {
 		sig := &l.signals[si]
 		if !sig.RedAt(l.step) {
 			continue
 		}
-		for i := range l.vehicles {
-			v := &l.vehicles[i]
-			dist := sig.Site - v.Pos
-			if l.cfg.Boundary == RingBoundary {
-				if dist < 0 {
-					dist += length
-				}
-			} else if dist < 0 {
-				continue // signal behind the vehicle on an open lane
+		for k, p := range l.pos {
+			dist := int32(sig.Site) - p
+			if ring && dist < 0 {
+				dist += length
 			}
-			if dist == 0 {
-				continue // already on the site; it may leave
-			}
-			if limit := dist - 1; limit < v.Gap {
-				v.Gap = limit
+			// dist < 0: the signal is behind the vehicle on an open lane;
+			// dist == 0: it is already on the site and may leave.
+			if dist > 0 {
+				l.gap[k] = min(l.gap[k], dist-1)
 			}
 		}
 	}

@@ -132,12 +132,8 @@ func TestVehicleOnSignalSiteMayLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Place the vehicle exactly on the signal site.
-	lane.vehicles[0].Pos = 30
-	lane.cells = make([]int, 60)
-	for i := range lane.cells {
-		lane.cells[i] = -1
-	}
-	lane.cells[30] = 0
+	lane.cells[lane.pos[0]], lane.cells[30] = -1, 0
+	lane.pos[0] = 30
 	if err := lane.AddSignal(Signal{Site: 30, GreenSteps: 1, RedSteps: 10000, Offset: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -37,6 +38,22 @@ type FundamentalConfig struct {
 	Seed       int64
 }
 
+// nonNegative rejects a negative step or ensemble count: zero means "the
+// default", a negative one would size a slice or silently run nothing.
+func nonNegative(name string, v int) error {
+	if v < 0 {
+		return fmt.Errorf("core: %s %d must not be negative", name, v)
+	}
+	return nil
+}
+
+// Validate reports the counts the diagram cannot run with. The experiment
+// checks it before any stepping; a front end calls it to tell a usage
+// mistake from a failed run. The same holds for the other two configs.
+func (c FundamentalConfig) Validate() error {
+	return errors.Join(nonNegative("Trials", c.Trials), nonNegative("Iterations", c.Iterations), nonNegative("Warmup", c.Warmup))
+}
+
 func (c *FundamentalConfig) normalize() {
 	if c.LaneLength == 0 {
 		c.LaneLength = 400
@@ -62,6 +79,9 @@ func (c *FundamentalConfig) normalize() {
 // reduced in trial order — the result is bit-identical for any worker
 // count.
 func FundamentalDiagram(cfg FundamentalConfig) ([]FundamentalPoint, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.normalize()
 	src := rng.NewSource(cfg.Seed)
 	counts := make([]int, len(cfg.Densities))
@@ -111,9 +131,17 @@ type SpaceTimeConfig struct {
 	Seed       int64
 }
 
+// Validate reports the counts the panel cannot run with.
+func (c SpaceTimeConfig) Validate() error {
+	return errors.Join(nonNegative("Steps", c.Steps), nonNegative("Warmup", c.Warmup))
+}
+
 // SpaceTimePlot reproduces one panel of Fig. 5: the occupancy rows after
 // warmup.
 func SpaceTimePlot(cfg SpaceTimeConfig) ([][]int, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.LaneLength == 0 {
 		cfg.LaneLength = 400
 	}
@@ -149,9 +177,17 @@ type VelocityConfig struct {
 	Seed   int64
 }
 
+// Validate reports the counts the realization cannot run with.
+func (c VelocityConfig) Validate() error {
+	return errors.Join(nonNegative("Steps", c.Steps), nonNegative("Warmup", c.Warmup))
+}
+
 // VelocityRealization reproduces one curve of Fig. 6: the sample path of
 // the average velocity v̄(t).
 func VelocityRealization(cfg VelocityConfig) ([]float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.LaneLength == 0 {
 		cfg.LaneLength = 400
 	}
@@ -186,6 +222,9 @@ type SpectrumResult struct {
 // discard the warm-up transient (§IV-B explains why) and estimate the
 // stationary spectrum with its long-range-dependence indicators.
 func PeriodogramAnalysis(cfg VelocityConfig) (SpectrumResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return SpectrumResult{}, err
+	}
 	warmup := cfg.Warmup
 	if warmup == 0 {
 		warmup = 512
@@ -219,6 +258,9 @@ type TransientResult struct {
 // (or stochastic) model from a compact-jam start, the worst case for
 // convergence.
 func TransientAnalysis(cfg VelocityConfig) (TransientResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return TransientResult{}, err
+	}
 	if cfg.LaneLength == 0 {
 		cfg.LaneLength = 400
 	}

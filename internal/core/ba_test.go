@@ -58,6 +58,28 @@ func TestFundamentalDiagramError(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsAreErrors: a negative step or ensemble count used to
+// reach make() and panic (or, for Iterations and Warmup, run nothing and
+// report success); every experiment now refuses it before building a lane.
+func TestNegativeCountsAreErrors(t *testing.T) {
+	cases := map[string]func() error{
+		"fundamental trials": func() error { _, err := FundamentalDiagram(FundamentalConfig{Trials: -1}); return err },
+		"fundamental iters":  func() error { _, err := FundamentalDiagram(FundamentalConfig{Iterations: -5}); return err },
+		"fundamental warmup": func() error { _, err := FundamentalDiagram(FundamentalConfig{Warmup: -1}); return err },
+		"spacetime steps":    func() error { _, err := SpaceTimePlot(SpaceTimeConfig{Density: 0.1, Steps: -1}); return err },
+		"spacetime warmup":   func() error { _, err := SpaceTimePlot(SpaceTimeConfig{Density: 0.1, Warmup: -1}); return err },
+		"velocity steps":     func() error { _, err := VelocityRealization(VelocityConfig{Density: 0.1, Steps: -5}); return err },
+		"periodogram steps":  func() error { _, err := PeriodogramAnalysis(VelocityConfig{Density: 0.1, Steps: -9000}); return err },
+		"periodogram warmup": func() error { _, err := PeriodogramAnalysis(VelocityConfig{Density: 0.1, Warmup: -1}); return err },
+		"transient steps":    func() error { _, err := TransientAnalysis(VelocityConfig{Density: 0.1, Steps: -1}); return err },
+	}
+	for name, run := range cases {
+		if err := run(); err == nil {
+			t.Errorf("%s: negative count accepted", name)
+		}
+	}
+}
+
 func TestSpaceTimePlotPanels(t *testing.T) {
 	// The four Fig. 5 panels, reduced.
 	panels := []SpaceTimeConfig{
