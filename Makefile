@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check staticcheck test race scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab ci
+.PHONY: build vet fmt-check staticcheck test race portable scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab mutate ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ race:
 	$(GO) test -race -short ./internal/scenario/...
 	$(GO) test -race ./internal/serve/ ./cmd/cavenet/
 
+# Word size must not reach the results: the golden-bearing packages build,
+# vet and pass — every golden byte-identical — as a 32-bit program.
+# (Fused multiply-add on arm64 and friends is the open half: ROADMAP item 6.)
+portable:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/netsim/ ./cmd/cavenet/
+
 # The scenario catalogue end to end: list the registry, then run one ring
 # and one urban workload under the invariant harness (non-zero exit on any
 # violation). manhattan exercises the street-grid mobility substrate and
@@ -83,48 +90,36 @@ fuzz-smoke:
 	$(GO) test ./internal/mac/ -fuzz FuzzBackoffDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/ca/ -fuzz FuzzLaneDifferential -fuzztime 5s -run XXX
 
-# One iteration of the broadcast scaling bench: catches gross perf
-# regressions (e.g. the culling silently disabled) without the minutes-long
-# full table from PERF.md.
+# One iteration of each micro-benchmark family: keeps the benches
+# compiling and catches a fast path silently degrading, in seconds, without
+# the minutes-long tables from PERF.md.
+#  - phy: the broadcast scaling bench (e.g. the culling silently disabled).
+#  - olsr: the control plane (e.g. the dense kernels silently allocating).
+#  - mobility: the N=1k benches — the streaming path silently
+#    re-materializing shows in B/op, the whole point of the streaming
+#    table in PERF.md. The CA benches ride along: kernel/reference
+#    pairs in ns/vehicle-step, the ledger's unit, show at a glance whether
+#    Lane.Step and Road.Step are still the array kernel.
+#  - sim: the 10k-ticker bench on the calendar queue and on the heap
+#    reference (in-package only: the bench builds it through newHeapKernel)
+#    catches the calendar losing its O(1) behavior; the fan-out bench's
+#    batch/each pair shows whether a sim.Batch still costs one queue entry
+#    per transmission rather than one requeue per member.
+#  - aodv/dymo: the table-level Forward benches run the dense table against
+#    the map reference from reference_test.go (0 allocs/op dense is the
+#    point); the RREQ-storm world runs the one table routers hold.
 bench-smoke:
 	$(GO) test ./internal/phy/ -bench ChannelBroadcast -benchtime=1x -benchmem -run XXX
-
-# One iteration of the routing control-plane bench: catches gross
-# regressions (e.g. the dense kernels silently allocating) in seconds,
-# mirroring the ChannelBroadcast smoke.
-bench-routing-smoke:
 	$(GO) test ./internal/routing/olsr/ -bench OLSRControlPlane -benchtime=1x -benchmem -run XXX
-
-# One iteration of the N=1k mobility benches: catches the streaming path
-# silently re-materializing (its B/op is the whole point — see the
-# "Streaming mobility" section of PERF.md). The CA benches under them ride
-# along: kernel/reference pairs in ns/vehicle-step, the ledger's unit, show
-# at a glance whether Lane.Step and Road.Step are still the array kernel.
-bench-mobility-smoke:
 	$(GO) test ./internal/mobility/ -bench 'MobilityRecordRoadN1k|MobilityStreamRoadN1k' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/ca/ -bench 'LaneStep|FundamentalPoint|RoadStepCoupled' -benchtime=1x -benchmem -run XXX
-
-# One iteration of the 10k-ticker kernel bench on both queue paths:
-# catches the calendar queue silently losing its O(1) behavior (or
-# sim.KernelConfig.HeapOracle, the switch the bench selects the heap
-# with, breaking) without the full depth table from PERF.md. The fan-out
-# bench rides along: its batch/each pair shows at a glance whether a
-# sim.Batch still costs one queue entry per transmission rather than one
-# requeue per member.
-bench-kernel-smoke:
 	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|FanOutBatch' -benchtime=1x -benchmem -run XXX
-
-# One iteration of the AODV/DYMO data-plane benches on both table paths:
-# catches the dense tables silently allocating (their 0 allocs/op is the
-# point) or aodv/dymo Config.Oracle, the switch the benches select the
-# map tables with, breaking, in seconds.
-bench-dataplane-smoke:
 	$(GO) test ./internal/routing/aodv/ -bench 'AODVForward|AODVRREQStorm' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench 'DYMOForward|DYMORREQStorm' -benchtime=1x -benchmem -run XXX
 
-# Full AODV/DYMO data-plane table (per-packet forwarding work and the
-# RREQ-storm world, dense vs map oracle); see the "Routing data plane"
-# section of PERF.md.
+# Full AODV/DYMO data-plane table (per-packet forwarding work, dense vs
+# the map reference, and the RREQ-storm world); see "Micro-benchmarks" in
+# PERF.md.
 bench-dataplane:
 	$(GO) test ./internal/routing/aodv/ -bench AODVForward -benchmem -benchtime=2s -run XXX
 	$(GO) test ./internal/routing/aodv/ -bench AODVRREQStorm -benchmem -benchtime=20x -run XXX
@@ -133,13 +128,12 @@ bench-dataplane:
 
 # Full event-kernel table (mixed workloads, schedule/pop at 1k/10k/100k
 # pending, and the batched vs per-member fan-out, calendar vs heap
-# oracle); see the "Event kernel" and "Batched signal fan-out" sections of
-# PERF.md.
+# reference); see "Micro-benchmarks" in PERF.md.
 bench-kernel:
 	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|CancelHeavy|FarFutureOverflow|MetroArrivals|SchedulePopPending|FanOutBatch' -benchmem -benchtime=2s -run XXX
 
 # Full routing control-plane table (dense vs oracle at N=100/1k plus the
-# steady-state purge); see the "Routing control plane" section of PERF.md.
+# steady-state purge); see "Micro-benchmarks" in PERF.md.
 bench-routing:
 	$(GO) test ./internal/routing/olsr/ -bench 'OLSRControlPlane|OLSRPurge' -benchmem -benchtime=50x -run XXX
 	$(GO) test ./internal/scenario/ -bench 'ScenarioOLSRN1000' -benchmem -benchtime=1x -run XXX
@@ -168,4 +162,13 @@ bench-ab:
 	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make bench-ab W=<workload> BASE=<rev> [PAIRS=10] [HELDOUT=47]"; exit 2; }
 	bash scripts/bench-ab.sh $(W) $(BASE) $(PAIRS) $(HELDOUT)
 
-ci: build vet fmt-check staticcheck test bench-smoke bench-routing-smoke bench-mobility-smoke bench-kernel-smoke bench-dataplane-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke
+# The mutation gate (scripts/mutate.sh): apply each one-line mutant of a
+# lemma clause to a fresh copy of the tree and require the tests that claim
+# to watch it to fail; prints survivors, exits non-zero on any. Not in ci:
+# it is the acceptance test of a PR that touches a lemma or retires a test,
+# not of every push. `make mutate REV=HEAD~1` runs this tree's table
+# against another revision's source.
+mutate:
+	bash scripts/mutate.sh $(REV)
+
+ci: build vet fmt-check staticcheck test portable bench-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke

@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
+
+	"cavenet/internal/rng"
+	"cavenet/internal/scenario"
 )
 
 // TestExitCodes pins the single-exit-path contract: 0 for success and
@@ -162,5 +167,46 @@ func TestVelocityZeroStepsPrintsDefaultRun(t *testing.T) {
 	out := captureStdout(t, func() error { return cmdVelocity([]string{"-steps", "0", "-L", "40"}) })
 	if rows := bytes.Count(out, []byte("\n")) - 1; rows != 5000 {
 		t.Fatalf("velocity -steps 0 printed %d rows, want the default 5000", rows)
+	}
+}
+
+// TestScenarioRunQuickReplaysSweepCell: `scenario run -quick` with a sweep
+// cell's protocol and forked seed is that cell's run — the way to replay a
+// `sweep -quick` row that reported violations as a single run. (-time 20
+// is not: Shrunk also caps the CA warm-up, so the mobility differs.)
+func TestScenarioRunQuickReplaysSweepCell(t *testing.T) {
+	const root = 9
+	var buf bytes.Buffer
+	err := scenarioSweep(&buf, []string{
+		"-scenarios", "churn", "-protocols", "dymo", "-trials", "1",
+		"-seed", strconv.Itoa(root), "-quick", "-format", "json",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []scenario.SweepRow
+	if err := json.Unmarshal(buf.Bytes(), &rows); err != nil || len(rows) != 1 {
+		t.Fatalf("sweep output: %v (%d rows)\n%s", err, len(rows), buf.Bytes())
+	}
+
+	// Cell (scenario 0, trial 0) of the grid: root -> scenario -> trial.
+	cellSeed := rng.NewSource(root).Fork(0).Fork(0).Seed()
+	buf.Reset()
+	err = scenarioRun(&buf, []string{
+		"churn", "-quick", "-protocol", "dymo",
+		"-seed", strconv.FormatInt(cellSeed, 10), "-format", "json",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res scenario.Result
+	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+		t.Fatalf("run output: %v\n%s", err, buf.Bytes())
+	}
+	if got, want := res.TotalPDR(), rows[0].PDR.Mean; got != want || want == 0 {
+		t.Fatalf("run -quick PDR %v, sweep -quick cell PDR %v", got, want)
+	}
+	if got, want := res.TotalDelivered(), rows[0].Delivered; got != want {
+		t.Fatalf("run -quick delivered %d, sweep -quick cell %d", got, want)
 	}
 }

@@ -70,6 +70,7 @@ func scenarioRun(w io.Writer, args []string) error {
 	fs.Float64Var(&simTime, "time", 0, "override the simulated seconds")
 	fs.Float64Var(&simTime, "duration", 0, "alias for -time")
 	nodes := fs.Int("nodes", 0, "rescale the fleet to this many vehicles at the spec's density (circuit and signals scale along) for quick scale experiments")
+	quick := fs.Bool("quick", false, "run the shrunk (test-sized) spec variant, as check and sweep -quick do; with -protocol and the cell's -seed this replays one sweep -quick cell")
 	checked := fs.Bool("check", true, "run under the invariant harness")
 	format := fs.String("format", "text", "text or json")
 	churn := fs.Float64("churn", 0, "inject node churn at this rate per node per minute (4 s crash outages); shorthand for -faults churn:RATE")
@@ -112,6 +113,12 @@ func scenarioRun(w io.Writer, args []string) error {
 	}
 	if *seed != 0 {
 		spec.Seed = *seed
+	}
+	// Same order as scenario.NewGrid: shrink, then rescale, then retime.
+	// (-time 20 alone is not the shrunk spec: Shrunk also caps the CA
+	// warm-up and pins the flow windows.)
+	if *quick {
+		spec = spec.Shrunk()
 	}
 	if *nodes > 0 {
 		scaled, err := spec.WithVehicles(*nodes)

@@ -3,13 +3,8 @@ package core
 import (
 	"fmt"
 
-	"cavenet/internal/mac"
-	"cavenet/internal/metrics"
-	"cavenet/internal/netsim"
-	"cavenet/internal/phy"
-	"cavenet/internal/routing/aodv"
+	"cavenet/internal/scenario"
 	"cavenet/internal/sim"
-	"cavenet/internal/traffic"
 )
 
 // InterferenceConfig parameterizes the Fig. 1-b experiment: a multihop CBR
@@ -66,6 +61,9 @@ type InterferenceResult struct {
 // InterferenceExperiment quantifies Fig. 1-b: run the identical two-lane
 // mobility twice — once with the opposite lane silent, once with it
 // carrying neighbor-to-neighbor CBR — and compare the primary flow's PDR.
+// The two runs are two scenario.Specs that differ only in Flows, executed
+// over the one recorded HighwayTrace (a straight open segment, which no
+// Spec generates; the road knobs below describe it for validation).
 func InterferenceExperiment(cfg InterferenceConfig) (InterferenceResult, error) {
 	cfg.normalize()
 	trace, err := HighwayTrace(HighwayConfig{
@@ -81,72 +79,50 @@ func InterferenceExperiment(cfg InterferenceConfig) (InterferenceResult, error) 
 		return InterferenceResult{}, err
 	}
 
-	run := func(background bool) (float64, uint64, error) {
-		world, err := netsim.NewWorld(netsim.WorldConfig{
-			Nodes:       2 * cfg.VehiclesPerLane,
-			Seed:        cfg.Seed,
-			Propagation: phy.TwoRayGround{},
-			Channel:     phy.Config{CaptureRatio: 10},
-			MAC:         mac.Config{},
-			Mobility:    trace,
-		}, func(n *netsim.Node) netsim.Router { return aodv.New(n, aodv.Config{}) })
-		if err != nil {
-			return 0, 0, err
-		}
-		collector := metrics.NewCollector(sim.Second, cfg.SimTime)
-		collector.Bind(world)
-
-		// Primary flow: first lane-0 vehicle to the vehicle half a lane
-		// ahead (multihop).
-		src := 0
-		dst := cfg.VehiclesPerLane / 2
-		world.Node(dst).AttachPort(netsim.PortCBR, &traffic.Sink{})
-		primary := traffic.NewCBR(world.Node(src), traffic.CBRConfig{
-			Dst:   netsim.NodeID(dst),
-			Rate:  5,
-			Start: 5 * sim.Second,
-			Stop:  cfg.SimTime - 5*sim.Second,
+	start, stop := 5*sim.Second, cfg.SimTime-5*sim.Second
+	// Primary flow: first lane-0 vehicle to the vehicle half a lane ahead
+	// (multihop).
+	const src = 0
+	primary := scenario.Flow{Src: src, Dst: cfg.VehiclesPerLane / 2, Start: start, Stop: stop}
+	quiet := scenario.Spec{
+		Name:          "interference",
+		Lanes:         2,
+		LaneVehicles:  []int{cfg.VehiclesPerLane},
+		CircuitMeters: cfg.LaneLengthMeters,
+		SlowdownP:     cfg.SlowdownP,
+		Bidirectional: true,
+		Protocol:      scenario.AODV,
+		SimTime:       cfg.SimTime,
+		Seed:          cfg.Seed,
+		Flows:         []scenario.Flow{primary},
+	}
+	// Opposite lane: each vehicle unicasts to its follower, saturating the
+	// shared channel.
+	interfered := quiet
+	interfered.Flows = []scenario.Flow{primary}
+	for i := 0; i < cfg.VehiclesPerLane; i++ {
+		interfered.Flows = append(interfered.Flows, scenario.Flow{
+			Src:         cfg.VehiclesPerLane + i,
+			Dst:         cfg.VehiclesPerLane + (i+1)%cfg.VehiclesPerLane,
+			Rate:        cfg.BackgroundRate,
+			PacketBytes: cfg.BackgroundBytes,
+			Start:       start,
+			Stop:        stop,
 		})
-		primary.Start()
-
-		if background {
-			// Opposite lane: each vehicle unicasts to its follower,
-			// saturating the shared channel.
-			for i := 0; i < cfg.VehiclesPerLane; i++ {
-				from := cfg.VehiclesPerLane + i
-				to := cfg.VehiclesPerLane + (i+1)%cfg.VehiclesPerLane
-				world.Node(to).AttachPort(netsim.PortCBR+1+i, &traffic.Sink{})
-				bg := traffic.NewCBR(world.Node(from), traffic.CBRConfig{
-					Dst:         netsim.NodeID(to),
-					Port:        netsim.PortCBR + 1 + i,
-					Rate:        cfg.BackgroundRate,
-					PacketBytes: cfg.BackgroundBytes,
-					Start:       5 * sim.Second,
-					Stop:        cfg.SimTime - 5*sim.Second,
-				})
-				bg.Start()
-			}
-		}
-		world.Run(cfg.SimTime)
-		var retries uint64
-		for _, n := range world.Nodes() {
-			retries += n.MAC().Stats().Retries
-		}
-		return collector.PDR(netsim.NodeID(src)), retries, nil
 	}
 
-	quietPDR, quietRetries, err := run(false)
+	q, err := scenario.RunOnTrace(quiet, trace)
 	if err != nil {
 		return InterferenceResult{}, fmt.Errorf("core: quiet run: %w", err)
 	}
-	interfPDR, interfRetries, err := run(true)
+	in, err := scenario.RunOnTrace(interfered, trace)
 	if err != nil {
 		return InterferenceResult{}, fmt.Errorf("core: interfered run: %w", err)
 	}
 	return InterferenceResult{
-		QuietPDR:          quietPDR,
-		InterferedPDR:     interfPDR,
-		QuietRetries:      quietRetries,
-		InterferedRetries: interfRetries,
+		QuietPDR:          q.PDR[src],
+		InterferedPDR:     in.PDR[src],
+		QuietRetries:      q.MACStats.Retries,
+		InterferedRetries: in.MACStats.Retries,
 	}, nil
 }

@@ -51,7 +51,11 @@ type Config struct {
 	LongRetry    int // retry limit for RTS-protected frames, default 4
 	// SlotOracle counts the backoff down with one timer event per idle slot
 	// instead of one per backoff: the reference implementation, selected
-	// only by tests. Results are bit-identical either way.
+	// only by tests. Results are bit-identical either way. It stays an
+	// exported switch, unlike the references that live in _test.go files,
+	// because clause (b) of the lemma at freeze is about which foreign
+	// event shares the expiry's nanosecond — a property of a whole network
+	// run, which only scenario.TestMACReferenceRunIdentity can compare.
 	SlotOracle bool
 }
 

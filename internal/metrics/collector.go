@@ -135,15 +135,6 @@ func (c *Collector) MeanHops(src netsim.NodeID) float64 {
 // the signature of a destination that is down or was never reachable.
 func (c *Collector) Unreachable(src netsim.NodeID) uint64 { return c.unreachable[src] }
 
-// TotalUnreachable sums routing-unreachable drops across all senders.
-func (c *Collector) TotalUnreachable() uint64 {
-	var total uint64
-	for _, v := range c.unreachable {
-		total += v
-	}
-	return total
-}
-
 // Drops reports drop counts by reason.
 func (c *Collector) Drops() map[string]uint64 {
 	out := make(map[string]uint64, len(c.drops))

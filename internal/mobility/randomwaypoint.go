@@ -50,12 +50,6 @@ func RandomWaypointSource(cfg RandomWaypointConfig, duration float64, rnd *rand.
 	return newRandomWaypoint(cfg, duration, rnd, false, nil)
 }
 
-// RandomWaypointStationarySource is RandomWaypointSource with the
-// stationary-regime initialization of RandomWaypointStationary.
-func RandomWaypointStationarySource(cfg RandomWaypointConfig, duration float64, rnd *rand.Rand) (*Stream, error) {
-	return newRandomWaypoint(cfg, duration, rnd, true, nil)
-}
-
 func randomWaypoint(cfg RandomWaypointConfig, duration float64, rnd *rand.Rand, stationary bool) (*SampledTrace, []float64) {
 	var meanVel []float64
 	src, err := newRandomWaypoint(cfg, duration, rnd, stationary, &meanVel)

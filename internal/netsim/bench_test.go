@@ -9,6 +9,11 @@ import (
 	"cavenet/internal/phy"
 )
 
+// unculled wraps a propagation model in a type without DistanceMonotone,
+// which puts the channel — and the world's connectivity queries — on the
+// all-pairs reference path (phy.NewChannel).
+type unculled struct{ phy.Propagation }
+
 func benchWorld(b *testing.B, n int, brute bool) *World {
 	rnd := rand.New(rand.NewSource(1))
 	pos := make([]geometry.Vec2, n)
@@ -16,11 +21,11 @@ func benchWorld(b *testing.B, n int, brute bool) *World {
 	for i := range pos {
 		pos[i] = geometry.Vec2{X: rnd.Float64() * length, Y: rnd.Float64() * 1500}
 	}
-	w, err := NewWorld(WorldConfig{
-		Nodes:   n,
-		Static:  pos,
-		Channel: phy.Config{BruteForce: brute},
-	}, newFloodRouter)
+	cfg := WorldConfig{Nodes: n, Static: pos}
+	if brute {
+		cfg.Propagation = unculled{phy.TwoRayGround{}}
+	}
+	w, err := NewWorld(cfg, newFloodRouter)
 	if err != nil {
 		b.Fatal(err)
 	}

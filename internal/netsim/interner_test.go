@@ -28,7 +28,7 @@ func TestInterner(t *testing.T) {
 		{"zero", 0, 8, true},
 		{"repeat after growth", 2, 1, false},
 	}
-	absent := []NodeID{1, 3, 899, 901, internDirectLimit - 2, internDirectLimit + 1, 1<<30 + 1, -2, -1 << 40}
+	absent := []NodeID{1, 3, 899, 901, internDirectLimit - 2, internDirectLimit + 1, 1<<30 + 1, -2, -1 << 30}
 
 	var in Interner
 	if in.Index(0) != -1 || in.Index(-1) != -1 || in.Index(1<<30) != -1 {

@@ -45,10 +45,6 @@ type WorldConfig struct {
 	Static []geometry.Vec2
 	// MobilityInterval is how often positions refresh (default 100 ms).
 	MobilityInterval sim.Time
-	// Kernel selects the event-queue implementation; only the scenario
-	// run-identity test sets it (sim.KernelConfig.HeapOracle) — no Spec
-	// field or CLI flag reaches it.
-	Kernel sim.KernelConfig
 }
 
 // World is an assembled scenario: kernel, channel, nodes.
@@ -117,7 +113,7 @@ func NewWorld(cfg WorldConfig, factory RouterFactory) (*World, error) {
 		cfg.MobilityInterval = 100 * sim.Millisecond
 	}
 	w := &World{
-		Kernel:  sim.NewKernelWithConfig(cfg.Kernel),
+		Kernel:  sim.NewKernel(),
 		cfg:     cfg,
 		src:     rng.NewSource(cfg.Seed),
 		factory: factory,

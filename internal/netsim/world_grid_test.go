@@ -20,11 +20,11 @@ func TestConnectivityGridMatchesBruteForce(t *testing.T) {
 		pos[i] = geometry.Vec2{X: rnd.Float64() * 5000, Y: rnd.Float64() * 2000}
 	}
 	build := func(brute bool) *World {
-		w, err := NewWorld(WorldConfig{
-			Nodes:   n,
-			Static:  pos,
-			Channel: phy.Config{BruteForce: brute},
-		}, newFloodRouter)
+		cfg := WorldConfig{Nodes: n, Static: pos}
+		if brute {
+			cfg.Propagation = unculled{phy.TwoRayGround{}}
+		}
+		w, err := NewWorld(cfg, newFloodRouter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestConnectivityGridMatchesBruteForce(t *testing.T) {
 	}
 	grid, brute := build(false), build(true)
 	if !grid.Channel.Culling() || brute.Channel.Culling() {
-		t.Fatal("culling flags not wired through WorldConfig.Channel")
+		t.Fatal("culling does not follow WorldConfig.Propagation")
 	}
 
 	gm, bm := grid.ConnectivityMatrix(), brute.ConnectivityMatrix()

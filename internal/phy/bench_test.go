@@ -13,10 +13,10 @@ import (
 // average along a 1.5 km-wide corridor, so a carrier-sense disc always
 // covers a few dozen radios no matter how large N grows. This is the shape
 // where all-pairs interference evaluation dominates large scenarios.
-func benchStrip(n int, cfg Config) (*sim.Kernel, *Channel, []*Radio) {
+func benchStrip(n int, prop Propagation, cfg Config) (*sim.Kernel, *Channel, []*Radio) {
 	rnd := rand.New(rand.NewSource(1))
 	k := sim.NewKernel()
-	c := NewChannel(k, TwoRayGround{}, cfg)
+	c := NewChannel(k, prop, cfg)
 	radios := make([]*Radio, n)
 	length := float64(n) * 40
 	for i := range radios {
@@ -30,16 +30,16 @@ func benchStrip(n int, cfg Config) (*sim.Kernel, *Channel, []*Radio) {
 
 // BenchmarkChannelBroadcast measures one broadcast frame through the PHY —
 // schedule arrivals, run signal start/end — at highway densities. The
-// "brute" variants are the pre-culling O(N) sweep per transmission and
-// serve as the before numbers in PERF.md.
+// "brute" variants are the pre-culling O(N) sweep per transmission,
+// reached through a model wrapper without DistanceMonotone (unculled).
 func BenchmarkChannelBroadcast(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		for _, mode := range []struct {
-			name  string
-			brute bool
-		}{{"grid", false}, {"brute", true}} {
+			name string
+			prop Propagation
+		}{{"grid", TwoRayGround{}}, {"brute", unculled{TwoRayGround{}}}} {
 			b.Run(fmt.Sprintf("%s/N=%d", mode.name, n), func(b *testing.B) {
-				k, _, radios := benchStrip(n, Config{CaptureRatio: 10, BruteForce: mode.brute})
+				k, _, radios := benchStrip(n, mode.prop, Config{CaptureRatio: 10})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -55,7 +55,7 @@ func BenchmarkChannelBroadcast(b *testing.B) {
 // update cost of moving every radio a few meters (same-cell fast path).
 func BenchmarkChannelMobilityTick(b *testing.B) {
 	const n = 10000
-	_, _, radios := benchStrip(n, Config{})
+	_, _, radios := benchStrip(n, TwoRayGround{}, Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

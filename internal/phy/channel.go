@@ -41,13 +41,6 @@ type Config struct {
 	// PropDelay enables speed-of-light propagation delay (default on; the
 	// ablation bench turns it off to measure its cost).
 	NoPropDelay bool
-	// BruteForce disables the spatial-grid interference culling and visits
-	// every attached radio on each transmission. This is the O(N²) oracle
-	// path: it is what the grid is differentially tested against, and the
-	// fallback for propagation models whose received power is not a
-	// monotone function of distance (e.g. randomized shadowing), where
-	// distance-based culling could skip a radio the model would reach.
-	BruteForce bool
 }
 
 func (c *Config) normalize() {
@@ -86,7 +79,7 @@ type Channel struct {
 	rxThreshW   float64
 	csThreshW   float64
 	radios      []*Radio
-	grid        *spatial.Grid           // nil when running the brute-force oracle
+	grid        *spatial.Grid           // nil on the brute-force path (model not DistanceMonotone)
 	csCullM     float64                 // grid query radius covering the CS threshold
 	rxCullM     float64                 // grid query radius covering the Rx threshold
 	nearBuf     []int32                 // Transmit-only grid-query scratch (never re-entered)
@@ -149,11 +142,17 @@ func (c *Channel) ClearImpairment(a, b int) {
 
 // NewChannel builds a channel over the given propagation model.
 //
-// Unless cfg.BruteForce is set and provided the model guarantees power
-// monotone in distance (see DistanceMonotone), the channel indexes radio
-// positions in a uniform grid with cell size equal to the carrier-sense
-// range, so each Transmit visits only the 3×3 cell neighborhood of the
-// sender instead of every radio in the world.
+// Provided the model guarantees power monotone in distance (see
+// DistanceMonotone), the channel indexes radio positions in a uniform grid
+// with cell size equal to the carrier-sense range, so each Transmit visits
+// only the 3×3 cell neighborhood of the sender instead of every radio in
+// the world. Any other model — randomized shadowing, say, where a
+// distance cull could skip a radio the model would reach — gets the
+// brute-force path that visits every attached radio. The choice is made
+// from the model alone, never from a Config switch: the brute path is also
+// the reference the grid is held to (TestChannelGridMatchesBruteForce), and
+// tests reach it the same way, by wrapping a model in a type that does not
+// implement DistanceMonotone.
 func NewChannel(k *sim.Kernel, prop Propagation, cfg Config) *Channel {
 	cfg.normalize()
 	c := &Channel{
@@ -166,7 +165,7 @@ func NewChannel(k *sim.Kernel, prop Propagation, cfg Config) *Channel {
 	}
 	c.rxThreshW = PowerAtRange(prop, cfg.TxPowerW, cfg.RxRangeM)
 	c.csThreshW = PowerAtRange(prop, cfg.TxPowerW, cfg.CSRangeM)
-	if !cfg.BruteForce && propIsDistanceMonotone(prop) {
+	if propIsDistanceMonotone(prop) {
 		c.grid = spatial.NewGrid(cfg.CSRangeM)
 		c.csCullM = cfg.CSRangeM * cullMargin
 		c.rxCullM = cfg.RxRangeM * cullMargin
@@ -181,9 +180,6 @@ func (c *Channel) TxPowerW() float64 { return c.cfg.TxPowerW }
 
 // RxThreshW reports the derived receive-power threshold.
 func (c *Channel) RxThreshW() float64 { return c.rxThreshW }
-
-// CSThreshW reports the derived carrier-sense threshold.
-func (c *Channel) CSThreshW() float64 { return c.csThreshW }
 
 // Culling reports whether the spatial-grid fast path is active.
 func (c *Channel) Culling() bool { return c.grid != nil }
@@ -404,9 +400,6 @@ func (r *Radio) SetPosition(p geometry.Vec2) {
 		g.Move(r.index, p)
 	}
 }
-
-// Detached reports whether the radio is currently off the air.
-func (r *Radio) Detached() bool { return r.detached }
 
 // Detach takes the radio off the air: it leaves the spatial index, new
 // transmissions panic, and in-flight arrivals are discarded on start.

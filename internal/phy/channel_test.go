@@ -273,8 +273,15 @@ func payloads(fs []*Frame) []any {
 // the start and end batches, their member storage and their queue entries
 // are all pooled.
 func TestTransmitFanOutAllocatesOnlyFrame(t *testing.T) {
-	for _, cfg := range []Config{{CaptureRatio: 10}, {CaptureRatio: 10, NoPropDelay: true}, {CaptureRatio: 10, BruteForce: true}} {
-		k, _, radios := benchStrip(200, cfg)
+	for _, c := range []struct {
+		prop Propagation
+		cfg  Config
+	}{
+		{TwoRayGround{}, Config{CaptureRatio: 10}},
+		{TwoRayGround{}, Config{CaptureRatio: 10, NoPropDelay: true}},
+		{unculled{TwoRayGround{}}, Config{CaptureRatio: 10}},
+	} {
+		k, _, radios := benchStrip(200, c.prop, c.cfg)
 		payload := any(&struct{}{})
 		i := 0
 		cycle := func() {
@@ -286,7 +293,7 @@ func TestTransmitFanOutAllocatesOnlyFrame(t *testing.T) {
 			cycle()
 		}
 		if allocs := testing.AllocsPerRun(400, cycle); allocs != 1 {
-			t.Fatalf("%+v: one broadcast allocated %v times, want 1 (the Frame)", cfg, allocs)
+			t.Fatalf("%+v: one broadcast allocated %v times, want 1 (the Frame)", c, allocs)
 		}
 	}
 }

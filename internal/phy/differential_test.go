@@ -8,6 +8,12 @@ import (
 	"cavenet/internal/sim"
 )
 
+// unculled hides every optional interface of the model it wraps — above
+// all DistanceMonotone — so NewChannel takes the brute-force path, as it
+// does for any model it cannot prove monotone. This is how tests reach the
+// reference the grid is compared against; there is no Config switch.
+type unculled struct{ Propagation }
+
 // runRandomScenario drives a scripted random 200-node broadcast scenario —
 // bursty transmissions plus mid-run mobility — and returns the channel
 // counters. The script consumes the RNG identically regardless of the
@@ -17,9 +23,13 @@ func runRandomScenario(t *testing.T, seed int64, brute bool) (transmitted, deliv
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	k := sim.NewKernel()
-	c := NewChannel(k, TwoRayGround{}, Config{CaptureRatio: 10, BruteForce: brute})
+	var prop Propagation = TwoRayGround{}
+	if brute {
+		prop = unculled{prop}
+	}
+	c := NewChannel(k, prop, Config{CaptureRatio: 10})
 	if c.Culling() == brute {
-		t.Fatalf("Culling() = %v with BruteForce=%v", c.Culling(), brute)
+		t.Fatalf("Culling() = %v with brute=%v", c.Culling(), brute)
 	}
 	const n = 200
 	radios := make([]*Radio, n)
@@ -69,6 +79,25 @@ func TestChannelGridMatchesBruteForce(t *testing.T) {
 		if gd == 0 || gc == 0 {
 			t.Fatalf("seed %d: degenerate scenario (delivered=%d collided=%d), tighten the script",
 				seed, gd, gc)
+		}
+	}
+}
+
+// TestChannelCullReachesCellEdge is the deterministic corner the random
+// scenario almost never hits: a receiver on the near edge of the next grid
+// cell (cell size = carrier-sense range), 0.1 m inside that range. A query
+// radius short of the carrier-sense range (cullMargin < 1) does not reach
+// its cell, and the grid drops a carrier edge the brute path delivers.
+func TestChannelCullReachesCellEdge(t *testing.T) {
+	for _, prop := range []Propagation{TwoRayGround{}, unculled{TwoRayGround{}}} {
+		k := sim.NewKernel()
+		c := NewChannel(k, prop, Config{})
+		tx, _ := attach(c, 0.1, 0)
+		_, rec := attach(c, c.cfg.CSRangeM, 0)
+		tx.Transmit("x", 100, sim.Millisecond)
+		k.Run()
+		if len(rec.carrier) != 2 || !rec.carrier[0] || rec.carrier[1] {
+			t.Fatalf("culling %v: carrier edges at the cell edge = %v, want [true false]", c.Culling(), rec.carrier)
 		}
 	}
 }

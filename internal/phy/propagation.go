@@ -37,7 +37,7 @@ type Propagation interface {
 // guaranteed below the derived carrier-sense threshold and can be skipped
 // without evaluating the model. Models that do not implement the
 // interface, or report false (e.g. shadowing with a random component),
-// force the channel onto the brute-force oracle path.
+// put the channel on the brute-force path.
 type DistanceMonotone interface {
 	DistanceMonotone() bool
 }

@@ -25,11 +25,6 @@ type Config struct {
 	// BufferCap bounds the number of data packets queued per destination
 	// while discovery runs (default 64, matching ns-2's sendBuffer).
 	BufferCap int
-	// Oracle routes the routing table through the retained map-based
-	// implementation instead of the dense-index fast path. Whole runs are
-	// bit-identical between the two. Only differential tests and
-	// micro-benchmarks set it; no Spec field or CLI flag reaches it.
-	Oracle bool
 }
 
 func (c *Config) normalize() {
@@ -103,7 +98,7 @@ type Router struct {
 	cfg  Config
 	node *netsim.Node
 
-	table       routeTable
+	table       *denseTable
 	seq         uint32
 	rreqID      uint32
 	seen        sim.ExpiringSet[seenKey]
@@ -132,11 +127,7 @@ func New(node *netsim.Node, cfg Config) *Router {
 		node:        node,
 		discoveries: make(map[netsim.NodeID]*discovery),
 		neighbors:   make(map[netsim.NodeID]*sim.Timer),
-	}
-	if cfg.Oracle {
-		r.table = newMapTable(node.Kernel())
-	} else {
-		r.table = newDenseTable(node.Kernel())
+		table:       newDenseTable(node.Kernel()),
 	}
 	jitter := func() sim.Time {
 		// ±10% emission jitter, standard to decorrelate HELLO storms.

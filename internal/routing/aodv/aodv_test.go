@@ -1,7 +1,6 @@
 package aodv
 
 import (
-	"math/rand"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -314,70 +313,6 @@ func TestSeqWraparound(t *testing.T) {
 			t.Fatalf("wraparound comparison failed: next=%d ok=%v", next, ok)
 		}
 	})
-}
-
-// TestTableLazyPurgeMatchesEager drives both implementations through the
-// same update/refresh/purge schedule and checks the observable state stays
-// identical — the dense path's lazy ExpiryHeap must flip exactly the
-// entries the oracle's eager scan flips, at the same tick.
-func TestTableLazyPurgeMatchesEager(t *testing.T) {
-	k := sim.NewKernel()
-	dense := newDenseTable(k)
-	oracle := newMapTable(k)
-	both := [...]routeTable{dense, oracle}
-
-	rng := rand.New(rand.NewSource(42))
-	for step := 0; step < 400; step++ {
-		k.Schedule(k.Now()+sim.Time(rng.Int63n(int64(200*sim.Millisecond))), func() {})
-		k.Run()
-		dst := netsim.NodeID(rng.Intn(12))
-		switch rng.Intn(5) {
-		case 0:
-			seq, hops := uint32(rng.Intn(8)), 1+rng.Intn(4)
-			next := netsim.NodeID(rng.Intn(4))
-			life := sim.Time(1+rng.Intn(3)) * sim.Second
-			for _, tb := range both {
-				tb.update(dst, seq, true, hops, next, life)
-			}
-		case 1:
-			for _, tb := range both {
-				tb.refresh(dst, sim.Second)
-			}
-		case 2:
-			for _, tb := range both {
-				tb.purgeExpired()
-			}
-		case 3:
-			n := netsim.NodeID(rng.Intn(4))
-			got := dense.breakVia(n, nil)
-			want := oracle.breakVia(n, nil)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: breakVia count %d != %d", step, len(got), len(want))
-			}
-		case 4:
-			seq := uint32(rng.Intn(10))
-			from := netsim.NodeID(rng.Intn(4))
-			gs, gp, gm := dense.rerrApply(dst, from, seq)
-			ws, wp, wm := oracle.rerrApply(dst, from, seq)
-			if gs != ws || gp != wp || gm != wm {
-				t.Fatalf("step %d: rerrApply (%d,%v,%v) != (%d,%v,%v)", step, gs, gp, gm, ws, wp, wm)
-			}
-		}
-		for dst := netsim.NodeID(0); dst < 12; dst++ {
-			gn, gh, gok := dense.validNext(dst)
-			wn, wh, wok := oracle.validNext(dst)
-			if gn != wn || gh != wh || gok != wok {
-				t.Fatalf("step %d dst %d: dense (%d,%d,%v) != oracle (%d,%d,%v)",
-					step, dst, gn, gh, gok, wn, wh, wok)
-			}
-			gs, gk, gok2 := dense.lastSeq(dst)
-			ws, wk, wok2 := oracle.lastSeq(dst)
-			if gs != ws || gk != wk || gok2 != wok2 {
-				t.Fatalf("step %d dst %d: lastSeq (%d,%v,%v) != (%d,%v,%v)",
-					step, dst, gs, gk, gok2, ws, wk, wok2)
-			}
-		}
-	}
 }
 
 // TestSeenEntriesExpire guards the fix for the unbounded RREQ dedup table:

@@ -1,31 +1,29 @@
 package aodv
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
 )
 
-// routeState distinguishes usable from recently-invalidated entries.
-type routeState int
-
-const (
-	routeValid routeState = iota + 1
-	routeInvalid
-)
-
-// routeTable is the table contract both implementations satisfy: the
-// dense-index fast path (dense.go) and the retained map-based oracle
-// below, selected by Config.Oracle. The interface is strictly
-// value-based — no method hands out a pointer into table storage —
-// because the dense path keeps entries in a growable slice, where an
-// escaping pointer would dangle across inserts.
+// routeTable is the table contract denseTable (dense.go, what Router
+// holds) and the map reference below both satisfy; it exists only so the
+// table tests and BenchmarkAODVForward can drive either. The contract is a
+// value contract at a package-internal call boundary — no method hands out
+// a pointer into table storage, every answer is a plain value — so equal
+// answers per call imply equal runs by induction over the router's calls,
+// and TestTableLazyPurgeMatchesEager is the whole gate: there is no
+// Config switch and no run-level identity test (ROADMAP, "Oracles are test
+// references").
 //
-// Several methods share a read side effect the RFC's active-route check
-// has in the oracle: reading a valid-but-expired entry flips it to
-// invalid on the spot. The flip timing (on read, and at the periodic
-// purge) is part of the contract — RERR contents depend on which entries
-// are still state-valid — and the run-identity tests pin both
-// implementations to it.
+// Several methods share a read side effect: reading a valid-but-expired
+// entry flips it to invalid on the spot. The flip timing (on read, and at
+// the periodic purge) is part of the contract — RERR contents depend on
+// which entries are still state-valid.
 type routeTable interface {
 	// validNext reports the forwarding state of a live, unexpired route
 	// to dst.
@@ -58,7 +56,7 @@ type routeTable interface {
 	purgeExpired()
 }
 
-// route is one routing-table entry (RFC 3561 §2) of the map oracle.
+// route is one routing-table entry (RFC 3561 §2) of the map reference.
 type route struct {
 	dst        netsim.NodeID
 	seq        uint32
@@ -77,13 +75,16 @@ func (r *route) addPrecursor(id netsim.NodeID) {
 	r.precursors[id] = struct{}{}
 }
 
-// mapTable is the retained map-based oracle implementation.
+// mapTable is the map-based reference: the original table, kept verbatim.
 type mapTable struct {
 	kernel *sim.Kernel
 	routes map[netsim.NodeID]*route
 }
 
-var _ routeTable = (*mapTable)(nil)
+var (
+	_ routeTable = (*mapTable)(nil)
+	_ routeTable = (*denseTable)(nil)
+)
 
 func newMapTable(k *sim.Kernel) *mapTable {
 	return &mapTable{kernel: k, routes: make(map[netsim.NodeID]*route)}
@@ -207,6 +208,101 @@ func (t *mapTable) purgeExpired() {
 	for _, r := range t.routes {
 		if r.state == routeValid && now >= r.expiresAt {
 			r.state = routeInvalid
+		}
+	}
+}
+
+// TestTableLazyPurgeMatchesEager drives the dense table and the map
+// reference through the same random schedule of every table operation and
+// checks that each call answers the same and the observable state stays
+// identical — the dense path's lazy ExpiryHeap must flip exactly the
+// entries the reference's eager scan flips, at the same tick. Since the
+// router holds a *denseTable and nothing selects the reference at run
+// level, this is the whole gate for the table (reference_test.go), so it
+// covers every method of the contract. The schedule runs at two read
+// cadences: probing every destination after every step, and only every
+// seventh step — a probe's validNext flips expired entries in both tables,
+// which on the dense cadence hides whether the purge did.
+func TestTableLazyPurgeMatchesEager(t *testing.T) {
+	for _, probeEvery := range []int{1, 7} {
+		tableDifferential(t, probeEvery)
+	}
+}
+
+func tableDifferential(t *testing.T, probeEvery int) {
+	k := sim.NewKernel()
+	dense := newDenseTable(k)
+	oracle := newMapTable(k)
+	both := [...]routeTable{dense, oracle}
+	sorted := func(u []UnreachableDst) []UnreachableDst {
+		sort.Slice(u, func(i, j int) bool { return u[i].Dst < u[j].Dst })
+		return u
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for step := 0; step < 2000; step++ {
+		k.Schedule(k.Now()+sim.Time(rng.Int63n(int64(200*sim.Millisecond))), func() {})
+		k.Run()
+		dst := netsim.NodeID(rng.Intn(12))
+		switch rng.Intn(6) {
+		case 0:
+			seq, hops := uint32(rng.Intn(8)), 1+rng.Intn(4)
+			next := netsim.NodeID(rng.Intn(4))
+			life := sim.Time(1+rng.Intn(3)) * sim.Second
+			known := rng.Intn(8) > 0
+			for _, tb := range both {
+				tb.update(dst, seq, known, hops, next, life)
+			}
+		case 1:
+			for _, tb := range both {
+				tb.refresh(dst, sim.Second)
+			}
+		case 2:
+			for _, tb := range both {
+				tb.purgeExpired()
+			}
+		case 3:
+			n := netsim.NodeID(rng.Intn(4))
+			got := sorted(dense.breakVia(n, nil))
+			want := sorted(oracle.breakVia(n, nil))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cadence %d step %d: breakVia %v != %v", probeEvery, step, got, want)
+			}
+		case 4:
+			seq := uint32(rng.Intn(10))
+			from := netsim.NodeID(rng.Intn(4))
+			gs, gp, gm := dense.rerrApply(dst, from, seq)
+			ws, wp, wm := oracle.rerrApply(dst, from, seq)
+			if gs != ws || gp != wp || gm != wm {
+				t.Fatalf("cadence %d step %d: rerrApply (%d,%v,%v) != (%d,%v,%v)", probeEvery, step, gs, gp, gm, ws, wp, wm)
+			}
+		case 5:
+			for _, tb := range both {
+				tb.addPrecursor(dst, netsim.NodeID(rng.Intn(4)))
+			}
+		}
+		if step%probeEvery != 0 {
+			continue
+		}
+		for dst := netsim.NodeID(0); dst < 12; dst++ {
+			gn, gh, gok := dense.validNext(dst)
+			wn, wh, wok := oracle.validNext(dst)
+			if gn != wn || gh != wh || gok != wok {
+				t.Fatalf("cadence %d step %d dst %d: dense (%d,%d,%v) != oracle (%d,%d,%v)",
+					probeEvery, step, dst, gn, gh, gok, wn, wh, wok)
+			}
+			gs, gk, gok2 := dense.lastSeq(dst)
+			ws, wk, wok2 := oracle.lastSeq(dst)
+			if gs != ws || gk != wk || gok2 != wok2 {
+				t.Fatalf("cadence %d step %d dst %d: lastSeq (%d,%v,%v) != (%d,%v,%v)",
+					probeEvery, step, dst, gs, gk, gok2, ws, wk, wok2)
+			}
+			gh, gs, gk, ge, gok := dense.replyInfo(dst)
+			wh, ws, wk, we, wok := oracle.replyInfo(dst)
+			if gh != wh || gs != ws || gk != wk || ge != we || gok != wok {
+				t.Fatalf("cadence %d step %d dst %d: replyInfo (%d,%d,%v,%v,%v) != (%d,%d,%v,%v,%v)",
+					probeEvery, step, dst, gh, gs, gk, ge, gok, wh, ws, wk, we, wok)
+			}
 		}
 	}
 }

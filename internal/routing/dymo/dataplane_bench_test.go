@@ -47,9 +47,10 @@ func TestDataPlaneZeroAlloc(t *testing.T) {
 
 // BenchmarkDYMOForward measures the per-packet table work of forwarding —
 // one validNext plus the two refreshes every forwarded frame performs —
-// on a warm 64-destination table. "dense" is the production path (zero
-// allocations); "oracle" is the retained map-based reference, which is
-// also the pre-optimization cost profile. See PERF.md for the table.
+// on a warm 64-destination table. "dense" is the table routers use (zero
+// allocations); "oracle" is the map-based reference in reference_test.go,
+// which is also the pre-optimization cost profile. See PERF.md for the
+// table.
 func BenchmarkDYMOForward(b *testing.B) {
 	const timeout = 5 * sim.Second
 	for _, mode := range []string{"dense", "oracle"} {
@@ -80,39 +81,34 @@ func BenchmarkDYMOForward(b *testing.B) {
 // simultaneously discover routes to distinct far destinations — an RREQ
 // flood storm with path accumulation across the whole network, followed
 // by RREPs and the first data deliveries — for three simulated seconds
-// per iteration, with the routing tables on the dense fast path vs the
-// map oracle.
+// per iteration.
 func BenchmarkDYMORREQStorm(b *testing.B) {
 	const n = 49
 	positions := make([]geometry.Vec2, n)
 	for i := range positions {
 		positions[i] = geometry.Vec2{X: float64(i % 7 * 180), Y: float64(i / 7 * 180)}
 	}
-	for _, mode := range []string{"dense", "oracle"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w, err := netsim.NewWorld(netsim.WorldConfig{
-					Nodes: n, Seed: 1, Static: positions,
-				}, func(node *netsim.Node) netsim.Router {
-					return New(node, Config{Oracle: mode == "oracle"})
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for s := 0; s < 8; s++ {
-					src := w.Node(s)
-					dst := netsim.NodeID(n - 1 - s)
-					port := netsim.PortCBR + s
-					w.Node(int(dst)).AttachPort(port, netsim.PortFunc(func(*netsim.Packet, sim.Time) {}))
-					w.Kernel.Schedule(0, func() {
-						src.SendData(src.NewPacket(dst, port, 128))
-					})
-				}
-				b.StartTimer()
-				w.Run(3 * sim.Second)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w, err := netsim.NewWorld(netsim.WorldConfig{
+			Nodes: n, Seed: 1, Static: positions,
+		}, func(node *netsim.Node) netsim.Router {
+			return New(node, Config{})
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s := 0; s < 8; s++ {
+			src := w.Node(s)
+			dst := netsim.NodeID(n - 1 - s)
+			port := netsim.PortCBR + s
+			w.Node(int(dst)).AttachPort(port, netsim.PortFunc(func(*netsim.Packet, sim.Time) {}))
+			w.Kernel.Schedule(0, func() {
+				src.SendData(src.NewPacket(dst, port, 128))
+			})
+		}
+		b.StartTimer()
+		w.Run(3 * sim.Second)
 	}
 }

@@ -5,10 +5,14 @@ import (
 	"cavenet/internal/sim"
 )
 
-// denseTable is the production routing table: entries live in a flat
-// slice addressed through interned indices, so the per-packet path
-// (validNext + refresh on every forwarded frame) does no map work and no
-// allocation once the destination set has been seen.
+// denseTable is the routing table: entries live in a flat slice addressed
+// through interned indices, so the per-packet path (validNext + refresh on
+// every forwarded frame) does no map work and no allocation once the
+// destination set has been seen. Every method answers in plain values —
+// none hands out a pointer into entries, which would dangle across the
+// next insert — so the table's contract is a per-call value contract, and
+// the original map-based table survives only in reference_test.go, where
+// TestTableLazyPurgeMatchesEager holds this one to it call by call.
 //
 // Expiry is epoch-stamped rather than heap-driven: the periodic purge
 // only records its tick time (lastPurge), and the flip an eager scan
@@ -39,8 +43,6 @@ type denseEntry struct {
 	expiresAt sim.Time
 }
 
-var _ routeTable = (*denseTable)(nil)
-
 func newDenseTable(k *sim.Kernel, timeout sim.Time) *denseTable {
 	return &denseTable{kernel: k, timeout: timeout, lastPurge: -1}
 }
@@ -55,8 +57,8 @@ func (t *denseTable) intern(id netsim.NodeID) int32 {
 	return x
 }
 
-// stateValid reports whether e is state-valid in the oracle's sense,
-// applying the deferred purge flip: if a purge tick has passed the entry's
+// stateValid reports whether e is state-valid as an eagerly purged table
+// would have it, applying the deferred purge flip: if a purge tick has passed the entry's
 // deadline since it became valid, the eager scan would have flipped it.
 func (t *denseTable) stateValid(e *denseEntry) bool {
 	if !e.valid {
@@ -70,8 +72,9 @@ func (t *denseTable) stateValid(e *denseEntry) bool {
 }
 
 // liveEntry returns dst's entry if it is state-valid and unexpired,
-// flipping a valid-but-expired entry to invalid (the oracle's read side
-// effect). The pointer is only valid until the next intern.
+// flipping a valid-but-expired entry to invalid: the flip timing is
+// observable, because breakVia bumps sequence numbers only on still-valid
+// entries. The pointer is only valid until the next intern.
 func (t *denseTable) liveEntry(dst netsim.NodeID) *denseEntry {
 	x := t.ids.Index(dst)
 	if x < 0 {
@@ -88,6 +91,7 @@ func (t *denseTable) liveEntry(dst netsim.NodeID) *denseEntry {
 	return e
 }
 
+// validNext reports the forwarding state of a live, unexpired route.
 func (t *denseTable) validNext(dst netsim.NodeID) (netsim.NodeID, int, bool) {
 	e := t.liveEntry(dst)
 	if e == nil {
@@ -96,6 +100,8 @@ func (t *denseTable) validNext(dst netsim.NodeID) (netsim.NodeID, int, bool) {
 	return e.nextHop, e.hops, true
 }
 
+// lastSeq reports the stored sequence state for dst regardless of route
+// validity (RREQ target-seq seeding, RERR case ii).
 func (t *denseTable) lastSeq(dst netsim.NodeID) (uint32, bool, bool) {
 	x := t.ids.Index(dst)
 	if x < 0 {
@@ -105,6 +111,9 @@ func (t *denseTable) lastSeq(dst netsim.NodeID) (uint32, bool, bool) {
 	return e.seq, e.seqKnown, true
 }
 
+// update applies the draft's route-update rules: the same sequence-number
+// discipline as AODV, but an accepted update resets the lifetime to
+// RouteTimeout from now instead of stretching it.
 func (t *denseTable) update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID) {
 	now := t.kernel.Now()
 	x := t.intern(dst)
@@ -127,6 +136,7 @@ func (t *denseTable) update(dst netsim.NodeID, seq uint32, seqKnown bool, hops i
 	e.expiresAt = now + t.timeout
 }
 
+// refresh extends a valid route's lifetime to RouteTimeout from now.
 func (t *denseTable) refresh(dst netsim.NodeID) {
 	if e := t.liveEntry(dst); e != nil {
 		exp := t.kernel.Now() + t.timeout
@@ -136,6 +146,11 @@ func (t *denseTable) refresh(dst netsim.NodeID) {
 	}
 }
 
+// breakVia invalidates every valid route whose next hop is the broken
+// neighbor, bumping each sequence number and appending the (dst, bumped
+// seq) pairs to buf. Entries come out in insertion order; RERR entries are
+// processed independently by every receiver and the wire size depends only
+// on the count, so the order never reaches the results.
 func (t *denseTable) breakVia(neighbor netsim.NodeID, buf []AddrBlock) []AddrBlock {
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -148,6 +163,10 @@ func (t *denseTable) breakVia(neighbor netsim.NodeID, buf []AddrBlock) []AddrBlo
 	return buf
 }
 
+// rerrApply processes one received RERR entry: matched when a valid route
+// to dst via from existed — it is flipped invalid without a seq bump,
+// adopting the reported seq when newer. seqOut is the entry's sequence
+// number after adoption.
 func (t *denseTable) rerrApply(dst, from netsim.NodeID, seq uint32) (uint32, bool) {
 	x := t.ids.Index(dst)
 	if x < 0 {

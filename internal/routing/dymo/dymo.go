@@ -75,11 +75,6 @@ type Config struct {
 	// PathAccumulation can be disabled for the ablation bench, reducing
 	// DYMO to an AODV-like protocol.
 	PathAccumulation *bool
-	// Oracle routes the routing table through the retained map-based
-	// implementation instead of the dense-index fast path. Whole runs are
-	// bit-identical between the two. Only differential tests and
-	// micro-benchmarks set it; no Spec field or CLI flag reaches it.
-	Oracle bool
 }
 
 func (c *Config) normalize() {
@@ -110,17 +105,6 @@ func (c *Config) normalize() {
 	}
 }
 
-// route is a DYMO routing-table entry.
-type route struct {
-	dst       netsim.NodeID
-	seq       uint32
-	seqKnown  bool
-	hops      int
-	nextHop   netsim.NodeID
-	expiresAt sim.Time
-	valid     bool
-}
-
 // discovery tracks one in-progress route discovery. Records (and their
 // timers and buffers) are pooled per router: a discovery is only released
 // after its timer has been stopped or has fired its final time, so a
@@ -148,7 +132,7 @@ type Router struct {
 	node *netsim.Node
 
 	seq         uint32
-	table       routeTable
+	table       *denseTable
 	discoveries map[netsim.NodeID]*discovery
 	discFree    []*discovery
 	seen        sim.ExpiringSet[seenKey]
@@ -175,11 +159,7 @@ func New(node *netsim.Node, cfg Config) *Router {
 		node:        node,
 		discoveries: make(map[netsim.NodeID]*discovery),
 		neighbors:   make(map[netsim.NodeID]*sim.Timer),
-	}
-	if cfg.Oracle {
-		r.table = newMapTable(node.Kernel(), cfg.RouteTimeout)
-	} else {
-		r.table = newDenseTable(node.Kernel(), cfg.RouteTimeout)
+		table:       newDenseTable(node.Kernel(), cfg.RouteTimeout),
 	}
 	jitter := func() sim.Time {
 		span := int64(cfg.HelloInterval / 5)

@@ -1,7 +1,6 @@
 package dymo
 
 import (
-	"math/rand"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -195,98 +194,38 @@ func TestSequenceMonotone(t *testing.T) {
 	}
 }
 
+// TestRouteUpdateRules checks the draft's sequence-number rules on the
+// table routers hold and on the map reference, then — on a router — that a
+// route to self is refused before it reaches the table.
 func TestRouteUpdateRules(t *testing.T) {
-	for _, oracle := range []bool{false, true} {
-		name := "dense"
-		if oracle {
-			name = "oracle"
+	rules := func(t *testing.T, tbl routeTable) {
+		tbl.update(5, 10, true, 3, 1)
+		tbl.update(5, 9, true, 1, 2) // stale seq: rejected
+		if next, _, ok := tbl.validNext(5); !ok || next != 1 {
+			t.Fatalf("stale update accepted: next=%d ok=%v", next, ok)
 		}
-		t.Run(name, func(t *testing.T) {
-			w := chainWorld(t, 2, 100, Config{Oracle: oracle})
-			r := w.Node(0).Router().(*Router)
-			r.updateRoute(5, 10, true, 3, 1)
-			r.updateRoute(5, 9, true, 1, 2) // stale seq: rejected
-			if next, _, ok := r.Table(5); !ok || next != 1 {
-				t.Fatalf("stale update accepted: next=%d ok=%v", next, ok)
-			}
-			r.updateRoute(5, 10, true, 2, 3) // same seq shorter: accepted
-			if next, hops, ok := r.Table(5); !ok || next != 3 || hops != 2 {
-				t.Fatalf("shorter path rejected: next=%d hops=%d ok=%v", next, hops, ok)
-			}
-			r.updateRoute(5, 11, true, 9, 4) // newer seq: accepted
-			if next, _, ok := r.Table(5); !ok || next != 4 {
-				t.Fatalf("newer seq rejected: next=%d ok=%v", next, ok)
-			}
-			// Routes to self are never installed.
-			r.updateRoute(0, 1, true, 1, 1)
-			if _, _, ok := r.Table(0); ok {
-				t.Fatal("route to self must be refused")
-			}
-		})
-	}
-}
-
-// TestTableLazyPurgeMatchesEager drives both implementations through the
-// same schedule and checks the observable state stays identical — the
-// dense path's epoch-stamped purge must behave exactly like the oracle's
-// eager scan at every query.
-func TestTableLazyPurgeMatchesEager(t *testing.T) {
-	k := sim.NewKernel()
-	dense := newDenseTable(k, 2*sim.Second)
-	oracle := newMapTable(k, 2*sim.Second)
-	both := [...]routeTable{dense, oracle}
-
-	rng := rand.New(rand.NewSource(7))
-	for step := 0; step < 400; step++ {
-		k.Schedule(k.Now()+sim.Time(rng.Int63n(int64(500*sim.Millisecond))), func() {})
-		k.Run()
-		dst := netsim.NodeID(rng.Intn(12))
-		switch rng.Intn(5) {
-		case 0:
-			seq, hops := uint32(rng.Intn(8)), 1+rng.Intn(4)
-			next := netsim.NodeID(rng.Intn(4))
-			for _, tb := range both {
-				tb.update(dst, seq, true, hops, next)
-			}
-		case 1:
-			for _, tb := range both {
-				tb.refresh(dst)
-			}
-		case 2:
-			for _, tb := range both {
-				tb.purgeExpired()
-			}
-		case 3:
-			n := netsim.NodeID(rng.Intn(4))
-			got := dense.breakVia(n, nil)
-			want := oracle.breakVia(n, nil)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: breakVia count %d != %d", step, len(got), len(want))
-			}
-		case 4:
-			seq := uint32(rng.Intn(10))
-			from := netsim.NodeID(rng.Intn(4))
-			gs, gm := dense.rerrApply(dst, from, seq)
-			ws, wm := oracle.rerrApply(dst, from, seq)
-			if gs != ws || gm != wm {
-				t.Fatalf("step %d: rerrApply (%d,%v) != (%d,%v)", step, gs, gm, ws, wm)
-			}
+		tbl.update(5, 10, true, 2, 3) // same seq shorter: accepted
+		if next, hops, ok := tbl.validNext(5); !ok || next != 3 || hops != 2 {
+			t.Fatalf("shorter path rejected: next=%d hops=%d ok=%v", next, hops, ok)
 		}
-		for dst := netsim.NodeID(0); dst < 12; dst++ {
-			gn, gh, gok := dense.validNext(dst)
-			wn, wh, wok := oracle.validNext(dst)
-			if gn != wn || gh != wh || gok != wok {
-				t.Fatalf("step %d dst %d: dense (%d,%d,%v) != oracle (%d,%d,%v)",
-					step, dst, gn, gh, gok, wn, wh, wok)
-			}
-			gs, gk, gok2 := dense.lastSeq(dst)
-			ws, wk, wok2 := oracle.lastSeq(dst)
-			if gs != ws || gk != wk || gok2 != wok2 {
-				t.Fatalf("step %d dst %d: lastSeq (%d,%v,%v) != (%d,%v,%v)",
-					step, dst, gs, gk, gok2, ws, wk, wok2)
-			}
+		tbl.update(5, 11, true, 9, 4) // newer seq: accepted
+		if next, _, ok := tbl.validNext(5); !ok || next != 4 {
+			t.Fatalf("newer seq rejected: next=%d ok=%v", next, ok)
 		}
 	}
+	t.Run("dense", func(t *testing.T) {
+		w := chainWorld(t, 2, 100, Config{})
+		r := w.Node(0).Router().(*Router)
+		rules(t, r.table)
+		// Routes to self are never installed.
+		r.updateRoute(0, 1, true, 1, 1)
+		if _, _, ok := r.Table(0); ok {
+			t.Fatal("route to self must be refused")
+		}
+	})
+	t.Run("oracle", func(t *testing.T) {
+		rules(t, newMapTable(sim.NewKernel(), 5*sim.Second))
+	})
 }
 
 func TestLinkBrokenFloodsRERR(t *testing.T) {

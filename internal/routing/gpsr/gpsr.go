@@ -18,9 +18,9 @@
 // control overhead is independent of traffic and of network diameter.
 //
 // Greedy next-hop selection runs on a spatial-grid nearest-neighbor query;
-// the brute-force scan over the neighbor table is retained as a
-// differential oracle behind Config.Oracle and is bit-identical to the
-// fast path (the strict (distance, id) order is the same on both sides).
+// the brute-force scan over the neighbor table it replaced is the
+// reference the package's tests compare it against, bit for bit (the
+// strict (distance, id) order is the same on both sides).
 package gpsr
 
 import (
@@ -43,11 +43,6 @@ type Config struct {
 	// NeighborHold is how long a neighbor survives without a fresh beacon
 	// (default 3 × BeaconInterval, the AllowedHelloLoss idiom).
 	NeighborHold sim.Time
-	// Oracle routes greedy decisions through the retained brute-force
-	// neighbor scan instead of the spatial-grid fast path. Both produce
-	// bit-identical next hops. Only differential tests set it; no Spec
-	// field or CLI flag reaches it.
-	Oracle bool
 	// CellSize is the neighbor index cell edge in meters (default 250 m,
 	// the two-ray receive range bounding neighbor distances). A
 	// performance knob only: Nearest is exact, so results are independent
@@ -300,24 +295,12 @@ func (r *Router) route(p *netsim.Packet, from netsim.NodeID, forwarded bool) {
 }
 
 // greedyNext picks the neighbor strictly closer to dst than this node,
-// minimizing (distance-to-dst, id): the spatial-grid fast path, or the
-// retained brute-force oracle when cfg.Oracle is set. Both are
-// bit-identical — TestGreedyDifferential proves it over randomized
-// neighbor tables including exact ties and empty candidate sets.
+// minimizing (distance-to-dst, id), through the spatial grid. The answer
+// is a pure function of the neighbor table, so TestGreedyDifferential —
+// against a brute-force scan of r.neighbors, over randomized tables
+// maintained through learnNeighbor/dropNeighbor, including exact ties and
+// empty candidate sets — is the whole gate.
 func (r *Router) greedyNext(dst geometry.Vec2, dSelf float64) (netsim.NodeID, bool) {
-	if r.cfg.Oracle {
-		best, bestID := dSelf, netsim.NodeID(-1)
-		for id, nb := range r.neighbors {
-			d := dst.Dist(nb.pos)
-			if d >= dSelf {
-				continue
-			}
-			if bestID < 0 || d < best || (d == best && id < bestID) {
-				best, bestID = d, id
-			}
-		}
-		return bestID, bestID >= 0
-	}
 	id, _, ok := r.grid.Nearest(dst, dSelf)
 	return netsim.NodeID(id), ok
 }

@@ -8,47 +8,42 @@ import (
 	"cavenet/internal/geometry"
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
-	"cavenet/internal/spatial"
 	"cavenet/internal/traffic"
 )
 
-// bareRouter builds a Router with just the state greedyNext and the
-// planarization read — no kernel, no node — for unit-level tests.
-func bareRouter(oracle bool) *Router {
-	cfg := Config{Oracle: oracle}
-	cfg.normalize()
-	return &Router{
-		cfg:       cfg,
-		neighbors: make(map[netsim.NodeID]neighbor),
-		grid:      spatial.NewGrid(cfg.CellSize),
+// bruteGreedyNext is the reference for greedyNext: the original scan of
+// the whole neighbor table for the strictly-closer neighbor minimizing
+// (distance-to-dst, id).
+func bruteGreedyNext(r *Router, dst geometry.Vec2, dSelf float64) (netsim.NodeID, bool) {
+	best, bestID := dSelf, netsim.NodeID(-1)
+	for id, nb := range r.neighbors {
+		d := dst.Dist(nb.pos)
+		if d >= dSelf {
+			continue
+		}
+		if bestID < 0 || d < best || (d == best && id < bestID) {
+			best, bestID = d, id
+		}
 	}
+	return bestID, bestID >= 0
 }
 
-func (r *Router) testSetNeighbor(id netsim.NodeID, pos geometry.Vec2) {
-	if _, ok := r.neighbors[id]; ok {
-		r.grid.Move(int(id), pos)
-	} else {
-		r.grid.Insert(int(id), pos)
-	}
-	r.neighbors[id] = neighbor{pos: pos}
+// liveRouter is the router of a one-node world, so unit-level tests drive
+// the neighbor table through learnNeighbor/dropNeighbor — the code that
+// keeps the spatial index in lockstep with the map in a run.
+func liveRouter(t *testing.T) *Router {
+	return staticWorld(t, []geometry.Vec2{{}}, Config{}).Node(0).Router().(*Router)
 }
 
-func (r *Router) testDelNeighbor(id netsim.NodeID) {
-	if _, ok := r.neighbors[id]; ok {
-		delete(r.neighbors, id)
-		r.grid.Remove(int(id))
-	}
-}
-
-// TestGreedyDifferential is the oracle bit-identity proof: across
-// randomized neighbor tables (inserts, moves, evictions), random
-// destinations and self-distances, the grid-backed fast path and the
-// brute-force scan pick the same next hop with the same ok flag —
-// including exact-distance ties and detached-radio cases where nothing
-// qualifies.
+// TestGreedyDifferential is the bit-identity proof: across randomized
+// neighbor tables (inserts, moves, evictions through the router's own
+// learnNeighbor/dropNeighbor), random destinations and self-distances, the
+// grid-backed greedyNext and the brute-force scan pick the same next hop
+// with the same ok flag — including exact-distance ties and detached-radio
+// cases where nothing qualifies.
 func TestGreedyDifferential(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2026))
-	fast, oracle := bareRouter(false), bareRouter(true)
+	r := liveRouter(t)
 	const n = 60
 	randPos := func() geometry.Vec2 {
 		return geometry.Vec2{X: rnd.Float64()*2000 - 1000, Y: rnd.Float64()*2000 - 1000}
@@ -57,50 +52,46 @@ func TestGreedyDifferential(t *testing.T) {
 		id := netsim.NodeID(rnd.Intn(n))
 		switch rnd.Intn(3) {
 		case 0:
-			fast.testDelNeighbor(id)
-			oracle.testDelNeighbor(id)
+			r.dropNeighbor(id)
 		default:
-			p := randPos()
-			fast.testSetNeighbor(id, p)
-			oracle.testSetNeighbor(id, p)
+			r.learnNeighbor(id, randPos())
 		}
 		dst := randPos()
 		// Mix tight limits (detached radio: no neighbor qualifies) with
 		// generous ones.
 		dSelf := rnd.Float64() * 800
-		gotID, gotOK := fast.greedyNext(dst, dSelf)
-		wantID, wantOK := oracle.greedyNext(dst, dSelf)
+		gotID, gotOK := r.greedyNext(dst, dSelf)
+		wantID, wantOK := bruteGreedyNext(r, dst, dSelf)
 		if gotID != wantID || gotOK != wantOK {
-			t.Fatalf("step %d: fast = (%d, %v), oracle = (%d, %v) for dst %v dSelf %v",
+			t.Fatalf("step %d: grid = (%d, %v), brute = (%d, %v) for dst %v dSelf %v",
 				step, gotID, gotOK, wantID, wantOK, dst, dSelf)
 		}
 	}
 }
 
 // TestGreedyDifferentialTies pins the tie-break on exactly equidistant
-// candidates: both paths must pick the smallest id, independent of
-// insertion order.
+// candidates: both must pick the smallest id, independent of insertion
+// order.
 func TestGreedyDifferentialTies(t *testing.T) {
-	fast, oracle := bareRouter(false), bareRouter(true)
+	r := liveRouter(t)
 	dst := geometry.Vec2{}
 	// Four neighbors on a circle around dst — bitwise-equal distances —
 	// inserted in descending-id order.
 	pts := []geometry.Vec2{{X: 300}, {X: -300}, {Y: 300}, {Y: -300}}
 	for i, p := range pts {
-		fast.testSetNeighbor(netsim.NodeID(9-i), p)
-		oracle.testSetNeighbor(netsim.NodeID(9-i), p)
+		r.learnNeighbor(netsim.NodeID(9-i), p)
 	}
-	gotID, gotOK := fast.greedyNext(dst, 500)
-	wantID, wantOK := oracle.greedyNext(dst, 500)
+	gotID, gotOK := r.greedyNext(dst, 500)
+	wantID, wantOK := bruteGreedyNext(r, dst, 500)
 	if !gotOK || !wantOK || gotID != wantID || gotID != 6 {
-		t.Fatalf("tie-break: fast = (%d, %v), oracle = (%d, %v), want id 6", gotID, gotOK, wantID, wantOK)
+		t.Fatalf("tie-break: grid = (%d, %v), brute = (%d, %v), want id 6", gotID, gotOK, wantID, wantOK)
 	}
 	// Candidates exactly at dSelf are not strictly closer: detached.
-	if id, ok := fast.greedyNext(dst, 300); ok {
-		t.Fatalf("fast accepted non-improving neighbor %d", id)
+	if id, ok := r.greedyNext(dst, 300); ok {
+		t.Fatalf("grid accepted non-improving neighbor %d", id)
 	}
-	if id, ok := oracle.greedyNext(dst, 300); ok {
-		t.Fatalf("oracle accepted non-improving neighbor %d", id)
+	if id, ok := bruteGreedyNext(r, dst, 300); ok {
+		t.Fatalf("brute scan accepted non-improving neighbor %d", id)
 	}
 }
 
@@ -108,19 +99,19 @@ func TestGreedyDifferentialTies(t *testing.T) {
 // the long edge whose diameter circle contains the witness is removed,
 // short edges survive, and results come back id-sorted.
 func TestGabrielPlanarization(t *testing.T) {
-	r := bareRouter(false)
+	r := liveRouter(t)
 	self := geometry.Vec2{}
 	// Neighbor 5 sits inside the circle with diameter (self, 2), so the
 	// direct edge to 2 is planarized away; 5 and 7 are kept.
-	r.testSetNeighbor(2, geometry.Vec2{X: 400, Y: 0})
-	r.testSetNeighbor(5, geometry.Vec2{X: 200, Y: 60})
-	r.testSetNeighbor(7, geometry.Vec2{X: -100, Y: -100})
+	r.learnNeighbor(2, geometry.Vec2{X: 400, Y: 0})
+	r.learnNeighbor(5, geometry.Vec2{X: 200, Y: 60})
+	r.learnNeighbor(7, geometry.Vec2{X: -100, Y: -100})
 	got := r.planarNeighbors(self)
 	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
 		t.Fatalf("planar neighbors = %v, want [5 7]", got)
 	}
 	// A co-located neighbor (undefined bearing) is excluded.
-	r.testSetNeighbor(9, self)
+	r.learnNeighbor(9, self)
 	got = r.planarNeighbors(self)
 	for _, id := range got {
 		if id == 9 {
@@ -133,11 +124,11 @@ func TestGabrielPlanarization(t *testing.T) {
 // reference bearing, the nearest edge counterclockwise wins, and the
 // reference edge itself is chosen only as the dead-end last resort.
 func TestNextCCWRightHandRule(t *testing.T) {
-	r := bareRouter(false)
+	r := liveRouter(t)
 	self := geometry.Vec2{}
-	r.testSetNeighbor(1, geometry.Vec2{X: 100, Y: 0})  // bearing 0
-	r.testSetNeighbor(2, geometry.Vec2{X: 0, Y: 100})  // bearing π/2
-	r.testSetNeighbor(3, geometry.Vec2{X: -100, Y: 0}) // bearing π
+	r.learnNeighbor(1, geometry.Vec2{X: 100, Y: 0})  // bearing 0
+	r.learnNeighbor(2, geometry.Vec2{X: 0, Y: 100})  // bearing π/2
+	r.learnNeighbor(3, geometry.Vec2{X: -100, Y: 0}) // bearing π
 	planar := r.planarNeighbors(self)
 	if len(planar) != 3 {
 		t.Fatalf("planar = %v, want all three", planar)
@@ -156,8 +147,8 @@ func TestNextCCWRightHandRule(t *testing.T) {
 	}
 	// Dead end: only one neighbor — the U-turn back along the reference
 	// edge is the last resort, but still taken.
-	solo := bareRouter(false)
-	solo.testSetNeighbor(4, geometry.Vec2{X: 100, Y: 0})
+	solo := liveRouter(t)
+	solo.learnNeighbor(4, geometry.Vec2{X: 100, Y: 0})
 	planar = solo.planarNeighbors(self)
 	if id, _, ok := solo.nextCCW(planar, self, 0); !ok || id != 4 {
 		t.Fatalf("dead-end U-turn = %d, want 4", id)
@@ -277,38 +268,5 @@ func TestBeaconsExpire(t *testing.T) {
 	w.Run(8 * sim.Second)
 	if r0.NeighborCount() != 0 {
 		t.Fatalf("node 0 still has %d neighbors after neighbor went down", r0.NeighborCount())
-	}
-}
-
-// TestOracleRunsIdentical replays the void scenario with the brute-force
-// oracle enabled: every observable outcome must match the fast path.
-func TestOracleRunsIdentical(t *testing.T) {
-	run := func(oracle bool) (uint64, []string) {
-		positions := []geometry.Vec2{
-			{X: 0, Y: 0}, {X: 0, Y: 200}, {X: 200, Y: 200}, {X: 400, Y: 200}, {X: 400, Y: 0},
-		}
-		w := staticWorld(t, positions, Config{Oracle: oracle})
-		sink := &traffic.Sink{}
-		w.Node(4).AttachPort(netsim.PortCBR, sink)
-		var drops []string
-		w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-			drops = append(drops, reason)
-		}})
-		for i := 0; i < 8; i++ {
-			sendAt(w, 2*sim.Second+sim.Time(i)*sim.Second/3, 0, 4, 512)
-		}
-		w.Run(9 * sim.Second)
-		return sink.Received, drops
-	}
-	fastRecv, fastDrops := run(false)
-	oracleRecv, oracleDrops := run(true)
-	if fastRecv != oracleRecv || len(fastDrops) != len(oracleDrops) {
-		t.Fatalf("fast path (recv %d, drops %v) diverged from oracle (recv %d, drops %v)",
-			fastRecv, fastDrops, oracleRecv, oracleDrops)
-	}
-	for i := range fastDrops {
-		if fastDrops[i] != oracleDrops[i] {
-			t.Fatalf("drop %d: fast %q vs oracle %q", i, fastDrops[i], oracleDrops[i])
-		}
 	}
 }

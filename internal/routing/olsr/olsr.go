@@ -79,9 +79,14 @@ type Config struct {
 	// estimation; default 10.
 	LQWindow int
 	// OracleRecompute routes MPR/route recomputation through the retained
-	// map-based reference implementation instead of the dense kernels. It
-	// exists for differential tests and benchmarks; simulations should
-	// leave it off.
+	// map-based reference implementation, run eagerly at every stamp,
+	// instead of the deferred dense kernels. Selected only by tests and
+	// benchmarks; results are bit-identical either way. It stays an
+	// exported switch, unlike the references that live in _test.go files,
+	// because the lemma at recomputeNow is about when the kernels run
+	// relative to every other event of a run (evaluation at τ, not at the
+	// read) — which only scenario.TestOLSRReferenceRunIdentity, over whole
+	// networks, can compare.
 	OracleRecompute bool
 }
 

@@ -68,14 +68,6 @@ func (r *Report) Add(check, format string, args ...any) {
 	r.violations = append(r.violations, Violation{Check: check, Detail: fmt.Sprintf(format, args...)})
 }
 
-// Merge appends previously collected violations (subject to the same
-// per-family cap).
-func (r *Report) Merge(vs []Violation) {
-	for _, v := range vs {
-		r.Add(v.Check, "%s", v.Detail)
-	}
-}
-
 // Ok reports whether no invariant was violated.
 func (r *Report) Ok() bool { return len(r.violations) == 0 }
 

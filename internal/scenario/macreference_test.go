@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -44,4 +45,43 @@ func TestMACReferenceRunIdentity(t *testing.T) {
 		run.Seed = seeds[0]
 		assertRunIdentity(t, run, referencePaths{mac: true})
 	})
+}
+
+// assertRunIdentity runs spec twice — through Run, the fast paths every
+// exported entry point takes, and with the given reference paths selected
+// through the unexported runOnSource argument — and requires the two
+// Results to be deeply equal, echoed Spec included, under one content
+// address: the choice of path is not part of a run's identity.
+func assertRunIdentity(t *testing.T, spec Spec, ref referencePaths) {
+	t.Helper()
+	fast, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec.clone()
+	if err := s.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := buildSource(&s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference, err := runOnSource(&s, src, nil, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fast, reference) {
+		t.Fatalf("fast-path and reference %+v runs diverged", ref)
+	}
+	fh, err := fast.Spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh, err := reference.Spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fh != rh {
+		t.Fatalf("one workload, two content addresses: fast %s, reference %s", fh, rh)
+	}
 }

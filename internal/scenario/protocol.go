@@ -38,16 +38,19 @@ func ParseProtocol(name string) (Protocol, error) {
 	}
 }
 
-// referencePaths selects the retained reference implementation of a fast
-// path: the kernel's binary heap, the AODV/DYMO map tables, GPSR's
-// brute-force neighbor scan, OLSR's map-based recompute run eagerly at
-// every stamp, the DCF's per-slot backoff countdown. Results are
-// bit-identical either way, so it is not part of Spec — nothing a user, a
-// JSON document, Spec.Hash or the CLI can reach sets it. Every exported
-// entry point passes the zero value; only the in-package run-identity
-// tests pass anything else.
+// referencePaths selects the two reference implementations whose
+// exactness lemma is a statement about whole-network runs — OLSR's
+// map-based recompute run eagerly at every stamp (when kernels run, PR 13's
+// τ-lemma) and the DCF's per-slot backoff countdown (same-nanosecond ties,
+// PR 16's clause (b)) — so only a run can compare them:
+// TestOLSRReferenceRunIdentity and TestMACReferenceRunIdentity. Every other
+// reference answers a per-call value contract and lives in its package's
+// _test.go files (ROADMAP, "Oracles are test references"). Results are
+// bit-identical either way, so this is not part of Spec — nothing a user,
+// a JSON document, Spec.Hash or the CLI can reach sets it. Every exported
+// entry point passes the zero value.
 type referencePaths struct {
-	kernel, dataPlane, gpsr, olsr, mac bool
+	olsr, mac bool
 }
 
 // routerFactory builds the per-node router for the spec's protocol and
@@ -77,17 +80,17 @@ func (s *Spec) routerFactory(ref referencePaths) netsim.RouterFactory {
 		}
 	case GPSR:
 		return func(n *netsim.Node) netsim.Router {
-			return gpsr.New(n, gpsr.Config{Oracle: ref.gpsr})
+			return gpsr.New(n, gpsr.Config{})
 		}
 	case DYMO:
 		pa := !s.DYMONoPathAccumulation
 		return func(n *netsim.Node) netsim.Router {
-			return dymo.New(n, dymo.Config{PathAccumulation: &pa, Oracle: ref.dataPlane})
+			return dymo.New(n, dymo.Config{PathAccumulation: &pa})
 		}
 	default:
 		er := !s.AODVNoExpandingRing
 		return func(n *netsim.Node) netsim.Router {
-			return aodv.New(n, aodv.Config{ExpandingRing: &er, Oracle: ref.dataPlane})
+			return aodv.New(n, aodv.Config{ExpandingRing: &er})
 		}
 	}
 }

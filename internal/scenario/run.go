@@ -238,7 +238,6 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, ref referen
 		},
 		MAC:      mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold, SlotOracle: ref.mac},
 		Mobility: src,
-		Kernel:   sim.KernelConfig{HeapOracle: ref.kernel},
 	}, s.routerFactory(ref))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)

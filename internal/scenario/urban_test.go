@@ -133,19 +133,6 @@ func TestWithVehiclesGridRescale(t *testing.T) {
 	}
 }
 
-// TestGPSROracleRunIdentity is the run-level differential contract: GPSR
-// routed through the brute-force neighbor-scan oracle must reproduce the
-// spatial-grid fast path bit for bit.
-func TestGPSROracleRunIdentity(t *testing.T) {
-	spec, ok := Get("manhattan")
-	if !ok {
-		t.Fatal("manhattan not registered")
-	}
-	run := spec.Shrunk()
-	run.Seed = 11
-	assertRunIdentity(t, run, referencePaths{gpsr: true})
-}
-
 // TestUplinkStats pins the V2I accounting: a downtown run reports the
 // uplink slice of the workload, and its totals reconcile with the
 // per-sender counters of the external flows.

@@ -217,7 +217,7 @@ func TestBatchMatchesScheduleArg(t *testing.T) {
 			{"oracle/batched", true, true},
 			{"oracle/each", true, false},
 		} {
-			k := NewKernelWithConfig(KernelConfig{HeapOracle: c.oracle})
+			k := &Kernel{oracle: c.oracle}
 			got := batchWorkload(k, c.batched, seed, 1500)
 			for i := range got {
 				if i >= len(ref) || got[i] != ref[i] {

@@ -13,7 +13,7 @@ func benchBoth(b *testing.B, fn func(b *testing.B, mk func() *Kernel)) {
 		fn(b, NewKernel)
 	})
 	b.Run("oracle", func(b *testing.B) {
-		fn(b, func() *Kernel { return NewKernelWithConfig(KernelConfig{HeapOracle: true}) })
+		fn(b, func() *Kernel { return newHeapKernel() })
 	})
 }
 

@@ -88,7 +88,7 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
 				cal := diffWorkload(NewKernel(), seed, tc.ops, tc.cancelFrac, tc.farFrac, tc.burst)
-				ora := diffWorkload(NewKernelWithConfig(KernelConfig{HeapOracle: true}),
+				ora := diffWorkload(newHeapKernel(),
 					seed, tc.ops, tc.cancelFrac, tc.farFrac, tc.burst)
 				if len(cal) != len(ora) {
 					t.Fatalf("seed %d: calendar popped %d events, oracle %d", seed, len(cal), len(ora))
@@ -110,7 +110,7 @@ func TestCalendarPendingMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cal := NewKernel()
-		ora := NewKernelWithConfig(KernelConfig{HeapOracle: true})
+		ora := newHeapKernel()
 		var hc, ho []Handle
 		for i := 0; i < 2000; i++ {
 			switch r := rng.Float64(); {

@@ -43,7 +43,7 @@ func FuzzKernelDifferential(f *testing.F) {
 		}
 		sides := []*side{
 			{name: "calendar", k: NewKernel(), batched: true},
-			{name: "oracle", k: NewKernelWithConfig(KernelConfig{HeapOracle: true}), batched: true},
+			{name: "oracle", k: newHeapKernel(), batched: true},
 			{name: "calendar/each", k: NewKernel()},
 		}
 		for _, s := range sides {

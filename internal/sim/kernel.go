@@ -6,11 +6,11 @@
 // run is fully reproducible. The kernel is single-threaded by design — all
 // model code (PHY, MAC, routing, traffic) runs inside event callbacks.
 //
-// The production event queue is a bucketed calendar queue (calendar.go):
-// O(1) amortized schedule and pop for the near-future timer churn that
+// The event queue is a bucketed calendar queue (calendar.go): O(1)
+// amortized schedule and pop for the near-future timer churn that
 // dominates a protocol run. The original container/heap implementation is
-// retained behind KernelConfig.HeapOracle as the differential oracle — both
-// paths pop in the identical strict (time, seq) order, and the randomized
+// kept as the reference this package's tests select (Kernel.oracle) — both
+// pop in the identical strict (time, seq) order, and the randomized
 // differential and fuzz tests assert bit-identical pop sequences.
 //
 // Event records are pooled: once an event fires or is cancelled its record
@@ -140,7 +140,7 @@ func (h Handle) When() (Time, bool) {
 }
 
 // eventQueue is the container/heap implementation — the pre-calendar event
-// queue, retained as the differential oracle (KernelConfig.HeapOracle).
+// queue, kept as the differential reference (Kernel.oracle).
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -169,23 +169,22 @@ func (q *eventQueue) Pop() any {
 	return ev
 }
 
-// KernelConfig selects the event-queue implementation.
-type KernelConfig struct {
-	// HeapOracle switches the kernel to the original binary-heap event
-	// queue. It is the retained differential oracle: pop order is
-	// bit-identical to the calendar queue, so whole runs reproduce exactly.
-	// Use it to cross-check a suspected kernel bug or as the reference side
-	// of a differential test; the calendar path is strictly faster.
-	HeapOracle bool
-}
-
 // Kernel is a discrete-event scheduler. Create one with NewKernel.
 type Kernel struct {
-	now       Time
-	seq       uint64
+	now Time
+	seq uint64
+	// oracle selects the original binary-heap event queue, the reference
+	// the calendar's pop order is held to. No exported switch sets it: the
+	// queue's contract is a value contract (same pushes and cancels ⇒ same
+	// (time, seq) pop sequence), which this package's own tests —
+	// TestCalendarMatchesHeapOracle, TestBatchMatchesScheduleArg,
+	// FuzzKernelDifferential — check by building &Kernel{oracle: true}
+	// (newHeapKernel in kernel_test.go). The fork stays in this file and
+	// not in a _test.go because lifting it out needs a queue interface on
+	// push/pop, the hottest calls in the program.
 	oracle    bool
-	heapq     eventQueue // oracle path (HeapOracle)
-	cal       calendar   // production path
+	heapq     eventQueue // reference path
+	cal       calendar   // the path every run takes
 	free      []*event   // recycled event records
 	batchFree []*batch   // recycled batch storage
 	extra     int        // pending batch members not counted by a queue entry
@@ -198,13 +197,7 @@ type Kernel struct {
 // NewKernel returns an empty kernel positioned at time zero, using the
 // calendar-queue event set.
 func NewKernel() *Kernel {
-	return NewKernelWithConfig(KernelConfig{})
-}
-
-// NewKernelWithConfig returns an empty kernel with an explicit queue
-// selection; see KernelConfig.
-func NewKernelWithConfig(cfg KernelConfig) *Kernel {
-	return &Kernel{oracle: cfg.HeapOracle}
+	return &Kernel{}
 }
 
 // Now reports the current simulation time.

@@ -4,14 +4,16 @@ import (
 	"testing"
 )
 
+// newHeapKernel is the one way to a kernel on the binary-heap reference
+// queue (Kernel.oracle): in-package tests only, no exported switch.
+func newHeapKernel() *Kernel { return &Kernel{oracle: true} }
+
 // forBothKernels runs a test against the calendar queue and the retained
 // heap oracle; both must satisfy the same observable contract.
 func forBothKernels(t *testing.T, fn func(t *testing.T, k *Kernel)) {
 	t.Helper()
 	t.Run("calendar", func(t *testing.T) { fn(t, NewKernel()) })
-	t.Run("oracle", func(t *testing.T) {
-		fn(t, NewKernelWithConfig(KernelConfig{HeapOracle: true}))
-	})
+	t.Run("oracle", func(t *testing.T) { fn(t, newHeapKernel()) })
 }
 
 func TestTimeConversions(t *testing.T) {
