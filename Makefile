@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check staticcheck test race portable scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab mutate ci
+.PHONY: build vet fmt-check staticcheck test race portable fma-audit scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab mutate ci
 
 build:
 	$(GO) build ./...
@@ -45,11 +45,17 @@ race:
 	$(GO) test -race ./internal/serve/ ./cmd/cavenet/
 
 # Word size must not reach the results: the golden-bearing packages build,
-# vet and pass — every golden byte-identical — as a 32-bit program.
-# (Fused multiply-add on arm64 and friends is the open half: ROADMAP item 6.)
-portable:
+# vet and pass — every golden byte-identical — as a 32-bit program. Fused
+# multiply-add on arm64 and friends is the open half (ROADMAP item 6):
+# fma-audit keeps the count of fused sites from growing while it is.
+portable: fma-audit
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/netsim/ ./cmd/cavenet/
+
+# Cross-compile ./internal/... for arm64 and fail if any package compiles to
+# more fused multiply-adds than scripts/fma-audit.sh allows (≈ 20 s cold).
+fma-audit:
+	bash scripts/fma-audit.sh
 
 # The scenario catalogue end to end: list the registry, then run one ring
 # and one urban workload under the invariant harness (non-zero exit on any

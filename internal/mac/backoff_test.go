@@ -23,7 +23,7 @@ type macEvent struct {
 
 // station is a DCF wired to record everything the backoff tests compare.
 // It sits between the radio and the MAC (phy.Handler) and above the MAC
-// (Upper and every optional observer).
+// (Upper).
 type station struct {
 	*DCF
 	k     *sim.Kernel
@@ -213,7 +213,8 @@ func TestBackoffBoundaryTies(t *testing.T) {
 // two differ by some 500 events per frame.)
 func TestBackoffEventsIndependentOfCW(t *testing.T) {
 	eventsPerFrame := func(cw int) float64 {
-		k, st := newCell(false, phy.Config{}, Config{CWMin: cw, CWMax: cw}, 0, 100)
+		k, st := newCell(false, phy.Config{}, Config{}, 0, 100)
+		st[0].cwMin = cw // no retries on this clean pair: every backoff draws from CW
 		const frames = 50
 		for i := 0; i < frames; i++ {
 			st[0].Send(1, i, 512)

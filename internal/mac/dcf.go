@@ -9,8 +9,9 @@
 // the slots still owed (see freeze). Config.SlotOracle keeps the per-slot
 // countdown it replaced as the reference the tests compare against.
 //
-// Timing and size constants default to the ns-2 802.11 (DSSS) values so the
-// CPS substrate matches what the paper ran on.
+// Timing, sizes and limits are the ns-2 802.11 (DSSS) defaults of
+// Mac802_11 / ns-default.tcl, as named constants, so the CPS substrate
+// matches what the paper ran on.
 package mac
 
 import (
@@ -27,28 +28,40 @@ type Address int
 // Broadcast is the all-stations address.
 const Broadcast Address = -1
 
-// Config holds DCF parameters. Zero fields take ns-2 DSSS defaults.
+// DSSS timing and frame sizes (ns-2 Mac802_11 defaults).
+const (
+	slotTime     = 20 * sim.Microsecond
+	sifsTime     = 10 * sim.Microsecond
+	difsTime     = sifsTime + 2*slotTime
+	preambleTime = 192 * sim.Microsecond // PLCP preamble + header
+	// basicRateBPS is the control-frame (ACK, RTS, CTS) rate. Every
+	// expression it enters keeps a run-time operand: an all-constant one
+	// would be folded exactly at compile time and could round differently.
+	basicRateBPS float64 = 1e6
+	headerBytes          = 28 // MAC data header + FCS
+	ackBytes             = 14
+	rtsBytes             = 20
+	ctsBytes             = 14
+)
+
+// Contention and queueing (ns-2 defaults: CWMin/CWMax, ShortRetryLimit,
+// LongRetryLimit, the 50-packet drop-tail ifq).
+const (
+	cwMin           = 31
+	cwMax           = 1023
+	shortRetryLimit = 7 // unprotected frames
+	longRetryLimit  = 4 // RTS-protected frames
+	queueCap        = 50
+)
+
+// Config holds the DCF parameters a world sets.
 type Config struct {
-	SlotTime     sim.Time // default 20 µs
-	SIFS         sim.Time // default 10 µs
-	DIFS         sim.Time // default SIFS + 2·slot = 50 µs
-	Preamble     sim.Time // PLCP preamble+header, default 192 µs
-	DataRateBPS  float64  // default 2 Mb/s (Table I)
-	BasicRateBPS float64  // control-frame rate, default 1 Mb/s
-	CWMin        int      // default 31
-	CWMax        int      // default 1023
-	RetryLimit   int      // default 7 (short retry limit; RTS/CTS is off)
-	QueueCap     int      // interface queue capacity, default 50 (ns-2 ifq)
-	HeaderBytes  int      // MAC data header+FCS, default 28
-	AckBytes     int      // ACK frame size, default 14
+	DataRateBPS float64 // default 2 Mb/s (Table I)
 	// RTSThreshold enables the RTS/CTS exchange for unicast payloads of at
 	// least this many bytes. Zero (the default) disables RTS/CTS entirely,
 	// matching Table I of the paper ("RTS/CTS: None"); the ablation bench
 	// turns it on to measure the hidden-terminal trade-off.
 	RTSThreshold int
-	RTSBytes     int // RTS frame size, default 20
-	CTSBytes     int // CTS frame size, default 14
-	LongRetry    int // retry limit for RTS-protected frames, default 4
 	// SlotOracle counts the backoff down with one timer event per idle slot
 	// instead of one per backoff: the reference implementation, selected
 	// only by tests. Results are bit-identical either way. It stays an
@@ -60,50 +73,8 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
-	if c.SlotTime == 0 {
-		c.SlotTime = 20 * sim.Microsecond
-	}
-	if c.SIFS == 0 {
-		c.SIFS = 10 * sim.Microsecond
-	}
-	if c.DIFS == 0 {
-		c.DIFS = c.SIFS + 2*c.SlotTime
-	}
-	if c.Preamble == 0 {
-		c.Preamble = 192 * sim.Microsecond
-	}
 	if c.DataRateBPS == 0 {
 		c.DataRateBPS = 2e6
-	}
-	if c.BasicRateBPS == 0 {
-		c.BasicRateBPS = 1e6
-	}
-	if c.CWMin == 0 {
-		c.CWMin = 31
-	}
-	if c.CWMax == 0 {
-		c.CWMax = 1023
-	}
-	if c.RetryLimit == 0 {
-		c.RetryLimit = 7
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 50
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 28
-	}
-	if c.AckBytes == 0 {
-		c.AckBytes = 14
-	}
-	if c.RTSBytes == 0 {
-		c.RTSBytes = 20
-	}
-	if c.CTSBytes == 0 {
-		c.CTSBytes = 14
-	}
-	if c.LongRetry == 0 {
-		c.LongRetry = 4
 	}
 }
 
@@ -115,35 +86,23 @@ type Upper interface {
 	// MACSendFailed reports that a unicast to 'to' exhausted its retries —
 	// the data-link feedback AODV and DYMO use for link monitoring.
 	MACSendFailed(to Address, payload any)
-}
-
-// QueueDropObserver is an optional Upper extension: when implemented, the
-// MAC reports every drop-tail interface-queue drop instead of discarding
-// the frame silently. Without it a queued packet can vanish from the
-// network layer's ledger with no drop event — the accounting hole the
-// packet-conservation invariant harness exists to catch.
-type QueueDropObserver interface {
-	MACQueueDrop(to Address, payload any)
-}
-
-// SendDoneObserver is an optional Upper extension: when implemented, the
-// MAC reports every unicast frame whose ACK arrived. By that instant every
-// station in range has already decoded the frame (receivers decode at the
-// end of the data airtime, a SIFS plus an ACK airtime before the sender
-// hears the ACK), so the notification is the earliest point at which the
-// sender-side payload pointer is provably dead — the hook the network
-// layer's packet pool uses to reclaim forwarded data packets. Broadcast
-// completions are not reported: their receivers decode the shared payload
-// at the same timestamp as the sender's tx-done.
-type SendDoneObserver interface {
+	// MACSendDone reports a unicast frame whose ACK arrived. By that instant
+	// every station in range has already decoded the frame (receivers
+	// decode at the end of the data airtime, a SIFS plus an ACK airtime
+	// before the sender hears the ACK), so it is the earliest point at which
+	// the sender-side payload pointer is provably dead — the hook the
+	// network layer's packet pool reclaims forwarded data packets at.
+	// Broadcast completions are not reported: their receivers decode the
+	// shared payload at the same timestamp as the sender's tx-done.
 	MACSendDone(to Address, payload any)
-}
-
-// DownObserver is an optional Upper extension for fault injection: Down
-// flushes the station's custody — the in-flight job and the whole backlog —
-// through it, so the network layer can terminate each packet with an
-// explicit drop instead of letting it vanish with the dead interface.
-type DownObserver interface {
+	// MACQueueDrop reports a drop-tail interface-queue drop, so a queued
+	// packet cannot vanish from the network layer's ledger without a drop
+	// event — the hole the packet-conservation invariant harness exists to
+	// catch.
+	MACQueueDrop(to Address, payload any)
+	// MACDownDrop reports each frame Down flushes — the in-flight job and
+	// the whole backlog — and each frame sent to a down interface, so fault
+	// injection terminates every packet with an explicit drop.
 	MACDownDrop(to Address, payload any)
 }
 
@@ -200,9 +159,9 @@ type DCF struct {
 	rnd    *rand.Rand
 	addr   Address
 	upper  Upper
-	// sendDone caches the optional SendDoneObserver assertion so the ACK
-	// hot path pays a nil check instead of a type assertion per frame.
-	sendDone SendDoneObserver
+	// cwMin is the contention window every MSDU starts from; only
+	// TestBackoffEventsIndependentOfCW sets it to anything but cwMin.
+	cwMin int
 
 	// queue[qhead:] is the backlog: popping advances qhead and zeroes the
 	// slot, so the array is reused from its base instead of losing a slot
@@ -252,9 +211,9 @@ func New(k *sim.Kernel, radio *phy.Radio, addr Address, cfg Config, rnd *rand.Ra
 		rnd:    rnd,
 		addr:   addr,
 		upper:  upper,
-		cw:     cfg.CWMin,
+		cwMin:  cwMin,
+		cw:     cwMin,
 	}
-	d.sendDone, _ = upper.(SendDoneObserver)
 	d.difsTimer = sim.NewTimer(k, d.onDIFS)
 	d.slotTimer = sim.NewTimer(k, d.onSlot)
 	d.ackTimer = sim.NewTimer(k, d.onAckTimeout)
@@ -294,23 +253,20 @@ func (d *DCF) EachQueued(f func(payload any)) {
 	}
 }
 
-// Config reports the normalized configuration.
-func (d *DCF) Config() Config { return d.cfg }
-
 // dataDuration is the on-air time of a data frame with the given
 // network-layer payload size.
 func (d *DCF) dataDuration(bytes int) sim.Time {
-	bits := float64((bytes + d.cfg.HeaderBytes) * 8)
-	return d.cfg.Preamble + sim.Time(bits/d.cfg.DataRateBPS*float64(sim.Second))
+	bits := float64((bytes + headerBytes) * 8)
+	return preambleTime + sim.Time(bits/d.cfg.DataRateBPS*float64(sim.Second))
 }
 
-func (d *DCF) ackDuration() sim.Time {
-	return d.controlDuration(d.cfg.AckBytes)
-}
+func ackDuration() sim.Time { return controlDuration(ackBytes) }
 
-func (d *DCF) controlDuration(bytes int) sim.Time {
+// controlDuration is the on-air time of a control frame. bytes is a
+// parameter, not a constant, on purpose: see basicRateBPS.
+func controlDuration(bytes int) sim.Time {
 	bits := float64(bytes * 8)
-	return d.cfg.Preamble + sim.Time(bits/d.cfg.BasicRateBPS*float64(sim.Second))
+	return preambleTime + sim.Time(bits/basicRateBPS*float64(sim.Second))
 }
 
 // useRTS reports whether the current job warrants an RTS/CTS exchange.
@@ -321,9 +277,9 @@ func (d *DCF) useRTS(job *txJob) bool {
 // retryLimit selects the short or long retry counter per 802.11 rules.
 func (d *DCF) retryLimit(job *txJob) int {
 	if d.useRTS(job) {
-		return d.cfg.LongRetry
+		return longRetryLimit
 	}
-	return d.cfg.RetryLimit
+	return shortRetryLimit
 }
 
 // IsDown reports whether the interface is administratively down.
@@ -331,11 +287,11 @@ func (d *DCF) IsDown() bool { return d.down }
 
 // Down takes the interface out of service: every timer stops, contention
 // state resets, and the station's entire custody — the in-flight job and
-// the backlog — is flushed through the DownObserver (when the upper layer
-// implements it) so each packet terminates with an accountable drop. The
-// radio itself is detached separately by the node lifecycle; an own
-// transmission already on the air completes at the PHY but the down MAC
-// ignores its completion. Calling Down on a down interface is a no-op.
+// the backlog — is flushed through Upper.MACDownDrop so each packet
+// terminates with an accountable drop. The radio itself is detached
+// separately by the node lifecycle; an own transmission already on the air
+// completes at the PHY but the down MAC ignores its completion. Calling
+// Down on a down interface is a no-op.
 func (d *DCF) Down() {
 	if d.down {
 		return
@@ -349,7 +305,6 @@ func (d *DCF) Down() {
 	d.awaitingAck = false
 	d.awaitingCTS = false
 	d.navUntil = 0
-	obs, _ := d.upper.(DownObserver)
 	if d.current != nil {
 		job := d.dropCurrent()
 		// Retire the flushed MSDU's sequence number: the receiver may have
@@ -357,20 +312,16 @@ func (d *DCF) Down() {
 		// it would be ACKed yet silently discarded as a retransmission.
 		d.seq++
 		d.stats.DownDrops++
-		if obs != nil {
-			obs.MACDownDrop(job.to, job.payload)
-		}
+		d.upper.MACDownDrop(job.to, job.payload)
 	}
 	for i := d.qhead; i < len(d.queue); i++ {
 		job := d.queue[i]
 		d.queue[i] = txJob{}
 		d.stats.DownDrops++
-		if obs != nil {
-			obs.MACDownDrop(job.to, job.payload)
-		}
+		d.upper.MACDownDrop(job.to, job.payload)
 	}
 	d.queue, d.qhead = d.queue[:0], 0
-	d.cw = d.cfg.CWMin
+	d.cw = d.cwMin
 	d.backoff = 0
 }
 
@@ -382,19 +333,15 @@ func (d *DCF) Up() { d.down = false }
 // network-layer packet size used for air-time computation.
 func (d *DCF) Send(to Address, payload any, bytes int) {
 	if d.down {
-		// A down interface accepts nothing; flush straight through the
-		// observer so the packet still terminates accountably.
+		// A down interface accepts nothing; flush straight back up so the
+		// packet still terminates accountably.
 		d.stats.DownDrops++
-		if o, ok := d.upper.(DownObserver); ok {
-			o.MACDownDrop(to, payload)
-		}
+		d.upper.MACDownDrop(to, payload)
 		return
 	}
-	if len(d.queue)-d.qhead >= d.cfg.QueueCap {
+	if len(d.queue)-d.qhead >= queueCap {
 		d.stats.QueueDrops++
-		if o, ok := d.upper.(QueueDropObserver); ok {
-			o.MACQueueDrop(to, payload)
-		}
+		d.upper.MACQueueDrop(to, payload)
 		return
 	}
 	if d.qhead > 0 && len(d.queue) == cap(d.queue) {
@@ -421,7 +368,7 @@ func (d *DCF) kick() {
 	}
 	d.current = &d.job
 	d.retries = 0
-	d.cw = d.cfg.CWMin
+	d.cw = d.cwMin
 	d.backoff = d.rnd.Intn(d.cw + 1)
 	d.resume()
 }
@@ -446,7 +393,7 @@ func (d *DCF) resume() {
 	if !d.mediumIdle() {
 		return // a carrier/NAV/txdone event will call resume again
 	}
-	d.difsTimer.Reset(d.cfg.DIFS)
+	d.difsTimer.Reset(difsTime)
 }
 
 func (d *DCF) onDIFS() {
@@ -467,7 +414,7 @@ func (d *DCF) scheduleSlot() {
 	if d.cfg.SlotOracle {
 		slots = 1
 	}
-	d.slotTimer.Reset(sim.Time(slots) * d.cfg.SlotTime)
+	d.slotTimer.Reset(sim.Time(slots) * slotTime)
 }
 
 func (d *DCF) onSlot() {
@@ -507,7 +454,7 @@ func (d *DCF) freeze() {
 	d.difsTimer.Stop()
 	if d.slotTimer.Active() && !d.cfg.SlotOracle {
 		left := d.slotTimer.Deadline() - d.kernel.Now()
-		d.backoff = max(1, int((left+d.cfg.SlotTime-1)/d.cfg.SlotTime))
+		d.backoff = max(1, int((left+slotTime-1)/slotTime))
 	}
 	d.slotTimer.Stop()
 }
@@ -536,11 +483,11 @@ func (d *DCF) sendDataFrame(job *txJob) {
 	}
 	dur := d.dataDuration(job.bytes)
 	if job.to != Broadcast {
-		frame.NAV = d.cfg.SIFS + d.ackDuration()
+		frame.NAV = sifsTime + ackDuration()
 	}
 	d.stats.DataTx++
-	d.stats.BytesTx += uint64(job.bytes + d.cfg.HeaderBytes)
-	d.radio.Transmit(frame, job.bytes+d.cfg.HeaderBytes, dur)
+	d.stats.BytesTx += uint64(job.bytes + headerBytes)
+	d.radio.Transmit(frame, job.bytes+headerBytes, dur)
 	if job.to == Broadcast {
 		// Completion handled in RadioTxDone.
 		return
@@ -550,20 +497,20 @@ func (d *DCF) sendDataFrame(job *txJob) {
 	d.ackFrom = job.to
 	// Timeout: frame airtime + SIFS + ACK airtime + slack for propagation
 	// and slot alignment.
-	d.ackTimer.Reset(dur + d.cfg.SIFS + d.ackDuration() + 2*d.cfg.SlotTime)
+	d.ackTimer.Reset(dur + sifsTime + ackDuration() + 2*slotTime)
 }
 
 func (d *DCF) sendRTS(job *txJob) {
-	rtsDur := d.controlDuration(d.cfg.RTSBytes)
-	ctsDur := d.controlDuration(d.cfg.CTSBytes)
+	rtsDur := controlDuration(rtsBytes)
+	ctsDur := controlDuration(ctsBytes)
 	// The RTS reserves the medium for the whole exchange that follows it:
 	// SIFS + CTS + SIFS + DATA + SIFS + ACK.
-	nav := 3*d.cfg.SIFS + ctsDur + d.dataDuration(job.bytes) + d.ackDuration()
+	nav := 3*sifsTime + ctsDur + d.dataDuration(job.bytes) + ackDuration()
 	rts := &Frame{Kind: KindRTS, From: d.addr, To: job.to, Seq: d.seq, NAV: nav}
 	d.stats.RTSTx++
-	d.radio.Transmit(rts, d.cfg.RTSBytes, rtsDur)
+	d.radio.Transmit(rts, rtsBytes, rtsDur)
 	d.awaitingCTS = true
-	d.ctsTimer.Reset(rtsDur + d.cfg.SIFS + ctsDur + 2*d.cfg.SlotTime)
+	d.ctsTimer.Reset(rtsDur + sifsTime + ctsDur + 2*slotTime)
 }
 
 func (d *DCF) onCTSTimeout() {
@@ -590,16 +537,11 @@ func (d *DCF) retryCurrent() {
 	if d.retries > d.retryLimit(d.current) {
 		d.stats.Failures++
 		job := d.finishJob()
-		if d.upper != nil {
-			d.upper.MACSendFailed(job.to, job.payload)
-		}
+		d.upper.MACSendFailed(job.to, job.payload)
 		return
 	}
-	if d.cw < d.cfg.CWMax {
-		d.cw = d.cw*2 + 1
-		if d.cw > d.cfg.CWMax {
-			d.cw = d.cfg.CWMax
-		}
+	if d.cw < cwMax {
+		d.cw = min(d.cw*2+1, cwMax)
 	}
 	d.backoff = d.rnd.Intn(d.cw + 1)
 	d.resume()
@@ -692,7 +634,7 @@ func (d *DCF) handleRTS(frame *Frame) {
 		From: d.addr,
 		To:   frame.From,
 		Seq:  frame.Seq,
-		NAV:  frame.NAV - d.cfg.SIFS - d.controlDuration(d.cfg.CTSBytes),
+		NAV:  frame.NAV - sifsTime - controlDuration(ctsBytes),
 	}
 	d.respondAfterSIFS(cts)
 }
@@ -733,9 +675,7 @@ func (d *DCF) handleAck(frame *Frame) {
 		d.awaitingAck = false
 		d.ackTimer.Stop()
 		job := d.finishJob()
-		if d.sendDone != nil {
-			d.sendDone.MACSendDone(job.to, job.payload)
-		}
+		d.upper.MACSendDone(job.to, job.payload)
 	}
 }
 
@@ -754,14 +694,10 @@ func (d *DCF) handleData(frame *Frame) {
 		d.lastSeq[from] = frame.Seq
 		d.haveLast[from] = true
 		d.stats.DataRx++
-		if d.upper != nil {
-			d.upper.MACReceive(frame.Payload, frame.From)
-		}
+		d.upper.MACReceive(frame.Payload, frame.From)
 	case Broadcast:
 		d.stats.DataRx++
-		if d.upper != nil {
-			d.upper.MACReceive(frame.Payload, frame.From)
-		}
+		d.upper.MACReceive(frame.Payload, frame.From)
 	default:
 		// Overheard frame: honor its NAV reservation.
 		d.observeNAV(frame)
@@ -792,7 +728,7 @@ func (d *DCF) respondAfterSIFS(resp *Frame) {
 		panic(fmt.Sprintf("mac: t=%v: station %d queued two responses inside one SIFS", d.kernel.Now(), d.addr))
 	}
 	d.sifsResp = resp
-	d.kernel.AfterArg(d.cfg.SIFS, sifsElapsed, d)
+	d.kernel.AfterArg(sifsTime, sifsElapsed, d)
 }
 
 func sifsElapsed(a any) {
@@ -808,10 +744,10 @@ func sifsElapsed(a any) {
 	switch resp.Kind {
 	case KindAck:
 		d.stats.AckTx++
-		d.radio.Transmit(resp, d.cfg.AckBytes, d.ackDuration())
+		d.radio.Transmit(resp, ackBytes, ackDuration())
 	case KindCTS:
 		d.stats.CTSTx++
-		d.radio.Transmit(resp, d.cfg.CTSBytes, d.controlDuration(d.cfg.CTSBytes))
+		d.radio.Transmit(resp, ctsBytes, controlDuration(ctsBytes))
 	default:
 		if d.current != nil {
 			d.sendDataFrame(d.current)

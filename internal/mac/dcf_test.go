@@ -9,12 +9,14 @@ import (
 	"cavenet/internal/sim"
 )
 
-// upperRec records MAC deliveries and failures for one station.
+// upperRec records MAC deliveries, failures and drops for one station.
 type upperRec struct {
-	received []any
-	from     []Address
-	failed   []any
-	failedTo []Address
+	received   []any
+	from       []Address
+	failed     []any
+	failedTo   []Address
+	queueDrops []any
+	downDrops  []any
 }
 
 func (u *upperRec) MACReceive(payload any, from Address) {
@@ -25,6 +27,16 @@ func (u *upperRec) MACReceive(payload any, from Address) {
 func (u *upperRec) MACSendFailed(to Address, payload any) {
 	u.failed = append(u.failed, payload)
 	u.failedTo = append(u.failedTo, to)
+}
+
+func (u *upperRec) MACSendDone(Address, any) {}
+
+func (u *upperRec) MACQueueDrop(to Address, payload any) {
+	u.queueDrops = append(u.queueDrops, payload)
+}
+
+func (u *upperRec) MACDownDrop(to Address, payload any) {
+	u.downDrops = append(u.downDrops, payload)
 }
 
 // testNet builds n stations on a line with the given spacing (meters).
@@ -97,21 +109,22 @@ func TestRetryExhaustionReportsFailure(t *testing.T) {
 	if st.Failures != 1 {
 		t.Fatalf("Failures = %d", st.Failures)
 	}
-	if st.Retries != uint64(macs[0].Config().RetryLimit)+1 {
-		t.Fatalf("Retries = %d, want retryLimit+1", st.Retries)
+	// ns-2's ShortRetryLimit 7: the first transmission and 7 retries, then
+	// the frame is given up (which also counts as a retry).
+	if st.Retries != 8 {
+		t.Fatalf("Retries = %d, want 8", st.Retries)
 	}
 	// Retransmissions show as DataTx.
-	if st.DataTx != uint64(macs[0].Config().RetryLimit)+1 {
-		t.Fatalf("DataTx = %d", st.DataTx)
+	if st.DataTx != 8 {
+		t.Fatalf("DataTx = %d, want 8 transmissions", st.DataTx)
 	}
 }
 
 func TestQueueDropTail(t *testing.T) {
 	k, macs, _ := testNet(t, 2, 100)
-	cap := macs[0].Config().QueueCap
-	// The first Send dequeues immediately into service, so cap+1 sends fit;
-	// everything beyond that must be dropped.
-	for i := 0; i < cap+10; i++ {
+	// ns-2's 50-packet ifq. The first Send dequeues immediately into
+	// service, so 51 sends fit; everything beyond that must be dropped.
+	for i := 0; i < 60; i++ {
 		macs[0].Send(1, i, 512)
 	}
 	if drops := macs[0].Stats().QueueDrops; drops != 9 {
@@ -222,17 +235,17 @@ func TestNAVDefersThirdParty(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
+	if slotTime != 20*sim.Microsecond || sifsTime != 10*sim.Microsecond {
+		t.Fatalf("timing constants wrong: slot %v, SIFS %v", slotTime, sifsTime)
+	}
+	if difsTime != 50*sim.Microsecond {
+		t.Fatalf("DIFS = %v, want 50 µs", difsTime)
+	}
+	if cwMin != 31 || cwMax != 1023 || shortRetryLimit != 7 {
+		t.Fatalf("contention constants wrong: CW %d..%d, retry limit %d", cwMin, cwMax, shortRetryLimit)
+	}
 	var c Config
 	c.normalize()
-	if c.SlotTime != 20*sim.Microsecond || c.SIFS != 10*sim.Microsecond {
-		t.Fatalf("timing defaults wrong: %+v", c)
-	}
-	if c.DIFS != 50*sim.Microsecond {
-		t.Fatalf("DIFS = %v, want 50 µs", c.DIFS)
-	}
-	if c.CWMin != 31 || c.CWMax != 1023 || c.RetryLimit != 7 {
-		t.Fatalf("contention defaults wrong: %+v", c)
-	}
 	if c.DataRateBPS != 2e6 {
 		t.Fatalf("data rate = %v, want 2 Mb/s (Table I)", c.DataRateBPS)
 	}
@@ -249,7 +262,7 @@ func TestAirTimeComputation(t *testing.T) {
 	}
 	// ACK: 14 bytes at 1 Mb/s + preamble.
 	wantAck := 192*sim.Microsecond + sim.Time(float64(14*8)/1e6*float64(sim.Second))
-	if got := d.ackDuration(); got != wantAck {
+	if got := ackDuration(); got != wantAck {
 		t.Fatalf("ackDuration = %v, want %v", got, wantAck)
 	}
 }
@@ -314,30 +327,20 @@ func TestQueueLenIncludesInFlight(t *testing.T) {
 	}
 }
 
-// dropRec is upperRec plus the optional queue-drop observer.
-type dropRec struct {
-	upperRec
-	queueDrops []any
-}
-
-func (u *dropRec) MACQueueDrop(to Address, payload any) {
-	u.queueDrops = append(u.queueDrops, payload)
-}
-
-func TestQueueDropObserverNotified(t *testing.T) {
+func TestQueueDropReportedUpward(t *testing.T) {
 	k := sim.NewKernel()
 	c := phy.NewChannel(k, phy.TwoRayGround{}, phy.Config{CaptureRatio: 10})
-	up := &dropRec{}
-	m := New(k, c.Attach(geometry.Vec2{}), 0, Config{QueueCap: 2}, rand.New(rand.NewSource(1)), up)
-	for i := 0; i < 5; i++ {
+	up := &upperRec{}
+	m := New(k, c.Attach(geometry.Vec2{}), 0, Config{}, rand.New(rand.NewSource(1)), up)
+	for i := 0; i < 53; i++ {
 		m.Send(Broadcast, i, 100)
 	}
-	// One in service, two queued, two dropped and observed.
+	// One in service, 50 queued, two dropped and reported.
 	if got := m.Stats().QueueDrops; got != 2 {
 		t.Fatalf("QueueDrops = %d, want 2", got)
 	}
-	if len(up.queueDrops) != 2 || up.queueDrops[0] != 3 || up.queueDrops[1] != 4 {
-		t.Fatalf("observed drops = %v, want [3 4]", up.queueDrops)
+	if len(up.queueDrops) != 2 || up.queueDrops[0] != 51 || up.queueDrops[1] != 52 {
+		t.Fatalf("reported drops = %v, want [51 52]", up.queueDrops)
 	}
 }
 
@@ -401,16 +404,6 @@ func TestEachQueuedVisitsCustody(t *testing.T) {
 	}
 }
 
-// downRec is upperRec plus the node-down flush observer.
-type downRec struct {
-	upperRec
-	downDrops []any
-}
-
-func (u *downRec) MACDownDrop(to Address, payload any) {
-	u.downDrops = append(u.downDrops, payload)
-}
-
 // TestSendOneAtATimeAllocFree pins the interface queue's storage reuse: a
 // station that sends one frame at a time pops behind a head index and
 // holds the in-flight job by value, so neither Send nor kick allocates —
@@ -472,6 +465,9 @@ type discardUpper struct{}
 
 func (discardUpper) MACReceive(any, Address)    {}
 func (discardUpper) MACSendFailed(Address, any) {}
+func (discardUpper) MACSendDone(Address, any)   {}
+func (discardUpper) MACQueueDrop(Address, any)  {}
+func (discardUpper) MACDownDrop(Address, any)   {}
 
 // TestQueueHeadIndexKeepsCustody drives the backlog through pops, refills,
 // the never-drains compaction and a Down flush, checking after every step
@@ -480,8 +476,8 @@ func (discardUpper) MACSendFailed(Address, any) {}
 func TestQueueHeadIndexKeepsCustody(t *testing.T) {
 	k := sim.NewKernel()
 	c := phy.NewChannel(k, phy.TwoRayGround{}, phy.Config{CaptureRatio: 10})
-	up := &downRec{}
-	m := New(k, c.Attach(geometry.Vec2{}), 0, Config{QueueCap: 4}, rand.New(rand.NewSource(1)), up)
+	up := &upperRec{}
+	m := New(k, c.Attach(geometry.Vec2{}), 0, Config{}, rand.New(rand.NewSource(1)), up)
 
 	next, want := 0, []any(nil) // want: the custody order, in-flight first
 	check := func(when string) {
@@ -504,7 +500,7 @@ func TestQueueHeadIndexKeepsCustody(t *testing.T) {
 	}
 	send := func() {
 		m.Send(Broadcast, next, 100)
-		if len(want) < 5 { // one in flight + QueueCap queued; the rest drop-tail
+		if len(want) < 51 { // one in flight + 50 queued; the rest drop-tail
 			want = append(want, next)
 		}
 		next++
@@ -527,8 +523,8 @@ func TestQueueHeadIndexKeepsCustody(t *testing.T) {
 		send()
 		check("saturated")
 	}
-	if cap(m.queue) > 4*m.cfg.QueueCap {
-		t.Fatalf("backing array grew to %d slots under a capped backlog of %d", cap(m.queue), m.cfg.QueueCap)
+	if cap(m.queue) > 4*50 {
+		t.Fatalf("backing array grew to %d slots under a capped backlog of 50", cap(m.queue))
 	}
 	m.Down()
 	if len(up.downDrops) != len(want) {

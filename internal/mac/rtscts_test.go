@@ -83,8 +83,8 @@ func TestRTSDisabledByDefault(t *testing.T) {
 	if c.RTSThreshold != 0 {
 		t.Fatal("Table I says RTS/CTS None: the default threshold must be 0")
 	}
-	if c.RTSBytes != 20 || c.CTSBytes != 14 || c.LongRetry != 4 {
-		t.Fatalf("RTS constants wrong: %+v", c)
+	if rtsBytes != 20 || ctsBytes != 14 || longRetryLimit != 4 {
+		t.Fatalf("RTS constants wrong: RTS %d B, CTS %d B, long retry limit %d", rtsBytes, ctsBytes, longRetryLimit)
 	}
 }
 
@@ -97,8 +97,9 @@ func TestCTSTimeoutRetriesWithLongLimit(t *testing.T) {
 		t.Fatalf("failures = %d", len(ups[0].failed))
 	}
 	st := macs[0].Stats()
-	if st.RTSTx != uint64(macs[0].Config().LongRetry)+1 {
-		t.Fatalf("RTSTx = %d, want LongRetry+1 attempts", st.RTSTx)
+	// ns-2's LongRetryLimit 4: the first RTS and 4 retries.
+	if st.RTSTx != 5 {
+		t.Fatalf("RTSTx = %d, want 5 attempts", st.RTSTx)
 	}
 	if st.DataTx != 0 {
 		t.Fatal("data must never fly without a CTS")

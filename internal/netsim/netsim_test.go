@@ -282,11 +282,10 @@ func TestMACQueueDropReachesHooks(t *testing.T) {
 	drops := map[string]int{}
 	w.SetHooks(Hooks{DataDropped: func(n *Node, p *Packet, reason string) { drops[reason]++ }})
 	n := w.Node(0)
-	cap := n.MAC().Config().QueueCap
-	for i := 0; i < cap+5; i++ {
+	for i := 0; i < 55; i++ {
 		n.SendFrame(1, n.NewPacket(1, PortCBR, 10))
 	}
-	// One job is in service, QueueCap are queued, 4 dropped.
+	// One job is in service, 50 are queued (ns-2's ifq), 4 dropped.
 	if got := drops["mac:queue-full"]; got != 4 {
 		t.Fatalf("mac:queue-full drops = %d, want 4", got)
 	}

@@ -267,7 +267,7 @@ func (u macUpper) MACReceive(payload any, from mac.Address) {
 	}
 }
 
-// MACSendDone implements mac.SendDoneObserver: a unicast frame was
+// MACSendDone implements mac.Upper: a unicast frame was
 // acknowledged, so the sender-side packet pointer is dead — every receiver
 // in range decoded (and cloned) the frame at least a SIFS before the ACK
 // arrived, and the sending router released custody at SendFrame. Broadcast
@@ -291,7 +291,7 @@ func (u macUpper) MACSendFailed(to mac.Address, payload any) {
 	u.n.router.LinkFailure(NodeID(to), p)
 }
 
-// MACQueueDrop implements mac.QueueDropObserver: a drop-tail loss of a data
+// MACQueueDrop implements mac.Upper: a drop-tail loss of a data
 // packet is a data-plane drop like any other and must reach the metrics
 // hooks — without this, queue-overflow losses silently violated packet
 // conservation. Control packets are the routing protocol's own traffic and
@@ -304,7 +304,7 @@ func (u macUpper) MACQueueDrop(to mac.Address, payload any) {
 	u.n.DropData(p, "mac:queue-full")
 }
 
-// MACDownDrop implements mac.DownObserver: when fault injection takes the
+// MACDownDrop implements mac.Upper: when fault injection takes the
 // interface down, every data frame in MAC custody terminates as an
 // explicit "node:down" drop so the conservation ledger sees where it died.
 // Control frames, as with queue drops, are only MAC statistics.

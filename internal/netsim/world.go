@@ -33,7 +33,7 @@ type WorldConfig struct {
 	Propagation phy.Propagation
 	// Channel holds radio parameters (ranges, capture).
 	Channel phy.Config
-	// MAC holds DCF parameters (rates, CW, queue).
+	// MAC holds DCF parameters (data rate, RTS threshold).
 	MAC mac.Config
 	// Mobility positions the nodes over time; nil keeps nodes wherever
 	// Static places them. Any mobility.Source works: a materialized
@@ -43,9 +43,12 @@ type WorldConfig struct {
 	Mobility mobility.Source
 	// Static is used when Mobility is nil: fixed node positions.
 	Static []geometry.Vec2
-	// MobilityInterval is how often positions refresh (default 100 ms).
-	MobilityInterval sim.Time
 }
+
+// mobilityInterval is how often the world moves every node to its Mobility
+// position (sources interpolate between their samples): a few meters of
+// travel at highway speed.
+const mobilityInterval = 100 * sim.Millisecond
 
 // World is an assembled scenario: kernel, channel, nodes.
 type World struct {
@@ -108,9 +111,6 @@ func NewWorld(cfg WorldConfig, factory RouterFactory) (*World, error) {
 	}
 	if cfg.Propagation == nil {
 		cfg.Propagation = phy.TwoRayGround{}
-	}
-	if cfg.MobilityInterval == 0 {
-		cfg.MobilityInterval = 100 * sim.Millisecond
 	}
 	w := &World{
 		Kernel:  sim.NewKernel(),
@@ -221,7 +221,7 @@ func (w *World) scheduleMobility(duration sim.Time) {
 			}
 		}
 		if now < duration {
-			w.Kernel.After(w.cfg.MobilityInterval, tick)
+			w.Kernel.After(mobilityInterval, tick)
 		}
 	}
 	w.Kernel.Schedule(0, tick)
@@ -241,7 +241,6 @@ func (w *World) ConnectivityMatrix() [][]bool {
 		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	thresh := w.Channel.RxThreshW()
-	txW := w.Channel.TxPowerW()
 	for i := 0; i < n; i++ {
 		node := w.nodes[i]
 		// A down node has no links; the grid path skips it implicitly
@@ -257,7 +256,7 @@ func (w *World) ConnectivityMatrix() [][]bool {
 			if j <= i || j >= n {
 				return
 			}
-			power := w.cfg.Propagation.RxPower(txW, node.pos, w.nodes[j].pos)
+			power := w.cfg.Propagation.RxPower(phy.TxPowerW, node.pos, w.nodes[j].pos)
 			ok := power >= thresh
 			m[i][j] = ok
 			m[j][i] = ok
@@ -268,7 +267,7 @@ func (w *World) ConnectivityMatrix() [][]bool {
 			if w.nodes[j].down {
 				continue
 			}
-			power := w.cfg.Propagation.RxPower(txW, node.pos, w.nodes[j].pos)
+			power := w.cfg.Propagation.RxPower(phy.TxPowerW, node.pos, w.nodes[j].pos)
 			ok := power >= thresh
 			m[i][j] = ok
 			m[j][i] = ok
@@ -289,7 +288,6 @@ func (w *World) ConnectedComponents() [][]int {
 	var neighbors func(v int, visit func(u int))
 	if w.Channel.Culling() {
 		thresh := w.Channel.RxThreshW()
-		txW := w.Channel.TxPowerW()
 		neighbors = func(v int, visit func(u int)) {
 			src := w.nodes[v]
 			// A down node is a singleton component: its radio is out of
@@ -304,7 +302,7 @@ func (w *World) ConnectedComponents() [][]int {
 				if u >= n || seen[u] {
 					return
 				}
-				if w.cfg.Propagation.RxPower(txW, src.pos, w.nodes[u].pos) >= thresh {
+				if w.cfg.Propagation.RxPower(phy.TxPowerW, src.pos, w.nodes[u].pos) >= thresh {
 					visit(u)
 				}
 			})

@@ -24,11 +24,13 @@ type Frame struct {
 	ends sim.Batch
 }
 
+// TxPowerW is every radio's transmit power in watts: the ns-2 default,
+// which yields 250 m range under two-ray ground. The thresholds derive from
+// it, so a caller wanting another range sets Config.RxRangeM instead.
+const TxPowerW = 0.28183815
+
 // Config sets the channel-wide radio parameters.
 type Config struct {
-	// TxPowerW is the transmit power in watts (ns-2 default 0.28183815 W,
-	// which yields 250 m range under two-ray ground).
-	TxPowerW float64
 	// RxRangeM is the intended decode range in meters; the receive
 	// threshold is the model's power at this distance (Table I: 250 m).
 	RxRangeM float64
@@ -38,15 +40,13 @@ type Config struct {
 	// survives a collision (ns-2 default 10 = 10 dB). Zero disables capture:
 	// any overlap corrupts both frames.
 	CaptureRatio float64
-	// PropDelay enables speed-of-light propagation delay (default on; the
-	// ablation bench turns it off to measure its cost).
+	// NoPropDelay disables speed-of-light propagation delay. No world sets
+	// it; it stays a field because the mac package's backoff differential
+	// varies it across the package boundary (every edge on one nanosecond).
 	NoPropDelay bool
 }
 
 func (c *Config) normalize() {
-	if c.TxPowerW == 0 {
-		c.TxPowerW = 0.28183815
-	}
 	if c.RxRangeM == 0 {
 		c.RxRangeM = 250
 	}
@@ -74,7 +74,7 @@ type Handler interface {
 type Channel struct {
 	kernel      *sim.Kernel
 	prop        Propagation
-	powerAt     func(d float64) float64 // prop's DistancePower at cfg.TxPowerW; nil if it has none
+	powerAt     func(d float64) float64 // prop's DistancePower at TxPowerW; nil if it has none
 	cfg         Config
 	rxThreshW   float64
 	csThreshW   float64
@@ -161,10 +161,10 @@ func NewChannel(k *sim.Kernel, prop Propagation, cfg Config) *Channel {
 		cfg:    cfg,
 	}
 	if dp, ok := prop.(DistancePower); ok {
-		c.powerAt = dp.AtDistance(cfg.TxPowerW)
+		c.powerAt = dp.AtDistance(TxPowerW)
 	}
-	c.rxThreshW = PowerAtRange(prop, cfg.TxPowerW, cfg.RxRangeM)
-	c.csThreshW = PowerAtRange(prop, cfg.TxPowerW, cfg.CSRangeM)
+	c.rxThreshW = PowerAtRange(prop, TxPowerW, cfg.RxRangeM)
+	c.csThreshW = PowerAtRange(prop, TxPowerW, cfg.CSRangeM)
 	if propIsDistanceMonotone(prop) {
 		c.grid = spatial.NewGrid(cfg.CSRangeM)
 		c.csCullM = cfg.CSRangeM * cullMargin
@@ -172,11 +172,6 @@ func NewChannel(k *sim.Kernel, prop Propagation, cfg Config) *Channel {
 	}
 	return c
 }
-
-// TxPowerW reports the normalized transmit power all thresholds derive
-// from; analysis code should read it here rather than re-applying the
-// Config defaulting rules.
-func (c *Channel) TxPowerW() float64 { return c.cfg.TxPowerW }
 
 // RxThreshW reports the derived receive-power threshold.
 func (c *Channel) RxThreshW() float64 { return c.rxThreshW }
@@ -284,7 +279,7 @@ func (c *Channel) propagate(starts sim.Batch, tx, rx *Radio, f *Frame) {
 	if c.powerAt != nil {
 		power = c.powerAt(meters)
 	} else {
-		power = c.prop.RxPower(c.cfg.TxPowerW, src, rxPos)
+		power = c.prop.RxPower(TxPowerW, src, rxPos)
 	}
 	var loss float64
 	if len(c.impairs) > 0 {

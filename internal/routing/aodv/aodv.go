@@ -7,72 +7,39 @@ import (
 	"cavenet/internal/sim"
 )
 
-// Config holds protocol timing parameters; zero fields take the RFC 3561
-// defaults (with Table I's 1 s HELLO interval).
+// Protocol constants: the RFC 3561 §10 defaults with Table I's 1 s HELLO
+// interval; the expanding-ring start and the discovery buffer are ns-2's
+// (aodv.h TTL_START, sendBuffer).
+const (
+	helloInterval      = sim.Second
+	allowedHelloLoss   = 2
+	activeRouteTimeout = 3 * sim.Second
+	myRouteTimeout     = 2 * activeRouteTimeout
+	nodeTraversalTime  = 40 * sim.Millisecond
+	netDiameter        = 35
+	netTraversalTime   = 2 * nodeTraversalTime * netDiameter
+	rreqRetries        = 2
+	ttlStart           = 5
+	ttlIncrement       = 2
+	ttlThreshold       = 7
+	// bufferCap bounds the data packets queued per destination while
+	// discovery runs.
+	bufferCap = 64
+)
+
+// ringTraversalTime is RING_TRAVERSAL_TIME for a search of the given TTL
+// (TIMEOUT_BUFFER 2).
+func ringTraversalTime(ttl int) sim.Time {
+	return 2 * nodeTraversalTime * sim.Time(ttl+2)
+}
+
+// Config holds what a scenario chooses about AODV; the zero value is the
+// protocol the paper ran.
 type Config struct {
-	HelloInterval      sim.Time // default 1 s (Table I)
-	AllowedHelloLoss   int      // default 2
-	ActiveRouteTimeout sim.Time // default 3 s
-	MyRouteTimeout     sim.Time // default 6 s
-	NodeTraversalTime  sim.Time // default 40 ms
-	NetDiameter        int      // default 35
-	RREQRetries        int      // default 2
-	// ExpandingRing enables the TTL expanding-ring search of RFC 3561 §6.4
-	// (default true; the ablation bench disables it).
-	ExpandingRing *bool
-	// TTLStart, TTLIncrement, TTLThreshold tune the ring search.
-	TTLStart, TTLIncrement, TTLThreshold int
-	// BufferCap bounds the number of data packets queued per destination
-	// while discovery runs (default 64, matching ns-2's sendBuffer).
-	BufferCap int
-}
-
-func (c *Config) normalize() {
-	if c.HelloInterval == 0 {
-		c.HelloInterval = sim.Second
-	}
-	if c.AllowedHelloLoss == 0 {
-		c.AllowedHelloLoss = 2
-	}
-	if c.ActiveRouteTimeout == 0 {
-		c.ActiveRouteTimeout = 3 * sim.Second
-	}
-	if c.MyRouteTimeout == 0 {
-		c.MyRouteTimeout = 2 * c.ActiveRouteTimeout
-	}
-	if c.NodeTraversalTime == 0 {
-		c.NodeTraversalTime = 40 * sim.Millisecond
-	}
-	if c.NetDiameter == 0 {
-		c.NetDiameter = 35
-	}
-	if c.RREQRetries == 0 {
-		c.RREQRetries = 2
-	}
-	if c.ExpandingRing == nil {
-		t := true
-		c.ExpandingRing = &t
-	}
-	if c.TTLStart == 0 {
-		c.TTLStart = 5
-	}
-	if c.TTLIncrement == 0 {
-		c.TTLIncrement = 2
-	}
-	if c.TTLThreshold == 0 {
-		c.TTLThreshold = 7
-	}
-	if c.BufferCap == 0 {
-		c.BufferCap = 64
-	}
-}
-
-func (c Config) netTraversalTime() sim.Time {
-	return 2 * c.NodeTraversalTime * sim.Time(c.NetDiameter)
-}
-
-func (c Config) ringTraversalTime(ttl int) sim.Time {
-	return 2 * c.NodeTraversalTime * sim.Time(ttl+2)
+	// NoExpandingRing disables the TTL expanding-ring search of RFC 3561
+	// §6.4, so every RREQ floods the network (the ablation knob
+	// Spec.AODVNoExpandingRing).
+	NoExpandingRing bool
 }
 
 // discovery tracks one in-progress route discovery. Records (and their
@@ -121,7 +88,6 @@ var _ netsim.Router = (*Router)(nil)
 
 // New builds an AODV router for node.
 func New(node *netsim.Node, cfg Config) *Router {
-	cfg.normalize()
 	r := &Router{
 		cfg:         cfg,
 		node:        node,
@@ -131,10 +97,10 @@ func New(node *netsim.Node, cfg Config) *Router {
 	}
 	jitter := func() sim.Time {
 		// ±10% emission jitter, standard to decorrelate HELLO storms.
-		span := int64(cfg.HelloInterval / 5)
+		span := int64(helloInterval / 5)
 		return sim.Time(node.Rand().Int63n(span) - span/2)
 	}
-	r.helloTicker = sim.NewTicker(node.Kernel(), cfg.HelloInterval, jitter, r.sendHello)
+	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, jitter, r.sendHello)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
 }
@@ -144,7 +110,7 @@ func New(node *netsim.Node, cfg Config) *Router {
 // O(expired). The seed implementation never retired these entries, which
 // grew the table without bound over long runs.
 func (r *Router) markSeen(key seenKey) {
-	r.seen.Add(key, r.node.Kernel().Now()+2*r.cfg.netTraversalTime())
+	r.seen.Add(key, r.node.Kernel().Now()+2*netTraversalTime)
 }
 
 // SeenEntries reports the dedup-table size (for memory-stability tests).
@@ -244,8 +210,8 @@ func (r *Router) sendControl(next netsim.NodeID, dst netsim.NodeID, ttl, size in
 // Origin implements netsim.Router.
 func (r *Router) Origin(p *netsim.Packet) {
 	if next, _, ok := r.table.validNext(p.Dst); ok {
-		r.table.refresh(p.Dst, r.cfg.ActiveRouteTimeout)
-		r.table.refresh(next, r.cfg.ActiveRouteTimeout)
+		r.table.refresh(p.Dst, activeRouteTimeout)
+		r.table.refresh(next, activeRouteTimeout)
 		r.node.SendFrame(next, p)
 		return
 	}
@@ -255,7 +221,7 @@ func (r *Router) Origin(p *netsim.Packet) {
 func (r *Router) bufferAndDiscover(p *netsim.Packet) {
 	d := r.discoveries[p.Dst]
 	if d != nil {
-		if len(d.buffer) >= r.cfg.BufferCap {
+		if len(d.buffer) >= bufferCap {
 			r.node.DropData(p, "aodv:buffer-full")
 			return
 		}
@@ -270,15 +236,13 @@ func (r *Router) bufferAndDiscover(p *netsim.Packet) {
 func (r *Router) sendRREQ(d *discovery) {
 	r.seq++ // RFC 3561 §6.1: increment own seq before a RREQ
 	r.rreqID++
-	ttl := r.cfg.NetDiameter
-	if *r.cfg.ExpandingRing {
+	ttl := netDiameter
+	if !r.cfg.NoExpandingRing {
 		switch {
 		case d.ttl == 0:
-			ttl = r.cfg.TTLStart
-		case d.ttl+r.cfg.TTLIncrement <= r.cfg.TTLThreshold:
-			ttl = d.ttl + r.cfg.TTLIncrement
-		default:
-			ttl = r.cfg.NetDiameter
+			ttl = ttlStart
+		case d.ttl+ttlIncrement <= ttlThreshold:
+			ttl = d.ttl + ttlIncrement
 		}
 	}
 	d.ttl = ttl
@@ -296,7 +260,7 @@ func (r *Router) sendRREQ(d *discovery) {
 	}
 	r.markSeen(seenKey{src: r.node.ID(), id: msg.ID})
 	r.sendControl(netsim.BroadcastID, netsim.BroadcastID, ttl, rreqBytes, msg)
-	d.timer.Reset(r.cfg.ringTraversalTime(ttl))
+	d.timer.Reset(ringTraversalTime(ttl))
 }
 
 func (r *Router) discoveryTimeout(d *discovery) {
@@ -305,8 +269,7 @@ func (r *Router) discoveryTimeout(d *discovery) {
 		return
 	}
 	d.retries++
-	maxTries := r.cfg.RREQRetries
-	if d.retries > maxTries {
+	if d.retries > rreqRetries {
 		for _, p := range d.buffer {
 			r.node.DropData(p, "aodv:no-route")
 		}
@@ -367,10 +330,10 @@ func (r *Router) forwardData(p *netsim.Packet, from netsim.NodeID) {
 		return
 	}
 	// Active data refreshes source, destination and next-hop routes.
-	r.table.refresh(p.Dst, r.cfg.ActiveRouteTimeout)
-	r.table.refresh(next, r.cfg.ActiveRouteTimeout)
-	r.table.refresh(p.Src, r.cfg.ActiveRouteTimeout)
-	r.table.refresh(from, r.cfg.ActiveRouteTimeout)
+	r.table.refresh(p.Dst, activeRouteTimeout)
+	r.table.refresh(next, activeRouteTimeout)
+	r.table.refresh(p.Src, activeRouteTimeout)
+	r.table.refresh(from, activeRouteTimeout)
 	r.node.NoteForward(p)
 	r.node.SendFrame(next, p)
 }
@@ -387,9 +350,9 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 	r.markSeen(key)
 
 	// Reverse route to the previous hop and to the originator (§6.5).
-	r.table.update(from, 0, false, 1, from, r.cfg.ActiveRouteTimeout)
+	r.table.update(from, 0, false, 1, from, activeRouteTimeout)
 	hops := msg.HopCount + 1
-	minLifetime := 2*r.cfg.netTraversalTime() - sim.Time(2*hops)*r.cfg.NodeTraversalTime
+	minLifetime := 2*netTraversalTime - sim.Time(2*hops)*nodeTraversalTime
 	r.table.update(msg.Src, msg.SrcSeq, true, hops, from, minLifetime)
 
 	if msg.Dst == me {
@@ -401,7 +364,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 			Dst:      me,
 			DstSeq:   r.seq,
 			Src:      msg.Src,
-			Lifetime: int64(r.cfg.MyRouteTimeout / sim.Millisecond),
+			Lifetime: int64(myRouteTimeout / sim.Millisecond),
 		}
 		r.sendControl(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
 		return
@@ -439,7 +402,7 @@ func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
 	lifetime := sim.Time(msg.Lifetime) * sim.Millisecond
 	// Forward route to the replied destination (§6.7).
 	r.table.update(msg.Dst, msg.DstSeq, true, hops, from, lifetime)
-	r.table.update(from, 0, false, 1, from, r.cfg.ActiveRouteTimeout)
+	r.table.update(from, 0, false, 1, from, activeRouteTimeout)
 
 	if msg.Src == me {
 		// Discovery complete: release buffered traffic.
@@ -466,7 +429,7 @@ func (r *Router) sendHello() {
 	msg := &RREP{
 		Dst:      r.node.ID(),
 		DstSeq:   r.seq,
-		Lifetime: int64((1 + sim.Time(r.cfg.AllowedHelloLoss)) * r.cfg.HelloInterval / sim.Millisecond),
+		Lifetime: int64((1 + allowedHelloLoss) * helloInterval / sim.Millisecond),
 		Hello:    true,
 	}
 	r.sendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloBytes, msg)
@@ -480,7 +443,7 @@ func (r *Router) handleHello(msg *RREP, from netsim.NodeID) {
 		t = sim.NewTimer(r.node.Kernel(), func() { r.neighborLost(from) })
 		r.neighbors[from] = t
 	}
-	t.Reset(sim.Time(r.cfg.AllowedHelloLoss+1) * r.cfg.HelloInterval)
+	t.Reset((allowedHelloLoss + 1) * helloInterval)
 }
 
 func (r *Router) neighborLost(neighbor netsim.NodeID) {

@@ -89,15 +89,23 @@ func TestNoRouteDropsAfterRetries(t *testing.T) {
 	// Destination 5 km away: unreachable.
 	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
+	var droppedAt sim.Time
 	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "aodv:no-route" {
 			drops++
+			droppedAt = w.Kernel.Now()
 		}
 	}})
 	sendAt(w, sim.Second, 0, 1, 512)
 	w.Run(30 * sim.Second)
 	if drops != 1 {
 		t.Fatalf("drops = %d, want 1 after RREQ retries exhaust", drops)
+	}
+	// RREQ_RETRIES 2: three searches, at TTL 5 and 7 (ring start 5, step
+	// 2, threshold 7) and then NET_DIAMETER 35, each waiting
+	// 2 · 40 ms · (TTL + 2).
+	if want := sim.Second + 560*sim.Millisecond + 720*sim.Millisecond + 2960*sim.Millisecond; droppedAt != want {
+		t.Fatalf("dropped at %v, want %v: the ring search or its timeouts changed", droppedAt, want)
 	}
 }
 
@@ -159,8 +167,7 @@ func TestExpandingRingVsFlood(t *testing.T) {
 	// On a long chain, expanding-ring search should transmit no MORE RREQ
 	// control packets than full flooding for a nearby destination.
 	run := func(expanding bool) uint64 {
-		cfg := Config{ExpandingRing: &expanding}
-		w := chainWorld(t, 8, 200, cfg)
+		w := chainWorld(t, 8, 200, Config{NoExpandingRing: !expanding})
 		sink := &traffic.Sink{}
 		w.Node(1).AttachPort(netsim.PortCBR, sink)
 		sendAt(w, sim.Second, 0, 1, 512)
@@ -203,14 +210,15 @@ func TestControlTrafficCounted(t *testing.T) {
 }
 
 func TestBufferCapDropsExcess(t *testing.T) {
-	w := chainWorld(t, 2, 5000, Config{BufferCap: 4})
+	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
 	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "aodv:buffer-full" {
 			drops++
 		}
 	}})
-	for i := 0; i < 10; i++ {
+	// ns-2's 64-packet send buffer holds the first 64; 6 overflow.
+	for i := 0; i < 70; i++ {
 		sendAt(w, sim.Second, 0, 1, 512)
 	}
 	w.Run(3 * sim.Second)
@@ -326,7 +334,7 @@ func TestSeenEntriesExpire(t *testing.T) {
 	if r1.SeenEntries() == 0 {
 		t.Fatal("precondition: relay recorded no RREQ dedup entries")
 	}
-	w.Kernel.RunUntil(w.Kernel.Now() + 3*r1.cfg.netTraversalTime())
+	w.Kernel.RunUntil(w.Kernel.Now() + 3*netTraversalTime)
 	r1.purge()
 	if got := r1.SeenEntries(); got != 0 {
 		t.Fatalf("seen entries after PATH_DISCOVERY_TIME = %d, want 0", got)

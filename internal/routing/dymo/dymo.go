@@ -62,47 +62,24 @@ type Hello struct {
 	Seq uint32
 }
 
-// Config holds protocol parameters; zero fields take draft defaults with
-// Table I's 1 s HELLO interval.
-type Config struct {
-	HelloInterval    sim.Time // default 1 s
-	AllowedHelloLoss int      // default 2
-	RouteTimeout     sim.Time // default 5 s (draft ROUTE_TIMEOUT)
-	RREQWaitTime     sim.Time // default 1 s
-	RREQTries        int      // default 3
-	HopLimit         int      // default 20 (draft MSG_HOPLIMIT)
-	BufferCap        int      // default 64 packets per destination
-	// PathAccumulation can be disabled for the ablation bench, reducing
-	// DYMO to an AODV-like protocol.
-	PathAccumulation *bool
-}
+// Protocol constants: draft-14 defaults with Table I's 1 s HELLO interval.
+const (
+	helloInterval    = sim.Second
+	allowedHelloLoss = 2
+	routeTimeout     = 5 * sim.Second // ROUTE_TIMEOUT
+	rreqWaitTime     = sim.Second     // doubled per retry
+	rreqTries        = 3
+	hopLimit         = 20 // MSG_HOPLIMIT
+	bufferCap        = 64 // data packets queued per destination in discovery
+)
 
-func (c *Config) normalize() {
-	if c.HelloInterval == 0 {
-		c.HelloInterval = sim.Second
-	}
-	if c.AllowedHelloLoss == 0 {
-		c.AllowedHelloLoss = 2
-	}
-	if c.RouteTimeout == 0 {
-		c.RouteTimeout = 5 * sim.Second
-	}
-	if c.RREQWaitTime == 0 {
-		c.RREQWaitTime = sim.Second
-	}
-	if c.RREQTries == 0 {
-		c.RREQTries = 3
-	}
-	if c.HopLimit == 0 {
-		c.HopLimit = 20
-	}
-	if c.BufferCap == 0 {
-		c.BufferCap = 64
-	}
-	if c.PathAccumulation == nil {
-		t := true
-		c.PathAccumulation = &t
-	}
+// Config holds what a scenario chooses about DYMO; the zero value is the
+// protocol the paper ran.
+type Config struct {
+	// NoPathAccumulation stops routers appending themselves to forwarded
+	// routing messages, reducing DYMO to an AODV-like protocol (the ablation
+	// knob Spec.DYMONoPathAccumulation).
+	NoPathAccumulation bool
 }
 
 // discovery tracks one in-progress route discovery. Records (and their
@@ -153,19 +130,18 @@ var _ netsim.Router = (*Router)(nil)
 
 // New builds a DYMO router for node.
 func New(node *netsim.Node, cfg Config) *Router {
-	cfg.normalize()
 	r := &Router{
 		cfg:         cfg,
 		node:        node,
 		discoveries: make(map[netsim.NodeID]*discovery),
 		neighbors:   make(map[netsim.NodeID]*sim.Timer),
-		table:       newDenseTable(node.Kernel(), cfg.RouteTimeout),
+		table:       newDenseTable(node.Kernel(), routeTimeout),
 	}
 	jitter := func() sim.Time {
-		span := int64(cfg.HelloInterval / 5)
+		span := int64(helloInterval / 5)
 		return sim.Time(node.Rand().Int63n(span) - span/2)
 	}
-	r.helloTicker = sim.NewTicker(node.Kernel(), cfg.HelloInterval, jitter, r.sendHello)
+	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, jitter, r.sendHello)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
 }
@@ -277,7 +253,7 @@ func (r *Router) Origin(p *netsim.Packet) {
 	}
 	d := r.discoveries[p.Dst]
 	if d != nil {
-		if len(d.buffer) >= r.cfg.BufferCap {
+		if len(d.buffer) >= bufferCap {
 			r.node.DropData(p, "dymo:buffer-full")
 			return
 		}
@@ -300,10 +276,9 @@ func (r *Router) sendRREQ(d *discovery) {
 		msg.TargetSeqKnown = true
 	}
 	r.markSeen(seenKey{orig: r.node.ID(), seq: r.seq})
-	r.sendControl(netsim.BroadcastID, r.cfg.HopLimit, rmBytes(msg), msg)
+	r.sendControl(netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
 	// Exponential backoff across retries, as the draft recommends.
-	wait := r.cfg.RREQWaitTime << uint(d.retries)
-	d.timer.Reset(wait)
+	d.timer.Reset(rreqWaitTime << uint(d.retries))
 }
 
 func (r *Router) discoveryTimeout(d *discovery) {
@@ -312,7 +287,7 @@ func (r *Router) discoveryTimeout(d *discovery) {
 		return
 	}
 	d.retries++
-	if d.retries >= r.cfg.RREQTries {
+	if d.retries >= rreqTries {
 		for _, p := range d.buffer {
 			r.node.DropData(p, "dymo:no-route")
 		}
@@ -385,7 +360,7 @@ func (r *Router) installFromRM(msg *RM, from netsim.NodeID) {
 	// The originator block is len(Path)+1 hops away from the receiver
 	// (each accumulated entry is one hop closer to us).
 	r.updateRoute(msg.Orig.Addr, msg.Orig.Seq, true, msg.HopCount+1, from)
-	if *r.cfg.PathAccumulation {
+	if !r.cfg.NoPathAccumulation {
 		n := len(msg.Path)
 		for i, blk := range msg.Path {
 			// Path[0] was appended first (closest to the originator); the
@@ -427,7 +402,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 			if !ok {
 				return
 			}
-			r.sendControl(next, r.cfg.HopLimit, rmBytes(rep), rep)
+			r.sendControl(next, hopLimit, rmBytes(rep), rep)
 			return
 		}
 		// Intermediate: append ourselves and re-flood.
@@ -468,7 +443,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 }
 
 func (r *Router) pathEntry() AddrBlock {
-	if *r.cfg.PathAccumulation {
+	if !r.cfg.NoPathAccumulation {
 		r.seq++
 	}
 	return AddrBlock{Addr: r.node.ID(), Seq: r.seq}
@@ -494,7 +469,7 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 		t = sim.NewTimer(r.node.Kernel(), func() { r.neighborLost(from) })
 		r.neighbors[from] = t
 	}
-	t.Reset(sim.Time(r.cfg.AllowedHelloLoss+1) * r.cfg.HelloInterval)
+	t.Reset((allowedHelloLoss + 1) * helloInterval)
 }
 
 func (r *Router) neighborLost(n netsim.NodeID) {
@@ -516,19 +491,19 @@ func (r *Router) linkBroken(neighbor netsim.NodeID) {
 	r.floodRERR(r.rerrBuf)
 }
 
-// floodRERR multicasts a RERR "to all nodes in range"; receivers that lose
-// routes re-flood, spreading the breakage information (paper §III-B.3).
-// floodRERR multicasts a RERR carrying the given unreachable set. The
-// slice is copied at exact size onto the wire message — receivers retain
-// RERR payloads past this call, so the reusable scratch must not escape.
+// floodRERR multicasts a RERR carrying the given unreachable set "to all
+// nodes in range"; receivers that lose routes re-flood, spreading the
+// breakage information (paper §III-B.3). The slice is copied at exact size
+// onto the wire message — receivers retain RERR payloads past this call, so
+// the reusable scratch must not escape.
 func (r *Router) floodRERR(lost []AddrBlock) {
 	if len(lost) == 0 {
 		return
 	}
 	wire := make([]AddrBlock, len(lost))
 	copy(wire, lost)
-	msg := &RERR{Unreachable: wire, HopLimit: r.cfg.HopLimit}
-	r.sendControl(netsim.BroadcastID, r.cfg.HopLimit, rerrBytes(len(wire)), msg)
+	msg := &RERR{Unreachable: wire, HopLimit: hopLimit}
+	r.sendControl(netsim.BroadcastID, hopLimit, rerrBytes(len(wire)), msg)
 }
 
 func (r *Router) handleRERR(msg *RERR, from netsim.NodeID) {

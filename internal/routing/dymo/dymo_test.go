@@ -79,8 +79,7 @@ func TestPathAccumulationLearnsIntermediates(t *testing.T) {
 }
 
 func TestPathAccumulationDisabledLearnsLess(t *testing.T) {
-	off := false
-	w := chainWorld(t, 5, 200, Config{PathAccumulation: &off})
+	w := chainWorld(t, 5, 200, Config{NoPathAccumulation: true})
 	sink := &traffic.Sink{}
 	w.Node(4).AttachPort(netsim.PortCBR, sink)
 	sendAt(w, sim.Second, 0, 4, 512)

@@ -36,31 +36,17 @@ import (
 // one address plus two 4-byte coordinates.
 const beaconBytes = 12
 
-// Config holds protocol parameters; zero fields take defaults matching
-// the paper's simulations (1 s beacons, 3-beacon neighbor hold).
-type Config struct {
-	BeaconInterval sim.Time // default 1 s
-	// NeighborHold is how long a neighbor survives without a fresh beacon
-	// (default 3 × BeaconInterval, the AllowedHelloLoss idiom).
-	NeighborHold sim.Time
-	// CellSize is the neighbor index cell edge in meters (default 250 m,
-	// the two-ray receive range bounding neighbor distances). A
-	// performance knob only: Nearest is exact, so results are independent
-	// of it.
-	CellSize float64
-}
-
-func (c *Config) normalize() {
-	if c.BeaconInterval == 0 {
-		c.BeaconInterval = sim.Second
-	}
-	if c.NeighborHold == 0 {
-		c.NeighborHold = 3 * c.BeaconInterval
-	}
-	if c.CellSize == 0 {
-		c.CellSize = 250
-	}
-}
+// Protocol constants, matching the paper's 1 s HELLO interval.
+const (
+	beaconInterval = sim.Second
+	// neighborHold is how long a neighbor survives without a fresh beacon:
+	// three beacons, the AllowedHelloLoss idiom of AODV and DYMO.
+	neighborHold = 3 * beaconInterval
+	// cellSize is the neighbor index cell edge in meters: the two-ray
+	// receive range bounding neighbor distances. A performance choice only:
+	// Nearest is exact, so results are independent of it.
+	cellSize = 250.0
+)
 
 // Beacon is GPSR's only control message: the sender's current position.
 type Beacon struct {
@@ -98,7 +84,6 @@ type neighbor struct {
 
 // Router is one node's GPSR instance.
 type Router struct {
-	cfg  Config
 	node *netsim.Node
 
 	neighbors map[netsim.NodeID]neighbor
@@ -118,20 +103,18 @@ type Router struct {
 var _ netsim.Router = (*Router)(nil)
 
 // New builds a GPSR router for node.
-func New(node *netsim.Node, cfg Config) *Router {
-	cfg.normalize()
+func New(node *netsim.Node) *Router {
 	r := &Router{
-		cfg:       cfg,
 		node:      node,
 		neighbors: make(map[netsim.NodeID]neighbor),
-		grid:      spatial.NewGrid(cfg.CellSize),
+		grid:      spatial.NewGrid(cellSize),
 	}
 	jitter := func() sim.Time {
 		// ±10% emission jitter, standard to decorrelate beacon storms.
-		span := int64(cfg.BeaconInterval / 5)
+		span := int64(beaconInterval / 5)
 		return sim.Time(node.Rand().Int63n(span) - span/2)
 	}
-	r.beaconTicker = sim.NewTicker(node.Kernel(), cfg.BeaconInterval, jitter, r.sendBeacon)
+	r.beaconTicker = sim.NewTicker(node.Kernel(), beaconInterval, jitter, r.sendBeacon)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
 }
@@ -177,7 +160,7 @@ func (r *Router) sendBeacon() {
 // learnNeighbor installs or refreshes a beacon-learned entry, keeping the
 // spatial index in lockstep with the neighbor map.
 func (r *Router) learnNeighbor(id netsim.NodeID, pos geometry.Vec2) {
-	until := r.node.Kernel().Now() + r.cfg.NeighborHold
+	until := r.node.Kernel().Now() + neighborHold
 	if _, ok := r.neighbors[id]; ok {
 		r.grid.Move(int(id), pos)
 	} else {

@@ -32,7 +32,7 @@ func bruteGreedyNext(r *Router, dst geometry.Vec2, dSelf float64) (netsim.NodeID
 // the neighbor table through learnNeighbor/dropNeighbor — the code that
 // keeps the spatial index in lockstep with the map in a run.
 func liveRouter(t *testing.T) *Router {
-	return staticWorld(t, []geometry.Vec2{{}}, Config{}).Node(0).Router().(*Router)
+	return staticWorld(t, []geometry.Vec2{{}}).Node(0).Router().(*Router)
 }
 
 // TestGreedyDifferential is the bit-identity proof: across randomized
@@ -174,13 +174,13 @@ func TestSegmentCross(t *testing.T) {
 	}
 }
 
-func staticWorld(t *testing.T, positions []geometry.Vec2, cfg Config) *netsim.World {
+func staticWorld(t *testing.T, positions []geometry.Vec2) *netsim.World {
 	t.Helper()
 	w, err := netsim.NewWorld(netsim.WorldConfig{
 		Nodes:  len(positions),
 		Seed:   1,
 		Static: positions,
-	}, func(node *netsim.Node) netsim.Router { return New(node, cfg) })
+	}, func(node *netsim.Node) netsim.Router { return New(node) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func sendAt(w *netsim.World, at sim.Time, src, dst, size int) {
 // radio range delivers once beacons have populated neighbor tables.
 func TestGreedyChainDelivery(t *testing.T) {
 	positions := []geometry.Vec2{{X: 0}, {X: 200}, {X: 400}, {X: 600}}
-	w := staticWorld(t, positions, Config{})
+	w := staticWorld(t, positions)
 	sink := &traffic.Sink{}
 	w.Node(3).AttachPort(netsim.PortCBR, sink)
 	sendAt(w, 3*sim.Second, 0, 3, 512)
@@ -220,7 +220,7 @@ func TestPerimeterRecoversAroundVoid(t *testing.T) {
 		{X: 400, Y: 200}, // 3
 		{X: 400, Y: 0},   // 4: destination, out of range of 0..2
 	}
-	w := staticWorld(t, positions, Config{})
+	w := staticWorld(t, positions)
 	sink := &traffic.Sink{}
 	w.Node(4).AttachPort(netsim.PortCBR, sink)
 	var dropReasons []string
@@ -240,7 +240,7 @@ func TestPerimeterRecoversAroundVoid(t *testing.T) {
 // dropped with a gpsr:* reason (conservation demands explicit drops, not
 // silent loss).
 func TestPartitionDropsExplicitly(t *testing.T) {
-	w := staticWorld(t, []geometry.Vec2{{X: 0}, {X: 5000}}, Config{})
+	w := staticWorld(t, []geometry.Vec2{{X: 0}, {X: 5000}})
 	drops := map[string]int{}
 	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		drops[reason]++
@@ -256,7 +256,7 @@ func TestPartitionDropsExplicitly(t *testing.T) {
 // time — the ExpiryHeap purge actually runs.
 func TestBeaconsExpire(t *testing.T) {
 	positions := []geometry.Vec2{{X: 0}, {X: 200}}
-	w := staticWorld(t, positions, Config{})
+	w := staticWorld(t, positions)
 	w.Run(3 * sim.Second)
 	r0 := w.Node(0).Router().(*Router)
 	if r0.NeighborCount() != 1 {

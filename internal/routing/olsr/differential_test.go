@@ -162,7 +162,7 @@ func TestDenseMatchesOracle(t *testing.T) {
 				// refreshed since sit exactly on the `until <= now`
 				// filter edge, while the final round's links are still
 				// alive.
-				w.Kernel.RunUntil(roundAts[2] + r.cfg.NeighborHold)
+				w.Kernel.RunUntil(roundAts[2] + neighborHold)
 			}
 			now := w.Kernel.Now()
 
@@ -280,7 +280,7 @@ func TestDeferredMatchesEagerTrajectory(t *testing.T) {
 						now := w.Kernel.Now()
 						at := now + sim.Time(reads.Int63n(int64(sim.Second))) + 1
 						for _, prev := range roundAts {
-							for _, hold := range []sim.Time{r.cfg.NeighborHold, r.cfg.TopologyHold} {
+							for _, hold := range []sim.Time{neighborHold, topologyHold} {
 								if edge := prev + hold; edge > now && edge < at {
 									at = edge
 								}

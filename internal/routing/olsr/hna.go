@@ -49,10 +49,10 @@ func (r *Router) AdvertiseNetwork(assoc NetworkAssoc) {
 	r.hnaLocal = append(r.hnaLocal, assoc)
 	if r.hnaTicker == nil {
 		jitter := func() sim.Time {
-			span := int64(r.cfg.TCInterval / 5)
+			span := int64(tcInterval / 5)
 			return sim.Time(r.node.Rand().Int63n(span) - span/2)
 		}
-		r.hnaTicker = sim.NewTicker(r.node.Kernel(), r.cfg.TCInterval, jitter, r.sendHNA)
+		r.hnaTicker = sim.NewTicker(r.node.Kernel(), tcInterval, jitter, r.sendHNA)
 		r.hnaTicker.Start()
 	}
 }
@@ -135,14 +135,14 @@ func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {
 func (r *Router) installHNA(gw netsim.NodeID, assoc NetworkAssoc, now sim.Time) {
 	for _, t := range r.hnaSet {
 		if t.gateway == gw && t.assoc == assoc {
-			t.until = now + r.cfg.TopologyHold
+			t.until = now + topologyHold
 			return
 		}
 	}
 	r.hnaSet = append(r.hnaSet, &hnaTuple{
 		gateway: gw,
 		assoc:   assoc,
-		until:   now + r.cfg.TopologyHold,
+		until:   now + topologyHold,
 	})
 }
 

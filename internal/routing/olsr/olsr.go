@@ -64,20 +64,22 @@ type TC struct {
 func helloBytes(links int) int { return 16 + 6*links }
 func tcBytes(adv int) int      { return 16 + 4*adv }
 
-// Config holds protocol parameters; zero fields take RFC defaults with the
-// paper's Table I intervals.
+// Protocol constants: RFC 3626 §18 with the paper's Table I intervals.
+const (
+	helloInterval = sim.Second
+	tcInterval    = 2 * sim.Second
+	neighborHold  = 3 * helloInterval // NEIGHB_HOLD_TIME
+	topologyHold  = 3 * tcInterval    // TOP_HOLD_TIME
+	dupHold       = 30 * sim.Second   // DUP_HOLD_TIME
+	// lqWindow is the ETX packet-arrival sampling window, in hello periods.
+	lqWindow = 10
+)
+
+// Config holds what a scenario chooses about OLSR.
 type Config struct {
-	HelloInterval sim.Time // default 1 s (Table I)
-	TCInterval    sim.Time // default 2 s (Table I)
-	NeighborHold  sim.Time // default 3 × HelloInterval
-	TopologyHold  sim.Time // default 3 × TCInterval
-	DupHold       sim.Time // default 30 s
 	// ETX enables the olsrd link-quality extension: routes minimize the sum
 	// of ETX(i) = 1/(NI(i)·LQI(i)) instead of hop count.
 	ETX bool
-	// LQWindow is the sampling window (in hello periods) for packet-arrival
-	// estimation; default 10.
-	LQWindow int
 	// OracleRecompute routes MPR/route recomputation through the retained
 	// map-based reference implementation, run eagerly at every stamp,
 	// instead of the deferred dense kernels. Selected only by tests and
@@ -88,27 +90,6 @@ type Config struct {
 	// read) — which only scenario.TestOLSRReferenceRunIdentity, over whole
 	// networks, can compare.
 	OracleRecompute bool
-}
-
-func (c *Config) normalize() {
-	if c.HelloInterval == 0 {
-		c.HelloInterval = sim.Second
-	}
-	if c.TCInterval == 0 {
-		c.TCInterval = 2 * sim.Second
-	}
-	if c.NeighborHold == 0 {
-		c.NeighborHold = 3 * c.HelloInterval
-	}
-	if c.TopologyHold == 0 {
-		c.TopologyHold = 3 * c.TCInterval
-	}
-	if c.DupHold == 0 {
-		c.DupHold = 30 * sim.Second
-	}
-	if c.LQWindow == 0 {
-		c.LQWindow = 10
-	}
 }
 
 // linkTuple is the link-set entry of RFC 3626 §4.2, stored in a dense
@@ -232,7 +213,6 @@ var _ netsim.Router = (*Router)(nil)
 
 // New builds an OLSR router for node.
 func New(node *netsim.Node, cfg Config) *Router {
-	cfg.normalize()
 	r := &Router{
 		cfg:           cfg,
 		node:          node,
@@ -240,12 +220,12 @@ func New(node *netsim.Node, cfg Config) *Router {
 		lastRecompute: -1,
 	}
 	jitter := func() sim.Time {
-		span := int64(cfg.HelloInterval / 5)
+		span := int64(helloInterval / 5)
 		return sim.Time(node.Rand().Int63n(span) - span/2)
 	}
-	r.helloTicker = sim.NewTicker(node.Kernel(), cfg.HelloInterval, jitter, r.sendHello)
-	r.tcTicker = sim.NewTicker(node.Kernel(), cfg.TCInterval, jitter, r.sendTC)
-	r.purgeTicker = sim.NewTicker(node.Kernel(), cfg.HelloInterval/2, nil, r.purge)
+	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, jitter, r.sendHello)
+	r.tcTicker = sim.NewTicker(node.Kernel(), tcInterval, jitter, r.sendTC)
+	r.purgeTicker = sim.NewTicker(node.Kernel(), helloInterval/2, nil, r.purge)
 	return r
 }
 
@@ -593,7 +573,7 @@ func (r *Router) sendTC() {
 // recordDup installs a duplicate-suppression entry; keys are unique per
 // message, so one insert per key suffices.
 func (r *Router) recordDup(key dupKey, now sim.Time) {
-	r.dups.Add(key, now+r.cfg.DupHold)
+	r.dups.Add(key, now+dupHold)
 }
 
 // Receive implements netsim.Router.
@@ -664,7 +644,6 @@ func (r *Router) forwardData(p *netsim.Packet) {
 
 func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	now := r.now()
-	hold := r.cfg.NeighborHold
 	fi := r.intern(from)
 	lt := &r.links[fi]
 	material := false
@@ -674,18 +653,18 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 		*lt = linkTuple{present: true, neighbor: from, inSymHeap: lt.inSymHeap, lq: lt.lq}
 		if r.cfg.ETX {
 			if lt.lq == nil {
-				lt.lq = newLQEstimator(r.cfg.LQWindow)
+				lt.lq = newLQEstimator(lqWindow)
 			} else {
 				lt.lq.reset()
 			}
 		}
 		r.linkPos[fi] = int32(len(r.linkList))
 		r.linkList = append(r.linkList, fi)
-		r.linkExp.Push(fi, now+hold)
+		r.linkExp.Push(fi, now+neighborHold)
 		material = true
 	}
-	lt.asymUntil = now + hold
-	lt.until = now + hold
+	lt.asymUntil = now + neighborHold
+	lt.until = now + neighborHold
 	if lt.lq != nil {
 		lt.lq.heard()
 	}
@@ -702,7 +681,7 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 		}
 		if hl.Code != LinkLost {
 			// The neighbor hears us: the link is symmetric.
-			lt.symUntil = now + hold
+			lt.symUntil = now + neighborHold
 		}
 	}
 	if lt.symUntil > now && !wasSym {
@@ -715,9 +694,9 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 
 	if selected {
 		if _, known := r.selectors[from]; !known {
-			r.selExp.Push(from, now+hold)
+			r.selExp.Push(from, now+neighborHold)
 		}
-		r.selectors[from] = now + hold
+		r.selectors[from] = now + neighborHold
 		r.ansn++
 	}
 
@@ -728,7 +707,7 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 				continue
 			}
 			if hl.Code == LinkSym || hl.Code == LinkMPR {
-				if r.upsertTwoHop(fi, hl.Neighbor, now+hold, now) {
+				if r.upsertTwoHop(fi, hl.Neighbor, now+neighborHold, now) {
 					material = true
 				}
 			}
@@ -840,13 +819,13 @@ func (r *Router) processTC(msg *TC, now sim.Time) bool {
 				material = true
 			}
 			edges[j].ansn = msg.ANSN
-			edges[j].until = now + r.cfg.TopologyHold
+			edges[j].until = now + topologyHold
 			edges[j].linkLQ = lq
 			found = true
 			break
 		}
 		if !found {
-			edges = append(edges, topoEdge{dest: di, ansn: msg.ANSN, until: now + r.cfg.TopologyHold, linkLQ: lq})
+			edges = append(edges, topoEdge{dest: di, ansn: msg.ANSN, until: now + topologyHold, linkLQ: lq})
 			r.topoN++
 			material = true
 		}

@@ -79,18 +79,12 @@ func (s *Spec) routerFactory(ref referencePaths) netsim.RouterFactory {
 			return r
 		}
 	case GPSR:
-		return func(n *netsim.Node) netsim.Router {
-			return gpsr.New(n, gpsr.Config{})
-		}
+		return func(n *netsim.Node) netsim.Router { return gpsr.New(n) }
 	case DYMO:
-		pa := !s.DYMONoPathAccumulation
-		return func(n *netsim.Node) netsim.Router {
-			return dymo.New(n, dymo.Config{PathAccumulation: &pa})
-		}
+		cfg := dymo.Config{NoPathAccumulation: s.DYMONoPathAccumulation}
+		return func(n *netsim.Node) netsim.Router { return dymo.New(n, cfg) }
 	default:
-		er := !s.AODVNoExpandingRing
-		return func(n *netsim.Node) netsim.Router {
-			return aodv.New(n, aodv.Config{ExpandingRing: &er})
-		}
+		cfg := aodv.Config{NoExpandingRing: s.AODVNoExpandingRing}
+		return func(n *netsim.Node) netsim.Router { return aodv.New(n, cfg) }
 	}
 }

@@ -8,12 +8,11 @@ import (
 	"cavenet/internal/sim"
 )
 
-// CBRConfig parameterizes a constant-bit-rate flow.
+// CBRConfig parameterizes a constant-bit-rate flow. Packets are addressed
+// to netsim.PortCBR.
 type CBRConfig struct {
 	// Dst is the traffic destination.
 	Dst netsim.NodeID
-	// Port is the destination port (default netsim.PortCBR).
-	Port int
 	// PacketBytes is the application payload size (Table I: 512).
 	PacketBytes int
 	// Rate is packets per second (Table I: 5).
@@ -23,9 +22,6 @@ type CBRConfig struct {
 }
 
 func (c *CBRConfig) normalize() {
-	if c.Port == 0 {
-		c.Port = netsim.PortCBR
-	}
 	if c.PacketBytes == 0 {
 		c.PacketBytes = 512
 	}
@@ -108,7 +104,7 @@ func cbrEmit(a any) {
 		c.ev = sim.Handle{}
 		return
 	}
-	p := c.node.NewPacket(c.cfg.Dst, c.cfg.Port, c.cfg.PacketBytes)
+	p := c.node.NewPacket(c.cfg.Dst, netsim.PortCBR, c.cfg.PacketBytes)
 	c.node.SendData(p)
 	c.sent++
 	interval := sim.Seconds(1 / c.cfg.Rate)

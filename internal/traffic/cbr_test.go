@@ -48,7 +48,7 @@ func TestCBRTableIParameters(t *testing.T) {
 		t.Fatalf("sent = %d, want 400", cbr.Sent())
 	}
 	cfg := cbr.Config()
-	if cfg.Rate != 5 || cfg.PacketBytes != 512 || cfg.Port != netsim.PortCBR {
+	if cfg.Rate != 5 || cfg.PacketBytes != 512 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }

@@ -117,20 +117,20 @@ func TestOLSRTableSizesSteadyOverLongRun(t *testing.T) {
 	w, err := netsim.NewWorld(netsim.WorldConfig{
 		Nodes: n, Seed: 5, Static: gridPositions(n, 4, 180),
 	}, func(node *netsim.Node) netsim.Router {
-		// A short DupHold so the dedup steady state is reached well inside
-		// the measurement window.
-		return olsr.New(node, olsr.Config{DupHold: 5 * sim.Second})
+		return olsr.New(node, olsr.Config{})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Measure from 60 s, twice DUP_HOLD_TIME (30 s), so the dedup table is
+	// already in its steady state.
 	var mid [n]olsr.TableStats
-	w.Kernel.Schedule(30*sim.Second, func() {
+	w.Kernel.Schedule(60*sim.Second, func() {
 		for i := 0; i < n; i++ {
 			mid[i] = w.Node(i).Router().(*olsr.Router).TableStats()
 		}
 	})
-	w.Run(60 * sim.Second)
+	w.Run(120 * sim.Second)
 
 	for i := 0; i < n; i++ {
 		end := w.Node(i).Router().(*olsr.Router).TableStats()

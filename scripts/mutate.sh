@@ -96,8 +96,10 @@ mutant "sim push: a callback's push does not lower the bound" internal/sim/kerne
 
 # ---- PR 16: DCF.freeze, lemma (a) (ROADMAP "Per-backoff DCF timer") ----
 mac=./internal/mac
+# (Slot time is d.cfg.SlotTime before PR 25 and the constant slotTime after;
+# the edit matches both, so REV= runs of the parent read the same.)
 mutant "mac freeze: a boundary shared with the freezer does not count" internal/mac/dcf.go \
-	's|int((left+d.cfg.SlotTime-1)/d.cfg.SlotTime)|int(left/d.cfg.SlotTime+1)|' \
+	's#int((left+\(d\.cfg\.SlotTime\|slotTime\)-1)/\1)#int(left/\1+1)#' \
 	$mac 'TestBackoff'
 mutant "mac freeze: no max(1, ...) for a still-pending expiry" internal/mac/dcf.go \
 	's|d.backoff = max(1, int(\(.*\)))$|d.backoff = int(\1)|' \
@@ -129,6 +131,20 @@ mutant "ca step: ignores a signal added since the gaps were computed" internal/c
 mutant "olsr flush: kernels evaluated at now instead of τ" internal/routing/olsr/olsr.go \
 	's|r.recomputeDense(r.lastRecompute)|r.recomputeDense(r.now())|' \
 	./internal/routing/olsr 'TestDeferredMatchesEagerTrajectory'
+
+# ---- PR 25: parameters that became constants, pinned by behaviour ----
+# Each edit also matches the normalize() default it replaced; before PR 25 the
+# MAC tests compared against DCF.Config() and no AODV test timed the ring
+# search, so at REV=<parent> these three survive.
+mutant "mac: long retry limit 4 -> 5" internal/mac/dcf.go \
+	's/\(c\.LongRetry = \|longRetryLimit *= \)4/\15/' \
+	$mac 'TestCTSTimeoutRetriesWithLongLimit'
+mutant "mac: short retry limit 7 -> 8" internal/mac/dcf.go \
+	's/\(c\.RetryLimit = \|shortRetryLimit *= \)7/\18/' \
+	$mac 'TestRetryExhaustionReportsFailure'
+mutant "aodv ring search: TTL threshold 7 -> 9" internal/routing/aodv/aodv.go \
+	's/\(c\.TTLThreshold = \|ttlThreshold *= \)7$/\19/' \
+	./internal/routing/aodv 'TestNoRouteDropsAfterRetries'
 
 # ---- the invariant harness itself ----
 check=./internal/scenario/check
