@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cavenet/internal/geometry"
+	"cavenet/internal/metrics"
 	"cavenet/internal/netsim"
 	"cavenet/internal/routing/aodv"
 	"cavenet/internal/sim"
@@ -289,6 +290,45 @@ func TestApplyChurnPerturbs(t *testing.T) {
 	}
 	if plain.Kernel.Processed() == churned.Kernel.Processed() && downs == 0 {
 		t.Fatal("churn plan left the run untouched")
+	}
+}
+
+// TestCrashKeepsControlOverhead: a crash replaces the node's router, but
+// the control packets the discarded router sent stay counted at the node,
+// so the run's routing overhead keeps them.
+func TestCrashKeepsControlOverhead(t *testing.T) {
+	const k = 4
+	var before, after netsim.NodeCounters
+	w := buildTrafficWorld(t, func(w *netsim.World) {
+		w.Kernel.Schedule(4*sim.Second, func() {
+			before = w.Node(k).Counters()
+			w.Node(k).Down(false)
+			after = w.Node(k).Counters()
+		})
+		w.Kernel.Schedule(6*sim.Second, func() { w.Node(k).Up() })
+	})
+	// The pin is what the discarded router itself counted by then: its
+	// HELLOs, RREQs and unicast RREPs.
+	if before.ControlPackets != 10 || before.ControlBytes != 412 {
+		t.Fatalf("node %d sent %d/%d control packets/bytes before the crash, want 10/412",
+			k, before.ControlPackets, before.ControlBytes)
+	}
+	if after.ControlPackets != before.ControlPackets || after.ControlBytes != before.ControlBytes {
+		t.Fatalf("the crash reset node %d's control count: %d/%d before, %d/%d after",
+			k, before.ControlPackets, before.ControlBytes, after.ControlPackets, after.ControlBytes)
+	}
+	end := w.Node(k).Counters()
+	if end.ControlPackets <= before.ControlPackets {
+		t.Fatalf("the recovered router's traffic was not counted: %d control packets at the crash, %d at the end",
+			before.ControlPackets, end.ControlPackets)
+	}
+	var pkts, bytes uint64
+	for _, n := range w.Nodes() {
+		pkts += n.Counters().ControlPackets
+		bytes += n.Counters().ControlBytes
+	}
+	if gp, gb := metrics.RoutingOverhead(w); gp != pkts || gb != bytes || pkts != 143 {
+		t.Fatalf("RoutingOverhead = %d/%d, per-node sum %d/%d, want 143 packets", gp, gb, pkts, bytes)
 	}
 }
 

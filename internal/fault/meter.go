@@ -37,8 +37,7 @@ type Resilience struct {
 }
 
 // Meter observes a world run and classifies traffic against a fault plan.
-// Install its Hooks with World.AddHooks after the metrics collector binds,
-// then call Result after the run.
+// Install its Hooks with World.AddHooks, then call Result after the run.
 type Meter struct {
 	windows    []Window
 	recoveries []sim.Time
@@ -66,8 +65,8 @@ func (m *Meter) during(t sim.Time) bool {
 	return i < len(m.windows) && m.windows[i].From <= t
 }
 
-// Hooks returns the world hooks that feed the meter; chain them with
-// World.AddHooks so existing collectors keep firing.
+// Hooks returns the world hooks that feed the meter; World.AddHooks
+// installs them beside the collector's.
 func (m *Meter) Hooks() netsim.Hooks {
 	return netsim.Hooks{
 		DataSent: func(n *netsim.Node, p *netsim.Packet) {

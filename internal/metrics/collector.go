@@ -47,7 +47,7 @@ func NewCollector(binWidth sim.Time, horizon sim.Time) *Collector {
 
 // Bind installs the collector's observers on a world.
 func (c *Collector) Bind(w *netsim.World) {
-	w.SetHooks(netsim.Hooks{
+	w.AddHooks(netsim.Hooks{
 		DataSent: func(n *netsim.Node, p *netsim.Packet) {
 			c.sent[p.Src]++
 		},
@@ -179,13 +179,14 @@ func (c *Collector) InFlight() int64 {
 	return int64(sent) - int64(delivered) - int64(dropped)
 }
 
-// RoutingOverhead sums control traffic across all routers of a world — the
-// routing-overhead metric the paper defers to future work.
+// RoutingOverhead sums the control traffic every node of a world sent —
+// the routing-overhead metric the paper defers to future work. The nodes
+// count it, so a router a crash replaced still contributes what it sent.
 func RoutingOverhead(w *netsim.World) (packets, bytes uint64) {
 	for _, n := range w.Nodes() {
-		p, b := n.Router().ControlTraffic()
-		packets += p
-		bytes += b
+		c := n.Counters()
+		packets += c.ControlPackets
+		bytes += c.ControlBytes
 	}
 	return packets, bytes
 }

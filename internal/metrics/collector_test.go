@@ -25,7 +25,6 @@ func (r *directRouter) Origin(p *netsim.Packet) {
 }
 func (r *directRouter) Receive(*netsim.Packet, netsim.NodeID)     {}
 func (r *directRouter) LinkFailure(netsim.NodeID, *netsim.Packet) {}
-func (r *directRouter) ControlTraffic() (uint64, uint64)          { return 3, 300 }
 
 func TestCollectorGoodputAndPDR(t *testing.T) {
 	var world *netsim.World
@@ -132,9 +131,22 @@ func TestRoutingOverheadSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every node sends three 100-byte control packets, one of them
+	// unicast, and one data frame, which is not overhead.
+	for _, n := range world.Nodes() {
+		for _, next := range []netsim.NodeID{netsim.BroadcastID, netsim.BroadcastID, (n.ID() + 1) % 4} {
+			n.SendFrame(next, &netsim.Packet{Kind: netsim.KindControl, Port: netsim.PortRouting, Size: 100})
+		}
+		n.SendFrame(netsim.BroadcastID, n.NewPacket(netsim.BroadcastID, netsim.PortCBR, 80))
+	}
 	pkts, bytes := RoutingOverhead(world)
 	if pkts != 12 || bytes != 1200 {
 		t.Fatalf("overhead = %d pkts %d bytes, want 12/1200", pkts, bytes)
+	}
+	for i, n := range world.Nodes() {
+		if c := n.Counters(); c.ControlPackets != 3 || c.ControlBytes != 300 {
+			t.Fatalf("node %d counted %d pkts %d bytes, want 3/300", i, c.ControlPackets, c.ControlBytes)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func TestDownNodeSendsFlushAsDownDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	drops := make(map[string]int)
-	w.SetHooks(Hooks{
+	w.AddHooks(Hooks{
 		DataDropped: func(n *Node, p *Packet, reason string) { drops[reason]++ },
 	})
 	w.Node(0).Down(false)
@@ -104,7 +104,7 @@ func TestDownNodeHearsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered int
-	w.SetHooks(Hooks{
+	w.AddHooks(Hooks{
 		DataDelivered: func(n *Node, p *Packet) { delivered++ },
 	})
 	w.Node(1).AttachPort(PortCBR, PortFunc(func(p *Packet, at sim.Time) {}))

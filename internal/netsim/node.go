@@ -10,12 +10,17 @@ import (
 	"cavenet/internal/sim"
 )
 
-// NodeCounters tracks per-node data-plane events.
+// NodeCounters tracks the packets that pass through one node. They are
+// counted where they cross the node (SendData, SendFrame, DeliverLocal,
+// DropData), never by a router, so they survive a crash that replaces the
+// router.
 type NodeCounters struct {
 	DataOriginated uint64
 	DataDelivered  uint64
 	DataForwarded  uint64
 	DataDropped    uint64 // no route / TTL expiry / router discard
+	ControlPackets uint64 // routing overhead: control packets sent
+	ControlBytes   uint64
 }
 
 // Node is one simulated station: position, radio, MAC, router and
@@ -81,10 +86,18 @@ func (n *Node) OnLifecycle(f func(up bool)) {
 }
 
 // dataBufferer is implemented by routers that park data packets while
-// discovering a route (AODV, DYMO); a crash drains those buffers as
-// explicit drops before the router state is discarded.
+// discovering a route (AODV, DYMO).
 type dataBufferer interface {
 	EachBuffered(f func(p *Packet))
+}
+
+// EachBuffered visits every data packet the router holds in its
+// route-discovery buffers: the router's share of the node's custody, which
+// a crash drains as drops and the conservation ledger audits.
+func (n *Node) EachBuffered(f func(p *Packet)) {
+	if b, ok := n.router.(dataBufferer); ok {
+		b.EachBuffered(f)
+	}
 }
 
 // Down takes the node out of service: its router stops, its MAC flushes
@@ -104,11 +117,7 @@ func (n *Node) Down(graceful bool) {
 	// macUpper.MACDownDrop and terminate in the ledger.
 	n.mac.Down()
 	if !graceful {
-		if b, ok := n.router.(dataBufferer); ok {
-			b.EachBuffered(func(p *Packet) {
-				n.DropData(p, "node:down")
-			})
-		}
+		n.EachBuffered(func(p *Packet) { n.DropData(p, "node:down") })
 		n.router = n.world.factory(n)
 		if n.router == nil {
 			panic(fmt.Sprintf("netsim: t=%v: router factory returned nil for node %d", n.world.Kernel.Now(), n.id))
@@ -141,7 +150,7 @@ func (n *Node) Up() {
 // Router exposes the routing protocol instance.
 func (n *Node) Router() Router { return n.router }
 
-// Counters returns a copy of the node's data-plane counters.
+// Counters returns a copy of the node's packet counters.
 func (n *Node) Counters() NodeCounters { return n.counters }
 
 // AttachPort registers a handler for data packets addressed to this node on
@@ -170,8 +179,10 @@ func (n *Node) NewPacket(dst NodeID, port, payloadBytes int) *Packet {
 // SendData originates a data packet toward dst via the routing protocol.
 func (n *Node) SendData(p *Packet) {
 	n.counters.DataOriginated++
-	if h := n.world.hooks.DataSent; h != nil {
-		h(n, p)
+	for _, h := range n.world.hooks {
+		if h.DataSent != nil {
+			h.DataSent(n, p)
+		}
 	}
 	if p.Dst == n.id {
 		n.DeliverLocal(p)
@@ -181,8 +192,17 @@ func (n *Node) SendData(p *Packet) {
 }
 
 // SendFrame hands a packet to the MAC addressed to the given next hop
-// (BroadcastID for link-layer broadcast).
+// (BroadcastID for link-layer broadcast). Every control packet a router
+// sends crosses here, so this is where routing overhead is counted; a data
+// packet that has already crossed a link (MACReceive counted the hop) is
+// being forwarded.
 func (n *Node) SendFrame(next NodeID, p *Packet) {
+	if p.Kind == KindControl {
+		n.counters.ControlPackets++
+		n.counters.ControlBytes += uint64(p.Size)
+	} else if p.Hops > 0 {
+		n.counters.DataForwarded++
+	}
 	n.mac.Send(mac.Address(next), p, p.Size)
 }
 
@@ -191,8 +211,10 @@ func (n *Node) SendFrame(next NodeID, p *Packet) {
 // the world's packet pool, so neither handlers nor hooks may retain it.
 func (n *Node) DeliverLocal(p *Packet) {
 	n.counters.DataDelivered++
-	if h := n.world.hooks.DataDelivered; h != nil {
-		h(n, p)
+	for _, h := range n.world.hooks {
+		if h.DataDelivered != nil {
+			h.DataDelivered(n, p)
+		}
 	}
 	if handler, ok := n.ports[p.Port]; ok {
 		handler.HandlePacket(p, n.world.Kernel.Now())
@@ -209,16 +231,15 @@ func (n *Node) DropData(p *Packet, reason string) {
 
 func (n *Node) dropData(p *Packet, reason string, release bool) {
 	n.counters.DataDropped++
-	if h := n.world.hooks.DataDropped; h != nil {
-		h(n, p, reason)
+	for _, h := range n.world.hooks {
+		if h.DataDropped != nil {
+			h.DataDropped(n, p, reason)
+		}
 	}
 	if release {
 		n.world.releasePacket(p)
 	}
 }
-
-// NoteForward records a data packet forwarded through this node.
-func (n *Node) NoteForward(p *Packet) { n.counters.DataForwarded++ }
 
 // macUpper adapts the node to the MAC's Upper interface.
 type macUpper struct{ n *Node }

@@ -75,6 +75,10 @@ func (p *Packet) String() string {
 // on PortRouting) enter via Receive. The router sends frames with
 // Node.SendFrame and delivers data with Node.DeliverLocal.
 //
+// A router never counts its own traffic: whatever crosses Node.SendFrame,
+// SendData, DeliverLocal or DropData is counted there (Node.Counters), so
+// the counts outlive a crash that replaces the router.
+//
 // Data packets are pooled too, with custody-transfer semantics: the clone
 // a router receives is its own until it hands the packet to exactly one
 // terminal event — Node.DeliverLocal, Node.DropData, or Node.SendFrame
@@ -102,8 +106,6 @@ type Router interface {
 	// LinkFailure is data-link feedback: a unicast to next exhausted its
 	// MAC retries while carrying p.
 	LinkFailure(next NodeID, p *Packet)
-	// ControlTraffic reports cumulative routing overhead (packets, bytes).
-	ControlTraffic() (packets, bytes uint64)
 }
 
 // PortHandler consumes data packets delivered to a local port.

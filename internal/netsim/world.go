@@ -15,8 +15,9 @@ import (
 // RouterFactory builds the routing protocol instance for a node.
 type RouterFactory func(n *Node) Router
 
-// Hooks let the metrics module observe data-plane events without coupling
-// the stack to a concrete collector.
+// Hooks let observers (the metrics collector, the invariant ledger, the
+// fault meter, a packet log) watch data-plane events without coupling the
+// stack to any of them. A nil field is not called.
 type Hooks struct {
 	DataSent      func(n *Node, p *Packet)
 	DataDelivered func(n *Node, p *Packet)
@@ -59,7 +60,7 @@ type World struct {
 	src     *rng.Source
 	factory RouterFactory // kept for crash recovery: a crashed node gets a fresh router
 	uid     uint64
-	hooks   Hooks
+	hooks   []Hooks // observers, in install order
 	// pktFree recycles the per-reception clones of control broadcasts
 	// (see macUpper.MACReceive); the world is single-kernel and
 	// single-goroutine, so a plain freelist suffices.
@@ -143,36 +144,11 @@ func NewWorld(cfg WorldConfig, factory RouterFactory) (*World, error) {
 	return w, nil
 }
 
-// SetHooks installs metric observers, replacing any previously installed
-// set; call before Run.
-func (w *World) SetHooks(h Hooks) { w.hooks = h }
-
-// AddHooks installs additional observers without displacing the ones
-// already installed: for each event the existing hook (if any) runs first,
-// then the new one. This is what lets the metrics collector and the
-// invariant harness watch the same run independently.
-func (w *World) AddHooks(h Hooks) {
-	prev := w.hooks
-	if prev.DataSent != nil && h.DataSent != nil {
-		a, b := prev.DataSent, h.DataSent
-		h.DataSent = func(n *Node, p *Packet) { a(n, p); b(n, p) }
-	} else if h.DataSent == nil {
-		h.DataSent = prev.DataSent
-	}
-	if prev.DataDelivered != nil && h.DataDelivered != nil {
-		a, b := prev.DataDelivered, h.DataDelivered
-		h.DataDelivered = func(n *Node, p *Packet) { a(n, p); b(n, p) }
-	} else if h.DataDelivered == nil {
-		h.DataDelivered = prev.DataDelivered
-	}
-	if prev.DataDropped != nil && h.DataDropped != nil {
-		a, b := prev.DataDropped, h.DataDropped
-		h.DataDropped = func(n *Node, p *Packet, reason string) { a(n, p, reason); b(n, p, reason) }
-	} else if h.DataDropped == nil {
-		h.DataDropped = prev.DataDropped
-	}
-	w.hooks = h
-}
+// AddHooks installs a set of observers beside those already installed;
+// call before Run. Each event reaches every set in install order, which is
+// what lets the metrics collector and the invariant harness watch the same
+// run independently.
+func (w *World) AddHooks(h Hooks) { w.hooks = append(w.hooks, h) }
 
 // Stream derives a named deterministic RNG stream from the world's seed;
 // the fault layer uses it so impairment loss draws stay decorrelated from

@@ -79,9 +79,6 @@ type Router struct {
 
 	helloTicker *sim.Ticker
 	purgeTicker *sim.Ticker
-
-	ctrlPackets uint64
-	ctrlBytes   uint64
 }
 
 var _ netsim.Router = (*Router)(nil)
@@ -142,9 +139,6 @@ func (r *Router) Stop() {
 	}
 }
 
-// ControlTraffic implements netsim.Router.
-func (r *Router) ControlTraffic() (uint64, uint64) { return r.ctrlPackets, r.ctrlBytes }
-
 // EachBuffered visits every data packet parked in route-discovery buffers —
 // the router's share of the custody set the packet-conservation invariant
 // audits.
@@ -202,8 +196,6 @@ func (r *Router) sendControl(next netsim.NodeID, dst netsim.NodeID, ttl, size in
 		Payload:   msg,
 		CreatedAt: r.node.Kernel().Now(),
 	}
-	r.ctrlPackets++
-	r.ctrlBytes += uint64(p.Size)
 	r.node.SendFrame(next, p)
 }
 
@@ -334,7 +326,6 @@ func (r *Router) forwardData(p *netsim.Packet, from netsim.NodeID) {
 	r.table.refresh(next, activeRouteTimeout)
 	r.table.refresh(p.Src, activeRouteTimeout)
 	r.table.refresh(from, activeRouteTimeout)
-	r.node.NoteForward(p)
 	r.node.SendFrame(next, p)
 }
 

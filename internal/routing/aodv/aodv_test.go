@@ -90,7 +90,7 @@ func TestNoRouteDropsAfterRetries(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
 	var droppedAt sim.Time
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "aodv:no-route" {
 			drops++
 			droppedAt = w.Kernel.Now()
@@ -177,8 +177,7 @@ func TestExpandingRingVsFlood(t *testing.T) {
 		}
 		var pkts uint64
 		for _, n := range w.Nodes() {
-			p, _ := n.Router().ControlTraffic()
-			pkts += p
+			pkts += n.Counters().ControlPackets
 		}
 		return pkts
 	}
@@ -200,11 +199,11 @@ func TestSequenceNumbersMonotone(t *testing.T) {
 	}
 }
 
-func TestControlTrafficCounted(t *testing.T) {
+func TestControlOverheadCounted(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	w.Run(5 * sim.Second)
-	pkts, bytes := w.Node(0).Router().ControlTraffic()
-	if pkts == 0 || bytes == 0 {
+	c := w.Node(0).Counters()
+	if c.ControlPackets == 0 || c.ControlBytes == 0 {
 		t.Fatal("hello emission should count as control traffic")
 	}
 }
@@ -212,7 +211,7 @@ func TestControlTrafficCounted(t *testing.T) {
 func TestBufferCapDropsExcess(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "aodv:buffer-full" {
 			drops++
 		}

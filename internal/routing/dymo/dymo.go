@@ -121,9 +121,6 @@ type Router struct {
 
 	helloTicker *sim.Ticker
 	purgeTicker *sim.Ticker
-
-	ctrlPackets uint64
-	ctrlBytes   uint64
 }
 
 var _ netsim.Router = (*Router)(nil)
@@ -166,9 +163,6 @@ func (r *Router) Stop() {
 		t.Stop()
 	}
 }
-
-// ControlTraffic implements netsim.Router.
-func (r *Router) ControlTraffic() (uint64, uint64) { return r.ctrlPackets, r.ctrlBytes }
 
 // EachBuffered visits every data packet parked in route-discovery buffers —
 // the router's share of the custody set the packet-conservation invariant
@@ -238,8 +232,6 @@ func (r *Router) sendControl(next netsim.NodeID, ttl, size int, msg any) {
 	if next != netsim.BroadcastID {
 		p.Dst = next
 	}
-	r.ctrlPackets++
-	r.ctrlBytes += uint64(p.Size)
 	r.node.SendFrame(next, p)
 }
 
@@ -350,7 +342,6 @@ func (r *Router) forwardData(p *netsim.Packet, from netsim.NodeID) {
 	r.table.refresh(p.Src)
 	r.table.refresh(next)
 	r.table.refresh(from)
-	r.node.NoteForward(p)
 	r.node.SendFrame(next, p)
 }
 

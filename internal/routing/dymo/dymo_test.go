@@ -114,7 +114,7 @@ func TestBufferingThroughDiscovery(t *testing.T) {
 func TestUnreachableDropsAfterTries(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "dymo:no-route" {
 			drops++
 		}
@@ -255,11 +255,11 @@ func TestLinkBrokenFloodsRERR(t *testing.T) {
 	}
 }
 
-func TestControlTrafficCounted(t *testing.T) {
+func TestControlOverheadCounted(t *testing.T) {
 	w := chainWorld(t, 2, 100, Config{})
 	w.Run(5 * sim.Second)
-	pkts, bytes := w.Node(0).Router().ControlTraffic()
-	if pkts == 0 || bytes == 0 {
+	c := w.Node(0).Counters()
+	if c.ControlPackets == 0 || c.ControlBytes == 0 {
 		t.Fatal("hello traffic should be counted")
 	}
 }

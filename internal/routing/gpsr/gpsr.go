@@ -93,9 +93,6 @@ type Router struct {
 	beaconTicker *sim.Ticker
 	purgeTicker  *sim.Ticker
 
-	ctrlPackets uint64
-	ctrlBytes   uint64
-
 	// Scratch buffers for the perimeter-mode planarization.
 	allBuf, planarBuf []netsim.NodeID
 }
@@ -134,9 +131,6 @@ func (r *Router) Stop() {
 	r.purgeTicker.Stop()
 }
 
-// ControlTraffic implements netsim.Router.
-func (r *Router) ControlTraffic() (uint64, uint64) { return r.ctrlPackets, r.ctrlBytes }
-
 // NeighborCount reports the live neighbor-table size (for tests/stats).
 func (r *Router) NeighborCount() int { return len(r.neighbors) }
 
@@ -152,8 +146,6 @@ func (r *Router) sendBeacon() {
 		Payload:   &Beacon{Pos: r.node.Position()},
 		CreatedAt: r.node.Kernel().Now(),
 	}
-	r.ctrlPackets++
-	r.ctrlBytes += uint64(p.Size)
 	r.node.SendFrame(netsim.BroadcastID, p)
 }
 
@@ -198,7 +190,7 @@ func (r *Router) Origin(p *netsim.Packet) {
 		return
 	}
 	p.Payload = &geoHeader{Mode: modeGreedy, Dst: dstPos, App: p.Payload}
-	r.route(p, -1, false)
+	r.route(p, -1)
 }
 
 // Receive implements netsim.Router.
@@ -226,7 +218,7 @@ func (r *Router) Receive(p *netsim.Packet, from netsim.NodeID) {
 		r.node.DropData(p, "gpsr:no-location")
 		return
 	}
-	r.route(p, from, true)
+	r.route(p, from)
 }
 
 // LinkFailure implements netsim.Router. A failed unicast is stronger
@@ -248,8 +240,8 @@ func (r *Router) mutate(p *netsim.Packet, h *geoHeader) *geoHeader {
 }
 
 // route decides p's next hop and transmits it. from is the previous hop
-// (-1 at the origin); forwarded selects the forward counter.
-func (r *Router) route(p *netsim.Packet, from netsim.NodeID, forwarded bool) {
+// (-1 at the origin).
+func (r *Router) route(p *netsim.Packet, from netsim.NodeID) {
 	h := p.Payload.(*geoHeader)
 	self := r.node.Position()
 	dSelf := self.Dist(h.Dst)
@@ -263,7 +255,7 @@ func (r *Router) route(p *netsim.Packet, from netsim.NodeID, forwarded bool) {
 
 	if h.Mode == modeGreedy {
 		if next, ok := r.greedyNext(h.Dst, dSelf); ok {
-			r.send(next, p, forwarded)
+			r.node.SendFrame(next, p)
 			return
 		}
 		// Local maximum: no neighbor is closer to the destination than
@@ -274,7 +266,7 @@ func (r *Router) route(p *netsim.Packet, from netsim.NodeID, forwarded bool) {
 		h.E0From, h.E0To = -1, -1
 		from = -1 // reference direction becomes the bearing to Dst
 	}
-	r.perimeterForward(p, h, from, forwarded)
+	r.perimeterForward(p, h, from)
 }
 
 // greedyNext picks the neighbor strictly closer to dst than this node,
@@ -286,11 +278,4 @@ func (r *Router) route(p *netsim.Packet, from netsim.NodeID, forwarded bool) {
 func (r *Router) greedyNext(dst geometry.Vec2, dSelf float64) (netsim.NodeID, bool) {
 	id, _, ok := r.grid.Nearest(dst, dSelf)
 	return netsim.NodeID(id), ok
-}
-
-func (r *Router) send(next netsim.NodeID, p *netsim.Packet, forwarded bool) {
-	if forwarded {
-		r.node.NoteForward(p)
-	}
-	r.node.SendFrame(next, p)
 }

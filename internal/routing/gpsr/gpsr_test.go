@@ -224,7 +224,7 @@ func TestPerimeterRecoversAroundVoid(t *testing.T) {
 	sink := &traffic.Sink{}
 	w.Node(4).AttachPort(netsim.PortCBR, sink)
 	var dropReasons []string
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		dropReasons = append(dropReasons, reason)
 	}})
 	for i := 0; i < 5; i++ {
@@ -242,7 +242,7 @@ func TestPerimeterRecoversAroundVoid(t *testing.T) {
 func TestPartitionDropsExplicitly(t *testing.T) {
 	w := staticWorld(t, []geometry.Vec2{{X: 0}, {X: 5000}})
 	drops := map[string]int{}
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		drops[reason]++
 	}})
 	sendAt(w, 3*sim.Second, 0, 1, 512)

@@ -107,7 +107,7 @@ func segmentCross(a, b, c, d geometry.Vec2) (geometry.Vec2, bool) {
 // perimeterForward walks one hop of the face traversal. h must belong to
 // p; from is the previous hop (-1 when perimeter mode was entered at this
 // node, making the bearing to the destination the reference direction).
-func (r *Router) perimeterForward(p *netsim.Packet, h *geoHeader, from netsim.NodeID, forwarded bool) {
+func (r *Router) perimeterForward(p *netsim.Packet, h *geoHeader, from netsim.NodeID) {
 	self := r.node.Position()
 	planar := r.planarNeighbors(self)
 	if len(planar) == 0 {
@@ -152,7 +152,7 @@ func (r *Router) perimeterForward(p *netsim.Packet, h *geoHeader, from netsim.No
 		if h.E0From < 0 {
 			h.E0From, h.E0To = r.node.ID(), next
 		}
-		r.send(next, p, forwarded)
+		r.node.SendFrame(next, p)
 		return
 	}
 	r.node.DropData(p, "gpsr:no-route")

@@ -122,8 +122,6 @@ func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {
 		// HNA floods with the same MPR forwarding rule as TC.
 		if until, sel := r.selectors[from]; sel && until > now && p.TTL > 1 {
 			fwd := *msg
-			r.ctrlPackets++
-			r.ctrlBytes += uint64(hnaBytes(len(msg.Networks)) + netsim.IPHeaderBytes)
 			fp := p.Clone()
 			fp.TTL--
 			fp.Payload = &fwd

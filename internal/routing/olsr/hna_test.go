@@ -50,7 +50,7 @@ func TestHNAGatewayScenario(t *testing.T) {
 func TestHNAUnknownExternalStillDrops(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	var drops int
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "olsr:no-route" {
 			drops++
 		}

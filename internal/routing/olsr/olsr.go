@@ -204,9 +204,6 @@ type Router struct {
 	tcTicker    *sim.Ticker
 	purgeTicker *sim.Ticker
 	hnaTicker   *sim.Ticker
-
-	ctrlPackets uint64
-	ctrlBytes   uint64
 }
 
 var _ netsim.Router = (*Router)(nil)
@@ -267,9 +264,6 @@ func (r *Router) Stop() {
 		r.hnaTicker.Stop()
 	}
 }
-
-// ControlTraffic implements netsim.Router.
-func (r *Router) ControlTraffic() (uint64, uint64) { return r.ctrlPackets, r.ctrlBytes }
 
 // TableStats reports live control-state sizes, including the expiry-heap
 // backlog (for analysis and the memory-stability tests), and how many
@@ -457,8 +451,6 @@ func (r *Router) sendControl(ttl, size int, msg any) {
 		Payload:   msg,
 		CreatedAt: r.now(),
 	}
-	r.ctrlPackets++
-	r.ctrlBytes += uint64(p.Size)
 	r.node.SendFrame(netsim.BroadcastID, p)
 }
 
@@ -638,7 +630,6 @@ func (r *Router) forwardData(p *netsim.Packet) {
 		r.node.DropData(p, "olsr:no-forward-route")
 		return
 	}
-	r.node.NoteForward(p)
 	r.node.SendFrame(next, p)
 }
 
@@ -766,8 +757,6 @@ func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
 	// Forward iff the sender selected us as MPR.
 	if until, sel := r.selectors[from]; sel && until > now && p.TTL > 1 {
 		fwd := *msg
-		r.ctrlPackets++
-		r.ctrlBytes += uint64(tcBytes(len(msg.Advertised)) + netsim.IPHeaderBytes)
 		fp := p.Clone()
 		fp.TTL--
 		fp.Payload = &fwd

@@ -81,7 +81,7 @@ func TestDataDeliveryAfterConvergence(t *testing.T) {
 func TestNoRouteBeforeConvergenceDrops(t *testing.T) {
 	w := chainWorld(t, 4, 200, Config{})
 	var drops int
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "olsr:no-route" {
 			drops++
 		}
@@ -276,12 +276,12 @@ func TestETXModeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestControlTrafficGrows(t *testing.T) {
+func TestControlOverheadGrows(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	w.Run(10 * sim.Second)
-	pkts, bytes := w.Node(1).Router().ControlTraffic()
-	if pkts < 5 || bytes == 0 {
-		t.Fatalf("control traffic = %d pkts %d bytes", pkts, bytes)
+	c := w.Node(1).Counters()
+	if c.ControlPackets < 5 || c.ControlBytes == 0 {
+		t.Fatalf("control traffic = %d pkts %d bytes", c.ControlPackets, c.ControlBytes)
 	}
 }
 
@@ -296,7 +296,7 @@ func TestDataForwardTTLExpiry(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	w.Run(8 * sim.Second)
 	var ttlDrops int
-	w.SetHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "olsr:ttl" {
 			ttlDrops++
 		}

@@ -189,7 +189,6 @@ func (r *loopRouter) Origin(p *netsim.Packet)                      {}
 func (r *loopRouter) Receive(p *netsim.Packet, from netsim.NodeID) {}
 func (r *loopRouter) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 }
-func (r *loopRouter) ControlTraffic() (uint64, uint64) { return 0, 0 }
 func (r *loopRouter) Table(dst netsim.NodeID) (netsim.NodeID, int, bool) {
 	n, ok := r.next[dst]
 	return n, 1, ok
@@ -206,7 +205,6 @@ func (r *treeRouter) Stop()                                            {}
 func (r *treeRouter) Origin(p *netsim.Packet)                          {}
 func (r *treeRouter) Receive(p *netsim.Packet, from netsim.NodeID)     {}
 func (r *treeRouter) LinkFailure(next netsim.NodeID, p *netsim.Packet) {}
-func (r *treeRouter) ControlTraffic() (uint64, uint64)                 { return 0, 0 }
 func (r *treeRouter) Route(dst netsim.NodeID) (netsim.NodeID, int, bool) {
 	e, ok := r.routes[dst]
 	return netsim.NodeID(e[0]), e[1], ok

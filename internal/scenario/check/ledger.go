@@ -251,12 +251,6 @@ func (l *Ledger) onDropped(n *netsim.Node, p *netsim.Packet, reason string) {
 	l.afterEvent(p.UID, f, l.now(n))
 }
 
-// dataBufferer is the optional router extension exposing parked data
-// packets (AODV and DYMO route-discovery buffers implement it).
-type dataBufferer interface {
-	EachBuffered(f func(p *netsim.Packet))
-}
-
 // Finish settles the ledger against the world's end-of-run custody state.
 func (l *Ledger) Finish(w *netsim.World) {
 	custody := make(map[uint64]bool)
@@ -266,9 +260,7 @@ func (l *Ledger) Finish(w *netsim.World) {
 				custody[p.UID] = true
 			}
 		})
-		if b, ok := n.Router().(dataBufferer); ok {
-			b.EachBuffered(func(p *netsim.Packet) { custody[p.UID] = true })
-		}
+		n.EachBuffered(func(p *netsim.Packet) { custody[p.UID] = true })
 	}
 	l.finish(custody)
 }

@@ -33,7 +33,8 @@ type Result struct {
 	MeanDelaySec map[int]float64
 	// MeanHops maps sender ID to the average route length used.
 	MeanHops map[int]float64
-	// ControlPackets and ControlBytes total the routing overhead.
+	// ControlPackets and ControlBytes total the routing overhead every node
+	// sent, including what was sent by routers a crash later replaced.
 	ControlPackets, ControlBytes uint64
 	// InFlight is sent − delivered − dropped at end of run (can dip
 	// negative on ACK-loss forks; see metrics.Collector.InFlight).

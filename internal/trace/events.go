@@ -32,7 +32,7 @@ func NewPacketLog(w io.Writer) *PacketLog {
 }
 
 // Hooks returns netsim observers that record agent-level send/receive/drop
-// events to the log. Install with World.SetHooks (or merge with your own).
+// events to the log. Install with World.AddHooks.
 func (l *PacketLog) Hooks() netsim.Hooks {
 	return netsim.Hooks{
 		DataSent: func(n *netsim.Node, p *netsim.Packet) {

@@ -30,7 +30,6 @@ func (r *passRouter) Origin(p *netsim.Packet) {
 }
 func (r *passRouter) Receive(*netsim.Packet, netsim.NodeID)     {}
 func (r *passRouter) LinkFailure(netsim.NodeID, *netsim.Packet) {}
-func (r *passRouter) ControlTraffic() (uint64, uint64)          { return 0, 0 }
 
 func TestPacketLogRoundTrip(t *testing.T) {
 	var world *netsim.World
@@ -46,7 +45,7 @@ func TestPacketLogRoundTrip(t *testing.T) {
 	}
 	var sb strings.Builder
 	log := NewPacketLog(&sb)
-	world.SetHooks(log.Hooks())
+	world.AddHooks(log.Hooks())
 	world.Node(1).AttachPort(netsim.PortCBR, netsim.PortFunc(func(*netsim.Packet, sim.Time) {}))
 
 	world.Kernel.Schedule(sim.Second, func() {

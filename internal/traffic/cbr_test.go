@@ -18,7 +18,6 @@ func (r *loopRouter) Stop()                                     {}
 func (r *loopRouter) Origin(p *netsim.Packet)                   { r.n.DeliverLocal(p) }
 func (r *loopRouter) Receive(*netsim.Packet, netsim.NodeID)     {}
 func (r *loopRouter) LinkFailure(netsim.NodeID, *netsim.Packet) {}
-func (r *loopRouter) ControlTraffic() (uint64, uint64)          { return 0, 0 }
 
 func testWorld(t *testing.T) *netsim.World {
 	t.Helper()

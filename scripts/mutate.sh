@@ -146,6 +146,16 @@ mutant "aodv ring search: TTL threshold 7 -> 9" internal/routing/aodv/aodv.go \
 	's/\(c\.TTLThreshold = \|ttlThreshold *= \)7$/\19/' \
 	./internal/routing/aodv 'TestNoRouteDropsAfterRetries'
 
+# ---- PR 26: packets are counted where they cross the node (ROADMAP
+# "Packets are counted at the node"). Before PR 26 node.go has neither
+# clause, so at REV=<parent> both rows read BROKEN. ----
+mutant "netsim SendFrame: forward counted at the originator" internal/netsim/node.go \
+	's|} else if p.Hops > 0 {|} else if p.Hops >= 0 {|' \
+	./internal/netsim 'TestEndToEndFloodDelivery'
+mutant "netsim SendFrame: control not counted for unicasts" internal/netsim/node.go \
+	's|if p.Kind == KindControl {|if p.Kind == KindControl \&\& next == BroadcastID {|' \
+	'./cmd/cavenet ./internal/fault' 'TestGolden|TestCrashKeepsControlOverhead'
+
 # ---- the invariant harness itself ----
 check=./internal/scenario/check
 mutant "check ledger: node:down forgotten as a fork witness" internal/scenario/check/ledger.go \
