@@ -45,12 +45,14 @@ race:
 	$(GO) test -race ./internal/serve/ ./cmd/cavenet/
 
 # Word size must not reach the results: the golden-bearing packages build,
-# vet and pass — every golden byte-identical — as a 32-bit program. Fused
+# vet and pass — every golden byte-identical — as a 32-bit program, and
+# rng's seeding, whose 62-bit products 386 emulates, still matches
+# math/rand. Fused
 # multiply-add on arm64 and friends is the open half (ROADMAP item 6):
 # fma-audit keeps the count of fused sites from growing while it is.
 portable: fma-audit
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/netsim/ ./cmd/cavenet/
+	GOARCH=386 $(GO) test ./internal/netsim/ ./internal/rng/ ./cmd/cavenet/
 
 # Cross-compile ./internal/... for arm64 and fail if any package compiles to
 # more fused multiply-adds than scripts/fma-audit.sh allows (≈ 20 s cold).
@@ -95,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -fuzz FuzzKernelDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/mac/ -fuzz FuzzBackoffDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/ca/ -fuzz FuzzLaneDifferential -fuzztime 5s -run XXX
+	$(GO) test ./internal/rng/ -fuzz FuzzStreamMatchesMathRand -fuzztime 5s -run XXX
 
 # One iteration of each micro-benchmark family: keeps the benches
 # compiling and catches a fast path silently degrading, in seconds, without
@@ -114,6 +117,9 @@ fuzz-smoke:
 #  - aodv/dymo: the table-level Forward benches run the dense table against
 #    the map reference from reference_test.go (0 allocs/op dense is the
 #    point); the RREQ-storm world runs the one table routers hold.
+#  - rng: building one seeded stream, the lagged source against math/rand's
+#    own (the power-table seeding silently falling back shows in ns/op,
+#    math/rand's larger register in B/op).
 bench-smoke:
 	$(GO) test ./internal/phy/ -bench ChannelBroadcast -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/olsr/ -bench OLSRControlPlane -benchtime=1x -benchmem -run XXX
@@ -122,6 +128,7 @@ bench-smoke:
 	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|FanOutBatch' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/aodv/ -bench 'AODVForward|AODVRREQStorm' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench 'DYMOForward|DYMORREQStorm' -benchtime=1x -benchmem -run XXX
+	$(GO) test ./internal/rng/ -bench Stream -benchtime=1x -benchmem -run XXX
 
 # Full AODV/DYMO data-plane table (per-packet forwarding work, dense vs
 # the map reference, and the RREQ-storm world); see "Micro-benchmarks" in

@@ -210,3 +210,63 @@ func TestScenarioRunQuickReplaysSweepCell(t *testing.T) {
 		t.Fatalf("run -quick delivered %d, sweep -quick cell %d", got, want)
 	}
 }
+
+// TestFailingCellReplays: a checked quick sweep names the cells that
+// violated an invariant, and `scenario run -quick -protocol P -seed S
+// -check` with a named seed reproduces that cell's TrialResult exactly.
+// The grid is `scenario sweep -quick -trials 2` at the root seed of ROADMAP
+// item 1(a)'s flaky-corridor/AODV loop; only that scenario's cells run.
+func TestFailingCellReplays(t *testing.T) {
+	const root = 8255269122404207288
+	g, err := scenario.NewGrid(scenario.SweepConfig{
+		Protocols: []scenario.Protocol{scenario.AODV},
+		Trials:    2, Seed: root, Shrunk: true, Checked: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([][]scenario.TrialResult, g.Cells())
+	cellOf := map[int]int{} // flaky-corridor trial -> cell index
+	for j := range cells {
+		name, trial := g.Cell(j)
+		if name != "flaky-corridor" {
+			cells[j] = make([]scenario.TrialResult, 1)
+			continue
+		}
+		cellOf[trial] = j
+		if cells[j], err = g.RunCell(j, g.Protocols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var failing []scenario.FailingCell
+	for _, row := range g.Aggregate(cells) {
+		if row.Scenario == "flaky-corridor" {
+			failing = row.FailingCells
+		}
+	}
+	if len(failing) == 0 {
+		t.Fatal("flaky-corridor/aodv names no failing cell; if item 1(a)'s loop is fixed, point this test at another failing grid")
+	}
+	for _, c := range failing {
+		var buf bytes.Buffer
+		err := scenarioRun(&buf, []string{
+			"flaky-corridor", "-quick", "-protocol", "aodv",
+			"-seed", strconv.FormatInt(c.Seed, 10), "-check", "-format", "json",
+		})
+		if err == nil {
+			t.Fatalf("replay of trial %d (seed %d) reported no violations", c.Trial, c.Seed)
+		}
+		var out struct {
+			scenario.Result
+			Violations int `json:"violations"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("run output: %v\n%s", err, buf.Bytes())
+		}
+		got, want := scenario.TrialOf(&out.Result, out.Violations), cells[cellOf[c.Trial]][0]
+		if got != want || got.Violations != c.Violations {
+			t.Fatalf("trial %d seed %d: replay %+v, sweep cell %+v (row says %d violations)",
+				c.Trial, c.Seed, got, want, c.Violations)
+		}
+	}
+}

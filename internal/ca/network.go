@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"cavenet/internal/geometry"
+	"cavenet/internal/rng"
 )
 
 // SegmentSpec describes one directed street of a road network: a NaS lane
@@ -169,7 +170,7 @@ func NewNetwork(cfg NetworkConfig, rnd *rand.Rand) (*Network, error) {
 			id := len(n.vs)
 			var vr *rand.Rand
 			if rnd != nil {
-				vr = rand.New(rand.NewSource(rnd.Int63()))
+				vr = rng.New(rnd.Int63())
 			}
 			pos := k * seg.spec.Length / cnt
 			v := NetVehicle{ID: id, Seg: si, Pos: pos, Vel: cfg.InitialVel}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"cavenet/internal/geometry"
+	"cavenet/internal/rng"
 )
 
 // LaneSpec describes one lane of a road: its CA configuration plus its
@@ -47,7 +48,7 @@ func NewRoad(specs []LaneSpec, rnd *rand.Rand) (*Road, error) {
 	for i, spec := range specs {
 		var laneRnd *rand.Rand
 		if rnd != nil {
-			laneRnd = rand.New(rand.NewSource(rnd.Int63()))
+			laneRnd = rng.New(rnd.Int63())
 		}
 		lane, err := NewLane(spec.Config, laneRnd)
 		if err != nil {

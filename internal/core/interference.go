@@ -17,7 +17,7 @@ type InterferenceConfig struct {
 	VehiclesPerLane  int     // default 16
 	SlowdownP        float64 // default 0.3
 	// BackgroundRate is the interfering per-node CBR rate in packets/s on
-	// the opposite lane (default 10).
+	// the opposite lane (default 20).
 	BackgroundRate float64
 	// BackgroundBytes is the interfering packet size (default 512).
 	BackgroundBytes int

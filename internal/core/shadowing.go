@@ -62,7 +62,7 @@ type ShadowingPoint struct {
 // inside it become unreliable, the effect ref [18] studies.
 func ShadowingConnectivity(cfg ShadowingConfig) []ShadowingPoint {
 	cfg.normalize()
-	const txPower = 0.28183815
+	const txPower = phy.TxPowerW
 	rnd := rng.NewSource(cfg.Seed).Stream("shadowing")
 	det := phy.Shadowing{Beta: cfg.Beta, SigmaDB: cfg.SigmaDB, Rnd: nil} // mean path loss only
 	thresh := det.RxPower(txPower, geometry.Vec2{}, geometry.Vec2{X: cfg.RangeMeters})

@@ -8,10 +8,7 @@
 // ablation experiments comparable.
 package rng
 
-import (
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // Source derives independent streams from a root seed.
 type Source struct {
@@ -29,11 +26,13 @@ func (s *Source) Seed() int64 { return s.seed }
 // Stream returns a deterministic *rand.Rand for the given component name.
 // The same (seed, name) pair always yields the same sequence.
 func (s *Source) Stream(name string) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
+	h := uint64(14695981039346656037) // FNV-1a, 64-bit
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
 	const golden = int64(0x4F1BBCDCBFA53E0B) // odd 63-bit mixing constant
-	mixed := int64(h.Sum64()) ^ (s.seed * golden)
-	return rand.New(rand.NewSource(mixed))
+	return New(int64(h) ^ (s.seed * golden))
 }
 
 // Fork derives a child Source, e.g. one per Monte-Carlo trial. The child

@@ -29,6 +29,16 @@ func WriteSweepCSV(w io.Writer, rows []SweepRow) error {
 			return err
 		}
 	}
+	// Failing cells go below the table as comments, so the columns, and a
+	// clean sweep's bytes, stay as they are.
+	for _, r := range rows {
+		for _, c := range r.FailingCells {
+			if _, err := fmt.Fprintf(w, "# %s/%s: trial %d seed %d (%d violations)\n",
+				r.Scenario, r.Protocol, c.Trial, c.Seed, c.Violations); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 

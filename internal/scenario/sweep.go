@@ -74,6 +74,19 @@ type SweepRow struct {
 	// FaultPDR is the delivery ratio of packets originated inside fault
 	// windows (zero for fault-free scenarios).
 	FaultPDR stats.Estimate `json:"faultPDR"`
+	// FailingCells names the trials that reported invariant violations, in
+	// trial order; nil when Violations is 0.
+	FailingCells []FailingCell `json:"failingCells,omitempty"`
+}
+
+// FailingCell is one trial of a sweep row that violated an invariant,
+// with the seed that replays it alone: `cavenet scenario run <scenario>
+// -protocol <protocol> -seed <Seed>`, plus the sweep's own -quick, -nodes
+// and -time, reproduces the cell's TrialResult exactly.
+type FailingCell struct {
+	Trial      int   `json:"trial"`
+	Seed       int64 `json:"seed"`
+	Violations int   `json:"violations"`
 }
 
 // TrialResult is the scalarized outcome of one (scenario, protocol,
@@ -207,10 +220,14 @@ func (g *Grid) CellSpec(j int) (Spec, error) {
 	if j < 0 || j >= g.Cells() {
 		return Spec{}, fmt.Errorf("scenario: cell %d outside grid of %d", j, g.Cells())
 	}
-	si, trial := j/g.Trials, j%g.Trials
-	base := g.specs[si].clone() // normalized by NewGrid; no default depends on the seed
-	base.Seed = rng.NewSource(g.Seed).Fork(si).Fork(trial).Seed()
+	base := g.specs[j/g.Trials].clone() // normalized by NewGrid; no default depends on the seed
+	base.Seed = g.cellSeed(j)
 	return base, nil
+}
+
+// cellSeed is cell j's seed: root -> scenario -> trial.
+func (g *Grid) cellSeed(j int) int64 {
+	return rng.NewSource(g.Seed).Fork(j / g.Trials).Fork(j % g.Trials).Seed()
 }
 
 // RunCell executes cell j for the given subset of the grid's protocol
@@ -262,15 +279,15 @@ func (g *Grid) RunCell(j int, protocols []Protocol) ([]TrialResult, error) {
 			}
 			res = r
 		}
-		out[pi] = trialOf(res, violations)
+		out[pi] = TrialOf(res, violations)
 	}
 	return out, nil
 }
 
-// trialOf scalarizes one finished run into the figures a sweep row
+// TrialOf scalarizes one finished run into the figures a sweep row
 // aggregates: per-sender delays are averaged, per-sender goodput series
 // are summed and averaged over the run's 1-s bins.
-func trialOf(res *Result, violations int) TrialResult {
+func TrialOf(res *Result, violations int) TrialResult {
 	tr := TrialResult{
 		PDR:            res.TotalPDR(),
 		ControlPackets: float64(res.ControlPackets),
@@ -325,8 +342,13 @@ func (g *Grid) Aggregate(cells [][]TrialResult) []SweepRow {
 			row.DowntimeSec = pick(func(r TrialResult) float64 { return r.DowntimeSec })
 			row.FaultPDR = pick(func(r TrialResult) float64 { return r.FaultPDR })
 			for t := 0; t < nt; t++ {
-				row.Delivered += cells[si*nt+t][pi].Delivered
-				row.Violations += cells[si*nt+t][pi].Violations
+				r := cells[si*nt+t][pi]
+				row.Delivered += r.Delivered
+				row.Violations += r.Violations
+				if r.Violations > 0 {
+					row.FailingCells = append(row.FailingCells,
+						FailingCell{Trial: t, Seed: g.cellSeed(si*nt + t), Violations: r.Violations})
+				}
 			}
 			out = append(out, row)
 		}

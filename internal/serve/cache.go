@@ -17,8 +17,9 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 
 	"cavenet/internal/scenario"
@@ -28,8 +29,15 @@ import (
 // only valid as long as the simulator that produced them. Within one
 // process the version is constant — the in-memory cache can never serve
 // a stale build's result — but keeping it in the key preserves the
-// contract for persistent backends.
-var codeVersion = func() string {
+// contract for persistent backends. The source revision alone does not
+// pin a result: the compiler fuses floating-point multiply-adds on some
+// architectures, and math/rand's Rand methods and package math ship with
+// the Go release, so GOARCH and runtime.Version() are part of it too.
+var codeVersion = buildRevision() + "/" + runtime.GOARCH + "/" + runtime.Version()
+
+// buildRevision is the VCS revision (plus "+dirty") or module version
+// stamped into the binary, "dev" when there is none.
+func buildRevision() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		var rev, dirty string
 		for _, s := range bi.Settings {
@@ -50,7 +58,7 @@ var codeVersion = func() string {
 		}
 	}
 	return "dev"
-}()
+}
 
 // CodeVersion reports the build identity mixed into every cache key.
 func CodeVersion() string { return codeVersion }
@@ -61,7 +69,15 @@ func CodeVersion() string { return codeVersion }
 // self-describing, and checked runs key separately from unchecked ones
 // (only they carry invariant-violation counts).
 func cacheKey(specHash string, p scenario.Protocol, seed int64, checked bool) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%t|%s", specHash, p, seed, checked, codeVersion)))
+	// The preimage "specHash|protocol|seed|checked|codeVersion" is built
+	// on the stack: every submission derives one key per (cell, protocol).
+	var buf [192]byte
+	b := append(buf[:0], specHash...)
+	b = append(append(b, '|'), p...)
+	b = strconv.AppendInt(append(b, '|'), seed, 10)
+	b = strconv.AppendBool(append(b, '|'), checked)
+	b = append(append(b, '|'), codeVersion...)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -356,6 +357,18 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if m.CodeVersion == "" {
 		t.Error("metrics omit the code version")
+	}
+}
+
+// A cached result is a statement about one architecture and one Go
+// release, so the cache key's code version names both.
+func TestCodeVersionNamesArchAndRelease(t *testing.T) {
+	v := CodeVersion()
+	if !strings.HasSuffix(v, "/"+runtime.GOARCH+"/"+runtime.Version()) {
+		t.Fatalf("CodeVersion() = %q, want it to end in /%s/%s", v, runtime.GOARCH, runtime.Version())
+	}
+	if strings.HasPrefix(v, "/") {
+		t.Fatalf("CodeVersion() = %q has no build revision", v)
 	}
 }
 

@@ -8,8 +8,8 @@
 # files, and as the change a snapshot of this working tree's tracked and
 # unignored files — so each builds in a fresh directory without VCS
 # stamping, as the benchmark contract's driver does. (serve.CodeVersion,
-# part of every cache key, is otherwise 3 bytes on one side and 46 on the
-# other, which shows as 1 % of serve_warm's alloc_mb.) Then alternates
+# part of every cache key and submit response, would otherwise differ in
+# length between the sides.) Then alternates
 # `bench/run.sh --workload W --trace 0` parent/change for `pairs` pairs
 # (default 10) at seed 1 and again at a held-out seed (default 47),
 # swapping which side runs first every pair; edits made while it runs do

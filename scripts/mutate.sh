@@ -15,8 +15,8 @@
 # this working tree's tracked and unignored files, under $TMPDIR — and the
 # named tests must then FAIL (the tests that did are printed beside the
 # verdict). A mutant whose tests still pass has survived: it is printed, and
-# the script exits non-zero. A row whose edit no longer
-# changes its file, whose mutant does not compile, or whose tests do not
+# the script exits non-zero. A row whose file is missing, whose edit no
+# longer changes its file, whose mutant does not compile, or whose tests do not
 # pass on the unmutated copy is reported as BROKEN (also non-zero): the
 # table has rotted, not the code. With a revision the table of *this*
 # script runs against that revision's source, which is how a PR that moves
@@ -52,6 +52,11 @@ tests() {
 
 mutant() {
 	local name=$1 file=$2 edit=$3 pkgs=$4 regex=$5 by
+	if [ ! -f "$tmp/src/$file" ]; then
+		echo "BROKEN    $name: there is no $file"
+		broken=$((broken + 1))
+		return
+	fi
 	if ! tests "$tmp/src" "$pkgs" "$regex"; then
 		echo "BROKEN    $name: $regex fails on the unmutated source"
 		broken=$((broken + 1))
@@ -155,6 +160,20 @@ mutant "netsim SendFrame: forward counted at the originator" internal/netsim/nod
 mutant "netsim SendFrame: control not counted for unicasts" internal/netsim/node.go \
 	's|if p.Kind == KindControl {|if p.Kind == KindControl \&\& next == BroadcastID {|' \
 	'./cmd/cavenet ./internal/fault' 'TestGolden|TestCrashKeepsControlOverhead'
+
+# ---- math/rand's source seeded by powers (ROADMAP "Streams seeded by
+# powers"), one row per lemma clause of lagged.Seed. A revision without
+# internal/rng/lagged.go reads BROKEN on all three rows. ----
+rng=./internal/rng
+mutant "rng seed: power index off by one" internal/rng/lagged.go \
+	's|k := 20 + 3\*i|k := 19 + 3*i|' \
+	$rng 'TestStreamMatchesMathRand'
+mutant "rng mulmod: the fold's final - m dropped" internal/rng/lagged.go \
+	'/^\t\tr -= lfMod$/d' \
+	$rng 'TestStreamMatchesMathRand'
+mutant "rng init: the cooked recovery's undo steps the pointers forward" internal/rng/lagged.go \
+	's|(l.tap+1)%lfLen, (l.feed+1)%lfLen|(l.tap+lfLen-1)%lfLen, (l.feed+lfLen-1)%lfLen|' \
+	$rng 'TestStreamMatchesMathRand'
 
 # ---- the invariant harness itself ----
 check=./internal/scenario/check
