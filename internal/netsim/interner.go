@@ -42,8 +42,17 @@ func (in *Interner) Intern(id NodeID) (x int32, isNew bool) {
 	x = in.n
 	in.n++
 	if i := int(id); i >= 0 && i < internDirectLimit {
-		for len(in.direct) <= i {
-			in.direct = append(in.direct, 0)
+		if i >= len(in.direct) {
+			// One allocation to reach i however far, at least doubling so
+			// that ids arriving in increasing order stay amortized O(1).
+			// The slots past the length were never written: they read 0,
+			// absent, until interned.
+			if i >= cap(in.direct) {
+				grown := make([]int32, len(in.direct), max(i+1, 2*cap(in.direct)))
+				copy(grown, in.direct)
+				in.direct = grown
+			}
+			in.direct = in.direct[:i+1]
 		}
 		in.direct[i] = x + 1
 	} else {

@@ -66,3 +66,34 @@ func TestInterner(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestInternerGrowsOnce: interning a far id grows the direct slice in one
+// allocation, not one doubling per power of two below it, and every slot
+// it skips over still reads absent.
+func TestInternerGrowsOnce(t *testing.T) {
+	const far = 1999
+	var in Interner
+	if n := testing.AllocsPerRun(20, func() {
+		in = Interner{}
+		in.Intern(far)
+	}); n != 1 {
+		t.Fatalf("interning id %d into an empty interner took %v allocations, want 1", far, n)
+	}
+	for id := NodeID(0); id < far; id++ {
+		if x := in.Index(id); x != -1 {
+			t.Fatalf("Index(%d) = %d below a far id, want -1", id, x)
+		}
+	}
+	// A second far id beyond the capacity also grows once, and keeps both.
+	if n := testing.AllocsPerRun(20, func() {
+		in = Interner{}
+		in.Intern(far)
+		in.Intern(4 * far)
+	}); n != 2 {
+		t.Fatalf("two far ids took %v allocations, want 2", n)
+	}
+	if in.Index(far) != 0 || in.Index(4*far) != 1 || in.Index(2*far) != -1 {
+		t.Fatalf("after a second growth: Index(%d, %d, %d) = %d, %d, %d; want 0, 1, -1",
+			far, 4*far, 2*far, in.Index(far), in.Index(4*far), in.Index(2*far))
+	}
+}

@@ -71,7 +71,7 @@ type Router struct {
 	seen        sim.ExpiringSet[seenKey]
 	discoveries map[netsim.NodeID]*discovery
 	discFree    []*discovery
-	neighbors   map[netsim.NodeID]*sim.Timer // hello liveness
+	neighbors   *sim.TimerSet // HELLO liveness, one item per table index
 
 	// rerrBuf is the reusable RERR collection scratch; broadcastRERR
 	// copies it into an exact-size wire slice, so it never escapes.
@@ -89,9 +89,9 @@ func New(node *netsim.Node, cfg Config) *Router {
 		cfg:         cfg,
 		node:        node,
 		discoveries: make(map[netsim.NodeID]*discovery),
-		neighbors:   make(map[netsim.NodeID]*sim.Timer),
 		table:       newDenseTable(node.Kernel()),
 	}
+	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.entries[x].dst) })
 	jitter := func() sim.Time {
 		// ±10% emission jitter, standard to decorrelate HELLO storms.
 		span := int64(helloInterval / 5)
@@ -134,9 +134,7 @@ func (r *Router) Stop() {
 	for _, d := range r.discoveries {
 		d.timer.Stop()
 	}
-	for _, t := range r.neighbors {
-		t.Stop()
-	}
+	r.neighbors.StopAll()
 }
 
 // EachBuffered visits every data packet parked in route-discovery buffers —
@@ -429,17 +427,7 @@ func (r *Router) sendHello() {
 func (r *Router) handleHello(msg *RREP, from netsim.NodeID) {
 	life := sim.Time(msg.Lifetime) * sim.Millisecond
 	r.table.update(from, msg.DstSeq, true, 1, from, life)
-	t := r.neighbors[from]
-	if t == nil {
-		t = sim.NewTimer(r.node.Kernel(), func() { r.neighborLost(from) })
-		r.neighbors[from] = t
-	}
-	t.Reset((allowedHelloLoss + 1) * helloInterval)
-}
-
-func (r *Router) neighborLost(neighbor netsim.NodeID) {
-	delete(r.neighbors, neighbor)
-	r.linkBroken(neighbor)
+	r.neighbors.Reset(r.table.ids.Index(from), (allowedHelloLoss+1)*helloInterval)
 }
 
 // LinkFailure implements netsim.Router (data-link feedback, §6.11 case i).

@@ -113,7 +113,7 @@ type Router struct {
 	discoveries map[netsim.NodeID]*discovery
 	discFree    []*discovery
 	seen        sim.ExpiringSet[seenKey]
-	neighbors   map[netsim.NodeID]*sim.Timer
+	neighbors   *sim.TimerSet // HELLO liveness, one item per table index
 
 	// rerrBuf is the reusable RERR collection scratch; floodRERR copies
 	// it into an exact-size wire slice, so it never escapes.
@@ -131,9 +131,9 @@ func New(node *netsim.Node, cfg Config) *Router {
 		cfg:         cfg,
 		node:        node,
 		discoveries: make(map[netsim.NodeID]*discovery),
-		neighbors:   make(map[netsim.NodeID]*sim.Timer),
 		table:       newDenseTable(node.Kernel(), routeTimeout),
 	}
+	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.entries[x].dst) })
 	jitter := func() sim.Time {
 		span := int64(helloInterval / 5)
 		return sim.Time(node.Rand().Int63n(span) - span/2)
@@ -159,9 +159,7 @@ func (r *Router) Stop() {
 	for _, d := range r.discoveries {
 		d.timer.Stop()
 	}
-	for _, t := range r.neighbors {
-		t.Stop()
-	}
+	r.neighbors.StopAll()
 }
 
 // EachBuffered visits every data packet parked in route-discovery buffers —
@@ -455,17 +453,7 @@ func (r *Router) sendHello() {
 
 func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	r.updateRoute(from, msg.Seq, false, 1, from)
-	t := r.neighbors[from]
-	if t == nil {
-		t = sim.NewTimer(r.node.Kernel(), func() { r.neighborLost(from) })
-		r.neighbors[from] = t
-	}
-	t.Reset((allowedHelloLoss + 1) * helloInterval)
-}
-
-func (r *Router) neighborLost(n netsim.NodeID) {
-	delete(r.neighbors, n)
-	r.linkBroken(n)
+	r.neighbors.Reset(r.table.ids.Index(from), (allowedHelloLoss+1)*helloInterval)
 }
 
 // LinkFailure implements netsim.Router (active link monitoring through

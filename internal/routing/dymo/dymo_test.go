@@ -172,13 +172,107 @@ func TestRouterName(t *testing.T) {
 
 func TestHelloMaintainsNeighbors(t *testing.T) {
 	w := chainWorld(t, 2, 100, Config{})
-	w.Run(5 * sim.Second)
+	for _, n := range w.Nodes() {
+		n.Router().Start()
+	}
+	w.Kernel.RunUntil(5 * sim.Second) // World.Run would stop the routers
 	r := w.Node(0).Router().(*Router)
-	if len(r.neighbors) != 1 {
-		t.Fatalf("neighbors = %d, want 1", len(r.neighbors))
+	armed := 0
+	for x := range r.table.entries {
+		if r.neighbors.Active(int32(x)) {
+			armed++
+		}
+	}
+	if armed != 1 {
+		t.Fatalf("neighbors = %d, want 1", armed)
 	}
 	if _, _, ok := r.Table(1); !ok {
 		t.Fatal("hello should install a 1-hop route")
+	}
+}
+
+// helloWatch is a router that reports every HELLO it is handed before
+// processing it.
+type helloWatch struct {
+	*Router
+	heard func(from netsim.NodeID)
+}
+
+func (h helloWatch) Receive(p *netsim.Packet, from netsim.NodeID) {
+	if _, ok := p.Payload.(*Hello); ok {
+		h.heard(from)
+	}
+	h.Router.Receive(p, from)
+}
+
+// TestNeighbourLossInstant pins when HELLO liveness declares a link lost:
+// on a static chain 0–1–2 with a route 0→2 through 1, node 1 goes silent,
+// and node 0 must invalidate its routes through 1 and flood the RERR at
+// exactly the last HELLO it heard from 1 plus
+// (allowedHelloLoss+1)·helloInterval — not a nanosecond early or late. Both
+// routes would still be valid by lifetime (ROUTE_TIMEOUT is 5 s), so only
+// the liveness deadline can flip them.
+func TestNeighbourLossInstant(t *testing.T) {
+	var lastHello sim.Time
+	w, err := netsim.NewWorld(netsim.WorldConfig{
+		Nodes:  3,
+		Seed:   1,
+		Static: []geometry.Vec2{{X: 0}, {X: 200}, {X: 400}},
+	}, func(node *netsim.Node) netsim.Router {
+		r := New(node, Config{})
+		if node.ID() != 0 {
+			return r
+		}
+		return helloWatch{r, func(from netsim.NodeID) {
+			if from == 1 {
+				lastHello = node.Kernel().Now()
+			}
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range w.Nodes() {
+		n.Router().Start()
+	}
+	sendAt(w, sim.Second, 0, 2, 512)
+	sendAt(w, 2500*sim.Millisecond, 0, 2, 512)
+	w.Kernel.Schedule(3*sim.Second, func() { w.Node(1).Down(true) })
+	w.Kernel.RunUntil(3 * sim.Second)
+	if lastHello == 0 {
+		t.Fatal("precondition: node 0 heard no HELLO from node 1")
+	}
+
+	loss := lastHello + (allowedHelloLoss+1)*helloInterval
+	r := w.Node(0).Router().(helloWatch).Router
+	type view struct {
+		c     netsim.NodeCounters
+		valid [3]bool
+	}
+	probe := func(v *view) func() {
+		return func() {
+			v.c = w.Node(0).Counters()
+			for dst := 1; dst <= 2; dst++ {
+				_, _, v.valid[dst] = r.Table(netsim.NodeID(dst))
+			}
+		}
+	}
+	var before, after view
+	w.Kernel.Schedule(loss-1, probe(&before))
+	// Scheduled after the last HELLO re-armed the loss deadline, so at the
+	// same instant this runs after it.
+	w.Kernel.Schedule(loss, probe(&after))
+	w.Kernel.RunUntil(loss + sim.Second)
+
+	if !before.valid[1] || !before.valid[2] {
+		t.Fatalf("1 ns before the loss: routes to 1, 2 valid = %v, %v; want both", before.valid[1], before.valid[2])
+	}
+	if after.valid[1] || after.valid[2] {
+		t.Fatalf("at the loss (%v): routes to 1, 2 valid = %v, %v; want neither", loss, after.valid[1], after.valid[2])
+	}
+	if n, b := after.c.ControlPackets-before.c.ControlPackets, after.c.ControlBytes-before.c.ControlBytes; n != 1 ||
+		b != uint64(rerrBytes(2)+netsim.IPHeaderBytes) {
+		t.Fatalf("in (loss-1ns, loss] node 0 sent %d control packets, %d bytes; want one two-destination RERR", n, b)
 	}
 }
 

@@ -5,19 +5,21 @@ import (
 )
 
 // FuzzKernelDifferential feeds a byte stream as a schedule/cancel/fan-out/
-// append/step/run-until op sequence to three kernels in lockstep — the
-// calendar queue and the heap oracle, both submitting fan-outs as batches,
-// and a calendar kernel submitting the same members one ScheduleArg each
-// (eachFanout) — checking on every op that:
+// append/timer-set/step/run-until op sequence to three kernels in lockstep —
+// the calendar queue and the heap oracle, both submitting fan-outs as
+// batches and per-peer deadlines as one TimerSet, and a calendar kernel
+// submitting the same members one ScheduleArg each (eachFanout) and the
+// same deadlines one Timer each (eachTimers) — checking on every op that:
 //
 //   - pop sequences are bit-identical: same (time, payload id) in the same
 //     order, clocks in lockstep — the determinism contract every golden
 //     depends on, across queue implementations and across batching;
 //   - pop times are monotone non-decreasing and same-time events fire in
 //     seq (insertion) order;
-//   - no cancelled event ever fires, and Cancel/Append/Pending/Processed
-//     agree between the three — a free-list record reused after
-//     cancellation must never resurrect the old handle.
+//   - no cancelled event ever fires, and Cancel/Append/Stop/Pending/
+//     Processed and the sequence counter agree between the three — a
+//     free-list record reused after cancellation must never resurrect the
+//     old handle.
 //
 // Wired into `make fuzz-smoke`; hunt with:
 //
@@ -27,6 +29,8 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0xff, 0xff, 0x7f, 0x01, 0x02, 0x03})
 	f.Add([]byte("schedule/cancel soup with a long tail of bytes to chew"))
 	f.Add([]byte{4, 7, 3, 5, 1, 0, 3, 2, 1, 5, 9, 0, 4, 200, 0, 3, 1, 0, 3, 0, 2, 5, 0, 0})
+	f.Add([]byte{6, 1, 30, 6, 2, 30, 6, 1, 10, 0, 0, 20, 14, 2, 1, 6, 3, 0, 3, 1, 0, 6, 17, 1,
+		3, 0, 40, 7, 1, 1, 3, 1, 0, 6, 4, 5, 15, 4, 8, 3, 0, 90, 3, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type fired struct {
 			id int
@@ -40,6 +44,7 @@ func FuzzKernelDifferential(f *testing.F) {
 			fire    func(any)
 			handles []Handle
 			open    fanout // the latest fan-out; Appends go to it
+			timers  timers // item i fires as id -1-i
 		}
 		sides := []*side{
 			{name: "calendar", k: NewKernel(), batched: true},
@@ -49,6 +54,7 @@ func FuzzKernelDifferential(f *testing.F) {
 		for _, s := range sides {
 			s := s
 			s.fire = func(a any) { s.log = append(s.log, fired{id: a.(int), at: s.k.Now()}) }
+			s.timers = newTimers(s.k, s.batched, func(i int32) { s.fire(-1 - int(i)) })
 		}
 		ref := sides[0]
 		cancelled := map[int]bool{}
@@ -66,7 +72,7 @@ func FuzzKernelDifferential(f *testing.F) {
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], Time(data[i+1]), Time(data[i+2])
 			now := ref.k.Now()
-			switch op % 6 {
+			switch op % 8 {
 			case 0: // schedule a near event; b==0 makes same-time ties likely
 				schedule(now + a*Time(Millisecond) + b*Time(Microsecond))
 			case 1: // schedule far out: exercises the overflow tier
@@ -120,19 +126,46 @@ func FuzzKernelDifferential(f *testing.F) {
 						schedule(at)
 					}
 				}
+			case 6: // (re)arm item a%16, later or earlier; a>=128 lands far out
+				d := b * 100 * Time(Microsecond)
+				if a >= 128 {
+					d = b * 10 * Time(Second)
+				}
+				for _, s := range sides {
+					s.timers.Reset(int32(a%16), d)
+				}
+			case 7: // stop item a%16, or every item when b is 0
+				if b == 0 {
+					for _, s := range sides {
+						s.timers.StopAll()
+					}
+					break
+				}
+				want := ref.timers.Stop(int32(a % 16))
+				for _, s := range sides[1:] {
+					if got := s.timers.Stop(int32(a % 16)); got != want {
+						t.Fatalf("Stop disagreed: %s %v, %s %v", ref.name, want, s.name, got)
+					}
+				}
 			}
 			for _, s := range sides[1:] {
 				if s.k.Pending() != ref.k.Pending() || s.k.Processed() != ref.k.Processed() {
 					t.Fatalf("op %d: Pending/Processed: %s %d/%d, %s %d/%d", i,
 						ref.name, ref.k.Pending(), ref.k.Processed(), s.name, s.k.Pending(), s.k.Processed())
 				}
-				if s.k.Now() != ref.k.Now() {
-					t.Fatalf("op %d: Now: %s %v, %s %v", i, ref.name, ref.k.Now(), s.name, s.k.Now())
+				if s.k.Now() != ref.k.Now() || s.k.seq != ref.k.seq {
+					t.Fatalf("op %d: Now/seq: %s %v/%d, %s %v/%d", i, ref.name, ref.k.Now(), ref.k.seq,
+						s.name, s.k.Now(), s.k.seq)
 				}
 			}
 		}
 		for _, s := range sides {
 			s.k.Run()
+		}
+		for _, s := range sides[1:] {
+			if s.k.Now() != ref.k.Now() {
+				t.Fatalf("after the last Run: Now: %s %v, %s %v", ref.name, ref.k.Now(), s.name, s.k.Now())
+			}
 		}
 
 		for _, s := range sides[1:] {
@@ -145,20 +178,24 @@ func FuzzKernelDifferential(f *testing.F) {
 				}
 			}
 		}
-		var last fired
+		var last, lastPlain fired
 		for i, ev := range ref.log {
 			if ev.at < last.at {
 				t.Fatalf("pop %d: time regressed: %v after %v", i, ev.at, last.at)
 			}
-			if ev.at == last.at && i > 0 && ev.id < last.id {
+			last = ev
+			if ev.id < 0 {
+				continue // a timer item: its id says nothing of its seq
+			}
+			if ev.at == lastPlain.at && i > 0 && ev.id < lastPlain.id {
 				// IDs are assigned in scheduling (seq) order, so equal-time
 				// events must fire in increasing id order.
-				t.Fatalf("pop %d: seq tie-break violated: id %d after %d at %v", i, ev.id, last.id, ev.at)
+				t.Fatalf("pop %d: seq tie-break violated: id %d after %d at %v", i, ev.id, lastPlain.id, ev.at)
 			}
 			if cancelled[ev.id] {
 				t.Fatalf("cancelled event %d fired at %v", ev.id, ev.at)
 			}
-			last = ev
+			lastPlain = ev
 		}
 	})
 }

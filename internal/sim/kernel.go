@@ -69,12 +69,13 @@ const (
 	calOverflowIdx = -3 // resident in the far-future overflow heap
 )
 
-// event is a pooled scheduled-callback record. Exactly one of fn, afn and
-// batch is set while the event is pending; a batch's entry is keyed by the
-// batch's next member. gen increments every time the record is released,
-// invalidating outstanding handles. dead marks a cancelled record that
-// still physically occupies a calendar bucket (lazy cancellation); it is
-// skipped and recycled when the scan reaches it.
+// event is a pooled scheduled-callback record. Exactly one of fn, afn,
+// batch and set is set while the event is pending; a batch's entry is keyed
+// by the batch's next member, a timer set's by its minimum registration.
+// gen increments every time the record is released, invalidating
+// outstanding handles. dead marks a cancelled record that still physically
+// occupies a calendar bucket (lazy cancellation); it is skipped and
+// recycled when the scan reaches it. The record is 80 B.
 type event struct {
 	at    Time
 	seq   uint64
@@ -82,8 +83,9 @@ type event struct {
 	afn   func(any)
 	arg   any
 	batch *batch
-	index int // heap position, or a cal*Idx tier marker, or noIdx
+	set   *TimerSet
 	gen   uint64
+	index int32 // heap position, or a cal*Idx tier marker, or noIdx
 	dead  bool
 }
 
@@ -149,13 +151,13 @@ func (q eventQueue) Less(i, j int) bool { return eventLess(q[i], q[j]) }
 
 func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+	q[i].index = int32(i)
+	q[j].index = int32(j)
 }
 
 func (q *eventQueue) Push(x any) {
 	ev := x.(*event)
-	ev.index = len(*q)
+	ev.index = int32(len(*q))
 	*q = append(*q, ev)
 }
 
@@ -187,7 +189,7 @@ type Kernel struct {
 	cal       calendar   // the path every run takes
 	free      []*event   // recycled event records
 	batchFree []*batch   // recycled batch storage
-	extra     int        // pending batch members not counted by a queue entry
+	extra     int        // batch members and set items not counted by a queue entry
 	boundAt   Time       // with boundSeq: drain's lower bound on queued keys
 	boundSeq  uint64
 	processed uint64
@@ -203,8 +205,9 @@ func NewKernel() *Kernel {
 // Now reports the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Pending reports the number of events waiting to fire, batch members
-// included. Cancelled records awaiting lazy reclamation are not counted.
+// Pending reports the number of events waiting to fire, batch members and
+// armed TimerSet items included. Cancelled records awaiting lazy
+// reclamation are not counted.
 func (k *Kernel) Pending() int {
 	if k.oracle {
 		return len(k.heapq) + k.extra
@@ -335,7 +338,7 @@ func (k *Kernel) Cancel(h Handle) bool {
 		if ev.index < 0 {
 			return false
 		}
-		heap.Remove(&k.heapq, ev.index)
+		heap.Remove(&k.heapq, int(ev.index))
 		ev.index = noIdx
 		k.release(ev)
 		return true
@@ -354,14 +357,47 @@ func (k *Kernel) Cancel(h Handle) bool {
 // deadline test and the pop. On the calendar path the lookup may advance
 // the scan cursor and reclaim cancelled records even when nothing is due —
 // deterministic state changes that never affect pop order.
+//
+// A popped TimerSet entry whose head registration is stale is settled here,
+// above both queues, and never returned: it fires nothing, so Now() and
+// Processed() do not move. A set is exactly its items as stand-alone
+// Timers, by three clauses (L1 and L2 of drain, in the same form):
+//
+// (a) Every item's seq is drawn at an unchanged program point: Reset draws
+// k.seq where Timer.Reset's AfterArg drew it, and a (re)queued entry
+// borrows its minimum registration's key instead of drawing one.
+//
+// (b) An armed item always has a registration whose key is <= its true key
+// (a later Reset keeps it, an earlier one lowers it, a stale pop raises it
+// to the true key), and the entry carries the minimum registration's key,
+// re-keyed by a push whenever a Reset lowers that minimum. So the entry
+// never pops after an armed item's true key: the kernel still pops the
+// smallest key among queued events and armed items first, and drain's
+// bound — lowered by every push, raised by nothing a callback does to a
+// set — stays a lower bound.
+//
+// (c) Only a registration equal to its item's true key fires. A stale one
+// is raised to that key or dropped, so at most two stale pops per
+// registration precede a firing.
+//
+// So every item fires at the (time, seq) its own Timer would have had, in
+// the same place among all other events, with the same Now() and
+// Processed() in every callback.
 func (k *Kernel) popDue(deadline Time) *event {
-	if k.oracle {
-		if len(k.heapq) == 0 || k.heapq[0].at > deadline {
+	for {
+		var ev *event
+		if k.oracle {
+			if len(k.heapq) == 0 || k.heapq[0].at > deadline {
+				return nil
+			}
+			ev = heap.Pop(&k.heapq).(*event)
+		} else if ev = k.cal.popDue(k, deadline); ev == nil {
 			return nil
 		}
-		return heap.Pop(&k.heapq).(*event)
+		if ev.set == nil || ev.set.due() {
+			return ev
+		}
 	}
-	return k.cal.popDue(k, deadline)
 }
 
 // peek returns the earliest pending event without removing it, or nil when
@@ -377,10 +413,15 @@ func (k *Kernel) peek() *event {
 }
 
 // fire executes a popped event, advancing the clock to its timestamp; a
-// batch entry fires every member that is due, or just one when single.
+// batch entry fires every member that is due, or just one when single; a
+// timer set's entry fires its head item.
 func (k *Kernel) fire(ev *event, deadline Time, single bool) {
 	if ev.batch != nil {
 		k.drain(ev, deadline, single)
+		return
+	}
+	if ev.set != nil {
+		ev.set.fire()
 		return
 	}
 	k.now = ev.at
@@ -415,11 +456,13 @@ func (k *Kernel) fire(ev *event, deadline Time, single bool) {
 // without a pop only if key(m) < (boundAt, boundSeq), a lower bound on
 // every key in the queue: it starts as the queue minimum (one peek, after
 // the pop, so this batch is not in it) and every push a callback makes
-// lowers it (Kernel.push: plain events, other batches' Commits). An Append
-// to another queued batch lands behind that batch's entry key, an Append to
-// this one is seen by the loop itself, and a Cancel only removes keys — so
-// the true minimum is never below the bound, which errs towards an early
-// requeue, never a wrong firing.
+// lowers it (Kernel.push: plain events, other batches' Commits, a timer
+// set re-keyed by a Reset). An Append to another queued batch lands behind
+// that batch's entry key, as a Reset that does not re-key a set lands
+// behind the set's (popDue, clause b); an Append to this batch is seen by
+// the loop itself, and a Cancel only removes keys — so the true minimum is
+// never below the bound, which errs towards an early requeue, never a
+// wrong firing.
 //
 // By induction the firing sequence, each callback's Now() and the k.seq
 // trajectory are those of per-member scheduling, on both queues (drain sits

@@ -175,6 +175,26 @@ mutant "rng init: the cooked recovery's undo steps the pointers forward" interna
 	's|(l.tap+1)%lfLen, (l.feed+1)%lfLen|(l.tap+lfLen-1)%lfLen, (l.feed+lfLen-1)%lfLen|' \
 	$rng 'TestStreamMatchesMathRand'
 
+# ---- sim.TimerSet, the clauses at Kernel.popDue (ROADMAP "Neighbour
+# liveness is one queue entry per router"). A revision without
+# internal/sim/timerset.go reads BROKEN on every row. ----
+setTests='TestTimerSetMatchesTimers|FuzzKernelDifferential'
+mutant "sim timer set: a stale pop fires" internal/sim/timerset.go \
+	's|	if it.armed \&\& it.at == r.at \&\& it.seq == r.seq {|	if true {|' \
+	$sim "$setTests"
+mutant "sim timer set: Reset stops drawing k.seq" internal/sim/timerset.go \
+	'/^\tk.seq++$/d' \
+	$sim "$setTests"
+mutant "sim timer set: a requeue keeps the old key, not the heap minimum" internal/sim/timerset.go \
+	'/^\ts.ev.at, s.ev.seq = s.regs\[0\].at, s.regs\[0\].seq$/d' \
+	$sim "$setTests"
+mutant "sim timer set: a stale pop advances Now()" internal/sim/kernel.go \
+	's/if ev.set == nil || ev.set.due() {/if k.now = ev.at; ev.set == nil || ev.set.due() {/' \
+	$sim "$setTests"
+mutant "sim timer set: an earlier Reset keeps the later registration" internal/sim/timerset.go \
+	's|		if !keyLess(at, seq, r.at, r.seq) {|		if true {|' \
+	$sim "$setTests"
+
 # ---- the invariant harness itself ----
 check=./internal/scenario/check
 mutant "check ledger: node:down forgotten as a fork witness" internal/scenario/check/ledger.go \
