@@ -44,8 +44,9 @@ race:
 	$(GO) test -race -short ./internal/scenario/...
 	$(GO) test -race ./internal/serve/ ./cmd/cavenet/
 
-# Word size must not reach the results: the golden-bearing packages build,
-# vet and pass — every golden byte-identical — as a 32-bit program, and
+# Word size must not reach the results: the golden-bearing packages (the
+# CLI's and the examples') build, vet and pass — every golden byte-identical
+# — as a 32-bit program, and
 # rng's seeding, whose 62-bit products 386 emulates, still matches
 # math/rand. Fused
 # multiply-add on arm64 and friends is the open half (ROADMAP item 6):
@@ -53,6 +54,7 @@ race:
 portable: fma-audit
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/netsim/ ./internal/rng/ ./cmd/cavenet/
+	GOARCH=386 $(GO) test -run Golden .
 
 # Cross-compile ./internal/... for arm64 and fail if any package compiles to
 # more fused multiply-adds than scripts/fma-audit.sh allows (≈ 20 s cold).
@@ -157,7 +159,7 @@ bench-routing:
 # Full benchmark tables; see PERF.md for interpretation.
 bench:
 	$(GO) test ./internal/phy/ -bench 'ChannelBroadcast|MobilityTick' -benchmem -benchtime=2000x -run XXX
-	$(GO) test ./internal/netsim/ -bench 'Connectivity|Components' -benchmem -benchtime=20x -run XXX
+	$(GO) test ./internal/metrics/ -bench Components -benchmem -benchtime=20x -run XXX
 	$(GO) test ./internal/sim/ -bench . -benchmem -run XXX
 
 # The end-to-end benchmark ledger (bench/README.md): every workload ×

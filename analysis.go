@@ -4,7 +4,6 @@ import (
 	"cavenet/internal/core"
 	"cavenet/internal/metrics"
 	"cavenet/internal/mobility"
-	"cavenet/internal/rng"
 	"cavenet/internal/stats"
 )
 
@@ -92,31 +91,7 @@ func TransientTime(series []float64, tol float64) int {
 // from the 1/v-weighted stationary distribution, nodes starting mid-trip.
 // Its velocity series shows no decay, unlike RandomWaypointDecay's.
 func RandomWaypointStationary(cfg RWDecayConfig) (*mobility.SampledTrace, []float64) {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 50
-	}
-	if cfg.AreaX == 0 {
-		cfg.AreaX = 1000
-	}
-	if cfg.AreaY == 0 {
-		cfg.AreaY = 1000
-	}
-	if cfg.VMax == 0 {
-		cfg.VMax = 20
-	}
-	if cfg.VMin == 0 {
-		cfg.VMin = 0.1
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 2000
-	}
-	return mobility.RandomWaypointStationary(mobility.RandomWaypointConfig{
-		Nodes: cfg.Nodes,
-		AreaX: cfg.AreaX,
-		AreaY: cfg.AreaY,
-		VMin:  cfg.VMin,
-		VMax:  cfg.VMax,
-	}, cfg.Duration, rng.NewSource(cfg.Seed).Stream("rw-stationary"))
+	return core.RandomWaypointStationary(cfg)
 }
 
 // TopologyStats summarizes link dynamics over a mobility trace — the

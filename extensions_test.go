@@ -63,6 +63,83 @@ func TestTopologyAnalysisOnCircuitTrace(t *testing.T) {
 	}
 }
 
+// TestConnectivityComponentsOnCircuitTrace checks the facade over a
+// recorded circuit with radio gaps: at every sample the components are
+// exactly the classes of the "within range" relation (union-find over all
+// pairs), in the documented order, and LargestComponentFraction is the
+// largest class's share of the fleet.
+func TestConnectivityComponentsOnCircuitTrace(t *testing.T) {
+	tr, err := CircuitTrace(Scenario{
+		LaneVehicles: []int{14}, CircuitMeters: 4000, SimTime: 30 * sim.Second,
+		RandomStart: true, Flows: []ScenarioFlow{}, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rangeM = 250.0
+	n := tr.NumNodes()
+	split, clustered := false, false
+	for tsec := 0.0; tsec <= 30; tsec += 2.5 {
+		root := make([]int, n)
+		for i := range root {
+			root[i] = i
+		}
+		var find func(int) int
+		find = func(i int) int {
+			if root[i] != i {
+				root[i] = find(root[i])
+			}
+			return root[i]
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if tr.At(i, tsec).Dist(tr.At(j, tsec)) <= rangeM {
+					root[find(i)] = find(j)
+				}
+			}
+		}
+
+		comps := ConnectivityComponents(tr, tsec, rangeM)
+		if len(comps) == 0 || comps[0][0] != 0 {
+			t.Fatalf("t=%v: first component does not hold node 0: %v", tsec, comps)
+		}
+		member := 0
+		best := 0
+		for ci, c := range comps {
+			if ci > 0 && c[0] <= comps[ci-1][0] {
+				t.Fatalf("t=%v: components not ordered by smallest member: %v", tsec, comps)
+			}
+			for k, id := range c {
+				if k > 0 && id <= c[k-1] {
+					t.Fatalf("t=%v: members not ascending: %v", tsec, c)
+				}
+				if find(id) != find(c[0]) {
+					t.Fatalf("t=%v: nodes %d and %d share a component but are not connected", tsec, c[0], id)
+				}
+			}
+			member += len(c)
+			best = max(best, len(c))
+			clustered = clustered || len(c) > 1
+		}
+		classes := 0
+		for i := 0; i < n; i++ {
+			if find(i) == i {
+				classes++
+			}
+		}
+		if member != n || len(comps) != classes {
+			t.Fatalf("t=%v: %d components over %d nodes, want the %d classes over %d", tsec, len(comps), member, classes, n)
+		}
+		split = split || len(comps) > 1
+		if got, want := LargestComponentFraction(tr, tsec, rangeM), float64(best)/float64(n); got != want {
+			t.Fatalf("t=%v: LargestComponentFraction = %v, want %v", tsec, got, want)
+		}
+	}
+	if !split || !clustered {
+		t.Fatalf("degenerate trace (split %v, clustered %v): choose one with radio gaps and clusters", split, clustered)
+	}
+}
+
 func TestInterferenceExperimentShape(t *testing.T) {
 	res, err := Interference(InterferenceConfig{
 		LaneLengthMeters: 1500,

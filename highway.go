@@ -2,6 +2,8 @@ package cavenet
 
 import (
 	"cavenet/internal/core"
+	"cavenet/internal/geometry"
+	"cavenet/internal/metrics"
 	"cavenet/internal/mobility"
 )
 
@@ -15,15 +17,31 @@ import (
 // hand-rolling lane configs.
 
 // ConnectivityComponents groups the trace's nodes, at time tsec, into
-// radio-connectivity components for the given transmission range.
+// radio-connectivity components for the given transmission range: two
+// nodes are linked within rangeMeters of each other. Members are listed in
+// ascending order and components by their smallest member
+// (metrics.Components).
 func ConnectivityComponents(tr *mobility.SampledTrace, tsec, rangeMeters float64) [][]int {
-	return core.ConnectivityComponents(tr, tsec, rangeMeters)
+	pos := make([]geometry.Vec2, tr.NumNodes())
+	for i := range pos {
+		pos[i] = tr.At(i, tsec)
+	}
+	return metrics.Components(pos, rangeMeters)
 }
 
 // LargestComponentFraction reports the share of nodes in the largest
-// connectivity component at time tsec.
+// connectivity component at time tsec — a scalar connectivity index that a
+// sweep over time or lane configurations can compare.
 func LargestComponentFraction(tr *mobility.SampledTrace, tsec, rangeMeters float64) float64 {
-	return core.LargestComponentFraction(tr, tsec, rangeMeters)
+	n := tr.NumNodes()
+	if n == 0 {
+		return 0
+	}
+	best := 0
+	for _, c := range ConnectivityComponents(tr, tsec, rangeMeters) {
+		best = max(best, len(c))
+	}
+	return float64(best) / float64(n)
 }
 
 // InterferenceConfig parameterizes the Fig. 1-b opposite-lane interference

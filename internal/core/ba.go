@@ -1,9 +1,11 @@
 // Package core is CAVENET's Behavioural Analyzer (Fig. 2 of the paper):
 // the mobility-model experiments on the NaS cellular automaton behind
-// Figs. 4–7, plus the interference, shadowing and connectivity studies of
-// the Fig. 1 discussion and the first version's straight-line trace. The
-// other block, the Communication Protocol Simulator, is
-// internal/scenario: Spec → Grid → Result is the one experiment path.
+// Figs. 4–7 and the Random Waypoint contrast of §IV-B, plus the Fig. 1-b
+// interference study (two Specs over one BuildTrace), the shadowing study
+// and the first version's straight-line trace. The other block, the
+// Communication Protocol Simulator, is internal/scenario: Spec → Grid →
+// Result is the one experiment path. Which nodes are connected is
+// metrics.Components.
 package core
 
 import (
@@ -296,34 +298,50 @@ type RWDecayConfig struct {
 	Seed     int64
 }
 
+// model fills the defaults the two Random Waypoint experiments share and
+// returns the model configuration and the run length in seconds.
+func (c RWDecayConfig) model() (mobility.RandomWaypointConfig, float64) {
+	if c.Nodes == 0 {
+		c.Nodes = 50
+	}
+	if c.AreaX == 0 {
+		c.AreaX = 1000
+	}
+	if c.AreaY == 0 {
+		c.AreaY = 1000
+	}
+	if c.VMax == 0 {
+		c.VMax = 20
+	}
+	if c.VMin == 0 {
+		c.VMin = 0.1
+	}
+	if c.Duration == 0 {
+		c.Duration = 2000
+	}
+	return mobility.RandomWaypointConfig{
+		Nodes: c.Nodes,
+		AreaX: c.AreaX,
+		AreaY: c.AreaY,
+		VMin:  c.VMin,
+		VMax:  c.VMax,
+	}, c.Duration
+}
+
 // RandomWaypointDecay runs the RW model and returns its mean-velocity
 // series, exhibiting the velocity-decay transient the paper contrasts with
 // the CA's finite-state stationarity (§IV-B). Small VMin makes the decay
 // dramatic.
 func RandomWaypointDecay(cfg RWDecayConfig) (*mobility.SampledTrace, []float64) {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 50
-	}
-	if cfg.AreaX == 0 {
-		cfg.AreaX = 1000
-	}
-	if cfg.AreaY == 0 {
-		cfg.AreaY = 1000
-	}
-	if cfg.VMax == 0 {
-		cfg.VMax = 20
-	}
-	if cfg.VMin == 0 {
-		cfg.VMin = 0.1
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 2000
-	}
-	return mobility.RandomWaypoint(mobility.RandomWaypointConfig{
-		Nodes: cfg.Nodes,
-		AreaX: cfg.AreaX,
-		AreaY: cfg.AreaY,
-		VMin:  cfg.VMin,
-		VMax:  cfg.VMax,
-	}, cfg.Duration, rng.NewSource(cfg.Seed).Stream("rw"))
+	m, duration := cfg.model()
+	return mobility.RandomWaypoint(m, duration, rng.NewSource(cfg.Seed).Stream("rw"))
+}
+
+// RandomWaypointStationary runs the RW model initialized in its stationary
+// regime ("perfect simulation", the paper's reference [2]): speeds sampled
+// from the 1/v-weighted stationary distribution, nodes starting mid-trip.
+// Its velocity series shows no decay, unlike RandomWaypointDecay's.
+func RandomWaypointStationary(cfg RWDecayConfig) (*mobility.SampledTrace, []float64) {
+	m, duration := cfg.model()
+	return mobility.RandomWaypointStationary(m, duration, rng.NewSource(cfg.Seed).Stream("rw-stationary"))
 }

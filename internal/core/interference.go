@@ -61,24 +61,11 @@ type InterferenceResult struct {
 // InterferenceExperiment quantifies Fig. 1-b: run the identical two-lane
 // mobility twice — once with the opposite lane silent, once with it
 // carrying neighbor-to-neighbor CBR — and compare the primary flow's PDR.
-// The two runs are two scenario.Specs that differ only in Flows, executed
-// over the one recorded HighwayTrace (a straight open segment, which no
-// Spec generates; the road knobs below describe it for validation).
+// The two runs are two scenario.Specs of a bidirectional two-lane ring
+// that differ only in Flows, executed over the one trace BuildTrace
+// records from the quiet spec.
 func InterferenceExperiment(cfg InterferenceConfig) (InterferenceResult, error) {
 	cfg.normalize()
-	trace, err := HighwayTrace(HighwayConfig{
-		Lanes: []HighwayLane{
-			{LengthMeters: cfg.LaneLengthMeters, Vehicles: cfg.VehiclesPerLane, SlowdownP: cfg.SlowdownP},
-			{LengthMeters: cfg.LaneLengthMeters, Vehicles: cfg.VehiclesPerLane, SlowdownP: cfg.SlowdownP, OffsetY: 5, Reversed: true},
-		},
-		Warmup: 200,
-		Steps:  int(cfg.SimTime/sim.Second) + 1,
-		Seed:   cfg.Seed,
-	})
-	if err != nil {
-		return InterferenceResult{}, err
-	}
-
 	start, stop := 5*sim.Second, cfg.SimTime-5*sim.Second
 	// Primary flow: first lane-0 vehicle to the vehicle half a lane ahead
 	// (multihop).
@@ -111,6 +98,10 @@ func InterferenceExperiment(cfg InterferenceConfig) (InterferenceResult, error) 
 		})
 	}
 
+	trace, err := scenario.BuildTrace(quiet)
+	if err != nil {
+		return InterferenceResult{}, err
+	}
 	q, err := scenario.RunOnTrace(quiet, trace)
 	if err != nil {
 		return InterferenceResult{}, fmt.Errorf("core: quiet run: %w", err)

@@ -16,8 +16,9 @@ import (
 type ShadowingConfig struct {
 	// Beta is the path-loss exponent (default 2.7).
 	Beta float64
-	// SigmaDB is the shadowing deviation in dB (default 4; 0 degenerates to
-	// the deterministic path-loss disk).
+	// SigmaDB is the shadowing deviation in dB; 0 means the default 4.
+	// The σ = 0 curve, the deterministic path-loss disk, is
+	// DiskConnectivity.
 	SigmaDB float64
 	// RangeMeters calibrates the receive threshold: the deterministic
 	// path-loss power at this distance (default 250, Table I).

@@ -67,3 +67,33 @@ func TestShadowingDeterministicSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestShadowingVanishingSigmaIsDisk pins the σ → 0 limit, which SigmaDB 0
+// cannot reach (it means the 4 dB default): at σ = 1e-9 the sweep equals
+// DiskConnectivity at every default distance except the calibrated range,
+// where the threshold is the mean power itself and a vanishing deviation
+// still falls on either side of it.
+func TestShadowingVanishingSigmaIsDisk(t *testing.T) {
+	got := ShadowingConnectivity(ShadowingConfig{SigmaDB: 1e-9, Seed: 4})
+	if len(got) != 19 {
+		t.Fatalf("default sweep has %d distances, want 19 (50..500 m by 25)", len(got))
+	}
+	distances := make([]float64, len(got))
+	for i, p := range got {
+		distances[i] = p.DistanceM
+	}
+	want := DiskConnectivity(distances, 250)
+	skipped := 0
+	for i := range got {
+		if got[i].DistanceM == 250 {
+			skipped++
+			continue
+		}
+		if got[i] != want[i] {
+			t.Errorf("at %v m: shadowing %v, disk %v", got[i].DistanceM, got[i].LinkProb, want[i].LinkProb)
+		}
+	}
+	if skipped != 1 {
+		t.Fatalf("the range 250 m appears %d times in the default sweep, want once", skipped)
+	}
+}

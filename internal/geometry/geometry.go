@@ -125,8 +125,6 @@ type LanePlacement interface {
 	// Place maps the along-lane coordinate x, in meters, to absolute plane
 	// coordinates.
 	Place(x float64) Vec2
-	// Heading reports the direction of travel, in radians, at coordinate x.
-	Heading(x float64) float64
 }
 
 // Line places a lane as a straight segment via an affine transform applied
@@ -139,11 +137,6 @@ var _ LanePlacement = Line{}
 
 // Place implements LanePlacement.
 func (l Line) Place(x float64) Vec2 { return l.Transform.Apply(Vec2{X: x}) }
-
-// Heading implements LanePlacement.
-func (l Line) Heading(float64) float64 {
-	return math.Atan2(l.Transform.D, l.Transform.A)
-}
 
 // Ring places a lane on a circle of the given circumference — the paper's
 // "improvement": vehicles wrap around smoothly so head and tail of the lane
@@ -172,10 +165,4 @@ func (r Ring) Place(x float64) Vec2 {
 		X: r.Center.X + rad*math.Cos(theta),
 		Y: r.Center.Y + rad*math.Sin(theta),
 	}
-}
-
-// Heading implements LanePlacement.
-func (r Ring) Heading(x float64) float64 {
-	theta := 2 * math.Pi * x / r.Circumference
-	return theta + math.Pi/2
 }

@@ -119,13 +119,6 @@ func TestLinePlacement(t *testing.T) {
 	if got := l.Place(20); !vecAlmostEq(got, Vec2{120, 50}) {
 		t.Fatalf("Line.Place = %v", got)
 	}
-	if got := l.Heading(0); !almostEq(got, 0) {
-		t.Fatalf("Line.Heading = %v", got)
-	}
-	rev := Line{Transform: ReflectX()}
-	if got := rev.Heading(0); !almostEq(math.Abs(got), math.Pi) {
-		t.Fatalf("reversed lane heading = %v, want ±π", got)
-	}
 }
 
 func TestRingPlacement(t *testing.T) {
@@ -157,13 +150,5 @@ func TestRingPlacementStaysOnCircle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRingHeadingTangent(t *testing.T) {
-	r := Ring{Circumference: 2 * math.Pi}
-	// At x=0 (angle 0), travel direction should be +y (π/2).
-	if got := r.Heading(0); !almostEq(got, math.Pi/2) {
-		t.Fatalf("Heading(0) = %v, want π/2", got)
 	}
 }

@@ -1,51 +1,6 @@
 package geometry
 
-import (
-	"math"
-	"testing"
-)
-
-func TestPolylinePlaceAndClamp(t *testing.T) {
-	p, err := NewPolyline(Vec2{0, 0}, Vec2{10, 0}, Vec2{10, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Length(); got != 15 {
-		t.Fatalf("length = %v, want 15", got)
-	}
-	cases := []struct {
-		x    float64
-		want Vec2
-	}{
-		{-3, Vec2{0, 0}},  // clamp low
-		{0, Vec2{0, 0}},   // first vertex
-		{4, Vec2{4, 0}},   // inside first segment
-		{10, Vec2{10, 0}}, // interior vertex
-		{12, Vec2{10, 2}}, // inside second segment
-		{15, Vec2{10, 5}}, // last vertex
-		{99, Vec2{10, 5}}, // clamp high
-	}
-	for _, c := range cases {
-		if got := p.Place(c.x); got.Dist(c.want) > 1e-12 {
-			t.Errorf("Place(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if h := p.Heading(4); h != 0 {
-		t.Errorf("Heading(4) = %v, want 0", h)
-	}
-	if h := p.Heading(12); math.Abs(h-math.Pi/2) > 1e-12 {
-		t.Errorf("Heading(12) = %v, want pi/2", h)
-	}
-}
-
-func TestPolylineRejectsDegenerate(t *testing.T) {
-	if _, err := NewPolyline(Vec2{1, 1}); err == nil {
-		t.Error("single-point polyline accepted")
-	}
-	if _, err := NewPolyline(Vec2{0, 0}, Vec2{0, 0}, Vec2{1, 0}); err == nil {
-		t.Error("coincident-vertex polyline accepted")
-	}
-}
+import "testing"
 
 // TestManhattanStronglyConnected proves the direction scheme's promise: on
 // every grid size, every intersection can reach every other by following

@@ -5,7 +5,6 @@ import (
 
 	"cavenet/internal/geometry"
 	"cavenet/internal/mobility"
-	"cavenet/internal/spatial"
 )
 
 // This file implements the "topology change" metric the paper's §V defers
@@ -47,14 +46,7 @@ func AnalyzeTopology(tr *mobility.SampledTrace, rangeMeters float64) TopologySta
 	}
 	up := make(map[[2]int]int) // pair -> sample index the link came up
 	degreeSum := 0.0
-	// A degenerate (zero or negative) range still has a defined answer —
-	// only coincident nodes link at range 0, nothing at negative range —
-	// but needs a positive cell size for the index.
-	cell := rangeMeters
-	if cell <= 0 {
-		cell = 1
-	}
-	grid := spatial.NewGrid(cell)
+	grid, radius := linkGrid(rangeMeters)
 	positions := make([]geometry.Vec2, n)
 	var nearBuf []int32
 	var downs [][2]int
@@ -73,7 +65,7 @@ func AnalyzeTopology(tr *mobility.SampledTrace, rangeMeters float64) TopologySta
 		// Pass 1: discover connected pairs from each node's grid
 		// neighborhood; record up-transitions.
 		for i := 0; i < n; i++ {
-			nearBuf = grid.Near(nearBuf[:0], positions[i], rangeMeters)
+			nearBuf = grid.Near(nearBuf[:0], positions[i], radius)
 			for _, jj := range nearBuf {
 				j := int(jj)
 				if j <= i || positions[i].Dist(positions[j]) > rangeMeters {

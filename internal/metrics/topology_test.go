@@ -113,3 +113,19 @@ func TestAnalyzeTopologyDegenerateRange(t *testing.T) {
 		t.Fatalf("negative range: %+v, want no links", st)
 	}
 }
+
+// TestAnalyzeTopologyCellEdgeAtRange is TestComponentsCellEdgeAtRange's
+// pair in a trace: linked (the distance rounds to exactly the range) from
+// the lower index, whose unpadded query disc stops one cell short.
+func TestAnalyzeTopologyCellEdgeAtRange(t *testing.T) {
+	tr := &mobility.SampledTrace{
+		Interval: 1,
+		Positions: [][]geometry.Vec2{
+			{{X: 250}, {X: 250}},
+			{{X: -1e-15}, {X: -1e-15}},
+		},
+	}
+	if st := AnalyzeTopology(tr, 250); st.MeanDegree != 1 {
+		t.Fatalf("degree = %v, want 1: the pair at range is linked", st.MeanDegree)
+	}
+}

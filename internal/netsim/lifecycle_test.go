@@ -10,9 +10,10 @@ import (
 )
 
 // TestNodeDownUpLifecycle drives the fault-injection surface end to end on
-// the plain node plumbing: a down node leaves the connectivity graph and
-// the air, lifecycle observers fire in both directions, mobility keeps
-// tracking while down, and recovery restores service.
+// the plain node plumbing, with the flood router's broadcasts as the probe:
+// a down node neither hears nor is heard while the survivors stay linked,
+// lifecycle observers fire in both directions, mobility keeps tracking
+// while down, and the recovered node is reachable at its tracked position.
 func TestNodeDownUpLifecycle(t *testing.T) {
 	w, err := NewWorld(WorldConfig{
 		Nodes:  3,
@@ -23,42 +24,68 @@ func TestNodeDownUpLifecycle(t *testing.T) {
 	}
 	var transitions []bool
 	w.Node(1).OnLifecycle(func(up bool) { transitions = append(transitions, up) })
+	// Delivery is terminal custody: snapshot the value, not the pointer.
+	var delivered []Packet
+	drops := make(map[string]int)
+	w.AddHooks(Hooks{
+		DataDelivered: func(n *Node, p *Packet) { delivered = append(delivered, *p) },
+		DataDropped:   func(n *Node, p *Packet, reason string) { drops[reason]++ },
+	})
+	for i := 0; i < 3; i++ {
+		w.Node(i).AttachPort(PortCBR, PortFunc(func(*Packet, sim.Time) {}))
+	}
+	send := func(from, to int) {
+		w.Node(from).SendData(w.Node(from).NewPacket(NodeID(to), PortCBR, 128))
+	}
 
-	w.Node(1).Down(false)
-	if w.Node(1).IsUp() {
-		t.Fatal("node 1 reports up after Down")
-	}
-	m := w.ConnectivityMatrix()
-	if m[0][1] || m[1][0] || m[1][2] {
-		t.Fatal("down node still present in the connectivity matrix")
-	}
-	if !m[0][2] {
-		t.Fatal("survivors lost connectivity when an unrelated node went down")
-	}
-	// Down nodes appear as singleton components, not as members of a cluster.
-	comps := w.ConnectedComponents()
-	for _, c := range comps {
-		for _, id := range c {
-			if id == 1 && len(c) != 1 {
-				t.Fatalf("down node clustered with survivors: %v", comps)
+	w.Kernel.Schedule(10*sim.Millisecond, func() {
+		w.Node(1).Down(false)
+		if w.Node(1).IsUp() {
+			t.Fatal("node 1 reports up after Down")
+		}
+	})
+	// Node 2 is 200 m from node 0, inside decode range: the survivors'
+	// direct link must not depend on the relay between them.
+	w.Kernel.Schedule(20*sim.Millisecond, func() { send(0, 2) })
+	// A down station puts nothing on the air.
+	w.Kernel.Schedule(30*sim.Millisecond, func() { send(1, 0) })
+	w.Kernel.Schedule(100*sim.Millisecond, func() {
+		for i, want := range []uint64{0, 0, 1} {
+			if got := w.Node(i).MAC().Stats().DataRx; got != want {
+				t.Fatalf("node %d decoded %d frames while node 1 was down, want %d", i, got, want)
 			}
 		}
-	}
+		// Mobility keeps tracking a down node; the position must land
+		// without a grid update (the radio is detached) and survive to
+		// recovery.
+		w.Node(1).SetPosition(geometry.Vec2{X: 500, Y: 40})
+		if got := w.Node(1).Position(); got != (geometry.Vec2{X: 500, Y: 40}) {
+			t.Fatalf("position while down = %v", got)
+		}
+		// 400 m from node 0, beyond decode range; 200 m from node 2.
+		w.Node(1).SetPosition(geometry.Vec2{X: 400})
+		w.Node(1).Up()
+		if !w.Node(1).IsUp() {
+			t.Fatal("node 1 reports down after Up")
+		}
+	})
+	w.Kernel.Schedule(200*sim.Millisecond, func() { send(0, 1) })
+	w.Run(sim.Second)
 
-	// Mobility keeps tracking a down node; the position must land without a
-	// grid update (the radio is detached) and survive to recovery.
-	w.Node(1).SetPosition(geometry.Vec2{X: 500, Y: 40})
-	if got := w.Node(1).Position(); got != (geometry.Vec2{X: 500, Y: 40}) {
-		t.Fatalf("position while down = %v", got)
+	if drops["node:down"] != 1 {
+		t.Fatalf("drops = %v, want the down node's own packet as one node:down", drops)
 	}
-
-	w.Node(1).SetPosition(geometry.Vec2{X: 100})
-	w.Node(1).Up()
-	if !w.Node(1).IsUp() {
-		t.Fatal("node 1 reports down after Up")
+	if len(delivered) != 2 {
+		t.Fatalf("delivered %d packets, want 2", len(delivered))
 	}
-	if m := w.ConnectivityMatrix(); !m[0][1] || !m[1][2] {
-		t.Fatal("recovered node did not rejoin the connectivity graph at its tracked position")
+	if p := delivered[0]; p.Dst != 2 || p.Hops != 1 {
+		t.Fatalf("survivor packet reached %d in %d hops, want 2 in 1", p.Dst, p.Hops)
+	}
+	// Reached through node 2 — the recovered node is on the air at the
+	// position mobility moved it to while it was down, not where it went
+	// down.
+	if p := delivered[1]; p.Dst != 1 || p.Hops != 2 {
+		t.Fatalf("recovered node reached as %d in %d hops, want 1 in 2", p.Dst, p.Hops)
 	}
 	if len(transitions) != 2 || transitions[0] != false || transitions[1] != true {
 		t.Fatalf("lifecycle transitions = %v, want [false true]", transitions)

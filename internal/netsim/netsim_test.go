@@ -180,44 +180,6 @@ func TestMobilityUpdatesPositions(t *testing.T) {
 	}
 }
 
-func TestConnectivityMatrix(t *testing.T) {
-	w, err := NewWorld(WorldConfig{
-		Nodes:  3,
-		Static: []geometry.Vec2{{X: 0}, {X: 200}, {X: 1000}},
-	}, newFloodRouter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := w.ConnectivityMatrix()
-	if !m[0][1] || !m[1][0] {
-		t.Fatal("nodes 0,1 at 200 m should be connected")
-	}
-	if m[0][2] || m[1][2] {
-		t.Fatal("node 2 at 1000 m should be isolated")
-	}
-	if m[0][0] {
-		t.Fatal("self-connectivity should be false")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	w, err := NewWorld(WorldConfig{
-		Nodes:  5,
-		Static: []geometry.Vec2{{X: 0}, {X: 200}, {X: 400}, {X: 2000}, {X: 2200}},
-	}, newFloodRouter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comps := w.ConnectedComponents()
-	if len(comps) != 2 {
-		t.Fatalf("components = %v, want 2", comps)
-	}
-	sizes := map[int]bool{len(comps[0]): true, len(comps[1]): true}
-	if !sizes[3] || !sizes[2] {
-		t.Fatalf("component sizes = %v, want {3,2}", comps)
-	}
-}
-
 func TestPacketClone(t *testing.T) {
 	p := &Packet{UID: 9, TTL: 5, Size: 100}
 	c := p.Clone()

@@ -202,115 +202,3 @@ func (w *World) scheduleMobility(duration sim.Time) {
 	}
 	w.Kernel.Schedule(0, tick)
 }
-
-// ConnectivityMatrix reports which node pairs are currently within decode
-// range — the analysis behind the paper's Fig. 1 multi-lane connectivity
-// discussion. The rows share one flat []bool backing array, and when the
-// channel's spatial culling is active only grid-near pairs are evaluated,
-// so sparse topologies cost O(N·neighbors) model evaluations instead of
-// O(N²).
-func (w *World) ConnectivityMatrix() [][]bool {
-	n := len(w.nodes)
-	m := make([][]bool, n)
-	flat := make([]bool, n*n)
-	for i := range m {
-		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
-	thresh := w.Channel.RxThreshW()
-	for i := 0; i < n; i++ {
-		node := w.nodes[i]
-		// A down node has no links; the grid path skips it implicitly
-		// (its radio is detached from the index), the brute path here.
-		if node.down {
-			continue
-		}
-		if w.Channel.EachNearRx(node.pos, func(rx *phy.Radio) {
-			// Evaluate each unordered pair once, from its lower index.
-			// Radios attached to the channel beyond the world's nodes
-			// (monitors, sniffers) are not part of node connectivity.
-			j := rx.Index()
-			if j <= i || j >= n {
-				return
-			}
-			power := w.cfg.Propagation.RxPower(phy.TxPowerW, node.pos, w.nodes[j].pos)
-			ok := power >= thresh
-			m[i][j] = ok
-			m[j][i] = ok
-		}) {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if w.nodes[j].down {
-				continue
-			}
-			power := w.cfg.Propagation.RxPower(phy.TxPowerW, node.pos, w.nodes[j].pos)
-			ok := power >= thresh
-			m[i][j] = ok
-			m[j][i] = ok
-		}
-	}
-	return m
-}
-
-// ConnectedComponents returns the partition of nodes into radio-connectivity
-// components (used by the highway example to show relay lanes closing gaps).
-// With spatial culling active the traversal expands each node through a
-// grid query instead of materializing the O(N²) connectivity matrix; both
-// paths share one flood fill, differing only in how a node's unseen
-// neighbors are enumerated.
-func (w *World) ConnectedComponents() [][]int {
-	n := len(w.nodes)
-	seen := make([]bool, n)
-	var neighbors func(v int, visit func(u int))
-	if w.Channel.Culling() {
-		thresh := w.Channel.RxThreshW()
-		neighbors = func(v int, visit func(u int)) {
-			src := w.nodes[v]
-			// A down node is a singleton component: its radio is out of
-			// the grid so nobody reaches it, and it reaches nobody.
-			if src.down {
-				return
-			}
-			w.Channel.EachNearRx(src.pos, func(rx *phy.Radio) {
-				// Skip non-node radios (see ConnectivityMatrix) and
-				// already-seen nodes before paying for the model.
-				u := rx.Index()
-				if u >= n || seen[u] {
-					return
-				}
-				if w.cfg.Propagation.RxPower(phy.TxPowerW, src.pos, w.nodes[u].pos) >= thresh {
-					visit(u)
-				}
-			})
-		}
-	} else {
-		m := w.ConnectivityMatrix()
-		neighbors = func(v int, visit func(u int)) {
-			for u := 0; u < n; u++ {
-				if m[v][u] && !seen[u] {
-					visit(u)
-				}
-			}
-		}
-	}
-	var comps [][]int
-	for i := 0; i < n; i++ {
-		if seen[i] {
-			continue
-		}
-		var comp []int
-		stack := []int{i}
-		seen[i] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			neighbors(v, func(u int) {
-				seen[u] = true
-				stack = append(stack, u)
-			})
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}

@@ -81,9 +81,7 @@ type Channel struct {
 	radios      []*Radio
 	grid        *spatial.Grid           // nil on the brute-force path (model not DistanceMonotone)
 	csCullM     float64                 // grid query radius covering the CS threshold
-	rxCullM     float64                 // grid query radius covering the Rx threshold
 	nearBuf     []int32                 // Transmit-only grid-query scratch (never re-entered)
-	bufPool     [][]int32               // recycled EachNearRx buffers; survives nesting
 	sigFree     []*signal               // recycled per-receiver signal records
 	impairs     map[[2]int32]impairment // per-pair fault-injected link impairments; nil when none ever set
 	impairRnd   *rand.Rand              // loss-draw stream; required before any lossy impairment
@@ -168,16 +166,9 @@ func NewChannel(k *sim.Kernel, prop Propagation, cfg Config) *Channel {
 	if propIsDistanceMonotone(prop) {
 		c.grid = spatial.NewGrid(cfg.CSRangeM)
 		c.csCullM = cfg.CSRangeM * cullMargin
-		c.rxCullM = cfg.RxRangeM * cullMargin
 	}
 	return c
 }
-
-// RxThreshW reports the derived receive-power threshold.
-func (c *Channel) RxThreshW() float64 { return c.rxThreshW }
-
-// Culling reports whether the spatial-grid fast path is active.
-func (c *Channel) Culling() bool { return c.grid != nil }
 
 // Stats reports cumulative channel counters: frames transmitted, frame
 // deliveries (per receiver) and collision-corrupted receptions.
@@ -199,29 +190,6 @@ func (c *Channel) Attach(pos geometry.Vec2) *Radio {
 		c.grid.Insert(r.index, pos)
 	}
 	return r
-}
-
-// EachNearRx visits every radio that could possibly receive at or above the
-// decode threshold from pos, plus false positives the caller must filter
-// with an exact power test. It reports false without visiting anything when
-// culling is disabled — the caller must then scan all radios itself.
-// The visit callback may re-enter the channel (nested EachNearRx,
-// Transmit): each call iterates its own pooled buffer.
-func (c *Channel) EachNearRx(pos geometry.Vec2, visit func(*Radio)) bool {
-	if c.grid == nil {
-		return false
-	}
-	var buf []int32
-	if n := len(c.bufPool); n > 0 {
-		buf = c.bufPool[n-1]
-		c.bufPool = c.bufPool[:n-1]
-	}
-	buf = c.grid.Near(buf[:0], pos, c.rxCullM)
-	for _, idx := range buf {
-		visit(c.radios[idx])
-	}
-	c.bufPool = append(c.bufPool, buf)
-	return true
 }
 
 // Transmit broadcasts a frame from radio r. Duration must cover the whole
@@ -422,9 +390,6 @@ func (r *Radio) Reattach() {
 		g.Insert(r.index, r.position)
 	}
 }
-
-// Index reports the radio's attach-order index on its channel.
-func (r *Radio) Index() int { return r.index }
 
 // Transmit broadcasts a frame from this radio; see Channel.Transmit.
 func (r *Radio) Transmit(payload any, bytes int, duration sim.Time) *Frame {

@@ -47,7 +47,7 @@ func TestDeliveryInRange(t *testing.T) {
 	if rxRec.received[0].Payload != "hello" {
 		t.Fatalf("payload = %v", rxRec.received[0].Payload)
 	}
-	if rxRec.powers[0] < c.RxThreshW() {
+	if rxRec.powers[0] < c.rxThreshW {
 		t.Fatal("reported power below receive threshold")
 	}
 }

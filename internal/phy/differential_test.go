@@ -28,8 +28,8 @@ func runRandomScenario(t *testing.T, seed int64, brute bool) (transmitted, deliv
 		prop = unculled{prop}
 	}
 	c := NewChannel(k, prop, Config{CaptureRatio: 10})
-	if c.Culling() == brute {
-		t.Fatalf("Culling() = %v with brute=%v", c.Culling(), brute)
+	if culled := c.grid != nil; culled == brute {
+		t.Fatalf("culling = %v with brute=%v", culled, brute)
 	}
 	const n = 200
 	radios := make([]*Radio, n)
@@ -97,7 +97,7 @@ func TestChannelCullReachesCellEdge(t *testing.T) {
 		tx.Transmit("x", 100, sim.Millisecond)
 		k.Run()
 		if len(rec.carrier) != 2 || !rec.carrier[0] || rec.carrier[1] {
-			t.Fatalf("culling %v: carrier edges at the cell edge = %v, want [true false]", c.Culling(), rec.carrier)
+			t.Fatalf("culling %v: carrier edges at the cell edge = %v, want [true false]", c.grid != nil, rec.carrier)
 		}
 	}
 }
@@ -107,11 +107,11 @@ func TestChannelCullReachesCellEdge(t *testing.T) {
 func TestChannelShadowingFallsBackToBruteForce(t *testing.T) {
 	k := sim.NewKernel()
 	c := NewChannel(k, Shadowing{Rnd: rand.New(rand.NewSource(1))}, Config{})
-	if c.Culling() {
+	if c.grid != nil {
 		t.Fatal("randomized shadowing must disable spatial culling")
 	}
 	c = NewChannel(k, Shadowing{}, Config{})
-	if !c.Culling() {
+	if c.grid == nil {
 		t.Fatal("deterministic shadowing should allow spatial culling")
 	}
 }
@@ -138,30 +138,5 @@ func TestRadioSetPositionMovesCoverage(t *testing.T) {
 	k.Run()
 	if len(rec.received) != 2 || rec.received[1].Payload != "c" {
 		t.Fatalf("moved back in range: received %v", rec.received)
-	}
-}
-
-// TestEachNearRxReentrant pins that a visit callback may itself query the
-// channel without corrupting the outer iteration.
-func TestEachNearRxReentrant(t *testing.T) {
-	k := sim.NewKernel()
-	c := NewChannel(k, TwoRayGround{}, Config{})
-	for i := 0; i < 20; i++ {
-		c.Attach(geometry.Vec2{X: float64(i) * 30})
-	}
-	flat := 0
-	if !c.EachNearRx(geometry.Vec2{X: 300}, func(*Radio) { flat++ }) {
-		t.Fatal("culling unexpectedly disabled")
-	}
-	outer, inner := 0, 0
-	c.EachNearRx(geometry.Vec2{X: 300}, func(r *Radio) {
-		outer++
-		c.EachNearRx(r.Position(), func(*Radio) { inner++ })
-	})
-	if outer != flat {
-		t.Fatalf("outer visit count %d changed under nesting, want %d", outer, flat)
-	}
-	if inner == 0 {
-		t.Fatal("nested queries visited nothing")
 	}
 }

@@ -1,6 +1,7 @@
 // Package spatial provides a uniform-grid index over point positions, the
-// neighbor-culling structure behind the PHY broadcast fast path and the
-// world connectivity queries.
+// neighbor-culling structure behind the PHY broadcast fast path, the
+// connectivity analysis (metrics.Components, AnalyzeTopology) and GPSR's
+// neighbour index.
 //
 // The plane is partitioned into square cells of a fixed size; each indexed
 // item lives in exactly one cell. A range query visits only the cells that

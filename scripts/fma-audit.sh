@@ -17,7 +17,7 @@ set -euo pipefail
 # package (under internal/) and its fused sites at PR 25.
 allowance='
 ca 5
-geometry 41
+geometry 39
 mobility 13
 phy 1
 routing/gpsr 5

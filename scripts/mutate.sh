@@ -195,6 +195,21 @@ mutant "sim timer set: an earlier Reset keeps the later registration" internal/s
 	's|		if !keyLess(at, seq, r.at, r.seq) {|		if true {|' \
 	$sim "$setTests"
 
+# ---- one connectivity analysis (ROADMAP "One connectivity analysis").
+# A revision without internal/metrics/components.go reads BROKEN on every
+# row. The seen check dropped is the outer one: without the inner one the
+# flood fill never ends. ----
+metrics=./internal/metrics
+mutant "metrics Components: a pair exactly at range is not linked" internal/metrics/components.go \
+	's|positions\[u\]) <= rangeMeters|positions[u]) < rangeMeters|' \
+	$metrics 'TestComponents'
+mutant "metrics Components: the seen check dropped, a visited node starts a component" internal/metrics/components.go \
+	's|if seen\[i\] {|if false {|' \
+	$metrics 'TestComponents'
+mutant "metrics linkGrid: query radius not padded" internal/metrics/components.go \
+	's|const linkMargin = 1.001|const linkMargin = 1|' \
+	$metrics 'TestComponents'
+
 # ---- the invariant harness itself ----
 check=./internal/scenario/check
 mutant "check ledger: node:down forgotten as a fork witness" internal/scenario/check/ledger.go \
