@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check staticcheck test race portable fma-audit scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab mutate ci
+.PHONY: build vet fmt-check staticcheck rules test race portable fma-audit scenario-smoke churn-smoke serve-smoke fuzz-smoke bench-smoke bench-kernel bench-routing bench-dataplane bench bench-record bench-ab mutate ci
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# The written rules that types can decide (scripts/rules: exported means
+# reached, map order, construction); `go test ./...` runs the same check
+# through scripts/rules/rules_test.go.
+rules:
+	$(GO) run ./scripts/rules
 
 test:
 	$(GO) test ./...
@@ -93,7 +99,6 @@ serve-smoke:
 # hunting: go test ./internal/trace -fuzz FuzzParseNS2
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzParseNS2 -fuzztime 5s -run XXX
-	$(GO) test ./internal/trace/ -fuzz FuzzParseBonnMotion -fuzztime 5s -run XXX
 	$(GO) test ./internal/fault/ -fuzz FuzzParseSpec -fuzztime 5s -run XXX
 	$(GO) test ./internal/scenario/ -fuzz FuzzUrbanSpec -fuzztime 5s -run XXX
 	$(GO) test ./internal/sim/ -fuzz FuzzKernelDifferential -fuzztime 5s -run XXX
@@ -189,4 +194,4 @@ bench-ab:
 mutate:
 	bash scripts/mutate.sh $(REV)
 
-ci: build vet fmt-check staticcheck test portable bench-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke
+ci: build vet fmt-check staticcheck rules test portable bench-smoke scenario-smoke churn-smoke serve-smoke fuzz-smoke

@@ -66,8 +66,8 @@ func Run(s Scenario) (*Result, error) { return scenario.Run(s) }
 
 // MobilitySource is the streaming mobility substrate: a forward-only
 // cursor over node positions with O(nodes) retained state. A recorded
-// *mobility.SampledTrace satisfies it, as do the live CA road, ns-2 and
-// BonnMotion playback sources.
+// *mobility.SampledTrace satisfies it, as do the live CA road and ns-2
+// playback sources.
 type MobilitySource = mobility.Source
 
 // RunOnTrace executes a scenario over a caller-supplied mobility trace,

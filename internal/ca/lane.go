@@ -250,9 +250,6 @@ func (l *Lane) Density() float64 {
 	return float64(len(l.pos)) / float64(l.cfg.Length)
 }
 
-// StepCount reports how many steps have been executed.
-func (l *Lane) StepCount() int { return l.step }
-
 // slot maps a logical (position-order) index to its physical slot.
 func (l *Lane) slot(i int) int {
 	k := l.head + i
@@ -265,12 +262,6 @@ func (l *Lane) slot(i int) int {
 // at assembles the vehicle structure of slot k.
 func (l *Lane) at(k int) Vehicle {
 	return Vehicle{ID: int(l.id[k]), Pos: int(l.pos[k]), Vel: int(l.vel[k]), Gap: int(l.gap[k]), Laps: int(l.laps[k])}
-}
-
-// Vehicle returns a copy of the i-th vehicle structure, in position order.
-func (l *Lane) Vehicle(i int) Vehicle {
-	l.readGaps()
-	return l.at(l.slot(i))
 }
 
 // Vehicles appends copies of all vehicle structures, in position order, to
@@ -465,16 +456,3 @@ func (l *Lane) MeanVelocity() float64 {
 // Flow reports J = ρ·v̄, the fundamental-diagram quantity of Fig. 4, in
 // vehicles per step per site.
 func (l *Lane) Flow() float64 { return l.Density() * l.MeanVelocity() }
-
-// PositionMeters reports the along-lane coordinate of vehicle i in meters,
-// including completed laps (the unbounded coordinate used for trace export;
-// callers may reduce it modulo the circumference).
-func (l *Lane) PositionMeters(i int) float64 {
-	k := l.slot(i)
-	return (float64(l.laps[k])*float64(l.cfg.Length) + float64(l.pos[k])) * CellLength
-}
-
-// VelocityMetersPerSec reports the speed of vehicle i in m/s.
-func (l *Lane) VelocityMetersPerSec(i int) float64 {
-	return float64(l.vel[l.slot(i)]) * CellLength / StepSeconds
-}

@@ -365,8 +365,8 @@ func TestStepCount(t *testing.T) {
 	for s := 0; s < 7; s++ {
 		lane.Step()
 	}
-	if lane.StepCount() != 7 {
-		t.Fatalf("StepCount = %d", lane.StepCount())
+	if lane.step != 7 {
+		t.Fatalf("StepCount = %d", lane.step)
 	}
 }
 
@@ -381,4 +381,23 @@ func TestDeterministicRunsAreReproducible(t *testing.T) {
 			t.Fatalf("same seed diverged at step %d", i)
 		}
 	}
+}
+
+// Vehicle returns a copy of the i-th vehicle structure, in position order.
+func (l *Lane) Vehicle(i int) Vehicle {
+	l.readGaps()
+	return l.at(l.slot(i))
+}
+
+// PositionMeters reports the along-lane coordinate of vehicle i in meters,
+// including completed laps (the unbounded coordinate used for trace export;
+// callers may reduce it modulo the circumference).
+func (l *Lane) PositionMeters(i int) float64 {
+	k := l.slot(i)
+	return (float64(l.laps[k])*float64(l.cfg.Length) + float64(l.pos[k])) * CellLength
+}
+
+// VelocityMetersPerSec reports the speed of vehicle i in m/s.
+func (l *Lane) VelocityMetersPerSec(i int) float64 {
+	return float64(l.vel[l.slot(i)]) * CellLength / StepSeconds
 }

@@ -138,7 +138,7 @@ func TestEnableLaneChangesRejectsBadConfigs(t *testing.T) {
 		}
 		return road
 	}
-	line := geometry.Line{Transform: geometry.Identity()}
+	line := geometry.Line{Transform: geometry.Translate(0, 0)}
 	ring := LaneSpec{Config: Config{Length: 50, Vehicles: 5}, Placement: line}
 
 	if err := mk(ring).EnableLaneChanges(LaneChange{P: 0.5}, rand.New(rand.NewSource(1))); err == nil {
@@ -171,18 +171,18 @@ func TestEnableLaneChangesRejectsBadConfigs(t *testing.T) {
 func TestLaneSpecSignalsInstalled(t *testing.T) {
 	road, err := NewRoad([]LaneSpec{{
 		Config:    Config{Length: 60, Vehicles: 6},
-		Placement: geometry.Line{Transform: geometry.Identity()},
+		Placement: geometry.Line{Transform: geometry.Translate(0, 0)},
 		Signals:   []Signal{{Site: 10, GreenSteps: 5, RedSteps: 5}},
 	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(road.Lane(0).Signals()); got != 1 {
+	if got := len(road.Lane(0).signals); got != 1 {
 		t.Fatalf("lane has %d signals, want 1", got)
 	}
 	bad := []LaneSpec{{
 		Config:    Config{Length: 60, Vehicles: 6},
-		Placement: geometry.Line{Transform: geometry.Identity()},
+		Placement: geometry.Line{Transform: geometry.Translate(0, 0)},
 		Signals:   []Signal{{Site: 99, GreenSteps: 5, RedSteps: 5}},
 	}}
 	if _, err := NewRoad(bad, nil); err == nil {

@@ -239,10 +239,6 @@ func (n *Network) SegmentLen(s int) int { return n.segs[s].spec.Length }
 // SegmentVehicles reports how many vehicles currently occupy segment s.
 func (n *Network) SegmentVehicles(s int) int { return len(n.segs[s].vehs) }
 
-// Successors returns the successor list of segment s (shared; callers
-// must not mutate).
-func (n *Network) Successors(s int) []int { return n.segs[s].spec.Next }
-
 // VMax reports the network speed limit in sites per step.
 func (n *Network) VMax() int { return n.cfg.VMax }
 
@@ -255,19 +251,6 @@ func (n *Network) TotalVehicles() int { return len(n.vs) }
 
 // Vehicle returns a copy of the vehicle with global ID i.
 func (n *Network) Vehicle(i int) NetVehicle { return n.vs[i] }
-
-// MeanVelocity reports the mean velocity across all vehicles, in sites
-// per step.
-func (n *Network) MeanVelocity() float64 {
-	if len(n.vs) == 0 {
-		return 0
-	}
-	sum := 0
-	for i := range n.vs {
-		sum += n.vs[i].Vel
-	}
-	return float64(sum) / float64(len(n.vs))
-}
 
 // exitOpen reports whether segment s may release its leader across the
 // intersection this step.

@@ -79,7 +79,7 @@ func TestNetworkInvariants(t *testing.T) {
 							seed, step, i, d, v.Vel)
 					}
 					ok := false
-					for _, nx := range net.Successors(p.Seg) {
+					for _, nx := range net.segs[p.Seg].spec.Next {
 						if nx == v.Seg {
 							ok = true
 						}
@@ -207,7 +207,7 @@ func TestNetworkPositionsContinuous(t *testing.T) {
 }
 
 func TestNetworkConfigValidation(t *testing.T) {
-	line := geometry.Line{Transform: geometry.Identity()}
+	line := geometry.Line{Transform: geometry.Translate(0, 0)}
 	if _, err := NewNetwork(NetworkConfig{}, nil); err == nil {
 		t.Error("empty network accepted")
 	}

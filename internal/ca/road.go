@@ -70,9 +70,6 @@ func (r *Road) NumLanes() int { return len(r.lanes) }
 // Lane returns the i-th lane.
 func (r *Road) Lane(i int) *Lane { return r.lanes[i] }
 
-// Spec returns the i-th lane spec.
-func (r *Road) Spec(i int) LaneSpec { return r.specs[i] }
-
 // Step advances every lane by one time step. With lane-change coupling
 // enabled, sideways moves are applied (from the time-n state, in parallel)
 // before the per-lane NaS rules.
@@ -96,19 +93,6 @@ func (r *Road) TotalVehicles() int {
 		n += l.NumVehicles()
 	}
 	return n
-}
-
-// VehicleGlobalID maps (lane, vehicle) to a road-wide vehicle index:
-// vehicles of lane 0 first, then lane 1, and so on. For a lane-change
-// coupled road the mapping is only valid at construction time — vehicles
-// migrate between lanes afterwards; use Vehicle.ID, which EnableLaneChanges
-// makes globally unique and persistent.
-func (r *Road) VehicleGlobalID(lane, vehicle int) int {
-	id := 0
-	for i := 0; i < lane; i++ {
-		id += r.lanes[i].NumVehicles()
-	}
-	return id + vehicle
 }
 
 // Positions appends the absolute plane position of every vehicle on the
@@ -140,19 +124,4 @@ func (r *Road) Positions(dst []geometry.Vec2) []geometry.Vec2 {
 		}
 	}
 	return dst
-}
-
-// MeanVelocity reports the vehicle-weighted mean velocity across lanes, in
-// sites per step.
-func (r *Road) MeanVelocity() float64 {
-	sum := 0.0
-	n := 0
-	for _, l := range r.lanes {
-		sum += l.MeanVelocity() * float64(l.NumVehicles())
-		n += l.NumVehicles()
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

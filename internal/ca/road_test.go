@@ -49,7 +49,7 @@ func TestRoadBasics(t *testing.T) {
 	if road.StepCount() != 1 {
 		t.Fatalf("StepCount = %d", road.StepCount())
 	}
-	if road.Lane(0).StepCount() != 1 || road.Lane(1).StepCount() != 1 {
+	if road.Lane(0).step != 1 || road.Lane(1).step != 1 {
 		t.Fatal("Step must advance every lane")
 	}
 }
@@ -89,7 +89,7 @@ func TestReversedLaneRunsBackward(t *testing.T) {
 	specs := []LaneSpec{
 		{
 			Config:    Config{Length: 1000, Vehicles: 1},
-			Placement: geometry.Line{Transform: geometry.Identity()},
+			Placement: geometry.Line{Transform: geometry.Translate(0, 0)},
 		},
 		{
 			Config:    Config{Length: 1000, Vehicles: 1},
@@ -143,4 +143,32 @@ func TestRoadRingPlacementStaysOnCircle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// VehicleGlobalID maps (lane, vehicle) to a road-wide vehicle index:
+// vehicles of lane 0 first, then lane 1, and so on. For a lane-change
+// coupled road the mapping is only valid at construction time — vehicles
+// migrate between lanes afterwards; use Vehicle.ID, which EnableLaneChanges
+// makes globally unique and persistent.
+func (r *Road) VehicleGlobalID(lane, vehicle int) int {
+	id := 0
+	for i := 0; i < lane; i++ {
+		id += r.lanes[i].NumVehicles()
+	}
+	return id + vehicle
+}
+
+// MeanVelocity reports the vehicle-weighted mean velocity across lanes, in
+// sites per step.
+func (r *Road) MeanVelocity() float64 {
+	sum := 0.0
+	n := 0
+	for _, l := range r.lanes {
+		sum += l.MeanVelocity() * float64(l.NumVehicles())
+		n += l.NumVehicles()
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }

@@ -12,8 +12,8 @@ func TestRunVelocitySeriesLength(t *testing.T) {
 	if len(s) != 50 {
 		t.Fatalf("series length = %d", len(s))
 	}
-	if lane.StepCount() != 50 {
-		t.Fatalf("StepCount = %d", lane.StepCount())
+	if lane.step != 50 {
+		t.Fatalf("StepCount = %d", lane.step)
 	}
 }
 

@@ -50,11 +50,6 @@ func (l *Lane) AddSignal(s Signal) error {
 	return nil
 }
 
-// Signals returns a copy of the installed signals.
-func (l *Lane) Signals() []Signal {
-	return append([]Signal(nil), l.signals...)
-}
-
 // applySignals caps each vehicle's gap so that nobody enters a red site
 // this step. Called from refreshGaps after the car-following gaps are set.
 func (l *Lane) applySignals() {

@@ -34,7 +34,7 @@ func TestAddSignalValidation(t *testing.T) {
 	if err := lane.AddSignal(Signal{Site: 5, GreenSteps: 10, RedSteps: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if len(lane.Signals()) != 1 {
+	if len(lane.signals) != 1 {
 		t.Fatal("signal not installed")
 	}
 }

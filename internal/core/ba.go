@@ -241,7 +241,7 @@ func PeriodogramAnalysis(cfg VelocityConfig) (SpectrumResult, error) {
 		return SpectrumResult{}, err
 	}
 	series = series[warmup:]
-	spec := stats.Periodogram(series, stats.Hann)
+	spec := stats.Periodogram(series)
 	return SpectrumResult{
 		Spectrum: spec,
 		GPHSlope: stats.GPHSlope(spec, 0.1),

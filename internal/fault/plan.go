@@ -252,7 +252,7 @@ func (p Plan) intervals(horizon sim.Time) []Window {
 // sortedResiduals returns the map's values ordered by node index.
 func sortedResiduals(m map[int]sim.Time) []sim.Time {
 	keys := make([]int, 0, len(m))
-	for k := range m {
+	for k := range m { // order-free: the keys are sorted below
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
@@ -266,7 +266,7 @@ func sortedResiduals(m map[int]sim.Time) []sim.Time {
 // sortedPairKeys returns the map's keys in lexicographic pair order.
 func sortedPairKeys(m map[[2]int]sim.Time) [][2]int {
 	keys := make([][2]int, 0, len(m))
-	for k := range m {
+	for k := range m { // order-free: the keys are sorted below
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {

@@ -26,12 +26,6 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns v scaled by s.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
-// Dot returns the dot product v·w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Norm returns the Euclidean length of v.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
-
 // Dist returns the Euclidean distance between v and w.
 func (v Vec2) Dist(w Vec2) float64 { return math.Hypot(v.X-w.X, v.Y-w.Y) }
 
@@ -49,29 +43,8 @@ type Affine struct {
 	D, E, F float64
 }
 
-// Identity returns the identity transform.
-func Identity() Affine { return Affine{A: 1, E: 1} }
-
 // Translate returns a transform that shifts by (tx, ty).
 func Translate(tx, ty float64) Affine { return Affine{A: 1, C: tx, E: 1, F: ty} }
-
-// Rotate returns a rotation by theta radians about the origin.
-func Rotate(theta float64) Affine {
-	s, c := math.Sincos(theta)
-	return Affine{A: c, B: -s, D: s, E: c}
-}
-
-// Scaling returns a transform that scales x by sx and y by sy.
-func Scaling(sx, sy float64) Affine { return Affine{A: sx, E: sy} }
-
-// ReflectX returns a reflection across the y axis (x -> -x). Combined with a
-// translation this places an opposite-direction lane, as in Fig. 3 of the
-// paper.
-func ReflectX() Affine { return Affine{A: -1, E: 1} }
-
-// SwapXY returns the transform that exchanges the axes, used by the paper's
-// third-lane example where the lane runs vertically.
-func SwapXY() Affine { return Affine{B: 1, D: 1} }
 
 // Apply maps point p through the transform.
 func (t Affine) Apply(p Vec2) Vec2 {
@@ -79,42 +52,6 @@ func (t Affine) Apply(p Vec2) Vec2 {
 		X: t.A*p.X + t.B*p.Y + t.C,
 		Y: t.D*p.X + t.E*p.Y + t.F,
 	}
-}
-
-// Compose returns the transform equivalent to applying u first, then t
-// (i.e. the matrix product t·u).
-func (t Affine) Compose(u Affine) Affine {
-	return Affine{
-		A: t.A*u.A + t.B*u.D,
-		B: t.A*u.B + t.B*u.E,
-		C: t.A*u.C + t.B*u.F + t.C,
-		D: t.D*u.A + t.E*u.D,
-		E: t.D*u.B + t.E*u.E,
-		F: t.D*u.C + t.E*u.F + t.F,
-	}
-}
-
-// Det returns the determinant of the linear part; zero means the transform
-// collapses the plane and is not invertible.
-func (t Affine) Det() float64 { return t.A*t.E - t.B*t.D }
-
-// Invert returns the inverse transform. It reports ok=false when the
-// transform is singular.
-func (t Affine) Invert() (inv Affine, ok bool) {
-	det := t.Det()
-	if math.Abs(det) < 1e-12 {
-		return Affine{}, false
-	}
-	id := 1 / det
-	inv = Affine{
-		A: t.E * id,
-		B: -t.B * id,
-		D: -t.D * id,
-		E: t.A * id,
-	}
-	inv.C = -(inv.A*t.C + inv.B*t.F)
-	inv.F = -(inv.D*t.C + inv.E*t.F)
-	return inv, true
 }
 
 // LanePlacement maps a 1-D lane coordinate (meters along the lane) to a

@@ -9,9 +9,6 @@ type GridSegment struct {
 	A, B     Vec2 // plane endpoints (A at the From intersection)
 }
 
-// Length reports the street length in meters.
-func (s GridSegment) Length() float64 { return s.B.Dist(s.A) }
-
 // RoadGrid is the layout of a Manhattan-style urban grid: Rows × Cols
 // signalizable intersections joined by one-way streets. It is pure
 // geometry — the CA layer turns each segment into a NaS lane and each

@@ -130,7 +130,8 @@ func TestBackoffFreezeKeepsRemainingSlots(t *testing.T) {
 		if a.backoff != 3 {
 			t.Fatalf("frozen backoff = %d, want 3", a.backoff)
 		}
-		k.Run()
+		for k.Step() {
+		}
 		busy := 95*sim.Microsecond + prop100
 		idle := busy + b.dataDuration(100)
 		if got := b.txTimes(KindData); len(got) != 1 || got[0] != 95*sim.Microsecond {
@@ -158,7 +159,8 @@ func TestBackoffBoundaryTies(t *testing.T) {
 			if a.backoff != 3 {
 				t.Fatalf("frozen backoff = %d, want 3 (boundaries at 70 and 90 µs both count)", a.backoff)
 			}
-			k.Run()
+			for k.Step() {
+			}
 			want := 90*sim.Microsecond + b.dataDuration(100) + difs + 3*slot
 			if got := a.txTimes(KindData); len(got) != 1 || got[0] != want {
 				t.Fatalf("station 0 transmitted at %v, want [%v]", got, want)
@@ -170,7 +172,8 @@ func TestBackoffBoundaryTies(t *testing.T) {
 	t.Run("edge on the expiry loses to the transmit", func(t *testing.T) {
 		bothCountdowns(t, func(t *testing.T, oracle bool) {
 			k, a, _ := contender(oracle, 2, 90*sim.Microsecond-prop100)
-			k.Run()
+			for k.Step() {
+			}
 			if got := a.txTimes(KindData); len(got) != 1 || got[0] != 90*sim.Microsecond {
 				t.Fatalf("station 0 transmitted at %v, want [90 µs]", got)
 			}
@@ -197,7 +200,8 @@ func TestBackoffBoundaryTies(t *testing.T) {
 			if a.backoff != 1 || a.radio.Transmitting() {
 				t.Fatalf("backoff = %d, transmitting = %v; want 1 and false", a.backoff, a.radio.Transmitting())
 			}
-			k.Run()
+			for k.Step() {
+			}
 			want := 100*sim.Microsecond + difs + slot
 			if got := a.txTimes(KindData); len(got) != 1 || got[0] != want {
 				t.Fatalf("station 0 transmitted at %v, want [%v]", got, want)
@@ -219,7 +223,8 @@ func TestBackoffEventsIndependentOfCW(t *testing.T) {
 		for i := 0; i < frames; i++ {
 			st[0].Send(1, i, 512)
 		}
-		k.Run()
+		for k.Step() {
+		}
 		if got := st[1].Stats().DataRx; got != frames {
 			t.Fatalf("CW %d: delivered %d/%d", cw, got, frames)
 		}
@@ -322,12 +327,12 @@ func diffBackoffScript(t *testing.T, data []byte) {
 			case 4:
 				s.radio.SetPosition(geometry.Vec2{X: float64(arg) * 3})
 			case 5:
-				if !s.IsDown() {
+				if !s.down {
 					s.Down()
 					s.radio.Detach()
 				}
 			case 6:
-				if s.IsDown() {
+				if s.down {
 					s.radio.Reattach()
 					s.Up()
 				}
@@ -340,7 +345,8 @@ func diffBackoffScript(t *testing.T, data []byte) {
 		payload += 4
 	}
 	for _, w := range worlds {
-		w.k.Run()
+		for w.k.Step() {
+		}
 	}
 	compare(true)
 }

@@ -229,17 +229,6 @@ func (d *DCF) Addr() Address { return d.addr }
 // Stats returns a copy of the MAC counters.
 func (d *DCF) Stats() Stats { return d.stats }
 
-// QueueLen reports the current transmit backlog: queued frames plus the
-// in-flight job still contending or awaiting its ACK/retries. Counting
-// only the queue made the backlog read 0 while a frame was still retrying.
-func (d *DCF) QueueLen() int {
-	n := len(d.queue) - d.qhead
-	if d.current != nil {
-		n++
-	}
-	return n
-}
-
 // EachQueued visits the payload of every frame in the station's custody:
 // the in-flight job first, then the backlog in queue order. The invariant
 // harness uses it to prove that every unterminated data packet is still
@@ -281,9 +270,6 @@ func (d *DCF) retryLimit(job *txJob) int {
 	}
 	return shortRetryLimit
 }
-
-// IsDown reports whether the interface is administratively down.
-func (d *DCF) IsDown() bool { return d.down }
 
 // Down takes the interface out of service: every timer stops, contention
 // state resets, and the station's entire custody — the in-flight job and

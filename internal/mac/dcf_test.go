@@ -433,10 +433,12 @@ func TestSendOneAtATimeAllocFree(t *testing.T) {
 	// The whole service cycle of one broadcast MSDU allocates its two
 	// frames (mac.Frame, phy.Frame) and nothing else.
 	m.Send(Broadcast, payload, 100)
-	k.Run()
+	for k.Step() {
+	}
 	if a := testing.AllocsPerRun(200, func() {
 		m.Send(Broadcast, payload, 100)
-		k.Run()
+		for k.Step() {
+		}
 	}); a != 2 {
 		t.Fatalf("one broadcast MSDU allocated %v times, want 2 (the frames)", a)
 	}
@@ -448,10 +450,12 @@ func TestSendOneAtATimeAllocFree(t *testing.T) {
 	// the ACK waits out its SIFS held on the DCF, not in a closure.
 	peer := New(k, c.Attach(geometry.Vec2{X: 100}), 1, Config{}, rand.New(rand.NewSource(2)), discardUpper{})
 	m.Send(1, payload, 100)
-	k.Run()
+	for k.Step() {
+	}
 	if a := testing.AllocsPerRun(200, func() {
 		m.Send(1, payload, 100)
-		k.Run()
+		for k.Step() {
+		}
 	}); a != 4 {
 		t.Fatalf("one acknowledged MSDU allocated %v times, want 4 (data and ACK frames)", a)
 	}
@@ -537,4 +541,15 @@ func TestQueueHeadIndexKeepsCustody(t *testing.T) {
 	}
 	want = nil
 	check("down")
+}
+
+// QueueLen reports the current transmit backlog: queued frames plus the
+// in-flight job still contending or awaiting its ACK/retries. Counting
+// only the queue made the backlog read 0 while a frame was still retrying.
+func (d *DCF) QueueLen() int {
+	n := len(d.queue) - d.qhead
+	if d.current != nil {
+		n++
+	}
+	return n
 }

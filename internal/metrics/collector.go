@@ -138,31 +138,22 @@ func (c *Collector) Unreachable(src netsim.NodeID) uint64 { return c.unreachable
 // Drops reports drop counts by reason.
 func (c *Collector) Drops() map[string]uint64 {
 	out := make(map[string]uint64, len(c.drops))
-	for k, v := range c.drops {
+	for k, v := range c.drops { // order-free: a copy
 		out[k] = v
 	}
 	return out
 }
 
-// TotalPDR reports the delivery ratio across all senders.
-func (c *Collector) TotalPDR() float64 {
-	sent, delivered, _ := c.Totals()
-	if sent == 0 {
-		return 0
-	}
-	return float64(delivered) / float64(sent)
-}
-
 // Totals reports the data-plane ledger across all senders: packets
 // originated, delivered, and dropped with a recorded reason.
 func (c *Collector) Totals() (sent, delivered, dropped uint64) {
-	for _, s := range c.sent {
+	for _, s := range c.sent { // order-free: an integer sum
 		sent += s
 	}
-	for _, d := range c.delivered {
+	for _, d := range c.delivered { // order-free: an integer sum
 		delivered += d
 	}
-	for _, d := range c.drops {
+	for _, d := range c.drops { // order-free: an integer sum
 		dropped += d
 	}
 	return sent, delivered, dropped

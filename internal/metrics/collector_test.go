@@ -204,3 +204,12 @@ func TestCollectorDrops(t *testing.T) {
 		t.Fatal("Drops must return a copy")
 	}
 }
+
+// TotalPDR reports the delivery ratio across all senders.
+func (c *Collector) TotalPDR() float64 {
+	sent, delivered, _ := c.Totals()
+	if sent == 0 {
+		return 0
+	}
+	return float64(delivered) / float64(sent)
+}

@@ -85,7 +85,7 @@ func AnalyzeTopology(tr *mobility.SampledTrace, rangeMeters float64) TopologySta
 		// Sort the downs so LinkUpDurations keeps the deterministic (i,j)
 		// order of the original all-pairs scan.
 		downs = downs[:0]
-		for pair := range up {
+		for pair := range up { // order-free: the downs are sorted below
 			if positions[pair[0]].Dist(positions[pair[1]]) > rangeMeters {
 				downs = append(downs, pair)
 			}

@@ -52,20 +52,6 @@ func TestSampledTraceClamping(t *testing.T) {
 	}
 }
 
-func TestSampledTraceSpeed(t *testing.T) {
-	tr := lineTrace()
-	if v := tr.Speed(0, 0.5); v != 10 {
-		t.Fatalf("Speed = %v, want 10 m/s", v)
-	}
-	if v := tr.Speed(1, 0.5); v != 0 {
-		t.Fatalf("stationary node speed = %v", v)
-	}
-	// Clamps at the ends.
-	if v := tr.Speed(0, 99); v != 10 {
-		t.Fatalf("clamped speed = %v", v)
-	}
-}
-
 func TestSampledTraceValidation(t *testing.T) {
 	bad := &SampledTrace{Interval: 1, Positions: [][]geometry.Vec2{
 		make([]geometry.Vec2, 3),
@@ -128,7 +114,7 @@ func TestRecordRoad(t *testing.T) {
 func TestWarmupRoadAdvances(t *testing.T) {
 	road, err := ca.NewRoad([]ca.LaneSpec{{
 		Config:    ca.Config{Length: 50, Vehicles: 5},
-		Placement: geometry.Line{Transform: geometry.Identity()},
+		Placement: geometry.Line{Transform: geometry.Translate(0, 0)},
 	}}, nil)
 	if err != nil {
 		t.Fatal(err)

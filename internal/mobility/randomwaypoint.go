@@ -42,14 +42,6 @@ func RandomWaypoint(cfg RandomWaypointConfig, duration float64, rnd *rand.Rand) 
 	return randomWaypoint(cfg, duration, rnd, false)
 }
 
-// RandomWaypointSource streams the RW model as a mobility Source with
-// O(nodes) walker state — the streaming counterpart of RandomWaypoint
-// (whose materialized trace it is bit-identical to, both being views of
-// the same walker stepping).
-func RandomWaypointSource(cfg RandomWaypointConfig, duration float64, rnd *rand.Rand) (*Stream, error) {
-	return newRandomWaypoint(cfg, duration, rnd, false, nil)
-}
-
 func randomWaypoint(cfg RandomWaypointConfig, duration float64, rnd *rand.Rand, stationary bool) (*SampledTrace, []float64) {
 	var meanVel []float64
 	src, err := newRandomWaypoint(cfg, duration, rnd, stationary, &meanVel)
@@ -71,11 +63,9 @@ type rwWalker struct {
 	pause float64 // remaining pause time
 }
 
-// newRandomWaypoint builds the streaming RW source. A non-nil meanVel
+// newRandomWaypoint builds the RW model as a row generator; meanVel
 // accumulates the instantaneous mean velocity, one entry per produced
-// sample (complete once every sample has been pulled, e.g. by Record);
-// nil keeps the stream's retained state strictly O(nodes) — the analysis
-// series is a materializing-path artifact.
+// sample (complete once every sample has been pulled, e.g. by Record).
 func newRandomWaypoint(cfg RandomWaypointConfig, duration float64, rnd *rand.Rand, stationary bool, meanVel *[]float64) (*Stream, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 1
@@ -146,9 +136,7 @@ func newRandomWaypoint(cfg RandomWaypointConfig, duration float64, rnd *rand.Ran
 				}
 			}
 		}
-		if meanVel != nil {
-			*meanVel = append(*meanVel, vsum/float64(cfg.Nodes))
-		}
+		*meanVel = append(*meanVel, vsum/float64(cfg.Nodes))
 	}
 	return NewStream(StreamConfig{
 		Nodes:    cfg.Nodes,

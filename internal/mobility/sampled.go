@@ -101,23 +101,6 @@ func (t *SampledTrace) Row(k int, dst []geometry.Vec2) []geometry.Vec2 {
 	return dst
 }
 
-// Speed returns the average speed of node, in m/s, over the sample interval
-// containing tsec.
-func (t *SampledTrace) Speed(node int, tsec float64) float64 {
-	samples := t.Positions[node]
-	if len(samples) < 2 {
-		return 0
-	}
-	i := int(tsec / t.Interval)
-	if i >= len(samples)-1 {
-		i = len(samples) - 2
-	}
-	if i < 0 {
-		i = 0
-	}
-	return samples[i].Dist(samples[i+1]) / t.Interval
-}
-
 // Validate checks structural invariants: equal sample counts across nodes
 // and a positive interval.
 func (t *SampledTrace) Validate() error {

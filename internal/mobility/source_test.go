@@ -127,26 +127,6 @@ func TestStreamRewindPanics(t *testing.T) {
 	src.At(0, 2)
 }
 
-// TestRandomWaypointSourceMatchesTrace asserts the streamed RW model is
-// bit-identical to the materialized one under the same seed.
-func TestRandomWaypointSourceMatchesTrace(t *testing.T) {
-	cfg := RandomWaypointConfig{Nodes: 12, AreaX: 500, AreaY: 400, VMin: 1, VMax: 15, Pause: 2}
-	const duration = 60.0
-	trace, _ := RandomWaypoint(cfg, duration, rand.New(rand.NewSource(5)))
-	src, err := RandomWaypointSource(cfg, duration, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; float64(tick)*0.1 <= duration; tick++ {
-		tsec := float64(tick) * 0.1
-		for n := 0; n < cfg.Nodes; n++ {
-			if got, want := src.At(n, tsec), trace.At(n, tsec); got != want {
-				t.Fatalf("node %d at t=%.1f: streamed %v, recorded %v", n, tsec, got, want)
-			}
-		}
-	}
-}
-
 // TestStreamConfigValidation covers the constructor's rejection paths.
 func TestStreamConfigValidation(t *testing.T) {
 	fill := func(int, []geometry.Vec2) {}

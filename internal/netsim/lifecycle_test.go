@@ -40,7 +40,7 @@ func TestNodeDownUpLifecycle(t *testing.T) {
 
 	w.Kernel.Schedule(10*sim.Millisecond, func() {
 		w.Node(1).Down(false)
-		if w.Node(1).IsUp() {
+		if !w.Node(1).down {
 			t.Fatal("node 1 reports up after Down")
 		}
 	})
@@ -65,7 +65,7 @@ func TestNodeDownUpLifecycle(t *testing.T) {
 		// 400 m from node 0, beyond decode range; 200 m from node 2.
 		w.Node(1).SetPosition(geometry.Vec2{X: 400})
 		w.Node(1).Up()
-		if !w.Node(1).IsUp() {
+		if w.Node(1).down {
 			t.Fatal("node 1 reports down after Up")
 		}
 	})

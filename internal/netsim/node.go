@@ -74,10 +74,6 @@ func (n *Node) SetPosition(p geometry.Vec2) {
 // MAC exposes the MAC for stats collection.
 func (n *Node) MAC() *mac.DCF { return n.mac }
 
-// IsUp reports whether the node is in service (not taken down by fault
-// injection).
-func (n *Node) IsUp() bool { return !n.down }
-
 // OnLifecycle registers an observer for fault-injection transitions: f is
 // called with up=false when the node goes down and up=true when it
 // recovers. Traffic sources use it to pause and resume their flows.

@@ -38,8 +38,8 @@ type WorldConfig struct {
 	MAC mac.Config
 	// Mobility positions the nodes over time; nil keeps nodes wherever
 	// Static places them. Any mobility.Source works: a materialized
-	// *mobility.SampledTrace or a streaming source (CA road, ns-2 /
-	// BonnMotion playback) that the world drives live, one forward-only
+	// *mobility.SampledTrace or a streaming source (CA road, ns-2
+	// playback) that the world drives live, one forward-only
 	// position query per node per tick.
 	Mobility mobility.Source
 	// Static is used when Mobility is nil: fixed node positions.

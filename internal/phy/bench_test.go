@@ -44,7 +44,8 @@ func BenchmarkChannelBroadcast(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					radios[i%n].Transmit("payload", 512, 100*sim.Microsecond)
-					k.Run()
+					for k.Step() {
+					}
 				}
 			})
 		}
@@ -60,7 +61,7 @@ func BenchmarkChannelMobilityTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range radios {
-			p := r.Position()
+			p := r.position
 			p.X += 2.5
 			r.SetPosition(p)
 		}

@@ -170,12 +170,6 @@ func NewChannel(k *sim.Kernel, prop Propagation, cfg Config) *Channel {
 	return c
 }
 
-// Stats reports cumulative channel counters: frames transmitted, frame
-// deliveries (per receiver) and collision-corrupted receptions.
-func (c *Channel) Stats() (transmitted, delivered, collided uint64) {
-	return c.transmitted, c.delivered, c.collided
-}
-
 // Attach registers a new radio at the given position; move it afterwards
 // with Radio.SetPosition. The handler must be set via Radio.SetHandler
 // before first use.
@@ -346,9 +340,6 @@ func (r *Radio) Transmitting() bool { return r.transmitting }
 // the DCF's carrier check (at a DIFS or backoff expiry, and whenever it
 // looks for a reason to resume) is a single field load.
 func (r *Radio) CarrierBusy() bool { return r.busy }
-
-// Position reports the radio's current location.
-func (r *Radio) Position() geometry.Vec2 { return r.position }
 
 // SetPosition moves the radio, updating the channel's spatial index
 // incrementally (a move within the same grid cell is a field store). A

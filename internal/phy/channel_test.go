@@ -40,7 +40,8 @@ func TestDeliveryInRange(t *testing.T) {
 	tx, _ := attach(c, 0, 0)
 	_, rxRec := attach(c, 200, 0)
 	tx.Transmit("hello", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if len(rxRec.received) != 1 {
 		t.Fatalf("received %d frames, want 1", len(rxRec.received))
 	}
@@ -58,7 +59,8 @@ func TestNoDeliveryBeyondRange(t *testing.T) {
 	_, nearRec := attach(c, 400, 0) // between RX (250) and CS (550) range
 	_, farRec := attach(c, 600, 0)  // beyond CS range
 	tx.Transmit("x", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if len(nearRec.received) != 0 {
 		t.Fatal("node inside CS but outside RX range must not decode")
 	}
@@ -75,7 +77,8 @@ func TestCarrierTransitions(t *testing.T) {
 	tx, _ := attach(c, 0, 0)
 	_, rec := attach(c, 100, 0)
 	tx.Transmit("x", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if len(rec.carrier) != 2 || rec.carrier[0] != true || rec.carrier[1] != false {
 		t.Fatalf("carrier transitions = %v, want [true false]", rec.carrier)
 	}
@@ -88,7 +91,8 @@ func TestTxDoneNotification(t *testing.T) {
 	if !tx.Transmitting() {
 		t.Fatal("radio should report Transmitting during tx")
 	}
-	k.Run()
+	for k.Step() {
+	}
 	if tx.Transmitting() {
 		t.Fatal("radio still transmitting after completion")
 	}
@@ -104,7 +108,8 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 	_, mid := attach(c, 50, 0) // equidistant: comparable powers
 	a.Transmit("A", 100, sim.Millisecond)
 	b.Transmit("B", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if len(mid.received) != 0 {
 		t.Fatalf("middle node decoded %d frames from a collision", len(mid.received))
 	}
@@ -125,7 +130,8 @@ func TestCaptureStrongerFrameSurvives(t *testing.T) {
 	k.Schedule(100*sim.Microsecond, func() {
 		near.Transmit("strong", 100, sim.Millisecond)
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if len(rx.received) != 1 || rx.received[0].Payload != "strong" {
 		t.Fatalf("capture failed: received %v", payloads(rx.received))
 	}
@@ -141,7 +147,8 @@ func TestCaptureWeakerLateFrameIgnored(t *testing.T) {
 	k.Schedule(100*sim.Microsecond, func() {
 		far.Transmit("weak", 100, sim.Millisecond)
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if len(rx.received) != 1 || rx.received[0].Payload != "strong" {
 		t.Fatalf("ongoing strong reception lost: received %v", payloads(rx.received))
 	}
@@ -156,7 +163,8 @@ func TestNoCaptureModeBothLost(t *testing.T) {
 	k.Schedule(100*sim.Microsecond, func() {
 		far.Transmit("weak", 100, sim.Millisecond)
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if len(rx.received) != 0 {
 		t.Fatalf("capture disabled: received %v", payloads(rx.received))
 	}
@@ -171,7 +179,8 @@ func TestHalfDuplexTxDuringRx(t *testing.T) {
 	k.Schedule(200*sim.Microsecond, func() {
 		b.Transmit("fromB", 100, sim.Millisecond)
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if len(bRec.received) != 0 {
 		t.Fatal("half-duplex radio decoded a frame while transmitting")
 	}
@@ -185,7 +194,8 @@ func TestArrivalDuringOwnTxLost(t *testing.T) {
 	k.Schedule(500*sim.Microsecond, func() {
 		a.Transmit("late", 10, 100*sim.Microsecond)
 	})
-	k.Run()
+	for k.Step() {
+	}
 	if len(bRec.received) != 0 {
 		t.Fatal("frame arriving during own transmission must be lost")
 	}
@@ -211,7 +221,8 @@ func TestPropagationDelay(t *testing.T) {
 	wrapped := &hookHandler{inner: rec, onReceive: func() { deliveredAt = k.Now() }}
 	c.radios[1].SetHandler(wrapped)
 	tx.Transmit("x", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	wantMin := sim.Millisecond + 800*sim.Nanosecond
 	if deliveredAt < wantMin {
 		t.Fatalf("delivered at %v, want >= %v (duration + propagation)", deliveredAt, wantMin)
@@ -226,7 +237,8 @@ func TestNoPropDelayOption(t *testing.T) {
 	wrapped := &hookHandler{inner: rec, onReceive: func() { deliveredAt = k.Now() }}
 	c.radios[1].SetHandler(wrapped)
 	tx.Transmit("x", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if deliveredAt != sim.Millisecond {
 		t.Fatalf("delivered at %v, want exactly the frame duration", deliveredAt)
 	}
@@ -238,7 +250,8 @@ func TestChannelStats(t *testing.T) {
 	attach(c, 100, 0)
 	attach(c, 150, 0)
 	tx.Transmit("x", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	transmitted, delivered, _ := c.Stats()
 	if transmitted != 1 {
 		t.Fatalf("transmitted = %d", transmitted)
@@ -287,7 +300,8 @@ func TestTransmitFanOutAllocatesOnlyFrame(t *testing.T) {
 		cycle := func() {
 			radios[i%len(radios)].Transmit(payload, 512, 100*sim.Microsecond)
 			i++
-			k.Run()
+			for k.Step() {
+			}
 		}
 		for j := 0; j < 2*len(radios); j++ {
 			cycle()
@@ -309,7 +323,8 @@ func TestShortFrameEndsBeforeLaterStarts(t *testing.T) {
 	_, near := attach(c, 30, 0) // ≈100 ns away
 	_, far := attach(c, 240, 0) // ≈800 ns away
 	tx.Transmit("x", 1, 200*sim.Nanosecond)
-	k.Run()
+	for k.Step() {
+	}
 	for name, rec := range map[string]*recorder{"near": near, "far": far} {
 		if len(rec.received) != 1 {
 			t.Fatalf("%s receiver decoded %d frames, want 1", name, len(rec.received))
@@ -321,4 +336,10 @@ func TestShortFrameEndsBeforeLaterStarts(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Fatalf("%d events still pending", k.Pending())
 	}
+}
+
+// Stats reports cumulative channel counters: frames transmitted, frame
+// deliveries (per receiver) and collision-corrupted receptions.
+func (c *Channel) Stats() (transmitted, delivered, collided uint64) {
+	return c.transmitted, c.delivered, c.collided
 }

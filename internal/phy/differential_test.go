@@ -61,7 +61,8 @@ func runRandomScenario(t *testing.T, seed int64, brute bool) (transmitted, deliv
 		p := randPos()
 		k.Schedule(at, func() { r.SetPosition(p) })
 	}
-	k.Run()
+	for k.Step() {
+	}
 	return c.Stats()
 }
 
@@ -95,7 +96,8 @@ func TestChannelCullReachesCellEdge(t *testing.T) {
 		tx, _ := attach(c, 0.1, 0)
 		_, rec := attach(c, c.cfg.CSRangeM, 0)
 		tx.Transmit("x", 100, sim.Millisecond)
-		k.Run()
+		for k.Step() {
+		}
 		if len(rec.carrier) != 2 || !rec.carrier[0] || rec.carrier[1] {
 			t.Fatalf("culling %v: carrier edges at the cell edge = %v, want [true false]", c.grid != nil, rec.carrier)
 		}
@@ -123,19 +125,22 @@ func TestRadioSetPositionMovesCoverage(t *testing.T) {
 	tx, _ := attach(c, 0, 0)
 	rx, rec := attach(c, 200, 0)
 	tx.Transmit("a", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if len(rec.received) != 1 {
 		t.Fatalf("in range: received %d, want 1", len(rec.received))
 	}
 	rx.SetPosition(geometry.Vec2{X: 5000})
 	tx.Transmit("b", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if len(rec.received) != 1 {
 		t.Fatalf("moved out of range: received %d, want still 1", len(rec.received))
 	}
 	rx.SetPosition(geometry.Vec2{X: 150})
 	tx.Transmit("c", 100, sim.Millisecond)
-	k.Run()
+	for k.Step() {
+	}
 	if len(rec.received) != 2 || rec.received[1].Payload != "c" {
 		t.Fatalf("moved back in range: received %v", rec.received)
 	}

@@ -2,6 +2,7 @@ package aodv
 
 import (
 	"fmt"
+	"slices"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
@@ -110,9 +111,6 @@ func (r *Router) markSeen(key seenKey) {
 	r.seen.Add(key, r.node.Kernel().Now()+2*netTraversalTime)
 }
 
-// SeenEntries reports the dedup-table size (for memory-stability tests).
-func (r *Router) SeenEntries() int { return r.seen.Len() }
-
 func (r *Router) purge() {
 	r.table.purgeExpired()
 	r.seen.Expire(r.node.Kernel().Now())
@@ -131,7 +129,7 @@ func (r *Router) Start() {
 func (r *Router) Stop() {
 	r.helloTicker.Stop()
 	r.purgeTicker.Stop()
-	for _, d := range r.discoveries {
+	for _, d := range r.discoveries { // order-free: stopping a timer draws no sequence number
 		d.timer.Stop()
 	}
 	r.neighbors.StopAll()
@@ -139,10 +137,16 @@ func (r *Router) Stop() {
 
 // EachBuffered visits every data packet parked in route-discovery buffers —
 // the router's share of the custody set the packet-conservation invariant
-// audits.
+// audits — discovery by discovery in ascending destination order, so a
+// crash drops them in the same order on every replay.
 func (r *Router) EachBuffered(f func(p *netsim.Packet)) {
-	for _, d := range r.discoveries {
-		for _, p := range d.buffer {
+	dsts := make([]netsim.NodeID, 0, len(r.discoveries))
+	for dst := range r.discoveries { // order-free: the keys are sorted below
+		dsts = append(dsts, dst)
+	}
+	slices.Sort(dsts)
+	for _, dst := range dsts {
+		for _, p := range r.discoveries[dst].buffer {
 			f(p)
 		}
 	}

@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"slices"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -359,7 +360,8 @@ func TestTableExpiry(t *testing.T) {
 			t.Fatal("fresh route should be valid")
 		}
 		k.Schedule(2*sim.Second, func() {})
-		k.Run()
+		for k.Step() {
+		}
 		if _, _, ok := tbl.validNext(5); ok {
 			t.Fatal("expired route should be invalid")
 		}
@@ -413,12 +415,32 @@ func TestSeenEntriesExpire(t *testing.T) {
 	sendAt(w, sim.Second, 0, 2, 128)
 	w.Run(3 * sim.Second)
 	r1 := w.Node(1).Router().(*Router)
-	if r1.SeenEntries() == 0 {
+	if r1.seen.Len() == 0 {
 		t.Fatal("precondition: relay recorded no RREQ dedup entries")
 	}
 	w.Kernel.RunUntil(w.Kernel.Now() + 3*netTraversalTime)
 	r1.purge()
-	if got := r1.SeenEntries(); got != 0 {
+	if got := r1.seen.Len(); got != 0 {
 		t.Fatalf("seen entries after PATH_DISCOVERY_TIME = %d, want 0", got)
+	}
+}
+
+// TestEachBufferedAscendingDestinations pins the custody walk's order: a
+// crash drops the packets of every open discovery in this order, so it must
+// not follow map iteration.
+func TestEachBufferedAscendingDestinations(t *testing.T) {
+	w := chainWorld(t, 10, 10000, Config{}) // nobody hears anybody
+	dsts := []int{9, 3, 7, 1, 5}
+	for _, d := range dsts {
+		sendAt(w, sim.Second, 0, d, 64)
+	}
+	w.Run(sim.Second + sim.Millisecond)
+	r := w.Node(0).Router().(*Router)
+	for call := 0; call < 20; call++ {
+		var got []netsim.NodeID
+		r.EachBuffered(func(p *netsim.Packet) { got = append(got, p.Dst) })
+		if len(got) != len(dsts) || !slices.IsSorted(got) {
+			t.Fatalf("call %d visited destinations %v, want %d in ascending order", call, got, len(dsts))
+		}
 	}
 }

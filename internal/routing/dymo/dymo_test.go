@@ -1,6 +1,7 @@
 package dymo
 
 import (
+	"slices"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -374,5 +375,25 @@ func TestSeenEntriesExpire(t *testing.T) {
 	r1.purge()
 	if got := r1.SeenEntries(); got != 0 {
 		t.Fatalf("seen entries after expiry window = %d, want 0", got)
+	}
+}
+
+// TestEachBufferedAscendingDestinations pins the custody walk's order: a
+// crash drops the packets of every open discovery in this order, so it must
+// not follow map iteration.
+func TestEachBufferedAscendingDestinations(t *testing.T) {
+	w := chainWorld(t, 10, 10000, Config{}) // nobody hears anybody
+	dsts := []int{9, 3, 7, 1, 5}
+	for _, d := range dsts {
+		sendAt(w, sim.Second, 0, d, 64)
+	}
+	w.Run(sim.Second + sim.Millisecond)
+	r := w.Node(0).Router().(*Router)
+	for call := 0; call < 20; call++ {
+		var got []netsim.NodeID
+		r.EachBuffered(func(p *netsim.Packet) { got = append(got, p.Dst) })
+		if len(got) != len(dsts) || !slices.IsSorted(got) {
+			t.Fatalf("call %d visited destinations %v, want %d in ascending order", call, got, len(dsts))
+		}
 	}
 }

@@ -206,7 +206,8 @@ func tableDifferential(t *testing.T, probeEvery int) {
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 2000; step++ {
 		k.Schedule(k.Now()+sim.Time(rng.Int63n(int64(500*sim.Millisecond))), func() {})
-		k.Run()
+		for k.Step() {
+		}
 		dst := netsim.NodeID(rng.Intn(12))
 		switch rng.Intn(5) {
 		case 0:

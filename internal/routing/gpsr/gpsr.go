@@ -131,9 +131,6 @@ func (r *Router) Stop() {
 	r.purgeTicker.Stop()
 }
 
-// NeighborCount reports the live neighbor-table size (for tests/stats).
-func (r *Router) NeighborCount() int { return len(r.neighbors) }
-
 func (r *Router) sendBeacon() {
 	p := &netsim.Packet{
 		UID:       0, // control packets are not tracked by metrics UIDs

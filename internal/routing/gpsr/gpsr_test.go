@@ -259,14 +259,14 @@ func TestBeaconsExpire(t *testing.T) {
 	w := staticWorld(t, positions)
 	w.Run(3 * sim.Second)
 	r0 := w.Node(0).Router().(*Router)
-	if r0.NeighborCount() != 1 {
-		t.Fatalf("node 0 has %d neighbors after 3 s, want 1", r0.NeighborCount())
+	if len(r0.neighbors) != 1 {
+		t.Fatalf("node 0 has %d neighbors after 3 s, want 1", len(r0.neighbors))
 	}
 	// Silence node 1: its radio leaves the air; node 0 must expire the
 	// entry within the hold time plus one purge period.
 	w.Kernel.Schedule(3*sim.Second+1, func() { w.Node(1).Down(true) })
 	w.Run(8 * sim.Second)
-	if r0.NeighborCount() != 0 {
-		t.Fatalf("node 0 still has %d neighbors after neighbor went down", r0.NeighborCount())
+	if len(r0.neighbors) != 0 {
+		t.Fatalf("node 0 still has %d neighbors after neighbor went down", len(r0.neighbors))
 	}
 }

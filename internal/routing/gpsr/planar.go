@@ -24,7 +24,7 @@ import (
 // iteration order.
 func (r *Router) planarNeighbors(self geometry.Vec2) []netsim.NodeID {
 	all := r.allBuf[:0]
-	for id := range r.neighbors {
+	for id := range r.neighbors { // order-free: the keys are sorted below
 		all = append(all, id)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })

@@ -34,7 +34,8 @@ func seedControlState(w *netsim.World, r *Router, n int) {
 			r.handleTC(&netsim.Packet{Kind: netsim.KindControl, TTL: 1}, msg, 1)
 		}
 	})
-	w.Kernel.Run()
+	for w.Kernel.Step() {
+	}
 }
 
 // BenchmarkOLSRControlPlane measures one full MPR+route recompute on a

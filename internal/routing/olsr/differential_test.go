@@ -141,7 +141,8 @@ func feedRandomControlState(w *netsim.World, r *Router, rnd *rand.Rand, etx bool
 				plan.probe()
 			}
 		})
-		w.Kernel.Run()
+		for w.Kernel.Step() {
+		}
 	}
 	return roundAts
 }
@@ -323,7 +324,8 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 	w.Kernel.Schedule(0, func() {
 		r.handleHello(&Hello{From: 1, Links: []HelloLink{{Neighbor: 0, Code: LinkSym}}}, 1)
 	})
-	w.Kernel.Run()
+	for w.Kernel.Step() {
+	}
 
 	base := r.recomputes
 	w.Kernel.Schedule(w.Kernel.Now()+sim.Second, func() {
@@ -337,7 +339,8 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 			r.handleTC(&netsim.Packet{Kind: netsim.KindControl, TTL: 4}, msg, 1)
 		}
 	})
-	w.Kernel.Run()
+	for w.Kernel.Step() {
+	}
 	if got := r.recomputes - base; got != 1 {
 		t.Fatalf("5 TCs in one timestamp caused %d recomputes, want 1", got)
 	}
@@ -348,7 +351,8 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 	w.Kernel.Schedule(w.Kernel.Now()+sim.Second, func() {
 		r.handleHello(&Hello{From: 1, Links: []HelloLink{{Neighbor: 0, Code: LinkSym}}}, 1)
 	})
-	w.Kernel.Run()
+	for w.Kernel.Step() {
+	}
 	if got := r.recomputes - base; got != 0 {
 		t.Fatalf("pure refresh hello caused %d recomputes, want 0", got)
 	}
@@ -366,7 +370,8 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 		r.Route(40)                                                                // flush: recompute #1 at `at`
 		r.handleTC(&netsim.Packet{Kind: netsim.KindControl, TTL: 4}, tc(2, 41), 1) // re-dirty: schedules at+1
 	})
-	w.Kernel.Run()
+	for w.Kernel.Step() {
+	}
 	if got := r.recomputes - base; got != 2 {
 		t.Fatalf("flush interleaving caused %d recomputes, want 2 (one per timestamp)", got)
 	}
@@ -386,7 +391,8 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 			msg := &TC{Origin: 1, ANSN: 2 + seq, Advertised: []netsim.NodeID{60 + netsim.NodeID(seq)}, Seq: 200 + seq}
 			r.handleTC(&netsim.Packet{Kind: netsim.KindControl, TTL: 4}, msg, 1)
 		})
-		w.Kernel.Run()
+		for w.Kernel.Step() {
+		}
 	}
 	if got := r.recomputes - base; got != k {
 		t.Fatalf("%d material timestamps caused %d stamps, want %d", k, got, k)
@@ -483,4 +489,19 @@ func TestLinkFailureFailsOverSameRecompute(t *testing.T) {
 	if next, _, ok = r0.Route(1); !ok || next != 2 {
 		t.Fatalf("route to failed neighbor = %d/%v, want via 2", next, ok)
 	}
+}
+
+// routesSnapshot materializes the route table as a map (tests only).
+func (r *Router) routesSnapshot() map[netsim.NodeID]routeEntry {
+	r.flush()
+	out := make(map[netsim.NodeID]routeEntry)
+	if r.routeEpoch == 0 {
+		return out
+	}
+	for i, id := range r.ids {
+		if r.routeStamp[i] == r.routeEpoch {
+			out[id] = r.routeOf[i]
+		}
+	}
+	return out
 }

@@ -77,7 +77,8 @@ func TestHNAExpiresWithGateway(t *testing.T) {
 	// Kill the gateway's HNA emission and advance past the hold time.
 	gw.Stop()
 	w.Kernel.Schedule(w.Kernel.Now()+20*sim.Second, func() {})
-	w.Kernel.Run()
+	for w.Kernel.Step() {
+	}
 	src.purge()
 	if _, ok := src.GatewayFor(100); ok {
 		t.Fatal("stale HNA association survived")

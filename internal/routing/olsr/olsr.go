@@ -294,12 +294,6 @@ func (r *Router) TableStats() TableStats {
 	}
 }
 
-// MPRSet returns the current multipoint relays (for tests and analysis).
-func (r *Router) MPRSet() []netsim.NodeID {
-	r.flush()
-	return append([]netsim.NodeID(nil), r.mprList...)
-}
-
 // isMPR reports whether the interned neighbor was selected as MPR by the
 // last recompute.
 func (r *Router) isMPR(fi int32) bool {
@@ -326,21 +320,6 @@ func (r *Router) routeFor(dst netsim.NodeID) (routeEntry, bool) {
 		return routeEntry{}, false
 	}
 	return r.routeOf[i], true
-}
-
-// routesSnapshot materializes the route table as a map (tests only).
-func (r *Router) routesSnapshot() map[netsim.NodeID]routeEntry {
-	r.flush()
-	out := make(map[netsim.NodeID]routeEntry)
-	if r.routeEpoch == 0 {
-		return out
-	}
-	for i, id := range r.ids {
-		if r.routeStamp[i] == r.routeEpoch {
-			out[id] = r.routeOf[i]
-		}
-	}
-	return out
 }
 
 func (r *Router) now() sim.Time { return r.node.Kernel().Now() }
@@ -527,7 +506,7 @@ func (r *Router) sendHello() {
 // sequence number is assigned by sendTC.
 func (r *Router) makeTC(now sim.Time) *TC {
 	var adv []netsim.NodeID
-	for id, until := range r.selectors {
+	for id, until := range r.selectors { // order-free: the advertised set is sorted below
 		if until > now {
 			adv = append(adv, id)
 		}

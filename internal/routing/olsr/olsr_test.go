@@ -217,7 +217,8 @@ func TestExpiryPurgesDeadNeighbor(t *testing.T) {
 	// neighbor hold time.
 	w.Node(1).Router().Stop()
 	w.Kernel.Schedule(w.Kernel.Now()+10*sim.Second, func() {})
-	w.Kernel.Run()
+	for w.Kernel.Step() {
+	}
 	r.purge()
 	if len(r.symNeighbors()) != 0 {
 		t.Fatal("dead neighbor not purged")
@@ -312,4 +313,10 @@ func TestDataForwardTTLExpiry(t *testing.T) {
 	if ttlDrops != 1 {
 		t.Fatalf("ttl drops = %d, want 1", ttlDrops)
 	}
+}
+
+// MPRSet returns the current multipoint relays (for tests and analysis).
+func (r *Router) MPRSet() []netsim.NodeID {
+	r.flush()
+	return append([]netsim.NodeID(nil), r.mprList...)
 }

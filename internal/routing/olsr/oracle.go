@@ -64,18 +64,18 @@ func (r *Router) oracleSelectMPRs(now sim.Time, epoch uint64) {
 
 	// Pass 1: neighbors that are the sole route to some 2-hop node.
 	providers := make(map[netsim.NodeID][]netsim.NodeID)
-	for n, covers := range coverage {
-		for th := range covers {
+	for n, covers := range coverage { // order-free: only the providers' counts are read
+		for th := range covers { // order-free: only the providers' counts are read
 			providers[th] = append(providers[th], n)
 		}
 	}
-	for _, ps := range providers {
+	for _, ps := range providers { // order-free: set insertions
 		if len(ps) == 1 {
 			mprs[ps[0]] = struct{}{}
 		}
 	}
-	for n := range mprs {
-		for th := range coverage[n] {
+	for n := range mprs { // order-free: set deletions
+		for th := range coverage[n] { // order-free: set deletions
 			delete(uncovered, th)
 		}
 	}
@@ -86,7 +86,7 @@ func (r *Router) oracleSelectMPRs(now sim.Time, epoch uint64) {
 		bestCount := 0
 		// Deterministic iteration order for reproducibility.
 		candidates := make([]netsim.NodeID, 0, len(coverage))
-		for n := range coverage {
+		for n := range coverage { // order-free: the candidates are sorted below
 			candidates = append(candidates, n)
 		}
 		sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
@@ -95,7 +95,7 @@ func (r *Router) oracleSelectMPRs(now sim.Time, epoch uint64) {
 				continue
 			}
 			count := 0
-			for th := range coverage[n] {
+			for th := range coverage[n] { // order-free: an integer count
 				if uncovered[th] {
 					count++
 				}
@@ -109,7 +109,7 @@ func (r *Router) oracleSelectMPRs(now sim.Time, epoch uint64) {
 			break // remaining 2-hop nodes are unreachable; sets will expire
 		}
 		mprs[best] = struct{}{}
-		for th := range coverage[best] {
+		for th := range coverage[best] { // order-free: set deletions
 			delete(uncovered, th)
 		}
 	}
@@ -117,7 +117,7 @@ func (r *Router) oracleSelectMPRs(now sim.Time, epoch uint64) {
 	// Publish through the shared epoch-stamped representation.
 	r.mprEpoch = epoch
 	r.mprList = r.mprList[:0]
-	for id := range mprs {
+	for id := range mprs { // order-free: stamps a set; the list is sorted below
 		r.mprStamp[r.idx.Index(id)] = epoch
 		r.mprList = append(r.mprList, id)
 	}
@@ -176,7 +176,7 @@ func (r *Router) oracleComputeRoutes(now sim.Time, epoch uint64) {
 	// irrelevant here.
 	for changed := true; changed; {
 		changed = false
-		for oi, edges := range r.topoOf {
+		for oi, edges := range r.topoOf { // order-free: the lessRoute fixpoint is unique
 			origin := r.ids[oi]
 			for _, e := range edges {
 				if e.until <= now || r.ids[e.dest] == me {
@@ -204,7 +204,7 @@ func (r *Router) oracleComputeRoutes(now sim.Time, epoch uint64) {
 	// destination is interned (it came from a link, 2-hop or topology
 	// tuple), so the index lookup cannot miss.
 	r.routeEpoch = epoch
-	for id, e := range routes {
+	for id, e := range routes { // order-free: each route lands in its own slot
 		i := r.idx.Index(id)
 		r.routeOf[i] = e
 		r.routeStamp[i] = epoch

@@ -3,7 +3,6 @@ package check
 import (
 	"cavenet/internal/ca"
 	"cavenet/internal/geometry"
-	"cavenet/internal/mobility"
 )
 
 // RoadWatcher validates the cellular-automaton dynamics of a road while it
@@ -44,7 +43,7 @@ func (w *RoadWatcher) key(lane int, v ca.Vehicle) int {
 }
 
 func (w *RoadWatcher) snapshot() {
-	for k := range w.prev {
+	for k := range w.prev { // order-free: clears the map
 		delete(w.prev, k)
 	}
 	for li := 0; li < w.road.NumLanes(); li++ {
@@ -164,16 +163,4 @@ func (w *TraceWatcher) OnSample(k int, row []geometry.Vec2) {
 	}
 	w.prev = append(w.prev[:0], row...)
 	w.prevK = k
-}
-
-// Trace validates a fully materialized mobility trace by feeding it
-// through a TraceWatcher row by row — one code path for the recorded and
-// streamed checks. activationStep may be nil when no ramp is in play.
-func Trace(tr *mobility.SampledTrace, maxStepMeters float64, activationStep []int, report *Report) {
-	w := WatchTrace(maxStepMeters, activationStep, report)
-	row := make([]geometry.Vec2, tr.NumNodes())
-	for k := 0; k < tr.NumSamples(); k++ {
-		row = tr.Row(k, row[:0])
-		w.OnSample(k, row)
-	}
 }

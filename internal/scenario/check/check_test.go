@@ -70,7 +70,7 @@ func TestLedgerCompactsSettledEntries(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
 	var now sim.Time
-	l.SetClock(func() sim.Time { return now })
+	l.now = func(*netsim.Node) sim.Time { return now }
 	h := l.Hooks()
 
 	const packets = 500
@@ -335,5 +335,17 @@ func TestReportTotalCountsBeyondCap(t *testing.T) {
 	r.Add("ttl", "one more")
 	if got := r.Total(); got != maxPerCheck+11 {
 		t.Fatalf("Total = %d, want %d", got, maxPerCheck+11)
+	}
+}
+
+// Trace validates a fully materialized mobility trace by feeding it
+// through a TraceWatcher row by row — one code path for the recorded and
+// streamed checks. activationStep may be nil when no ramp is in play.
+func Trace(tr *mobility.SampledTrace, maxStepMeters float64, activationStep []int, report *Report) {
+	w := WatchTrace(maxStepMeters, activationStep, report)
+	row := make([]geometry.Vec2, tr.NumNodes())
+	for k := 0; k < tr.NumSamples(); k++ {
+		row = tr.Row(k, row[:0])
+		w.OnSample(k, row)
 	}
 }

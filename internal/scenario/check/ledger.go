@@ -121,12 +121,6 @@ func NewLedger(report *Report) *Ledger {
 	}
 }
 
-// SetClock overrides the ledger's clock (synthetic tests drive
-// retirement without a kernel).
-func (l *Ledger) SetClock(now func() sim.Time) {
-	l.now = func(*netsim.Node) sim.Time { return now() }
-}
-
 // Active reports the live per-UID entry count (retired entries excluded).
 func (l *Ledger) Active() int { return len(l.fates) }
 
@@ -270,7 +264,7 @@ func (l *Ledger) Finish(w *netsim.World) {
 // compaction never hides a vanished packet.
 func (l *Ledger) finish(custody map[uint64]bool) {
 	vanished := make([]uint64, 0)
-	for uid, f := range l.fates {
+	for uid, f := range l.fates { // order-free: the vanished uids are sorted below
 		if f.delivered+f.dropped > 0 {
 			continue
 		}

@@ -56,7 +56,7 @@ func Names() []string {
 	registry.RLock()
 	defer registry.RUnlock()
 	names := make([]string, 0, len(registry.specs))
-	for name := range registry.specs {
+	for name := range registry.specs { // order-free: the keys are sorted below
 		names = append(names, name)
 	}
 	sort.Strings(names)

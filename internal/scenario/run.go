@@ -68,10 +68,10 @@ type UplinkStats struct {
 // TotalPDR reports the delivery ratio across all senders.
 func (r *Result) TotalPDR() float64 {
 	var sent, del uint64
-	for _, s := range r.Sent {
+	for _, s := range r.Sent { // order-free: an integer sum
 		sent += s
 	}
-	for _, d := range r.Delivered {
+	for _, d := range r.Delivered { // order-free: an integer sum
 		del += d
 	}
 	if sent == 0 {
@@ -83,7 +83,7 @@ func (r *Result) TotalPDR() float64 {
 // TotalDelivered reports the delivered packet count across all senders.
 func (r *Result) TotalDelivered() uint64 {
 	var del uint64
-	for _, d := range r.Delivered {
+	for _, d := range r.Delivered { // order-free: an integer sum
 		del += d
 	}
 	return del

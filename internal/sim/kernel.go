@@ -49,9 +49,6 @@ const MaxTime Time = math.MaxInt64
 // Seconds converts a floating-point second count to a Time.
 func Seconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
 
-// Micros converts a floating-point microsecond count to a Time.
-func Micros(us float64) Time { return Time(math.Round(us * float64(Microsecond))) }
-
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -130,15 +127,6 @@ func (h Handle) At() Time {
 		return 0
 	}
 	return h.ev.at
-}
-
-// When reports the pending fire time and whether the event is still
-// scheduled; unlike At, a pending time-zero event is unambiguous.
-func (h Handle) When() (Time, bool) {
-	if !h.live() {
-		return 0, false
-	}
-	return h.ev.at, true
 }
 
 // eventQueue is the container/heap implementation — the pre-calendar event
@@ -526,9 +514,6 @@ func (k *Kernel) run(deadline Time) {
 		k.fire(ev, deadline, false)
 	}
 }
-
-// Run executes events until the queue drains or Stop is called.
-func (k *Kernel) Run() { k.run(MaxTime) }
 
 // RunUntil executes events with timestamps <= end, then sets the clock to
 // end. Events scheduled after end remain queued.

@@ -8,6 +8,9 @@ import (
 // queue (Kernel.oracle): in-package tests only, no exported switch.
 func newHeapKernel() *Kernel { return &Kernel{oracle: true} }
 
+// Run executes events until the queue drains or Stop is called.
+func (k *Kernel) Run() { k.run(MaxTime) }
+
 // forBothKernels runs a test against the calendar queue and the retained
 // heap oracle; both must satisfy the same observable contract.
 func forBothKernels(t *testing.T, fn func(t *testing.T, k *Kernel)) {
@@ -22,9 +25,6 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Fatalf("(2s).Seconds() = %v, want 2", got)
-	}
-	if got := Micros(50); got != 50*Microsecond {
-		t.Fatalf("Micros(50) = %v, want %v", got, 50*Microsecond)
 	}
 	if got := (1500 * Millisecond).String(); got != "1.500000s" {
 		t.Fatalf("String() = %q", got)
@@ -347,23 +347,24 @@ func TestKernelCancelChurnAllocFree(t *testing.T) {
 
 func TestHandleWhen(t *testing.T) {
 	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		// A pending time-zero event is ambiguous through At but not When.
+		// A pending time-zero event is ambiguous through At alone, not
+		// together with Scheduled.
 		h := k.Schedule(0, noop)
-		if at, ok := h.When(); !ok || at != 0 {
-			t.Fatalf("When() = (%v, %v), want (0, true) while pending", at, ok)
+		if at, ok := h.At(), h.Scheduled(); !ok || at != 0 {
+			t.Fatalf("At, Scheduled = (%v, %v), want (0, true) while pending", at, ok)
 		}
 		h2 := k.Schedule(3*Second, noop)
-		if at, ok := h2.When(); !ok || at != 3*Second {
-			t.Fatalf("When() = (%v, %v), want (3s, true)", at, ok)
+		if at, ok := h2.At(), h2.Scheduled(); !ok || at != 3*Second {
+			t.Fatalf("At, Scheduled = (%v, %v), want (3s, true)", at, ok)
 		}
 		k.Run()
-		if at, ok := h2.When(); ok || at != 0 {
-			t.Fatalf("When() = (%v, %v) after firing, want (0, false)", at, ok)
+		if at, ok := h2.At(), h2.Scheduled(); ok || at != 0 {
+			t.Fatalf("At, Scheduled = (%v, %v) after firing, want (0, false)", at, ok)
 		}
 		h3 := k.Schedule(5*Second, noop)
 		k.Cancel(h3)
-		if _, ok := h3.When(); ok {
-			t.Fatal("When() reports pending after Cancel")
+		if h3.Scheduled() {
+			t.Fatal("Scheduled() reports pending after Cancel")
 		}
 	})
 }

@@ -65,9 +65,6 @@ func NewGrid(cellSize float64) *Grid {
 	}
 }
 
-// CellSize reports the configured cell edge length in meters.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 // Len reports the number of indexed items.
 func (g *Grid) Len() int { return g.count }
 
@@ -151,14 +148,6 @@ func (g *Grid) removeFromCell(key uint64, id int32) {
 	g.cells[key] = ids
 }
 
-// Position reports the indexed position of id and whether it is present.
-func (g *Grid) Position(id int) (geometry.Vec2, bool) {
-	if id < 0 || id >= len(g.items) || !g.items[id].present {
-		return geometry.Vec2{}, false
-	}
-	return g.items[id].pos, true
-}
-
 // Nearest reports the indexed item strictly within limit meters of pos
 // that minimizes distance, breaking exact-distance ties toward the
 // smallest id. With no such item it reports ok=false.
@@ -178,7 +167,7 @@ func (g *Grid) Nearest(pos geometry.Vec2, limit float64) (id int, dist float64, 
 		return -1, 0, false
 	}
 	best, bestID := limit, -1
-	for key, ids := range g.cells {
+	for key, ids := range g.cells { // order-free: (distance, id) is a strict total order, see above
 		kx := int32(key >> 32)
 		ky := int32(uint32(key))
 		var dx, dy float64

@@ -305,3 +305,11 @@ func TestGridNearReusesBuffer(t *testing.T) {
 		t.Fatalf("Near with reused buffer allocated %v times per run", allocs)
 	}
 }
+
+// Position reports the indexed position of id and whether it is present.
+func (g *Grid) Position(id int) (geometry.Vec2, bool) {
+	if id < 0 || id >= len(g.items) || !g.items[id].present {
+		return geometry.Vec2{}, false
+	}
+	return g.items[id].pos, true
+}

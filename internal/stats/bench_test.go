@@ -31,7 +31,7 @@ func BenchmarkPeriodogram8192(b *testing.B) {
 	series := benchSeries(8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Periodogram(series, Hann)
+		Periodogram(series)
 	}
 }
 

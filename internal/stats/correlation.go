@@ -37,18 +37,6 @@ func Autocorrelation(series []float64, maxLag int) []float64 {
 	return out
 }
 
-// ACFSum returns the partial sum Σ_{k=1..maxLag} r(k) of the
-// autocorrelation. For an SRD process the partial sums converge; steadily
-// growing partial sums are the finite-sample signature of LRD.
-func ACFSum(series []float64, maxLag int) float64 {
-	acf := Autocorrelation(series, maxLag)
-	sum := 0.0
-	for k := 1; k < len(acf); k++ {
-		sum += acf[k]
-	}
-	return sum
-}
-
 // HurstRS estimates the Hurst exponent by rescaled-range analysis: the
 // series is cut into blocks of doubling sizes, R/S is averaged per size, and
 // H is the slope of log(R/S) against log(size). H ≈ 0.5 for SRD processes;

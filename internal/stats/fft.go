@@ -45,22 +45,6 @@ func FFT(x []complex128) {
 	}
 }
 
-// IFFT computes the inverse FFT in place (power-of-two length required).
-func IFFT(x []complex128) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	FFT(x)
-	inv := complex(1/float64(n), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * inv
-	}
-}
-
 // NextPow2 returns the smallest power of two >= n (and >= 1).
 func NextPow2(n int) int {
 	p := 1

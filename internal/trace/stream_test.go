@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -35,56 +34,5 @@ func TestScriptSourceMatchesSample(t *testing.T) {
 				t.Fatalf("node %d at t=%.1f: streamed %v, sampled %v", n, tsec, got, want)
 			}
 		}
-	}
-}
-
-// TestParseBonnMotionSourceMatchesParse asserts the streaming BonnMotion
-// reader serves exactly what the materializing parser interpolates.
-func TestParseBonnMotionSourceMatchesParse(t *testing.T) {
-	input := "0.0 0 0 5.0 50 0 10.0 50 80\n" +
-		"0.0 10 10 4.0 10 90\n" +
-		"2.0 7 7\n"
-	const interval = 0.5
-	sampled, err := ParseBonnMotion(strings.NewReader(input), interval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := ParseBonnMotionSource(strings.NewReader(input), interval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.NumNodes() != sampled.NumNodes() || src.NumSamples() != sampled.NumSamples() {
-		t.Fatalf("shape mismatch: %dx%d vs %dx%d",
-			src.NumNodes(), src.NumSamples(), sampled.NumNodes(), sampled.NumSamples())
-	}
-	for tick := 0; float64(tick)*0.1 <= 12; tick++ {
-		tsec := float64(tick) * 0.1
-		for n := 0; n < src.NumNodes(); n++ {
-			if got, want := src.At(n, tsec), sampled.At(n, tsec); got != want {
-				t.Fatalf("node %d at t=%.1f: streamed %v, sampled %v", n, tsec, got, want)
-			}
-		}
-	}
-}
-
-// TestParseBonnMotionSourceUnbounded pins the streaming reader's memory
-// contract: a trace whose re-sampled size would blow the materializing
-// cap still streams (only two rows are ever retained), while the
-// materializing parser keeps refusing it.
-func TestParseBonnMotionSourceUnbounded(t *testing.T) {
-	// 2^22 cells is the materializing cap; 6e6 samples at 1 s blows it
-	// for a single node while remaining a perfectly sane stream.
-	input := "0.0 0 0 6000000.0 1000 1000\n"
-	if _, err := ParseBonnMotion(strings.NewReader(input), 1); err == nil {
-		t.Fatal("materializing parser accepted a trace beyond its re-sampling cap")
-	}
-	src, err := ParseBonnMotionSource(strings.NewReader(input), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spot-check the interpolation far into the trace.
-	got := src.At(0, 3000000)
-	if got.X < 499 || got.X > 501 {
-		t.Fatalf("midpoint = %v, want ~(500,500)", got)
 	}
 }

@@ -61,17 +61,10 @@ func NewCBR(node *netsim.Node, cfg CBRConfig) *CBR {
 	return c
 }
 
-// Sent reports the number of packets originated so far.
-func (c *CBR) Sent() uint64 { return c.sent }
-
-// Config reports the normalized flow configuration.
-func (c *CBR) Config() CBRConfig { return c.cfg }
-
 // Start schedules the flow. A flow whose window already lies entirely in
 // the past (Stop > 0 and the clamped start is at or past it) emits
 // nothing and schedules nothing. Calling Start on a flow with a pending
-// emission reschedules it instead of stacking a second emission chain, so
-// StopNow followed by Start restarts cleanly at the configured rate.
+// emission reschedules it instead of stacking a second emission chain.
 func (c *CBR) Start() {
 	k := c.node.Kernel()
 	k.Cancel(c.ev)
@@ -85,14 +78,6 @@ func (c *CBR) Start() {
 		return
 	}
 	c.ev = k.ScheduleArg(start, cbrEmit, c)
-}
-
-// StopNow cancels any pending emission and detaches the flow from the
-// node's fault lifecycle (a recovery after StopNow does not restart it).
-func (c *CBR) StopNow() {
-	c.node.Kernel().Cancel(c.ev)
-	c.ev = sim.Handle{}
-	c.began = false
 }
 
 // cbrEmit is the shared emission callback; package-level so rescheduling

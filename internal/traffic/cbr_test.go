@@ -43,10 +43,10 @@ func TestCBRTableIParameters(t *testing.T) {
 	})
 	cbr.Start()
 	w.Run(100 * sim.Second)
-	if cbr.Sent() != 400 {
-		t.Fatalf("sent = %d, want 400", cbr.Sent())
+	if cbr.sent != 400 {
+		t.Fatalf("sent = %d, want 400", cbr.sent)
 	}
-	cfg := cbr.Config()
+	cfg := cbr.cfg
 	if cfg.Rate != 5 || cfg.PacketBytes != 512 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
@@ -61,8 +61,8 @@ func TestCBRDeliversToSink(t *testing.T) {
 	cbr := NewCBR(w.Node(0), CBRConfig{Dst: 1, Start: 0, Stop: 2 * sim.Second})
 	cbr.Start()
 	w.Run(3 * sim.Second)
-	if sink.Received != uint64(cbr.Sent()) {
-		t.Fatalf("sink received %d, sent %d", sink.Received, cbr.Sent())
+	if sink.Received != uint64(cbr.sent) {
+		t.Fatalf("sink received %d, sent %d", sink.Received, cbr.sent)
 	}
 	if sink.Bytes != sink.Received*512 {
 		t.Fatalf("sink bytes = %d", sink.Bytes)
@@ -75,8 +75,8 @@ func TestCBRStopNow(t *testing.T) {
 	cbr.Start()
 	cbr.StopNow()
 	w.Run(5 * sim.Second)
-	if cbr.Sent() != 0 {
-		t.Fatalf("sent = %d after StopNow", cbr.Sent())
+	if cbr.sent != 0 {
+		t.Fatalf("sent = %d after StopNow", cbr.sent)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestCBRWindowEntirelyInPastEmitsNothing(t *testing.T) {
 		}
 	})
 	w.Run(20 * sim.Second)
-	if count != 0 || cbr.Sent() != 0 {
-		t.Fatalf("dead window emitted %d packets (Sent=%d)", count, cbr.Sent())
+	if count != 0 || cbr.sent != 0 {
+		t.Fatalf("dead window emitted %d packets (Sent=%d)", count, cbr.sent)
 	}
 }
 
@@ -150,8 +150,8 @@ func TestCBRDoubleStartDoesNotDoubleRate(t *testing.T) {
 	cbr.Start()
 	cbr.Start() // must reschedule, not stack a second chain
 	w.Run(3 * sim.Second)
-	if cbr.Sent() != 10 {
-		t.Fatalf("sent %d packets after double Start, want 10", cbr.Sent())
+	if cbr.sent != 10 {
+		t.Fatalf("sent %d packets after double Start, want 10", cbr.sent)
 	}
 }
 
@@ -167,4 +167,12 @@ func TestCBRLateStartClamps(t *testing.T) {
 	if count != 10 { // 5 s..7 s at 5 pkt/s
 		t.Fatalf("count = %d, want 10", count)
 	}
+}
+
+// StopNow cancels any pending emission and detaches the flow from the
+// node's fault lifecycle (a recovery after StopNow does not restart it).
+func (c *CBR) StopNow() {
+	c.node.Kernel().Cancel(c.ev)
+	c.ev = sim.Handle{}
+	c.began = false
 }

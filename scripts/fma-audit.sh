@@ -14,17 +14,16 @@
 #   scripts/fma-audit.sh        (make fma-audit; part of make portable)
 set -euo pipefail
 
-# package (under internal/) and its fused sites at PR 25.
+# package (under internal/) and its fused sites at PR 31.
 allowance='
-ca 5
-geometry 39
-mobility 13
+ca 3
+geometry 20
+mobility 12
 phy 1
 routing/gpsr 5
 scenario 1
 spatial 4
-stats 22
-trace 2
+stats 20
 '
 
 if [ ! -f go.mod ] || [ ! -d internal ]; then

@@ -241,5 +241,35 @@ mutant "phy cullMargin below 1" internal/phy/channel.go \
 	's|const cullMargin = 1.001|const cullMargin = 0.9|' \
 	./internal/phy 'TestChannelGridMatchesBruteForce|TestChannelCullReachesCellEdge'
 
+# ---- exported means reached (ROADMAP "Exported means reached"): a crash
+# drops the discovery buffers in EachBuffered's order, and make rules checks
+# the written rules. A revision without the sorted walk or scripts/rules
+# reads BROKEN on every row. ----
+mutant "aodv EachBuffered: discoveries walked in map order" internal/routing/aodv/aodv.go \
+	's|slices.Sort(dsts)|slices.Sort(dsts[:0])|' \
+	./internal/routing/aodv 'TestEachBufferedAscendingDestinations'
+mutant "dymo EachBuffered: discoveries walked in map order" internal/routing/dymo/dymo.go \
+	's|slices.Sort(dsts)|slices.Sort(dsts[:0])|' \
+	./internal/routing/dymo 'TestEachBufferedAscendingDestinations'
+rules=./scripts/rules
+mutant "rules reach: an exported func in internal/stats with no caller" internal/stats/summary.go \
+	'$a func Unreached() {}' \
+	$rules 'TestRules'
+mutant "rules map order: a range over a map loses its order-free reason" internal/metrics/collector.go \
+	's|for _, s := range c.sent { // order-free: an integer sum|for _, s := range c.sent {|' \
+	$rules 'TestRules'
+mutant "rules rand: rand.New in internal/ca" internal/ca/lane.go \
+	'$a var _ = rand.New(nil)' \
+	$rules 'TestRules'
+mutant "rules timers: a map[int]*sim.Timer field" internal/routing/aodv/aodv.go \
+	's|^\tdiscFree    \[\]\*discovery$|\tdiscFree []*discovery; lost map[int]*sim.Timer|' \
+	$rules 'TestRules'
+mutant "rules counters: a router reads its node's NodeCounters" internal/routing/gpsr/gpsr.go \
+	's|^func (r \*Router) sendBeacon() {$|&\n\t_ = r.node.Counters()|' \
+	$rules 'TestRules'
+mutant "rules config: an exported aodv.Config field nobody sets" internal/routing/aodv/aodv.go \
+	's|^\tNoExpandingRing bool$|&\n\tUnset bool|' \
+	$rules 'TestRules'
+
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
