@@ -120,9 +120,11 @@ fuzz-smoke:
 #    reference (in-package only: the bench builds it through newHeapKernel)
 #    catches the calendar losing its O(1) behavior; the fan-out bench's
 #    batch/each pair shows whether a sim.Batch still costs one queue entry
-#    per transmission rather than one requeue per member, and the HELLO
+#    per transmission rather than one requeue per member, the HELLO
 #    bench's set/timers pair whether a sim.TimerSet still holds one queued
-#    record per router (its "queued" column) rather than one per neighbour.
+#    record per router (its "queued" column) rather than one per neighbour,
+#    and the batch-sort bench's radix/insertion columns whether a
+#    metro-sized fan-out still sorts by radix and where the two cross.
 #  - aodv/dymo: the table-level Forward benches run the dense table against
 #    the map reference from reference_test.go (0 allocs/op dense is the
 #    point); the RREQ-storm world runs the one table routers hold.
@@ -134,7 +136,7 @@ bench-smoke:
 	$(GO) test ./internal/routing/olsr/ -bench OLSRControlPlane -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/mobility/ -bench 'MobilityRecordRoadN1k|MobilityStreamRoadN1k' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/ca/ -bench 'LaneStep|FundamentalPoint|RoadStepCoupled' -benchtime=1x -benchmem -run XXX
-	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|FanOutBatch|TimerSetHello' -benchtime=1x -benchmem -run XXX
+	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|FanOutBatch|BatchCommit|TimerSetHello' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/aodv/ -bench 'AODVForward|AODVRREQStorm' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench 'DYMOForward|DYMORREQStorm' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/rng/ -bench Stream -benchtime=1x -benchmem -run XXX
@@ -150,10 +152,10 @@ bench-dataplane:
 
 # Full event-kernel table (mixed workloads, schedule/pop at 1k/10k/100k
 # pending, the batched vs per-member fan-out, calendar vs heap reference,
-# and HELLO liveness as timer sets vs per-neighbour timers); see
-# "Micro-benchmarks" in PERF.md.
+# HELLO liveness as timer sets vs per-neighbour timers, and the batch sort
+# by path and size); see "Micro-benchmarks" in PERF.md.
 bench-kernel:
-	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|CancelHeavy|FarFutureOverflow|MetroArrivals|SchedulePopPending|FanOutBatch|TimerSetHello' -benchmem -benchtime=2s -run XXX
+	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|CancelHeavy|FarFutureOverflow|MetroArrivals|SchedulePopPending|FanOutBatch|BatchCommit|TimerSetHello' -benchmem -benchtime=2s -run XXX
 
 # Full routing control-plane table (dense vs oracle at N=100/1k plus the
 # steady-state purge); see "Micro-benchmarks" in PERF.md.

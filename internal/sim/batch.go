@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Batch is a set of events that share one callback and occupy ONE queue
 // entry between them — the kernel's answer to fan-out, where one cause (a
@@ -99,25 +102,33 @@ func (h Batch) Commit() {
 		b.k.recycleBatch(b)
 		return
 	}
-	sortMembers(b.members)
+	sortMembers(b.members, &b.k.sortBuf)
 	b.ev = b.k.record()
 	b.ev.batch = b
 	b.k.requeue(b)
 }
 
-// sortMembers sorts by (time, seq). Fan-outs of a dozen members are the
-// common case, and there a shifting insertion sort with the comparison
-// inlined takes half the generic sort's time.
-func sortMembers(ms []member) {
-	if len(ms) > 16 {
-		slices.SortFunc(ms, func(x, y member) int {
-			if keyLess(x.at, x.seq, y.at, y.seq) {
-				return -1
-			}
-			return 1
-		})
+// insertionMax is the largest batch sortMembers hands to insertionSort:
+// up to about 30 members on the propagation grid the shifts cost less than
+// radixSort's two passes (BenchmarkBatchCommit; the crossover is in PERF.md).
+const insertionMax = 28
+
+// sortMembers sorts a batch by (time, seq), the order its members fire in.
+// The shape it is tuned for is a phy fan-out at metro density: ≈ 145
+// members whose arrival times spread over at most 1 835 ns of propagation
+// delay; the one-member signal-end batches need no work. Up to
+// insertionMax members go to a shifting insertion sort, more to radixSort,
+// which grows the kernel's scratch buffer to the largest batch it has seen.
+func sortMembers(ms []member, scratch *[]member) {
+	if len(ms) <= insertionMax {
+		insertionSort(ms)
 		return
 	}
+	radixSort(ms, scratch)
+}
+
+// insertionSort sorts ms by (time, seq) in place.
+func insertionSort(ms []member) {
 	for i := 1; i < len(ms); i++ {
 		m, j := ms[i], i
 		for ; j > 0 && keyLess(m.at, m.seq, ms[j-1].at, ms[j-1].seq); j-- {
@@ -125,6 +136,57 @@ func sortMembers(ms []member) {
 		}
 		ms[j] = m
 	}
+}
+
+// radixSort sorts ms by (time, seq) with a least-significant-digit radix
+// sort on at − min(at), ping-ponging through *scratch. It is exact:
+//
+//  1. add draws k.seq at each call, and k.seq only grows, so at Commit the
+//     members are in strictly increasing seq order;
+//  2. so the (time, seq) order is exactly a stable sort by time;
+//  3. each pass is a stable counting sort on one digit (the scatter walks
+//     its source forwards), so the passes compose to a stable sort on every
+//     bit they cover; one pass per 8-bit digit of the spread
+//     max(at) − min(at), its bits split evenly over the passes, covers
+//     every key bit: a spread of 0 needs no pass, a phy fan-out's 11 bits
+//     two passes of 6 (64 buckets each).
+//
+// Any spread works, up to the full int64 range. The rule this rests on: a
+// batch sort must be stable in add order.
+func radixSort(ms []member, scratch *[]member) {
+	lo, hi := ms[0].at, ms[0].at
+	for i := range ms {
+		lo, hi = min(lo, ms[i].at), max(hi, ms[i].at)
+	}
+	keyBits := bits.Len64(uint64(hi) - uint64(lo))
+	if keyBits == 0 {
+		return // all one time: seq order is the order
+	}
+	passes := (keyBits + 7) / 8
+	width := (keyBits + passes - 1) / passes // ≤ 8: the passes split the bits evenly
+	mask := uint64(1)<<width - 1
+	*scratch = slices.Grow((*scratch)[:0], len(ms))[:len(ms)]
+	src, dst := ms, *scratch
+	for shift := 0; shift < keyBits; shift += width {
+		var start [256]int32 // digit → its first slot in dst
+		for _, m := range src {
+			start[byte((uint64(m.at)-uint64(lo))>>shift&mask)]++
+		}
+		var sum int32
+		for d := range start[:mask+1] {
+			start[d], sum = sum, sum+start[d]
+		}
+		for i := range src {
+			d := byte((uint64(src[i].at) - uint64(lo)) >> shift & mask)
+			dst[start[d]] = src[i]
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ms[0] { // an odd number of passes ends in the scratch
+		copy(ms, src)
+	}
+	clear(*scratch) // the kernel keeps the buffer, not the arguments
 }
 
 // Append adds a member to a committed batch that is still queued or

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -77,6 +79,7 @@ const (
 	stepTicker   = -3
 	stepAccepted = -4 // an Append was accepted
 	stepRefused  = -5 // an Append was refused and fell back to ScheduleArg
+	stepWide     = -6 // a fan-out of more than 16 members was committed
 )
 
 // batchWorkload drives one kernel through a deterministic pseudo-random
@@ -105,6 +108,20 @@ func batchWorkload(k *Kernel, batched bool, seed int64, ops int) []batchStep {
 		}
 		return Time(rng.Int63n(int64(2 * Millisecond)))
 	}
+	// A phy fan-out's delays: the propagation grid (0–1 835 ns past a
+	// common start, ≤ 550 m at light speed), a same-nanosecond tie with the
+	// previous member, and now and then the 2 ms tail.
+	var lastPhy Time
+	phyDelay := func() Time {
+		switch rng.Intn(16) {
+		case 0, 1:
+		case 2:
+			lastPhy = Time(rng.Int63n(int64(2 * Millisecond)))
+		default:
+			lastPhy = Time(rng.Intn(1836))
+		}
+		return lastPhy
+	}
 
 	var fire func(any)
 	var handles []Handle
@@ -131,7 +148,7 @@ func batchWorkload(k *Kernel, batched bool, seed int64, ops int) []batchStep {
 			k.ScheduleArg(at, fire, id) // the other way, at the same program point
 		}
 	}
-	fanOut := func(n int) {
+	fanOut := func(n int, delay func() Time) {
 		f := newFanout(k, batched, fire)
 		for i := 0; i < n; i++ {
 			f.Add(k.Now()+delay(), newID())
@@ -154,7 +171,7 @@ func batchWorkload(k *Kernel, batched bool, seed int64, ops int) []batchStep {
 		case 2, 3:
 			appendTo() // often to the batch that is draining
 		case 4:
-			fanOut(rng.Intn(4))
+			fanOut(rng.Intn(4), delay)
 		case 5:
 			cancel()
 		case 6:
@@ -175,7 +192,12 @@ func batchWorkload(k *Kernel, batched bool, seed int64, ops int) []batchStep {
 		case r < 4:
 			plain(delay())
 		case r < 9:
-			fanOut(rng.Intn(14))
+			if rng.Intn(25) == 0 { // the shape metro's fan-outs have, and radixSort sorts
+				fanOut(17+rng.Intn(584), phyDelay)
+				observe(stepWide)
+				break
+			}
+			fanOut(rng.Intn(14), delay)
 		case r < 11:
 			appendTo()
 		case r < 12:
@@ -199,13 +221,14 @@ func batchWorkload(k *Kernel, batched bool, seed int64, ops int) []batchStep {
 }
 
 // TestBatchMatchesScheduleArg is the gate on lemmas L1 and L2 (see
-// Kernel.drain): submitting members as batches and submitting them as
-// individual ScheduleArg events at the same program points must be
-// indistinguishable — identical (time, id) firing sequences, identical
-// Append decisions, identical Processed()/Pending() at every firing and
-// after every driver op — on the calendar queue and on the heap oracle.
+// Kernel.drain) and on the batch sort (radixSort): submitting members as
+// batches and submitting them as individual ScheduleArg events at the same
+// program points must be indistinguishable — identical (time, id) firing
+// sequences, identical Append decisions, identical Processed()/Pending() at
+// every firing and after every driver op — on the calendar queue and on the
+// heap oracle, for fan-outs of up to 13 members and of 17–600.
 func TestBatchMatchesScheduleArg(t *testing.T) {
-	var accepted, refused, fired int
+	var accepted, refused, fired, wide int
 	for seed := int64(1); seed <= 24; seed++ {
 		ref := batchWorkload(NewKernel(), false, seed, 1500)
 		for _, c := range []struct {
@@ -235,14 +258,17 @@ func TestBatchMatchesScheduleArg(t *testing.T) {
 				accepted++
 			case s.id == stepRefused:
 				refused++
+			case s.id == stepWide:
+				wide++
 			case s.id >= 0:
 				fired++
 			}
 		}
 	}
 	// The workload must actually exercise what it claims to.
-	if accepted < 1000 || refused < 1000 || fired < 100_000 {
-		t.Fatalf("thin workload: %d appends accepted, %d refused, %d events fired", accepted, refused, fired)
+	if accepted < 1000 || refused < 1000 || fired < 100_000 || wide < 200 {
+		t.Fatalf("thin workload: %d appends accepted, %d refused, %d events fired, %d wide fan-outs",
+			accepted, refused, fired, wide)
 	}
 }
 
@@ -307,25 +333,141 @@ func TestBatchMisusePanics(t *testing.T) {
 }
 
 // TestBatchSteadyStateAllocFree is the batch variant of
-// TestKernelScheduleSteadyStateAllocFree: batch storage, member slices and
-// the queue entry are all pooled by the kernel.
+// TestKernelScheduleSteadyStateAllocFree: batch storage, member slices,
+// radixSort's scratch and the queue entry are all pooled by the kernel. A
+// 12-member cycle takes the insertion sort, a 150-member one (a metro
+// fan-out, its arrivals 12 ns apart on the propagation grid) the radix
+// sort.
 func TestBatchSteadyStateAllocFree(t *testing.T) {
 	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		cycle := func() {
-			b := k.NewBatch(noopArg)
-			for i := 0; i < 12; i++ {
-				b.Add(k.Now()+Time(12-i)*Microsecond, k)
+		for _, c := range []struct {
+			members int
+			step    Time
+		}{{12, Microsecond}, {150, 12}} {
+			cycle := func() {
+				b := k.NewBatch(noopArg)
+				for i := 0; i < c.members; i++ {
+					b.Add(k.Now()+Time(c.members-i)*c.step, k)
+				}
+				b.Commit()
+				k.AfterArg(5*Microsecond, noopArg, k)
+				b.Append(k.Now()+20*Microsecond, k)
+				k.Run()
 			}
-			b.Commit()
-			k.AfterArg(5*Microsecond, noopArg, k)
-			b.Append(k.Now()+20*Microsecond, k)
-			k.Run()
-		}
-		for i := 0; i < 8; i++ {
-			cycle()
-		}
-		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-			t.Fatalf("steady-state batch cycle allocated %v times per op", allocs)
+			for i := 0; i < 8; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Fatalf("steady-state %d-member batch cycle allocated %v times per op", c.members, allocs)
+			}
 		}
 	})
+}
+
+// refSortMembers is the comparator sort Batch.Commit used before
+// radixSort: kept verbatim as the reference. Keys are unique, so this
+// unstable sort has one possible output.
+func refSortMembers(ms []member) {
+	if len(ms) > 16 {
+		slices.SortFunc(ms, func(x, y member) int {
+			if keyLess(x.at, x.seq, y.at, y.seq) {
+				return -1
+			}
+			return 1
+		})
+		return
+	}
+	for i := 1; i < len(ms); i++ {
+		m, j := ms[i], i
+		for ; j > 0 && keyLess(m.at, m.seq, ms[j-1].at, ms[j-1].seq); j-- {
+			ms[j] = ms[j-1]
+		}
+		ms[j] = m
+	}
+}
+
+// TestSortMembersMatchesReference holds sortMembers, and radixSort and
+// insertionSort on their own at every size either could be handed, to
+// the reference on batches as add builds them — seq strictly increasing,
+// with gaps where foreign events drew — at sizes 0–1 000, over spreads
+// from 0 to the whole range above a late clock, in random, reversed,
+// sorted, all-equal and three-valued time orders. The reusable scratch
+// must come back holding no argument.
+func TestSortMembersMatchesReference(t *testing.T) {
+	const now = 90 * Second
+	spreads := []Time{0, 1, 255, 256, 1823, 65535, 65536, 1 << 40, MaxTime - now}
+	shapes := []string{"random", "reversed", "sorted", "equal", "three"}
+	rng := rand.New(rand.NewSource(1))
+	var sizes []int
+	for n := 0; n <= 1000; n += 1 + n/16 {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 143, 255, 256, 257, 1000)
+	var scratch []member
+	check := func(t *testing.T, name string, in []member, sort func([]member)) {
+		t.Helper()
+		want := slices.Clone(in)
+		refSortMembers(want)
+		got := slices.Clone(in)
+		sort(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: slot %d holds (%v, %d), the reference (%v, %d)",
+					name, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+			}
+		}
+		for i, m := range scratch {
+			if m.arg != nil {
+				t.Fatalf("%s: scratch slot %d still holds argument %v", name, i, m.arg)
+			}
+		}
+	}
+	for _, n := range sizes {
+		for _, spread := range spreads {
+			for _, shape := range shapes {
+				// share(i) runs from 0 at i = 0 to the spread at i = n-1
+				// without overflowing at any spread.
+				last := Time(max(n-1, 1))
+				share := func(i int) Time { return spread/last*Time(i) + spread%last*Time(i)/last }
+				in := make([]member, n)
+				seq := uint64(rng.Intn(1000))
+				for i := range in {
+					var d Time
+					switch shape {
+					case "random":
+						d = min(Time(rng.Int63n(int64(spread)/2+1))*2, spread) // even: a tie every so often
+					case "reversed":
+						d = spread - share(i)
+					case "sorted":
+						d = share(i)
+					case "three":
+						d = []Time{0, spread / 2, spread}[rng.Intn(3)]
+					}
+					in[i] = member{at: now + d, seq: seq, arg: i}
+					seq += 1 + uint64(rng.Intn(3))
+				}
+				if shape == "random" && n >= 2 { // pin the extremes, at two distinct slots
+					i := rng.Intn(n)
+					in[i].at, in[(i+1+rng.Intn(n-1))%n].at = now, now+spread
+				}
+				name := fmt.Sprintf("n=%d spread=%d %s", n, spread, shape)
+				check(t, name, in, func(ms []member) { sortMembers(ms, &scratch) })
+				if n > 0 {
+					check(t, name+" radixSort", in, func(ms []member) { radixSort(ms, &scratch) })
+				}
+				if n <= 4*insertionMax {
+					check(t, name+" insertionSort", in, insertionSort)
+				}
+				if shape == "equal" {
+					got := slices.Clone(in)
+					sortMembers(got, &scratch)
+					for i := range got {
+						if got[i].arg != i {
+							t.Fatalf("%s: slot %d holds member %v, want add order", name, i, got[i].arg)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -189,8 +190,9 @@ func BenchmarkSchedulePopPending10k(b *testing.B)  { benchSchedulePop(b, 10_000)
 func BenchmarkSchedulePopPending100k(b *testing.B) { benchSchedulePop(b, 100_000) }
 
 // BenchmarkFanOutBatch is the broadcast-medium shape batches exist for: 12
-// overlapping transmissions, each fanning out to 150 receivers whose
-// arrival times spread over ~2 µs of propagation delay, with foreign
+// overlapping transmissions, each fanning out to 150 receivers (metro
+// averages ≈ 145 per transmission at 2 000 vehicles) whose arrival times
+// spread over ≤ 1 835 ns of propagation delay, with foreign
 // timers (DCF slots, ACK timeouts) landing in between. One iteration
 // schedules and runs all 1800 members plus the timers; "batch" submits each
 // fan-out as one sim.Batch, "each" as one ScheduleArg per member — the two
@@ -235,5 +237,41 @@ func BenchmarkFanOutBatch(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkBatchCommit times Batch.Commit's sort alone on a fan-out of n
+// members as add leaves it — seq increasing, arrival times uniform over
+// the phy's 0–1 835 ns propagation grid — through each path: sortMembers
+// (what Commit runs), radixSort and insertionSort. One op copies the
+// unsorted batch in and sorts it. metro's fan-outs average ≈ 145 members;
+// where the radix and insertion columns cross is where insertionMax
+// belongs.
+func BenchmarkBatchCommit(b *testing.B) {
+	paths := []struct {
+		name string
+		sort func(ms []member, scratch *[]member)
+	}{
+		{"sortMembers", sortMembers},
+		{"radix", radixSort},
+		{"insertion", func(ms []member, _ *[]member) { insertionSort(ms) }},
+	}
+	for _, n := range []int{12, 17, insertionMax, 32, 143, 400} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		in := make([]member, n)
+		for i := range in {
+			in[i] = member{at: Second + Time(rng.Intn(1836)), seq: uint64(2 * i), arg: i}
+		}
+		ms := make([]member, n)
+		var scratch []member
+		for _, p := range paths {
+			b.Run(fmt.Sprintf("n=%d/%s", n, p.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(ms, in)
+					p.sort(ms, &scratch)
+				}
+			})
+		}
 	}
 }

@@ -5,11 +5,12 @@ import (
 )
 
 // FuzzKernelDifferential feeds a byte stream as a schedule/cancel/fan-out/
-// append/timer-set/step/run-until op sequence to three kernels in lockstep —
-// the calendar queue and the heap oracle, both submitting fan-outs as
-// batches and per-peer deadlines as one TimerSet, and a calendar kernel
-// submitting the same members one ScheduleArg each (eachFanout) and the
-// same deadlines one Timer each (eachTimers) — checking on every op that:
+// phy-fan-out/append/timer-set/step/run-until op sequence to three kernels
+// in lockstep — the calendar queue and the heap oracle, both submitting
+// fan-outs as batches and per-peer deadlines as one TimerSet, and a
+// calendar kernel submitting the same members one ScheduleArg each
+// (eachFanout) and the same deadlines one Timer each (eachTimers) —
+// checking on every op that:
 //
 //   - pop sequences are bit-identical: same (time, payload id) in the same
 //     order, clocks in lockstep — the determinism contract every golden
@@ -31,6 +32,7 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{4, 7, 3, 5, 1, 0, 3, 2, 1, 5, 9, 0, 4, 200, 0, 3, 1, 0, 3, 0, 2, 5, 0, 0})
 	f.Add([]byte{6, 1, 30, 6, 2, 30, 6, 1, 10, 0, 0, 20, 14, 2, 1, 6, 3, 0, 3, 1, 0, 6, 17, 1,
 		3, 0, 40, 7, 1, 1, 3, 1, 0, 6, 4, 5, 15, 4, 8, 3, 0, 90, 3, 1, 0})
+	f.Add([]byte{8, 63, 3, 3, 1, 0, 0, 0, 0, 8, 200, 130, 3, 0, 1, 5, 3, 0, 8, 0, 7, 3, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type fired struct {
 			id int
@@ -72,7 +74,7 @@ func FuzzKernelDifferential(f *testing.F) {
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], Time(data[i+1]), Time(data[i+2])
 			now := ref.k.Now()
-			switch op % 8 {
+			switch op % 9 {
 			case 0: // schedule a near event; b==0 makes same-time ties likely
 				schedule(now + a*Time(Millisecond) + b*Time(Microsecond))
 			case 1: // schedule far out: exercises the overflow tier
@@ -147,6 +149,25 @@ func FuzzKernelDifferential(f *testing.F) {
 						t.Fatalf("Stop disagreed: %s %v, %s %v", ref.name, want, s.name, got)
 					}
 				}
+			case 8: // a phy fan-out of 17–527 members on the 0–1 835 ns propagation
+				// grid, every (b%8+2)th member tying with the one before it
+				// to the nanosecond, and for b >= 128 a 2 ms tail every 16th
+				n := 17 + 2*int(a)
+				for _, s := range sides {
+					s.open = newFanout(s.k, s.batched, s.fire)
+					var d Time
+					for m := 0; m < n; m++ {
+						switch {
+						case b >= 128 && m%16 == 15:
+							d = 2*Time(Millisecond) - Time(m)
+						case m%(int(b%8)+2) != 0:
+							d = Time((m*7919 + int(b)*104729) % 1836)
+						}
+						s.open.Add(now+d, nextID+m)
+					}
+					s.open.Commit()
+				}
+				nextID += n
 			}
 			for _, s := range sides[1:] {
 				if s.k.Pending() != ref.k.Pending() || s.k.Processed() != ref.k.Processed() {

@@ -177,6 +177,7 @@ type Kernel struct {
 	cal       calendar   // the path every run takes
 	free      []*event   // recycled event records
 	batchFree []*batch   // recycled batch storage
+	sortBuf   []member   // radixSort's scratch, as long as the largest batch
 	extra     int        // batch members and set items not counted by a queue entry
 	boundAt   Time       // with boundSeq: drain's lower bound on queued keys
 	boundSeq  uint64

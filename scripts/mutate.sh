@@ -195,6 +195,23 @@ mutant "sim timer set: an earlier Reset keeps the later registration" internal/s
 	's|		if !keyLess(at, seq, r.at, r.seq) {|		if true {|' \
 	$sim "$setTests"
 
+# ---- the batch sort, the clauses at sim.radixSort (ROADMAP "Fan-out
+# batches sort by radix"). A revision without insertionSort and radixSort
+# reads BROKEN on every row. An insertion sort comparing time only with a
+# strict < is an equivalent mutant (clause 2: members arrive in seq order,
+# so keeping ties in place is the seq order); the row's time-only
+# comparison lets ties shift past each other instead. ----
+sortTests='TestSortMembersMatchesReference|TestBatchMatchesScheduleArg|FuzzKernelDifferential'
+mutant "sim radixSort: the pass loop stops one digit short" internal/sim/batch.go \
+	's|for shift := 0; shift < keyBits; shift += width {|for shift := 0; shift < keyBits-width; shift += width {|' \
+	$sim "$sortTests"
+mutant "sim radixSort: the scatter walks backwards, unstable" internal/sim/batch.go \
+	's|^\t\tfor i := range src {$|\t\tfor i := len(src) - 1; i >= 0; i-- {|' \
+	$sim "$sortTests"
+mutant "sim insertionSort: compares time only" internal/sim/batch.go \
+	'/^func insertionSort/,/^}/s|keyLess(m.at, m.seq, ms\[j-1\].at, ms\[j-1\].seq)|m.at <= ms[j-1].at|' \
+	$sim "$sortTests"
+
 # ---- one connectivity analysis (ROADMAP "One connectivity analysis").
 # A revision without internal/metrics/components.go reads BROKEN on every
 # row. The seen check dropped is the outer one: without the inner one the
