@@ -32,7 +32,7 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{4, 7, 3, 5, 1, 0, 3, 2, 1, 5, 9, 0, 4, 200, 0, 3, 1, 0, 3, 0, 2, 5, 0, 0})
 	f.Add([]byte{6, 1, 30, 6, 2, 30, 6, 1, 10, 0, 0, 20, 14, 2, 1, 6, 3, 0, 3, 1, 0, 6, 17, 1,
 		3, 0, 40, 7, 1, 1, 3, 1, 0, 6, 4, 5, 15, 4, 8, 3, 0, 90, 3, 1, 0})
-	f.Add([]byte{8, 63, 3, 3, 1, 0, 0, 0, 0, 8, 200, 130, 3, 0, 1, 5, 3, 0, 8, 0, 7, 3, 1, 0})
+	f.Add([]byte{0x84, 63, 3, 3, 1, 0, 0, 0, 0, 0x84, 200, 130, 3, 0, 1, 5, 3, 0, 0x84, 0, 7, 3, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type fired struct {
 			id int
@@ -74,7 +74,11 @@ func FuzzKernelDifferential(f *testing.F) {
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], Time(data[i+1]), Time(data[i+2])
 			now := ref.k.Now()
-			switch op % 9 {
+			kind := op % 8
+			if kind == 4 && op >= 128 {
+				kind = 8 // the high bit makes a fan-out phy-sized; ops below 128 keep their meaning
+			}
+			switch kind {
 			case 0: // schedule a near event; b==0 makes same-time ties likely
 				schedule(now + a*Time(Millisecond) + b*Time(Microsecond))
 			case 1: // schedule far out: exercises the overflow tier
@@ -149,9 +153,10 @@ func FuzzKernelDifferential(f *testing.F) {
 						t.Fatalf("Stop disagreed: %s %v, %s %v", ref.name, want, s.name, got)
 					}
 				}
-			case 8: // a phy fan-out of 17–527 members on the 0–1 835 ns propagation
-				// grid, every (b%8+2)th member tying with the one before it
-				// to the nanosecond, and for b >= 128 a 2 ms tail every 16th
+			case 8: // op 4 with the high bit: a phy fan-out of 17–527 members on
+				// the 0–1 835 ns propagation grid, every (b%8+2)th member tying
+				// with the one before it to the nanosecond, and for b >= 128 a
+				// 2 ms tail every 16th
 				n := 17 + 2*int(a)
 				for _, s := range sides {
 					s.open = newFanout(s.k, s.batched, s.fire)
