@@ -37,14 +37,14 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the parallel experiment engine and everything
-# that schedules work on it; mirrors the ci.yml race job. The Behavioural
-# Analyzer (internal/core) fans its ensembles out on the engine; the
-# scenario registry sweeps and compares protocols on it (-short trims its
-# 20-seed property suite to keep the race pass quick), and its catalogue ×
-# AllProtocols matrix covers GPSR and the urban street-grid workloads.
-# The serve daemon (admission gate, cache, stream broadcast, drain) is
-# the most concurrent code in the tree; it and the CLI that hosts it run
-# here in full.
+# that schedules work on it; mirrors the ci.yml race job. The Fig. 4
+# ensemble (internal/core) fans its density × trial grid out on the
+# engine; the scenario registry sweeps and compares protocols on it
+# (-short trims its 20-seed property suite to keep the race pass quick),
+# and its catalogue × AllProtocols matrix covers GPSR and the urban
+# street-grid workloads. The serve daemon (admission gate, cache, stream
+# broadcast, drain) is the most concurrent code in the tree; it and the
+# CLI that hosts it run here in full.
 race:
 	$(GO) test -race ./internal/exp/ ./internal/stats/ ./internal/rng/ ./internal/core/
 	$(GO) test -race -short ./internal/scenario/...
@@ -62,8 +62,9 @@ portable: fma-audit
 	GOARCH=386 $(GO) test ./internal/netsim/ ./internal/rng/ ./cmd/cavenet/
 	GOARCH=386 $(GO) test -run Golden .
 
-# Cross-compile ./internal/... for arm64 and fail if any package compiles to
-# more fused multiply-adds than scripts/fma-audit.sh allows (≈ 20 s cold).
+# Cross-compile the root package and ./internal/... for arm64 and fail if
+# any package compiles to more fused multiply-adds than
+# scripts/fma-audit.sh allows (≈ 20 s cold).
 fma-audit:
 	bash scripts/fma-audit.sh
 

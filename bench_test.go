@@ -21,9 +21,9 @@ func BenchmarkFig4FundamentalDiagram(b *testing.B) {
 	var peak0, peak5 float64
 	for i := 0; i < b.N; i++ {
 		for _, p := range []float64{0, 0.5} {
-			pts, err := FundamentalDiagram(FundamentalConfig{
-				LaneLength: 400, SlowdownP: p, Trials: 20, Iterations: 500, Warmup: 100, Seed: 1,
-			})
+			cfg := DefaultFundamental
+			cfg.LaneLength, cfg.SlowdownP, cfg.Trials, cfg.Iterations, cfg.Warmup, cfg.Seed = 400, p, 20, 500, 100, 1
+			pts, err := FundamentalDiagram(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -72,11 +72,14 @@ func BenchmarkFig5SpaceTime(b *testing.B) {
 func BenchmarkFig6VelocityRealizations(b *testing.B) {
 	var freeFlow, congested float64
 	for i := 0; i < b.N; i++ {
-		low, err := VelocitySeries(VelocityConfig{Density: 0.1, SlowdownP: 0.3, Steps: 5000, Seed: 1})
+		cfg := DefaultVelocity
+		cfg.Density, cfg.SlowdownP, cfg.Steps, cfg.Seed = 0.1, 0.3, 5000, 1
+		low, err := VelocitySeries(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		high, err := VelocitySeries(VelocityConfig{Density: 0.5, SlowdownP: 0.3, Steps: 5000, Seed: 1})
+		cfg.Density = 0.5
+		high, err := VelocitySeries(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,13 +103,16 @@ func mean(xs []float64) float64 {
 func BenchmarkFig7Periodogram(b *testing.B) {
 	var detSlope, stoSlope, stoHurst float64
 	for i := 0; i < b.N; i++ {
-		det, err := Periodogram(VelocityConfig{Density: 0.1, SlowdownP: 0, Steps: 8192, Seed: 1})
+		cfg := DefaultPeriodogram
+		cfg.Density, cfg.SlowdownP, cfg.Steps, cfg.Seed = 0.1, 0, 8192, 1
+		det, err := Periodogram(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// The paper labels panel (b) ρ=0.05, p=0.5; the 1/f divergence is
 		// strongest near the critical density, so we report both.
-		sto, err := Periodogram(VelocityConfig{Density: 0.1, SlowdownP: 0.5, Steps: 8192, Seed: 1})
+		cfg.SlowdownP = 0.5
+		sto, err := Periodogram(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +191,9 @@ func BenchmarkTable1Scenario(b *testing.B) {
 func BenchmarkTransientTime(b *testing.B) {
 	var tau float64
 	for i := 0; i < b.N; i++ {
-		res, err := Transient(VelocityConfig{Density: 0.1, SlowdownP: 0, Steps: 2000, Seed: 1})
+		cfg := DefaultTransient
+		cfg.Density, cfg.SlowdownP, cfg.Steps, cfg.Seed = 0.1, 0, 2000, 1
+		res, err := Transient(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,7 +362,9 @@ func BenchmarkFig1bInterference(b *testing.B) {
 	var res InterferenceResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = Interference(InterferenceConfig{Seed: 1})
+		cfg := DefaultInterference
+		cfg.Seed = 1
+		res, err = Interference(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -412,9 +422,16 @@ func BenchmarkExtTopologyChange(b *testing.B) {
 func BenchmarkExtRWStationary(b *testing.B) {
 	var decayTail, stationaryTail float64
 	for i := 0; i < b.N; i++ {
-		cfg := RWDecayConfig{Nodes: 200, VMin: 0.1, VMax: 20, Duration: 2000, Seed: 1}
-		_, dec := RandomWaypointDecay(cfg)
-		_, sta := RandomWaypointStationary(cfg)
+		cfg := DefaultRWDecay
+		cfg.Nodes, cfg.VMin, cfg.VMax, cfg.Duration, cfg.Seed = 200, 0.1, 20, 2000, 1
+		_, dec, err := RandomWaypointDecay(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, sta, err := RandomWaypointStationary(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		tenth := len(dec) / 10
 		decayTail = mean(dec[len(dec)-tenth:]) / mean(dec[:tenth])
 		stationaryTail = mean(sta[len(sta)-tenth:]) / mean(sta[:tenth])
@@ -429,7 +446,12 @@ func BenchmarkExtRWStationary(b *testing.B) {
 func BenchmarkExtShadowingConnectivity(b *testing.B) {
 	var at250 float64
 	for i := 0; i < b.N; i++ {
-		pts := ShadowingConnectivity(ShadowingConfig{Seed: 1})
+		cfg := DefaultShadowing
+		cfg.Seed = 1
+		pts, err := ShadowingConnectivity(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, p := range pts {
 			if p.DistanceM == 250 {
 				at250 = p.LinkProb

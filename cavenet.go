@@ -20,13 +20,19 @@
 // runs the paper's Table I scenario (30 vehicles on a 3000 m circuit, CBR
 // traffic from nodes 1–8 to node 0) and returns the goodput and packet
 // delivery metrics of Figs. 8–11.
+//
+// The Behavioural Analyzer's studies (FundamentalDiagram, SpaceTime,
+// VelocitySeries, Periodogram, Transient, the Random Waypoint contrast,
+// ShadowingConnectivity, Interference) are written here, each with one
+// default value to copy and override. Unlike a Scenario, whose zero value
+// is Table I, a study config's zero field means zero, and a config a study
+// cannot run is an error before anything is simulated.
 package cavenet
 
 import (
 	"fmt"
 	"io"
 
-	"cavenet/internal/core"
 	"cavenet/internal/mobility"
 	"cavenet/internal/scenario"
 	"cavenet/internal/stats"
@@ -117,7 +123,7 @@ func CircuitTrace(s Scenario) (*mobility.SampledTrace, error) { return scenario.
 // circuit. Run it with RunOnTrace against Run to measure the paper's
 // §III-B improvement.
 func StraightLineTrace(s Scenario) (*mobility.SampledTrace, error) {
-	return core.StraightLineTrace(s)
+	return scenario.StraightLineTrace(s)
 }
 
 // ExportNS2 writes a mobility trace as an ns-2 scenario file, the coupling

@@ -84,17 +84,21 @@ func TestNS2RoundTripThroughFacade(t *testing.T) {
 }
 
 func TestAnalysisFacade(t *testing.T) {
-	pts, err := FundamentalDiagram(FundamentalConfig{
-		LaneLength: 100, Trials: 2, Iterations: 50, Seed: 1,
-	})
+	fcfg := DefaultFundamental
+	fcfg.LaneLength, fcfg.Trials, fcfg.Iterations, fcfg.Seed = 100, 2, 50, 1
+	pts, err := FundamentalDiagram(fcfg)
 	if err != nil || len(pts) == 0 {
 		t.Fatalf("fundamental diagram: %v", err)
 	}
-	rows, err := SpaceTime(SpaceTimeConfig{Density: 0.2, SlowdownP: 0.3, Steps: 10, Seed: 1})
+	scfg := DefaultSpaceTime
+	scfg.Density, scfg.SlowdownP, scfg.Steps, scfg.Seed = 0.2, 0.3, 10, 1
+	rows, err := SpaceTime(scfg)
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("space-time: %v", err)
 	}
-	series, err := VelocitySeries(VelocityConfig{Density: 0.1, SlowdownP: 0.3, Steps: 100, Seed: 1})
+	vcfg := DefaultVelocity
+	vcfg.Density, vcfg.SlowdownP, vcfg.Steps, vcfg.Seed = 0.1, 0.3, 100, 1
+	series, err := VelocitySeries(vcfg)
 	if err != nil || len(series) != 100 {
 		t.Fatalf("velocity: %v", err)
 	}
@@ -107,16 +111,22 @@ func TestAnalysisFacade(t *testing.T) {
 	if tau := TransientTime(series, 3); tau < 0 || tau > 100 {
 		t.Fatalf("tau = %d", tau)
 	}
-	spec, err := Periodogram(VelocityConfig{Density: 0.1, SlowdownP: 0.5, Steps: 1024, Seed: 1})
+	pcfg := DefaultPeriodogram
+	pcfg.Density, pcfg.SlowdownP, pcfg.Steps, pcfg.Seed = 0.1, 0.5, 1024, 1
+	spec, err := Periodogram(pcfg)
 	if err != nil || len(spec.Spectrum.Freq) == 0 {
 		t.Fatalf("periodogram: %v", err)
 	}
-	res, err := Transient(VelocityConfig{Density: 0.1, SlowdownP: 0, Steps: 500, Seed: 1})
+	tcfg := DefaultTransient
+	tcfg.Density, tcfg.SlowdownP, tcfg.Steps, tcfg.Seed = 0.1, 0, 500, 1
+	res, err := Transient(tcfg)
 	if err != nil || len(res.Series) != 500 {
 		t.Fatalf("transient: %v", err)
 	}
-	tr, vel := RandomWaypointDecay(RWDecayConfig{Nodes: 10, Duration: 100, Seed: 1})
-	if tr.NumNodes() != 10 || len(vel) == 0 {
+	rcfg := DefaultRWDecay
+	rcfg.Nodes, rcfg.Duration, rcfg.Seed = 10, 100, 1
+	tr, vel, err := RandomWaypointDecay(rcfg)
+	if err != nil || tr.NumNodes() != 10 || len(vel) == 0 {
 		t.Fatal("rw decay facade broken")
 	}
 }

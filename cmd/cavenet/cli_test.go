@@ -72,6 +72,26 @@ func TestExitCodes(t *testing.T) {
 		{"fundamental negative trials", []string{"fundamental", "-trials", "-1"}, 2},
 		{"fundamental negative iters", []string{"fundamental", "-iters", "-5"}, 2},
 		{"fundamental negative warmup", []string{"fundamental", "-warmup", "-1"}, 2},
+		// A zero field means zero since the studies lost their defaults: a
+		// config that cannot run is a usage error, not a silent default.
+		{"fundamental zero trials", []string{"fundamental", "-trials", "0"}, 2},
+		{"fundamental zero length", []string{"fundamental", "-L", "0"}, 2},
+		{"spacetime zero length", []string{"spacetime", "-L", "0"}, 2},
+		{"periodogram zero length", []string{"periodogram", "-L", "0"}, 2},
+		{"periodogram zero steps", []string{"periodogram", "-steps", "0"}, 2},
+		{"velocity zero steps", []string{"velocity", "-steps", "0"}, 2},
+		{"velocity lane too short for a vehicle", []string{"velocity", "-L", "4"}, 2},
+		{"transient zero density", []string{"transient", "-rho", "0"}, 2},
+		{"transient density rounds to no vehicle", []string{"transient", "-rho", "0.001"}, 2},
+		{"spacetime more vehicles than cells", []string{"spacetime", "-rho", "1.5"}, 2},
+		// rwdecay's inputs: -nodes -3 used to die in makeslice, the others
+		// ran silently (-vmin 0 at 0.1 m/s).
+		{"rwdecay negative nodes", []string{"rwdecay", "-nodes", "-3"}, 2},
+		{"rwdecay zero nodes", []string{"rwdecay", "-nodes", "0"}, 2},
+		{"rwdecay vmin above vmax", []string{"rwdecay", "-vmin", "30"}, 2},
+		{"rwdecay zero vmin", []string{"rwdecay", "-vmin", "0"}, 2},
+		{"rwdecay negative duration", []string{"rwdecay", "-duration", "-1"}, 2},
+		{"rwdecay zero duration", []string{"rwdecay", "-duration", "0"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,13 +180,17 @@ func TestScenarioSweepOutputFile(t *testing.T) {
 	}
 }
 
-// TestVelocityZeroStepsPrintsDefaultRun: -steps 0 means core's default
-// length; the command used to size its time column from the flag and
-// print a header with no rows under it.
-func TestVelocityZeroStepsPrintsDefaultRun(t *testing.T) {
-	out := captureStdout(t, func() error { return cmdVelocity([]string{"-steps", "0", "-L", "40"}) })
-	if rows := bytes.Count(out, []byte("\n")) - 1; rows != 5000 {
-		t.Fatalf("velocity -steps 0 printed %d rows, want the default 5000", rows)
+// TestVelocityZeroStepsIsUsageError: -steps 0 asks for an empty series.
+// It used to mean the default length; now a zero field means zero, so the
+// command refuses it as a usage error and prints nothing.
+func TestVelocityZeroStepsIsUsageError(t *testing.T) {
+	var code int
+	out := captureStdout(t, func() error {
+		code = run([]string{"velocity", "-steps", "0", "-L", "40"})
+		return nil
+	})
+	if code != 2 || len(out) != 0 {
+		t.Fatalf("velocity -steps 0: exit %d, %d bytes on stdout; want exit 2 and none", code, len(out))
 	}
 }
 

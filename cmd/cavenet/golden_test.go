@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +17,9 @@ import (
 // reproducible). sweep_table1, protocols and trace were captured from a
 // binary that ran these commands on a separate engine in internal/core;
 // they are the evidence that the scenario grid reproduces it byte for
-// byte, so a diff there is a model change. Regenerate with
+// byte, so a diff there is a model change. ba.golden, the Behavioural
+// Analyzer's six commands, was captured from a binary whose studies lived
+// in internal/core and filled zero fields with defaults. Regenerate with
 //
 //	go test ./cmd/cavenet -run Golden -update
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -121,4 +125,58 @@ func TestGoldenTrace(t *testing.T) {
 		return cmdTrace([]string{"-nodes", "10", "-circuit", "1000", "-duration", "10", "-seed", "1"})
 	})
 	checkGolden(t, "trace.golden", out)
+}
+
+// analyzerRuns are the Behavioural Analyzer commands at reduced flags,
+// the ones TestGoldenBehaviouralAnalyzer pins.
+var analyzerRuns = [][]string{
+	{"fundamental", "-L", "100", "-trials", "2", "-iters", "50", "-warmup", "10", "-seed", "3"},
+	{"spacetime", "-L", "60", "-rho", "0.2", "-p", "0.4", "-steps", "15", "-warmup", "5", "-seed", "2"},
+	{"velocity", "-L", "50", "-p", "0.2", "-steps", "40", "-seed", "4"},
+	{"periodogram", "-L", "100", "-rho", "0.1", "-steps", "256", "-seed", "5"},
+	{"transient", "-L", "100", "-rho", "0.2", "-p", "0.1", "-steps", "60", "-seed", "6"},
+	{"rwdecay", "-nodes", "5", "-vmin", "0.5", "-vmax", "10", "-duration", "30", "-seed", "7"},
+}
+
+// runCommand runs one cavenet command line and returns its stdout.
+func runCommand(t *testing.T, args []string) []byte {
+	t.Helper()
+	return captureStdout(t, func() error {
+		if code := run(args); code != 0 {
+			return fmt.Errorf("run(%q) exited %d", args, code)
+		}
+		return nil
+	})
+}
+
+// TestGoldenBehaviouralAnalyzer locks the full output of the six analyzer
+// commands, each under a "## cavenet <args>" header.
+func TestGoldenBehaviouralAnalyzer(t *testing.T) {
+	var buf bytes.Buffer
+	for _, args := range analyzerRuns {
+		fmt.Fprintf(&buf, "## cavenet %s\n", strings.Join(args, " "))
+		buf.Write(runCommand(t, args))
+	}
+	checkGolden(t, "ba.golden", buf.Bytes())
+}
+
+// TestAnalyzerDefaultFlags: each analyzer command with no flags prints
+// exactly what it prints with these flag defaults spelled out, so the
+// studies' default values are the ones the command line has always shown.
+func TestAnalyzerDefaultFlags(t *testing.T) {
+	spelled := [][]string{
+		{"fundamental", "-L", "400", "-trials", "20", "-iters", "500", "-warmup", "0", "-seed", "1"},
+		{"spacetime", "-L", "400", "-rho", "0.1", "-p", "0.3", "-steps", "100", "-warmup", "0", "-seed", "1"},
+		{"velocity", "-L", "400", "-p", "0.3", "-steps", "5000", "-seed", "1"},
+		{"periodogram", "-L", "400", "-rho", "0.05", "-p", "0.5", "-steps", "8192", "-seed", "1"},
+		{"transient", "-L", "400", "-rho", "0.1", "-p", "0", "-steps", "2000", "-seed", "1"},
+		{"rwdecay", "-nodes", "100", "-vmin", "0.1", "-vmax", "20", "-duration", "2000", "-seed", "1"},
+	}
+	for _, args := range spelled {
+		t.Run(args[0], func(t *testing.T) {
+			if bare, full := runCommand(t, args[:1]), runCommand(t, args); !bytes.Equal(bare, full) {
+				t.Fatalf("cavenet %s differs from cavenet %s", args[0], strings.Join(args, " "))
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 
@@ -11,20 +12,14 @@ import (
 
 func cmdFundamental(args []string) error {
 	fs := newFlagSet("fundamental")
-	length := fs.Int("L", 400, "lane length in cells")
-	trials := fs.Int("trials", 20, "Monte-Carlo trials per point")
-	iters := fs.Int("iters", 500, "iterations per trial")
-	warmup := fs.Int("warmup", 0, "discarded steps per trial")
-	seed := fs.Int64("seed", 1, "root seed")
+	cfg := cavenet.DefaultFundamental
+	fs.IntVar(&cfg.LaneLength, "L", cfg.LaneLength, "lane length in cells")
+	fs.IntVar(&cfg.Trials, "trials", cfg.Trials, "Monte-Carlo trials per point")
+	fs.IntVar(&cfg.Iterations, "iters", cfg.Iterations, "iterations per trial")
+	fs.IntVar(&cfg.Warmup, "warmup", cfg.Warmup, "discarded steps per trial")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "root seed")
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	cfg := cavenet.FundamentalConfig{
-		LaneLength: *length,
-		Trials:     *trials,
-		Iterations: *iters,
-		Warmup:     *warmup,
-		Seed:       *seed,
 	}
 	if err := cfg.Validate(); err != nil {
 		return badUsage("%v", err)
@@ -53,62 +48,59 @@ func cmdFundamental(args []string) error {
 	return plot.MultiSeries(os.Stdout, "rho", density, []string{"J_p0", "J_p0.5"}, series)
 }
 
+// laneFlags binds the lane-study flags to cfg; densityFlag is false for a
+// command that sweeps its own densities.
+func laneFlags(fs *flag.FlagSet, cfg *cavenet.VelocityConfig, densityFlag bool) {
+	fs.IntVar(&cfg.LaneLength, "L", cfg.LaneLength, "lane length in cells")
+	if densityFlag {
+		fs.Float64Var(&cfg.Density, "rho", cfg.Density, "vehicle density")
+	}
+	fs.Float64Var(&cfg.SlowdownP, "p", cfg.SlowdownP, "slowdown probability")
+	fs.IntVar(&cfg.Steps, "steps", cfg.Steps, "steps to simulate")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "root seed")
+}
+
 func cmdSpaceTime(args []string) error {
 	fs := newFlagSet("spacetime")
-	length := fs.Int("L", 400, "lane length in cells")
-	rho := fs.Float64("rho", 0.1, "vehicle density")
-	p := fs.Float64("p", 0.3, "slowdown probability")
-	steps := fs.Int("steps", 100, "steps to plot")
-	warmup := fs.Int("warmup", 0, "discarded steps")
-	seed := fs.Int64("seed", 1, "root seed")
+	cfg := cavenet.VelocityConfig(cavenet.DefaultSpaceTime)
+	laneFlags(fs, &cfg, true)
+	fs.IntVar(&cfg.Warmup, "warmup", cfg.Warmup, "discarded steps")
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	cfg := cavenet.SpaceTimeConfig{
-		LaneLength: *length,
-		Density:    *rho,
-		SlowdownP:  *p,
-		Steps:      *steps,
-		Warmup:     *warmup,
-		Seed:       *seed,
 	}
 	if err := cfg.Validate(); err != nil {
 		return badUsage("%v", err)
 	}
-	rows, err := cavenet.SpaceTime(cfg)
+	rows, err := cavenet.SpaceTime(cavenet.SpaceTimeConfig(cfg))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("# space-time plot: L=%d rho=%v p=%v (space left-right, time top-down)\n",
-		*length, *rho, *p)
+		cfg.LaneLength, cfg.Density, cfg.SlowdownP)
 	return plot.SpaceTimeASCII(os.Stdout, rows)
 }
 
 func cmdVelocity(args []string) error {
 	fs := newFlagSet("velocity")
-	length := fs.Int("L", 400, "lane length in cells")
-	p := fs.Float64("p", 0.3, "slowdown probability")
-	steps := fs.Int("steps", 5000, "steps to simulate")
-	seed := fs.Int64("seed", 1, "root seed")
+	cfg := cavenet.DefaultVelocity
+	laneFlags(fs, &cfg, false)
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	cfg := cavenet.VelocityConfig{LaneLength: *length, SlowdownP: *p, Steps: *steps, Seed: *seed}
-	if err := cfg.Validate(); err != nil {
-		return badUsage("%v", err)
 	}
 	// Fig. 6 overlays ρ=0.1 and ρ=0.5.
 	var cols [][]float64
 	for _, rho := range []float64{0.1, 0.5} {
 		cfg.Density = rho
+		if err := cfg.Validate(); err != nil {
+			return badUsage("%v", err)
+		}
 		s, err := cavenet.VelocitySeries(cfg)
 		if err != nil {
 			return err
 		}
 		cols = append(cols, s)
 	}
-	// As long as the series, not the flag: -steps 0 runs the default length.
-	ts := make([]float64, len(cols[0]))
+	ts := make([]float64, cfg.Steps)
 	for i := range ts {
 		ts[i] = float64(i)
 	}
@@ -117,15 +109,11 @@ func cmdVelocity(args []string) error {
 
 func cmdPeriodogram(args []string) error {
 	fs := newFlagSet("periodogram")
-	length := fs.Int("L", 400, "lane length in cells")
-	rho := fs.Float64("rho", 0.05, "vehicle density")
-	p := fs.Float64("p", 0.5, "slowdown probability")
-	steps := fs.Int("steps", 8192, "steps to simulate")
-	seed := fs.Int64("seed", 1, "root seed")
+	cfg := cavenet.DefaultPeriodogram
+	laneFlags(fs, &cfg, true)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	cfg := cavenet.VelocityConfig{LaneLength: *length, Density: *rho, SlowdownP: *p, Steps: *steps, Seed: *seed}
 	if err := cfg.Validate(); err != nil {
 		return badUsage("%v", err)
 	}
@@ -134,21 +122,17 @@ func cmdPeriodogram(args []string) error {
 		return err
 	}
 	fmt.Printf("# rho=%v p=%v  GPH slope=%.3f  Hurst=%.3f  (slope≈0, H≈0.5: SRD; slope<0, H→1: LRD)\n",
-		*rho, *p, res.GPHSlope, res.Hurst)
+		cfg.Density, cfg.SlowdownP, res.GPHSlope, res.Hurst)
 	return plot.Series(os.Stdout, "freq", "power", res.Spectrum.Freq, res.Spectrum.Power)
 }
 
 func cmdTransient(args []string) error {
 	fs := newFlagSet("transient")
-	length := fs.Int("L", 400, "lane length in cells")
-	rho := fs.Float64("rho", 0.1, "vehicle density")
-	p := fs.Float64("p", 0, "slowdown probability")
-	steps := fs.Int("steps", 2000, "steps to simulate")
-	seed := fs.Int64("seed", 1, "root seed")
+	cfg := cavenet.DefaultTransient
+	laneFlags(fs, &cfg, true)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	cfg := cavenet.VelocityConfig{LaneLength: *length, Density: *rho, SlowdownP: *p, Steps: *steps, Seed: *seed}
 	if err := cfg.Validate(); err != nil {
 		return badUsage("%v", err)
 	}
@@ -164,17 +148,22 @@ func cmdTransient(args []string) error {
 
 func cmdRWDecay(args []string) error {
 	fs := newFlagSet("rwdecay")
-	nodes := fs.Int("nodes", 100, "number of walkers")
-	vmin := fs.Float64("vmin", 0.1, "minimum speed m/s")
-	vmax := fs.Float64("vmax", 20, "maximum speed m/s")
-	dur := fs.Float64("duration", 2000, "seconds to simulate")
-	seed := fs.Int64("seed", 1, "root seed")
+	cfg := cavenet.DefaultRWDecay
+	fs.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "number of walkers")
+	fs.Float64Var(&cfg.VMin, "vmin", cfg.VMin, "minimum speed m/s")
+	fs.Float64Var(&cfg.VMax, "vmax", cfg.VMax, "maximum speed m/s")
+	fs.Float64Var(&cfg.Duration, "duration", cfg.Duration, "seconds to simulate")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "root seed")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	_, vel := cavenet.RandomWaypointDecay(cavenet.RWDecayConfig{
-		Nodes: *nodes, VMin: *vmin, VMax: *vmax, Duration: *dur, Seed: *seed,
-	})
+	if err := cfg.Validate(); err != nil {
+		return badUsage("%v", err)
+	}
+	_, vel, err := cavenet.RandomWaypointDecay(cfg)
+	if err != nil {
+		return err
+	}
 	ts := make([]float64, len(vel))
 	for i := range ts {
 		ts[i] = float64(i)

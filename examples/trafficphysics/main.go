@@ -25,10 +25,11 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Println("=== Fig. 4: fundamental diagram (flow vs density) ===")
+	fcfg := cavenet.DefaultFundamental
+	fcfg.Trials, fcfg.Iterations, fcfg.Warmup, fcfg.Seed = 10, 300, 100, 1
 	for _, p := range []float64{0, 0.5} {
-		pts, err := cavenet.FundamentalDiagram(cavenet.FundamentalConfig{
-			LaneLength: 400, SlowdownP: p, Trials: 10, Iterations: 300, Warmup: 100, Seed: 1,
-		})
+		fcfg.SlowdownP = p
+		pts, err := cavenet.FundamentalDiagram(fcfg)
 		if err != nil {
 			log.Fatalf("trafficphysics: %v", err)
 		}
@@ -59,15 +60,14 @@ func main() {
 	fmt.Println("low density: laminar free flow; high density: jam clusters drifting backward")
 
 	fmt.Println("\n=== Fig. 7: SRD vs LRD ===")
-	det, err := cavenet.Periodogram(cavenet.VelocityConfig{
-		Density: 0.1, SlowdownP: 0, Steps: 4096, Seed: 3,
-	})
+	pcfg := cavenet.DefaultPeriodogram
+	pcfg.Density, pcfg.SlowdownP, pcfg.Steps, pcfg.Seed = 0.1, 0, 4096, 3
+	det, err := cavenet.Periodogram(pcfg)
 	if err != nil {
 		log.Fatalf("trafficphysics: %v", err)
 	}
-	sto, err := cavenet.Periodogram(cavenet.VelocityConfig{
-		Density: 0.1, SlowdownP: 0.5, Steps: 4096, Seed: 3,
-	})
+	pcfg.SlowdownP = 0.5
+	sto, err := cavenet.Periodogram(pcfg)
 	if err != nil {
 		log.Fatalf("trafficphysics: %v", err)
 	}
@@ -77,17 +77,20 @@ func main() {
 		sto.GPHSlope, sto.Hurst)
 
 	fmt.Println("\n=== §IV-B: transient time and the RW contrast ===")
-	tr, err := cavenet.Transient(cavenet.VelocityConfig{
-		Density: 0.1, SlowdownP: 0, Steps: 1000, Seed: 4,
-	})
+	tcfg := cavenet.DefaultTransient
+	tcfg.Steps, tcfg.Seed = 1000, 4
+	tr, err := cavenet.Transient(tcfg)
 	if err != nil {
 		log.Fatalf("trafficphysics: %v", err)
 	}
 	fmt.Printf("CA from a compact jam reaches steady state in τ = %d steps (MSER-5: %d)\n",
 		tr.Tau, tr.MSER)
-	_, vel := cavenet.RandomWaypointDecay(cavenet.RWDecayConfig{
-		Nodes: 100, VMin: 0.1, VMax: 20, Duration: 2000, Seed: 5,
-	})
+	rcfg := cavenet.DefaultRWDecay
+	rcfg.Seed = 5
+	_, vel, err := cavenet.RandomWaypointDecay(rcfg)
+	if err != nil {
+		log.Fatalf("trafficphysics: %v", err)
+	}
 	rwTau := cavenet.TransientTime(vel, 3)
 	fmt.Printf("Random Waypoint mean velocity still decaying after %d of %d samples\n",
 		rwTau, len(vel))

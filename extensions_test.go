@@ -11,9 +11,16 @@ import (
 // the public API.
 
 func TestStationaryRWHasNoDecay(t *testing.T) {
-	cfg := RWDecayConfig{Nodes: 300, VMin: 0.1, VMax: 20, Duration: 2000, Seed: 9}
-	_, decaying := RandomWaypointDecay(cfg)
-	_, stationary := RandomWaypointStationary(cfg)
+	cfg := DefaultRWDecay
+	cfg.Nodes, cfg.VMin, cfg.VMax, cfg.Duration, cfg.Seed = 300, 0.1, 20, 2000, 9
+	_, decaying, err := RandomWaypointDecay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stationary, err := RandomWaypointStationary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	meanOf := func(xs []float64) float64 {
 		s := 0.0
@@ -141,12 +148,9 @@ func TestConnectivityComponentsOnCircuitTrace(t *testing.T) {
 }
 
 func TestInterferenceExperimentShape(t *testing.T) {
-	res, err := Interference(InterferenceConfig{
-		LaneLengthMeters: 1500,
-		VehiclesPerLane:  10,
-		SimTime:          30 * sim.Second,
-		Seed:             5,
-	})
+	cfg := DefaultInterference
+	cfg.LaneLengthMeters, cfg.VehiclesPerLane, cfg.SimTime, cfg.Seed = 1500, 10, 30*sim.Second, 5
+	res, err := Interference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +189,9 @@ func TestVelocitySeriesIsLRDConsistent(t *testing.T) {
 	// Cross-check the two LRD indicators on the same public-API series:
 	// ACF partial sums growing and Hurst > 0.5 must co-occur near the
 	// critical density.
-	series, err := VelocitySeries(VelocityConfig{
-		Density: 0.1, SlowdownP: 0.5, Steps: 4096, Seed: 7,
-	})
+	cfg := DefaultVelocity
+	cfg.Density, cfg.SlowdownP, cfg.Steps, cfg.Seed = 0.1, 0.5, 4096, 7
+	series, err := VelocitySeries(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // catalogue, the runner, the RNG derivations, the metrics or the
 // connectivity analysis — shows up here first. Regenerate with
 //
-//	go test . -run 'Golden(Quickstart|Highway)Output' -update-examples
+//	go test . -run 'Golden(Quickstart|Highway|TrafficPhysics)Output' -update-examples
 var updateExamples = flag.Bool("update-examples", false, "rewrite the examples' golden files")
 
 // tmpPathRe normalizes the one nondeterministic line: the temp file the
@@ -34,6 +34,13 @@ func TestGoldenQuickstartOutput(t *testing.T) {
 // user of the connectivity components.
 func TestGoldenHighwayOutput(t *testing.T) {
 	checkExampleGolden(t, "highway", nil)
+}
+
+// TestGoldenTrafficPhysicsOutput locks the Behavioural Analyzer tour
+// (Figs. 4–7 and the Random Waypoint contrast), whose configs start from
+// the studies' default values and override a few fields.
+func TestGoldenTrafficPhysicsOutput(t *testing.T) {
+	checkExampleGolden(t, "trafficphysics", nil)
 }
 
 // checkExampleGolden builds ./examples/<name>, runs it, passes its output

@@ -1,20 +1,19 @@
-package core
+package scenario
 
 import (
 	"testing"
 
-	"cavenet/internal/scenario"
 	"cavenet/internal/sim"
 )
 
 // lineScenario is a reduced Table I: 12 vehicles on 1200 m, 30 s, three
 // senders to node 0 between 5 s and 25 s.
-func lineScenario(p scenario.Protocol) scenario.Spec {
-	var flows []scenario.Flow
+func lineScenario(p Protocol) Spec {
+	var flows []Flow
 	for s := 1; s <= 3; s++ {
-		flows = append(flows, scenario.Flow{Src: s, Dst: 0, Start: 5 * sim.Second, Stop: 25 * sim.Second})
+		flows = append(flows, Flow{Src: s, Dst: 0, Start: 5 * sim.Second, Stop: 25 * sim.Second})
 	}
-	return scenario.Spec{
+	return Spec{
 		Name:          "line",
 		Protocol:      p,
 		LaneVehicles:  []int{12},
@@ -27,7 +26,7 @@ func lineScenario(p scenario.Protocol) scenario.Spec {
 }
 
 func TestStraightLineOption(t *testing.T) {
-	tr, err := StraightLineTrace(lineScenario(scenario.AODV))
+	tr, err := StraightLineTrace(lineScenario(AODV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestStraightLineOption(t *testing.T) {
 			}
 		}
 	}
-	grid, _ := scenario.Get("manhattan")
+	grid, _ := Get("manhattan")
 	if _, err := StraightLineTrace(grid); err == nil {
 		t.Fatal("a street grid has no straight-line variant")
 	}
@@ -58,14 +57,14 @@ func TestStraightLineOption(t *testing.T) {
 // protocol simulator the way the §III-B ablation does — RunOnTrace over
 // the spec the trace was built from — under each of the paper's protocols.
 func TestRunScenarioAllProtocols(t *testing.T) {
-	for _, p := range []scenario.Protocol{scenario.AODV, scenario.OLSR, scenario.DYMO} {
+	for _, p := range []Protocol{AODV, OLSR, DYMO} {
 		t.Run(string(p), func(t *testing.T) {
 			spec := lineScenario(p)
 			tr, err := StraightLineTrace(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := scenario.RunOnTrace(spec, tr)
+			res, err := RunOnTrace(spec, tr)
 			if err != nil {
 				t.Fatal(err)
 			}

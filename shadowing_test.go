@@ -1,9 +1,21 @@
-package core
+package cavenet
 
 import "testing"
 
+// shadowingSweep runs the sweep and fails the test on a rejected config.
+func shadowingSweep(t *testing.T, cfg ShadowingConfig) []ShadowingPoint {
+	t.Helper()
+	pts, err := ShadowingConnectivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
 func TestShadowingConnectivitySigmoid(t *testing.T) {
-	pts := ShadowingConnectivity(ShadowingConfig{Seed: 1})
+	cfg := DefaultShadowing
+	cfg.Seed = 1
+	pts := shadowingSweep(t, cfg)
 	if len(pts) == 0 {
 		t.Fatal("empty sweep")
 	}
@@ -49,7 +61,9 @@ func TestShadowingVsDiskBaseline(t *testing.T) {
 	}
 	// Shadowing gives non-zero probability beyond the disk edge and below
 	// one inside it — the qualitative difference ref [18] studies.
-	shadow := ShadowingConnectivity(ShadowingConfig{Distances: distances, Seed: 2})
+	cfg := DefaultShadowing
+	cfg.Distances, cfg.Seed = distances, 2
+	shadow := shadowingSweep(t, cfg)
 	if shadow[2].LinkProb <= 0 {
 		t.Fatal("shadowing should allow links just beyond the disk range")
 	}
@@ -59,8 +73,9 @@ func TestShadowingVsDiskBaseline(t *testing.T) {
 }
 
 func TestShadowingDeterministicSeed(t *testing.T) {
-	a := ShadowingConnectivity(ShadowingConfig{Seed: 3, Trials: 500})
-	b := ShadowingConnectivity(ShadowingConfig{Seed: 3, Trials: 500})
+	cfg := DefaultShadowing
+	cfg.Seed, cfg.Trials = 3, 500
+	a, b := shadowingSweep(t, cfg), shadowingSweep(t, cfg)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must reproduce the sweep")
@@ -69,12 +84,14 @@ func TestShadowingDeterministicSeed(t *testing.T) {
 }
 
 // TestShadowingVanishingSigmaIsDisk pins the σ → 0 limit, which SigmaDB 0
-// cannot reach (it means the 4 dB default): at σ = 1e-9 the sweep equals
+// cannot reach (the sweep rejects it): at σ = 1e-9 the sweep equals
 // DiskConnectivity at every default distance except the calibrated range,
 // where the threshold is the mean power itself and a vanishing deviation
 // still falls on either side of it.
 func TestShadowingVanishingSigmaIsDisk(t *testing.T) {
-	got := ShadowingConnectivity(ShadowingConfig{SigmaDB: 1e-9, Seed: 4})
+	cfg := DefaultShadowing
+	cfg.SigmaDB, cfg.Seed = 1e-9, 4
+	got := shadowingSweep(t, cfg)
 	if len(got) != 19 {
 		t.Fatalf("default sweep has %d distances, want 19 (50..500 m by 25)", len(got))
 	}
