@@ -106,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mac/ -fuzz FuzzBackoffDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/ca/ -fuzz FuzzLaneDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/rng/ -fuzz FuzzStreamMatchesMathRand -fuzztime 5s -run XXX
+	$(GO) test ./internal/netsim/ -fuzz FuzzInterner -fuzztime 5s -run XXX
 
 # One iteration of each micro-benchmark family: keeps the benches
 # compiling and catches a fast path silently degrading, in seconds, without
@@ -129,6 +130,9 @@ fuzz-smoke:
 #  - aodv/dymo: the table-level Forward benches run the dense table against
 #    the map reference from reference_test.go (0 allocs/op dense is the
 #    point); the RREQ-storm world runs the one table routers hold.
+#  - netsim: the interner every router keys its tables by, at table1,
+#    metro2k and metro sizes (Index at 0 allocs/op; build's B/op is one
+#    router's table and must not grow with the world's id range).
 #  - rng: building one seeded stream, the lagged source against math/rand's
 #    own (the power-table seeding silently falling back shows in ns/op,
 #    math/rand's larger register in B/op).
@@ -140,16 +144,18 @@ bench-smoke:
 	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|FanOutBatch|BatchCommit|TimerSetHello' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/aodv/ -bench 'AODVForward|AODVRREQStorm' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench 'DYMOForward|DYMORREQStorm' -benchtime=1x -benchmem -run XXX
+	$(GO) test ./internal/netsim/ -bench Interner -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/rng/ -bench Stream -benchtime=1x -benchmem -run XXX
 
 # Full AODV/DYMO data-plane table (per-packet forwarding work, dense vs
-# the map reference, and the RREQ-storm world); see "Micro-benchmarks" in
-# PERF.md.
+# the map reference, the RREQ-storm world, and the node-id interner the
+# tables index by); see "Micro-benchmarks" in PERF.md.
 bench-dataplane:
 	$(GO) test ./internal/routing/aodv/ -bench AODVForward -benchmem -benchtime=2s -run XXX
 	$(GO) test ./internal/routing/aodv/ -bench AODVRREQStorm -benchmem -benchtime=20x -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench DYMOForward -benchmem -benchtime=2s -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench DYMORREQStorm -benchmem -benchtime=20x -run XXX
+	$(GO) test ./internal/netsim/ -bench Interner -benchmem -run XXX
 
 # Full event-kernel table (mixed workloads, schedule/pop at 1k/10k/100k
 # pending, the batched vs per-member fan-out, calendar vs heap reference,

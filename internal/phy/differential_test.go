@@ -108,11 +108,11 @@ func TestChannelCullReachesCellEdge(t *testing.T) {
 // propagation model with a random component must not be distance-culled.
 func TestChannelShadowingFallsBackToBruteForce(t *testing.T) {
 	k := sim.NewKernel()
-	c := NewChannel(k, Shadowing{Rnd: rand.New(rand.NewSource(1))}, Config{})
+	c := NewChannel(k, Shadowing{Beta: 2.7, SigmaDB: 4, Rnd: rand.New(rand.NewSource(1))}, Config{})
 	if c.grid != nil {
 		t.Fatal("randomized shadowing must disable spatial culling")
 	}
-	c = NewChannel(k, Shadowing{}, Config{})
+	c = NewChannel(k, Shadowing{Beta: 2.7, SigmaDB: 4}, Config{})
 	if c.grid == nil {
 		t.Fatal("deterministic shadowing should allow spatial culling")
 	}

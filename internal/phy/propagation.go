@@ -192,9 +192,11 @@ func (m TwoRayGround) RxPower(txW float64, from, to geometry.Vec2) float64 {
 // reference distance, plus a zero-mean Gaussian deviation of SigmaDB
 // decibels sampled per (transmission, receiver) pair.
 type Shadowing struct {
-	// Beta is the path-loss exponent (default 2.7, a typical outdoor value).
+	// Beta is the path-loss exponent (2.7 is a typical outdoor value); 0
+	// means no loss beyond the reference distance.
 	Beta float64
-	// SigmaDB is the shadowing standard deviation in dB (default 4).
+	// SigmaDB is the shadowing standard deviation in dB; 0 means no
+	// deviation.
 	SigmaDB float64
 	// RefDist is the reference distance d0 in meters (default 1).
 	RefDist float64
@@ -212,10 +214,6 @@ func (m Shadowing) DistanceMonotone() bool { return m.Rnd == nil }
 
 // RxPower implements Propagation.
 func (m Shadowing) RxPower(txW float64, from, to geometry.Vec2) float64 {
-	beta := m.Beta
-	if beta == 0 {
-		beta = 2.7
-	}
 	d0 := m.RefDist
 	if d0 == 0 {
 		d0 = 1
@@ -229,14 +227,10 @@ func (m Shadowing) RxPower(txW float64, from, to geometry.Vec2) float64 {
 		d = d0
 	}
 	pr0 := ref.RxPower(txW, geometry.Vec2{}, geometry.Vec2{X: d0})
-	meanDB := 10*math.Log10(pr0) - 10*beta*math.Log10(d/d0)
-	sigma := m.SigmaDB
-	if sigma == 0 {
-		sigma = 4
-	}
+	meanDB := 10*math.Log10(pr0) - 10*m.Beta*math.Log10(d/d0)
 	dev := 0.0
 	if m.Rnd != nil {
-		dev = m.Rnd.NormFloat64() * sigma
+		dev = m.Rnd.NormFloat64() * m.SigmaDB
 	}
 	return math.Pow(10, (meanDB+dev)/10)
 }

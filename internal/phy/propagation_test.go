@@ -100,7 +100,7 @@ func TestShadowingMeanFollowsPathLoss(t *testing.T) {
 
 func TestShadowingVariability(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
-	m := Shadowing{SigmaDB: 8, Rnd: rnd}
+	m := Shadowing{Beta: 2.7, SigmaDB: 8, Rnd: rnd}
 	a := m.RxPower(1, geometry.Vec2{}, geometry.Vec2{X: 100})
 	b := m.RxPower(1, geometry.Vec2{}, geometry.Vec2{X: 100})
 	if a == b {
@@ -109,7 +109,7 @@ func TestShadowingVariability(t *testing.T) {
 }
 
 func TestShadowingBelowReferenceClamped(t *testing.T) {
-	m := Shadowing{}
+	m := Shadowing{Beta: 2.7, SigmaDB: 4}
 	a := m.RxPower(1, geometry.Vec2{}, geometry.Vec2{X: 0.1})
 	b := m.RxPower(1, geometry.Vec2{}, geometry.Vec2{X: 1})
 	if a != b {

@@ -288,5 +288,16 @@ mutant "rules config: an exported aodv.Config field nobody sets" internal/routin
 	's|^\tNoExpandingRing bool$|&\n\tUnset bool|' \
 	$rules 'TestRules'
 
+# ---- the node-id interner (ROADMAP "Interning is O(ids heard)"): one
+# open-addressing table. A revision with the direct slice reads BROKEN on
+# both rows. ----
+internTests='^(TestInterner|FuzzInterner)$'
+mutant "netsim Interner: the probe matches any occupied slot" internal/netsim/interner.go \
+	's|^\t\tif s.id == k {$|\t\tif true {|' \
+	./internal/netsim "$internTests"
+mutant "netsim Interner: the rehash numbers ids by slot, not by the index they hold" internal/netsim/interner.go \
+	's|^\tfor _, s := range old {$|\tfor j, s := range old {|;s|^\t\t\tin.put(s)$|\t\t\tin.put(internSlot{s.id, int32(j) + 1})|' \
+	./internal/netsim "$internTests"
+
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
