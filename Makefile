@@ -130,6 +130,8 @@ fuzz-smoke:
 #  - aodv/dymo: the table-level Forward benches run the dense table against
 #    the map reference from reference_test.go (0 allocs/op dense is the
 #    point); the RREQ-storm world runs the one table routers hold.
+#  - mac: one acknowledged unicast on a warm pair (0 B/op is the point:
+#    every MAC and PHY frame goes back to its pool when it dies).
 #  - netsim: the interner every router keys its tables by, at table1,
 #    metro2k and metro sizes (Index at 0 allocs/op; build's B/op is one
 #    router's table and must not grow with the world's id range).
@@ -144,6 +146,7 @@ bench-smoke:
 	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|FanOutBatch|BatchCommit|TimerSetHello' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/aodv/ -bench 'AODVForward|AODVRREQStorm' -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/dymo/ -bench 'DYMOForward|DYMORREQStorm' -benchtime=1x -benchmem -run XXX
+	$(GO) test ./internal/mac/ -bench DCFExchange -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/netsim/ -bench Interner -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/rng/ -bench Stream -benchtime=1x -benchmem -run XXX
 

@@ -60,3 +60,35 @@ func BenchmarkContention(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/float64(b.N*80), "events/frame")
 }
+
+// BenchmarkDCFExchange measures one acknowledged unicast between two
+// stations — DIFS, backoff, DATA, SIFS, ACK — on a warm world. Its B/op
+// is the frame pools' pin: every MAC and PHY frame of the exchange comes
+// back to its pool when it dies, so the exchange allocates nothing.
+func BenchmarkDCFExchange(b *testing.B) {
+	k := sim.NewKernel()
+	c := phy.NewChannel(k, phy.TwoRayGround{}, phy.Config{CaptureRatio: 10})
+	a := New(k, c.Attach(geometry.Vec2{}), 0, Config{}, rand.New(rand.NewSource(1)), discardUpper{})
+	peer := New(k, c.Attach(geometry.Vec2{X: 100}), 1, Config{}, rand.New(rand.NewSource(2)), discardUpper{})
+	payload := any(&struct{}{})
+	exchange := func() {
+		a.Send(1, payload, 512)
+		for k.Step() {
+		}
+	}
+	// Warm up until the pools, the kernel's records and the calendar
+	// buckets the exchanges cycle through all have their storage.
+	const warm = 1000
+	for i := 0; i < warm; i++ {
+		exchange()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exchange()
+	}
+	b.StopTimer()
+	if got := peer.Stats().AckTx; got != uint64(b.N)+warm {
+		b.Fatalf("AckTx = %d, want %d", got, b.N+warm)
+	}
+}

@@ -79,21 +79,33 @@ func (c *Config) normalize() {
 }
 
 // Upper is the network-layer interface the MAC delivers to.
+//
+// Every payload Send accepts comes back up exactly once, and after that the
+// MAC never reads it again. A payload Send refuses comes back at once
+// (MACQueueDrop, or MACDownDrop on a down interface). One it accepts comes
+// back when its job has ended — ACK or a broadcast's tx-done (MACSendDone),
+// retry exhaustion (MACSendFailed) or a Down flush (MACDownDrop) — and no
+// data frame of the station is still on the air: receivers decode a frame
+// at their own signal end, up to a propagation delay after the sender's
+// tx-done, and the payload they decode is the sender's. A job that ends
+// while one is on the air hands its payload back when that frame dies
+// (phy.Handler.RadioFrameDead).
 type Upper interface {
 	// MACReceive delivers a decoded data frame's payload. from is the
-	// transmitting station.
+	// transmitting station. The payload is the sender's, shared with every
+	// other receiver: it is valid for the call, and what outlives the call
+	// must be copied.
 	MACReceive(payload any, from Address)
 	// MACSendFailed reports that a unicast to 'to' exhausted its retries —
 	// the data-link feedback AODV and DYMO use for link monitoring.
 	MACSendFailed(to Address, payload any)
-	// MACSendDone reports a unicast frame whose ACK arrived. By that instant
-	// every station in range has already decoded the frame (receivers
+	// MACSendDone reports a job that ended in success: a unicast whose ACK
+	// arrived, or a broadcast that finished airing. No station will decode
+	// the payload again, so this is where the network layer's packet pool
+	// reclaims it. (An ACK always finds the data frame dead: receivers
 	// decode at the end of the data airtime, a SIFS plus an ACK airtime
-	// before the sender hears the ACK), so it is the earliest point at which
-	// the sender-side payload pointer is provably dead — the hook the
-	// network layer's packet pool reclaims forwarded data packets at.
-	// Broadcast completions are not reported: their receivers decode the
-	// shared payload at the same timestamp as the sender's tx-done.
+	// before the sender hears the ACK. A broadcast's report waits for its
+	// farthest receiver.)
 	MACSendDone(to Address, payload any)
 	// MACQueueDrop reports a drop-tail interface-queue drop, so a queued
 	// packet cannot vanish from the network layer's ledger without a drop
@@ -102,7 +114,9 @@ type Upper interface {
 	MACQueueDrop(to Address, payload any)
 	// MACDownDrop reports each frame Down flushes — the in-flight job and
 	// the whole backlog — and each frame sent to a down interface, so fault
-	// injection terminates every packet with an explicit drop.
+	// injection terminates every packet with an explicit drop. The backlog
+	// comes back at Down; an in-flight job whose frame is still on the air
+	// (a crash mid-transmission) comes back when that frame dies.
 	MACDownDrop(to Address, payload any)
 }
 
@@ -117,7 +131,9 @@ const (
 	KindCTS
 )
 
-// Frame is the MAC PDU carried inside a phy.Frame payload.
+// Frame is the MAC PDU carried inside a phy.Frame payload. Frames are
+// pooled per station: one goes back to its sender's pool when its PHY frame
+// dies, so a handler must not retain a *Frame past its callback.
 type Frame struct {
 	Kind    Kind
 	From    Address
@@ -149,6 +165,14 @@ type txJob struct {
 	to      Address
 	payload any
 	bytes   int // network-layer bytes
+}
+
+// ending is a job that ended while a data frame of the station was on the
+// air: its payload goes back up through report, one of Upper's methods,
+// when the last such frame dies.
+type ending struct {
+	report func(Upper, Address, any)
+	job    txJob
 }
 
 // DCF is one station's MAC instance.
@@ -197,6 +221,13 @@ type DCF struct {
 	lastSeq  []uint16
 	haveLast []bool
 
+	// airing counts the station's data frames on the air (transmitted, not
+	// yet dead); ended holds the jobs that ended meanwhile, in order (see
+	// handBack). free is the pool every frame of the station comes from.
+	airing int
+	ended  []ending
+	free   []*Frame
+
 	stats Stats
 }
 
@@ -230,15 +261,19 @@ func (d *DCF) Addr() Address { return d.addr }
 func (d *DCF) Stats() Stats { return d.stats }
 
 // EachQueued visits the payload of every frame in the station's custody:
-// the in-flight job first, then the backlog in queue order. The invariant
-// harness uses it to prove that every unterminated data packet is still
-// physically held somewhere.
+// the in-flight job first, then the backlog in queue order, then the ended
+// jobs still waiting for a frame on the air to die. The invariant harness
+// uses it to prove that every unterminated data packet is still physically
+// held somewhere.
 func (d *DCF) EachQueued(f func(payload any)) {
 	if d.current != nil {
 		f(d.current.payload)
 	}
 	for i := d.qhead; i < len(d.queue); i++ {
 		f(d.queue[i].payload)
+	}
+	for _, e := range d.ended {
+		f(e.job.payload)
 	}
 }
 
@@ -298,7 +333,7 @@ func (d *DCF) Down() {
 		// it would be ACKed yet silently discarded as a retransmission.
 		d.seq++
 		d.stats.DownDrops++
-		d.upper.MACDownDrop(job.to, job.payload)
+		d.handBack(Upper.MACDownDrop, job)
 	}
 	for i := d.qhead; i < len(d.queue); i++ {
 		job := d.queue[i]
@@ -459,27 +494,23 @@ func (d *DCF) transmitCurrent() {
 }
 
 func (d *DCF) sendDataFrame(job *txJob) {
-	frame := &Frame{
-		Kind:    KindData,
-		From:    d.addr,
-		To:      job.to,
-		Seq:     d.seq,
-		Retry:   d.retries > 0,
-		Payload: job.payload,
-	}
+	frame := d.frame(KindData, job.to, d.seq)
+	frame.Retry = d.retries > 0
+	frame.Payload = job.payload
 	dur := d.dataDuration(job.bytes)
 	if job.to != Broadcast {
 		frame.NAV = sifsTime + ackDuration()
 	}
 	d.stats.DataTx++
 	d.stats.BytesTx += uint64(job.bytes + headerBytes)
+	d.airing++
 	d.radio.Transmit(frame, job.bytes+headerBytes, dur)
 	if job.to == Broadcast {
 		// Completion handled in RadioTxDone.
 		return
 	}
 	d.awaitingAck = true
-	d.ackSeq = frame.Seq
+	d.ackSeq = d.seq
 	d.ackFrom = job.to
 	// Timeout: frame airtime + SIFS + ACK airtime + slack for propagation
 	// and slot alignment.
@@ -492,7 +523,8 @@ func (d *DCF) sendRTS(job *txJob) {
 	// The RTS reserves the medium for the whole exchange that follows it:
 	// SIFS + CTS + SIFS + DATA + SIFS + ACK.
 	nav := 3*sifsTime + ctsDur + d.dataDuration(job.bytes) + ackDuration()
-	rts := &Frame{Kind: KindRTS, From: d.addr, To: job.to, Seq: d.seq, NAV: nav}
+	rts := d.frame(KindRTS, job.to, d.seq)
+	rts.NAV = nav
 	d.stats.RTSTx++
 	d.radio.Transmit(rts, rtsBytes, rtsDur)
 	d.awaitingCTS = true
@@ -522,8 +554,7 @@ func (d *DCF) retryCurrent() {
 	d.stats.Retries++
 	if d.retries > d.retryLimit(d.current) {
 		d.stats.Failures++
-		job := d.finishJob()
-		d.upper.MACSendFailed(job.to, job.payload)
+		d.handBack(Upper.MACSendFailed, d.finishJob())
 		return
 	}
 	if d.cw < cwMax {
@@ -549,6 +580,38 @@ func (d *DCF) finishJob() txJob {
 	d.seq++
 	d.kick()
 	return job
+}
+
+// handBack returns an ended job's payload to Upper through report: at once
+// when no data frame of the station is on the air, else when the last one
+// dies (RadioFrameDead), in the order the jobs ended.
+func (d *DCF) handBack(report func(Upper, Address, any), job txJob) {
+	if d.airing > 0 {
+		d.ended = append(d.ended, ending{report, job})
+		return
+	}
+	report(d.upper, job.to, job.payload)
+}
+
+// frame takes a frame from the station's pool. It goes back in
+// RadioFrameDead, or in sifsElapsed for a response that never airs.
+func (d *DCF) frame(kind Kind, to Address, seq uint16) *Frame {
+	var f *Frame
+	if n := len(d.free); n > 0 {
+		f = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		f = new(Frame)
+	}
+	f.Kind, f.From, f.To, f.Seq = kind, d.addr, to, seq
+	return f
+}
+
+// recycle zeroes a frame, dropping its payload reference, and pools it.
+func (d *DCF) recycle(f *Frame) {
+	*f = Frame{}
+	d.free = append(d.free, f)
 }
 
 // Radio handler implementation.
@@ -579,12 +642,35 @@ func (d *DCF) RadioTxDone(f *phy.Frame) {
 		return
 	}
 	if frame.Kind == KindData && frame.To == Broadcast && d.current != nil {
-		d.finishJob()
+		d.handBack(Upper.MACSendDone, d.finishJob())
 		return
 	}
 	// Unicast data completion is decided by ACK/timeout; ACK tx needs no
 	// follow-up. Either way the medium state changed for us.
 	d.resume()
+}
+
+// RadioFrameDead implements phy.Handler: the last hearing of one of the
+// station's frames has ended. The frame goes back to the pool; a data frame
+// that was the last on the air releases the ended jobs' payloads.
+func (d *DCF) RadioFrameDead(f *phy.Frame) {
+	frame, ok := f.Payload.(*Frame)
+	if !ok {
+		panic(fmt.Sprintf("mac: foreign payload %T on own radio", f.Payload))
+	}
+	if frame.Kind == KindData {
+		d.airing--
+		if d.airing == 0 {
+			// A report cannot put a frame on the air (Send only arms a
+			// timer), so nothing joins ended while it drains.
+			for i, e := range d.ended {
+				d.ended[i] = ending{}
+				e.report(d.upper, e.job.to, e.job.payload)
+			}
+			d.ended = d.ended[:0]
+		}
+	}
+	d.recycle(frame)
 }
 
 // RadioReceive implements phy.Handler.
@@ -615,13 +701,8 @@ func (d *DCF) handleRTS(frame *Frame) {
 		d.observeNAV(frame)
 		return
 	}
-	cts := &Frame{
-		Kind: KindCTS,
-		From: d.addr,
-		To:   frame.From,
-		Seq:  frame.Seq,
-		NAV:  frame.NAV - sifsTime - controlDuration(ctsBytes),
-	}
+	cts := d.frame(KindCTS, frame.From, frame.Seq)
+	cts.NAV = frame.NAV - sifsTime - controlDuration(ctsBytes)
 	d.respondAfterSIFS(cts)
 }
 
@@ -660,15 +741,14 @@ func (d *DCF) handleAck(frame *Frame) {
 	if d.awaitingAck && frame.From == d.ackFrom && frame.Seq == d.ackSeq {
 		d.awaitingAck = false
 		d.ackTimer.Stop()
-		job := d.finishJob()
-		d.upper.MACSendDone(job.to, job.payload)
+		d.handBack(Upper.MACSendDone, d.finishJob())
 	}
 }
 
 func (d *DCF) handleData(frame *Frame) {
 	switch frame.To {
 	case d.addr:
-		d.respondAfterSIFS(&Frame{Kind: KindAck, From: d.addr, To: frame.From, Seq: frame.Seq})
+		d.respondAfterSIFS(d.frame(KindAck, frame.From, frame.Seq))
 		from := int(frame.From)
 		if from >= len(d.haveLast) {
 			d.growDedup(from)
@@ -706,7 +786,7 @@ func (d *DCF) growDedup(from int) {
 var dataAfterCTS = &Frame{Kind: KindData}
 
 // respondAfterSIFS queues the station's answer to the frame it has just
-// decoded, held on the DCF so that an ACK costs its frame and no closure.
+// decoded, held on the DCF so that an ACK costs no closure.
 // One slot suffices: a radio decodes one frame at a time, and a frame
 // lasts at least a preamble, many SIFS.
 func (d *DCF) respondAfterSIFS(resp *Frame) {
@@ -724,7 +804,11 @@ func sifsElapsed(a any) {
 	if d.down || d.radio.Transmitting() {
 		// Down: the interface crashed during the SIFS; a detached radio
 		// panics on Transmit. Transmitting should not happen (SIFS
-		// preempts contention), but never double-transmit.
+		// preempts contention), but never double-transmit. Either way the
+		// response never airs.
+		if resp != dataAfterCTS {
+			d.recycle(resp)
+		}
 		return
 	}
 	switch resp.Kind {

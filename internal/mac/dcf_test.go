@@ -408,9 +408,9 @@ func TestEachQueuedVisitsCustody(t *testing.T) {
 // station that sends one frame at a time pops behind a head index and
 // holds the in-flight job by value, so neither Send nor kick allocates —
 // before, each MSDU cost a heap-allocated job and, because popping by
-// reslicing gave up a slot of capacity, a queue reallocation. The ACK path
-// rides along: an acknowledged MSDU allocates its four frames and nothing
-// else.
+// reslicing gave up a slot of capacity, a queue reallocation. The frame
+// paths ride along: the MAC and PHY frames of a broadcast, and of a
+// unicast with its ACK, come from their pools, so neither allocates.
 func TestSendOneAtATimeAllocFree(t *testing.T) {
 	k := sim.NewKernel()
 	c := phy.NewChannel(k, phy.TwoRayGround{}, phy.Config{CaptureRatio: 10})
@@ -430,8 +430,8 @@ func TestSendOneAtATimeAllocFree(t *testing.T) {
 		t.Fatalf("Send+kick+Down allocated %v times per MSDU, want 0", a)
 	}
 
-	// The whole service cycle of one broadcast MSDU allocates its two
-	// frames (mac.Frame, phy.Frame) and nothing else.
+	// The whole service cycle of one broadcast MSDU allocates nothing: its
+	// mac.Frame and phy.Frame are recycled when the frame dies.
 	m.Send(Broadcast, payload, 100)
 	for k.Step() {
 	}
@@ -439,15 +439,16 @@ func TestSendOneAtATimeAllocFree(t *testing.T) {
 		m.Send(Broadcast, payload, 100)
 		for k.Step() {
 		}
-	}); a != 2 {
-		t.Fatalf("one broadcast MSDU allocated %v times, want 2 (the frames)", a)
+	}); a != 0 {
+		t.Fatalf("one broadcast MSDU allocated %v times, want 0", a)
 	}
 	if got := m.Stats().DataTx; got != 202 {
 		t.Fatalf("DataTx = %d, want 202", got)
 	}
 
-	// A unicast MSDU adds the receiver's answer, which is again two frames:
-	// the ACK waits out its SIFS held on the DCF, not in a closure.
+	// A unicast MSDU adds the receiver's answer, whose frames come from the
+	// receiver's pools: the ACK waits out its SIFS held on the DCF, not in
+	// a closure.
 	peer := New(k, c.Attach(geometry.Vec2{X: 100}), 1, Config{}, rand.New(rand.NewSource(2)), discardUpper{})
 	m.Send(1, payload, 100)
 	for k.Step() {
@@ -456,8 +457,8 @@ func TestSendOneAtATimeAllocFree(t *testing.T) {
 		m.Send(1, payload, 100)
 		for k.Step() {
 		}
-	}); a != 4 {
-		t.Fatalf("one acknowledged MSDU allocated %v times, want 4 (data and ACK frames)", a)
+	}); a != 0 {
+		t.Fatalf("one acknowledged MSDU allocated %v times, want 0", a)
 	}
 	if got := peer.Stats().AckTx; got != 202 {
 		t.Fatalf("AckTx = %d, want 202", got)
@@ -553,3 +554,79 @@ func (d *DCF) QueueLen() int {
 	}
 	return n
 }
+
+// TestPayloadHandedBackAfterLastReceiver: the MAC hands a payload back once
+// its job has ended and no frame carrying it is on the air. A broadcast's
+// MACSendDone waits out its tx-done for the farthest receiver's decode; a
+// Down that flushes a job mid-air reports its MACDownDrop when the frame
+// dies, keeping the payload in EachQueued until then; an ACKed unicast's
+// MACSendDone comes with the ACK.
+func TestPayloadHandedBackAfterLastReceiver(t *testing.T) {
+	upcalls := func(s *station, what string) []macEvent {
+		var out []macEvent
+		for _, e := range s.log {
+			if e.what == what {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	t.Run("broadcast", func(t *testing.T) {
+		k, st := newCell(false, phy.Config{}, Config{}, 0, 100, 240)
+		st[0].Send(Broadcast, 7, 100)
+		for k.Step() {
+		}
+		tx := st[0].txTimes(KindData)
+		rx := upcalls(st[2], "rx")
+		done := upcalls(st[0], "done")
+		if len(tx) != 1 || len(rx) != 1 || len(upcalls(st[1], "rx")) != 1 {
+			t.Fatalf("tx %v, far rx %v: want one broadcast decoded at both stations", tx, rx)
+		}
+		if len(done) != 1 || done[0].n != 7 || done[0].peer != Broadcast {
+			t.Fatalf("hand-backs %v, want one MACSendDone of payload 7", done)
+		}
+		if txDone := tx[0] + st[0].dataDuration(100); done[0].at != rx[0].at || done[0].at <= txDone {
+			t.Fatalf("MACSendDone at %v, want at the far decode %v, after tx-done %v", done[0].at, rx[0].at, txDone)
+		}
+	})
+	t.Run("down mid-air", func(t *testing.T) {
+		k, st := newCell(false, phy.Config{}, Config{}, 0, 240)
+		st[0].Send(1, 7, 100)
+		for !st[0].radio.Transmitting() {
+			k.Step()
+		}
+		st[0].Down()
+		var held []any
+		st[0].EachQueued(func(p any) { held = append(held, p) })
+		if len(held) != 1 || held[0] != 7 || len(upcalls(st[0], "ddrop")) != 0 {
+			t.Fatalf("after Down mid-air: EachQueued %v, drops %v; want the payload held, no drop yet", held, upcalls(st[0], "ddrop"))
+		}
+		for k.Step() {
+		}
+		rx := upcalls(st[1], "rx")
+		drop := upcalls(st[0], "ddrop")
+		if len(rx) != 1 || len(drop) != 1 || drop[0].n != 7 || drop[0].at != rx[0].at {
+			t.Fatalf("rx %v, drops %v: want one MACDownDrop at the receiver's decode", rx, drop)
+		}
+		held = held[:0]
+		st[0].EachQueued(func(p any) { held = append(held, p) })
+		if len(held) != 0 {
+			t.Fatalf("EachQueued %v after the hand-back, want empty", held)
+		}
+	})
+	t.Run("acked unicast", func(t *testing.T) {
+		k, st := newCell(false, phy.Config{}, Config{}, 0, 240)
+		st[0].Send(1, 7, 100)
+		for k.Step() {
+		}
+		acks := st[1].txTimes(KindAck)
+		done := upcalls(st[0], "done")
+		if len(acks) != 1 || len(done) != 1 || done[0].at != acks[0]+ackDuration()+prop240 {
+			t.Fatalf("ACK aired %v, hand-backs %v: want MACSendDone as the ACK is decoded", acks, done)
+		}
+	})
+}
+
+// prop240 is the PHY's propagation delay over 240 m, truncated to
+// nanoseconds.
+const prop240 = 800 * sim.Nanosecond

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -207,5 +208,92 @@ func TestCrashReplacesRouterGracefulKeepsIt(t *testing.T) {
 	w.Node(0).Up()
 	if w.Node(0).Router() == before {
 		t.Fatal("crash kept the old router instance")
+	}
+}
+
+// TestCrashMidBroadcastReplays crashes a node while its radio is putting a
+// broadcast data frame on the air. The frame keeps airing, its receivers
+// decode the sender's packet at their own signal ends and flood it on, and
+// only when the frame dies does the MAC hand the packet back as the
+// node:down drop, which returns it to the pool. The run — every hook event
+// with its time and the packet it saw, and every node's counters — must be
+// DeepEqual across two replays.
+func TestCrashMidBroadcastReplays(t *testing.T) {
+	type event struct {
+		at     sim.Time
+		node   NodeID
+		what   string
+		packet Packet
+	}
+	run := func() ([]event, []NodeCounters, sim.Time) {
+		w, err := NewWorld(WorldConfig{Nodes: 4, Static: staticPositions(4, 100)}, newFloodRouter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []event
+		note := func(n *Node, p *Packet, what string) {
+			log = append(log, event{w.Kernel.Now(), n.ID(), what, *p})
+		}
+		w.AddHooks(Hooks{
+			DataSent:      func(n *Node, p *Packet) { note(n, p, "sent") },
+			DataDelivered: func(n *Node, p *Packet) { note(n, p, "delivered") },
+			DataDropped:   func(n *Node, p *Packet, reason string) { note(n, p, reason) },
+		})
+		for i := 0; i < 4; i++ {
+			w.Node(i).AttachPort(PortCBR, PortFunc(func(*Packet, sim.Time) {}))
+		}
+		send := func(from, to int) {
+			w.Node(from).SendData(w.Node(from).NewPacket(NodeID(to), PortCBR, 128))
+		}
+		crashed := sim.Time(-1)
+		var poll func()
+		poll = func() {
+			if !w.Node(0).radio.Transmitting() {
+				w.Kernel.After(10*sim.Microsecond, poll)
+				return
+			}
+			crashed = w.Kernel.Now()
+			w.Node(0).Down(false)
+		}
+		w.Kernel.Schedule(10*sim.Millisecond, func() { send(0, 3); poll() })
+		w.Kernel.Schedule(50*sim.Millisecond, func() { send(1, 3) })
+		w.Kernel.Schedule(100*sim.Millisecond, func() { w.Node(0).Up() })
+		w.Kernel.Schedule(150*sim.Millisecond, func() { send(0, 3) })
+		w.Run(sim.Second)
+		var counters []NodeCounters
+		for _, n := range w.Nodes() {
+			counters = append(counters, n.Counters())
+		}
+		return log, counters, crashed
+	}
+	log, counters, crashed := run()
+	if crashed < 0 {
+		t.Fatal("node 0 never went on the air")
+	}
+	var drop, delivered *event
+	for i := range log {
+		e := &log[i]
+		if e.packet.UID != log[0].packet.UID {
+			continue
+		}
+		switch e.what {
+		case "node:down":
+			drop = e
+		case "delivered":
+			delivered = e
+		}
+	}
+	if drop == nil || drop.node != 0 || drop.at <= crashed {
+		t.Fatalf("crashed broadcast's drop %+v, want node 0's node:down after the crash at %v", drop, crashed)
+	}
+	if delivered == nil || delivered.node != 3 {
+		t.Fatalf("crashed broadcast never reached node 3: %+v", log)
+	}
+	if n := len(log); n < 8 {
+		t.Fatalf("%d hook events, want the three later packets sent and delivered too: %+v", n, log)
+	}
+	log2, counters2, crashed2 := run()
+	if !reflect.DeepEqual(log, log2) || !reflect.DeepEqual(counters, counters2) || crashed != crashed2 {
+		t.Fatalf("replays diverged:\n%+v\n%+v", log, log2)
 	}
 }

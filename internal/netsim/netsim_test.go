@@ -43,7 +43,7 @@ func (f *floodRouter) Receive(p *Packet, from NodeID) {
 		f.node.DropData(p, "flood:ttl")
 		return
 	}
-	f.node.SendFrame(BroadcastID, p.Clone())
+	f.node.SendFrame(BroadcastID, p)
 }
 
 func (f *floodRouter) LinkFailure(NodeID, *Packet) {}
@@ -180,15 +180,30 @@ func TestMobilityUpdatesPositions(t *testing.T) {
 	}
 }
 
-func TestPacketClone(t *testing.T) {
-	p := &Packet{UID: 9, TTL: 5, Size: 100}
-	c := p.Clone()
+// TestNodePacketCopiesIntoPool: Node.Packet copies its value into a
+// record of the world's pool, shares no mutable field with its source, and
+// takes back the record a release returned.
+func TestNodePacketCopiesIntoPool(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Nodes: 1, Static: staticPositions(1, 0)}, newFloodRouter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := w.Node(0)
+	p := n.Packet(Packet{UID: 9, Kind: KindControl, TTL: 5, Size: 100})
+	c := n.Packet(*p)
 	c.TTL = 1
-	if p.TTL != 5 {
-		t.Fatal("Clone must not share mutable fields")
+	if p.TTL != 5 || c.UID != 9 || c == p {
+		t.Fatalf("copy %v shares state with %v", c, p)
 	}
 	if p.String() == "" {
 		t.Fatal("String should format")
+	}
+	w.releasePacket(c)
+	if *c != (Packet{}) {
+		t.Fatalf("released record still holds %v", c)
+	}
+	if got := n.Packet(Packet{Kind: KindData}); got != c {
+		t.Fatal("Packet did not reuse the released record")
 	}
 }
 

@@ -158,9 +158,16 @@ func (n *Node) AttachPort(port int, h PortHandler) {
 	n.ports[port] = h
 }
 
-// NewPacket allocates a data packet originating here.
+// Packet returns a packet from the world's pool holding v: how routers
+// build their control packets and re-floods, and NewPacket its data. The
+// caller owns it until it hands it to a terminal event (see Router).
+func (n *Node) Packet(v Packet) *Packet {
+	return n.world.clonePacket(&v)
+}
+
+// NewPacket takes a data packet originating here from the world's pool.
 func (n *Node) NewPacket(dst NodeID, port, payloadBytes int) *Packet {
-	return &Packet{
+	return n.Packet(Packet{
 		UID:       n.world.nextUID(),
 		Kind:      KindData,
 		Src:       n.id,
@@ -169,7 +176,7 @@ func (n *Node) NewPacket(dst NodeID, port, payloadBytes int) *Packet {
 		TTL:       DefaultTTL,
 		Size:      payloadBytes + IPHeaderBytes,
 		CreatedAt: n.world.Kernel.Now(),
-	}
+	})
 }
 
 // SendData originates a data packet toward dst via the routing protocol.
@@ -191,8 +198,12 @@ func (n *Node) SendData(p *Packet) {
 // (BroadcastID for link-layer broadcast). Every control packet a router
 // sends crosses here, so this is where routing overhead is counted; a data
 // packet that has already crossed a link (MACReceive counted the hop) is
-// being forwarded.
+// being forwarded. A zeroed packet — one already back in the pool — is a
+// custody bug and panics.
 func (n *Node) SendFrame(next NodeID, p *Packet) {
+	if p.Kind == 0 {
+		panic(fmt.Sprintf("netsim: t=%v: node %d sends a released packet", n.world.Kernel.Now(), n.id))
+	}
 	if p.Kind == KindControl {
 		n.counters.ControlPackets++
 		n.counters.ControlBytes += uint64(p.Size)
@@ -222,19 +233,13 @@ func (n *Node) DeliverLocal(p *Packet) {
 // A drop is a terminal custody event: once the hooks return, p goes back
 // to the world's packet pool, so callers must not touch it afterwards.
 func (n *Node) DropData(p *Packet, reason string) {
-	n.dropData(p, reason, true)
-}
-
-func (n *Node) dropData(p *Packet, reason string, release bool) {
 	n.counters.DataDropped++
 	for _, h := range n.world.hooks {
 		if h.DataDropped != nil {
 			h.DataDropped(n, p, reason)
 		}
 	}
-	if release {
-		n.world.releasePacket(p)
-	}
+	n.world.releasePacket(p)
 }
 
 // macUpper adapts the node to the MAC's Upper interface.
@@ -245,9 +250,11 @@ var _ mac.Upper = macUpper{}
 // MACReceive implements mac.Upper.
 func (u macUpper) MACReceive(payload any, from mac.Address) {
 	shared, ok := payload.(*Packet)
-	if !ok {
-		panic(fmt.Sprintf("netsim: t=%v: node %d: MAC delivered %T",
-			u.n.world.Kernel.Now(), u.n.id, payload))
+	if !ok || shared.Kind == 0 {
+		// Kind 0 is a zeroed record: the sender's packet went back to the
+		// pool while a frame still carried it.
+		panic(fmt.Sprintf("netsim: t=%v: node %d: MAC delivered %T %v",
+			u.n.world.Kernel.Now(), u.n.id, payload, payload))
 	}
 	n := u.n
 	if shared.Kind == KindControl {
@@ -267,10 +274,9 @@ func (u macUpper) MACReceive(payload any, from mac.Address) {
 	}
 	// Data packets outlive the receive callback (delivery to ports,
 	// forwarding, discovery buffers), so each receiver still needs a
-	// private clone — but the clone comes from the pool, because every
-	// data packet now terminates through exactly one custody event that
-	// returns it: DeliverLocal, DropData, or the sender-side MACSendDone
-	// of an acknowledged unicast hop.
+	// private clone — from the pool, because every packet terminates
+	// through exactly one custody event that returns it: DeliverLocal,
+	// DropData, or the sender-side MAC hand-back of its last hop.
 	p := n.world.clonePacket(shared)
 	p.Hops++
 	switch {
@@ -284,28 +290,26 @@ func (u macUpper) MACReceive(payload any, from mac.Address) {
 	}
 }
 
-// MACSendDone implements mac.Upper: a unicast frame was
-// acknowledged, so the sender-side packet pointer is dead — every receiver
-// in range decoded (and cloned) the frame at least a SIFS before the ACK
-// arrived, and the sending router released custody at SendFrame. Broadcast
-// completions never reach here: their receivers decode the shared pointer
-// at the same timestamp as the sender's tx-done, so the sender's copy must
-// stay live (it is left to the garbage collector, as before pooling).
+// MACSendDone implements mac.Upper: a unicast was acknowledged or a
+// broadcast aired, and no receiver will decode the frame again, so the
+// sender-side packet goes back to the pool — the sending router released
+// custody at SendFrame.
 func (u macUpper) MACSendDone(to mac.Address, payload any) {
-	p, ok := payload.(*Packet)
-	if !ok {
-		return
-	}
-	u.n.world.releasePacket(p)
+	u.n.world.releasePacket(payload.(*Packet))
 }
 
-// MACSendFailed implements mac.Upper.
+// MACSendFailed implements mac.Upper: custody goes back to the router,
+// which drops a data packet and only reads a control packet, so a control
+// packet goes back to the pool when the router returns.
 func (u macUpper) MACSendFailed(to mac.Address, payload any) {
-	p, ok := payload.(*Packet)
-	if !ok {
-		return
-	}
+	p := payload.(*Packet)
+	// Read first: a dropped data packet may be back in use by the time
+	// LinkFailure returns.
+	control := p.Kind == KindControl
 	u.n.router.LinkFailure(NodeID(to), p)
+	if control {
+		u.n.world.releasePacket(p)
+	}
 }
 
 // MACQueueDrop implements mac.Upper: a drop-tail loss of a data
@@ -314,11 +318,7 @@ func (u macUpper) MACSendFailed(to mac.Address, payload any) {
 // conservation. Control packets are the routing protocol's own traffic and
 // are only counted in the MAC stats.
 func (u macUpper) MACQueueDrop(to mac.Address, payload any) {
-	p, ok := payload.(*Packet)
-	if !ok || p.Kind != KindData {
-		return
-	}
-	u.n.DropData(p, "mac:queue-full")
+	u.n.macDrop(payload.(*Packet), "mac:queue-full")
 }
 
 // MACDownDrop implements mac.Upper: when fault injection takes the
@@ -326,13 +326,15 @@ func (u macUpper) MACQueueDrop(to mac.Address, payload any) {
 // explicit "node:down" drop so the conservation ledger sees where it died.
 // Control frames, as with queue drops, are only MAC statistics.
 func (u macUpper) MACDownDrop(to mac.Address, payload any) {
-	p, ok := payload.(*Packet)
-	if !ok || p.Kind != KindData {
+	u.n.macDrop(payload.(*Packet), "node:down")
+}
+
+// macDrop terminates a packet the MAC gave up on: a data packet as a
+// drop, a control packet straight back to the pool.
+func (n *Node) macDrop(p *Packet, reason string) {
+	if p.Kind == KindData {
+		n.DropData(p, reason)
 		return
 	}
-	// No pool release here: the flushed frame may still be on the air (a
-	// crash mid-transmission), and its receivers only decode — and clone —
-	// the shared pointer when the signal ends. The packet is left to the
-	// garbage collector instead, as all packets were before pooling.
-	u.n.dropData(p, "node:down", false)
+	n.world.releasePacket(p)
 }

@@ -55,13 +55,6 @@ type Packet struct {
 	Hops      int
 }
 
-// Clone returns a shallow copy (payload shared); flooding protocols clone
-// before mutating TTL/Hops on divergent paths.
-func (p *Packet) Clone() *Packet {
-	c := *p
-	return &c
-}
-
 // String summarizes the packet for diagnostics.
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{uid=%d %d->%d port=%d size=%d ttl=%d}",
@@ -79,13 +72,16 @@ func (p *Packet) String() string {
 // SendData, DeliverLocal or DropData is counted there (Node.Counters), so
 // the counts outlive a crash that replaces the router.
 //
-// Data packets are pooled too, with custody-transfer semantics: the clone
-// a router receives is its own until it hands the packet to exactly one
-// terminal event — Node.DeliverLocal, Node.DropData, or Node.SendFrame
-// (after which the MAC completion releases it). After that call the
-// pointer is dead: the pool may zero and reuse it, so routers must read
-// anything they still need (say, the destination of a dropped packet)
-// before the handoff, and must not park the same pointer in two places.
+// Every packet is pooled, with custody-transfer semantics. A router builds
+// the packets it sends with Node.Packet (a control message, or a re-flood
+// of one it received), and the clone it receives for forwarding is its own.
+// Either is the router's until it hands the packet to exactly one terminal
+// event — Node.DeliverLocal, Node.DropData, or Node.SendFrame (after which
+// the MAC hands it back to the node once no receiver can still decode it,
+// and the node releases it). After that call the pointer is dead: the pool
+// may zero and reuse it, so routers must read anything they still need
+// (say, the destination of a dropped packet) before the handoff, and must
+// not park the same pointer in two places. Sending a zeroed packet panics.
 // World hooks and PortHandlers observe packets during their terminal
 // events and must copy values, never retain the pointer.
 type Router interface {
@@ -98,13 +94,14 @@ type Router interface {
 	// Origin routes a locally generated data packet.
 	Origin(p *Packet)
 	// Receive handles a packet handed up by the MAC: either a routing
-	// control message or a data packet to forward. KindControl packets
-	// are pooled: the *Packet is only valid for the duration of the call,
-	// so a router that re-floods one must Clone it first (payloads are
-	// not pooled and may be retained).
+	// control message or a data packet to forward. A KindControl *Packet
+	// is only valid for the duration of the call, so a router that
+	// re-floods one sends a copy from Node.Packet (payloads are not pooled
+	// and may be retained).
 	Receive(p *Packet, from NodeID)
 	// LinkFailure is data-link feedback: a unicast to next exhausted its
-	// MAC retries while carrying p.
+	// MAC retries while carrying p. A data packet comes back into the
+	// router's custody; a control packet is only valid for the call.
 	LinkFailure(next NodeID, p *Packet)
 }
 

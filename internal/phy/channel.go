@@ -12,12 +12,22 @@ import (
 
 // Frame is one physical-layer transmission unit. Payload is opaque to the
 // PHY (the MAC frame).
+//
+// A frame is pooled by its channel. It lives while anyone can still hear
+// it: live counts the transmission plus every signal propagate scheduled,
+// and drops as the transmission ends (after RadioTxDone), as each signal
+// ends (after its RadioReceive, whether or not it decoded) and as a
+// detached receiver discards a start. The last hearing tells the sender's
+// handler (RadioFrameDead) and recycles the record, so no handler may
+// retain a *Frame past its callback.
 type Frame struct {
 	ID       uint64
 	Bytes    int
 	Duration sim.Time
 	Payload  any
 
+	src  *Radio
+	live int
 	// ends batches this frame's signalEnd events: receivers start hearing
 	// it in non-decreasing time and Duration is per frame, so each start
 	// appends its end in order.
@@ -68,6 +78,11 @@ type Handler interface {
 	RadioCarrier(busy bool)
 	// RadioTxDone notifies that this radio's own transmission ended.
 	RadioTxDone(f *Frame)
+	// RadioFrameDead notifies that this radio's frame f has been heard for
+	// the last time: its transmission and every signal it started have
+	// ended, so no receiver will decode its payload again. f is recycled
+	// when the call returns.
+	RadioFrameDead(f *Frame)
 }
 
 // Channel is the shared broadcast medium connecting all radios.
@@ -83,6 +98,7 @@ type Channel struct {
 	csCullM     float64                 // grid query radius covering the CS threshold
 	nearBuf     []int32                 // Transmit-only grid-query scratch (never re-entered)
 	sigFree     []*signal               // recycled per-receiver signal records
+	frameFree   []*Frame                // recycled frames (see Frame)
 	impairs     map[[2]int32]impairment // per-pair fault-injected link impairments; nil when none ever set
 	impairRnd   *rand.Rand              // loss-draw stream; required before any lossy impairment
 	nextFrameID uint64
@@ -189,7 +205,7 @@ func (c *Channel) Attach(pos geometry.Vec2) *Radio {
 // Transmit broadcasts a frame from radio r. Duration must cover the whole
 // frame (preamble + payload at the PHY bitrate); the MAC computes it.
 // Transmitting while already transmitting is a MAC bug and panics.
-func (c *Channel) Transmit(r *Radio, payload any, bytes int, duration sim.Time) *Frame {
+func (c *Channel) Transmit(r *Radio, payload any, bytes int, duration sim.Time) {
 	if r.transmitting {
 		panic("phy: radio already transmitting")
 	}
@@ -198,7 +214,9 @@ func (c *Channel) Transmit(r *Radio, payload any, bytes int, duration sim.Time) 
 	}
 	c.nextFrameID++
 	c.transmitted++
-	f := &Frame{ID: c.nextFrameID, Bytes: bytes, Duration: duration, Payload: payload}
+	f := c.newFrame()
+	f.ID, f.Bytes, f.Duration, f.Payload = c.nextFrameID, bytes, duration, payload
+	f.src, f.live = r, 1
 	r.transmitting = true
 	r.busy = true
 	src := r.position
@@ -228,7 +246,6 @@ func (c *Channel) Transmit(r *Radio, payload any, bytes int, duration sim.Time) 
 	starts.Commit()
 	r.txFrame = f
 	c.kernel.AfterArg(duration, txDoneFn, r)
-	return f
 }
 
 // propagate adds the arrival of frame f at rx to the frame's batch of
@@ -265,6 +282,7 @@ func (c *Channel) propagate(starts sim.Batch, tx, rx *Radio, f *Frame) {
 	sig.radio = rx
 	sig.frame = f
 	sig.power = power
+	f.live++
 	delay := sim.Time(0)
 	if !c.cfg.NoPropDelay {
 		delay = sim.Time(meters / lightSpeed * float64(sim.Second))
@@ -289,6 +307,32 @@ func (c *Channel) releaseSignal(sig *signal) {
 	c.sigFree = append(c.sigFree, sig)
 }
 
+// newFrame takes a zeroed frame record from the pool.
+func (c *Channel) newFrame() *Frame {
+	if n := len(c.frameFree); n > 0 {
+		f := c.frameFree[n-1]
+		c.frameFree[n-1] = nil
+		c.frameFree = c.frameFree[:n-1]
+		return f
+	}
+	return &Frame{}
+}
+
+// heard ends one hearing of f. The last one tells the sender and recycles
+// the record: nothing can reach f any more — its end batch has fired, its
+// signals are back in sigFree, and the sender's txFrame is cleared.
+func (c *Channel) heard(f *Frame) {
+	f.live--
+	if f.live > 0 {
+		return
+	}
+	if h := f.src.handler; h != nil {
+		h.RadioFrameDead(f)
+	}
+	*f = Frame{}
+	c.frameFree = append(c.frameFree, f)
+}
+
 // Package-level event callbacks: scheduling these by value reuses pooled
 // kernel storage instead of allocating a closure per signal edge.
 var (
@@ -303,6 +347,7 @@ var (
 		if r.handler != nil {
 			r.handler.RadioTxDone(f)
 		}
+		r.channel.heard(f)
 	}
 )
 
@@ -383,8 +428,8 @@ func (r *Radio) Reattach() {
 }
 
 // Transmit broadcasts a frame from this radio; see Channel.Transmit.
-func (r *Radio) Transmit(payload any, bytes int, duration sim.Time) *Frame {
-	return r.channel.Transmit(r, payload, bytes, duration)
+func (r *Radio) Transmit(payload any, bytes int, duration sim.Time) {
+	r.channel.Transmit(r, payload, bytes, duration)
 }
 
 func (r *Radio) signalStart(sig *signal) {
@@ -392,7 +437,9 @@ func (r *Radio) signalStart(sig *signal) {
 		// The radio went down while this signal was in flight; a powered-off
 		// receiver hears nothing. No end event has been scheduled yet, so
 		// the record can return to the pool immediately.
+		f := sig.frame
 		r.channel.releaseSignal(sig)
+		r.channel.heard(f)
 		return
 	}
 	wasBusy := r.busy
@@ -461,6 +508,7 @@ func capturedOver(ratio, p, q float64) bool {
 }
 
 func (r *Radio) signalEnd(sig *signal) {
+	f := sig.frame
 	// Swap-remove: the active list is order-free (its only full traversals
 	// are the strongest-interferer max in signalStart and the corrupt-all
 	// loop in Transmit), so a signal edge costs O(1) regardless of how many
@@ -477,7 +525,7 @@ func (r *Radio) signalEnd(sig *signal) {
 		if !sig.corrupted && !r.transmitting {
 			r.channel.delivered++
 			if r.handler != nil {
-				r.handler.RadioReceive(sig.frame, sig.power)
+				r.handler.RadioReceive(f, sig.power)
 			}
 		} else if sig.corrupted {
 			r.channel.collided++
@@ -490,6 +538,7 @@ func (r *Radio) signalEnd(sig *signal) {
 	if !r.busy && r.handler != nil {
 		r.handler.RadioCarrier(false)
 	}
+	r.channel.heard(f)
 }
 
 // String identifies the radio for diagnostics.

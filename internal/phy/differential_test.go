@@ -141,7 +141,7 @@ func TestRadioSetPositionMovesCoverage(t *testing.T) {
 	tx.Transmit("c", 100, sim.Millisecond)
 	for k.Step() {
 	}
-	if len(rec.received) != 2 || rec.received[1].Payload != "c" {
+	if len(rec.received) != 2 || rec.received[1] != "c" {
 		t.Fatalf("moved back in range: received %v", rec.received)
 	}
 }

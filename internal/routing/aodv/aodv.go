@@ -187,7 +187,7 @@ func (r *Router) releaseDiscovery(d *discovery) {
 
 // sendControl wraps an AODV message into a control packet and transmits it.
 func (r *Router) sendControl(next netsim.NodeID, dst netsim.NodeID, ttl, size int, msg any) {
-	p := &netsim.Packet{
+	p := r.node.Packet(netsim.Packet{
 		UID:       0, // control packets are not tracked by metrics UIDs
 		Kind:      netsim.KindControl,
 		Src:       r.node.ID(),
@@ -197,7 +197,7 @@ func (r *Router) sendControl(next netsim.NodeID, dst netsim.NodeID, ttl, size in
 		Size:      size + netsim.IPHeaderBytes,
 		Payload:   msg,
 		CreatedAt: r.node.Kernel().Now(),
-	}
+	})
 	r.node.SendFrame(next, p)
 }
 

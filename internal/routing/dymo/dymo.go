@@ -224,7 +224,7 @@ func (r *Router) releaseDiscovery(d *discovery) {
 }
 
 func (r *Router) sendControl(next netsim.NodeID, ttl, size int, msg any) {
-	p := &netsim.Packet{
+	p := r.node.Packet(netsim.Packet{
 		Kind:      netsim.KindControl,
 		Src:       r.node.ID(),
 		Dst:       netsim.BroadcastID,
@@ -233,7 +233,7 @@ func (r *Router) sendControl(next netsim.NodeID, ttl, size int, msg any) {
 		Size:      size + netsim.IPHeaderBytes,
 		Payload:   msg,
 		CreatedAt: r.now(),
-	}
+	})
 	if next != netsim.BroadcastID {
 		p.Dst = next
 	}

@@ -132,7 +132,7 @@ func (r *Router) Stop() {
 }
 
 func (r *Router) sendBeacon() {
-	p := &netsim.Packet{
+	p := r.node.Packet(netsim.Packet{
 		UID:       0, // control packets are not tracked by metrics UIDs
 		Kind:      netsim.KindControl,
 		Src:       r.node.ID(),
@@ -142,7 +142,7 @@ func (r *Router) sendBeacon() {
 		Size:      beaconBytes + netsim.IPHeaderBytes,
 		Payload:   &Beacon{Pos: r.node.Position()},
 		CreatedAt: r.node.Kernel().Now(),
-	}
+	})
 	r.node.SendFrame(netsim.BroadcastID, p)
 }
 

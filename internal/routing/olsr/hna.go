@@ -122,7 +122,7 @@ func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {
 		// HNA floods with the same MPR forwarding rule as TC.
 		if until, sel := r.selectors[from]; sel && until > now && p.TTL > 1 {
 			fwd := *msg
-			fp := p.Clone()
+			fp := r.node.Packet(*p)
 			fp.TTL--
 			fp.Payload = &fwd
 			r.node.SendFrame(netsim.BroadcastID, fp)

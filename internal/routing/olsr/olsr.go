@@ -420,7 +420,7 @@ func (r *Router) nextEpoch() uint64 {
 }
 
 func (r *Router) sendControl(ttl, size int, msg any) {
-	p := &netsim.Packet{
+	p := r.node.Packet(netsim.Packet{
 		Kind:      netsim.KindControl,
 		Src:       r.node.ID(),
 		Dst:       netsim.BroadcastID,
@@ -429,7 +429,7 @@ func (r *Router) sendControl(ttl, size int, msg any) {
 		Size:      size + netsim.IPHeaderBytes,
 		Payload:   msg,
 		CreatedAt: r.now(),
-	}
+	})
 	r.node.SendFrame(netsim.BroadcastID, p)
 }
 
@@ -736,7 +736,7 @@ func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
 	// Forward iff the sender selected us as MPR.
 	if until, sel := r.selectors[from]; sel && until > now && p.TTL > 1 {
 		fwd := *msg
-		fp := p.Clone()
+		fp := r.node.Packet(*p)
 		fp.TTL--
 		fp.Payload = &fwd
 		r.node.SendFrame(netsim.BroadcastID, fp)

@@ -145,6 +145,14 @@ func (c *calendar) insert(k *Kernel, ev *event) {
 // per-receiver events — append; the rest insert positionally, shifting
 // whichever side of the insertion point is shorter (the spent slots the
 // cursor left behind absorb a shift towards the head).
+//
+// A bucket that never fully drains would grow by its spent prefix at every
+// append that finds it full, so its capacity followed the events it has
+// ever held. Before such an append the live window slides back to the base
+// if the spent prefix is at least half the slice: the slide moves at most
+// as many events as were popped since the last one, so it stays amortised
+// O(1), and capacity stays under four times the bucket's peak of live
+// events.
 func (c *calendar) bucketPut(d int64, ev *event) {
 	b := &c.buckets[int(d&c.mask)]
 	n := len(b.evs)
@@ -152,6 +160,11 @@ func (c *calendar) bucketPut(d int64, ev *event) {
 		b.head = 0
 		b.evs = append(b.evs[:0], ev)
 		return
+	}
+	if n == cap(b.evs) && 2*b.head >= n {
+		live := copy(b.evs, b.evs[b.head:])
+		clear(b.evs[live:])
+		b.evs, b.head, n = b.evs[:live], 0, live
 	}
 	if eventLess(b.evs[n-1], ev) {
 		b.evs = append(b.evs, ev)

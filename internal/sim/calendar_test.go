@@ -200,3 +200,47 @@ func TestCalendarResizeCrossings(t *testing.T) {
 		t.Fatalf("popped %d, want 2000", len(pops))
 	}
 }
+
+// TestCalendarBucketCapacityFollowsLiveEvents: a bucket that never fully
+// drains — K events resident, one popped for each one put — keeps its
+// capacity within 4K over a million events, whether they arrive in order
+// (the append path) or one in eight lands before the tail (the positional
+// insert). Before the slide, every append that found the slice full grew it
+// by its spent prefix, so capacity followed the events the bucket had ever
+// held.
+func TestCalendarBucketCapacityFollowsLiveEvents(t *testing.T) {
+	const live, total = 100, 1_000_000
+	c := &calendar{buckets: make([]calBucket, 1)}
+	b := &c.buckets[0]
+	seq := uint64(0)
+	put := func(at Time) {
+		c.bucketPut(0, &event{at: at, seq: seq})
+		seq++
+	}
+	at := Time(0)
+	for ; at < live; at++ {
+		put(2 * at)
+	}
+	last, maxCap := Time(-1), 0
+	for i := 0; i < total; i++ {
+		ev := b.first()
+		if ev.at < last {
+			t.Fatalf("event %d: popped at=%d after %d", i, ev.at, last)
+		}
+		last = ev.at
+		b.dropHead()
+		if i%8 == 0 {
+			put(2*at - 3) // between the last two resident events
+		} else {
+			put(2 * at)
+		}
+		at++
+		maxCap = max(maxCap, cap(b.evs))
+	}
+	if n := len(b.evs) - b.head; n != live {
+		t.Fatalf("%d events resident, want %d", n, live)
+	}
+	if maxCap > 4*live {
+		t.Fatalf("bucket capacity reached %d with %d events resident, want ≤ %d", maxCap, live, 4*live)
+	}
+}

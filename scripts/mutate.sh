@@ -299,5 +299,19 @@ mutant "netsim Interner: the rehash numbers ids by slot, not by the index they h
 	's|^\tfor _, s := range old {$|\tfor j, s := range old {|;s|^\t\t\tin.put(s)$|\t\t\tin.put(internSlot{s.id, int32(j) + 1})|' \
 	./internal/netsim "$internTests"
 
+# ---- frames die at their last hearing (ROADMAP "Frames die at their last
+# hearing"): the PHY frame's live count, and the MAC's payload hand-back
+# behind it. A revision without the count reads BROKEN on all three rows. ----
+frameTests='^(TestFrameDiesOnceAtLastHearing|TestShortFrameEndsBeforeLaterStarts)$'
+mutant "phy frame: the live count starts at 0, not 1 for the transmission" internal/phy/channel.go \
+	's|^\tf.src, f.live = r, 1$|\tf.src, f.live = r, 0|' \
+	./internal/phy "$frameTests"
+mutant "phy frame: a signal is not counted, so the frame is recycled before its far receiver's end" internal/phy/channel.go \
+	'/^\tf.live++$/d' \
+	./internal/phy "$frameTests"
+mutant "mac broadcast: the payload is handed back at tx-done" internal/mac/dcf.go \
+	'0,/d.handBack(Upper.MACSendDone, d.finishJob())/s//job := d.finishJob(); d.upper.MACSendDone(job.to, job.payload)/' \
+	'./internal/mac ./internal/netsim' '^(TestPayloadHandedBackAfterLastReceiver|TestCrashMidBroadcastReplays)$'
+
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
