@@ -663,11 +663,14 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	}
 
 	if selected {
+		// RFC 3626 §9.3: the ANSN moves when the advertised set — our MPR
+		// selectors — changes, as it does on the expiry side; a selector
+		// repeating its HELLO only refreshes its tuple.
 		if _, known := r.selectors[from]; !known {
 			r.selExp.Push(from, now+neighborHold)
+			r.ansn++
 		}
 		r.selectors[from] = now + neighborHold
-		r.ansn++
 	}
 
 	// 2-hop set: symmetric neighbors of a symmetric neighbor.

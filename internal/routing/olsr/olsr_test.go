@@ -320,3 +320,46 @@ func (r *Router) MPRSet() []netsim.NodeID {
 	r.flush()
 	return append([]netsim.NodeID(nil), r.mprList...)
 }
+
+// TestANSNBumpsOnlyWhenSelectorsChange: RFC 3626 §9.3 increments the ANSN
+// when the advertised neighbour set — the router's MPR selectors — changes.
+// A steady selector re-sending its HELLO every second leaves the ANSN where
+// its first HELLO put it; a new selector bumps it exactly once, and so does
+// a selector whose tuple expired and that selects us again.
+func TestANSNBumpsOnlyWhenSelectorsChange(t *testing.T) {
+	w, r := newBareRouter(t, Config{})
+	hello := func(at sim.Time, from netsim.NodeID) uint16 {
+		w.Kernel.RunUntil(at)
+		r.handleHello(&Hello{From: from, Links: []HelloLink{{Neighbor: 0, Code: LinkMPR}}}, from)
+		return r.ansn
+	}
+	base := r.ansn
+	steps := []struct {
+		from netsim.NodeID
+		want uint16 // bumps since base
+	}{
+		{1, 1}, {1, 1}, {1, 1}, {1, 1}, // steady selector 1
+		{2, 2}, {1, 2}, {2, 2}, {1, 2}, // selector 2 joins once
+	}
+	at := sim.Time(0)
+	for i, s := range steps {
+		at += sim.Second
+		if got := hello(at, s.from) - base; got != s.want {
+			t.Fatalf("HELLO %d (from %d at %v): ANSN moved %d times, want %d", i, s.from, at, got, s.want)
+		}
+	}
+	// Selector 2 falls silent: its tuple expires (one bump), and its next
+	// selecting HELLO makes it a selector again (one more).
+	at += 2 * neighborHold
+	for t0 := at - 2*neighborHold + sim.Second; t0 < at; t0 += sim.Second {
+		hello(t0, 1)
+	}
+	w.Kernel.RunUntil(at)
+	r.purge()
+	if got := r.ansn - base; got != 3 {
+		t.Fatalf("after selector 2 expired: ANSN moved %d times, want 3", got)
+	}
+	if got := hello(at, 2) - base; got != 4 {
+		t.Fatalf("selector 2 back: ANSN moved %d times, want 4", got)
+	}
+}

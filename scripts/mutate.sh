@@ -313,5 +313,12 @@ mutant "mac broadcast: the payload is handed back at tx-done" internal/mac/dcf.g
 	'0,/d.handBack(Upper.MACSendDone, d.finishJob())/s//job := d.finishJob(); d.upper.MACSendDone(job.to, job.payload)/' \
 	'./internal/mac ./internal/netsim' '^(TestPayloadHandedBackAfterLastReceiver|TestCrashMidBroadcastReplays)$'
 
+# ---- OLSR's ANSN moves only when the MPR selector set does (RFC 3626 §9.3,
+# ROADMAP item 1(b)). A revision that bumps it on every selecting HELLO
+# reads BROKEN. ----
+mutant "olsr handleHello: every selecting HELLO bumps the ANSN again" internal/routing/olsr/olsr.go \
+	's|^\t\tr.selectors\[from\] = now + neighborHold$|\t\tr.selectors[from] = now + neighborHold; r.ansn++|' \
+	./internal/routing/olsr '^TestANSNBumpsOnlyWhenSelectorsChange$'
+
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
