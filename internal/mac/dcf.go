@@ -494,9 +494,14 @@ func (d *DCF) transmitCurrent() {
 }
 
 func (d *DCF) sendDataFrame(job *txJob) {
-	frame := d.frame(KindData, job.to, d.seq)
-	frame.Retry = d.retries > 0
-	frame.Payload = job.payload
+	frame := d.frame(Frame{
+		Kind:    KindData,
+		From:    d.addr,
+		To:      job.to,
+		Seq:     d.seq,
+		Retry:   d.retries > 0,
+		Payload: job.payload,
+	})
 	dur := d.dataDuration(job.bytes)
 	if job.to != Broadcast {
 		frame.NAV = sifsTime + ackDuration()
@@ -523,8 +528,7 @@ func (d *DCF) sendRTS(job *txJob) {
 	// The RTS reserves the medium for the whole exchange that follows it:
 	// SIFS + CTS + SIFS + DATA + SIFS + ACK.
 	nav := 3*sifsTime + ctsDur + d.dataDuration(job.bytes) + ackDuration()
-	rts := d.frame(KindRTS, job.to, d.seq)
-	rts.NAV = nav
+	rts := d.frame(Frame{Kind: KindRTS, From: d.addr, To: job.to, Seq: d.seq, NAV: nav})
 	d.stats.RTSTx++
 	d.radio.Transmit(rts, rtsBytes, rtsDur)
 	d.awaitingCTS = true
@@ -593,9 +597,9 @@ func (d *DCF) handBack(report func(Upper, Address, any), job txJob) {
 	report(d.upper, job.to, job.payload)
 }
 
-// frame takes a frame from the station's pool. It goes back in
+// frame returns a frame from the station's pool holding v. It goes back in
 // RadioFrameDead, or in sifsElapsed for a response that never airs.
-func (d *DCF) frame(kind Kind, to Address, seq uint16) *Frame {
+func (d *DCF) frame(v Frame) *Frame {
 	var f *Frame
 	if n := len(d.free); n > 0 {
 		f = d.free[n-1]
@@ -604,7 +608,7 @@ func (d *DCF) frame(kind Kind, to Address, seq uint16) *Frame {
 	} else {
 		f = new(Frame)
 	}
-	f.Kind, f.From, f.To, f.Seq = kind, d.addr, to, seq
+	*f = v
 	return f
 }
 
@@ -701,8 +705,13 @@ func (d *DCF) handleRTS(frame *Frame) {
 		d.observeNAV(frame)
 		return
 	}
-	cts := d.frame(KindCTS, frame.From, frame.Seq)
-	cts.NAV = frame.NAV - sifsTime - controlDuration(ctsBytes)
+	cts := d.frame(Frame{
+		Kind: KindCTS,
+		From: d.addr,
+		To:   frame.From,
+		Seq:  frame.Seq,
+		NAV:  frame.NAV - sifsTime - controlDuration(ctsBytes),
+	})
 	d.respondAfterSIFS(cts)
 }
 
@@ -748,7 +757,7 @@ func (d *DCF) handleAck(frame *Frame) {
 func (d *DCF) handleData(frame *Frame) {
 	switch frame.To {
 	case d.addr:
-		d.respondAfterSIFS(d.frame(KindAck, frame.From, frame.Seq))
+		d.respondAfterSIFS(d.frame(Frame{Kind: KindAck, From: d.addr, To: frame.From, Seq: frame.Seq}))
 		from := int(frame.From)
 		if from >= len(d.haveLast) {
 			d.growDedup(from)

@@ -214,9 +214,7 @@ func (c *Channel) Transmit(r *Radio, payload any, bytes int, duration sim.Time) 
 	}
 	c.nextFrameID++
 	c.transmitted++
-	f := c.newFrame()
-	f.ID, f.Bytes, f.Duration, f.Payload = c.nextFrameID, bytes, duration, payload
-	f.src, f.live = r, 1
+	f := c.newFrame(Frame{ID: c.nextFrameID, Bytes: bytes, Duration: duration, Payload: payload, src: r, live: 1})
 	r.transmitting = true
 	r.busy = true
 	src := r.position
@@ -307,15 +305,18 @@ func (c *Channel) releaseSignal(sig *signal) {
 	c.sigFree = append(c.sigFree, sig)
 }
 
-// newFrame takes a zeroed frame record from the pool.
-func (c *Channel) newFrame() *Frame {
+// newFrame returns a frame record from the pool holding v.
+func (c *Channel) newFrame(v Frame) *Frame {
+	var f *Frame
 	if n := len(c.frameFree); n > 0 {
-		f := c.frameFree[n-1]
+		f = c.frameFree[n-1]
 		c.frameFree[n-1] = nil
 		c.frameFree = c.frameFree[:n-1]
-		return f
+	} else {
+		f = new(Frame)
 	}
-	return &Frame{}
+	*f = v
+	return f
 }
 
 // heard ends one hearing of f. The last one tells the sender and recycles

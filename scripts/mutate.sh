@@ -304,7 +304,7 @@ mutant "netsim Interner: the rehash numbers ids by slot, not by the index they h
 # behind it. A revision without the count reads BROKEN on all three rows. ----
 frameTests='^(TestFrameDiesOnceAtLastHearing|TestShortFrameEndsBeforeLaterStarts)$'
 mutant "phy frame: the live count starts at 0, not 1 for the transmission" internal/phy/channel.go \
-	's|^\tf.src, f.live = r, 1$|\tf.src, f.live = r, 0|' \
+	's|, src: r, live: 1})$|, src: r, live: 0})|' \
 	./internal/phy "$frameTests"
 mutant "phy frame: a signal is not counted, so the frame is recycled before its far receiver's end" internal/phy/channel.go \
 	'/^\tf.live++$/d' \
