@@ -3,6 +3,7 @@ package mac
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -24,15 +25,35 @@ type macEvent struct {
 // station is a DCF wired to record everything the backoff tests compare.
 // It sits between the radio and the MAC (phy.Handler) and above the MAC
 // (Upper).
+//
+// The upcalls a frame's death releases (RadioFrameDead: a broadcast's
+// MACSendDone, a mid-air Down's MACDownDrop) go to deaths rather than log.
+// Their instant is the frame's last hearing, but that hearing is another
+// station's signal end, so their place among this station's events on the
+// same nanosecond follows the kernel's tie-break between stations — which
+// the two countdowns may draw differently (clause (b) at freeze).
 type station struct {
 	*DCF
-	k     *sim.Kernel
-	radio *phy.Radio
-	log   []macEvent
+	k      *sim.Kernel
+	radio  *phy.Radio
+	log    []macEvent
+	deaths []macEvent
+	dying  bool // inside RadioFrameDead
 }
 
 func (s *station) note(what string, kind Kind, peer Address, n int) {
-	s.log = append(s.log, macEvent{at: s.k.Now(), what: what, kind: kind, peer: peer, n: n})
+	e := macEvent{at: s.k.Now(), what: what, kind: kind, peer: peer, n: n}
+	if s.dying {
+		s.deaths = append(s.deaths, e)
+		return
+	}
+	s.log = append(s.log, e)
+}
+
+func (s *station) RadioFrameDead(f *phy.Frame) {
+	s.dying = true
+	s.DCF.RadioFrameDead(f)
+	s.dying = false
 }
 
 func (s *station) RadioTxDone(f *phy.Frame) {
@@ -241,8 +262,9 @@ func TestBackoffEventsIndependentOfCW(t *testing.T) {
 // five-byte ops (what, two bytes of time to let pass first, who, argument).
 // diffBackoffScript plays it to a per-backoff-timer world and a per-slot
 // world in lockstep and fails on the first difference in any station's
-// history (transmit instants, carrier edges, deliveries, failures, drops)
-// or Stats.
+// history (transmit instants, carrier edges, deliveries, failures, drops),
+// in the hand-backs its frames' deaths released (station.deaths), or in
+// Stats.
 //
 //	header: stations (2 + b%5) · flags (1: carrier sense shrunk to the decode
 //	range, so stations 250–550 m apart are hidden from each other; 2:
@@ -296,6 +318,9 @@ func diffBackoffScript(t *testing.T, data []byte) {
 			compared[i] = len(f.log)
 			if len(f.log) != len(r.log) {
 				t.Fatalf("t=%v station %d: per-backoff logged %d events, per-slot %d", fast.k.Now(), i, len(f.log), len(r.log))
+			}
+			if !slices.Equal(f.deaths, r.deaths) {
+				t.Fatalf("t=%v station %d: frame deaths handed back %+v (per-backoff), %+v (per-slot)", fast.k.Now(), i, f.deaths, r.deaths)
 			}
 			if f.Stats() != r.Stats() || f.QueueLen() != r.QueueLen() {
 				t.Fatalf("t=%v station %d: per-backoff %+v (%d queued), per-slot %+v (%d queued)",

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -564,7 +565,7 @@ func (d *DCF) QueueLen() int {
 func TestPayloadHandedBackAfterLastReceiver(t *testing.T) {
 	upcalls := func(s *station, what string) []macEvent {
 		var out []macEvent
-		for _, e := range s.log {
+		for _, e := range slices.Concat(s.log, s.deaths) {
 			if e.what == what {
 				out = append(out, e)
 			}

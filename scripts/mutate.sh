@@ -314,8 +314,8 @@ mutant "mac broadcast: the payload is handed back at tx-done" internal/mac/dcf.g
 	'./internal/mac ./internal/netsim' '^(TestPayloadHandedBackAfterLastReceiver|TestCrashMidBroadcastReplays)$'
 
 # ---- OLSR's ANSN moves only when the MPR selector set does (RFC 3626 §9.3,
-# ROADMAP item 1(b)). A revision that bumps it on every selecting HELLO
-# reads BROKEN. ----
+# ROADMAP item 1(b)). A revision without the test runs nothing here and
+# reads SURVIVED. ----
 mutant "olsr handleHello: every selecting HELLO bumps the ANSN again" internal/routing/olsr/olsr.go \
 	's|^\t\tr.selectors\[from\] = now + neighborHold$|\t\tr.selectors[from] = now + neighborHold; r.ansn++|' \
 	./internal/routing/olsr '^TestANSNBumpsOnlyWhenSelectorsChange$'
