@@ -515,7 +515,7 @@ func (d *DCF) sendDataFrame(job *txJob) {
 		return
 	}
 	d.awaitingAck = true
-	d.ackSeq = d.seq
+	d.ackSeq = frame.Seq
 	d.ackFrom = job.to
 	// Timeout: frame airtime + SIFS + ACK airtime + slack for propagation
 	// and slot alignment.
