@@ -104,6 +104,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario/ -fuzz FuzzUrbanSpec -fuzztime 5s -run XXX
 	$(GO) test ./internal/sim/ -fuzz FuzzKernelDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/mac/ -fuzz FuzzBackoffDifferential -fuzztime 5s -run XXX
+	$(GO) test ./internal/routing/olsr/ -fuzz FuzzDeferredMatchesEager -fuzztime 5s -run XXX
 	$(GO) test ./internal/ca/ -fuzz FuzzLaneDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/rng/ -fuzz FuzzStreamMatchesMathRand -fuzztime 5s -run XXX
 	$(GO) test ./internal/netsim/ -fuzz FuzzInterner -fuzztime 5s -run XXX
@@ -167,8 +168,9 @@ bench-dataplane:
 bench-kernel:
 	$(GO) test ./internal/sim/ -bench 'PeriodicTickers10k|CancelHeavy|FarFutureOverflow|MetroArrivals|SchedulePopPending|FanOutBatch|BatchCommit|TimerSetHello' -benchmem -benchtime=2s -run XXX
 
-# Full routing control-plane table (dense vs oracle at N=100/1k plus the
-# steady-state purge); see "Micro-benchmarks" in PERF.md.
+# Full routing control-plane table (dense vs the map reference of
+# oracle_test.go at N=100/1k plus the steady-state purge); see
+# "Micro-benchmarks" in PERF.md.
 bench-routing:
 	$(GO) test ./internal/routing/olsr/ -bench 'OLSRControlPlane|OLSRPurge' -benchmem -benchtime=50x -run XXX
 	$(GO) test ./internal/scenario/ -bench 'ScenarioOLSRN1000' -benchmem -benchtime=1x -run XXX

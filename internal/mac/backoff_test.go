@@ -89,17 +89,65 @@ func (s *station) txTimes(kind Kind) []sim.Time {
 	return at
 }
 
+// slotChain is the per-slot reference countdown the per-backoff timer is
+// tested against: a countdown of n slots is n kernel events, one per slot
+// boundary, each drawing its sequence number as the slot before it ends
+// and requiring the medium idle when it fires. It counts the slots itself:
+// stopped mid-countdown, it leaves the DCF owing exactly the slots it has
+// not counted, whatever freeze computed from Deadline.
+type slotChain struct {
+	d    *DCF
+	tick *sim.Timer
+	left int // slots not yet counted, the pending one included
+}
+
+func newSlotChain(k *sim.Kernel, d *DCF) *slotChain {
+	c := &slotChain{d: d}
+	c.tick = sim.NewTimer(k, c.onTick)
+	return c
+}
+
+func (c *slotChain) Reset(d sim.Time) {
+	c.left = int(d / slotTime)
+	c.tick.Reset(slotTime)
+}
+
+func (c *slotChain) Active() bool { return c.tick.Active() }
+
+func (c *slotChain) Deadline() sim.Time { return c.tick.Deadline() + sim.Time(c.left-1)*slotTime }
+
+func (c *slotChain) Stop() bool {
+	if !c.tick.Stop() {
+		return false
+	}
+	c.d.backoff = c.left
+	return true
+}
+
+func (c *slotChain) onTick() {
+	if !c.d.mediumIdle() {
+		panic(fmt.Sprintf("mac: t=%v: station %d counted a busy slot: every busy edge freezes the countdown", c.d.kernel.Now(), c.d.addr))
+	}
+	if c.left--; c.left > 0 {
+		c.tick.Reset(slotTime)
+		return
+	}
+	c.d.onSlot()
+}
+
 // newCell puts one station at each x position (meters, on a line) of a
 // fresh channel. oracle selects the per-slot reference countdown.
 func newCell(oracle bool, pc phy.Config, mc Config, xs ...float64) (*sim.Kernel, []*station) {
 	k := sim.NewKernel()
 	pc.CaptureRatio = 10
 	c := phy.NewChannel(k, phy.TwoRayGround{}, pc)
-	mc.SlotOracle = oracle
 	var sts []*station
 	for i, x := range xs {
 		s := &station{k: k, radio: c.Attach(geometry.Vec2{X: x})}
 		s.DCF = New(k, s.radio, Address(i), mc, rand.New(rand.NewSource(int64(i+1))), s)
+		if oracle {
+			s.DCF.slotTimer = newSlotChain(k, s.DCF)
+		}
 		s.radio.SetHandler(s)
 		sts = append(sts, s)
 	}
@@ -107,7 +155,8 @@ func newCell(oracle bool, pc phy.Config, mc Config, xs ...float64) (*sim.Kernel,
 }
 
 // bothCountdowns runs a test body against the per-backoff timer and against
-// the per-slot reference: the countdown's semantics are one contract.
+// the per-slot reference, the slot oracle: the countdown's semantics are one
+// contract.
 func bothCountdowns(t *testing.T, body func(t *testing.T, oracle bool)) {
 	for _, oracle := range []bool{false, true} {
 		t.Run(fmt.Sprintf("SlotOracle=%v", oracle), func(t *testing.T) { body(t, oracle) })

@@ -6,8 +6,8 @@
 //
 // A backoff is one pausable timer, as in ns-2's Mac802_11: armed once for
 // the whole countdown, and a busy edge converts the elapsed time back into
-// the slots still owed (see freeze). Config.SlotOracle keeps the per-slot
-// countdown it replaced as the reference the tests compare against.
+// the slots still owed (see freeze). The per-slot countdown it replaced
+// lives in backoff_test.go as the reference the tests compare against.
 //
 // Timing, sizes and limits are the ns-2 802.11 (DSSS) defaults of
 // Mac802_11 / ns-default.tcl, as named constants, so the CPS substrate
@@ -62,14 +62,6 @@ type Config struct {
 	// matching Table I of the paper ("RTS/CTS: None"); the ablation bench
 	// turns it on to measure the hidden-terminal trade-off.
 	RTSThreshold int
-	// SlotOracle counts the backoff down with one timer event per idle slot
-	// instead of one per backoff: the reference implementation, selected
-	// only by tests. Results are bit-identical either way. It stays an
-	// exported switch, unlike the references that live in _test.go files,
-	// because clause (b) of the lemma at freeze is about which foreign
-	// event shares the expiry's nanosecond — a property of a whole network
-	// run, which only scenario.TestMACReferenceRunIdentity can compare.
-	SlotOracle bool
 }
 
 func (c *Config) normalize() {
@@ -175,6 +167,15 @@ type ending struct {
 	job    txJob
 }
 
+// countdown is the backoff timer: a *sim.Timer. It is an interface so that
+// backoff_test.go can substitute the per-slot reference countdown.
+type countdown interface {
+	Reset(d sim.Time)
+	Stop() bool
+	Active() bool
+	Deadline() sim.Time
+}
+
 // DCF is one station's MAC instance.
 type DCF struct {
 	cfg    Config
@@ -199,7 +200,7 @@ type DCF struct {
 	backoff int
 
 	difsTimer *sim.Timer
-	slotTimer *sim.Timer
+	slotTimer countdown
 	ackTimer  *sim.Timer
 	ctsTimer  *sim.Timer
 	navTimer  *sim.Timer
@@ -431,22 +432,14 @@ func (d *DCF) scheduleSlot() {
 		d.transmitCurrent()
 		return
 	}
-	slots := d.backoff
-	if d.cfg.SlotOracle {
-		slots = 1
-	}
-	d.slotTimer.Reset(sim.Time(slots) * slotTime)
+	d.slotTimer.Reset(sim.Time(d.backoff) * slotTime)
 }
 
 func (d *DCF) onSlot() {
 	if !d.mediumIdle() {
 		panic(fmt.Sprintf("mac: t=%v: station %d counted a busy slot: every busy edge freezes the countdown", d.kernel.Now(), d.addr))
 	}
-	if d.cfg.SlotOracle {
-		d.backoff--
-	} else {
-		d.backoff = 0
-	}
+	d.backoff = 0
 	d.scheduleSlot()
 }
 
@@ -454,7 +447,7 @@ func (d *DCF) onSlot() {
 // slots it has not yet counted: every slot boundary up to and including
 // this instant has passed, except that a still-pending expiry leaves one.
 //
-// That arithmetic reproduces the per-slot chain (Config.SlotOracle) exactly:
+// That arithmetic reproduces the per-slot chain (backoff_test.go) exactly:
 //
 // (a) Only a PHY signalStart freezes a running countdown — observeNAV runs
 // at a signalEnd, when the carrier edge of that signal has long frozen it,
@@ -470,10 +463,11 @@ func (d *DCF) onSlot() {
 // only draws its sequence number earlier, when the countdown is armed
 // rather than one slot before. It can change places only with a foreign
 // event on its own nanosecond that was scheduled inside (arm, expiry −
-// slot]; the differential tests and the run-identity gate watch that window.
+// slot]; TestBackoffMatchesPerSlot and FuzzBackoffDifferential watch that
+// window.
 func (d *DCF) freeze() {
 	d.difsTimer.Stop()
-	if d.slotTimer.Active() && !d.cfg.SlotOracle {
+	if d.slotTimer.Active() {
 		left := d.slotTimer.Deadline() - d.kernel.Now()
 		d.backoff = max(1, int((left+slotTime-1)/slotTime))
 	}

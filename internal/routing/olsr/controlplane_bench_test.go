@@ -42,19 +42,24 @@ func seedControlState(w *netsim.World, r *Router, n int) {
 // converged control table — the operation the seed implementation ran once
 // per received HELLO/TC. "dense" is the production path (zero steady-state
 // allocations; the flush is what runs its kernels — recomputeNow alone
-// only stamps); "oracle" is the retained map-based reference, which is
-// also the pre-optimization cost profile. See PERF.md for the table.
+// only stamps); "oracle" is the map-based reference of oracle_test.go,
+// which is also the pre-optimization cost profile. See PERF.md for the
+// table.
 func BenchmarkOLSRControlPlane(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		for _, mode := range []string{"dense", "oracle"} {
 			b.Run(fmt.Sprintf("%s/N=%d", mode, n), func(b *testing.B) {
-				w, r := newBareRouter(b, Config{OracleRecompute: mode == "oracle"})
+				w, r := newBareRouter(b, Config{})
 				seedControlState(w, r, n)
+				flush := r.flush
+				if mode == "oracle" {
+					flush = func() { r.flushOracle(b) }
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					r.dirty = true
-					r.flush()
+					flush()
 				}
 			})
 		}
@@ -75,32 +80,25 @@ func BenchmarkOLSRPurge(b *testing.B) {
 
 // BenchmarkOLSRWorld runs a full 200-node static-grid world — HELLO/TC
 // emission, MPR forwarding, recomputes, purges — for five simulated
-// seconds per iteration. Modes: "dense" is the production control plane
-// (coalesced + change-filtered triggers, dense kernels run on demand);
-// "oracle" keeps the triggers but runs the map-based kernels at every
-// stamp. Iteration-based benchtime only.
+// seconds per iteration: the production control plane (coalesced and
+// change-filtered triggers, dense kernels run on demand). Iteration-based
+// benchtime only.
 func BenchmarkOLSRWorld(b *testing.B) {
 	const n = 200
 	positions := make([]geometry.Vec2, n)
 	for i := range positions {
 		positions[i] = geometry.Vec2{X: float64(i%20) * 180, Y: float64(i/20) * 180}
 	}
-	for _, mode := range []string{"dense", "oracle"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w, err := netsim.NewWorld(netsim.WorldConfig{
-					Nodes: n, Seed: 1, Static: positions,
-				}, func(node *netsim.Node) netsim.Router {
-					return New(node, Config{OracleRecompute: mode == "oracle"})
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				w.Run(5 * sim.Second)
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w, err := netsim.NewWorld(netsim.WorldConfig{
+			Nodes: n, Seed: 1, Static: positions,
+		}, func(node *netsim.Node) netsim.Router { return New(node, Config{}) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		w.Run(5 * sim.Second)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // dense interned indices with reusable scratch buffers — zero steady-state
 // heap allocations (asserted by TestRecomputeZeroAlloc) — and produce
 // bit-identical MPR sets, routes and wire contents to the map-based oracle
-// in oracle.go (asserted by TestDenseMatchesOracle).
+// in oracle_test.go (asserted by TestDenseMatchesOracle).
 
 // denseScratch holds the reusable buffers of the dense kernels. Per-index
 // arrays are epoch-stamped so "clearing" them is a counter increment.

@@ -42,6 +42,8 @@ type feedPlan struct {
 	// probe is called after every handler invocation, inside the round's
 	// timestamp.
 	probe func()
+	// settle is called after every kernel event (the eager driver's hook).
+	settle func()
 }
 
 // feedRandomControlState drives the router through rounds of randomized
@@ -60,6 +62,9 @@ func feedRandomControlState(w *netsim.World, r *Router, rnd *rand.Rand, etx bool
 	}
 	if plan.probe == nil {
 		plan.probe = func() {}
+	}
+	if plan.settle == nil {
+		plan.settle = func() {}
 	}
 	seq := uint16(0)
 	randCode := func() LinkCode {
@@ -142,6 +147,7 @@ func feedRandomControlState(w *netsim.World, r *Router, rnd *rand.Rand, etx bool
 			}
 		})
 		for w.Kernel.Step() {
+			plan.settle()
 		}
 	}
 	return roundAts
@@ -168,16 +174,16 @@ func TestDenseMatchesOracle(t *testing.T) {
 			now := w.Kernel.Now()
 
 			// Both sides read through flush (routesSnapshot, MPRSet): after
-			// recomputeNow the dense kernels have been stamped, not run.
-			r.cfg.OracleRecompute = false
+			// recomputeNow the dense kernels have been stamped, not run; on
+			// the oracle side flushOracle has run the map kernels already.
 			r.recomputeNow()
 			denseRoutes := r.routesSnapshot()
 			denseMPRs := r.MPRSet()
 			denseHello := r.helloLinks(now)
 			denseTC := r.makeTC(now)
 
-			r.cfg.OracleRecompute = true
 			r.recomputeNow()
+			r.flushOracle(t)
 			oracleRoutes := r.routesSnapshot()
 			oracleMPRs := r.MPRSet()
 			oracleHello := r.helloLinks(now)
@@ -236,49 +242,149 @@ func readControl(r *Router) controlSnapshot {
 	return s
 }
 
+// side is one router of a deferred-versus-eager differential: the
+// production router, which defers its kernels to the first read of a stamp,
+// or the eager driver, which runs the map-based oracle the moment a stamp is
+// taken — after the kernel event that took it, or at the read that did.
+type side struct {
+	tb    testing.TB
+	w     *netsim.World
+	r     *Router
+	eager bool
+}
+
+func newSide(tb testing.TB, etx, eager bool) *side {
+	w, r := newBareRouter(tb, Config{ETX: etx})
+	return &side{tb: tb, w: w, r: r, eager: eager}
+}
+
+// settle runs after every kernel event.
+func (s *side) settle() {
+	if s.eager {
+		s.r.settleOracle(s.tb)
+	}
+}
+
+// flush runs before every read.
+func (s *side) flush() {
+	if s.eager {
+		s.r.flushOracle(s.tb)
+	}
+}
+
+// drain runs the kernel dry, one event at a time.
+func (s *side) drain() {
+	for s.w.Kernel.Step() {
+		s.settle()
+	}
+}
+
+// runUntil is Kernel.RunUntil one event at a time: the events due by end,
+// then the clock set to end (by a marker event both sides schedule alike).
+func (s *side) runUntil(end sim.Time) {
+	done := false
+	s.w.Kernel.Schedule(end, func() { done = true })
+	for !done && s.w.Kernel.Step() {
+		s.settle()
+	}
+}
+
+func (s *side) read() controlSnapshot {
+	s.flush()
+	return readControl(s.r)
+}
+
+// sendHello is the real reader: it flushes, emits, and (ETX) closes every
+// link's hello window, the one mutation never reported. When a stamp is
+// pending it is that stamp's first read, so the windows must close after
+// its flush.
+func (s *side) sendHello() {
+	s.flush()
+	s.r.sendHello()
+}
+
+// compareSides fails on the first read the two sides saw differently, and
+// requires the deferral to be the only difference in the work done: the
+// same stamps, every one of them run eagerly, and (if wantDeferred) some
+// of them never run by the deferring side.
+func compareSides(t *testing.T, deferred, eager []controlSnapshot, dr, er *Router, wantDeferred bool) {
+	t.Helper()
+	if len(deferred) != len(eager) {
+		t.Fatalf("%d reads on the deferring side, %d on the eager one", len(deferred), len(eager))
+	}
+	for i := range deferred {
+		if !reflect.DeepEqual(deferred[i], eager[i]) {
+			t.Fatalf("read %d of %d at %v diverges:\ndeferred: %+v\n   eager: %+v", i, len(deferred), deferred[i].at, deferred[i], eager[i])
+		}
+	}
+	if dr.recomputes != er.recomputes {
+		t.Fatalf("stamp counts diverge: deferred %d, eager %d", dr.recomputes, er.recomputes)
+	}
+	if er.materialized != er.recomputes {
+		t.Fatalf("the eager driver ran its kernels %d times for %d stamps; it must recompute at every stamp", er.materialized, er.recomputes)
+	}
+	if wantDeferred && dr.materialized >= dr.recomputes {
+		t.Fatalf("deferred side ran its kernels %d times for %d stamps: no stamp went unread, nothing was deferred", dr.materialized, dr.recomputes)
+	}
+}
+
 // TestDeferredMatchesEagerTrajectory tests the lemma next to recomputeNow:
 // materializing a stamp when somebody reads, evaluated at the stamp's τ,
 // observes exactly what recomputing at τ did. Two routers get the same
 // control stream and the same reads — inside a timestamp, between rounds
 // with the stamp already taken, and after quiet stretches in which tuples
-// valid at τ soft-expire — with most of the stream unread; the dense one
-// defers, the oracle recomputes eagerly at every stamp. Round times land on
-// earlier rounds' `until <= now` edges whenever one is within reach.
+// valid at τ soft-expire — with most of the stream unread; the production
+// router defers, the eager driver runs the map-based oracle at every stamp.
+// A HELLO emission is sometimes a stamp's first read, so under ETX its
+// hello windows close between that stamp and its materialization. Round
+// times land on earlier rounds' `until <= now` edges whenever one is within
+// reach.
 func TestDeferredMatchesEagerTrajectory(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		etx := seed >= 20
 		t.Run(fmt.Sprintf("etx=%v/seed=%d", etx, seed), func(t *testing.T) {
-			run := func(oracle bool) ([]controlSnapshot, *Router) {
-				w, r := newBareRouter(t, Config{ETX: etx, OracleRecompute: oracle})
+			run := func(eager bool) ([]controlSnapshot, *Router) {
+				s := newSide(t, etx, eager)
 				reads := rand.New(rand.NewSource(seed + 1000))
 				var log []controlSnapshot
 				read := func() {
-					log = append(log, readControl(r))
-					if reads.Intn(3) == 0 {
-						// The real reader: flushes, emits, and (ETX) closes
-						// every link's hello window — the unreported mutation.
-						r.sendHello()
+					order := reads.Intn(3)
+					if order == 0 {
+						s.sendHello()
+					}
+					log = append(log, s.read())
+					if order == 1 {
+						s.sendHello()
 					}
 				}
 				readProb := 0.0
-				feedRandomControlState(w, r, rand.New(rand.NewSource(seed)), etx, feedPlan{
+				feedRandomControlState(s.w, s.r, rand.New(rand.NewSource(seed)), etx, feedPlan{
 					rounds: 40,
 					probe: func() {
 						if reads.Float64() < readProb {
 							read()
 						}
 					},
+					settle: s.settle,
 					between: func(roundAts []sim.Time) (sim.Time, bool) {
 						// The previous round's stamp has been taken by now.
 						if reads.Intn(8) == 0 {
 							read()
 						}
 						if reads.Intn(8) == 0 {
-							w.Kernel.RunUntil(w.Kernel.Now() + sim.Time(reads.Int63n(int64(4*sim.Second))))
+							s.runUntil(s.w.Kernel.Now() + sim.Time(reads.Int63n(int64(4*sim.Second))))
+							// Reported mutations between the stamp and its
+							// read: the purge ticker, a MAC failure report.
+							if reads.Intn(2) == 0 {
+								s.r.purge()
+							}
+							if reads.Intn(4) == 0 {
+								s.r.LinkFailure(netsim.NodeID(1+reads.Intn(feedNodes)), &netsim.Packet{Kind: netsim.KindControl})
+							}
 							read()
 						}
 						readProb = []float64{0, 0, 0, 0, 0.02, 0.3}[reads.Intn(6)]
-						now := w.Kernel.Now()
+						now := s.w.Kernel.Now()
 						at := now + sim.Time(reads.Int63n(int64(sim.Second))) + 1
 						for _, prev := range roundAts {
 							for _, hold := range []sim.Time{neighborHold, topologyHold} {
@@ -290,31 +396,121 @@ func TestDeferredMatchesEagerTrajectory(t *testing.T) {
 						return at, reads.Intn(3) == 0
 					},
 				})
-				log = append(log, readControl(r))
-				return log, r
+				log = append(log, s.read())
+				return log, s.r
 			}
-			dense, dr := run(false)
-			oracle, or := run(true)
-			if len(dense) != len(oracle) {
-				t.Fatalf("%d reads on the dense side, %d on the oracle's", len(dense), len(oracle))
-			}
-			for i := range dense {
-				if !reflect.DeepEqual(dense[i], oracle[i]) {
-					t.Fatalf("read %d of %d at %v diverges:\n dense: %+v\noracle: %+v", i, len(dense), dense[i].at, dense[i], oracle[i])
-				}
-			}
-			if dr.recomputes != or.recomputes {
-				t.Fatalf("stamp counts diverge: dense %d, oracle %d", dr.recomputes, or.recomputes)
-			}
-			if or.materialized != or.recomputes {
-				t.Fatalf("oracle ran its kernels %d times for %d stamps; it must recompute eagerly", or.materialized, or.recomputes)
-			}
-			if dr.materialized >= dr.recomputes {
-				t.Fatalf("dense ran its kernels %d times for %d stamps: no stamp went unread, nothing was deferred", dr.materialized, dr.recomputes)
-			}
+			deferred, dr := run(false)
+			eager, er := run(true)
+			compareSides(t, deferred, eager, dr, er, true)
 		})
 	}
 }
+
+// FuzzDeferredMatchesEager hands the lemma at recomputeNow to the fuzzer: a
+// byte string is a control stream played to the deferring router and to the
+// eager driver in lockstep, and any read on which they part ways — or a
+// stamp count that differs — is a finding. Wired into `make fuzz-smoke`;
+// hunt with:
+//
+//	go test ./internal/routing/olsr -fuzz FuzzDeferredMatchesEager
+//
+// The first byte's low bit turns ETX on; the rest are three-byte ops
+// (op, a, b) over peers 1..fuzzPeers, all at the kernel's current instant
+// unless they pass time:
+//
+//	op%8: 0 HELLO from peer a — its link to us coded by a>>3&7 (Sym, MPR,
+//	      Asym, Lost; 4–7: no link), b's low six bits the peers it hears
+//	      symmetrically (MPR-coded when b's top bit is set)
+//	      1 TC originated by peer a, relayed by peer a>>3, ANSN b>>6,
+//	      advertising b's low six bits
+//	      2 link failure toward peer a · 3 purge · 4 and 7 quiet gap of
+//	      a<<8|b units (op>>6: 1 ns, 1 ms, 10 ms, 100 ms; the holds are
+//	      3 000 ms and 6 000 ms) · 5 read · 6 HELLO emission
+func FuzzDeferredMatchesEager(f *testing.F) {
+	// ETX: peers 1 and 2 both reach 3; a hello window closes on both links
+	// while 1 is heard, then 2 alone is heard and a stamp is pending when
+	// the next window closes — the emission is that stamp's first read.
+	f.Add([]byte{1, 0, 1, 4, 0, 2, 4, 0x44, 0, 10, 6, 0, 0, 0, 2, 4, 0x44, 0, 10, 6, 0, 0, 5, 0, 0})
+	// Hop count: a triangle, a TC beyond it, a failure, and a gap to the
+	// first links' exact neighbor-hold edge.
+	f.Add([]byte{0, 0, 1, 2, 0, 2, 1, 1, 0x0a, 0x10, 5, 0, 0, 2, 1, 0, 0x44, 0x0b, 0xb8, 5, 0, 0, 3, 0, 0, 5, 0, 0})
+	// A stamp left unread while the link it saw expires and is purged.
+	f.Add([]byte{0, 0, 0, 4, 0x44, 0, 10, 0x44, 0x0b, 0xb8, 3, 0, 0, 5, 0, 0})
+	// A stamp left unread when the MAC reports the link failed.
+	f.Add([]byte{0, 0, 0, 4, 0x44, 0, 10, 2, 0, 0, 5, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		etx := data[0]&1 != 0
+		sides := [2]*side{newSide(t, etx, false), newSide(t, etx, true)}
+		var logs [2][]controlSnapshot
+		seq := uint16(0)
+		units := [4]sim.Time{sim.Nanosecond, sim.Millisecond, 10 * sim.Millisecond, 100 * sim.Millisecond}
+		peer := func(x byte) netsim.NodeID { return netsim.NodeID(1 + int(x)%fuzzPeers) }
+		for data = data[1:]; len(data) >= 3; data = data[3:] {
+			op, a, b := data[0], data[1], data[2]
+			if op%8 == 1 {
+				seq++
+			}
+			for i, s := range sides {
+				switch op % 8 {
+				case 0:
+					from := peer(a)
+					var links []HelloLink
+					if c := a >> 3 & 7; c < 4 {
+						links = append(links, HelloLink{Neighbor: 0, Code: []LinkCode{LinkSym, LinkMPR, LinkAsym, LinkLost}[c]})
+					}
+					code := LinkSym
+					if b&0x80 != 0 {
+						code = LinkMPR
+					}
+					for j := 0; j < fuzzPeers; j++ {
+						if id := netsim.NodeID(j + 1); b>>j&1 != 0 && id != from {
+							links = append(links, HelloLink{Neighbor: id, Code: code})
+						}
+					}
+					s.r.handleHello(&Hello{From: from, Links: links}, from)
+				case 1:
+					origin := peer(a)
+					msg := &TC{Origin: origin, ANSN: uint16(b >> 6), Seq: seq}
+					for j := 0; j < fuzzPeers; j++ {
+						if id := netsim.NodeID(j + 1); b>>j&1 != 0 && id != origin {
+							msg.Advertised = append(msg.Advertised, id)
+							if etx {
+								msg.LQs = append(msg.LQs, float64(1+(j+int(a>>6))%4)/4)
+							}
+						}
+					}
+					if len(msg.Advertised) > 0 {
+						s.r.handleTC(&netsim.Packet{Kind: netsim.KindControl, TTL: 2}, msg, peer(a>>3))
+					}
+				case 2:
+					s.r.LinkFailure(peer(a), &netsim.Packet{Kind: netsim.KindControl})
+				case 3:
+					s.r.purge()
+				case 4, 7:
+					s.runUntil(s.w.Kernel.Now() + sim.Time(int(a)<<8|int(b))*units[op>>6])
+				case 5:
+					logs[i] = append(logs[i], s.read())
+				case 6:
+					s.sendHello()
+				}
+			}
+			if op%8 == 5 {
+				compareSides(t, logs[0], logs[1], sides[0].r, sides[1].r, false)
+			}
+		}
+		for i, s := range sides {
+			s.drain()
+			logs[i] = append(logs[i], s.read())
+		}
+		compareSides(t, logs[0], logs[1], sides[0].r, sides[1].r, false)
+	})
+}
+
+// fuzzPeers is the number of peers FuzzDeferredMatchesEager's ops name.
+const fuzzPeers = 6
 
 // TestRecomputeCoalescedPerTimestamp asserts the trigger contract: any
 // number of control messages arriving in one kernel timestamp cause at

@@ -3,6 +3,9 @@ package olsr
 import (
 	"math/rand"
 	"testing"
+
+	"cavenet/internal/netsim"
+	"cavenet/internal/sim"
 )
 
 // TestLQEstimatorRingWraparound pins the sliding-window semantics across
@@ -54,5 +57,43 @@ func TestLQEstimatorReset(t *testing.T) {
 	e.tick()
 	if e.ratio() != 1 {
 		t.Fatalf("single hit after reset should give 1, got %v", e.ratio())
+	}
+}
+
+// TestETXQualityMoveReroutesAtNextRead: under ETX a HELLO that refreshes
+// nothing material still reports the link qualities moved since the last
+// stamp, so the next read routes on them. Neighbors 1 and 2 both reach 3;
+// after 1 misses a hello window its ETX is 4 against 2's 1, and the next
+// HELLO from 2 — a pure lifetime refresh — moves the route to 3 over to 2.
+func TestETXQualityMoveReroutesAtNextRead(t *testing.T) {
+	w, r := newBareRouter(t, Config{ETX: true})
+	hello := func(from netsim.NodeID) {
+		r.handleHello(&Hello{From: from, Links: []HelloLink{{Neighbor: 0, Code: LinkSym}, {Neighbor: 3, Code: LinkSym}}}, from)
+	}
+	route := func() netsim.NodeID {
+		next, hops, ok := r.Route(3)
+		if !ok || hops != 2 {
+			t.Fatalf("t=%v: route to 3 = next %d hops %d ok %v, want a 2-hop route", w.Kernel.Now(), next, hops, ok)
+		}
+		return next
+	}
+	hello(1)
+	hello(2)
+	if next := route(); next != 1 {
+		t.Fatalf("equal qualities: route to 3 via %d, want 1 (the lower id)", next)
+	}
+	w.Kernel.RunUntil(100 * sim.Millisecond)
+	r.sendHello() // both links heard: both windows close at 1/1
+	w.Kernel.RunUntil(150 * sim.Millisecond)
+	hello(2)
+	w.Kernel.RunUntil(200 * sim.Millisecond)
+	r.sendHello() // only 2 heard: LQ to 1 drops to 1/2, ETX 4
+	if next := route(); next != 1 {
+		t.Fatalf("window closed unreported: route to 3 via %d, want still 1 (as of the last stamp)", next)
+	}
+	w.Kernel.RunUntil(250 * sim.Millisecond)
+	hello(2) // refreshes lifetimes only; the quality move is what it reports
+	if next := route(); next != 2 {
+		t.Fatalf("after 2's HELLO: route to 3 via %d, want 2 (ETX 1+1 against 4+1)", next)
 	}
 }

@@ -1,7 +1,7 @@
 package olsr
 
 // Shared pieces of the two recompute implementations (dense.go holds the
-// production kernels, oracle.go the retained map-based reference): the
+// production kernels, oracle_test.go the map-based reference): the
 // link-cost model, the deterministic route tie-break, and the ETX
 // link-quality estimator.
 

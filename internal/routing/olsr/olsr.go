@@ -12,8 +12,8 @@
 // flag, the kernels themselves run only when somebody reads the result
 // (see recomputeNow), and tuple expiry is tracked by lazy min-heaps so the
 // periodic purge costs O(expired) instead of sweeping every live entry.
-// The original map-based recompute is retained in oracle.go as the
-// differential-testing reference (Config.OracleRecompute).
+// The original map-based recompute lives in oracle_test.go, the reference
+// the dense kernels and their deferral are tested against.
 package olsr
 
 import (
@@ -80,16 +80,6 @@ type Config struct {
 	// ETX enables the olsrd link-quality extension: routes minimize the sum
 	// of ETX(i) = 1/(NI(i)·LQI(i)) instead of hop count.
 	ETX bool
-	// OracleRecompute routes MPR/route recomputation through the retained
-	// map-based reference implementation, run eagerly at every stamp,
-	// instead of the deferred dense kernels. Selected only by tests and
-	// benchmarks; results are bit-identical either way. It stays an
-	// exported switch, unlike the references that live in _test.go files,
-	// because the lemma at recomputeNow is about when the kernels run
-	// relative to every other event of a run (evaluation at τ, not at the
-	// read) — which only scenario.TestOLSRReferenceRunIdentity, over whole
-	// networks, can compare.
-	OracleRecompute bool
 }
 
 // linkTuple is the link-set entry of RFC 3626 §4.2, stored in a dense
@@ -400,17 +390,14 @@ func (r *Router) flush() {
 // τ. Deriving τ inside markDirty would make it depend on whether another
 // event of the same timestamp ran before or after the coalesced one.
 //
-// The oracle recomputes eagerly at stamp time, which makes it the reference
-// the lemma is tested against (TestDeferredMatchesEagerTrajectory).
+// The reference the lemma is tested against is a test-side driver that
+// materializes every stamp the moment it is taken, with the map-based
+// kernels of oracle_test.go (TestDeferredMatchesEagerTrajectory,
+// FuzzDeferredMatchesEager).
 func (r *Router) recomputeNow() {
 	r.dirty = false
 	r.lastRecompute = r.now()
 	r.recomputes++
-	if r.cfg.OracleRecompute {
-		r.materialized++
-		r.recomputeOracle()
-		return
-	}
 	r.pending = true
 }
 
@@ -431,28 +418,6 @@ func (r *Router) sendControl(ttl, size int, msg any) {
 		CreatedAt: r.now(),
 	})
 	r.node.SendFrame(netsim.BroadcastID, p)
-}
-
-// symNeighbors lists neighbors with currently symmetric links.
-func (r *Router) symNeighbors() []netsim.NodeID {
-	now := r.now()
-	var out []netsim.NodeID
-	for _, fi := range r.linkList {
-		if r.links[fi].symUntil > now {
-			out = append(out, r.links[fi].neighbor)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// eachTwoHop visits every stored 2-hop tuple (for tests and the oracle).
-func (r *Router) eachTwoHop(f func(nbr, th netsim.NodeID, until sim.Time)) {
-	for fi, edges := range r.twoHopOf {
-		for _, e := range edges {
-			f(r.ids[fi], r.ids[e.th], e.until)
-		}
-	}
 }
 
 // helloLinks builds the link advertisements of a HELLO from current state.

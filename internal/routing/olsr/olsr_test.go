@@ -223,6 +223,10 @@ func TestExpiryPurgesDeadNeighbor(t *testing.T) {
 	if len(r.symNeighbors()) != 0 {
 		t.Fatal("dead neighbor not purged")
 	}
+	// The purge reports the expiry: the next read recomputes without it.
+	if next, _, ok := r.Route(1); ok {
+		t.Fatalf("route to the purged neighbor survived the purge (via %d)", next)
+	}
 }
 
 func TestETXPrefersReliableRoute(t *testing.T) {

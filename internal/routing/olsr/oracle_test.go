@@ -2,20 +2,21 @@ package olsr
 
 import (
 	"sort"
+	"testing"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
 )
 
-// This file retains the original map-based MPR selection and routing-table
-// computation as the differential-testing oracle for the dense kernels
-// (enabled with Config.OracleRecompute). It allocates ~8 maps plus sorts
-// per recompute — the pre-optimization cost profile that the control-plane
-// benchmark measures against — and must stay semantically identical to
-// dense.go: TestDenseMatchesOracle asserts bit-identical routes, MPR sets
-// and wire contents across randomized topologies. It runs eagerly at every
-// recompute stamp, which also makes it the reference for the dense path's
-// demand-driven materialization (see recomputeNow).
+// This file holds the original map-based MPR selection and routing-table
+// computation, the reference the dense kernels of dense.go are tested
+// against. It allocates ~8 maps plus sorts per recompute — the
+// pre-optimization cost profile that BenchmarkOLSRControlPlane measures
+// against — and must stay semantically identical to dense.go:
+// TestDenseMatchesOracle asserts bit-identical routes, MPR sets and wire
+// contents across randomized topologies. Run at every stamp by the eager
+// driver (flushOracle, settleOracle), it is also the reference for the dense
+// path's demand-driven materialization (see recomputeNow).
 //
 // Two deliberate deviations from the seed implementation, shared with the
 // dense path: route replacement uses the total (cost, hops, next) order of
@@ -23,11 +24,64 @@ import (
 // deterministic rather than map-iteration-dependent), and the 2-hop pass
 // visits tuples in sorted (neighbor, 2-hop) order for the same reason.
 
+// recomputeOracle runs both map-based kernels at now, publishing through the
+// epoch-stamped tables the dense kernels write.
 func (r *Router) recomputeOracle() {
 	now := r.now()
 	epoch := r.nextEpoch()
 	r.oracleSelectMPRs(now, epoch)
 	r.oracleComputeRoutes(now, epoch)
+}
+
+// settleOracle materializes a pending stamp at once with the map-based
+// kernels. Called after every kernel event, before anything else can touch
+// the control state, it evaluates each stamp on the state at its τ — the
+// eager trajectory the lemma at recomputeNow compares the deferral against.
+// The stamp must be this instant's: a later call would be the deferral.
+func (r *Router) settleOracle(tb testing.TB) {
+	tb.Helper()
+	if !r.pending {
+		return
+	}
+	if r.lastRecompute != r.now() {
+		tb.Fatalf("eager driver: stamp of %v left pending until %v", r.lastRecompute, r.now())
+	}
+	r.pending = false
+	r.materialized++
+	r.recomputeOracle()
+}
+
+// flushOracle is flush on the eager side: a read stamps a dirty router and
+// materializes the stamp with the map-based kernels, so the read's own flush
+// finds nothing to do.
+func (r *Router) flushOracle(tb testing.TB) {
+	tb.Helper()
+	if r.dirty {
+		r.recomputeNow()
+	}
+	r.settleOracle(tb)
+}
+
+// symNeighbors lists neighbors with currently symmetric links.
+func (r *Router) symNeighbors() []netsim.NodeID {
+	now := r.now()
+	var out []netsim.NodeID
+	for _, fi := range r.linkList {
+		if r.links[fi].symUntil > now {
+			out = append(out, r.links[fi].neighbor)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// eachTwoHop visits every stored 2-hop tuple.
+func (r *Router) eachTwoHop(f func(nbr, th netsim.NodeID, until sim.Time)) {
+	for fi, edges := range r.twoHopOf {
+		for _, e := range edges {
+			f(r.ids[fi], r.ids[e.th], e.until)
+		}
+	}
 }
 
 // oracleSelectMPRs runs the greedy heuristic of RFC 3626 §8.3.1: first

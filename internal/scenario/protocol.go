@@ -38,24 +38,9 @@ func ParseProtocol(name string) (Protocol, error) {
 	}
 }
 
-// referencePaths selects the two reference implementations whose
-// exactness lemma is a statement about whole-network runs — OLSR's
-// map-based recompute run eagerly at every stamp (when kernels run, PR 13's
-// τ-lemma) and the DCF's per-slot backoff countdown (same-nanosecond ties,
-// PR 16's clause (b)) — so only a run can compare them:
-// TestOLSRReferenceRunIdentity and TestMACReferenceRunIdentity. Every other
-// reference answers a per-call value contract and lives in its package's
-// _test.go files (ROADMAP, "Oracles are test references"). Results are
-// bit-identical either way, so this is not part of Spec — nothing a user,
-// a JSON document, Spec.Hash or the CLI can reach sets it. Every exported
-// entry point passes the zero value.
-type referencePaths struct {
-	olsr, mac bool
-}
-
 // routerFactory builds the per-node router for the spec's protocol and
 // ablation knobs.
-func (s *Spec) routerFactory(ref referencePaths) netsim.RouterFactory {
+func (s *Spec) routerFactory() netsim.RouterFactory {
 	switch s.Protocol {
 	case OLSR:
 		etx := s.OLSRETX
@@ -72,7 +57,7 @@ func (s *Spec) routerFactory(ref referencePaths) netsim.RouterFactory {
 			}
 		}
 		return func(n *netsim.Node) netsim.Router {
-			r := olsr.New(n, olsr.Config{ETX: etx, OracleRecompute: ref.olsr})
+			r := olsr.New(n, olsr.Config{ETX: etx})
 			if n.ID() == gw {
 				r.AdvertiseNetwork(assoc)
 			}

@@ -103,7 +103,7 @@ func Run(s Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runOnSource(&s, src, nil, referencePaths{})
+	return runOnSource(&s, src, nil)
 }
 
 // RunOnSource executes the scenario's network evaluation over a
@@ -113,7 +113,7 @@ func RunOnSource(s Spec, src mobility.Source) (*Result, error) {
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}
-	return runOnSource(&s, src, nil, referencePaths{})
+	return runOnSource(&s, src, nil)
 }
 
 // RunOnTrace executes the scenario's network evaluation over a
@@ -187,7 +187,7 @@ func RunCheckedOnSource(s Spec, src mobility.Source) (*Result, *check.Report, er
 }
 
 func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
-	res, err := runOnSource(s, src, report, referencePaths{})
+	res, err := runOnSource(s, src, report)
 	if err != nil {
 		return nil, err
 	}
@@ -221,9 +221,8 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // where a protocol-evaluation world is wired together — and executes the
 // run, pulling node positions from the mobility source per tick. A
 // non-nil report additionally installs the invariant ledger and runs the
-// post-run loop walk and custody settlement. ref is the zero value except
-// in the run-identity tests (see referencePaths).
-func runOnSource(s *Spec, src mobility.Source, report *check.Report, ref referencePaths) (*Result, error) {
+// post-run loop walk and custody settlement.
+func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
@@ -237,9 +236,9 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, ref referen
 			CSRangeM:     s.RangeMeters * 2.2,
 			CaptureRatio: capture,
 		},
-		MAC:      mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold, SlotOracle: ref.mac},
+		MAC:      mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold},
 		Mobility: src,
-	}, s.routerFactory(ref))
+	}, s.routerFactory())
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

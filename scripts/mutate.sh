@@ -236,24 +236,23 @@ mutant "check loops: the walk stops one hop early, on returning to its origin" i
 	's/if int(next) == dst {/if int(next) == dst || int(next) == src {/' \
 	$check 'TestLoopsCatchesCrossNodeCycle'
 
-# ---- the references this PR moved behind their in-package differentials.
-# The run-level identity tests in ./internal/scenario exist only before it:
-# there a row may be killed by either; after, by the differential alone.
+# ---- the references PR 24 moved behind their in-package differentials,
+# each row killed by its package's own tests. ----
 mutant "aodv dense update: entry not registered in the ExpiryHeap" internal/routing/aodv/dense.go \
 	's|t.exp.Push(x, e.expiresAt)|_ = x|' \
-	'./internal/routing/aodv ./internal/scenario' 'TestTableLazyPurgeMatchesEager|TestDataPlaneOracleRunIdentity'
+	./internal/routing/aodv 'TestTableLazyPurgeMatchesEager'
 mutant "dymo stateValid: ignores lastPurge" internal/routing/dymo/dense.go \
 	's|if e.expiresAt <= t.lastPurge {|if false {|' \
-	'./internal/routing/dymo ./internal/scenario' 'TestTableLazyPurgeMatchesEager|TestDataPlaneOracleRunIdentity'
+	./internal/routing/dymo 'TestTableLazyPurgeMatchesEager'
 mutant "spatial Nearest: a distance tie goes to the larger id" internal/spatial/grid.go \
 	's|int(cand) < bestID|int(cand) > bestID|' \
-	'./internal/spatial ./internal/routing/gpsr ./internal/scenario' 'TestGridNearestMatchesBruteForce|TestGreedyDifferential|TestOracleRunsIdentical|TestGPSROracleRunIdentity'
+	'./internal/spatial ./internal/routing/gpsr' 'TestGridNearestMatchesBruteForce|TestGreedyDifferential'
 mutant "gpsr dropNeighbor: the id stays in the spatial index" internal/routing/gpsr/gpsr.go \
 	'/^\tr.grid.Remove(int(id))$/d' \
-	'./internal/routing/gpsr ./internal/scenario' 'TestGreedyDifferential|TestOracleRunsIdentical|TestGPSROracleRunIdentity'
+	./internal/routing/gpsr 'TestGreedyDifferential'
 mutant "sim calendar: positional insert compares time only" internal/sim/calendar.go \
 	's|return eventLess(ev, act\[i\])|return ev.at < act[i].at|' \
-	"$sim ./internal/scenario" 'TestCalendarMatchesHeapOracle|TestBatchMatchesScheduleArg|TestKernelOracleRunIdentity'
+	$sim 'TestCalendarMatchesHeapOracle|TestBatchMatchesScheduleArg'
 mutant "phy cullMargin below 1" internal/phy/channel.go \
 	's|const cullMargin = 1.001|const cullMargin = 0.9|' \
 	./internal/phy 'TestChannelGridMatchesBruteForce|TestChannelCullReachesCellEdge'
@@ -319,6 +318,36 @@ mutant "mac broadcast: the payload is handed back at tx-done" internal/mac/dcf.g
 mutant "olsr handleHello: every selecting HELLO bumps the ANSN again" internal/routing/olsr/olsr.go \
 	's|^\t\tr.selectors\[from\] = now + neighborHold$|\t\tr.selectors[from] = now + neighborHold; r.ansn++|' \
 	./internal/routing/olsr '^TestANSNBumpsOnlyWhenSelectorsChange$'
+
+# ---- the last two references with an exported switch moved into their
+# packages' tests (ROADMAP "No exported reference switches"): one row per
+# clause of PR 13's deferral lemma at recomputeNow and of PR 16's freeze
+# arithmetic. A revision before the move reads SURVIVED on the hello-window,
+# ETX and purge rows: its tests did not kill them in-package. The ETX row is
+# out of any differential's reach (both sides run the same handler and skip
+# the same stamp), hence its own test. ----
+olsr=./internal/routing/olsr
+mutant "olsr sendHello: the hello windows close before the flush" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) sendHello() {$/,/^}$/{s|^\tr.flush()$|\tfor _, fi := range r.linkList {\n\t\tif lt := \&r.links[fi]; r.cfg.ETX \&\& lt.lq != nil {\n\t\t\tlt.lq.tick()\n\t\t}\n\t}\n\tr.flush()|;s|^\t\t\t\tlt.lq.tick()$|\t\t\t\t_ = lt|}' \
+	$olsr 'TestDeferredMatchesEagerTrajectory|FuzzDeferredMatchesEager'
+mutant "olsr handleHello: an ETX quality move left unreported" internal/routing/olsr/olsr.go \
+	's/r.noteChange(material || r.cfg.ETX)/r.noteChange(material)/' \
+	$olsr 'TestETXQualityMoveReroutesAtNextRead'
+mutant "olsr LinkFailure: the failed link left unreported" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) LinkFailure/,/^}/s|r.noteChange(material)|r.noteChange(material \&\& false)|' \
+	$olsr 'TestLinkFailureFailsOverSameRecompute|TestDeferredMatchesEagerTrajectory|FuzzDeferredMatchesEager'
+mutant "olsr purge: an expiry left unreported" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) purge()/,/^}/s|r.noteChange(material)|r.noteChange(material \&\& false)|' \
+	$olsr 'TestExpiryPurgesDeadNeighbor|TestDeferredMatchesEagerTrajectory|FuzzDeferredMatchesEager'
+mutant "olsr handleTC: a topology change left unreported" internal/routing/olsr/olsr.go \
+	's|r.noteChange(r.processTC(msg, now))|r.processTC(msg, now); r.noteChange(false)|' \
+	$olsr 'TestRecomputeCoalescedPerTimestamp|TestRoutesViaTopology|TestDeferredMatchesEagerTrajectory|FuzzDeferredMatchesEager'
+mutant "olsr markDirty: no nudge past a timestamp a read already stamped" internal/routing/olsr/olsr.go \
+	's|at = r.lastRecompute + 1|at = r.lastRecompute|' \
+	$olsr 'TestRecomputeCoalescedPerTimestamp'
+mutant "mac freeze: the slots owed round down" internal/mac/dcf.go \
+	's#int((left+\(d\.cfg\.SlotTime\|slotTime\)-1)/\1)#int(left/\1)#' \
+	$mac 'TestBackoff'
 
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]

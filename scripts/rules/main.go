@@ -46,10 +46,9 @@ var allow = map[string]string{
 	"netsim.WorldConfig.Static": "fixed placements in the netsim, routing, traffic, fault, metrics, check and memstability tests",
 	"phy.Config.NoPropDelay":    "mac/backoff_test.go varies it across the package boundary (PR 25)",
 	"sim.Kernel.Pending":        "phy/channel_test.go:321 checks that a drained kernel holds nothing",
-	"sim.Kernel.Processed":      "mac/backoff_test.go:226 and fault/fault_test.go:258 count fired events",
+	"sim.Kernel.Processed":      "mac/backoff_test.go:301 and fault/fault_test.go:258 count fired events",
 	"olsr.Router.TableStats":    "memstability_test.go:130 pins OLSR table and heap sizes over a long run",
 	"dymo.Router.SeenEntries":   "memstability_test.go:191 pins the DYMO dedup table over a long run",
-	"check.Ledger.Active":       "memstability_test.go:333 pins the ledger's live entries under churn",
 	"check.Ledger.Retired":      "memstability_test.go:351 checks that compaction retires entries",
 	"check.Ledger.Counts":       "memstability_test.go:347 checks that the churn run is not vacuous",
 }
