@@ -430,16 +430,16 @@ func FuzzDeferredMatchesEager(f *testing.F) {
 	// ETX: peers 1 and 2 both reach 3; a hello window closes on both links
 	// while 1 is heard, then 2 alone is heard and a stamp is pending when
 	// the next window closes — the emission is that stamp's first read.
-	f.Add([]byte{1, 0, 1, 4, 0, 2, 4, 0x44, 0, 10, 6, 0, 0, 0, 2, 4, 0x44, 0, 10, 6, 0, 0, 5, 0, 0})
-	// Hop count: a triangle, a TC beyond it, a failure, and a gap to the
-	// first links' exact neighbor-hold edge.
-	f.Add([]byte{0, 0, 1, 2, 0, 2, 1, 1, 0x0a, 0x10, 5, 0, 0, 2, 1, 0, 0x44, 0x0b, 0xb8, 5, 0, 0, 3, 0, 0, 5, 0, 0})
+	f.Add([]byte{1, 0, 0, 4, 0, 1, 4, 0x44, 0, 10, 6, 0, 0, 0, 1, 4, 0x44, 0, 10, 6, 0, 0, 5, 0, 0})
+	// Hop count: a triangle, a TC from 3 beyond it relayed by 1, a failure,
+	// and a gap to the first links' exact neighbor-hold edge.
+	f.Add([]byte{0, 0, 0, 2, 0, 1, 1, 1, 2, 8, 5, 0, 0, 2, 0, 0, 0x44, 0x0b, 0xb8, 5, 0, 0, 3, 0, 0, 5, 0, 0})
 	// A stamp left unread while the link it saw expires and is purged.
 	f.Add([]byte{0, 0, 0, 4, 0x44, 0, 10, 0x44, 0x0b, 0xb8, 3, 0, 0, 5, 0, 0})
 	// A stamp left unread when the MAC reports the link failed.
 	f.Add([]byte{0, 0, 0, 4, 0x44, 0, 10, 2, 0, 0, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 {
+		if len(data) == 0 {
 			return
 		}
 		etx := data[0]&1 != 0
