@@ -47,8 +47,13 @@ func (n *Node) ID() NodeID { return n.id }
 // Kernel exposes the shared simulation kernel to routers and agents.
 func (n *Node) Kernel() *sim.Kernel { return n.world.Kernel }
 
-// Rand exposes the node's deterministic RNG stream.
-func (n *Node) Rand() *rand.Rand { return n.rnd }
+// Jitter returns a draw of ±10 % of period from the node's own stream:
+// the emission jitter a router adds to a periodic beacon so neighbours'
+// beacons decorrelate. It is the only use of that stream.
+func (n *Node) Jitter(period sim.Time) func() sim.Time {
+	span := int64(period / 5)
+	return func() sim.Time { return sim.Time(n.rnd.Int63n(span) - span/2) }
+}
 
 // Position reports the node's current location.
 func (n *Node) Position() geometry.Vec2 { return n.pos }
@@ -158,11 +163,28 @@ func (n *Node) AttachPort(port int, h PortHandler) {
 	n.ports[port] = h
 }
 
-// Packet returns a packet from the world's pool holding v: how routers
-// build their control packets and re-floods, and NewPacket its data. The
-// caller owns it until it hands it to a terminal event (see Router).
+// Packet returns a packet from the world's pool holding v: how SendControl
+// builds routing control packets and NewPacket data. The caller owns it
+// until it hands it to a terminal event (see Router).
 func (n *Node) Packet(v Packet) *Packet {
 	return n.world.clonePacket(&v)
+}
+
+// SendControl sends a routing message as a control packet of size bytes
+// plus the IP header, addressed to dst and handed to the MAC for next
+// (BroadcastID for both on a flood or a beacon). It is how every router
+// sends its own messages and re-floods.
+func (n *Node) SendControl(next, dst NodeID, ttl, size int, msg any) {
+	n.SendFrame(next, n.Packet(Packet{
+		Kind:      KindControl,
+		Src:       n.id,
+		Dst:       dst,
+		Port:      PortRouting,
+		TTL:       ttl,
+		Size:      size + IPHeaderBytes,
+		Payload:   msg,
+		CreatedAt: n.world.Kernel.Now(),
+	}))
 }
 
 // NewPacket takes a data packet originating here from the world's pool.

@@ -2,15 +2,14 @@ package aodv
 
 import (
 	"fmt"
-	"slices"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
 )
 
 // Protocol constants: the RFC 3561 §10 defaults with Table I's 1 s HELLO
-// interval; the expanding-ring start and the discovery buffer are ns-2's
-// (aodv.h TTL_START, sendBuffer).
+// interval; the expanding-ring start is ns-2's (aodv.h TTL_START). The
+// discovery buffer and RREQ_RETRIES are netsim.Discoveries'.
 const (
 	helloInterval      = sim.Second
 	allowedHelloLoss   = 2
@@ -19,13 +18,9 @@ const (
 	nodeTraversalTime  = 40 * sim.Millisecond
 	netDiameter        = 35
 	netTraversalTime   = 2 * nodeTraversalTime * netDiameter
-	rreqRetries        = 2
 	ttlStart           = 5
 	ttlIncrement       = 2
 	ttlThreshold       = 7
-	// bufferCap bounds the data packets queued per destination while
-	// discovery runs.
-	bufferCap = 64
 )
 
 // ringTraversalTime is RING_TRAVERSAL_TIME for a search of the given TTL
@@ -43,18 +38,6 @@ type Config struct {
 	NoExpandingRing bool
 }
 
-// discovery tracks one in-progress route discovery. Records (and their
-// timers and buffers) are pooled per router: a discovery is only released
-// after its timer has been stopped or has fired its final time, so a
-// recycled record can never receive a stale callback.
-type discovery struct {
-	dst     netsim.NodeID
-	retries int
-	ttl     int
-	timer   *sim.Timer
-	buffer  []*netsim.Packet
-}
-
 // seenKey deduplicates RREQ floods.
 type seenKey struct {
 	src netsim.NodeID
@@ -70,8 +53,7 @@ type Router struct {
 	seq         uint32
 	rreqID      uint32
 	seen        sim.ExpiringSet[seenKey]
-	discoveries map[netsim.NodeID]*discovery
-	discFree    []*discovery
+	discoveries *netsim.Discoveries
 	neighbors   *sim.TimerSet // HELLO liveness, one item per table index
 
 	// rerrBuf is the reusable RERR collection scratch; broadcastRERR
@@ -87,18 +69,13 @@ var _ netsim.Router = (*Router)(nil)
 // New builds an AODV router for node.
 func New(node *netsim.Node, cfg Config) *Router {
 	r := &Router{
-		cfg:         cfg,
-		node:        node,
-		discoveries: make(map[netsim.NodeID]*discovery),
-		table:       newDenseTable(node.Kernel()),
+		cfg:   cfg,
+		node:  node,
+		table: newDenseTable(node.Kernel()),
 	}
+	r.discoveries = netsim.NewDiscoveries(node, "aodv", r.routable, r.sendRREQ, r.Origin)
 	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.entries[x].dst) })
-	jitter := func() sim.Time {
-		// ±10% emission jitter, standard to decorrelate HELLO storms.
-		span := int64(helloInterval / 5)
-		return sim.Time(node.Rand().Int63n(span) - span/2)
-	}
-	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, jitter, r.sendHello)
+	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
 }
@@ -129,76 +106,18 @@ func (r *Router) Start() {
 func (r *Router) Stop() {
 	r.helloTicker.Stop()
 	r.purgeTicker.Stop()
-	for _, d := range r.discoveries { // order-free: stopping a timer draws no sequence number
-		d.timer.Stop()
-	}
+	r.discoveries.Stop()
 	r.neighbors.StopAll()
 }
 
-// EachBuffered visits every data packet parked in route-discovery buffers —
-// the router's share of the custody set the packet-conservation invariant
-// audits — discovery by discovery in ascending destination order, so a
-// crash drops them in the same order on every replay.
-func (r *Router) EachBuffered(f func(p *netsim.Packet)) {
-	dsts := make([]netsim.NodeID, 0, len(r.discoveries))
-	for dst := range r.discoveries { // order-free: the keys are sorted below
-		dsts = append(dsts, dst)
-	}
-	slices.Sort(dsts)
-	for _, dst := range dsts {
-		for _, p := range r.discoveries[dst].buffer {
-			f(p)
-		}
-	}
-}
+// EachBuffered visits the data packets parked in route discoveries
+// (netsim.Discoveries.Each).
+func (r *Router) EachBuffered(f func(p *netsim.Packet)) { r.discoveries.Each(f) }
 
 // Table exposes route lookups for tests: it reports the next hop and
 // whether a valid route to dst exists.
 func (r *Router) Table(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
 	return r.table.validNext(dst)
-}
-
-// newDiscovery takes a discovery record from the pool (or builds one with
-// its timer) and registers it for dst.
-func (r *Router) newDiscovery(dst netsim.NodeID) *discovery {
-	var d *discovery
-	if n := len(r.discFree); n > 0 {
-		d = r.discFree[n-1]
-		r.discFree[n-1] = nil
-		r.discFree = r.discFree[:n-1]
-		d.dst, d.retries, d.ttl = dst, 0, 0
-	} else {
-		d = &discovery{dst: dst}
-		d.timer = sim.NewTimer(r.node.Kernel(), func() { r.discoveryTimeout(d) })
-	}
-	r.discoveries[dst] = d
-	return d
-}
-
-// releaseDiscovery returns a record whose timer is no longer scheduled to
-// the pool, dropping its buffered-packet references.
-func (r *Router) releaseDiscovery(d *discovery) {
-	for i := range d.buffer {
-		d.buffer[i] = nil
-	}
-	d.buffer = d.buffer[:0]
-	r.discFree = append(r.discFree, d)
-}
-
-// sendControl wraps an AODV message into a control packet and transmits it.
-func (r *Router) sendControl(next netsim.NodeID, dst netsim.NodeID, ttl, size int, msg any) {
-	p := r.node.Packet(netsim.Packet{
-		UID:       0, // control packets are not tracked by metrics UIDs
-		Kind:      netsim.KindControl,
-		Src:       r.node.ID(),
-		Dst:       dst,
-		Port:      netsim.PortRouting,
-		TTL:       ttl,
-		Size:      size + netsim.IPHeaderBytes,
-		Payload:   msg,
-		CreatedAt: r.node.Kernel().Now(),
-	})
-	r.node.SendFrame(next, p)
 }
 
 // Origin implements netsim.Router.
@@ -209,83 +128,44 @@ func (r *Router) Origin(p *netsim.Packet) {
 		r.node.SendFrame(next, p)
 		return
 	}
-	r.bufferAndDiscover(p)
+	r.discoveries.Park(p)
 }
 
-func (r *Router) bufferAndDiscover(p *netsim.Packet) {
-	d := r.discoveries[p.Dst]
-	if d != nil {
-		if len(d.buffer) >= bufferCap {
-			r.node.DropData(p, "aodv:buffer-full")
-			return
-		}
-		d.buffer = append(d.buffer, p)
-		return
-	}
-	d = r.newDiscovery(p.Dst)
-	d.buffer = append(d.buffer, p)
-	r.sendRREQ(d)
+func (r *Router) routable(dst netsim.NodeID) bool {
+	_, _, ok := r.table.validNext(dst)
+	return ok
 }
 
-func (r *Router) sendRREQ(d *discovery) {
+// sendRREQ floods the next request of d's expanding-ring search (§6.4) and
+// returns how long it waits for a reply.
+func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 	r.seq++ // RFC 3561 §6.1: increment own seq before a RREQ
 	r.rreqID++
 	ttl := netDiameter
 	if !r.cfg.NoExpandingRing {
 		switch {
-		case d.ttl == 0:
+		case d.TTL == 0:
 			ttl = ttlStart
-		case d.ttl+ttlIncrement <= ttlThreshold:
-			ttl = d.ttl + ttlIncrement
+		case d.TTL+ttlIncrement <= ttlThreshold:
+			ttl = d.TTL + ttlIncrement
 		}
 	}
-	d.ttl = ttl
-	dstSeq, dstSeqKnown, _ := r.table.lastSeq(d.dst)
+	d.TTL = ttl
+	dstSeq, dstSeqKnown, _ := r.table.lastSeq(d.Dst)
 	if !dstSeqKnown {
 		dstSeq = 0
 	}
 	msg := &RREQ{
 		ID:          r.rreqID,
-		Dst:         d.dst,
+		Dst:         d.Dst,
 		DstSeq:      dstSeq,
 		DstSeqKnown: dstSeqKnown,
 		Src:         r.node.ID(),
 		SrcSeq:      r.seq,
 	}
 	r.markSeen(seenKey{src: r.node.ID(), id: msg.ID})
-	r.sendControl(netsim.BroadcastID, netsim.BroadcastID, ttl, rreqBytes, msg)
-	d.timer.Reset(ringTraversalTime(ttl))
-}
-
-func (r *Router) discoveryTimeout(d *discovery) {
-	if _, _, ok := r.table.validNext(d.dst); ok {
-		r.flushBuffer(d)
-		return
-	}
-	d.retries++
-	if d.retries > rreqRetries {
-		for _, p := range d.buffer {
-			r.node.DropData(p, "aodv:no-route")
-		}
-		delete(r.discoveries, d.dst)
-		r.releaseDiscovery(d)
-		return
-	}
-	r.sendRREQ(d)
-}
-
-func (r *Router) flushBuffer(d *discovery) {
-	delete(r.discoveries, d.dst)
-	d.timer.Stop()
-	for i, p := range d.buffer {
-		d.buffer[i] = nil
-		// Origin may open a fresh discovery for the same destination if
-		// the route evaporated mid-flush; d is already unregistered, so
-		// the two records never alias.
-		r.Origin(p)
-	}
-	d.buffer = d.buffer[:0]
-	r.releaseDiscovery(d)
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, ttl, rreqBytes, msg)
+	return ringTraversalTime(ttl)
 }
 
 // Receive implements netsim.Router.
@@ -359,7 +239,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 			Src:      msg.Src,
 			Lifetime: int64(myRouteTimeout / sim.Millisecond),
 		}
-		r.sendControl(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
+		r.node.SendControl(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
 		return
 	}
 	// Intermediate node with a fresh-enough valid route may answer (§6.6.2).
@@ -373,7 +253,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 			Src:      msg.Src,
 			Lifetime: int64((rtExpires - r.node.Kernel().Now()) / sim.Millisecond),
 		}
-		r.sendControl(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
+		r.node.SendControl(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
 		return
 	}
 	// Otherwise re-flood with decremented TTL.
@@ -382,7 +262,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 	}
 	fwd := *msg
 	fwd.HopCount = hops
-	r.sendControl(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rreqBytes, &fwd)
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rreqBytes, &fwd)
 }
 
 func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
@@ -399,9 +279,7 @@ func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
 
 	if msg.Src == me {
 		// Discovery complete: release buffered traffic.
-		if d := r.discoveries[msg.Dst]; d != nil {
-			r.flushBuffer(d)
-		}
+		r.discoveries.Found(msg.Dst)
 		return
 	}
 	// Relay toward the originator along the reverse path.
@@ -415,7 +293,7 @@ func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
 	}
 	fwd := *msg
 	fwd.HopCount = hops
-	r.sendControl(revNext, msg.Src, p.TTL-1, rrepBytes, &fwd)
+	r.node.SendControl(revNext, msg.Src, p.TTL-1, rrepBytes, &fwd)
 }
 
 func (r *Router) sendHello() {
@@ -425,7 +303,7 @@ func (r *Router) sendHello() {
 		Lifetime: int64((1 + allowedHelloLoss) * helloInterval / sim.Millisecond),
 		Hello:    true,
 	}
-	r.sendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloBytes, msg)
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloBytes, msg)
 }
 
 func (r *Router) handleHello(msg *RREP, from netsim.NodeID) {
@@ -457,7 +335,7 @@ func (r *Router) broadcastRERR(unreachable []UnreachableDst) {
 	wire := make([]UnreachableDst, len(unreachable))
 	copy(wire, unreachable)
 	msg := &RERR{Unreachable: wire}
-	r.sendControl(netsim.BroadcastID, netsim.BroadcastID, 1, rerrSize(len(wire)), msg)
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, rerrSize(len(wire)), msg)
 }
 
 func (r *Router) handleRERR(msg *RERR, from netsim.NodeID) {

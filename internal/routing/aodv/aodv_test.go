@@ -110,6 +110,28 @@ func TestNoRouteDropsAfterRetries(t *testing.T) {
 	}
 }
 
+// TestRecycledSearchRestartsRing runs two searches for the same unreachable
+// destination on one router, the second on the record the first released:
+// it must start its ring at TTL_START again, not at the TTL the first one
+// ended on, so both give up after the same 4.24 s.
+func TestRecycledSearchRestartsRing(t *testing.T) {
+	w := chainWorld(t, 2, 5000, Config{})
+	var dropped []sim.Time
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+		if reason == "aodv:no-route" {
+			dropped = append(dropped, w.Kernel.Now())
+		}
+	}})
+	sendAt(w, sim.Second, 0, 1, 512)
+	sendAt(w, 6*sim.Second, 0, 1, 512)
+	w.Run(20 * sim.Second)
+	search := 560*sim.Millisecond + 720*sim.Millisecond + 2960*sim.Millisecond
+	want := []sim.Time{sim.Second + search, 6*sim.Second + search}
+	if !slices.Equal(dropped, want) {
+		t.Fatalf("no-route drops at %v, want %v", dropped, want)
+	}
+}
+
 func TestLinkBreakTriggersRediscovery(t *testing.T) {
 	// 3-node chain where the middle node moves away mid-run, breaking
 	// 0→1→2; node 0 must rediscover when node 1 returns.

@@ -13,7 +13,6 @@ package dymo
 
 import (
 	"fmt"
-	"slices"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
@@ -64,14 +63,13 @@ type Hello struct {
 }
 
 // Protocol constants: draft-14 defaults with Table I's 1 s HELLO interval.
+// RREQ_TRIES and the discovery buffer are netsim.Discoveries'.
 const (
 	helloInterval    = sim.Second
 	allowedHelloLoss = 2
 	routeTimeout     = 5 * sim.Second // ROUTE_TIMEOUT
 	rreqWaitTime     = sim.Second     // doubled per retry
-	rreqTries        = 3
-	hopLimit         = 20 // MSG_HOPLIMIT
-	bufferCap        = 64 // data packets queued per destination in discovery
+	hopLimit         = 20             // MSG_HOPLIMIT
 )
 
 // Config holds what a scenario chooses about DYMO; the zero value is the
@@ -81,17 +79,6 @@ type Config struct {
 	// routing messages, reducing DYMO to an AODV-like protocol (the ablation
 	// knob Spec.DYMONoPathAccumulation).
 	NoPathAccumulation bool
-}
-
-// discovery tracks one in-progress route discovery. Records (and their
-// timers and buffers) are pooled per router: a discovery is only released
-// after its timer has been stopped or has fired its final time, so a
-// recycled record can never receive a stale callback.
-type discovery struct {
-	dst     netsim.NodeID
-	retries int
-	timer   *sim.Timer
-	buffer  []*netsim.Packet
 }
 
 type seenKey struct {
@@ -111,8 +98,7 @@ type Router struct {
 
 	seq         uint32
 	table       *denseTable
-	discoveries map[netsim.NodeID]*discovery
-	discFree    []*discovery
+	discoveries *netsim.Discoveries
 	seen        sim.ExpiringSet[seenKey]
 	neighbors   *sim.TimerSet // HELLO liveness, one item per table index
 
@@ -129,17 +115,13 @@ var _ netsim.Router = (*Router)(nil)
 // New builds a DYMO router for node.
 func New(node *netsim.Node, cfg Config) *Router {
 	r := &Router{
-		cfg:         cfg,
-		node:        node,
-		discoveries: make(map[netsim.NodeID]*discovery),
-		table:       newDenseTable(node.Kernel(), routeTimeout),
+		cfg:   cfg,
+		node:  node,
+		table: newDenseTable(node.Kernel(), routeTimeout),
 	}
+	r.discoveries = netsim.NewDiscoveries(node, "dymo", r.routable, r.sendRREQ, r.Origin)
 	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.entries[x].dst) })
-	jitter := func() sim.Time {
-		span := int64(helloInterval / 5)
-		return sim.Time(node.Rand().Int63n(span) - span/2)
-	}
-	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, jitter, r.sendHello)
+	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
 }
@@ -157,28 +139,13 @@ func (r *Router) Start() {
 func (r *Router) Stop() {
 	r.helloTicker.Stop()
 	r.purgeTicker.Stop()
-	for _, d := range r.discoveries { // order-free: stopping a timer draws no sequence number
-		d.timer.Stop()
-	}
+	r.discoveries.Stop()
 	r.neighbors.StopAll()
 }
 
-// EachBuffered visits every data packet parked in route-discovery buffers —
-// the router's share of the custody set the packet-conservation invariant
-// audits — discovery by discovery in ascending destination order, so a
-// crash drops them in the same order on every replay.
-func (r *Router) EachBuffered(f func(p *netsim.Packet)) {
-	dsts := make([]netsim.NodeID, 0, len(r.discoveries))
-	for dst := range r.discoveries { // order-free: the keys are sorted below
-		dsts = append(dsts, dst)
-	}
-	slices.Sort(dsts)
-	for _, dst := range dsts {
-		for _, p := range r.discoveries[dst].buffer {
-			f(p)
-		}
-	}
-}
+// EachBuffered visits the data packets parked in route discoveries
+// (netsim.Discoveries.Each).
+func (r *Router) EachBuffered(f func(p *netsim.Packet)) { r.discoveries.Each(f) }
 
 // Table reports the valid route to dst, if any (for tests).
 func (r *Router) Table(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
@@ -196,50 +163,6 @@ func (r *Router) updateRoute(dst netsim.NodeID, seq uint32, seqKnown bool, hops 
 	r.table.update(dst, seq, seqKnown, hops, next)
 }
 
-// newDiscovery takes a discovery record from the pool (or builds one with
-// its timer) and registers it for dst.
-func (r *Router) newDiscovery(dst netsim.NodeID) *discovery {
-	var d *discovery
-	if n := len(r.discFree); n > 0 {
-		d = r.discFree[n-1]
-		r.discFree[n-1] = nil
-		r.discFree = r.discFree[:n-1]
-		d.dst, d.retries = dst, 0
-	} else {
-		d = &discovery{dst: dst}
-		d.timer = sim.NewTimer(r.node.Kernel(), func() { r.discoveryTimeout(d) })
-	}
-	r.discoveries[dst] = d
-	return d
-}
-
-// releaseDiscovery returns a record whose timer is no longer scheduled to
-// the pool, dropping its buffered-packet references.
-func (r *Router) releaseDiscovery(d *discovery) {
-	for i := range d.buffer {
-		d.buffer[i] = nil
-	}
-	d.buffer = d.buffer[:0]
-	r.discFree = append(r.discFree, d)
-}
-
-func (r *Router) sendControl(next netsim.NodeID, ttl, size int, msg any) {
-	p := r.node.Packet(netsim.Packet{
-		Kind:      netsim.KindControl,
-		Src:       r.node.ID(),
-		Dst:       netsim.BroadcastID,
-		Port:      netsim.PortRouting,
-		TTL:       ttl,
-		Size:      size + netsim.IPHeaderBytes,
-		Payload:   msg,
-		CreatedAt: r.now(),
-	})
-	if next != netsim.BroadcastID {
-		p.Dst = next
-	}
-	r.node.SendFrame(next, p)
-}
-
 // Origin implements netsim.Router.
 func (r *Router) Origin(p *netsim.Packet) {
 	if next, _, ok := r.table.validNext(p.Dst); ok {
@@ -248,65 +171,30 @@ func (r *Router) Origin(p *netsim.Packet) {
 		r.node.SendFrame(next, p)
 		return
 	}
-	d := r.discoveries[p.Dst]
-	if d != nil {
-		if len(d.buffer) >= bufferCap {
-			r.node.DropData(p, "dymo:buffer-full")
-			return
-		}
-		d.buffer = append(d.buffer, p)
-		return
-	}
-	d = r.newDiscovery(p.Dst)
-	d.buffer = append(d.buffer, p)
-	r.sendRREQ(d)
+	r.discoveries.Park(p)
 }
 
-func (r *Router) sendRREQ(d *discovery) {
+func (r *Router) routable(dst netsim.NodeID) bool {
+	_, _, ok := r.table.validNext(dst)
+	return ok
+}
+
+// sendRREQ floods the next request of d's search and returns how long it
+// waits for a reply.
+func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 	r.seq++
 	msg := &RM{
-		Target: d.dst,
+		Target: d.Dst,
 		Orig:   AddrBlock{Addr: r.node.ID(), Seq: r.seq},
 	}
-	if seq, seqKnown, ok := r.table.lastSeq(d.dst); ok && seqKnown {
+	if seq, seqKnown, ok := r.table.lastSeq(d.Dst); ok && seqKnown {
 		msg.TargetSeq = seq
 		msg.TargetSeqKnown = true
 	}
 	r.markSeen(seenKey{orig: r.node.ID(), seq: r.seq})
-	r.sendControl(netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
 	// Exponential backoff across retries, as the draft recommends.
-	d.timer.Reset(rreqWaitTime << uint(d.retries))
-}
-
-func (r *Router) discoveryTimeout(d *discovery) {
-	if _, _, ok := r.table.validNext(d.dst); ok {
-		r.flush(d)
-		return
-	}
-	d.retries++
-	if d.retries >= rreqTries {
-		for _, p := range d.buffer {
-			r.node.DropData(p, "dymo:no-route")
-		}
-		delete(r.discoveries, d.dst)
-		r.releaseDiscovery(d)
-		return
-	}
-	r.sendRREQ(d)
-}
-
-func (r *Router) flush(d *discovery) {
-	delete(r.discoveries, d.dst)
-	d.timer.Stop()
-	for i, p := range d.buffer {
-		d.buffer[i] = nil
-		// Origin may open a fresh discovery for the same destination if
-		// the route evaporated mid-flush; d is already unregistered, so
-		// the two records never alias.
-		r.Origin(p)
-	}
-	d.buffer = d.buffer[:0]
-	r.releaseDiscovery(d)
+	return rreqWaitTime << uint(d.Tries)
 }
 
 // Receive implements netsim.Router.
@@ -398,7 +286,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 			if !ok {
 				return
 			}
-			r.sendControl(next, hopLimit, rmBytes(rep), rep)
+			r.node.SendControl(next, next, hopLimit, rmBytes(rep), rep)
 			return
 		}
 		// Intermediate: append ourselves and re-flood.
@@ -413,15 +301,13 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 			HopCount:       msg.HopCount + 1,
 		}
 		fwd.Path = appendPath(msg.Path, r.pathEntry())
-		r.sendControl(netsim.BroadcastID, p.TTL-1, rmBytes(fwd), fwd)
+		r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rmBytes(fwd), fwd)
 		return
 	}
 
 	// RREP handling.
 	if msg.Target == me {
-		if d := r.discoveries[msg.Orig.Addr]; d != nil {
-			r.flush(d)
-		}
+		r.discoveries.Found(msg.Orig.Addr)
 		return
 	}
 	next, _, ok := r.table.validNext(msg.Target)
@@ -435,7 +321,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 		HopCount: msg.HopCount + 1,
 	}
 	fwd.Path = appendPath(msg.Path, r.pathEntry())
-	r.sendControl(next, p.TTL-1, rmBytes(fwd), fwd)
+	r.node.SendControl(next, next, p.TTL-1, rmBytes(fwd), fwd)
 }
 
 func (r *Router) pathEntry() AddrBlock {
@@ -455,7 +341,7 @@ func appendPath(path []AddrBlock, self AddrBlock) []AddrBlock {
 }
 
 func (r *Router) sendHello() {
-	r.sendControl(netsim.BroadcastID, 1, helloSize, &Hello{Seq: r.seq})
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloSize, &Hello{Seq: r.seq})
 }
 
 func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
@@ -489,7 +375,7 @@ func (r *Router) floodRERR(lost []AddrBlock) {
 	wire := make([]AddrBlock, len(lost))
 	copy(wire, lost)
 	msg := &RERR{Unreachable: wire, HopLimit: hopLimit}
-	r.sendControl(netsim.BroadcastID, hopLimit, rerrBytes(len(wire)), msg)
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rerrBytes(len(wire)), msg)
 }
 
 func (r *Router) handleRERR(msg *RERR, from netsim.NodeID) {
@@ -503,7 +389,7 @@ func (r *Router) handleRERR(msg *RERR, from netsim.NodeID) {
 		wire := make([]AddrBlock, len(r.rerrBuf))
 		copy(wire, r.rerrBuf)
 		fwd := &RERR{Unreachable: wire, HopLimit: msg.HopLimit - 1}
-		r.sendControl(netsim.BroadcastID, fwd.HopLimit, rerrBytes(len(wire)), fwd)
+		r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, fwd.HopLimit, rerrBytes(len(wire)), fwd)
 	}
 }
 

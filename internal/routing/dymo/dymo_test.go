@@ -115,15 +115,40 @@ func TestBufferingThroughDiscovery(t *testing.T) {
 func TestUnreachableDropsAfterTries(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
+	var droppedAt sim.Time
 	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
 		if reason == "dymo:no-route" {
 			drops++
+			droppedAt = w.Kernel.Now()
 		}
 	}})
 	sendAt(w, sim.Second, 0, 1, 512)
 	w.Run(20 * sim.Second)
 	if drops != 1 {
 		t.Fatalf("drops = %d, want 1", drops)
+	}
+	// RREQ_TRIES 3, each waiting RREQ_WAIT_TIME doubled per retry: 1, 2
+	// and 4 s after the first request at 1 s.
+	if want := 8 * sim.Second; droppedAt != want {
+		t.Fatalf("dropped at %v, want %v: the try count or the backoff changed", droppedAt, want)
+	}
+}
+
+func TestBufferCapDropsExcess(t *testing.T) {
+	w := chainWorld(t, 2, 5000, Config{})
+	var drops int
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+		if reason == "dymo:buffer-full" {
+			drops++
+		}
+	}})
+	// The 64-packet discovery buffer holds the first 64; 6 overflow.
+	for i := 0; i < 70; i++ {
+		sendAt(w, sim.Second, 0, 1, 512)
+	}
+	w.Run(3 * sim.Second)
+	if drops != 6 {
+		t.Fatalf("buffer-full drops = %d, want 6", drops)
 	}
 }
 

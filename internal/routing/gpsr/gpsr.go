@@ -106,12 +106,7 @@ func New(node *netsim.Node) *Router {
 		neighbors: make(map[netsim.NodeID]neighbor),
 		grid:      spatial.NewGrid(cellSize),
 	}
-	jitter := func() sim.Time {
-		// ±10% emission jitter, standard to decorrelate beacon storms.
-		span := int64(beaconInterval / 5)
-		return sim.Time(node.Rand().Int63n(span) - span/2)
-	}
-	r.beaconTicker = sim.NewTicker(node.Kernel(), beaconInterval, jitter, r.sendBeacon)
+	r.beaconTicker = sim.NewTicker(node.Kernel(), beaconInterval, node.Jitter(beaconInterval), r.sendBeacon)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
 }
@@ -132,18 +127,7 @@ func (r *Router) Stop() {
 }
 
 func (r *Router) sendBeacon() {
-	p := r.node.Packet(netsim.Packet{
-		UID:       0, // control packets are not tracked by metrics UIDs
-		Kind:      netsim.KindControl,
-		Src:       r.node.ID(),
-		Dst:       netsim.BroadcastID,
-		Port:      netsim.PortRouting,
-		TTL:       1,
-		Size:      beaconBytes + netsim.IPHeaderBytes,
-		Payload:   &Beacon{Pos: r.node.Position()},
-		CreatedAt: r.node.Kernel().Now(),
-	})
-	r.node.SendFrame(netsim.BroadcastID, p)
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, beaconBytes, &Beacon{Pos: r.node.Position()})
 }
 
 // learnNeighbor installs or refreshes a beacon-learned entry, keeping the

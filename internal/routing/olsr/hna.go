@@ -48,11 +48,7 @@ type hnaTuple struct {
 func (r *Router) AdvertiseNetwork(assoc NetworkAssoc) {
 	r.hnaLocal = append(r.hnaLocal, assoc)
 	if r.hnaTicker == nil {
-		jitter := func() sim.Time {
-			span := int64(tcInterval / 5)
-			return sim.Time(r.node.Rand().Int63n(span) - span/2)
-		}
-		r.hnaTicker = sim.NewTicker(r.node.Kernel(), tcInterval, jitter, r.sendHNA)
+		r.hnaTicker = sim.NewTicker(r.node.Kernel(), tcInterval, r.node.Jitter(tcInterval), r.sendHNA)
 		r.hnaTicker.Start()
 	}
 }
@@ -101,7 +97,7 @@ func (r *Router) sendHNA() {
 	r.msgSeq++
 	msg := &HNA{Origin: r.node.ID(), Networks: nets, Seq: r.msgSeq}
 	r.recordDup(dupKey{origin: msg.Origin, seq: msg.Seq}, r.now())
-	r.sendControl(netsim.DefaultTTL, hnaBytes(len(nets)), msg)
+	r.broadcast(netsim.DefaultTTL, hnaBytes(len(nets)), msg)
 }
 
 func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {

@@ -206,12 +206,9 @@ func New(node *netsim.Node, cfg Config) *Router {
 		selectors:     make(map[netsim.NodeID]sim.Time),
 		lastRecompute: -1,
 	}
-	jitter := func() sim.Time {
-		span := int64(helloInterval / 5)
-		return sim.Time(node.Rand().Int63n(span) - span/2)
-	}
-	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, jitter, r.sendHello)
-	r.tcTicker = sim.NewTicker(node.Kernel(), tcInterval, jitter, r.sendTC)
+	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
+	// TCs keep the HELLO period's jitter span.
+	r.tcTicker = sim.NewTicker(node.Kernel(), tcInterval, node.Jitter(helloInterval), r.sendTC)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), helloInterval/2, nil, r.purge)
 	return r
 }
@@ -406,18 +403,9 @@ func (r *Router) nextEpoch() uint64 {
 	return r.epochCounter
 }
 
-func (r *Router) sendControl(ttl, size int, msg any) {
-	p := r.node.Packet(netsim.Packet{
-		Kind:      netsim.KindControl,
-		Src:       r.node.ID(),
-		Dst:       netsim.BroadcastID,
-		Port:      netsim.PortRouting,
-		TTL:       ttl,
-		Size:      size + netsim.IPHeaderBytes,
-		Payload:   msg,
-		CreatedAt: r.now(),
-	})
-	r.node.SendFrame(netsim.BroadcastID, p)
+// broadcast floods an OLSR message: every one goes to all neighbours.
+func (r *Router) broadcast(ttl, size int, msg any) {
+	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, ttl, size, msg)
 }
 
 // helloLinks builds the link advertisements of a HELLO from current state.
@@ -455,7 +443,7 @@ func (r *Router) sendHello() {
 	r.flush()
 	now := r.now()
 	links := r.helloLinks(now)
-	r.sendControl(1, helloBytes(len(links)), &Hello{From: r.node.ID(), Links: links})
+	r.broadcast(1, helloBytes(len(links)), &Hello{From: r.node.ID(), Links: links})
 	// Advance every neighbor's expected-hello window.
 	if r.cfg.ETX {
 		for _, fi := range r.linkList {
@@ -503,7 +491,7 @@ func (r *Router) sendTC() {
 	r.msgSeq++
 	msg.Seq = r.msgSeq
 	r.recordDup(dupKey{origin: msg.Origin, seq: msg.Seq}, now)
-	r.sendControl(netsim.DefaultTTL, tcBytes(len(msg.Advertised)), msg)
+	r.broadcast(netsim.DefaultTTL, tcBytes(len(msg.Advertised)), msg)
 }
 
 // recordDup installs a duplicate-suppression entry; keys are unique per

@@ -257,16 +257,9 @@ mutant "phy cullMargin below 1" internal/phy/channel.go \
 	's|const cullMargin = 1.001|const cullMargin = 0.9|' \
 	./internal/phy 'TestChannelGridMatchesBruteForce|TestChannelCullReachesCellEdge'
 
-# ---- exported means reached (ROADMAP "Exported means reached"): a crash
-# drops the discovery buffers in EachBuffered's order, and make rules checks
-# the written rules. A revision without the sorted walk or scripts/rules
-# reads BROKEN on every row. ----
-mutant "aodv EachBuffered: discoveries walked in map order" internal/routing/aodv/aodv.go \
-	's|slices.Sort(dsts)|slices.Sort(dsts[:0])|' \
-	./internal/routing/aodv 'TestEachBufferedAscendingDestinations'
-mutant "dymo EachBuffered: discoveries walked in map order" internal/routing/dymo/dymo.go \
-	's|slices.Sort(dsts)|slices.Sort(dsts[:0])|' \
-	./internal/routing/dymo 'TestEachBufferedAscendingDestinations'
+# ---- exported means reached (ROADMAP "Exported means reached"): make rules
+# checks the written rules. A revision without scripts/rules reads BROKEN on
+# every row. ----
 rules=./scripts/rules
 mutant "rules reach: an exported func in internal/stats with no caller" internal/stats/summary.go \
 	'$a func Unreached() {}' \
@@ -278,7 +271,7 @@ mutant "rules rand: rand.New in internal/ca" internal/ca/lane.go \
 	'$a var _ = rand.New(nil)' \
 	$rules 'TestRules'
 mutant "rules timers: a map[int]*sim.Timer field" internal/routing/aodv/aodv.go \
-	's|^\tdiscFree    \[\]\*discovery$|\tdiscFree []*discovery; lost map[int]*sim.Timer|' \
+	's|^\tneighbors  *\*sim.TimerSet|\tlost map[int]*sim.Timer\n&|' \
 	$rules 'TestRules'
 mutant "rules counters: a router reads its node's NodeCounters" internal/routing/gpsr/gpsr.go \
 	's|^func (r \*Router) sendBeacon() {$|&\n\t_ = r.node.Counters()|' \
@@ -348,6 +341,21 @@ mutant "olsr markDirty: no nudge past a timestamp a read already stamped" intern
 mutant "mac freeze: the slots owed round down" internal/mac/dcf.go \
 	's#int((left+\(d\.cfg\.SlotTime\|slotTime\)-1)/\1)#int(left/\1)#' \
 	$mac 'TestBackoff'
+
+# ---- one discovery buffer for AODV and DYMO (ROADMAP "Reactive routers
+# share one discovery buffer"): the walk a crash drains, the shared try count
+# and the record pool. A revision without internal/netsim/discovery.go reads
+# BROKEN on every row. ----
+reactive='./internal/routing/aodv ./internal/routing/dymo'
+mutant "netsim Discoveries.Each: searches walked in map order" internal/netsim/discovery.go \
+	's|slices.Sort(dsts)|slices.Sort(dsts[:0])|' \
+	"$reactive" 'TestEachBufferedAscendingDestinations'
+mutant "netsim Discoveries.retry: one try more than RREQ_RETRIES/RREQ_TRIES allow" internal/netsim/discovery.go \
+	's|if d.Tries >= discoveryTries {|if d.Tries > discoveryTries {|' \
+	"$reactive" 'TestNoRouteDropsAfterRetries|TestUnreachableDropsAfterTries'
+mutant "netsim Discoveries.Park: a recycled record keeps its last TTL" internal/netsim/discovery.go \
+	's|d.Dst, d.Tries, d.TTL = p.Dst, 0, 0|d.Dst, d.Tries = p.Dst, 0|' \
+	./internal/routing/aodv 'TestRecycledSearchRestartsRing'
 
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
