@@ -145,19 +145,37 @@ func (ds *Discoveries) Stop() {
 	}
 }
 
+// Resume restarts the searches a Stop halted (a router's Start after a
+// graceful shutdown): each takes its retry decision at once, in ascending
+// destination order, because the requests it sends and the timers it arms
+// draw kernel sequence numbers. A search opened since the Stop (data
+// originated while the node was down) is armed and keeps its deadline.
+func (ds *Discoveries) Resume() {
+	for _, dst := range ds.dsts() {
+		if d := ds.open[dst]; d != nil && !d.timer.Active() {
+			ds.retry(d)
+		}
+	}
+}
+
 // Each visits every parked data packet — the router's share of the custody
 // set the packet-conservation invariant audits — search by search in
 // ascending destination order, so a crash drops them in the same order on
 // every replay.
 func (ds *Discoveries) Each(f func(p *Packet)) {
+	for _, dst := range ds.dsts() {
+		for _, p := range ds.open[dst].buffer {
+			f(p)
+		}
+	}
+}
+
+// dsts lists the destinations searched for, in ascending order.
+func (ds *Discoveries) dsts() []NodeID {
 	dsts := make([]NodeID, 0, len(ds.open))
 	for dst := range ds.open { // order-free: the keys are sorted below
 		dsts = append(dsts, dst)
 	}
 	slices.Sort(dsts)
-	for _, dst := range dsts {
-		for _, p := range ds.open[dst].buffer {
-			f(p)
-		}
-	}
+	return dsts
 }

@@ -100,6 +100,7 @@ func (r *Router) Name() string { return "aodv" }
 func (r *Router) Start() {
 	r.helloTicker.Start()
 	r.purgeTicker.Start()
+	r.discoveries.Resume()
 }
 
 // Stop implements netsim.Router.

@@ -132,6 +132,41 @@ func TestRecycledSearchRestartsRing(t *testing.T) {
 	}
 }
 
+// TestGracefulRestartResumesSearch shuts the source down gracefully in the
+// middle of a search and brings it back: the search must go on from where
+// it stopped, so the packets parked before and after the outage end as
+// no-route drops instead of staying parked, and the 64-packet buffer
+// empties for later traffic.
+func TestGracefulRestartResumesSearch(t *testing.T) {
+	w := chainWorld(t, 2, 5000, Config{})
+	drops := map[string]int{}
+	var noRouteAt sim.Time
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+		drops[reason]++
+		if reason == "aodv:no-route" {
+			noRouteAt = w.Kernel.Now()
+		}
+	}})
+	sendAt(w, sim.Second, 0, 1, 512)
+	w.Kernel.Schedule(1100*sim.Millisecond, func() { w.Node(0).Down(true) })
+	w.Kernel.Schedule(1200*sim.Millisecond, func() { w.Node(0).Up() })
+	for i := 0; i < 70; i++ {
+		sendAt(w, 2*sim.Second, 0, 1, 512)
+	}
+	w.Run(60 * sim.Second)
+	var parked int
+	w.Node(0).EachBuffered(func(*netsim.Packet) { parked++ })
+	if parked != 0 || drops["aodv:no-route"] != 64 || drops["aodv:buffer-full"] != 7 {
+		t.Fatalf("at 60 s: %d parked, drops %v; want 0 parked, 64 no-route, 7 buffer-full", parked, drops)
+	}
+	// The search resumes with a TTL 7 ring, then floods at NET_DIAMETER:
+	// 1.2 s + 720 ms + 2960 ms.
+	want := 1200*sim.Millisecond + 720*sim.Millisecond + 2960*sim.Millisecond
+	if noRouteAt != want {
+		t.Fatalf("no-route drops at %v, want %v", noRouteAt, want)
+	}
+}
+
 func TestLinkBreakTriggersRediscovery(t *testing.T) {
 	// 3-node chain where the middle node moves away mid-run, breaking
 	// 0→1→2; node 0 must rediscover when node 1 returns.

@@ -133,6 +133,7 @@ func (r *Router) Name() string { return "dymo" }
 func (r *Router) Start() {
 	r.helloTicker.Start()
 	r.purgeTicker.Start()
+	r.discoveries.Resume()
 }
 
 // Stop implements netsim.Router.

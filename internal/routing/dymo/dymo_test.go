@@ -152,6 +152,41 @@ func TestBufferCapDropsExcess(t *testing.T) {
 	}
 }
 
+// TestGracefulRestartResumesSearch shuts the source down gracefully in the
+// middle of a search and brings it back: the search must go on from where
+// it stopped, so the packets parked before and after the outage end as
+// no-route drops instead of staying parked, and the 64-packet buffer
+// empties for later traffic.
+func TestGracefulRestartResumesSearch(t *testing.T) {
+	w := chainWorld(t, 2, 5000, Config{})
+	drops := map[string]int{}
+	var noRouteAt sim.Time
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
+		drops[reason]++
+		if reason == "dymo:no-route" {
+			noRouteAt = w.Kernel.Now()
+		}
+	}})
+	sendAt(w, sim.Second, 0, 1, 512)
+	w.Kernel.Schedule(1100*sim.Millisecond, func() { w.Node(0).Down(true) })
+	w.Kernel.Schedule(1200*sim.Millisecond, func() { w.Node(0).Up() })
+	for i := 0; i < 70; i++ {
+		sendAt(w, 2*sim.Second, 0, 1, 512)
+	}
+	w.Run(60 * sim.Second)
+	var parked int
+	w.Node(0).EachBuffered(func(*netsim.Packet) { parked++ })
+	if parked != 0 || drops["dymo:no-route"] != 64 || drops["dymo:buffer-full"] != 7 {
+		t.Fatalf("at 60 s: %d parked, drops %v; want 0 parked, 64 no-route, 7 buffer-full", parked, drops)
+	}
+	// The search resumes with its second request, waiting 2 s, then its
+	// third, waiting 4 s: 1.2 s + 2 s + 4 s.
+	want := 7200 * sim.Millisecond
+	if noRouteAt != want {
+		t.Fatalf("no-route drops at %v, want %v", noRouteAt, want)
+	}
+}
+
 func TestVanishingDestinationRecovery(t *testing.T) {
 	// Chain 0-1-2-3 with CBR from 0 to 3; node 3 vanishes mid-run and
 	// returns. DYMO must detect the break (MAC feedback on the 2→3 hop),

@@ -17,9 +17,10 @@ var updateWorkCounts = flag.Bool("update", false, "rewrite testdata/workcounts.g
 // workCountCells are the runs TestWorkCounts pins: Table I at seed 1 under
 // the paper's three protocols, and shrunk cells that reach paths no golden
 // covers — OLSR's ETX costs, the RTS/CTS exchange, OLSR routers rebuilt by
-// crashes, OLSR resolving uplink flows through HNA, and the cells where
+// crashes, OLSR resolving uplink flows through HNA, the cells where
 // backoff countdowns are interrupted most (impaired links, crashes, dense
-// street grids) under every protocol.
+// street grids) under every protocol, and AODV and DYMO routers shut down
+// gracefully in the middle of route searches.
 func workCountCells(t *testing.T) []Spec {
 	t.Helper()
 	get := func(name string) Spec {
@@ -52,6 +53,11 @@ func workCountCells(t *testing.T) []Spec {
 			cells = append(cells, s)
 		}
 	}
+	for _, p := range []Protocol{AODV, DYMO} {
+		s := get("churn").Shrunk()
+		s.Protocol, s.Seed, s.Faults.ChurnGraceful = p, 5, true
+		cells = append(cells, s)
+	}
 	return cells
 }
 
@@ -69,7 +75,11 @@ func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result) error {
 		delivered += res.Delivered[snd]
 	}
 	m := res.MACStats
-	fmt.Fprintf(b, "cell %s/%s/etx=%v/rts=%d/seed=%d\n", spec.Name, res.Spec.Protocol, spec.OLSRETX, spec.RTSThreshold, spec.Seed)
+	graceful := ""
+	if spec.Faults.ChurnGraceful {
+		graceful = "/graceful"
+	}
+	fmt.Fprintf(b, "cell %s/%s/etx=%v/rts=%d/seed=%d%s\n", spec.Name, res.Spec.Protocol, spec.OLSRETX, spec.RTSThreshold, spec.Seed, graceful)
 	fmt.Fprintf(b, "  sha256 %x\n", sha256.Sum256(js))
 	fmt.Fprintf(b, "  data sent=%d delivered=%d\n", sent, delivered)
 	fmt.Fprintf(b, "  mac DataTx=%d AckTx=%d RTSTx=%d CTSTx=%d Retries=%d Failures=%d QueueDrops=%d BytesTx=%d\n",

@@ -356,6 +356,19 @@ mutant "netsim Discoveries.retry: one try more than RREQ_RETRIES/RREQ_TRIES allo
 mutant "netsim Discoveries.Park: a recycled record keeps its last TTL" internal/netsim/discovery.go \
 	's|d.Dst, d.Tries, d.TTL = p.Dst, 0, 0|d.Dst, d.Tries = p.Dst, 0|' \
 	./internal/routing/aodv 'TestRecycledSearchRestartsRing'
+# A router's Start resumes the searches a graceful shutdown halted; the
+# parent never did, so at REV=<parent> both rows read BROKEN. A crashed
+# node's fresh router opens searches for data originated while the node is
+# down; they are armed, and the resume must leave them be.
+mutant "aodv Start: the searches a graceful shutdown halted are not resumed" internal/routing/aodv/aodv.go \
+	'/^\tr.discoveries.Resume()$/d' \
+	./internal/routing/aodv 'TestGracefulRestartResumesSearch'
+mutant "dymo Start: the searches a graceful shutdown halted are not resumed" internal/routing/dymo/dymo.go \
+	'/^\tr.discoveries.Resume()$/d' \
+	./internal/routing/dymo 'TestGracefulRestartResumesSearch'
+mutant "netsim Discoveries.Resume: an armed search takes a second decision" internal/netsim/discovery.go \
+	's|if d := ds.open\[dst\]; d != nil \&\& !d.timer.Active() {|if d := ds.open[dst]; d != nil {|' \
+	./internal/fault 'TestCrashKeepsControlOverhead'
 
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
