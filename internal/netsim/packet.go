@@ -65,29 +65,32 @@ func (p *Packet) String() string {
 //
 // Data path: locally-originated packets enter via Origin; packets arriving
 // from the MAC that are not addressed to this node (or are control traffic
-// on PortRouting) enter via Receive. The router sends frames with
-// Node.SendFrame and delivers data with Node.DeliverLocal.
+// on PortRouting) enter via Receive. The router sends its own messages
+// with Node.SendControl, forwards data with Node.SendFrame and delivers it
+// with Node.DeliverLocal.
 //
 // A router never counts its own traffic: whatever crosses Node.SendFrame,
 // SendData, DeliverLocal or DropData is counted there (Node.Counters), so
 // the counts outlive a crash that replaces the router.
 //
-// Every packet is pooled, with custody-transfer semantics. A router builds
-// the packets it sends with Node.Packet (a control message, or a re-flood
-// of one it received), and the clone it receives for forwarding is its own.
-// Either is the router's until it hands the packet to exactly one terminal
-// event — Node.DeliverLocal, Node.DropData, or Node.SendFrame (after which
-// the MAC hands it back to the node once no receiver can still decode it,
-// and the node releases it). After that call the pointer is dead: the pool
-// may zero and reuse it, so routers must read anything they still need
-// (say, the destination of a dropped packet) before the handoff, and must
-// not park the same pointer in two places. Sending a zeroed packet panics.
+// Every packet is pooled, with custody-transfer semantics. Node.SendControl
+// takes each control message (or re-flood of one received) from the pool
+// and hands it straight to the MAC. A data packet a router is given to
+// originate or forward is its own until it hands the packet to exactly one
+// terminal event — Node.DeliverLocal, Node.DropData, or Node.SendFrame
+// (after which the MAC hands it back to the node once no receiver can still
+// decode it, and the node releases it). After that call the pointer is
+// dead: the pool may zero and reuse it, so routers must read anything they
+// still need (say, the destination of a dropped packet) before the handoff,
+// and must not park the same pointer in two places (netsim.Discoveries
+// parks each once). Sending a zeroed packet panics.
 // World hooks and PortHandlers observe packets during their terminal
 // events and must copy values, never retain the pointer.
 type Router interface {
 	// Name identifies the protocol ("aodv", "olsr", "dymo", "static", ...).
 	Name() string
-	// Start begins protocol operation (timers, hello emission).
+	// Start begins protocol operation (timers, hello emission), or
+	// resumes it after a graceful Stop.
 	Start()
 	// Stop halts all protocol timers.
 	Stop()
@@ -96,8 +99,8 @@ type Router interface {
 	// Receive handles a packet handed up by the MAC: either a routing
 	// control message or a data packet to forward. A KindControl *Packet
 	// is only valid for the duration of the call, so a router that
-	// re-floods one sends a copy from Node.Packet (payloads are not pooled
-	// and may be retained).
+	// re-floods one sends a new one with Node.SendControl (payloads are not
+	// pooled and may be retained).
 	Receive(p *Packet, from NodeID)
 	// LinkFailure is data-link feedback: a unicast to next exhausted its
 	// MAC retries while carrying p. A data packet comes back into the
