@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ca/ -fuzz FuzzLaneDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/rng/ -fuzz FuzzStreamMatchesMathRand -fuzztime 5s -run XXX
 	$(GO) test ./internal/netsim/ -fuzz FuzzInterner -fuzztime 5s -run XXX
+	$(GO) test ./internal/routing/aodv/ -fuzz FuzzTableMatchesReference -fuzztime 5s -run XXX
 
 # One iteration of each micro-benchmark family: keeps the benches
 # compiling and catches a fast path silently degrading, in seconds, without
@@ -128,9 +129,10 @@ fuzz-smoke:
 #    record per router (its "queued" column) rather than one per neighbour,
 #    and the batch-sort bench's radix/insertion columns whether a
 #    metro-sized fan-out still sorts by radix and where the two cross.
-#  - aodv/dymo: the table-level Forward benches run the dense table against
-#    the map reference from reference_test.go (0 allocs/op dense is the
-#    point); the RREQ-storm world runs the one table routers hold.
+#  - aodv/dymo: the table-level Forward benches run the one route table,
+#    netsim.Routes, against each protocol's map reference from its
+#    reference_test.go (0 allocs/op dense is the point); the RREQ-storm
+#    world runs the table routers hold.
 #  - mac: one acknowledged unicast on a warm pair (0 B/op is the point:
 #    every MAC and PHY frame goes back to its pool when it dies).
 #  - netsim: the interner every router keys its tables by, at table1,

@@ -49,7 +49,7 @@ type Router struct {
 	cfg  Config
 	node *netsim.Node
 
-	table       *denseTable
+	table       *netsim.Routes
 	seq         uint32
 	rreqID      uint32
 	seen        sim.ExpiringSet[seenKey]
@@ -58,7 +58,7 @@ type Router struct {
 
 	// rerrBuf is the reusable RERR collection scratch; broadcastRERR
 	// copies it into an exact-size wire slice, so it never escapes.
-	rerrBuf []UnreachableDst
+	rerrBuf []netsim.Unreachable
 
 	helloTicker *sim.Ticker
 	purgeTicker *sim.Ticker
@@ -71,10 +71,10 @@ func New(node *netsim.Node, cfg Config) *Router {
 	r := &Router{
 		cfg:   cfg,
 		node:  node,
-		table: newDenseTable(node.Kernel()),
+		table: netsim.NewRoutes(node.Kernel()),
 	}
-	r.discoveries = netsim.NewDiscoveries(node, "aodv", r.routable, r.sendRREQ, r.Origin)
-	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.entries[x].dst) })
+	r.discoveries = netsim.NewDiscoveries(node, "aodv", r.table.Usable, r.sendRREQ, r.Origin)
+	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.Dst(x)) })
 	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
@@ -89,7 +89,7 @@ func (r *Router) markSeen(key seenKey) {
 }
 
 func (r *Router) purge() {
-	r.table.purgeExpired()
+	r.table.Purge()
 	r.seen.Expire(r.node.Kernel().Now())
 }
 
@@ -118,23 +118,18 @@ func (r *Router) EachBuffered(f func(p *netsim.Packet)) { r.discoveries.Each(f) 
 // Table exposes route lookups for tests: it reports the next hop and
 // whether a valid route to dst exists.
 func (r *Router) Table(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
-	return r.table.validNext(dst)
+	return r.table.Next(dst)
 }
 
 // Origin implements netsim.Router.
 func (r *Router) Origin(p *netsim.Packet) {
-	if next, _, ok := r.table.validNext(p.Dst); ok {
-		r.table.refresh(p.Dst, activeRouteTimeout)
-		r.table.refresh(next, activeRouteTimeout)
+	if next, _, ok := r.table.Next(p.Dst); ok {
+		r.table.Refresh(p.Dst, activeRouteTimeout)
+		r.table.Refresh(next, activeRouteTimeout)
 		r.node.SendFrame(next, p)
 		return
 	}
 	r.discoveries.Park(p)
-}
-
-func (r *Router) routable(dst netsim.NodeID) bool {
-	_, _, ok := r.table.validNext(dst)
-	return ok
 }
 
 // sendRREQ floods the next request of d's expanding-ring search (§6.4) and
@@ -152,7 +147,7 @@ func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 		}
 	}
 	d.TTL = ttl
-	dstSeq, dstSeqKnown, _ := r.table.lastSeq(d.Dst)
+	dstSeq, dstSeqKnown, _ := r.table.LastSeq(d.Dst)
 	if !dstSeqKnown {
 		dstSeq = 0
 	}
@@ -193,22 +188,22 @@ func (r *Router) forwardData(p *netsim.Packet, from netsim.NodeID) {
 		r.node.DropData(p, "aodv:ttl")
 		return
 	}
-	next, _, ok := r.table.validNext(p.Dst)
+	next, _, ok := r.table.Next(p.Dst)
 	if !ok {
 		// RFC 3561 §6.11 case (ii): data for a destination we cannot reach.
 		// DropData may recycle p, so read the destination first.
 		dst := p.Dst
 		r.node.DropData(p, "aodv:no-forward-route")
-		seq, _, _ := r.table.lastSeq(dst)
-		r.rerrBuf = append(r.rerrBuf[:0], UnreachableDst{Dst: dst, Seq: seq})
+		seq, _, _ := r.table.LastSeq(dst)
+		r.rerrBuf = append(r.rerrBuf[:0], netsim.Unreachable{Dst: dst, Seq: seq})
 		r.broadcastRERR(r.rerrBuf)
 		return
 	}
 	// Active data refreshes source, destination and next-hop routes.
-	r.table.refresh(p.Dst, activeRouteTimeout)
-	r.table.refresh(next, activeRouteTimeout)
-	r.table.refresh(p.Src, activeRouteTimeout)
-	r.table.refresh(from, activeRouteTimeout)
+	r.table.Refresh(p.Dst, activeRouteTimeout)
+	r.table.Refresh(next, activeRouteTimeout)
+	r.table.Refresh(p.Src, activeRouteTimeout)
+	r.table.Refresh(from, activeRouteTimeout)
 	r.node.SendFrame(next, p)
 }
 
@@ -224,10 +219,10 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 	r.markSeen(key)
 
 	// Reverse route to the previous hop and to the originator (§6.5).
-	r.table.update(from, 0, false, 1, from, activeRouteTimeout)
+	r.table.Update(from, 0, false, 1, from, activeRouteTimeout)
 	hops := msg.HopCount + 1
 	minLifetime := 2*netTraversalTime - sim.Time(2*hops)*nodeTraversalTime
-	r.table.update(msg.Src, msg.SrcSeq, true, hops, from, minLifetime)
+	r.table.Update(msg.Src, msg.SrcSeq, true, hops, from, minLifetime)
 
 	if msg.Dst == me {
 		// RFC 3561 §6.6.1: destination replies, seq = max(own, RREQ's).
@@ -244,9 +239,9 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 		return
 	}
 	// Intermediate node with a fresh-enough valid route may answer (§6.6.2).
-	if rtHops, rtSeq, rtSeqKnown, rtExpires, ok := r.table.replyInfo(msg.Dst); ok && rtSeqKnown &&
+	if rtHops, rtSeq, rtSeqKnown, rtExpires, ok := r.table.ReplyInfo(msg.Dst); ok && rtSeqKnown &&
 		(!msg.DstSeqKnown || int32(rtSeq-msg.DstSeq) >= 0) {
-		r.table.addPrecursor(msg.Dst, from)
+		r.table.AddPrecursor(msg.Dst, from)
 		rep := &RREP{
 			HopCount: rtHops,
 			Dst:      msg.Dst,
@@ -275,8 +270,8 @@ func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
 	hops := msg.HopCount + 1
 	lifetime := sim.Time(msg.Lifetime) * sim.Millisecond
 	// Forward route to the replied destination (§6.7).
-	r.table.update(msg.Dst, msg.DstSeq, true, hops, from, lifetime)
-	r.table.update(from, 0, false, 1, from, activeRouteTimeout)
+	r.table.Update(msg.Dst, msg.DstSeq, true, hops, from, lifetime)
+	r.table.Update(from, 0, false, 1, from, activeRouteTimeout)
 
 	if msg.Src == me {
 		// Discovery complete: release buffered traffic.
@@ -284,13 +279,13 @@ func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
 		return
 	}
 	// Relay toward the originator along the reverse path.
-	revNext, _, ok := r.table.validNext(msg.Src)
+	revNext, _, ok := r.table.Next(msg.Src)
 	if !ok {
 		return // reverse route evaporated; the originator will retry
 	}
-	r.table.addPrecursor(msg.Dst, revNext)
-	if _, _, ok := r.table.validNext(msg.Dst); ok {
-		r.table.addPrecursor(from, revNext)
+	r.table.AddPrecursor(msg.Dst, revNext)
+	if _, _, ok := r.table.Next(msg.Dst); ok {
+		r.table.AddPrecursor(from, revNext)
 	}
 	fwd := *msg
 	fwd.HopCount = hops
@@ -309,8 +304,8 @@ func (r *Router) sendHello() {
 
 func (r *Router) handleHello(msg *RREP, from netsim.NodeID) {
 	life := sim.Time(msg.Lifetime) * sim.Millisecond
-	r.table.update(from, msg.DstSeq, true, 1, from, life)
-	r.neighbors.Reset(r.table.ids.Index(from), (allowedHelloLoss+1)*helloInterval)
+	r.table.Update(from, msg.DstSeq, true, 1, from, life)
+	r.neighbors.Reset(r.table.Index(from), (allowedHelloLoss+1)*helloInterval)
 }
 
 // LinkFailure implements netsim.Router (data-link feedback, §6.11 case i).
@@ -322,18 +317,18 @@ func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 }
 
 func (r *Router) linkBroken(neighbor netsim.NodeID) {
-	r.rerrBuf = r.table.breakVia(neighbor, r.rerrBuf[:0])
+	r.rerrBuf = r.table.BreakVia(neighbor, r.rerrBuf[:0])
 	r.broadcastRERR(r.rerrBuf)
 }
 
 // broadcastRERR emits a RERR carrying the given unreachable set. The
 // slice is copied at exact size onto the wire message — receivers retain
 // RERR payloads past this call, so the reusable scratch must not escape.
-func (r *Router) broadcastRERR(unreachable []UnreachableDst) {
+func (r *Router) broadcastRERR(unreachable []netsim.Unreachable) {
 	if len(unreachable) == 0 {
 		return
 	}
-	wire := make([]UnreachableDst, len(unreachable))
+	wire := make([]netsim.Unreachable, len(unreachable))
 	copy(wire, unreachable)
 	msg := &RERR{Unreachable: wire}
 	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, rerrSize(len(wire)), msg)
@@ -342,8 +337,8 @@ func (r *Router) broadcastRERR(unreachable []UnreachableDst) {
 func (r *Router) handleRERR(msg *RERR, from netsim.NodeID) {
 	r.rerrBuf = r.rerrBuf[:0]
 	for _, u := range msg.Unreachable {
-		if seq, propagate, matched := r.table.rerrApply(u.Dst, from, u.Seq); matched && propagate {
-			r.rerrBuf = append(r.rerrBuf, UnreachableDst{Dst: u.Dst, Seq: seq})
+		if seq, propagate, matched := r.table.RerrApply(u.Dst, from, u.Seq); matched && propagate {
+			r.rerrBuf = append(r.rerrBuf, netsim.Unreachable{Dst: u.Dst, Seq: seq})
 		}
 	}
 	r.broadcastRERR(r.rerrBuf)

@@ -374,14 +374,14 @@ func TestRouterName(t *testing.T) {
 	}
 }
 
-// Unit tests for the routing-table rules, run against both the dense fast
-// path and the map oracle.
+// Unit tests for the routing-table rules, run against both netsim.Routes
+// (the table routers hold) and the map oracle.
 
 func eachTable(t *testing.T, f func(t *testing.T, k *sim.Kernel, tbl routeTable)) {
 	t.Helper()
 	t.Run("dense", func(t *testing.T) {
 		k := sim.NewKernel()
-		f(t, k, newDenseTable(k))
+		f(t, k, netsim.NewRoutes(k))
 	})
 	t.Run("oracle", func(t *testing.T) {
 		k := sim.NewKernel()
@@ -391,20 +391,20 @@ func eachTable(t *testing.T, f func(t *testing.T, k *sim.Kernel, tbl routeTable)
 
 func TestTableSequenceRules(t *testing.T) {
 	eachTable(t, func(t *testing.T, k *sim.Kernel, tbl routeTable) {
-		tbl.update(5, 10, true, 3, 1, sim.Second)
+		tbl.Update(5, 10, true, 3, 1, sim.Second)
 		// Older sequence number must not overwrite.
-		tbl.update(5, 9, true, 1, 2, sim.Second)
-		if next, hops, ok := tbl.validNext(5); !ok || next != 1 || hops != 3 {
+		tbl.Update(5, 9, true, 1, 2, sim.Second)
+		if next, hops, ok := tbl.Next(5); !ok || next != 1 || hops != 3 {
 			t.Fatalf("stale update accepted: next=%d hops=%d ok=%v", next, hops, ok)
 		}
 		// Same seq, shorter path wins.
-		tbl.update(5, 10, true, 2, 3, sim.Second)
-		if next, hops, ok := tbl.validNext(5); !ok || next != 3 || hops != 2 {
+		tbl.Update(5, 10, true, 2, 3, sim.Second)
+		if next, hops, ok := tbl.Next(5); !ok || next != 3 || hops != 2 {
 			t.Fatalf("shorter path rejected: next=%d hops=%d ok=%v", next, hops, ok)
 		}
 		// Newer seq always wins, even when longer.
-		tbl.update(5, 11, true, 7, 4, sim.Second)
-		if next, hops, ok := tbl.validNext(5); !ok || next != 4 || hops != 7 {
+		tbl.Update(5, 11, true, 7, 4, sim.Second)
+		if next, hops, ok := tbl.Next(5); !ok || next != 4 || hops != 7 {
 			t.Fatalf("newer seq rejected: next=%d hops=%d ok=%v", next, hops, ok)
 		}
 	})
@@ -412,14 +412,14 @@ func TestTableSequenceRules(t *testing.T) {
 
 func TestTableExpiry(t *testing.T) {
 	eachTable(t, func(t *testing.T, k *sim.Kernel, tbl routeTable) {
-		tbl.update(5, 1, true, 1, 1, sim.Second)
-		if _, _, ok := tbl.validNext(5); !ok {
+		tbl.Update(5, 1, true, 1, 1, sim.Second)
+		if _, _, ok := tbl.Next(5); !ok {
 			t.Fatal("fresh route should be valid")
 		}
 		k.Schedule(2*sim.Second, func() {})
 		for k.Step() {
 		}
-		if _, _, ok := tbl.validNext(5); ok {
+		if _, _, ok := tbl.Next(5); ok {
 			t.Fatal("expired route should be invalid")
 		}
 	})
@@ -427,12 +427,12 @@ func TestTableExpiry(t *testing.T) {
 
 func TestTableBreakViaBumpsSeq(t *testing.T) {
 	eachTable(t, func(t *testing.T, k *sim.Kernel, tbl routeTable) {
-		tbl.update(5, 7, true, 1, 1, sim.Second)
-		got := tbl.breakVia(1, nil)
+		tbl.Update(5, 7, true, 1, 1, sim.Second)
+		got := tbl.BreakVia(1, nil)
 		if len(got) != 1 || got[0].Dst != 5 || got[0].Seq != 8 {
 			t.Fatalf("breakVia should bump seq: %+v", got)
 		}
-		if got := tbl.breakVia(1, nil); len(got) != 0 {
+		if got := tbl.BreakVia(1, nil); len(got) != 0 {
 			t.Fatalf("double breakVia should find nothing: %+v", got)
 		}
 	})
@@ -440,13 +440,13 @@ func TestTableBreakViaBumpsSeq(t *testing.T) {
 
 func TestTableBreakVia(t *testing.T) {
 	eachTable(t, func(t *testing.T, k *sim.Kernel, tbl routeTable) {
-		tbl.update(5, 1, true, 2, 9, sim.Second)
-		tbl.update(6, 1, true, 3, 9, sim.Second)
-		tbl.update(7, 1, true, 1, 8, sim.Second)
-		if via := tbl.breakVia(9, nil); len(via) != 2 {
+		tbl.Update(5, 1, true, 2, 9, sim.Second)
+		tbl.Update(6, 1, true, 3, 9, sim.Second)
+		tbl.Update(7, 1, true, 1, 8, sim.Second)
+		if via := tbl.BreakVia(9, nil); len(via) != 2 {
 			t.Fatalf("breakVia = %d entries, want 2", len(via))
 		}
-		if _, _, ok := tbl.validNext(7); !ok {
+		if _, _, ok := tbl.Next(7); !ok {
 			t.Fatal("route via another neighbor must survive")
 		}
 	})
@@ -456,9 +456,9 @@ func TestSeqWraparound(t *testing.T) {
 	eachTable(t, func(t *testing.T, k *sim.Kernel, tbl routeTable) {
 		// Near-wraparound: 2^32-1 then 1 — signed comparison must treat 1
 		// as newer.
-		tbl.update(5, ^uint32(0), true, 2, 1, sim.Second)
-		tbl.update(5, 1, true, 5, 2, sim.Second)
-		if next, _, ok := tbl.validNext(5); !ok || next != 2 {
+		tbl.Update(5, ^uint32(0), true, 2, 1, sim.Second)
+		tbl.Update(5, 1, true, 5, 2, sim.Second)
+		if next, _, ok := tbl.Next(5); !ok || next != 2 {
 			t.Fatalf("wraparound comparison failed: next=%d ok=%v", next, ok)
 		}
 	})

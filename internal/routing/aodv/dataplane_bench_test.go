@@ -8,36 +8,36 @@ import (
 	"cavenet/internal/sim"
 )
 
-// TestDataPlaneZeroAlloc pins the dense table's per-packet work at exactly
-// zero allocations once the destination set is warm: route lookup plus
-// refresh (the forwarding path), steady route updates (RREP/reverse-route
-// maintenance), the link-break → RERR cycle through the reused scratch
-// buffer, and the lazy purge tick. One destination sits in the map
+// TestDataPlaneZeroAlloc pins the route table's per-packet work, at AODV's
+// lifetimes, at exactly zero allocations once the destination set is warm:
+// route lookup plus refresh (the forwarding path), steady route updates
+// (RREP/reverse-route maintenance), the link-break → RERR cycle through the
+// reused scratch buffer, and the lazy purge tick. One destination sits in the map
 // fallback range (an external uplink address) so the hybrid interning is
 // exercised too.
 func TestDataPlaneZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
-	tbl := newDenseTable(k)
+	tbl := netsim.NewRoutes(k)
 	const lifetime = 3 * sim.Second
 	dsts := []netsim.NodeID{1 << 30}
 	for d := netsim.NodeID(0); d < 64; d++ {
 		dsts = append(dsts, d)
 	}
-	var buf []UnreachableDst
+	var buf []netsim.Unreachable
 	seq := uint32(1)
 	steady := func() {
 		for _, d := range dsts {
-			tbl.update(d, seq, true, 2, 5, lifetime)
+			tbl.Update(d, seq, true, 2, 5, lifetime)
 		}
 		for _, d := range dsts {
-			tbl.validNext(d)
-			tbl.refresh(d, lifetime)
+			tbl.Next(d)
+			tbl.Refresh(d, lifetime)
 		}
-		buf = tbl.breakVia(5, buf[:0])
+		buf = tbl.BreakVia(5, buf[:0])
 		for _, d := range dsts {
-			tbl.rerrApply(d, 5, seq)
+			tbl.RerrApply(d, 5, seq)
 		}
-		tbl.purgeExpired()
+		tbl.Purge()
 		seq++
 	}
 	steady() // warm: intern the destinations, size the scratch buffer
@@ -49,14 +49,14 @@ func TestDataPlaneZeroAlloc(t *testing.T) {
 // warmTable interns n destinations with valid routes via next hop 5.
 func warmTable(tbl routeTable, n int, lifetime sim.Time) {
 	for d := netsim.NodeID(0); d < netsim.NodeID(n); d++ {
-		tbl.update(d, 1, true, 2, 5, lifetime)
+		tbl.Update(d, 1, true, 2, 5, lifetime)
 	}
 }
 
 // BenchmarkAODVForward measures the per-packet table work of forwarding —
-// one validNext plus the two refreshes every forwarded frame performs —
-// on a warm 64-destination table. "dense" is the table routers use (zero
-// allocations); "oracle" is the map-based reference in reference_test.go,
+// one Next plus the two refreshes every forwarded frame performs — on a
+// warm 64-destination table. "dense" is netsim.Routes, the table routers
+// use (zero allocations); "oracle" is the map-based reference in reference_test.go,
 // which is also the pre-optimization cost profile. See PERF.md for the
 // table.
 func BenchmarkAODVForward(b *testing.B) {
@@ -68,16 +68,16 @@ func BenchmarkAODVForward(b *testing.B) {
 			if mode == "oracle" {
 				tbl = newMapTable(k)
 			} else {
-				tbl = newDenseTable(k)
+				tbl = netsim.NewRoutes(k)
 			}
 			warmTable(tbl, 64, lifetime)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := netsim.NodeID(i & 63)
-				tbl.validNext(d)
-				tbl.refresh(d, lifetime)
-				tbl.refresh(5, lifetime)
+				tbl.Next(d)
+				tbl.Refresh(d, lifetime)
+				tbl.Refresh(5, lifetime)
 			}
 		})
 	}

@@ -42,15 +42,9 @@ type RREP struct {
 	Hello    bool
 }
 
-// UnreachableDst names one destination lost due to a link break.
-type UnreachableDst struct {
-	Dst netsim.NodeID
-	Seq uint32
-}
-
 // RERR reports broken routes to upstream precursors.
 type RERR struct {
-	Unreachable []UnreachableDst
+	Unreachable []netsim.Unreachable
 }
 
 func rerrSize(n int) int { return rerrBaseBytes + n*rerrDestBytes }

@@ -8,35 +8,35 @@ import (
 	"cavenet/internal/sim"
 )
 
-// TestDataPlaneZeroAlloc pins the dense table's per-packet work at exactly
-// zero allocations once the destination set is warm: route lookup plus
-// refresh (the forwarding path), steady route updates (routing-message
-// processing), the link-break → RERR cycle through the reused scratch
-// buffer, and the epoch-stamped purge tick. One destination sits in the
+// TestDataPlaneZeroAlloc pins the route table's per-packet work, at DYMO's
+// lifetime, at exactly zero allocations once the destination set is warm:
+// route lookup plus refresh (the forwarding path), steady route updates
+// (routing-message processing), the link-break → RERR cycle through the
+// reused scratch buffer, and the epoch-stamped purge tick. One destination sits in the
 // map fallback range (an external uplink address) so the hybrid interning
 // is exercised too.
 func TestDataPlaneZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
-	tbl := newDenseTable(k, 5*sim.Second)
+	tbl := netsim.NewRoutes(k)
 	dsts := []netsim.NodeID{1 << 30}
 	for d := netsim.NodeID(0); d < 64; d++ {
 		dsts = append(dsts, d)
 	}
-	var buf []AddrBlock
+	var buf []netsim.Unreachable
 	seq := uint32(1)
 	steady := func() {
 		for _, d := range dsts {
-			tbl.update(d, seq, true, 2, 5)
+			tbl.Update(d, seq, true, 2, 5, routeTimeout)
 		}
 		for _, d := range dsts {
-			tbl.validNext(d)
-			tbl.refresh(d)
+			tbl.Next(d)
+			tbl.Refresh(d, routeTimeout)
 		}
-		buf = tbl.breakVia(5, buf[:0])
+		buf = tbl.BreakVia(5, buf[:0])
 		for _, d := range dsts {
-			tbl.rerrApply(d, 5, seq)
+			tbl.RerrApply(d, 5, seq)
 		}
-		tbl.purgeExpired()
+		tbl.Purge()
 		seq++
 	}
 	steady() // warm: intern the destinations, size the scratch buffer
@@ -46,32 +46,31 @@ func TestDataPlaneZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkDYMOForward measures the per-packet table work of forwarding —
-// one validNext plus the two refreshes every forwarded frame performs —
-// on a warm 64-destination table. "dense" is the table routers use (zero
-// allocations); "oracle" is the map-based reference in reference_test.go,
+// one Next plus the two refreshes every forwarded frame performs — on a
+// warm 64-destination table. "dense" is netsim.Routes, the table routers
+// use (zero allocations); "oracle" is the map-based reference in reference_test.go,
 // which is also the pre-optimization cost profile. See PERF.md for the
 // table.
 func BenchmarkDYMOForward(b *testing.B) {
-	const timeout = 5 * sim.Second
 	for _, mode := range []string{"dense", "oracle"} {
 		b.Run(mode, func(b *testing.B) {
 			k := sim.NewKernel()
 			var tbl routeTable
 			if mode == "oracle" {
-				tbl = newMapTable(k, timeout)
+				tbl = newMapTable(k)
 			} else {
-				tbl = newDenseTable(k, timeout)
+				tbl = netsim.NewRoutes(k)
 			}
 			for d := netsim.NodeID(0); d < 64; d++ {
-				tbl.update(d, 1, true, 2, 5)
+				tbl.Update(d, 1, true, 2, 5, routeTimeout)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := netsim.NodeID(i & 63)
-				tbl.validNext(d)
-				tbl.refresh(d)
-				tbl.refresh(5)
+				tbl.Next(d)
+				tbl.Refresh(d, routeTimeout)
+				tbl.Refresh(5, routeTimeout)
 			}
 		})
 	}

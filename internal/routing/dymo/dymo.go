@@ -51,7 +51,7 @@ func rmBytes(m *RM) int { return rmBaseBytes + (1+len(m.Path))*addrBlockSize }
 // RERR reports unreachable destinations; it floods one hop at a time
 // through re-broadcasts by routers that had matching routes.
 type RERR struct {
-	Unreachable []AddrBlock
+	Unreachable []netsim.Unreachable
 	HopLimit    int
 }
 
@@ -97,14 +97,14 @@ type Router struct {
 	node *netsim.Node
 
 	seq         uint32
-	table       *denseTable
+	table       *netsim.Routes
 	discoveries *netsim.Discoveries
 	seen        sim.ExpiringSet[seenKey]
 	neighbors   *sim.TimerSet // HELLO liveness, one item per table index
 
 	// rerrBuf is the reusable RERR collection scratch; floodRERR copies
 	// it into an exact-size wire slice, so it never escapes.
-	rerrBuf []AddrBlock
+	rerrBuf []netsim.Unreachable
 
 	helloTicker *sim.Ticker
 	purgeTicker *sim.Ticker
@@ -117,10 +117,10 @@ func New(node *netsim.Node, cfg Config) *Router {
 	r := &Router{
 		cfg:   cfg,
 		node:  node,
-		table: newDenseTable(node.Kernel(), routeTimeout),
+		table: netsim.NewRoutes(node.Kernel()),
 	}
-	r.discoveries = netsim.NewDiscoveries(node, "dymo", r.routable, r.sendRREQ, r.Origin)
-	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.entries[x].dst) })
+	r.discoveries = netsim.NewDiscoveries(node, "dymo", r.table.Usable, r.sendRREQ, r.Origin)
+	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.Dst(x)) })
 	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
 	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
 	return r
@@ -150,7 +150,7 @@ func (r *Router) EachBuffered(f func(p *netsim.Packet)) { r.discoveries.Each(f) 
 
 // Table reports the valid route to dst, if any (for tests).
 func (r *Router) Table(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
-	return r.table.validNext(dst)
+	return r.table.Next(dst)
 }
 
 func (r *Router) now() sim.Time { return r.node.Kernel().Now() }
@@ -161,23 +161,18 @@ func (r *Router) updateRoute(dst netsim.NodeID, seq uint32, seqKnown bool, hops 
 	if dst == r.node.ID() {
 		return
 	}
-	r.table.update(dst, seq, seqKnown, hops, next)
+	r.table.Update(dst, seq, seqKnown, hops, next, routeTimeout)
 }
 
 // Origin implements netsim.Router.
 func (r *Router) Origin(p *netsim.Packet) {
-	if next, _, ok := r.table.validNext(p.Dst); ok {
-		r.table.refresh(p.Dst)
-		r.table.refresh(next)
+	if next, _, ok := r.table.Next(p.Dst); ok {
+		r.table.Refresh(p.Dst, routeTimeout)
+		r.table.Refresh(next, routeTimeout)
 		r.node.SendFrame(next, p)
 		return
 	}
 	r.discoveries.Park(p)
-}
-
-func (r *Router) routable(dst netsim.NodeID) bool {
-	_, _, ok := r.table.validNext(dst)
-	return ok
 }
 
 // sendRREQ floods the next request of d's search and returns how long it
@@ -188,7 +183,7 @@ func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 		Target: d.Dst,
 		Orig:   AddrBlock{Addr: r.node.ID(), Seq: r.seq},
 	}
-	if seq, seqKnown, ok := r.table.lastSeq(d.Dst); ok && seqKnown {
+	if seq, seqKnown, ok := r.table.LastSeq(d.Dst); ok && seqKnown {
 		msg.TargetSeq = seq
 		msg.TargetSeqKnown = true
 	}
@@ -222,20 +217,20 @@ func (r *Router) forwardData(p *netsim.Packet, from netsim.NodeID) {
 		r.node.DropData(p, "dymo:ttl")
 		return
 	}
-	next, _, ok := r.table.validNext(p.Dst)
+	next, _, ok := r.table.Next(p.Dst)
 	if !ok {
 		// DropData may recycle p, so read the destination first.
 		dst := p.Dst
 		r.node.DropData(p, "dymo:no-forward-route")
-		seq, _, _ := r.table.lastSeq(dst)
-		r.rerrBuf = append(r.rerrBuf[:0], AddrBlock{Addr: dst, Seq: seq})
+		seq, _, _ := r.table.LastSeq(dst)
+		r.rerrBuf = append(r.rerrBuf[:0], netsim.Unreachable{Dst: dst, Seq: seq})
 		r.floodRERR(r.rerrBuf)
 		return
 	}
-	r.table.refresh(p.Dst)
-	r.table.refresh(p.Src)
-	r.table.refresh(next)
-	r.table.refresh(from)
+	r.table.Refresh(p.Dst, routeTimeout)
+	r.table.Refresh(p.Src, routeTimeout)
+	r.table.Refresh(next, routeTimeout)
+	r.table.Refresh(from, routeTimeout)
 	r.node.SendFrame(next, p)
 }
 
@@ -283,7 +278,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 				Target:  msg.Orig.Addr,
 				Orig:    AddrBlock{Addr: me, Seq: r.seq},
 			}
-			next, _, ok := r.table.validNext(msg.Orig.Addr)
+			next, _, ok := r.table.Next(msg.Orig.Addr)
 			if !ok {
 				return
 			}
@@ -311,7 +306,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 		r.discoveries.Found(msg.Orig.Addr)
 		return
 	}
-	next, _, ok := r.table.validNext(msg.Target)
+	next, _, ok := r.table.Next(msg.Target)
 	if !ok {
 		return
 	}
@@ -347,7 +342,7 @@ func (r *Router) sendHello() {
 
 func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	r.updateRoute(from, msg.Seq, false, 1, from)
-	r.neighbors.Reset(r.table.ids.Index(from), (allowedHelloLoss+1)*helloInterval)
+	r.neighbors.Reset(r.table.Index(from), (allowedHelloLoss+1)*helloInterval)
 }
 
 // LinkFailure implements netsim.Router (active link monitoring through
@@ -360,7 +355,7 @@ func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 }
 
 func (r *Router) linkBroken(neighbor netsim.NodeID) {
-	r.rerrBuf = r.table.breakVia(neighbor, r.rerrBuf[:0])
+	r.rerrBuf = r.table.BreakVia(neighbor, r.rerrBuf[:0])
 	r.floodRERR(r.rerrBuf)
 }
 
@@ -369,11 +364,11 @@ func (r *Router) linkBroken(neighbor netsim.NodeID) {
 // breakage information (paper §III-B.3). The slice is copied at exact size
 // onto the wire message — receivers retain RERR payloads past this call, so
 // the reusable scratch must not escape.
-func (r *Router) floodRERR(lost []AddrBlock) {
+func (r *Router) floodRERR(lost []netsim.Unreachable) {
 	if len(lost) == 0 {
 		return
 	}
-	wire := make([]AddrBlock, len(lost))
+	wire := make([]netsim.Unreachable, len(lost))
 	copy(wire, lost)
 	msg := &RERR{Unreachable: wire, HopLimit: hopLimit}
 	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rerrBytes(len(wire)), msg)
@@ -382,12 +377,12 @@ func (r *Router) floodRERR(lost []AddrBlock) {
 func (r *Router) handleRERR(msg *RERR, from netsim.NodeID) {
 	r.rerrBuf = r.rerrBuf[:0]
 	for _, u := range msg.Unreachable {
-		if seq, matched := r.table.rerrApply(u.Addr, from, u.Seq); matched {
-			r.rerrBuf = append(r.rerrBuf, AddrBlock{Addr: u.Addr, Seq: seq})
+		if seq, _, matched := r.table.RerrApply(u.Dst, from, u.Seq); matched {
+			r.rerrBuf = append(r.rerrBuf, netsim.Unreachable{Dst: u.Dst, Seq: seq})
 		}
 	}
 	if len(r.rerrBuf) > 0 && msg.HopLimit > 1 {
-		wire := make([]AddrBlock, len(r.rerrBuf))
+		wire := make([]netsim.Unreachable, len(r.rerrBuf))
 		copy(wire, r.rerrBuf)
 		fwd := &RERR{Unreachable: wire, HopLimit: msg.HopLimit - 1}
 		r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, fwd.HopLimit, rerrBytes(len(wire)), fwd)
@@ -405,6 +400,6 @@ func (r *Router) markSeen(key seenKey) {
 func (r *Router) SeenEntries() int { return r.seen.Len() }
 
 func (r *Router) purge() {
-	r.table.purgeExpired()
+	r.table.Purge()
 	r.seen.Expire(r.now())
 }

@@ -239,8 +239,8 @@ func TestHelloMaintainsNeighbors(t *testing.T) {
 	w.Kernel.RunUntil(5 * sim.Second) // World.Run would stop the routers
 	r := w.Node(0).Router().(*Router)
 	armed := 0
-	for x := range r.table.entries {
-		if r.neighbors.Active(int32(x)) {
+	for _, id := range []netsim.NodeID{0, 1} {
+		if x := r.table.Index(id); x >= 0 && r.neighbors.Active(x) {
 			armed++
 		}
 	}
@@ -353,17 +353,17 @@ func TestSequenceMonotone(t *testing.T) {
 // route to self is refused before it reaches the table.
 func TestRouteUpdateRules(t *testing.T) {
 	rules := func(t *testing.T, tbl routeTable) {
-		tbl.update(5, 10, true, 3, 1)
-		tbl.update(5, 9, true, 1, 2) // stale seq: rejected
-		if next, _, ok := tbl.validNext(5); !ok || next != 1 {
+		tbl.Update(5, 10, true, 3, 1, routeTimeout)
+		tbl.Update(5, 9, true, 1, 2, routeTimeout) // stale seq: rejected
+		if next, _, ok := tbl.Next(5); !ok || next != 1 {
 			t.Fatalf("stale update accepted: next=%d ok=%v", next, ok)
 		}
-		tbl.update(5, 10, true, 2, 3) // same seq shorter: accepted
-		if next, hops, ok := tbl.validNext(5); !ok || next != 3 || hops != 2 {
+		tbl.Update(5, 10, true, 2, 3, routeTimeout) // same seq shorter: accepted
+		if next, hops, ok := tbl.Next(5); !ok || next != 3 || hops != 2 {
 			t.Fatalf("shorter path rejected: next=%d hops=%d ok=%v", next, hops, ok)
 		}
-		tbl.update(5, 11, true, 9, 4) // newer seq: accepted
-		if next, _, ok := tbl.validNext(5); !ok || next != 4 {
+		tbl.Update(5, 11, true, 9, 4, routeTimeout) // newer seq: accepted
+		if next, _, ok := tbl.Next(5); !ok || next != 4 {
 			t.Fatalf("newer seq rejected: next=%d ok=%v", next, ok)
 		}
 	}
@@ -378,7 +378,7 @@ func TestRouteUpdateRules(t *testing.T) {
 		}
 	})
 	t.Run("oracle", func(t *testing.T) {
-		rules(t, newMapTable(sim.NewKernel(), 5*sim.Second))
+		rules(t, newMapTable(sim.NewKernel()))
 	})
 }
 

@@ -1,49 +1,51 @@
 package dymo
 
 import (
+	"cmp"
 	"math/rand"
-	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
 )
 
-// routeTable is the table contract denseTable (dense.go, what Router
-// holds) and the map reference below both satisfy; it exists only so the
-// table tests and BenchmarkDYMOForward can drive either. As in aodv, it is
-// a value contract at a package-internal call boundary — every answer is a
+// routeTable is the part of netsim.Routes (what Router holds) that DYMO
+// uses, which the map reference below also satisfies; it exists only so
+// the table tests and BenchmarkDYMOForward can drive either. As in aodv, it
+// is a value contract at the router's call boundary — every answer is a
 // plain value — so equal answers per call imply equal runs by induction
 // over the router's calls, and TestTableLazyPurgeMatchesEager is the whole
-// gate: no Config switch, no run-level identity test.
+// gate for DYMO's use of the table: no Config switch, no run-level
+// identity test.
 //
-// Reading a valid-but-expired entry through validNext or refresh flips it
-// to invalid on the spot; the periodic purge retires the rest. The flip
-// timing is part of the contract (breakVia bumps sequence numbers only on
+// Reading a valid-but-expired entry through Next or Refresh flips it to
+// invalid on the spot; the periodic purge retires the rest. The flip
+// timing is part of the contract (BreakVia bumps sequence numbers only on
 // still-valid entries).
 type routeTable interface {
-	// validNext reports the forwarding state of a live, unexpired route.
-	validNext(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool)
-	// lastSeq reports the stored sequence state for dst regardless of
+	// Next reports the forwarding state of a live, unexpired route.
+	Next(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool)
+	// LastSeq reports the stored sequence state for dst regardless of
 	// route validity (RREQ target-seq seeding, RERR case ii).
-	lastSeq(dst netsim.NodeID) (seq uint32, seqKnown bool, ok bool)
-	// update installs or refreshes a route per the draft's rules; the
-	// accepted entry's lifetime is reset to RouteTimeout from now.
-	update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID)
-	// refresh extends a valid route's lifetime to RouteTimeout from now.
-	refresh(dst netsim.NodeID)
-	// breakVia invalidates every valid route whose next hop is the broken
+	LastSeq(dst netsim.NodeID) (seq uint32, seqKnown bool, ok bool)
+	// Update installs or refreshes a route per the draft's rules; an
+	// accepted entry's lifetime runs lifetime from now.
+	Update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID, lifetime sim.Time)
+	// Refresh extends a valid route's lifetime to lifetime from now.
+	Refresh(dst netsim.NodeID, lifetime sim.Time)
+	// BreakVia invalidates every valid route whose next hop is the broken
 	// neighbor, bumping each sequence number and appending the (dst,
 	// bumped seq) pairs to buf.
-	breakVia(neighbor netsim.NodeID, buf []AddrBlock) []AddrBlock
-	// rerrApply processes one received RERR entry: matched when a valid
+	BreakVia(neighbor netsim.NodeID, buf []netsim.Unreachable) []netsim.Unreachable
+	// RerrApply processes one received RERR entry: matched when a valid
 	// route to dst via from existed — it is flipped invalid without a seq
 	// bump, adopting the reported seq when newer. seqOut is the entry's
-	// sequence number after adoption.
-	rerrApply(dst, from netsim.NodeID, seq uint32) (seqOut uint32, matched bool)
-	// purgeExpired retires expired valid routes (periodic tick).
-	purgeExpired()
+	// sequence number after adoption; DYMO keeps no precursors, so
+	// propagate is always false.
+	RerrApply(dst, from netsim.NodeID, seq uint32) (seqOut uint32, propagate, matched bool)
+	// Purge retires expired valid routes (periodic tick).
+	Purge()
 }
 
 // route is one entry of the map reference.
@@ -57,20 +59,20 @@ type route struct {
 	valid     bool
 }
 
-// mapTable is the map-based reference: the original table, kept verbatim.
+// mapTable is the map-based reference: the original table, kept verbatim
+// but for the lifetime, which it takes per call as netsim.Routes does.
 type mapTable struct {
-	kernel  *sim.Kernel
-	timeout sim.Time
-	routes  map[netsim.NodeID]*route
+	kernel *sim.Kernel
+	routes map[netsim.NodeID]*route
 }
 
 var (
 	_ routeTable = (*mapTable)(nil)
-	_ routeTable = (*denseTable)(nil)
+	_ routeTable = (*netsim.Routes)(nil)
 )
 
-func newMapTable(k *sim.Kernel, timeout sim.Time) *mapTable {
-	return &mapTable{kernel: k, timeout: timeout, routes: make(map[netsim.NodeID]*route)}
+func newMapTable(k *sim.Kernel) *mapTable {
+	return &mapTable{kernel: k, routes: make(map[netsim.NodeID]*route)}
 }
 
 // validRoute returns a live, unexpired route to dst or nil, flipping an
@@ -87,7 +89,7 @@ func (t *mapTable) validRoute(dst netsim.NodeID) *route {
 	return rt
 }
 
-func (t *mapTable) validNext(dst netsim.NodeID) (netsim.NodeID, int, bool) {
+func (t *mapTable) Next(dst netsim.NodeID) (netsim.NodeID, int, bool) {
 	rt := t.validRoute(dst)
 	if rt == nil {
 		return 0, 0, false
@@ -95,7 +97,7 @@ func (t *mapTable) validNext(dst netsim.NodeID) (netsim.NodeID, int, bool) {
 	return rt.nextHop, rt.hops, true
 }
 
-func (t *mapTable) lastSeq(dst netsim.NodeID) (uint32, bool, bool) {
+func (t *mapTable) LastSeq(dst netsim.NodeID) (uint32, bool, bool) {
 	rt := t.routes[dst]
 	if rt == nil {
 		return 0, false, false
@@ -103,10 +105,13 @@ func (t *mapTable) lastSeq(dst netsim.NodeID) (uint32, bool, bool) {
 	return rt.seq, rt.seqKnown, true
 }
 
-// update applies the draft's route-update rules (same sequence-number
+// Update applies the draft's route-update rules (same sequence-number
 // discipline as AODV, but an accepted update resets the lifetime instead
-// of stretching it).
-func (t *mapTable) update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID) {
+// of stretching it). DYMO's lifetime is the constant routeTimeout, so every
+// stored deadline is some earlier now′ + lifetime and the reset equals
+// netsim.Routes's max; the differential passes one constant lifetime and
+// so checks that lemma.
+func (t *mapTable) Update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID, lifetime sim.Time) {
 	now := t.kernel.Now()
 	rt := t.routes[dst]
 	if rt == nil {
@@ -116,8 +121,8 @@ func (t *mapTable) update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int
 		newer := int32(seq-rt.seq) > 0
 		sameShorter := seq == rt.seq && hops < rt.hops
 		if !newer && !sameShorter {
-			if now+t.timeout > rt.expiresAt {
-				rt.expiresAt = now + t.timeout
+			if now+lifetime > rt.expiresAt {
+				rt.expiresAt = now + lifetime
 			}
 			return
 		}
@@ -127,48 +132,48 @@ func (t *mapTable) update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int
 	rt.hops = hops
 	rt.nextHop = next
 	rt.valid = true
-	rt.expiresAt = now + t.timeout
+	rt.expiresAt = now + lifetime
 }
 
-func (t *mapTable) refresh(dst netsim.NodeID) {
+func (t *mapTable) Refresh(dst netsim.NodeID, lifetime sim.Time) {
 	if rt := t.validRoute(dst); rt != nil {
-		exp := t.kernel.Now() + t.timeout
+		exp := t.kernel.Now() + lifetime
 		if exp > rt.expiresAt {
 			rt.expiresAt = exp
 		}
 	}
 }
 
-// breakVia invalidates the valid routes through the broken neighbor. Map
+// BreakVia invalidates the valid routes through the broken neighbor. Map
 // iteration order varies, but RERR entries are processed independently by
 // every receiver and the wire size depends only on the count, so the order
-// never reaches the results — the same argument that lets the dense path
+// never reaches the results — the same argument that lets netsim.Routes
 // use insertion order.
-func (t *mapTable) breakVia(neighbor netsim.NodeID, buf []AddrBlock) []AddrBlock {
+func (t *mapTable) BreakVia(neighbor netsim.NodeID, buf []netsim.Unreachable) []netsim.Unreachable {
 	for _, rt := range t.routes {
 		if rt.valid && rt.nextHop == neighbor {
 			rt.valid = false
 			rt.seq++
-			buf = append(buf, AddrBlock{Addr: rt.dst, Seq: rt.seq})
+			buf = append(buf, netsim.Unreachable{Dst: rt.dst, Seq: rt.seq})
 		}
 	}
 	return buf
 }
 
-func (t *mapTable) rerrApply(dst, from netsim.NodeID, seq uint32) (uint32, bool) {
+func (t *mapTable) RerrApply(dst, from netsim.NodeID, seq uint32) (uint32, bool, bool) {
 	rt := t.routes[dst]
 	if rt == nil || !rt.valid || rt.nextHop != from {
-		return 0, false
+		return 0, false, false
 	}
 	rt.valid = false
 	if int32(seq-rt.seq) > 0 {
 		rt.seq = seq
 	}
-	return rt.seq, true
+	return rt.seq, false, true
 }
 
-// purgeExpired flips expired valid routes to invalid.
-func (t *mapTable) purgeExpired() {
+// Purge flips expired valid routes to invalid.
+func (t *mapTable) Purge() {
 	now := t.kernel.Now()
 	for _, rt := range t.routes {
 		if rt.valid && now >= rt.expiresAt {
@@ -177,16 +182,18 @@ func (t *mapTable) purgeExpired() {
 	}
 }
 
-// TestTableLazyPurgeMatchesEager drives the dense table and the map
-// reference through the same random schedule of every table operation and
-// checks that each call answers the same and the observable state stays
-// identical — the dense path's epoch-stamped purge must behave exactly like
-// the reference's eager scan at every query. Since the router holds a
-// *denseTable and nothing selects the reference at run level, this is the
-// whole gate for the table. The schedule runs at two read cadences: probing
-// every destination after every step, and only every seventh step — a
-// probe's validNext flips expired entries in both tables, which on the
-// dense cadence hides whether the purge did.
+// TestTableLazyPurgeMatchesEager drives netsim.Routes and the map
+// reference through the same random schedule of every table operation DYMO
+// uses and checks that each call answers the same and the observable state
+// stays identical — the shared table's epoch-stamped purge must behave
+// exactly like the reference's eager scan at every query, and its max
+// lifetimes like the reference's reset under one constant lifetime. Since
+// the router holds a *netsim.Routes and nothing selects the reference at
+// run level, this is the whole gate for DYMO's use of the table. The
+// schedule runs at two read cadences: probing every destination after
+// every step, and only every seventh step — a probe's Next flips expired
+// entries in both tables, which on the dense cadence hides whether the
+// purge did.
 func TestTableLazyPurgeMatchesEager(t *testing.T) {
 	for _, probeEvery := range []int{1, 7} {
 		tableDifferential(t, probeEvery)
@@ -194,14 +201,12 @@ func TestTableLazyPurgeMatchesEager(t *testing.T) {
 }
 
 func tableDifferential(t *testing.T, probeEvery int) {
+	const timeout = 2 * sim.Second
 	k := sim.NewKernel()
-	dense := newDenseTable(k, 2*sim.Second)
-	oracle := newMapTable(k, 2*sim.Second)
-	both := [...]routeTable{dense, oracle}
-	sorted := func(u []AddrBlock) []AddrBlock {
-		sort.Slice(u, func(i, j int) bool { return u[i].Addr < u[j].Addr })
-		return u
-	}
+	shared := netsim.NewRoutes(k)
+	oracle := newMapTable(k)
+	both := [...]routeTable{shared, oracle}
+	byDst := func(a, b netsim.Unreachable) int { return cmp.Compare(a.Dst, b.Dst) }
 
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 2000; step++ {
@@ -215,46 +220,47 @@ func tableDifferential(t *testing.T, probeEvery int) {
 			next := netsim.NodeID(rng.Intn(4))
 			known := rng.Intn(8) > 0
 			for _, tb := range both {
-				tb.update(dst, seq, known, hops, next)
+				tb.Update(dst, seq, known, hops, next, timeout)
 			}
 		case 1:
 			for _, tb := range both {
-				tb.refresh(dst)
+				tb.Refresh(dst, timeout)
 			}
 		case 2:
 			for _, tb := range both {
-				tb.purgeExpired()
+				tb.Purge()
 			}
 		case 3:
 			n := netsim.NodeID(rng.Intn(4))
-			got := sorted(dense.breakVia(n, nil))
-			want := sorted(oracle.breakVia(n, nil))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cadence %d step %d: breakVia %v != %v", probeEvery, step, got, want)
+			got, want := shared.BreakVia(n, nil), oracle.BreakVia(n, nil)
+			slices.SortFunc(got, byDst)
+			slices.SortFunc(want, byDst)
+			if !slices.Equal(got, want) {
+				t.Fatalf("cadence %d step %d: BreakVia %v != %v", probeEvery, step, got, want)
 			}
 		case 4:
 			seq := uint32(rng.Intn(10))
 			from := netsim.NodeID(rng.Intn(4))
-			gs, gm := dense.rerrApply(dst, from, seq)
-			ws, wm := oracle.rerrApply(dst, from, seq)
-			if gs != ws || gm != wm {
-				t.Fatalf("cadence %d step %d: rerrApply (%d,%v) != (%d,%v)", probeEvery, step, gs, gm, ws, wm)
+			gs, gp, gm := shared.RerrApply(dst, from, seq)
+			ws, wp, wm := oracle.RerrApply(dst, from, seq)
+			if gs != ws || gp != wp || gm != wm {
+				t.Fatalf("cadence %d step %d: RerrApply (%d,%v,%v) != (%d,%v,%v)", probeEvery, step, gs, gp, gm, ws, wp, wm)
 			}
 		}
 		if step%probeEvery != 0 {
 			continue
 		}
 		for dst := netsim.NodeID(0); dst < 12; dst++ {
-			gn, gh, gok := dense.validNext(dst)
-			wn, wh, wok := oracle.validNext(dst)
+			gn, gh, gok := shared.Next(dst)
+			wn, wh, wok := oracle.Next(dst)
 			if gn != wn || gh != wh || gok != wok {
-				t.Fatalf("cadence %d step %d dst %d: dense (%d,%d,%v) != oracle (%d,%d,%v)",
+				t.Fatalf("cadence %d step %d dst %d: shared (%d,%d,%v) != oracle (%d,%d,%v)",
 					probeEvery, step, dst, gn, gh, gok, wn, wh, wok)
 			}
-			gs, gk, gok2 := dense.lastSeq(dst)
-			ws, wk, wok2 := oracle.lastSeq(dst)
+			gs, gk, gok2 := shared.LastSeq(dst)
+			ws, wk, wok2 := oracle.LastSeq(dst)
 			if gs != ws || gk != wk || gok2 != wok2 {
-				t.Fatalf("cadence %d step %d dst %d: lastSeq (%d,%v,%v) != (%d,%v,%v)",
+				t.Fatalf("cadence %d step %d dst %d: LastSeq (%d,%v,%v) != (%d,%v,%v)",
 					probeEvery, step, dst, gs, gk, gok2, ws, wk, wok2)
 			}
 		}

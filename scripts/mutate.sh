@@ -238,12 +238,6 @@ mutant "check loops: the walk stops one hop early, on returning to its origin" i
 
 # ---- the references PR 24 moved behind their in-package differentials,
 # each row killed by its package's own tests. ----
-mutant "aodv dense update: entry not registered in the ExpiryHeap" internal/routing/aodv/dense.go \
-	's|t.exp.Push(x, e.expiresAt)|_ = x|' \
-	./internal/routing/aodv 'TestTableLazyPurgeMatchesEager'
-mutant "dymo stateValid: ignores lastPurge" internal/routing/dymo/dense.go \
-	's|if e.expiresAt <= t.lastPurge {|if false {|' \
-	./internal/routing/dymo 'TestTableLazyPurgeMatchesEager'
 mutant "spatial Nearest: a distance tie goes to the larger id" internal/spatial/grid.go \
 	's|int(cand) < bestID|int(cand) > bestID|' \
 	'./internal/spatial ./internal/routing/gpsr' 'TestGridNearestMatchesBruteForce|TestGreedyDifferential'
@@ -369,6 +363,20 @@ mutant "dymo Start: the searches a graceful shutdown halted are not resumed" int
 mutant "netsim Discoveries.Resume: an armed search takes a second decision" internal/netsim/discovery.go \
 	's|if d := ds.open\[dst\]; d != nil \&\& !d.timer.Active() {|if d := ds.open[dst]; d != nil {|' \
 	./internal/fault 'TestCrashKeepsControlOverhead'
+
+# ---- one route table for AODV and DYMO (ROADMAP "One route table for AODV
+# and DYMO"): the lazy purge's two clauses and the max lifetimes the
+# constant-lifetime lemma rests on. A revision without
+# internal/netsim/routes.go reads BROKEN on every row. ----
+mutant "netsim Routes.stateValid: the lastPurge flip ignored" internal/netsim/routes.go \
+	's|e.valid \&\& e.expiresAt <= t.lastPurge \&\& |e.valid \&\& false \&\& |' \
+	"$reactive" 'TestTableLazyPurgeMatchesEager'
+mutant "netsim Routes.stateValid: no write guard, a purge at the accept's instant flips it" internal/netsim/routes.go \
+	's| \&\& e.accepted != t.purges {$| {|' \
+	./internal/routing/aodv 'TestTableZeroLifetimeAtPurge'
+mutant "netsim Routes.Update: the accept branch assigns the lifetime instead of taking the max" internal/netsim/routes.go \
+	's|^\tt.extend(e, lifetime)$|\te.expiresAt = t.kernel.Now() + lifetime|' \
+	./internal/routing/aodv 'TestTableLazyPurgeMatchesEager'
 
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
