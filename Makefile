@@ -140,7 +140,12 @@ fuzz-smoke:
 #    router's table and must not grow with the world's id range).
 #  - rng: building one seeded stream, the lagged source against math/rand's
 #    own (the power-table seeding silently falling back shows in ns/op,
-#    math/rand's larger register in B/op).
+#    math/rand's larger register in B/op); light, New + 8 draws as a
+#    metro2k network stream draws, guards the prefix (a register built
+#    before the 33rd draw shows as ≈ 4.9 KB more B/op); outgrow, New +
+#    Perm(2000) as one Fig. 4 lane's set-up, guards the build's cost; steady,
+#    Float64 on a built register, guards the draw (step no longer inlined
+#    into Int63 shows in ns/op).
 bench-smoke:
 	$(GO) test ./internal/phy/ -bench ChannelBroadcast -benchtime=1x -benchmem -run XXX
 	$(GO) test ./internal/routing/olsr/ -bench OLSRControlPlane -benchtime=1x -benchmem -run XXX

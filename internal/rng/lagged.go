@@ -6,10 +6,13 @@ import "math/rand"
 // x[n] = x[n-273] + x[n-607] mod 2⁶⁴) with the same register after every
 // Seed and the same words from every draw, so a *rand.Rand over it is bit
 // for bit one over math/rand's own NewSource(seed). Only seeding differs:
-// see Seed.
+// see Seed. The 607-word register is built at the draw after the first
+// lfLazy; until then vec is nil and prefix serves draws from seeded words.
 type lagged struct {
-	tap, feed int32 // int32 keeps the register at 4 864 B
-	vec       [lfLen]int64
+	seed      uint32 // normalised: 0 < seed < 2³¹−1
+	n         int32  // draws served by prefix
+	tap, feed int32
+	vec       *[lfLen]int64
 }
 
 const (
@@ -17,6 +20,15 @@ const (
 	lfTap = 273
 	lfMod = 1<<31 - 1 // the minimal-standard modulus, a Mersenne prime
 	lfMul = 48271     // its multiplier (Park, Miller & Stockmeyer 1993)
+
+	// lfLazy is the number of draws served before the register is built.
+	// The prefix lemma (at prefix) allows up to lfTap. Below that it bounds
+	// waste, not cost: a stream that outgrows the prefix has computed
+	// 2·lfLazy seeded words, and build computes them again among its 607.
+	// At 32 that is ≈ 10 % of a build, while a metro world's network
+	// streams stay inside (25 of the 4 006 in a 2 000-vehicle, 4-s run
+	// draw more).
+	lfLazy = 32
 )
 
 var (
@@ -37,9 +49,10 @@ func init() {
 	// steps gives math/rand's seeded register for seed 1, and that is its
 	// un-cooked words XOR the cooked ones. math/rand stays the one
 	// definition of the table.
-	var plain lagged
-	plain.Seed(1) // lfCooked is still zero: the un-cooked words
-	l := plain    // the pointers after seeding; the draws overwrite every word
+	var l lagged
+	l.Seed(1)
+	l.build()       // lfCooked is still zero: the un-cooked words
+	plain := *l.vec // the draws overwrite every word
 	ref := rand.NewSource(1).(rand.Source64)
 	for range lfLen {
 		l.Uint64() // moves the pointers as the draw did
@@ -50,7 +63,7 @@ func init() {
 		l.tap, l.feed = (l.tap+1)%lfLen, (l.feed+1)%lfLen
 	}
 	for i := range lfCooked {
-		lfCooked[i] = l.vec[i] ^ plain.vec[i]
+		lfCooked[i] = l.vec[i] ^ plain[i]
 	}
 }
 
@@ -74,10 +87,11 @@ func mulmod(a, b uint64) uint64 {
 	return r
 }
 
-// Seed sets the register math/rand's rngSource.Seed(s) sets. math/rand
-// walks a chain of 20 + 3·607 dependent steps x ← 48271·x mod (2³¹−1) and
-// packs three consecutive values per word; here every value is an
-// independent product with a precomputed power. Exact, because:
+// Seed resets the stream to the register math/rand's rngSource.Seed(s)
+// sets, whose word i is word(s, i). math/rand walks a chain of 20 + 3·607
+// dependent steps x ← 48271·x mod (2³¹−1) and packs three consecutive
+// values per word; here every value is an independent product with a
+// precomputed power. Exact, because:
 //
 //  1. math/rand's seedrand is Schrage's method (ACM TOMS 5(2), 1979) for
 //     48271·x mod (2³¹−1), exact for 0 < x < 2³¹−1; by induction chain
@@ -91,9 +105,9 @@ func mulmod(a, b uint64) uint64 {
 //     recovers rngCooked from math/rand's own seed-1 stream.
 //
 // s is normalised as math/rand does it: mod 2³¹−1, negatives wrapped, 0
-// replaced by 89482311.
+// replaced by 89482311. Seed drops a built register: the stream is back in
+// its prefix, and a later build fills a new one.
 func (l *lagged) Seed(s int64) {
-	l.tap, l.feed = 0, lfLen-lfTap
 	s %= lfMod
 	if s < 0 {
 		s += lfMod
@@ -101,19 +115,38 @@ func (l *lagged) Seed(s int64) {
 	if s == 0 {
 		s = 89482311
 	}
-	x := uint64(s)
-	for i := range l.vec {
-		k := 20 + 3*i
-		u := mulmod(x, lfPow[k])<<40 ^ mulmod(x, lfPow[k+1])<<20 ^ mulmod(x, lfPow[k+2])
-		l.vec[i] = int64(u) ^ lfCooked[i]
-	}
+	l.seed, l.n = uint32(s), 0
+	l.vec = nil
 }
 
-// Int63 implements rand.Source: the draw with its top bit cleared.
-func (l *lagged) Int63() int64 { return int64(l.Uint64() &^ (1 << 63)) }
+// word returns word i of the register Seed sets (clauses 1 and 2).
+func word(x uint64, i int) int64 {
+	k := 20 + 3*i
+	u := mulmod(x, lfPow[k])<<40 ^ mulmod(x, lfPow[k+1])<<20 ^ mulmod(x, lfPow[k+2])
+	return int64(u) ^ lfCooked[i]
+}
 
-// Uint64 implements rand.Source64: math/rand's rngSource step, unchanged.
+// Int63 implements rand.Source: the draw with its top bit cleared. It and
+// Uint64 each test the register and call step directly, so that step
+// inlines into both and a draw on a built register stays one call from
+// rand.Rand's interface call; step takes the register the test loaded.
+func (l *lagged) Int63() int64 {
+	if v := l.vec; v != nil {
+		return int64(l.step(v) &^ (1 << 63))
+	}
+	return int64(l.prefix() &^ (1 << 63))
+}
+
+// Uint64 implements rand.Source64.
 func (l *lagged) Uint64() uint64 {
+	if v := l.vec; v != nil {
+		return l.step(v)
+	}
+	return l.prefix()
+}
+
+// step is math/rand's rngSource step on register v, unchanged.
+func (l *lagged) step(v *[lfLen]int64) uint64 {
 	l.tap--
 	if l.tap < 0 {
 		l.tap += lfLen
@@ -122,7 +155,41 @@ func (l *lagged) Uint64() uint64 {
 	if l.feed < 0 {
 		l.feed += lfLen
 	}
-	x := l.vec[l.feed] + l.vec[l.tap]
-	l.vec[l.feed] = x
+	x := v[l.feed] + v[l.tap]
+	v[l.feed] = x
 	return uint64(x)
+}
+
+// prefix serves a draw before the register exists, by a lemma: draw k of
+// math/rand's source (from tap 0, feed 607 − 273) writes feed slot
+// (334 − k) mod 607 and reads it and tap slot 607 − k. No earlier draw
+// wrote the feed slot (k ≤ 607), and the tap slot was first written by
+// draw k − 273, so for k ≤ 273 both still hold seeded words and draw k is
+// word(334 − k) + word(607 − k): six products, no register. Past lfLazy
+// draws it builds the register and steps.
+func (l *lagged) prefix() uint64 {
+	if l.n < lfLazy {
+		l.n++
+		k, x := int(l.n), uint64(l.seed)
+		return uint64(word(x, lfLen-lfTap-k) + word(x, lfLen-k))
+	}
+	l.build()
+	return l.step(l.vec)
+}
+
+// build fills the register exactly as math/rand's Seed does and replays the
+// l.n draws prefix served, which leaves it as math/rand's after as many
+// draws. The fill is word written out, into a local array: a call per word
+// (word is past the inliner's budget) costs ≈ 30 % more a build.
+func (l *lagged) build() {
+	v, x := new([lfLen]int64), uint64(l.seed)
+	for i := range v {
+		k := 20 + 3*i
+		u := mulmod(x, lfPow[k])<<40 ^ mulmod(x, lfPow[k+1])<<20 ^ mulmod(x, lfPow[k+2])
+		v[i] = int64(u) ^ lfCooked[i]
+	}
+	l.vec, l.tap, l.feed = v, 0, lfLen-lfTap
+	for range l.n {
+		l.step(v)
+	}
 }

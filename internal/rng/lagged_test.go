@@ -61,13 +61,18 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
-// Seed re-seeds to the same register a fresh New builds.
+// Seed re-seeds to the same register a fresh New builds, from inside the
+// prefix, at the build and from a register built and wrapped.
 func TestSeedResetsRegister(t *testing.T) {
-	r := New(5)
-	r.Int63()
-	r.Seed(-12345)
-	if i := mismatch(r, rand.New(rand.NewSource(-12345)), 1300); i >= 0 {
-		t.Fatalf("after Seed: call %d differs from math/rand", i)
+	for _, n := range []int{0, 1, lfLazy - 1, lfLazy, lfLazy + 1, lfTap, lfTap + 1, lfLen, 1300} {
+		r := New(5)
+		for range n {
+			r.Uint64()
+		}
+		r.Seed(-12345)
+		if i := mismatch(r, rand.New(rand.NewSource(-12345)), 1300); i >= 0 {
+			t.Fatalf("Seed after %d draws: call %d differs from math/rand", n, i)
+		}
 	}
 }
 
@@ -86,11 +91,31 @@ func TestStreamHashIsFNV1a(t *testing.T) {
 	}
 }
 
-// Two int32 pointers and 607 words: one size class below math/rand's
-// 5 376-B rngSource.
-func TestLaggedSize(t *testing.T) {
-	if got := unsafe.Sizeof(lagged{}); got != 4864 {
-		t.Fatalf("lagged is %d B, want 4864", got)
+// A stream is a header until its register is built: a seed, a count and
+// two pointers beside a nil register pointer (24 B on 64-bit, 20 on 32-bit).
+func TestLaggedHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(lagged{}); got > 32 {
+		t.Fatalf("lagged is %d B, want at most 32", got)
+	}
+}
+
+// The prefix allocates nothing; the draw that outgrows it allocates the
+// register, once.
+func TestRegisterAllocatedAtDrawAfterPrefix(t *testing.T) {
+	draws := func(n int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			r := New(9)
+			for range n {
+				r.Uint64()
+			}
+		})
+	}
+	fresh, prefix, built := draws(0), draws(lfLazy), draws(lfLazy+1)
+	if prefix != fresh {
+		t.Errorf("New + %d draws: %v allocs, New alone %v", lfLazy, prefix, fresh)
+	}
+	if built != fresh+1 {
+		t.Errorf("New + %d draws: %v allocs, want New's %v + 1", lfLazy+1, built, fresh)
 	}
 }
 
@@ -98,6 +123,14 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	f.Add(int64(0), uint16(700))
 	f.Add(int64(math.MinInt64), uint16(1300))
 	f.Add(int64(1<<31-1), uint16(1))
+	// For these seeds mismatch's call 21 draws the 32nd and 33rd words, and
+	// seed 0's call 184 the 274th: n stops on either side of the build and
+	// of the prefix lemma's bound.
+	f.Add(int64(1), uint16(21))
+	f.Add(int64(1), uint16(22))
+	f.Add(int64(7), uint16(22))
+	f.Add(int64(0), uint16(184))
+	f.Add(int64(0), uint16(185))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		if i := mismatch(New(seed), rand.New(rand.NewSource(seed)), int(n)); i >= 0 {
 			t.Fatalf("seed %d: call %d differs from math/rand", seed, i)
@@ -105,10 +138,17 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
-var sink *rand.Rand
+var (
+	sink      *rand.Rand
+	sinkFloat float64
+)
 
 // BenchmarkStream builds one seeded *rand.Rand per op: the lagged source
-// against math/rand's own, whose seeding walks the 1 841-step chain.
+// against math/rand's own, whose seeding walks the 1 841-step chain. light,
+// outgrow and steady are the three regimes of the lazy register: a stream
+// that stays in the prefix (a metro2k network stream's 8 draws), one that
+// builds at once (one Fig. 4 lane's Perm(2000)), and a draw on a built
+// register.
 func BenchmarkStream(b *testing.B) {
 	b.Run("lagged", func(b *testing.B) {
 		b.ReportAllocs()
@@ -120,6 +160,32 @@ func BenchmarkStream(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sink = rand.New(rand.NewSource(int64(i)))
+		}
+	})
+	b.Run("light", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := New(int64(i))
+			for range 8 {
+				r.Uint64()
+			}
+			sink = r
+		}
+	})
+	b.Run("outgrow", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := New(int64(i))
+			r.Perm(2000)
+			sink = r
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		b.ReportAllocs()
+		r := New(1)
+		r.Perm(2000)
+		for i := 0; i < b.N; i++ {
+			sinkFloat = r.Float64()
 		}
 	})
 }

@@ -175,6 +175,25 @@ mutant "rng init: the cooked recovery's undo steps the pointers forward" interna
 	's|(l.tap+1)%lfLen, (l.feed+1)%lfLen|(l.tap+lfLen-1)%lfLen, (l.feed+lfLen-1)%lfLen|' \
 	$rng 'TestStreamMatchesMathRand'
 
+# ---- the register built at the draw after the prefix (ROADMAP "Streams
+# build their register at the 33rd draw"): the prefix lemma, the build's
+# replay, Seed's reset and the lemma's bound. A revision whose lagged source
+# seeds the register in Seed reads BROKEN on every row. Serving one draw
+# more from the prefix (a < made <=) is an equivalent mutant below the
+# bound, so it has no row. ----
+mutant "rng prefix: the feed slot off by one" internal/rng/lagged.go \
+	's|word(x, lfLen-lfTap-k) + |word(x, lfLen-lfTap-k-1) + |' \
+	$rng 'TestStreamMatchesMathRand'
+mutant "rng build: the prefix's draws not replayed" internal/rng/lagged.go \
+	's|^\tfor range l.n {$|\tfor range 0 {|' \
+	$rng 'TestStreamMatchesMathRand'
+mutant "rng Seed: a built register kept" internal/rng/lagged.go \
+	'/^\tl.vec = nil$/d' \
+	$rng 'TestSeedResetsRegister'
+mutant "rng prefix: lfLazy raised past the tap, to 300" internal/rng/lagged.go \
+	's|^\tlfLazy = 32$|\tlfLazy = 300|' \
+	$rng 'TestStreamMatchesMathRand'
+
 # ---- sim.TimerSet, the clauses at Kernel.popDue (ROADMAP "Neighbour
 # liveness is one queue entry per router"). A revision without
 # internal/sim/timerset.go reads BROKEN on every row. ----
