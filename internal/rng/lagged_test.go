@@ -184,6 +184,7 @@ func BenchmarkStream(b *testing.B) {
 		b.ReportAllocs()
 		r := New(1)
 		r.Perm(2000)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sinkFloat = r.Float64()
 		}
