@@ -238,43 +238,35 @@ func TestScenarioRunQuickReplaysSweepCell(t *testing.T) {
 // TestFailingCellReplays: a checked quick sweep names the cells that
 // violated an invariant, and `scenario run -quick -protocol P -seed S
 // -check` with a named seed reproduces that cell's TrialResult exactly.
-// The grid is `scenario sweep -quick -trials 2` at the root seed of ROADMAP
-// item 1(a)'s flaky-corridor/AODV loop; only that scenario's cells run.
+// The grid is `scenario sweep -quick -trials 2 -time 0.5` over the shrunk
+// highway: in half a second its eight senders send 16 packets, and the
+// scenario promises at least 20 delivered, so every cell fails its floor
+// whatever the routing does.
 func TestFailingCellReplays(t *testing.T) {
-	const root = 8255269122404207288
+	const root, horizon = 8255269122404207288, "0.5"
 	g, err := scenario.NewGrid(scenario.SweepConfig{
+		Scenarios: []string{"highway"},
 		Protocols: []scenario.Protocol{scenario.AODV},
 		Trials:    2, Seed: root, Shrunk: true, Checked: true,
+		OverrideTimeSec: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := make([][]scenario.TrialResult, g.Cells())
-	cellOf := map[int]int{} // flaky-corridor trial -> cell index
 	for j := range cells {
-		name, trial := g.Cell(j)
-		if name != "flaky-corridor" {
-			cells[j] = make([]scenario.TrialResult, 1)
-			continue
-		}
-		cellOf[trial] = j
 		if cells[j], err = g.RunCell(j, g.Protocols); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var failing []scenario.FailingCell
-	for _, row := range g.Aggregate(cells) {
-		if row.Scenario == "flaky-corridor" {
-			failing = row.FailingCells
-		}
-	}
-	if len(failing) == 0 {
-		t.Fatal("flaky-corridor/aodv names no failing cell; if item 1(a)'s loop is fixed, point this test at another failing grid")
+	failing := g.Aggregate(cells)[0].FailingCells
+	if len(failing) != 2 {
+		t.Fatalf("highway/aodv at a %s s horizon names %d failing cells, want both trials", horizon, len(failing))
 	}
 	for _, c := range failing {
 		var buf bytes.Buffer
 		err := scenarioRun(&buf, []string{
-			"flaky-corridor", "-quick", "-protocol", "aodv",
+			"highway", "-quick", "-time", horizon, "-protocol", "aodv",
 			"-seed", strconv.FormatInt(c.Seed, 10), "-check", "-format", "json",
 		})
 		if err == nil {
@@ -287,7 +279,7 @@ func TestFailingCellReplays(t *testing.T) {
 		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 			t.Fatalf("run output: %v\n%s", err, buf.Bytes())
 		}
-		got, want := scenario.TrialOf(&out.Result, out.Violations), cells[cellOf[c.Trial]][0]
+		got, want := scenario.TrialOf(&out.Result, out.Violations), cells[c.Trial][0]
 		if got != want || got.Violations != c.Violations {
 			t.Fatalf("trial %d seed %d: replay %+v, sweep cell %+v (row says %d violations)",
 				c.Trial, c.Seed, got, want, c.Violations)

@@ -85,7 +85,8 @@ func (r *route) addPrecursor(id netsim.NodeID) {
 	r.precursors[id] = struct{}{}
 }
 
-// mapTable is the map-based reference: the original table, kept verbatim.
+// mapTable is the map-based reference: the original table, kept verbatim
+// but for §6.2's unknown-sequence-number clause, changed with netsim.Routes.
 type mapTable struct {
 	kernel *sim.Kernel
 	routes map[netsim.NodeID]*route
@@ -140,13 +141,17 @@ func (t *mapTable) LastSeq(dst netsim.NodeID) (uint32, bool, bool) {
 
 // Update follows the RFC 3561 §6.2 rules: accept when the entry is new,
 // the sequence number is newer, equal-seq with fewer hops, or the
-// existing entry is invalid/unknown-seq.
+// existing entry is invalid/unknown-seq. Information without a sequence
+// number (case iii) is accepted but keeps an existing entry's sequence
+// number and flag.
 func (t *mapTable) Update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID, lifetime sim.Time) {
 	now := t.kernel.Now()
 	r := t.routes[dst]
 	if r == nil {
 		r = &route{dst: dst}
 		t.routes[dst] = r
+	} else if !seqKnown {
+		seq, seqKnown = r.seq, r.seqKnown
 	} else if r.state == routeValid && r.seqKnown && seqKnown {
 		newer := int32(seq-r.seq) > 0
 		sameButShorter := seq == r.seq && hops < r.hops

@@ -340,8 +340,12 @@ func (r *Router) sendHello() {
 	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloSize, &Hello{Seq: r.seq})
 }
 
+// handleHello installs the one-hop route to the sender with the sender's
+// own sequence number as known: it is the freshest number there is for
+// that destination, as AODV's HELLO (RFC 3561 §6.9) and DYMO's own
+// originator blocks treat it.
 func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
-	r.updateRoute(from, msg.Seq, false, 1, from)
+	r.updateRoute(from, msg.Seq, true, 1, from)
 	r.neighbors.Reset(r.table.Index(from), (allowedHelloLoss+1)*helloInterval)
 }
 

@@ -60,7 +60,8 @@ type route struct {
 }
 
 // mapTable is the map-based reference: the original table, kept verbatim
-// but for the lifetime, which it takes per call as netsim.Routes does.
+// but for the lifetime, which it takes per call as netsim.Routes does, and
+// for RFC 3561 §6.2's unknown-sequence-number clause, changed with it.
 type mapTable struct {
 	kernel *sim.Kernel
 	routes map[netsim.NodeID]*route
@@ -110,13 +111,16 @@ func (t *mapTable) LastSeq(dst netsim.NodeID) (uint32, bool, bool) {
 // of stretching it). DYMO's lifetime is the constant routeTimeout, so every
 // stored deadline is some earlier now′ + lifetime and the reset equals
 // netsim.Routes's max; the differential passes one constant lifetime and
-// so checks that lemma.
+// so checks that lemma. Information without a sequence number is accepted
+// but keeps an existing entry's sequence number and flag.
 func (t *mapTable) Update(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID, lifetime sim.Time) {
 	now := t.kernel.Now()
 	rt := t.routes[dst]
 	if rt == nil {
 		rt = &route{dst: dst}
 		t.routes[dst] = rt
+	} else if !seqKnown {
+		seq, seqKnown = rt.seq, rt.seqKnown
 	} else if rt.valid && rt.seqKnown && seqKnown {
 		newer := int32(seq-rt.seq) > 0
 		sameShorter := seq == rt.seq && hops < rt.hops

@@ -397,5 +397,12 @@ mutant "netsim Routes.Update: the accept branch assigns the lifetime instead of 
 	's|^\tt.extend(e, lifetime)$|\te.expiresAt = t.kernel.Now() + lifetime|' \
 	./internal/routing/aodv 'TestTableLazyPurgeMatchesEager'
 
+# ---- the unknown-sequence-number clause of RFC 3561 §6.2 (ROADMAP "One
+# reactive router"): a previous-hop install keeps the entry's sequence
+# number. A revision before the clause reads BROKEN. ----
+mutant "netsim Routes.Update: information without a sequence number overwrites a known one" internal/netsim/routes.go \
+	's|^\tif !isNew \&\& !seqKnown {$|\tif false \&\& !isNew \&\& !seqKnown {|' \
+	./internal/netsim '^TestUnknownSeqKeepsKnownSeq$'
+
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
