@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"cavenet/internal/sim"
 )
 
 var updateWorkCounts = flag.Bool("update", false, "rewrite testdata/workcounts.golden")
@@ -19,8 +21,9 @@ var updateWorkCounts = flag.Bool("update", false, "rewrite testdata/workcounts.g
 // covers — OLSR's ETX costs, the RTS/CTS exchange, OLSR routers rebuilt by
 // crashes, OLSR resolving uplink flows through HNA, the cells where
 // backoff countdowns are interrupted most (impaired links, crashes, dense
-// street grids) under every protocol, and AODV and DYMO routers shut down
-// gracefully in the middle of route searches.
+// street grids) under every protocol, AODV and DYMO routers shut down
+// gracefully in the middle of route searches, and both in a 300-vehicle
+// metro.
 func workCountCells(t *testing.T) []Spec {
 	t.Helper()
 	get := func(name string) Spec {
@@ -56,6 +59,18 @@ func workCountCells(t *testing.T) []Spec {
 	for _, p := range []Protocol{AODV, DYMO} {
 		s := get("churn").Shrunk()
 		s.Protocol, s.Seed, s.Faults.ChurnGraceful = p, 5, true
+		cells = append(cells, s)
+	}
+	// `scenario run metro -nodes 300 -time 2 -protocol P`: the reactive
+	// routers in a 300-radio world, where floods overlap and most routes
+	// are learned second-hand.
+	for _, p := range []Protocol{AODV, DYMO} {
+		s, err := get("metro").WithVehicles(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s = s.WithSimTime(2 * sim.Second)
+		s.Protocol = p
 		cells = append(cells, s)
 	}
 	return cells
