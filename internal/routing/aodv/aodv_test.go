@@ -332,10 +332,10 @@ func TestExpandingRingVsFlood(t *testing.T) {
 func TestSequenceNumbersMonotone(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	r := w.Node(0).Router().(*Router)
-	before := r.seq
+	before := r.Seq
 	sendAt(w, sim.Second, 0, 2, 512)
 	w.Run(5 * sim.Second)
-	if r.seq <= before {
+	if r.Seq <= before {
 		t.Fatal("originator sequence number must increase with discoveries")
 	}
 }
@@ -466,19 +466,33 @@ func TestSeqWraparound(t *testing.T) {
 
 // TestSeenEntriesExpire guards the fix for the unbounded RREQ dedup table:
 // the seed implementation never retired seen entries; they must now expire
-// after PATH_DISCOVERY_TIME via the lazy heap.
+// after PATH_DISCOVERY_TIME. A relay re-floods a request the first time,
+// refuses it while the hold lasts and re-floods it once the hold has
+// passed and a purge tick has run.
 func TestSeenEntriesExpire(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
-	sendAt(w, sim.Second, 0, 2, 128)
-	w.Run(3 * sim.Second)
-	r1 := w.Node(1).Router().(*Router)
-	if r1.seen.Len() == 0 {
-		t.Fatal("precondition: relay recorded no RREQ dedup entries")
+	for _, n := range w.Nodes() {
+		n.Router().Start()
 	}
-	w.Kernel.RunUntil(w.Kernel.Now() + 3*netTraversalTime)
-	r1.purge()
-	if got := r1.seen.Len(); got != 0 {
-		t.Fatalf("seen entries after PATH_DISCOVERY_TIME = %d, want 0", got)
+	relay := w.Node(1)
+	// The request asks for a fresher route to 2 than any the relay holds,
+	// so the relay never answers it (§6.6.2) and only re-floods.
+	msg := &RREQ{ID: 1, Dst: 2, DstSeq: 1000, DstSeqKnown: true, Src: 0, SrcSeq: 1}
+	floods := func() uint64 {
+		before := relay.Counters().ControlPackets
+		relay.Router().Receive(&netsim.Packet{Kind: netsim.KindControl, TTL: 5, Payload: msg}, 0)
+		return relay.Counters().ControlPackets - before
+	}
+	const hold = 2 * netTraversalTime
+	t0 := w.Kernel.Now()
+	for _, step := range []struct {
+		at   sim.Time
+		want uint64
+	}{{t0, 1}, {t0, 0}, {t0 + hold - sim.Second, 0}, {t0 + hold + sim.Second, 1}} {
+		w.Kernel.RunUntil(step.at)
+		if got := floods(); got != step.want {
+			t.Fatalf("t=%v: relay re-flooded %d times, want %d", step.at, got, step.want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package dymo
 
 import (
 	"fmt"
+	"slices"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
@@ -67,9 +68,10 @@ type Hello struct {
 const (
 	helloInterval    = sim.Second
 	allowedHelloLoss = 2
-	routeTimeout     = 5 * sim.Second // ROUTE_TIMEOUT
-	rreqWaitTime     = sim.Second     // doubled per retry
-	hopLimit         = 20             // MSG_HOPLIMIT
+	routeTimeout     = 5 * sim.Second  // ROUTE_TIMEOUT
+	rreqWaitTime     = sim.Second      // doubled per retry
+	hopLimit         = 20              // MSG_HOPLIMIT
+	seenHold         = 10 * sim.Second // RREQ duplicate-suppression memory
 )
 
 // Config holds what a scenario chooses about DYMO; the zero value is the
@@ -81,114 +83,54 @@ type Config struct {
 	NoPathAccumulation bool
 }
 
-type seenKey struct {
-	orig netsim.NodeID
-	seq  uint32
-}
-
-// seenHold bounds the RREQ duplicate-suppression memory; entries are
-// retired lazily through an expiry heap so the purge tick costs
-// O(expired), not O(table).
-const seenHold = 10 * sim.Second
-
-// Router is one node's DYMO instance.
+// Router is one node's DYMO instance: the shared reactive machine plus
+// path accumulation and the hop-limited RERR flood.
 type Router struct {
-	cfg  Config
-	node *netsim.Node
-
-	seq         uint32
-	table       *netsim.Routes
-	discoveries *netsim.Discoveries
-	seen        sim.ExpiringSet[seenKey]
-	neighbors   *sim.TimerSet // HELLO liveness, one item per table index
-
-	// rerrBuf is the reusable RERR collection scratch; floodRERR copies
-	// it into an exact-size wire slice, so it never escapes.
-	rerrBuf []netsim.Unreachable
-
-	helloTicker *sim.Ticker
-	purgeTicker *sim.Ticker
+	*netsim.Reactive
+	cfg Config
 }
 
 var _ netsim.Router = (*Router)(nil)
 
 // New builds a DYMO router for node.
 func New(node *netsim.Node, cfg Config) *Router {
-	r := &Router{
-		cfg:   cfg,
-		node:  node,
-		table: netsim.NewRoutes(node.Kernel()),
-	}
-	r.discoveries = netsim.NewDiscoveries(node, "dymo", r.table.Usable, r.sendRREQ, r.Origin)
-	r.neighbors = node.Kernel().NewTimerSet(func(x int32) { r.linkBroken(r.table.Dst(x)) })
-	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
-	r.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, r.purge)
+	r := &Router{cfg: cfg}
+	r.Reactive = netsim.NewReactive(node, netsim.ReactiveProtocol{
+		Name:          "dymo",
+		RouteLifetime: routeTimeout,
+		HelloInterval: helloInterval,
+		NeighbourHold: (allowedHelloLoss + 1) * helloInterval,
+		SeenHold:      seenHold,
+		SendRREQ:      r.sendRREQ,
+		SendHello:     r.sendHello,
+		SendRERR:      func(lost []netsim.Unreachable) { r.floodRERR(lost, hopLimit) },
+	})
 	return r
 }
-
-// Name implements netsim.Router.
-func (r *Router) Name() string { return "dymo" }
-
-// Start implements netsim.Router.
-func (r *Router) Start() {
-	r.helloTicker.Start()
-	r.purgeTicker.Start()
-	r.discoveries.Resume()
-}
-
-// Stop implements netsim.Router.
-func (r *Router) Stop() {
-	r.helloTicker.Stop()
-	r.purgeTicker.Stop()
-	r.discoveries.Stop()
-	r.neighbors.StopAll()
-}
-
-// EachBuffered visits the data packets parked in route discoveries
-// (netsim.Discoveries.Each).
-func (r *Router) EachBuffered(f func(p *netsim.Packet)) { r.discoveries.Each(f) }
-
-// Table reports the valid route to dst, if any (for tests).
-func (r *Router) Table(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
-	return r.table.Next(dst)
-}
-
-func (r *Router) now() sim.Time { return r.node.Kernel().Now() }
 
 // updateRoute applies the draft's route-update rules (same sequence-number
 // discipline as AODV), guarding against self-routes.
 func (r *Router) updateRoute(dst netsim.NodeID, seq uint32, seqKnown bool, hops int, next netsim.NodeID) {
-	if dst == r.node.ID() {
+	if dst == r.Node.ID() {
 		return
 	}
-	r.table.Update(dst, seq, seqKnown, hops, next, routeTimeout)
-}
-
-// Origin implements netsim.Router.
-func (r *Router) Origin(p *netsim.Packet) {
-	if next, _, ok := r.table.Next(p.Dst); ok {
-		r.table.Refresh(p.Dst, routeTimeout)
-		r.table.Refresh(next, routeTimeout)
-		r.node.SendFrame(next, p)
-		return
-	}
-	r.discoveries.Park(p)
+	r.Routes.Update(dst, seq, seqKnown, hops, next, routeTimeout)
 }
 
 // sendRREQ floods the next request of d's search and returns how long it
 // waits for a reply.
 func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
-	r.seq++
+	r.Seq++
 	msg := &RM{
 		Target: d.Dst,
-		Orig:   AddrBlock{Addr: r.node.ID(), Seq: r.seq},
+		Orig:   AddrBlock{Addr: r.Node.ID(), Seq: r.Seq},
 	}
-	if seq, seqKnown, ok := r.table.LastSeq(d.Dst); ok && seqKnown {
+	if seq, seqKnown, ok := r.Routes.LastSeq(d.Dst); ok && seqKnown {
 		msg.TargetSeq = seq
 		msg.TargetSeqKnown = true
 	}
-	r.markSeen(seenKey{orig: r.node.ID(), seq: r.seq})
-	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
+	r.Seen(r.Node.ID(), r.Seq)
+	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
 	// Exponential backoff across retries, as the draft recommends.
 	return rreqWaitTime << uint(d.Tries)
 }
@@ -200,38 +142,20 @@ func (r *Router) Receive(p *netsim.Packet, from netsim.NodeID) {
 		case *RM:
 			r.handleRM(p, msg, from)
 		case *RERR:
-			r.handleRERR(msg, from)
+			if lost := r.ApplyRERR(msg.Unreachable, from); len(lost) > 0 && msg.HopLimit > 1 {
+				r.floodRERR(lost, msg.HopLimit-1)
+			}
 		case *Hello:
-			r.handleHello(msg, from)
+			// The sender's own sequence number is the freshest there is
+			// for it, so it goes in as known, as AODV's HELLO (RFC 3561
+			// §6.9) and DYMO's originator blocks have it.
+			r.Hello(from, msg.Seq, routeTimeout)
 		default:
 			panic(fmt.Sprintf("dymo: unexpected control payload %T", p.Payload))
 		}
 		return
 	}
-	r.forwardData(p, from)
-}
-
-func (r *Router) forwardData(p *netsim.Packet, from netsim.NodeID) {
-	p.TTL--
-	if p.TTL <= 0 {
-		r.node.DropData(p, "dymo:ttl")
-		return
-	}
-	next, _, ok := r.table.Next(p.Dst)
-	if !ok {
-		// DropData may recycle p, so read the destination first.
-		dst := p.Dst
-		r.node.DropData(p, "dymo:no-forward-route")
-		seq, _, _ := r.table.LastSeq(dst)
-		r.rerrBuf = append(r.rerrBuf[:0], netsim.Unreachable{Dst: dst, Seq: seq})
-		r.floodRERR(r.rerrBuf)
-		return
-	}
-	r.table.Refresh(p.Dst, routeTimeout)
-	r.table.Refresh(p.Src, routeTimeout)
-	r.table.Refresh(next, routeTimeout)
-	r.table.Refresh(from, routeTimeout)
-	r.node.SendFrame(next, p)
+	r.Forward(p, from)
 }
 
 // installFromRM learns routes from every address block carried by a routing
@@ -253,36 +177,29 @@ func (r *Router) installFromRM(msg *RM, from netsim.NodeID) {
 }
 
 func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
-	me := r.node.ID()
-	if msg.Orig.Addr == me {
+	me := r.Node.ID()
+	if msg.Orig.Addr == me || !msg.IsReply && r.Seen(msg.Orig.Addr, msg.Orig.Seq) {
 		return
-	}
-	key := seenKey{orig: msg.Orig.Addr, seq: msg.Orig.Seq}
-	if !msg.IsReply {
-		if r.seen.Contains(key) {
-			return
-		}
-		r.markSeen(key)
 	}
 	r.installFromRM(msg, from)
 
 	if !msg.IsReply {
 		if msg.Target == me {
 			// Target: answer with an RREP accumulated back (draft §5.2).
-			r.seq++
-			if msg.TargetSeqKnown && int32(msg.TargetSeq-r.seq) > 0 {
-				r.seq = msg.TargetSeq + 1
+			r.Seq++
+			if msg.TargetSeqKnown && int32(msg.TargetSeq-r.Seq) > 0 {
+				r.Seq = msg.TargetSeq + 1
 			}
 			rep := &RM{
 				IsReply: true,
 				Target:  msg.Orig.Addr,
-				Orig:    AddrBlock{Addr: me, Seq: r.seq},
+				Orig:    AddrBlock{Addr: me, Seq: r.Seq},
 			}
-			next, _, ok := r.table.Next(msg.Orig.Addr)
+			next, _, ok := r.Routes.Next(msg.Orig.Addr)
 			if !ok {
 				return
 			}
-			r.node.SendControl(next, next, hopLimit, rmBytes(rep), rep)
+			r.Node.SendControl(next, next, hopLimit, rmBytes(rep), rep)
 			return
 		}
 		// Intermediate: append ourselves and re-flood.
@@ -296,17 +213,17 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 			Orig:           msg.Orig,
 			HopCount:       msg.HopCount + 1,
 		}
-		fwd.Path = appendPath(msg.Path, r.pathEntry())
-		r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rmBytes(fwd), fwd)
+		fwd.Path = r.accumulate(msg.Path)
+		r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rmBytes(fwd), fwd)
 		return
 	}
 
 	// RREP handling.
 	if msg.Target == me {
-		r.discoveries.Found(msg.Orig.Addr)
+		r.Found(msg.Orig.Addr)
 		return
 	}
-	next, _, ok := r.table.Next(msg.Target)
+	next, _, ok := r.Routes.Next(msg.Target)
 	if !ok {
 		return
 	}
@@ -316,94 +233,31 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 		Orig:     msg.Orig,
 		HopCount: msg.HopCount + 1,
 	}
-	fwd.Path = appendPath(msg.Path, r.pathEntry())
-	r.node.SendControl(next, next, p.TTL-1, rmBytes(fwd), fwd)
+	fwd.Path = r.accumulate(msg.Path)
+	r.Node.SendControl(next, next, p.TTL-1, rmBytes(fwd), fwd)
 }
 
-func (r *Router) pathEntry() AddrBlock {
+// accumulate returns a forwarded message's path: path with this router
+// appended, in one exact-size allocation.
+func (r *Router) accumulate(path []AddrBlock) []AddrBlock {
 	if !r.cfg.NoPathAccumulation {
-		r.seq++
+		r.Seq++
 	}
-	return AddrBlock{Addr: r.node.ID(), Seq: r.seq}
-}
-
-// appendPath builds the forwarded accumulation path in one exact-size
-// allocation (the old double-append grew a zero-cap slice twice).
-func appendPath(path []AddrBlock, self AddrBlock) []AddrBlock {
 	out := make([]AddrBlock, len(path)+1)
 	copy(out, path)
-	out[len(path)] = self
+	out[len(path)] = AddrBlock{Addr: r.Node.ID(), Seq: r.Seq}
 	return out
 }
 
 func (r *Router) sendHello() {
-	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloSize, &Hello{Seq: r.seq})
+	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloSize, &Hello{Seq: r.Seq})
 }
 
-// handleHello installs the one-hop route to the sender with the sender's
-// own sequence number as known: it is the freshest number there is for
-// that destination, as AODV's HELLO (RFC 3561 §6.9) and DYMO's own
-// originator blocks treat it.
-func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
-	r.updateRoute(from, msg.Seq, true, 1, from)
-	r.neighbors.Reset(r.table.Index(from), (allowedHelloLoss+1)*helloInterval)
-}
-
-// LinkFailure implements netsim.Router (active link monitoring through
-// data-link feedback, as the paper describes).
-func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
-	if p.Kind == netsim.KindData {
-		r.node.DropData(p, "dymo:link-failure")
-	}
-	r.linkBroken(next)
-}
-
-func (r *Router) linkBroken(neighbor netsim.NodeID) {
-	r.rerrBuf = r.table.BreakVia(neighbor, r.rerrBuf[:0])
-	r.floodRERR(r.rerrBuf)
-}
-
-// floodRERR multicasts a RERR carrying the given unreachable set "to all
-// nodes in range"; receivers that lose routes re-flood, spreading the
-// breakage information (paper §III-B.3). The slice is copied at exact size
-// onto the wire message — receivers retain RERR payloads past this call, so
-// the reusable scratch must not escape.
-func (r *Router) floodRERR(lost []netsim.Unreachable) {
-	if len(lost) == 0 {
-		return
-	}
-	wire := make([]netsim.Unreachable, len(lost))
-	copy(wire, lost)
-	msg := &RERR{Unreachable: wire, HopLimit: hopLimit}
-	r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rerrBytes(len(wire)), msg)
-}
-
-func (r *Router) handleRERR(msg *RERR, from netsim.NodeID) {
-	r.rerrBuf = r.rerrBuf[:0]
-	for _, u := range msg.Unreachable {
-		if seq, _, matched := r.table.RerrApply(u.Dst, from, u.Seq); matched {
-			r.rerrBuf = append(r.rerrBuf, netsim.Unreachable{Dst: u.Dst, Seq: seq})
-		}
-	}
-	if len(r.rerrBuf) > 0 && msg.HopLimit > 1 {
-		wire := make([]netsim.Unreachable, len(r.rerrBuf))
-		copy(wire, r.rerrBuf)
-		fwd := &RERR{Unreachable: wire, HopLimit: msg.HopLimit - 1}
-		r.node.SendControl(netsim.BroadcastID, netsim.BroadcastID, fwd.HopLimit, rerrBytes(len(wire)), fwd)
-	}
-}
-
-// markSeen installs a dedup entry and registers its deadline; keys are
-// unique per message, so one push per insert keeps the heap at one item
-// per live entry.
-func (r *Router) markSeen(key seenKey) {
-	r.seen.Add(key, r.now()+seenHold)
-}
-
-// SeenEntries reports the dedup-table size (for memory-stability tests).
-func (r *Router) SeenEntries() int { return r.seen.Len() }
-
-func (r *Router) purge() {
-	r.table.Purge()
-	r.seen.Expire(r.now())
+// floodRERR multicasts a RERR carrying a copy of the given unreachable set
+// "to all nodes in range", limit hops deep; receivers that lose routes
+// re-flood, spreading the breakage information (paper §III-B.3). Receivers
+// retain RERR payloads, so the machine's scratch must not escape.
+func (r *Router) floodRERR(lost []netsim.Unreachable, limit int) {
+	msg := &RERR{Unreachable: slices.Clone(lost), HopLimit: limit}
+	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, limit, rerrBytes(len(lost)), msg)
 }

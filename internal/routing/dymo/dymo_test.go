@@ -237,18 +237,17 @@ func TestHelloMaintainsNeighbors(t *testing.T) {
 		n.Router().Start()
 	}
 	w.Kernel.RunUntil(5 * sim.Second) // World.Run would stop the routers
+	// HELLO liveness itself is pinned to the nanosecond by
+	// TestNeighbourLossInstant.
 	r := w.Node(0).Router().(*Router)
-	armed := 0
-	for _, id := range []netsim.NodeID{0, 1} {
-		if x := r.table.Index(id); x >= 0 && r.neighbors.Active(x) {
-			armed++
-		}
+	if next, hops, ok := r.Table(1); !ok || next != 1 || hops != 1 {
+		t.Fatalf("route to 1 = (%d, %d, %v), hello should install a 1-hop route", next, hops, ok)
 	}
-	if armed != 1 {
-		t.Fatalf("neighbors = %d, want 1", armed)
+	if seq, known, _ := r.Routes.LastSeq(1); !known || seq != w.Node(1).Router().(*Router).Seq {
+		t.Fatalf("route to 1 holds seq (%d, %v), want node 1's own, known", seq, known)
 	}
-	if _, _, ok := r.Table(1); !ok {
-		t.Fatal("hello should install a 1-hop route")
+	if _, _, ok := r.Table(0); ok {
+		t.Fatal("hello installed a route to self")
 	}
 }
 
@@ -340,10 +339,10 @@ func TestNeighbourLossInstant(t *testing.T) {
 func TestSequenceMonotone(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	r := w.Node(0).Router().(*Router)
-	before := r.seq
+	before := r.Seq
 	sendAt(w, sim.Second, 0, 2, 512)
 	w.Run(5 * sim.Second)
-	if r.seq <= before {
+	if r.Seq <= before {
 		t.Fatal("sequence number must grow")
 	}
 }
@@ -370,7 +369,7 @@ func TestRouteUpdateRules(t *testing.T) {
 	t.Run("dense", func(t *testing.T) {
 		w := chainWorld(t, 2, 100, Config{})
 		r := w.Node(0).Router().(*Router)
-		rules(t, r.table)
+		rules(t, r.Routes)
 		// Routes to self are never installed.
 		r.updateRoute(0, 1, true, 1, 1)
 		if _, _, ok := r.Table(0); ok {
@@ -419,22 +418,31 @@ func TestControlOverheadCounted(t *testing.T) {
 	}
 }
 
-// TestSeenEntriesExpire: RREQ dedup entries are reclaimed by the lazy
-// expiry heap once their hold passes, instead of accumulating forever.
+// TestSeenEntriesExpire: RREQ dedup entries are retired once their hold
+// passes, instead of accumulating forever. A relay re-floods a request the
+// first time, refuses it while the hold lasts and re-floods it once the
+// hold has passed and a purge tick has run.
 func TestSeenEntriesExpire(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
-	sendAt(w, sim.Second, 0, 2, 128)
-	w.Run(3 * sim.Second)
-	r1 := w.Node(1).Router().(*Router)
-	if r1.SeenEntries() == 0 {
-		t.Fatal("precondition: relay recorded no RREQ dedup entries")
+	for _, n := range w.Nodes() {
+		n.Router().Start()
 	}
-	// Advance well past seenHold with no new discoveries; the purge ticker
-	// only runs while routers run, so keep the world alive.
-	w.Kernel.RunUntil(w.Kernel.Now() + 2*seenHold)
-	r1.purge()
-	if got := r1.SeenEntries(); got != 0 {
-		t.Fatalf("seen entries after expiry window = %d, want 0", got)
+	relay := w.Node(1)
+	msg := &RM{Target: 2, Orig: AddrBlock{Addr: 0, Seq: 1}}
+	floods := func() uint64 {
+		before := relay.Counters().ControlPackets
+		relay.Router().Receive(&netsim.Packet{Kind: netsim.KindControl, TTL: 5, Payload: msg}, 0)
+		return relay.Counters().ControlPackets - before
+	}
+	t0 := w.Kernel.Now()
+	for _, step := range []struct {
+		at   sim.Time
+		want uint64
+	}{{t0, 1}, {t0, 0}, {t0 + seenHold - sim.Second, 0}, {t0 + seenHold + sim.Second, 1}} {
+		w.Kernel.RunUntil(step.at)
+		if got := floods(); got != step.want {
+			t.Fatalf("t=%v: relay re-flooded %d times, want %d", step.at, got, step.want)
+		}
 	}
 }
 

@@ -158,68 +158,6 @@ func TestOLSRTableSizesSteadyOverLongRun(t *testing.T) {
 	}
 }
 
-func TestDYMOSeenTableSteadyOverLongRun(t *testing.T) {
-	const n = 10
-	w, err := netsim.NewWorld(netsim.WorldConfig{
-		Nodes: n, Seed: 11, Static: gridPositions(n, 5, 180),
-	}, func(node *netsim.Node) netsim.Router {
-		return dymo.New(node, dymo.Config{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sparse single packets with idle gaps longer than the 5 s route
-	// timeout: every send triggers a fresh RREQ flood, so dedup entries
-	// keep arriving for the whole run.
-	sink := &traffic.Sink{}
-	w.Node(0).AttachPort(netsim.PortCBR, sink)
-	for s := 1; s < n; s++ {
-		for at := sim.Time(s) * sim.Second; at < 55*sim.Second; at += 8 * sim.Second {
-			src := w.Node(s)
-			w.Kernel.Schedule(at, func() {
-				src.SendData(src.NewPacket(0, netsim.PortCBR, 128))
-			})
-		}
-	}
-	// Sample the per-node dedup-table sizes once per second; with a 10 s
-	// entry hold and a steady discovery rate, the table must plateau, not
-	// track the cumulative flood count.
-	peak := make([]int, n)
-	var tick func()
-	tick = func() {
-		for i := 0; i < n; i++ {
-			if s := w.Node(i).Router().(*dymo.Router).SeenEntries(); s > peak[i] {
-				peak[i] = s
-			}
-		}
-		if w.Kernel.Now() < 60*sim.Second {
-			w.Kernel.After(sim.Second, tick)
-		}
-	}
-	w.Kernel.Schedule(0, tick)
-	w.Run(60 * sim.Second)
-
-	anyTraffic := false
-	for i := 0; i < n; i++ {
-		if peak[i] > 0 {
-			anyTraffic = true
-		}
-		end := w.Node(i).Router().(*dymo.Router).SeenEntries()
-		// ~9 senders × one RREQ try set per 8 s × 10 s hold ⇒ a steady
-		// state of a couple dozen entries; the cumulative flood count over
-		// the run is several times that, so a leak would blow through this.
-		if peak[i] > 60 {
-			t.Errorf("node %d: dymo seen table peaked at %d entries (lazy expiry not reclaiming)", i, peak[i])
-		}
-		if end > peak[i] {
-			t.Errorf("node %d: seen table still growing at end of run: %d > peak %d", i, end, peak[i])
-		}
-	}
-	if !anyTraffic {
-		t.Fatal("scenario generated no route discoveries; test is vacuous")
-	}
-}
-
 // dataPlaneSteadyAtScale is the N=1000 steady-state pin behind
 // TestAODVDataPlaneSteadyAtScale and TestDYMODataPlaneSteadyAtScale: on a
 // static 25×40 grid with four long-lived CBR flows, the second minute of

@@ -283,8 +283,8 @@ mutant "rules map order: a range over a map loses its order-free reason" interna
 mutant "rules rand: rand.New in internal/ca" internal/ca/lane.go \
 	'$a var _ = rand.New(nil)' \
 	$rules 'TestRules'
-mutant "rules timers: a map[int]*sim.Timer field" internal/routing/aodv/aodv.go \
-	's|^\tneighbors  *\*sim.TimerSet|\tlost map[int]*sim.Timer\n&|' \
+mutant "rules timers: a map[int]*sim.Timer field" internal/netsim/reactive.go \
+	's|^\tneighbours  *\*sim.TimerSet|\tlost map[int]*sim.Timer\n&|' \
 	$rules 'TestRules'
 mutant "rules counters: a router reads its node's NodeCounters" internal/routing/gpsr/gpsr.go \
 	's|^func (r \*Router) sendBeacon() {$|&\n\t_ = r.node.Counters()|' \
@@ -369,16 +369,13 @@ mutant "netsim Discoveries.retry: one try more than RREQ_RETRIES/RREQ_TRIES allo
 mutant "netsim Discoveries.Park: a recycled record keeps its last TTL" internal/netsim/discovery.go \
 	's|d.Dst, d.Tries, d.TTL = p.Dst, 0, 0|d.Dst, d.Tries = p.Dst, 0|' \
 	./internal/routing/aodv 'TestRecycledSearchRestartsRing'
-# A router's Start resumes the searches a graceful shutdown halted; the
-# parent never did, so at REV=<parent> both rows read BROKEN. A crashed
-# node's fresh router opens searches for data originated while the node is
-# down; they are armed, and the resume must leave them be.
-mutant "aodv Start: the searches a graceful shutdown halted are not resumed" internal/routing/aodv/aodv.go \
-	'/^\tr.discoveries.Resume()$/d' \
-	./internal/routing/aodv 'TestGracefulRestartResumesSearch'
-mutant "dymo Start: the searches a graceful shutdown halted are not resumed" internal/routing/dymo/dymo.go \
-	'/^\tr.discoveries.Resume()$/d' \
-	./internal/routing/dymo 'TestGracefulRestartResumesSearch'
+# A router's Start resumes the searches a graceful shutdown halted; before
+# PR 38 none did, and before the shared reactive machine the row reads
+# BROKEN. A crashed node's fresh router opens searches for data originated
+# while the node is down; they are armed, and the resume must leave them be.
+mutant "netsim Reactive.Start: the searches a graceful shutdown halted are not resumed" internal/netsim/reactive.go \
+	'/^\tm.discoveries.Resume()$/d' \
+	"$reactive" 'TestGracefulRestartResumesSearch'
 mutant "netsim Discoveries.Resume: an armed search takes a second decision" internal/netsim/discovery.go \
 	's|if d := ds.open\[dst\]; d != nil \&\& !d.timer.Active() {|if d := ds.open[dst]; d != nil {|' \
 	./internal/fault 'TestCrashKeepsControlOverhead'
@@ -403,6 +400,25 @@ mutant "netsim Routes.Update: the accept branch assigns the lifetime instead of 
 mutant "netsim Routes.Update: information without a sequence number overwrites a known one" internal/netsim/routes.go \
 	's|^\tif !isNew \&\& !seqKnown {$|\tif false \&\& !isNew \&\& !seqKnown {|' \
 	./internal/netsim '^TestUnknownSeqKeepsKnownSeq$'
+
+# ---- one reactive router (ROADMAP "One reactive router"): the machine's
+# own clauses in internal/netsim/reactive.go and each protocol's dedup
+# hold. A revision without reactive.go reads BROKEN on the machine rows. ----
+mutant "netsim Reactive.Forward: the previous-hop route is not refreshed" internal/netsim/reactive.go \
+	'/^\tm.Routes.Refresh(from, m.proto.RouteLifetime)$/d' \
+	./internal/netsim '^TestForwardRefreshesEveryRouteItUses$'
+mutant "netsim Reactive.ApplyRERR: AODV passes on routes without precursors" internal/netsim/reactive.go \
+	's/(propagate || !m.proto.Precursors)/(propagate || true)/' \
+	./internal/scenario '^TestWorkCounts$'
+mutant "netsim Reactive.purge: flood dedup entries never expire" internal/netsim/reactive.go \
+	's|^\tm.seen.Expire(m.Node.Kernel().Now())$|\t_ = m.seen|' \
+	./internal/netsim '^TestSeenTableSteadyOverLongRun$'
+mutant "aodv: DYMO's 10 s dedup hold instead of PATH_DISCOVERY_TIME" internal/routing/aodv/aodv.go \
+	's|SeenHold:      2 \* netTraversalTime,|SeenHold:      10 * sim.Second,|' \
+	./internal/routing/aodv '^TestSeenEntriesExpire$'
+mutant "dymo: AODV's 2.8 s PATH_DISCOVERY_TIME instead of its dedup hold" internal/routing/dymo/dymo.go \
+	's|SeenHold:      seenHold,|SeenHold:      2800 * sim.Millisecond,|' \
+	./internal/routing/dymo '^TestSeenEntriesExpire$'
 
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
