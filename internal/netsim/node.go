@@ -36,6 +36,7 @@ type Node struct {
 	rnd    *rand.Rand
 
 	down      bool
+	rebooted  bool            // a crash has rebuilt the router: it has lost its state
 	lifecycle []func(up bool) // fault-injection observers (traffic sources)
 
 	counters NodeCounters
@@ -119,6 +120,7 @@ func (n *Node) Down(graceful bool) {
 	n.mac.Down()
 	if !graceful {
 		n.EachBuffered(func(p *Packet) { n.DropData(p, "node:down") })
+		n.rebooted = true
 		n.router = n.world.factory(n)
 		if n.router == nil {
 			panic(fmt.Sprintf("netsim: t=%v: router factory returned nil for node %d", n.world.Kernel.Now(), n.id))

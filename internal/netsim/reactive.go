@@ -13,6 +13,10 @@ type ReactiveProtocol struct {
 	// long a neighbour lives without a HELLO; SeenHold is how long a
 	// flood's (originator, id) is remembered.
 	RouteLifetime, HelloInterval, NeighbourHold, SeenHold sim.Time
+	// RebootWait is how long a router rebuilt by a crash stays silent
+	// before it takes part in routing again (AODV's DELETE_PERIOD, DYMO's
+	// ROUTE_DELETE_TIMEOUT).
+	RebootWait sim.Time
 	// Precursors scopes a received RERR's propagation to the routes that
 	// had precursors (RFC 3561 §6.11); without it every route the RERR
 	// invalidated is reported on (DYMO).
@@ -39,11 +43,22 @@ type floodKey struct {
 // its own messages and hands data to Forward; the rest of netsim.Router
 // is the machine's. Nothing on the per-packet path calls through the
 // ReactiveProtocol value.
+//
+// A router rebuilt by a crash has lost its own sequence number while its
+// neighbours may still route through it on numbers it no longer knows.
+// RFC 3561 §6.13 and draft-14's rule for a lost OwnSeqNum say the same:
+// for RebootWait after it comes up it learns from what it hears but sends
+// no routing message of its own and forwards no control packet or data; a
+// data packet for another destination is answered with a RERR and
+// restarts the wait. By its end no neighbour uses it as a next hop.
 type Reactive struct {
 	Node   *Node
 	Routes *Routes
 	// Seq is the router's own sequence number.
 	Seq uint32
+
+	rebooted   bool     // built by a crash; the wait starts at Start
+	quietUntil sim.Time // end of the reboot wait, 0 if there is none
 
 	proto       ReactiveProtocol
 	seen        sim.ExpiringSet[floodKey]
@@ -53,7 +68,7 @@ type Reactive struct {
 	helloTicker *sim.Ticker
 	purgeTicker *sim.Ticker
 
-	dropTTL, dropNoRoute, dropLink string // "<proto>:…" drop reasons
+	dropTTL, dropNoRoute, dropLink, dropWait string // "<proto>:…" drop reasons
 }
 
 // NewReactive builds node's reactive machine for protocol p.
@@ -62,9 +77,11 @@ func NewReactive(node *Node, p ReactiveProtocol) *Reactive {
 		Node:        node,
 		Routes:      NewRoutes(node.Kernel()),
 		proto:       p,
+		rebooted:    node.rebooted,
 		dropTTL:     p.Name + ":ttl",
 		dropNoRoute: p.Name + ":no-forward-route",
 		dropLink:    p.Name + ":link-failure",
+		dropWait:    p.Name + ":reboot-wait",
 	}
 	m.discoveries = NewDiscoveries(node, p.Name, m.Routes.Usable, p.SendRREQ, m.Origin)
 	m.neighbours = node.Kernel().NewTimerSet(func(x int32) { m.linkBroken(m.Routes.Dst(x)) })
@@ -76,8 +93,12 @@ func NewReactive(node *Node, p ReactiveProtocol) *Reactive {
 // Name implements Router.
 func (m *Reactive) Name() string { return m.proto.Name }
 
-// Start implements Router.
+// Start implements Router. A rebuilt router's reboot wait starts here.
 func (m *Reactive) Start() {
+	if m.rebooted {
+		m.rebooted = false
+		m.quietUntil = m.Node.Kernel().Now() + m.proto.RebootWait
+	}
 	m.helloTicker.Start()
 	m.purgeTicker.Start()
 	m.discoveries.Resume()
@@ -100,7 +121,8 @@ func (m *Reactive) Table(dst NodeID) (next NodeID, hops int, ok bool) {
 	return m.Routes.Next(dst)
 }
 
-// Origin implements Router.
+// Origin implements Router. A router in its reboot wait may not search,
+// so data with no route is dropped.
 func (m *Reactive) Origin(p *Packet) {
 	if next, _, ok := m.Routes.Next(p.Dst); ok {
 		m.Routes.Refresh(p.Dst, m.proto.RouteLifetime)
@@ -108,7 +130,25 @@ func (m *Reactive) Origin(p *Packet) {
 		m.Node.SendFrame(next, p)
 		return
 	}
+	if m.waiting() {
+		m.Node.DropData(p, m.dropWait)
+		return
+	}
 	m.discoveries.Park(p)
+}
+
+// waiting reports whether the router is in its reboot wait.
+func (m *Reactive) waiting() bool {
+	return m.quietUntil > 0 && m.Node.Kernel().Now() < m.quietUntil
+}
+
+// Send transmits one of the protocol's own routing messages — a request,
+// a reply, a HELLO or a re-flood — unless the router is in its reboot
+// wait. RERRs go straight to the node.
+func (m *Reactive) Send(next, dst NodeID, ttl, size int, msg any) {
+	if !m.waiting() {
+		m.Node.SendControl(next, dst, ttl, size, msg)
+	}
 }
 
 // Forward routes a data packet heard from a neighbour on toward its
@@ -119,15 +159,14 @@ func (m *Reactive) Forward(p *Packet, from NodeID) {
 		m.Node.DropData(p, m.dropTTL)
 		return
 	}
+	if m.waiting() {
+		m.quietUntil = m.Node.Kernel().Now() + m.proto.RebootWait
+		m.unreachable(p, m.dropWait)
+		return
+	}
 	next, _, ok := m.Routes.Next(p.Dst)
 	if !ok {
-		// RFC 3561 §6.11 case (ii): data for a destination we cannot reach.
-		// DropData may recycle p, so read the destination first.
-		dst := p.Dst
-		m.Node.DropData(p, m.dropNoRoute)
-		seq, _, _ := m.Routes.LastSeq(dst)
-		m.rerrBuf = append(m.rerrBuf[:0], Unreachable{Dst: dst, Seq: seq})
-		m.proto.SendRERR(m.rerrBuf)
+		m.unreachable(p, m.dropNoRoute)
 		return
 	}
 	// Active data refreshes destination, next-hop, source and previous-hop
@@ -139,6 +178,17 @@ func (m *Reactive) Forward(p *Packet, from NodeID) {
 	m.Routes.Refresh(p.Src, m.proto.RouteLifetime)
 	m.Routes.Refresh(from, m.proto.RouteLifetime)
 	m.Node.SendFrame(next, p)
+}
+
+// unreachable drops data for a destination it cannot forward to and
+// reports the destination in a RERR (RFC 3561 §6.11 case ii).
+func (m *Reactive) unreachable(p *Packet, reason string) {
+	// DropData may recycle p, so read the destination first.
+	dst := p.Dst
+	m.Node.DropData(p, reason)
+	seq, _, _ := m.Routes.LastSeq(dst)
+	m.rerrBuf = append(m.rerrBuf[:0], Unreachable{Dst: dst, Seq: seq})
+	m.proto.SendRERR(m.rerrBuf)
 }
 
 // Seen reports whether the flood (orig, id) has been seen within the
@@ -166,14 +216,17 @@ func (m *Reactive) Hello(from NodeID, seq uint32, lifetime sim.Time) {
 // ApplyRERR applies a received RERR's entries to the table and returns
 // the ones to report on, with their sequence numbers after adoption: every
 // route via from that it invalidated, or with Precursors only those that
-// had precursors. The result is scratch, valid until the machine's next
-// RERR.
+// had precursors, and none in the reboot wait. The result is scratch,
+// valid until the machine's next RERR.
 func (m *Reactive) ApplyRERR(lost []Unreachable, from NodeID) []Unreachable {
 	m.rerrBuf = m.rerrBuf[:0]
 	for _, u := range lost {
 		if seq, propagate, matched := m.Routes.RerrApply(u.Dst, from, u.Seq); matched && (propagate || !m.proto.Precursors) {
 			m.rerrBuf = append(m.rerrBuf, Unreachable{Dst: u.Dst, Seq: seq})
 		}
+	}
+	if m.waiting() {
+		return m.rerrBuf[:0]
 	}
 	return m.rerrBuf
 }

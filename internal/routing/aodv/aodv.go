@@ -22,6 +22,7 @@ const (
 	ttlStart           = 5
 	ttlIncrement       = 2
 	ttlThreshold       = 7
+	deletePeriod       = 5 * max(activeRouteTimeout, helloInterval) // K = 5
 )
 
 // ringTraversalTime is RING_TRAVERSAL_TIME for a search of the given TTL
@@ -59,6 +60,7 @@ func New(node *netsim.Node, cfg Config) *Router {
 		HelloInterval: helloInterval,
 		NeighbourHold: (allowedHelloLoss + 1) * helloInterval,
 		SeenHold:      2 * netTraversalTime, // PATH_DISCOVERY_TIME (RFC 3561 §10)
+		RebootWait:    deletePeriod,         // §6.13
 		Precursors:    true,
 		SendRREQ:      r.sendRREQ,
 		SendHello:     r.sendHello,
@@ -95,7 +97,7 @@ func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 		SrcSeq:      r.Seq,
 	}
 	r.Seen(r.Node.ID(), msg.ID)
-	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, ttl, rreqBytes, msg)
+	r.Send(netsim.BroadcastID, netsim.BroadcastID, ttl, rreqBytes, msg)
 	return ringTraversalTime(ttl)
 }
 
@@ -143,7 +145,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 			Src:      msg.Src,
 			Lifetime: int64(myRouteTimeout / sim.Millisecond),
 		}
-		r.Node.SendControl(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
+		r.Send(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
 		return
 	}
 	// Intermediate node with a fresh-enough valid route may answer (§6.6.2).
@@ -157,7 +159,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 			Src:      msg.Src,
 			Lifetime: int64((rtExpires - r.Node.Kernel().Now()) / sim.Millisecond),
 		}
-		r.Node.SendControl(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
+		r.Send(from, msg.Src, netsim.DefaultTTL, rrepBytes, rep)
 		return
 	}
 	// Otherwise re-flood with decremented TTL.
@@ -166,7 +168,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 	}
 	fwd := *msg
 	fwd.HopCount = hops
-	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rreqBytes, &fwd)
+	r.Send(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rreqBytes, &fwd)
 }
 
 func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
@@ -197,7 +199,7 @@ func (r *Router) handleRREP(p *netsim.Packet, msg *RREP, from netsim.NodeID) {
 	}
 	fwd := *msg
 	fwd.HopCount = hops
-	r.Node.SendControl(revNext, msg.Src, p.TTL-1, rrepBytes, &fwd)
+	r.Send(revNext, msg.Src, p.TTL-1, rrepBytes, &fwd)
 }
 
 func (r *Router) sendHello() {
@@ -207,7 +209,7 @@ func (r *Router) sendHello() {
 		Lifetime: int64((1 + allowedHelloLoss) * helloInterval / sim.Millisecond),
 		Hello:    true,
 	}
-	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloBytes, msg)
+	r.Send(netsim.BroadcastID, netsim.BroadcastID, 1, helloBytes, msg)
 }
 
 // broadcastRERR sends a RERR to the neighbours (TTL 1) carrying a copy of

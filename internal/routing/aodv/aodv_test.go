@@ -515,3 +515,47 @@ func TestEachBufferedAscendingDestinations(t *testing.T) {
 		}
 	}
 }
+
+// TestRebootWaitsDeletePeriod pins RFC 3561 §6.13 on a static line 0–1–2:
+// node 1 crashes at 2 s and comes back at 3 s with a fresh router, which
+// sends nothing of its own for DELETE_PERIOD (15 s). A data packet handed
+// to it for 2 at 10 s is dropped as aodv:reboot-wait, answered with one
+// RERR, and restarts the wait, so node 1 is silent again until 25 s and
+// HELLOs once it is over.
+func TestRebootWaitsDeletePeriod(t *testing.T) {
+	w := chainWorld(t, 3, 200, Config{})
+	for _, n := range w.Nodes() {
+		n.Router().Start()
+	}
+	relay := w.Node(1)
+	var drops []string
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, _ *netsim.Packet, reason string) {
+		if n == relay {
+			drops = append(drops, reason)
+		}
+	}})
+	w.Kernel.RunUntil(2 * sim.Second)
+	relay.Down(false)
+	w.Kernel.RunUntil(3 * sim.Second)
+	relay.Up()
+	sent := relay.Counters().ControlPackets
+	for _, c := range []struct {
+		at   sim.Time
+		want uint64 // control packets node 1 has sent since it came up
+	}{{10 * sim.Second, 0}, {10 * sim.Second, 1}, {25*sim.Second - 1, 1}} {
+		w.Kernel.RunUntil(c.at)
+		if c.want == 1 && len(drops) == 0 {
+			relay.Router().Receive(w.Node(0).NewPacket(2, netsim.PortCBR, 128), 0)
+		}
+		if got := relay.Counters().ControlPackets - sent; got != c.want {
+			t.Fatalf("t=%v: node 1 sent %d control packets since it came up, want %d", c.at, got, c.want)
+		}
+	}
+	if !slices.Equal(drops, []string{"aodv:reboot-wait"}) {
+		t.Fatalf("node 1 dropped %v, want one aodv:reboot-wait", drops)
+	}
+	w.Kernel.RunUntil(27 * sim.Second)
+	if got := relay.Counters().ControlPackets - sent; got <= 1 {
+		t.Fatalf("node 1 sent %d control packets by 27 s, want HELLOs after its wait", got)
+	}
+}

@@ -68,10 +68,11 @@ type Hello struct {
 const (
 	helloInterval    = sim.Second
 	allowedHelloLoss = 2
-	routeTimeout     = 5 * sim.Second  // ROUTE_TIMEOUT
-	rreqWaitTime     = sim.Second      // doubled per retry
-	hopLimit         = 20              // MSG_HOPLIMIT
-	seenHold         = 10 * sim.Second // RREQ duplicate-suppression memory
+	routeTimeout     = 5 * sim.Second   // ROUTE_TIMEOUT
+	rreqWaitTime     = sim.Second       // doubled per retry
+	hopLimit         = 20               // MSG_HOPLIMIT
+	seenHold         = 10 * sim.Second  // RREQ duplicate-suppression memory
+	routeDeleteTime  = 2 * routeTimeout // ROUTE_DELETE_TIMEOUT
 )
 
 // Config holds what a scenario chooses about DYMO; the zero value is the
@@ -101,6 +102,7 @@ func New(node *netsim.Node, cfg Config) *Router {
 		HelloInterval: helloInterval,
 		NeighbourHold: (allowedHelloLoss + 1) * helloInterval,
 		SeenHold:      seenHold,
+		RebootWait:    routeDeleteTime, // the wait after losing OwnSeqNum
 		SendRREQ:      r.sendRREQ,
 		SendHello:     r.sendHello,
 		SendRERR:      func(lost []netsim.Unreachable) { r.floodRERR(lost, hopLimit) },
@@ -130,7 +132,7 @@ func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 		msg.TargetSeqKnown = true
 	}
 	r.Seen(r.Node.ID(), r.Seq)
-	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
+	r.Send(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
 	// Exponential backoff across retries, as the draft recommends.
 	return rreqWaitTime << uint(d.Tries)
 }
@@ -199,7 +201,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 			if !ok {
 				return
 			}
-			r.Node.SendControl(next, next, hopLimit, rmBytes(rep), rep)
+			r.Send(next, next, hopLimit, rmBytes(rep), rep)
 			return
 		}
 		// Intermediate: append ourselves and re-flood.
@@ -214,7 +216,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 			HopCount:       msg.HopCount + 1,
 		}
 		fwd.Path = r.accumulate(msg.Path)
-		r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rmBytes(fwd), fwd)
+		r.Send(netsim.BroadcastID, netsim.BroadcastID, p.TTL-1, rmBytes(fwd), fwd)
 		return
 	}
 
@@ -234,7 +236,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 		HopCount: msg.HopCount + 1,
 	}
 	fwd.Path = r.accumulate(msg.Path)
-	r.Node.SendControl(next, next, p.TTL-1, rmBytes(fwd), fwd)
+	r.Send(next, next, p.TTL-1, rmBytes(fwd), fwd)
 }
 
 // accumulate returns a forwarded message's path: path with this router
@@ -250,7 +252,7 @@ func (r *Router) accumulate(path []AddrBlock) []AddrBlock {
 }
 
 func (r *Router) sendHello() {
-	r.Node.SendControl(netsim.BroadcastID, netsim.BroadcastID, 1, helloSize, &Hello{Seq: r.Seq})
+	r.Send(netsim.BroadcastID, netsim.BroadcastID, 1, helloSize, &Hello{Seq: r.Seq})
 }
 
 // floodRERR multicasts a RERR carrying a copy of the given unreachable set

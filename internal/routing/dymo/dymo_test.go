@@ -465,3 +465,47 @@ func TestEachBufferedAscendingDestinations(t *testing.T) {
 		}
 	}
 }
+
+// TestRebootWaitsRouteDeleteTimeout pins draft-14's rule for a router that
+// has lost its OwnSeqNum on a static line 0–1–2: node 1 crashes at 2 s and
+// comes back at 3 s with a fresh router, which sends nothing of its own
+// for ROUTE_DELETE_TIMEOUT (10 s). A data packet handed to it for 2 at 8 s
+// is dropped as dymo:reboot-wait, answered with one RERR, and restarts the
+// wait, so node 1 is silent again until 18 s and HELLOs once it is over.
+func TestRebootWaitsRouteDeleteTimeout(t *testing.T) {
+	w := chainWorld(t, 3, 200, Config{})
+	for _, n := range w.Nodes() {
+		n.Router().Start()
+	}
+	relay := w.Node(1)
+	var drops []string
+	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, _ *netsim.Packet, reason string) {
+		if n == relay {
+			drops = append(drops, reason)
+		}
+	}})
+	w.Kernel.RunUntil(2 * sim.Second)
+	relay.Down(false)
+	w.Kernel.RunUntil(3 * sim.Second)
+	relay.Up()
+	sent := relay.Counters().ControlPackets
+	for _, c := range []struct {
+		at   sim.Time
+		want uint64 // control packets node 1 has sent since it came up
+	}{{8 * sim.Second, 0}, {8 * sim.Second, 1}, {18*sim.Second - 1, 1}} {
+		w.Kernel.RunUntil(c.at)
+		if c.want == 1 && len(drops) == 0 {
+			relay.Router().Receive(w.Node(0).NewPacket(2, netsim.PortCBR, 128), 0)
+		}
+		if got := relay.Counters().ControlPackets - sent; got != c.want {
+			t.Fatalf("t=%v: node 1 sent %d control packets since it came up, want %d", c.at, got, c.want)
+		}
+	}
+	if !slices.Equal(drops, []string{"dymo:reboot-wait"}) {
+		t.Fatalf("node 1 dropped %v, want one dymo:reboot-wait", drops)
+	}
+	w.Kernel.RunUntil(20 * sim.Second)
+	if got := relay.Counters().ControlPackets - sent; got <= 1 {
+		t.Fatalf("node 1 sent %d control packets by 20 s, want HELLOs after its wait", got)
+	}
+}

@@ -420,5 +420,15 @@ mutant "dymo: AODV's 2.8 s PATH_DISCOVERY_TIME instead of its dedup hold" intern
 	's|SeenHold:      seenHold,|SeenHold:      2800 * sim.Millisecond,|' \
 	./internal/routing/dymo '^TestSeenEntriesExpire$'
 
+# A router rebuilt by a crash waits out RFC 3561 §6.13's DELETE_PERIOD
+# (draft-14's ROUTE_DELETE_TIMEOUT) before it sends; data it is handed
+# meanwhile restarts the wait.
+mutant "netsim Reactive.Start: a rebuilt router does not wait before it sends" internal/netsim/reactive.go \
+	'/^func (m \*Reactive) Start() {$/,/^}$/{/m.quietUntil = /d}' \
+	"$reactive" 'TestRebootWaits'
+mutant "netsim Reactive.Forward: data in the reboot wait does not restart it" internal/netsim/reactive.go \
+	'/^func (m \*Reactive) Forward(/,/^}$/{/m.quietUntil = /d}' \
+	"$reactive" 'TestRebootWaits'
+
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
