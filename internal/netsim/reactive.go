@@ -8,15 +8,12 @@ import "cavenet/internal/sim"
 // else about a reactive router is the Reactive machine.
 type ReactiveProtocol struct {
 	Name string
-	// RouteLifetime is how long data traffic keeps a route alive (AODV's
-	// ACTIVE_ROUTE_TIMEOUT, DYMO's ROUTE_TIMEOUT); NeighbourHold is how
-	// long a neighbour lives without a HELLO; SeenHold is how long a
-	// flood's (originator, id) is remembered.
-	RouteLifetime, HelloInterval, NeighbourHold, SeenHold sim.Time
-	// RebootWait is how long a router rebuilt by a crash stays silent
-	// before it takes part in routing again (AODV's DELETE_PERIOD, DYMO's
-	// ROUTE_DELETE_TIMEOUT).
-	RebootWait sim.Time
+	// RouteLifetime is how long data keeps a route alive (AODV's
+	// ACTIVE_ROUTE_TIMEOUT, DYMO's ROUTE_TIMEOUT), NeighbourHold how long
+	// a neighbour lives without a HELLO, SeenHold how long a flood is
+	// remembered, RebootWait how long a router rebuilt by a crash stays
+	// silent (AODV's DELETE_PERIOD, DYMO's ROUTE_DELETE_TIMEOUT).
+	RouteLifetime, HelloInterval, NeighbourHold, SeenHold, RebootWait sim.Time
 	// Precursors scopes a received RERR's propagation to the routes that
 	// had precursors (RFC 3561 §6.11); without it every route the RERR
 	// invalidated is reported on (DYMO).
@@ -54,12 +51,10 @@ type floodKey struct {
 type Reactive struct {
 	Node   *Node
 	Routes *Routes
-	// Seq is the router's own sequence number.
-	Seq uint32
+	Seq    uint32 // the router's own sequence number
 
-	rebooted   bool     // built by a crash; the wait starts at Start
-	quietUntil sim.Time // end of the reboot wait, 0 if there is none
-
+	rebooted    bool     // built by a crash; the wait starts at Start
+	quietUntil  sim.Time // end of the reboot wait, 0 if there is none
 	proto       ReactiveProtocol
 	seen        sim.ExpiringSet[floodKey]
 	discoveries *Discoveries

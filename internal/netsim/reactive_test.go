@@ -130,3 +130,25 @@ func TestForwardRefreshesEveryRouteItUses(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeLeavesSearchOpenedWhileDown: data originated while a node is
+// down after a graceful shutdown opens a search whose first request is
+// already out and whose timer is armed; bringing the node up resumes only
+// the searches the shutdown halted, so that one sends nothing more at Up.
+func TestResumeLeavesSearchOpenedWhileDown(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Nodes: 2, Static: staticPositions(2, 5000)}, newProbeRouter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := w.Node(0)
+	n.Router().Start()
+	w.Kernel.RunUntil(sim.Second)
+	n.Down(true)
+	w.Kernel.RunUntil(1500 * sim.Millisecond)
+	n.SendData(n.NewPacket(1, PortCBR, 128))
+	w.Kernel.RunUntil(2 * sim.Second)
+	n.Up()
+	if got := n.Counters().ControlPackets; got != 1 {
+		t.Fatalf("node 0 sent %d requests by the instant it came up, want 1", got)
+	}
+}

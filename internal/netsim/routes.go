@@ -132,17 +132,14 @@ func (t *Routes) LastSeq(dst NodeID) (seq uint32, seqKnown, ok bool) {
 // or the existing entry is invalid/unknown-seq; otherwise keep the entry
 // but stretch its lifetime.
 //
-// Information without a sequence number — the previous-hop route of §6.5,
-// "without a valid sequence number" — is §6.2's case (iii): it is always
-// accepted, but an existing entry keeps its stored sequence number and
-// flag, because such information says nothing about freshness and so
-// cannot unlearn it. This is the reading van Glabbeek, Höfner, Portmann
-// and Tan prove loop-free ("Modelling and verifying the AODV routing
-// protocol", Distributed Computing 29(4), 2016, §5.5.5: the update keeps
-// the old sequence number). Overwriting the stored number with an unknown
-// one left the entry open to the next update of any age, and routing loops
-// followed. Every caller passes an unknown number only for a one-hop route
-// to the sender itself, which can close no cycle.
+// Information without a sequence number (§6.5's previous-hop route) is
+// §6.2's case (iii): accepted, but an existing entry keeps its sequence
+// number and flag, as in van Glabbeek, Höfner, Portmann and Tan's
+// loop-free model ("Modelling and verifying the AODV routing protocol",
+// Distributed Computing 29(4), 2016, §5.5.5). Erasing a known number
+// would open the entry to the next update of any age. Every caller passes
+// an unknown number only for a one-hop route to the sender itself, which
+// can close no cycle.
 func (t *Routes) Update(dst NodeID, seq uint32, seqKnown bool, hops int, next NodeID, lifetime sim.Time) {
 	x, isNew := t.ids.Intern(dst)
 	if isNew {

@@ -148,9 +148,8 @@ func (r *Router) Receive(p *netsim.Packet, from netsim.NodeID) {
 				r.floodRERR(lost, msg.HopLimit-1)
 			}
 		case *Hello:
-			// The sender's own sequence number is the freshest there is
-			// for it, so it goes in as known, as AODV's HELLO (RFC 3561
-			// §6.9) and DYMO's originator blocks have it.
+			// The sender's own number is the freshest there is for it: known,
+			// as in AODV's HELLO (RFC 3561 §6.9) and DYMO's originator blocks.
 			r.Hello(from, msg.Seq, routeTimeout)
 		default:
 			panic(fmt.Sprintf("dymo: unexpected control payload %T", p.Payload))
