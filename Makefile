@@ -52,14 +52,15 @@ race:
 
 # Word size must not reach the results: the golden-bearing packages (the
 # CLI's and the examples') build, vet and pass — every golden byte-identical
-# — as a 32-bit program, and
+# — as a 32-bit program,
 # rng's seeding, whose 62-bit products 386 emulates, still matches
-# math/rand. Fused
+# math/rand, and the per-neighbour records sim and netsim pin by size (a
+# timer set's item, a route entry) keep their sizes. Fused
 # multiply-add on arm64 and friends is the open half (ROADMAP item 6):
 # fma-audit keeps the count of fused sites from growing while it is.
 portable: fma-audit
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/netsim/ ./internal/rng/ ./cmd/cavenet/
+	GOARCH=386 $(GO) test ./internal/sim/ ./internal/netsim/ ./internal/rng/ ./cmd/cavenet/
 	GOARCH=386 $(GO) test -run Golden .
 
 # Cross-compile the root package and ./internal/... for arm64 and fail if

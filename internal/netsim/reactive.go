@@ -79,7 +79,7 @@ func NewReactive(node *Node, p ReactiveProtocol) *Reactive {
 		dropWait:    p.Name + ":reboot-wait",
 	}
 	m.discoveries = NewDiscoveries(node, p.Name, m.Routes.Usable, p.SendRREQ, m.Origin)
-	m.neighbours = node.Kernel().NewTimerSet(func(x int32) { m.linkBroken(m.Routes.Dst(x)) })
+	m.neighbours = node.Kernel().NewTimerSet(p.NeighbourHold, func(x int32) { m.linkBroken(m.Routes.Dst(x)) })
 	m.helloTicker = sim.NewTicker(node.Kernel(), p.HelloInterval, node.Jitter(p.HelloInterval), p.SendHello)
 	m.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, m.purge)
 	return m
@@ -111,9 +111,11 @@ func (m *Reactive) Stop() {
 // (Discoveries.Each).
 func (m *Reactive) EachBuffered(f func(p *Packet)) { m.discoveries.Each(f) }
 
-// Table reports the next hop and hop count of a valid route to dst.
+// Table reports the next hop and hop count of a valid route to dst. It
+// reads without side effects (Routes.Peek), so a harness may call it
+// mid-run without moving the run.
 func (m *Reactive) Table(dst NodeID) (next NodeID, hops int, ok bool) {
-	return m.Routes.Next(dst)
+	return m.Routes.Peek(dst)
 }
 
 // Origin implements Router. A router in its reboot wait may not search,
@@ -205,7 +207,7 @@ func (m *Reactive) Found(dst NodeID) { m.discoveries.Found(dst) }
 // neighbour's own sequence number, and restarts its liveness deadline.
 func (m *Reactive) Hello(from NodeID, seq uint32, lifetime sim.Time) {
 	m.Routes.Update(from, seq, true, 1, from, lifetime)
-	m.neighbours.Reset(m.Routes.Index(from), m.proto.NeighbourHold)
+	m.neighbours.Reset(m.Routes.Index(from))
 }
 
 // ApplyRERR applies a received RERR's entries to the table and returns

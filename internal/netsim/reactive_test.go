@@ -131,6 +131,36 @@ func TestForwardRefreshesEveryRouteItUses(t *testing.T) {
 	}
 }
 
+// TestTableReadLeavesRunAlone: Table reads without Next's flip. A route
+// past its deadline that no purge has retired yet reads as no route and
+// stays valid, so the RERR a later break of its next hop builds is the one
+// a run without the read builds.
+func TestTableReadLeavesRunAlone(t *testing.T) {
+	lost := func(read bool) []Unreachable {
+		w, err := NewWorld(WorldConfig{Nodes: 4, Static: staticPositions(4, 200)}, newProbeRouter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := w.Node(2).Router().(*probeRouter)
+		r.Routes.Update(0, 4, true, 2, 1, sim.Second)
+		r.Routes.Update(3, 7, true, 1, 3, sim.Second)
+		w.Kernel.RunUntil(2 * sim.Second)
+		if read {
+			if _, _, ok := r.Table(0); ok {
+				t.Fatal("a route past its deadline read as valid")
+			}
+		}
+		return r.Routes.BreakVia(1, nil)
+	}
+	without, with := lost(false), lost(true)
+	if len(without) != 1 || without[0] != (Unreachable{Dst: 0, Seq: 5}) {
+		t.Fatalf("precondition: breaking 1 without a read reports %v, want [{0 5}]", without)
+	}
+	if len(with) != len(without) || with[0] != without[0] {
+		t.Fatalf("after a Table read, breaking 1 reports %v, want %v", with, without)
+	}
+}
+
 // TestResumeLeavesSearchOpenedWhileDown: data originated while a node is
 // down after a graceful shutdown opens a search whose first request is
 // already out and whose timer is armed; bringing the node up resumes only

@@ -30,7 +30,12 @@ type Unreachable struct {
 // deadline, and the eager purge that ran before it left it valid. A
 // purge flip has no side effect beyond the state bit, and every reader of
 // that bit (Next, Usable, ReplyInfo, Refresh, Update's keep branch,
-// BreakVia, RerrApply) applies the deferred flip first.
+// BreakVia, RerrApply) applies the deferred flip first; Peek reads it
+// without applying it.
+//
+// An entry is 32 B: node ids and hop counts are int32, and the accessors
+// widen them back. No validated spec hands out an id that does not fit,
+// and Interner.Intern refuses one.
 type Routes struct {
 	kernel    *sim.Kernel
 	ids       Interner // dst -> index into entries
@@ -40,10 +45,10 @@ type Routes struct {
 }
 
 type route struct {
-	dst       NodeID
-	next      NodeID
-	hops      int
 	expiresAt sim.Time
+	dst       int32
+	next      int32
+	hops      int32
 	seq       uint32
 	accepted  uint32 // purges when the entry was last accepted
 	seqKnown  bool
@@ -62,7 +67,7 @@ func NewRoutes(k *sim.Kernel) *Routes {
 func (t *Routes) Index(dst NodeID) int32 { return t.ids.Index(dst) }
 
 // Dst returns the destination of entry index x.
-func (t *Routes) Dst(x int32) NodeID { return t.entries[x].dst }
+func (t *Routes) Dst(x int32) NodeID { return NodeID(t.entries[x].dst) }
 
 // stateValid reports whether e is valid as an eagerly purged table would
 // have it, applying the deferred purge flip.
@@ -99,7 +104,25 @@ func (t *Routes) Next(dst NodeID) (next NodeID, hops int, ok bool) {
 	if e == nil {
 		return 0, 0, false
 	}
-	return e.next, e.hops, true
+	return NodeID(e.next), int(e.hops), true
+}
+
+// Peek reports what Next would, without Next's flip: a valid entry past
+// its deadline reads as no route but stays valid, so a mid-run reader
+// leaves BreakVia's and RerrApply's later answers as they were. The
+// deferred purge flip needs no test of its own here: it applies only to
+// entries with expiresAt ≤ lastPurge ≤ now, which the deadline test
+// already refuses.
+func (t *Routes) Peek(dst NodeID) (next NodeID, hops int, ok bool) {
+	x := t.ids.Index(dst)
+	if x < 0 {
+		return 0, 0, false
+	}
+	e := &t.entries[x]
+	if !e.valid || t.kernel.Now() >= e.expiresAt {
+		return 0, 0, false
+	}
+	return NodeID(e.next), int(e.hops), true
 }
 
 // Usable reports whether a live, unexpired route to dst exists (with
@@ -113,7 +136,7 @@ func (t *Routes) ReplyInfo(dst NodeID) (hops int, seq uint32, seqKnown bool, exp
 	if e == nil {
 		return 0, 0, false, 0, false
 	}
-	return e.hops, e.seq, e.seqKnown, e.expiresAt, true
+	return int(e.hops), e.seq, e.seqKnown, e.expiresAt, true
 }
 
 // LastSeq reports the stored sequence state for dst regardless of route
@@ -143,14 +166,14 @@ func (t *Routes) LastSeq(dst NodeID) (seq uint32, seqKnown, ok bool) {
 func (t *Routes) Update(dst NodeID, seq uint32, seqKnown bool, hops int, next NodeID, lifetime sim.Time) {
 	x, isNew := t.ids.Intern(dst)
 	if isNew {
-		t.entries = append(t.entries, route{dst: dst})
+		t.entries = append(t.entries, route{dst: int32(dst)})
 	}
 	e := &t.entries[x]
 	if !isNew && !seqKnown {
 		seq, seqKnown = e.seq, e.seqKnown
 	} else if t.stateValid(e) && e.seqKnown && seqKnown {
 		newer := int32(seq-e.seq) > 0
-		sameButShorter := seq == e.seq && hops < e.hops
+		sameButShorter := seq == e.seq && hops < int(e.hops)
 		if !newer && !sameButShorter {
 			t.extend(e, lifetime)
 			return
@@ -158,8 +181,8 @@ func (t *Routes) Update(dst NodeID, seq uint32, seqKnown bool, hops int, next No
 	}
 	e.seq = seq
 	e.seqKnown = seqKnown
-	e.hops = hops
-	e.next = next
+	e.hops = int32(hops)
+	e.next = int32(next)
 	e.valid = true
 	e.accepted = t.purges
 	t.extend(e, lifetime)
@@ -198,10 +221,10 @@ func (t *Routes) AddPrecursor(dst, prev NodeID) {
 func (t *Routes) BreakVia(neighbour NodeID, buf []Unreachable) []Unreachable {
 	for i := range t.entries {
 		e := &t.entries[i]
-		if t.stateValid(e) && e.next == neighbour {
+		if t.stateValid(e) && NodeID(e.next) == neighbour {
 			e.valid = false
 			e.seq++
-			buf = append(buf, Unreachable{Dst: e.dst, Seq: e.seq})
+			buf = append(buf, Unreachable{Dst: NodeID(e.dst), Seq: e.seq})
 		}
 	}
 	return buf
@@ -218,7 +241,7 @@ func (t *Routes) RerrApply(dst, from NodeID, seq uint32) (seqOut uint32, propaga
 		return 0, false, false
 	}
 	e := &t.entries[x]
-	if !t.stateValid(e) || e.next != from {
+	if !t.stateValid(e) || NodeID(e.next) != from {
 		return 0, false, false
 	}
 	e.valid = false

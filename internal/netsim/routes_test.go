@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"cavenet/internal/sim"
 )
@@ -54,5 +55,13 @@ func TestUnknownSeqKeepsKnownSeq(t *testing.T) {
 	}
 	if seq, known, ok := tb.LastSeq(8); seq != 0 || known || !ok {
 		t.Fatalf("entry 8: LastSeq (%d, %v, %v), want (0, false, true)", seq, known, ok)
+	}
+}
+
+// TestRouteEntrySize: a route entry is 32 B on every word size, so a field
+// added later shows here and not as a drift in a world's memory.
+func TestRouteEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(route{}); n != 32 {
+		t.Fatalf("route entry is %d B, want 32", n)
 	}
 }

@@ -53,10 +53,23 @@ func FuzzKernelDifferential(f *testing.F) {
 			{name: "oracle", k: newHeapKernel(), batched: true},
 			{name: "calendar/each", k: NewKernel()},
 		}
+		// The set's one hold comes from the last byte: zero, a 100 µs grid
+		// (ties with op 0's and op 4's times), or the overflow tier.
+		var hold Time
+		if n := len(data); n > 0 {
+			switch b := Time(data[n-1]); {
+			case b < 64:
+				hold = 0
+			case b < 192:
+				hold = (b - 64) * 100 * Time(Microsecond)
+			default:
+				hold = (b - 191) * 10 * Time(Second)
+			}
+		}
 		for _, s := range sides {
 			s := s
 			s.fire = func(a any) { s.log = append(s.log, fired{id: a.(int), at: s.k.Now()}) }
-			s.timers = newTimers(s.k, s.batched, func(i int32) { s.fire(-1 - int(i)) })
+			s.timers = newTimers(s.k, s.batched, hold, func(i int32) { s.fire(-1 - int(i)) })
 		}
 		ref := sides[0]
 		cancelled := map[int]bool{}
@@ -132,13 +145,9 @@ func FuzzKernelDifferential(f *testing.F) {
 						schedule(at)
 					}
 				}
-			case 6: // (re)arm item a%16, later or earlier; a>=128 lands far out
-				d := b * 100 * Time(Microsecond)
-				if a >= 128 {
-					d = b * 10 * Time(Second)
-				}
+			case 6: // (re)arm item a%16 to the hold from now
 				for _, s := range sides {
-					s.timers.Reset(int32(a%16), d)
+					s.timers.Reset(int32(a % 16))
 				}
 			case 7: // stop item a%16, or every item when b is 0
 				if b == 0 {

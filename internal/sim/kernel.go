@@ -68,7 +68,7 @@ const (
 
 // event is a pooled scheduled-callback record. Exactly one of fn, afn,
 // batch and set is set while the event is pending; a batch's entry is keyed
-// by the batch's next member, a timer set's by its minimum registration.
+// by the batch's next member, a timer set's no later than its list head.
 // gen increments every time the record is released, invalidating
 // outstanding handles. dead marks a cancelled record that still physically
 // occupies a calendar bucket (lazy cancellation); it is skipped and
@@ -347,27 +347,32 @@ func (k *Kernel) Cancel(h Handle) bool {
 // the scan cursor and reclaim cancelled records even when nothing is due —
 // deterministic state changes that never affect pop order.
 //
-// A popped TimerSet entry whose head registration is stale is settled here,
-// above both queues, and never returned: it fires nothing, so Now() and
-// Processed() do not move. A set is exactly its items as stand-alone
-// Timers, by three clauses (L1 and L2 of drain, in the same form):
+// A popped TimerSet entry not keyed at its list head is stale; it is
+// settled here, above both queues, and never returned: it fires nothing, so
+// Now() and Processed() do not move. A set is exactly its items as
+// stand-alone Timers, by three clauses (L1 and L2 of drain, in the same
+// form):
 //
 // (a) Every item's seq is drawn at an unchanged program point: Reset draws
 // k.seq where Timer.Reset's AfterArg drew it, and a (re)queued entry
-// borrows its minimum registration's key instead of drawing one.
+// borrows its head's key instead of drawing one.
 //
-// (b) An armed item always has a registration whose key is <= its true key
-// (a later Reset keeps it, an earlier one lowers it, a stale pop raises it
-// to the true key), and the entry carries the minimum registration's key,
-// re-keyed by a push whenever a Reset lowers that minimum. So the entry
-// never pops after an armed item's true key: the kernel still pops the
+// (b) The hold is constant, so a Reset's key (now + hold, k.seq) is the
+// largest armed key: appended at the tail, it keeps the list in key order,
+// and the head is the earliest armed item. The entry's key is no later
+// than any armed item's: it was the head's key when pushed, and every key
+// linked since is larger still (a Reset or Stop only unlinks what it
+// moves). So the entry never has to move earlier:
+// it is pushed only while the set is out of the queue, never re-keyed, and
+// never pops after an armed item's key. The kernel still pops the
 // smallest key among queued events and armed items first, and drain's
 // bound — lowered by every push, raised by nothing a callback does to a
 // set — stays a lower bound.
 //
-// (c) Only a registration equal to its item's true key fires. A stale one
-// is raised to that key or dropped, so at most two stale pops per
-// registration precede a firing.
+// (c) Only an entry carrying the head's (time, seq) fires, and it fires
+// the head. A stale one is requeued at the head's key, or returned once
+// the list is empty, so every stale pop is paid for by a Reset or Stop of
+// the head it was keyed at, and popDue's loop ends.
 //
 // So every item fires at the (time, seq) its own Timer would have had, in
 // the same place among all other events, with the same Now() and
@@ -446,9 +451,9 @@ func (k *Kernel) fire(ev *event, deadline Time, single bool) {
 // every key in the queue: it starts as the queue minimum (one peek, after
 // the pop, so this batch is not in it) and every push a callback makes
 // lowers it (Kernel.push: plain events, other batches' Commits, a timer
-// set re-keyed by a Reset). An Append to another queued batch lands behind
-// that batch's entry key, as a Reset that does not re-key a set lands
-// behind the set's (popDue, clause b); an Append to this batch is seen by
+// set's first Reset). An Append to another queued batch lands behind
+// that batch's entry key, as a Reset of a queued set lands behind the
+// set's (popDue, clause b); an Append to this batch is seen by
 // the loop itself, and a Cancel only removes keys — so the true minimum is
 // never below the bound, which errs towards an early requeue, never a
 // wrong firing.

@@ -10,27 +10,29 @@ import (
 // timers is a timer set as its caller sees it. TimerSet implements it;
 // eachTimers is the reference it must be indistinguishable from.
 type timers interface {
-	Reset(i int32, d Time)
+	Reset(i int32)
 	Stop(i int32) bool
 	StopAll()
 	Active(i int32) bool
 }
 
-// eachTimers keeps one Timer per item — what the code a set replaces did.
+// eachTimers keeps one Timer per item, each reset to the same hold — what
+// the code a set replaces did.
 type eachTimers struct {
-	k  *Kernel
-	fn func(int32)
-	ts []*Timer
+	k    *Kernel
+	hold Time
+	fn   func(int32)
+	ts   []*Timer
 }
 
-func (e *eachTimers) Reset(i int32, d Time) {
+func (e *eachTimers) Reset(i int32) {
 	for int(i) >= len(e.ts) {
 		e.ts = append(e.ts, nil)
 	}
 	if e.ts[i] == nil {
 		e.ts[i] = NewTimer(e.k, func() { e.fn(i) })
 	}
-	e.ts[i].Reset(d)
+	e.ts[i].Reset(e.hold)
 }
 
 func (e *eachTimers) Stop(i int32) bool { return e.Active(i) && e.ts[i].Stop() }
@@ -47,12 +49,13 @@ func (e *eachTimers) Active(i int32) bool {
 	return int(i) < len(e.ts) && e.ts[i] != nil && e.ts[i].Active()
 }
 
-// newTimers returns a real set, or its per-item reference.
-func newTimers(k *Kernel, set bool, fn func(int32)) timers {
+// newTimers returns a real set with the given hold, or its per-item
+// reference.
+func newTimers(k *Kernel, set bool, hold Time, fn func(int32)) timers {
 	if set {
-		return k.NewTimerSet(fn)
+		return k.NewTimerSet(hold, fn)
 	}
-	return &eachTimers{k: k, fn: fn}
+	return &eachTimers{k: k, hold: hold, fn: fn}
 }
 
 // timerStep is one observation of a differential run: a plain event or
@@ -75,8 +78,9 @@ const (
 )
 
 // timerWorkload drives one kernel through a deterministic pseudo-random
-// mix of item Resets (later, earlier, same-instant and far-future
-// deadlines), Stops, StopAlls and Active queries on two timer sets, plain
+// mix of item Resets, Stops, StopAlls and Active queries on two timer sets
+// (one hold each: the first cycles by seed through zero, the same-instant
+// grid, a millisecond and the far-future tier, the second is drawn), plain
 // events, cancels, fan-out batches, bounded runs, single steps and Stop()
 // calls, issuing the same kinds of work from inside every callback, and
 // returns everything it observed. Items go through real TimerSets or
@@ -106,6 +110,8 @@ func timerWorkload(k *Kernel, set bool, seed int64, ops int) []timerStep {
 		return Time(rng.Int63n(int64(2 * Millisecond)))
 	}
 	sizes := [...]int32{16, 5}
+	firstHolds := [...]Time{0, Microsecond, 2 * Microsecond, 700 * Microsecond, 15 * Second}
+	holds := [len(sizes)]Time{firstHolds[seed%int64(len(firstHolds))], delay()}
 	var sets [len(sizes)]timers
 	var handles []Handle
 	var plainFire func(any)
@@ -119,7 +125,7 @@ func timerWorkload(k *Kernel, set bool, seed int64, ops int) []timerStep {
 		i := int32(rng.Intn(int(sizes[g])))
 		switch r := rng.Intn(20); {
 		case r < 13:
-			sets[g].Reset(i, delay())
+			sets[g].Reset(i)
 		case r < 17:
 			observe(stepStop, int32(g)*100+i, sets[g].Stop(i))
 		case r < 18:
@@ -158,10 +164,10 @@ func timerWorkload(k *Kernel, set bool, seed int64, ops int) []timerStep {
 		act()
 	}
 	for g := range sets {
-		sets[g] = newTimers(k, set, func(i int32) {
+		sets[g] = newTimers(k, set, holds[g], func(i int32) {
 			observe(stepItem, int32(g)*100+i, false)
 			if rng.Intn(3) == 0 {
-				sets[g].Reset(i, delay()) // re-armed from its own expiry
+				sets[g].Reset(i) // re-armed from its own expiry
 			}
 			act()
 		})
@@ -184,8 +190,8 @@ func timerWorkload(k *Kernel, set bool, seed int64, ops int) []timerStep {
 		k.Run()
 		observe(stepOp, 0, false)
 	}
-	// Stopped items may leave registrations queued, which count nothing: a
-	// last Run pops them, and must not move the clock.
+	// Stopped items may leave the set's entry queued, which counts
+	// nothing: a last Run pops it, and must not move the clock.
 	k.Run()
 	observe(stepOp, 0, false)
 	return log
@@ -241,16 +247,17 @@ func TestTimerSetMatchesTimers(t *testing.T) {
 	}
 }
 
-// TestTimerSetOneQueueEntry: 10 000 items reset forward 50 times each — the
+// TestTimerSetOneQueueEntry: 10 000 items reset 50 times each — the
 // HELLO-refresh shape — leave exactly one record in the queue and no
-// cancelled ones, while Pending() still counts every armed item.
+// cancelled ones, while Pending() still counts every armed item and the
+// list holds each once, in last-Reset order.
 func TestTimerSetOneQueueEntry(t *testing.T) {
 	const items, rounds = 10_000, 50
 	k := NewKernel()
-	s := k.NewTimerSet(func(int32) { t.Fatal("no deadline is due") })
+	s := k.NewTimerSet(3*Second, func(int32) { t.Fatal("no deadline is due") })
 	for r := 0; r < rounds; r++ {
 		for i := int32(0); i < items; i++ {
-			s.Reset(i, 3*Second)
+			s.Reset((i + int32(r)) % items)
 		}
 		k.RunUntil(k.Now() + Millisecond)
 	}
@@ -261,35 +268,48 @@ func TestTimerSetOneQueueEntry(t *testing.T) {
 	if k.Pending() != items {
 		t.Fatalf("Pending = %d, want %d armed items", k.Pending(), items)
 	}
-	if len(s.regs) != items {
-		t.Fatalf("%d registrations for %d items", len(s.regs), items)
+	n, prev := int32(0), int32(noItem)
+	for i := s.head; i != noItem; prev, i = i, s.items[i].next {
+		if want := (n + rounds - 1) % items; i != want || s.items[i].prev != prev {
+			t.Fatalf("list position %d holds item %d (prev %d), want %d (prev %d)", n, i, s.items[i].prev, want, prev)
+		}
+		n++
+	}
+	if n != items || s.tail != prev {
+		t.Fatalf("list holds %d items ending at %d, want %d ending at %d", n, prev, items, s.tail)
 	}
 }
 
 // TestTimerSetFiresInGlobalOrder is the contract in miniature: items fire
 // in (deadline, reset order), a plain event whose key falls between two
-// items fires between them, a later Reset moves a deadline and an earlier
-// one pulls it in, Stop and StopAll silence items, and counters count
-// items — on both queues.
+// same-instant items fires between them, a Reset moves an item behind
+// every other (the head's included, whose stale entry then fires
+// nothing), Stop and StopAll silence items, and counters count items — on
+// both queues.
 func TestTimerSetFiresInGlobalOrder(t *testing.T) {
 	forBothKernels(t, func(t *testing.T, k *Kernel) {
 		var order []int32
-		s := k.NewTimerSet(func(i int32) { order = append(order, i) })
-		s.Reset(3, 2*Second)
-		s.Reset(1, 2*Second) // same instant, drawn later: fires after 3
-		s.Reset(2, 5*Second)
-		s.Reset(2, Second) // earlier: re-keys the entry
-		s.Reset(4, Second)
-		s.Reset(4, 4*Second) // later: no queue work
-		s.Reset(5, 3*Second)
+		s := k.NewTimerSet(2*Second, func(i int32) { order = append(order, i) })
+		s.Reset(7) // the head; reset at 1 s, so the entry keyed here is stale
+		s.Reset(3)
+		k.Schedule(2*Second, func() { order = append(order, 100) })
+		s.Reset(1) // same instant, drawn after the plain event: fires after it
+		s.Reset(6)
+		s.Reset(5)
 		s.Stop(5)
-		k.Schedule(3*Second, func() { order = append(order, 100) })
-		if k.Pending() != 5 || !s.Active(4) || s.Active(5) || s.Active(99) {
-			t.Fatalf("Pending %d, Active(4, 5, 99) = %v %v %v; want 5, true false false",
-				k.Pending(), s.Active(4), s.Active(5), s.Active(99))
+		if k.Pending() != 5 || !s.Active(6) || s.Active(5) || s.Active(99) {
+			t.Fatalf("Pending %d, Active(6, 5, 99) = %v %v %v; want 5, true false false",
+				k.Pending(), s.Active(6), s.Active(5), s.Active(99))
 		}
+		k.RunUntil(Second / 2)
+		s.Reset(2)
+		s.Reset(4)
+		k.RunUntil(Second)
+		s.Reset(7)
+		s.Reset(6)
+		s.Reset(4)
 		k.Run()
-		want := []int32{2, 3, 1, 100, 4}
+		want := []int32{3, 100, 1, 2, 7, 6, 4}
 		if len(order) != len(want) {
 			t.Fatalf("fired %v, want %v", order, want)
 		}
@@ -298,17 +318,17 @@ func TestTimerSetFiresInGlobalOrder(t *testing.T) {
 				t.Fatalf("fired %v, want %v", order, want)
 			}
 		}
-		if k.Now() != 4*Second || k.Processed() != 5 || k.Pending() != 0 {
-			t.Fatalf("Now %v Processed %d Pending %d, want 4s, 5, 0", k.Now(), k.Processed(), k.Pending())
+		if k.Now() != 3*Second || k.Processed() != 7 || k.Pending() != 0 {
+			t.Fatalf("Now %v Processed %d Pending %d, want 3s, 7, 0", k.Now(), k.Processed(), k.Pending())
 		}
-		s.Reset(0, Second)
-		s.Reset(1, Second)
+		s.Reset(0)
+		s.Reset(1)
 		s.StopAll()
 		if k.Pending() != 0 || s.Stop(0) {
 			t.Fatalf("after StopAll: Pending %d, Stop(0) reported an armed item", k.Pending())
 		}
 		k.Run()
-		if len(order) != len(want) || k.Now() != 4*Second {
+		if len(order) != len(want) || k.Now() != 3*Second {
 			t.Fatalf("stopped items fired: %v, Now %v", order, k.Now())
 		}
 	})
@@ -325,22 +345,23 @@ func TestTimerSetMisusePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("nil callback", func() { k.NewTimerSet(nil) })
-	mustPanic("negative delay", func() { k.NewTimerSet(func(int32) {}).Reset(0, -1) })
+	mustPanic("nil callback", func() { k.NewTimerSet(Second, nil) })
+	mustPanic("negative hold", func() { k.NewTimerSet(-1, func(int32) {}) })
 }
 
 // TestTimerSetSteadyStateAllocFree: once its items exist, a set refreshed,
-// fired and re-armed allocates nothing — registrations and the queue
-// entry are reused.
+// fired and re-armed allocates nothing — the items and the queue entry are
+// reused.
 func TestTimerSetSteadyStateAllocFree(t *testing.T) {
 	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		s := k.NewTimerSet(func(i int32) {})
+		s := k.NewTimerSet(3*Millisecond, func(i int32) {})
 		cycle := func() {
 			for i := int32(0); i < 32; i++ {
-				s.Reset(i, Time(i%5+1)*Millisecond)
+				s.Reset(i)
 			}
+			k.RunUntil(k.Now() + Millisecond)
 			for i := int32(0); i < 32; i += 2 {
-				s.Reset(i, Time(i%7+2)*Millisecond)
+				s.Reset(i)
 			}
 			s.Stop(3)
 			k.Run()
@@ -355,10 +376,22 @@ func TestTimerSetSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestEventRecordSize: a timer set's pointer joined the record without
-// growing it past its 80-byte size class.
+// growing it past its 80-byte size class (56 B with 4-byte words).
 func TestEventRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n != 80 {
-		t.Fatalf("event record is %d B, want 80", n)
+	want := uintptr(80)
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		want = 56
+	}
+	if n := unsafe.Sizeof(event{}); n != want {
+		t.Fatalf("event record is %d B, want %d", n, want)
+	}
+}
+
+// TestTimerSetItemSize: a neighbour's liveness item is its key and two
+// list links, 24 B on every word size.
+func TestTimerSetItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(setItem{}); n != 24 {
+		t.Fatalf("timer set item is %d B, want 24", n)
 	}
 }
 
@@ -382,7 +415,7 @@ func BenchmarkTimerSetHello(b *testing.B) {
 			k := NewKernel()
 			groups := make([]timers, routers)
 			for j := range groups {
-				groups[j] = newTimers(k, mode.set, func(int32) { b.Fatal("a neighbour was lost") })
+				groups[j] = newTimers(k, mode.set, 3*Second, func(int32) { b.Fatal("a neighbour was lost") })
 			}
 			// Sender h is heard by routers h+1 … h+68, as their neighbour
 			// index d-1.
@@ -391,7 +424,7 @@ func BenchmarkTimerSetHello(b *testing.B) {
 				if d == 1 {
 					k.RunUntil(k.Now() + Second/routers)
 				}
-				groups[(h+d)%routers].Reset(int32(d-1), 3*Second)
+				groups[(h+d)%routers].Reset(int32(d - 1))
 			}
 			warm := 2 * routers * neighbours
 			for n := 0; n < warm; n++ {

@@ -80,8 +80,9 @@ mutant() {
 		echo "SURVIVED  $name  ($file: $edit)"
 		survived=$((survived + 1))
 	else
-		# Top-level tests that failed; a panic or a hang names none.
-		by=$(grep -o '^--- FAIL: [A-Za-z0-9_]*' "$tmp/log" | cut -d' ' -f3 | sort -u | tr '\n' ' ')
+		# Top-level tests that failed; a panic or a hang names none (and
+		# grep's finding none must not end the script under pipefail).
+		by=$({ grep -o '^--- FAIL: [A-Za-z0-9_]*' "$tmp/log" || true; } | cut -d' ' -f3 | sort -u | tr '\n' ' ')
 		echo "killed    $name  [${by:-panic or timeout }]"
 		killed=$((killed + 1))
 	fi
@@ -195,23 +196,31 @@ mutant "rng prefix: lfLazy raised past the tap, to 300" internal/rng/lagged.go \
 	$rng 'TestStreamMatchesMathRand'
 
 # ---- sim.TimerSet, the clauses at Kernel.popDue (ROADMAP "Neighbour
-# liveness is one queue entry per router"). A revision without
-# internal/sim/timerset.go reads BROKEN on every row. ----
+# liveness is one queue entry per router"): the list kept in key order, the
+# entry settled against the head, and Stop's unlink. A revision whose set
+# keeps a registration heap reads BROKEN on the list rows. The "inserting
+# at the head" edit mirrors link (head <-> tail, prev <-> next). ----
 setTests='TestTimerSetMatchesTimers|FuzzKernelDifferential'
 mutant "sim timer set: a stale pop fires" internal/sim/timerset.go \
-	's|	if it.armed \&\& it.at == r.at \&\& it.seq == r.seq {|	if true {|' \
+	's|h != noItem \&\& s.items\[h\].at == s.ev.at \&\& s.items\[h\].seq == s.ev.seq {|h != noItem {|' \
 	$sim "$setTests"
 mutant "sim timer set: Reset stops drawing k.seq" internal/sim/timerset.go \
 	'/^\tk.seq++$/d' \
 	$sim "$setTests"
-mutant "sim timer set: a requeue keeps the old key, not the heap minimum" internal/sim/timerset.go \
-	'/^\ts.ev.at, s.ev.seq = s.regs\[0\].at, s.regs\[0\].seq$/d' \
+mutant "sim timer set: a Reset inserts at the head" internal/sim/timerset.go \
+	'/^func (s \*TimerSet) link/,/^}/{s/tail/@/g;s/head/tail/g;s/@/head/g;s/prev/@/g;s/next/prev/g;s/@/next/g}' \
+	$sim "$setTests"
+mutant "sim timer set: due() ignores seq" internal/sim/timerset.go \
+	's| \&\& s.items\[h\].seq == s.ev.seq {| {|' \
+	$sim "$setTests"
+mutant "sim timer set: a requeue keeps the popped key, not the head's" internal/sim/timerset.go \
+	'/^\ts.ev.at, s.ev.seq = s.items\[s.head\].at, s.items\[s.head\].seq$/d' \
+	$sim "$setTests"
+mutant "sim timer set: Stop does not unlink" internal/sim/timerset.go \
+	'/^func (s \*TimerSet) Stop/,/^}/{/s.unlink(i)/d}' \
 	$sim "$setTests"
 mutant "sim timer set: a stale pop advances Now()" internal/sim/kernel.go \
 	's/if ev.set == nil || ev.set.due() {/if k.now = ev.at; ev.set == nil || ev.set.due() {/' \
-	$sim "$setTests"
-mutant "sim timer set: an earlier Reset keeps the later registration" internal/sim/timerset.go \
-	's|		if !keyLess(at, seq, r.at, r.seq) {|		if true {|' \
 	$sim "$setTests"
 
 # ---- the batch sort, the clauses at sim.radixSort (ROADMAP "Fan-out
@@ -395,6 +404,12 @@ mutant "netsim Routes.stateValid: no write guard, a purge at the accept's instan
 mutant "netsim Routes.Update: the accept branch assigns the lifetime instead of taking the max" internal/netsim/routes.go \
 	's|^\tt.extend(e, lifetime)$|\te.expiresAt = t.kernel.Now() + lifetime|' \
 	./internal/routing/aodv 'TestTableLazyPurgeMatchesEager'
+
+# ---- the side-effect-free table read (ROADMAP item 19(a)): Reactive.Table reads
+# through Routes.Peek. A revision without Peek reads BROKEN. ----
+mutant "netsim Routes.Peek: the expiry flip restored" internal/netsim/routes.go \
+	's/^\tif !e.valid || t.kernel.Now() >= e.expiresAt {$/\tif e.valid = e.valid \&\& t.kernel.Now() < e.expiresAt; !e.valid {/' \
+	./internal/netsim '^TestTableReadLeavesRunAlone$'
 
 # ---- the unknown-sequence-number clause of RFC 3561 §6.2 (ROADMAP "One
 # reactive router"): a previous-hop install keeps the entry's sequence
