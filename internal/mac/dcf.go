@@ -215,12 +215,11 @@ type DCF struct {
 	// sifsResp is the response due one SIFS after the reception that queued
 	// it: an ACK or CTS to send as is, or dataAfterCTS.
 	sifsResp *Frame
-	// Receive dedup state, dense-indexed by sender address (station
-	// addresses are small and dense; data frames never come from
-	// Broadcast). Replaces the two maps the seed used, which cost a map
-	// lookup per received frame.
-	lastSeq  []uint16
-	haveLast []bool
+	// Receive dedup state: the last sequence number taken from each sender
+	// of unicast data, in first-heard order. A station hears few senders
+	// (at most 23 on every counted run), so a linear scan finds one, and
+	// the state is sized by the senders heard, not by their addresses.
+	dedup []lastHeard
 
 	// airing counts the station's data frames on the air (transmitted, not
 	// yet dead); ended holds the jobs that ended meanwhile, in order (see
@@ -752,16 +751,10 @@ func (d *DCF) handleData(frame *Frame) {
 	switch frame.To {
 	case d.addr:
 		d.respondAfterSIFS(d.frame(Frame{Kind: KindAck, From: d.addr, To: frame.From, Seq: frame.Seq}))
-		from := int(frame.From)
-		if from >= len(d.haveLast) {
-			d.growDedup(from)
-		}
-		if d.haveLast[from] && d.lastSeq[from] == frame.Seq && frame.Retry {
+		if d.duplicate(frame) {
 			d.stats.Duplicates++
 			return
 		}
-		d.lastSeq[from] = frame.Seq
-		d.haveLast[from] = true
 		d.stats.DataRx++
 		d.upper.MACReceive(frame.Payload, frame.From)
 	case Broadcast:
@@ -773,15 +766,28 @@ func (d *DCF) handleData(frame *Frame) {
 	}
 }
 
-// growDedup extends the dedup slices to cover sender address from.
-func (d *DCF) growDedup(from int) {
-	n := from + 1
-	ls := make([]uint16, n)
-	copy(ls, d.lastSeq)
-	d.lastSeq = ls
-	hl := make([]bool, n)
-	copy(hl, d.haveLast)
-	d.haveLast = hl
+// lastHeard is the sequence number of the last data frame taken from one
+// sender.
+type lastHeard struct {
+	from Address
+	seq  uint16
+}
+
+// duplicate reports whether frame is a retransmission of the last data
+// frame taken from its sender; otherwise it records frame's sequence
+// number as that sender's last.
+func (d *DCF) duplicate(frame *Frame) bool {
+	for i := range d.dedup {
+		if h := &d.dedup[i]; h.from == frame.From {
+			if h.seq == frame.Seq && frame.Retry {
+				return true
+			}
+			h.seq = frame.Seq
+			return false
+		}
+	}
+	d.dedup = append(d.dedup, lastHeard{from: frame.From, seq: frame.Seq})
+	return false
 }
 
 // dataAfterCTS stands in sifsResp for the station's own data frame, which

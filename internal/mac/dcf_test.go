@@ -225,6 +225,26 @@ func TestDuplicateFiltering(t *testing.T) {
 	k.RunUntil(sim.Second) // drain scheduled ACKs
 }
 
+// TestDedupSizedBySenders: a station that takes unicast data from a sender
+// with a large address holds one dedup entry for it, not one per address
+// below it, and filters that sender's retransmission as any other's.
+func TestDedupSizedBySenders(t *testing.T) {
+	k, macs, ups := testNet(t, 2, 100)
+	const far = Address(1 << 20)
+	macs[1].handleData(&Frame{Kind: KindData, From: far, To: 1, Seq: 7, Payload: "x"})
+	k.RunUntil(sim.Millisecond)
+	macs[1].handleData(&Frame{Kind: KindData, From: far, To: 1, Seq: 7, Retry: true, Payload: "x"})
+	k.RunUntil(2 * sim.Millisecond)
+	macs[1].handleData(&Frame{Kind: KindData, From: far, To: 1, Seq: 8, Retry: true, Payload: "y"})
+	if n := len(macs[1].dedup); n != 1 {
+		t.Fatalf("dedup holds %d entries for one sender", n)
+	}
+	if d := macs[1].Stats().Duplicates; d != 1 || len(ups[1].received) != 2 {
+		t.Fatalf("Duplicates = %d, %d frames received; want 1 and 2", d, len(ups[1].received))
+	}
+	k.RunUntil(sim.Second)
+}
+
 func TestNAVDefersThirdParty(t *testing.T) {
 	// Station 2 overhears a unicast between 0 and 1 and must set its NAV.
 	k, macs, _ := testNet(t, 3, 100)
