@@ -11,13 +11,13 @@ type Unreachable struct {
 
 // Routes is the sequence-numbered route table of a reactive router: the
 // RFC 3561 §6.2 rules AODV specifies and DYMO draft-14 keeps. Entries live
-// in a flat slice addressed through interned indices, so the per-packet
-// path (Next, then Refresh on every forwarded frame) does no map work and
-// no allocation once the destination set has been seen. Every method
-// answers in plain values — none hands out a pointer into entries, which
-// would dangle across the next insert — so the table's contract is a
-// per-call value contract, and each router package's reference_test.go
-// holds it to the original map table call by call.
+// in sim.Pages addressed through interned indices, so the per-packet path
+// (Next, then Refresh on every forwarded frame) does no map work and no
+// allocation once the destination set has been seen, and a new destination
+// costs at most one page of 16 entries, never a copy. Every method answers
+// in plain values, so the table's contract is a per-call value contract,
+// and each router package's reference_test.go holds it to the original map
+// table call by call.
 //
 // Lifetimes never shrink: every write of expiresAt takes the max of the
 // old and the new deadline. Expiry is lazy. Purge only records its time
@@ -39,7 +39,7 @@ type Unreachable struct {
 type Routes struct {
 	kernel    *sim.Kernel
 	ids       Interner // dst -> index into entries
-	entries   []route
+	entries   sim.Pages[route]
 	lastPurge sim.Time
 	purges    uint32 // Purge calls so far
 }
@@ -67,7 +67,7 @@ func NewRoutes(k *sim.Kernel) *Routes {
 func (t *Routes) Index(dst NodeID) int32 { return t.ids.Index(dst) }
 
 // Dst returns the destination of entry index x.
-func (t *Routes) Dst(x int32) NodeID { return NodeID(t.entries[x].dst) }
+func (t *Routes) Dst(x int32) NodeID { return NodeID(t.entries.At(x).dst) }
 
 // stateValid reports whether e is valid as an eagerly purged table would
 // have it, applying the deferred purge flip.
@@ -80,14 +80,14 @@ func (t *Routes) stateValid(e *route) bool {
 
 // live returns dst's entry if it is valid and unexpired, flipping a
 // valid-but-expired entry to invalid: the flip timing is observable,
-// because BreakVia and RerrApply act only on still-valid entries. The
-// pointer is only valid until the next Update.
+// because BreakVia and RerrApply act only on still-valid entries. Entries
+// never move, so the pointer stays valid.
 func (t *Routes) live(dst NodeID) *route {
 	x := t.ids.Index(dst)
 	if x < 0 {
 		return nil
 	}
-	e := &t.entries[x]
+	e := t.entries.At(x)
 	if !t.stateValid(e) {
 		return nil
 	}
@@ -118,7 +118,7 @@ func (t *Routes) Peek(dst NodeID) (next NodeID, hops int, ok bool) {
 	if x < 0 {
 		return 0, 0, false
 	}
-	e := &t.entries[x]
+	e := t.entries.At(x)
 	if !e.valid || t.kernel.Now() >= e.expiresAt {
 		return 0, 0, false
 	}
@@ -146,7 +146,7 @@ func (t *Routes) LastSeq(dst NodeID) (seq uint32, seqKnown, ok bool) {
 	if x < 0 {
 		return 0, false, false
 	}
-	e := &t.entries[x]
+	e := t.entries.At(x)
 	return e.seq, e.seqKnown, true
 }
 
@@ -166,9 +166,9 @@ func (t *Routes) LastSeq(dst NodeID) (seq uint32, seqKnown, ok bool) {
 func (t *Routes) Update(dst NodeID, seq uint32, seqKnown bool, hops int, next NodeID, lifetime sim.Time) {
 	x, isNew := t.ids.Intern(dst)
 	if isNew {
-		t.entries = append(t.entries, route{dst: int32(dst)})
+		t.entries.Append(route{dst: int32(dst)})
 	}
-	e := &t.entries[x]
+	e := t.entries.At(x)
 	if !isNew && !seqKnown {
 		seq, seqKnown = e.seq, e.seqKnown
 	} else if t.stateValid(e) && e.seqKnown && seqKnown {
@@ -208,7 +208,7 @@ func (t *Routes) Refresh(dst NodeID, lifetime sim.Time) {
 // exists. Only whether the set is empty is ever read, so prev is not kept.
 func (t *Routes) AddPrecursor(dst, prev NodeID) {
 	if x := t.ids.Index(dst); x >= 0 {
-		t.entries[x].hasPrec = true
+		t.entries.At(x).hasPrec = true
 	}
 }
 
@@ -219,8 +219,8 @@ func (t *Routes) AddPrecursor(dst, prev NodeID) {
 // processed independently by every receiver and the wire size depends only
 // on the count, so the order never reaches the results.
 func (t *Routes) BreakVia(neighbour NodeID, buf []Unreachable) []Unreachable {
-	for i := range t.entries {
-		e := &t.entries[i]
+	for i := range t.entries.Len() {
+		e := t.entries.At(i)
 		if t.stateValid(e) && NodeID(e.next) == neighbour {
 			e.valid = false
 			e.seq++
@@ -240,7 +240,7 @@ func (t *Routes) RerrApply(dst, from NodeID, seq uint32) (seqOut uint32, propaga
 	if x < 0 {
 		return 0, false, false
 	}
-	e := &t.entries[x]
+	e := t.entries.At(x)
 	if !t.stateValid(e) || NodeID(e.next) != from {
 		return 0, false, false
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -63,5 +64,19 @@ func TestUnknownSeqKeepsKnownSeq(t *testing.T) {
 func TestRouteEntrySize(t *testing.T) {
 	if n := unsafe.Sizeof(route{}); n != 32 {
 		t.Fatalf("route entry is %d B, want 32", n)
+	}
+}
+
+// TestRoutePageSize: the page a route table allocates, read off the type
+// sim.Pages stores, is 16 entries in 512 B, an exact size class, on every
+// word size: growing a table by a page wastes no byte.
+func TestRoutePageSize(t *testing.T) {
+	page := reflect.TypeOf(sim.Pages[route]{})
+	f, ok := page.FieldByName("pages")
+	if !ok || f.Type.Kind() != reflect.Slice || f.Type.Elem().Kind() != reflect.Pointer {
+		t.Fatalf("sim.Pages does not store a slice of page pointers")
+	}
+	if a := f.Type.Elem().Elem(); a.Len() != 16 || a.Size() != 512 {
+		t.Fatalf("a route page holds %d entries in %d B, want 16 in 512", a.Len(), a.Size())
 	}
 }

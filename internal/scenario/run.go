@@ -95,13 +95,20 @@ func (r *Result) TotalDelivered() uint64 {
 // RunOnTrace) is the retained differential oracle — bit-identical by the
 // streamed-vs-recorded property test.
 func Run(s Spec) (*Result, error) {
+	res, _, err := runCounted(s)
+	return res, err
+}
+
+// runCounted is Run, also reporting the kernel's work counts, which are
+// no part of the Result: TestWorkCounts pins them beside it.
+func runCounted(s Spec) (*Result, sim.Work, error) {
 	s = s.clone()
 	if err := s.normalize(); err != nil {
-		return nil, err
+		return nil, sim.Work{}, err
 	}
 	src, err := buildSource(&s, nil)
 	if err != nil {
-		return nil, err
+		return nil, sim.Work{}, err
 	}
 	return runOnSource(&s, src, nil)
 }
@@ -113,7 +120,8 @@ func RunOnSource(s Spec, src mobility.Source) (*Result, error) {
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}
-	return runOnSource(&s, src, nil)
+	res, _, err := runOnSource(&s, src, nil)
+	return res, err
 }
 
 // RunOnTrace executes the scenario's network evaluation over a
@@ -187,7 +195,7 @@ func RunCheckedOnSource(s Spec, src mobility.Source) (*Result, *check.Report, er
 }
 
 func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
-	res, err := runOnSource(s, src, report)
+	res, _, err := runOnSource(s, src, report)
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +229,9 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // where a protocol-evaluation world is wired together — and executes the
 // run, pulling node positions from the mobility source per tick. A
 // non-nil report additionally installs the invariant ledger and runs the
-// post-run loop walk and custody settlement.
-func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
+// post-run loop walk and custody settlement. Beside the Result it reports
+// the kernel's work counts.
+func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, sim.Work, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
@@ -240,7 +249,7 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, e
 		Mobility: src,
 	}, s.routerFactory())
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, sim.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 
 	collector := metrics.NewCollector(sim.Second, s.SimTime)
@@ -260,10 +269,10 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, e
 	if !s.Faults.Empty() {
 		plan, err := s.Faults.Build(s.Seed, s.Nodes, s.SimTime)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, sim.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		if err := fault.Apply(world, plan); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, sim.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		meter = fault.NewMeter(plan, s.SimTime)
 		world.AddHooks(meter.Hooks())
@@ -379,5 +388,5 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, e
 		res.MACStats.BytesTx += st.BytesTx
 		res.MACStats.NAVSettings += st.NAVSettings
 	}
-	return res, nil
+	return res, world.Kernel.Work(), nil
 }

@@ -78,8 +78,10 @@ func workCountCells(t *testing.T) []Spec {
 
 // writeWorkCounts renders one cell: the SHA-256 of the Result's JSON, which
 // moves with any byte of the outcome, and beside it the integer counts that
-// say where a moved digest moved.
-func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result) error {
+// say where a moved digest moved. The kernel line is the work the run cost,
+// which no Result byte shows: queue pushes and stale timer-set pops move
+// when the queue works harder for the same outcome.
+func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work sim.Work) error {
 	js, err := json.Marshal(res)
 	if err != nil {
 		return err
@@ -100,6 +102,7 @@ func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result) error {
 	fmt.Fprintf(b, "  mac DataTx=%d AckTx=%d RTSTx=%d CTSTx=%d Retries=%d Failures=%d QueueDrops=%d BytesTx=%d\n",
 		m.DataTx, m.AckTx, m.RTSTx, m.CTSTx, m.Retries, m.Failures, m.QueueDrops, m.BytesTx)
 	fmt.Fprintf(b, "  control packets=%d bytes=%d\n", res.ControlPackets, res.ControlBytes)
+	fmt.Fprintf(b, "  kernel pushes=%d stale_pops=%d\n", work.Pushes, work.StalePops)
 	reasons := make([]string, 0, len(res.Drops))
 	for r := range res.Drops { // order-free: the reasons are sorted below
 		reasons = append(reasons, r)
@@ -120,11 +123,11 @@ func TestWorkCounts(t *testing.T) {
 	const path = "testdata/workcounts.golden"
 	var got bytes.Buffer
 	for _, spec := range workCountCells(t) {
-		res, err := Run(spec)
+		res, work, err := runCounted(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeWorkCounts(&got, spec, res); err != nil {
+		if err := writeWorkCounts(&got, spec, res, work); err != nil {
 			t.Fatal(err)
 		}
 	}

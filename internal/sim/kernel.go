@@ -182,8 +182,21 @@ type Kernel struct {
 	boundAt   Time       // with boundSeq: drain's lower bound on queued keys
 	boundSeq  uint64
 	processed uint64
+	work      Work
 	stopped   bool
 }
+
+// Work counts what the kernel did besides firing events. Both counts are
+// deterministic: a change that keeps every result but makes the queue work
+// harder (a batch that stops taking Appends, a timer set that requeues on
+// every Reset) moves them.
+type Work struct {
+	Pushes    uint64 // queue insertions: every Schedule, every batch or timer-set entry (re)queued
+	StalePops uint64 // timer-set entries popped off their head's key, which fire nothing
+}
+
+// Work reports the kernel's work counts so far.
+func (k *Kernel) Work() Work { return k.work }
 
 // NewKernel returns an empty kernel positioned at time zero, using the
 // calendar-queue event set.
@@ -254,6 +267,7 @@ func (k *Kernel) release(ev *event) {
 }
 
 func (k *Kernel) push(ev *event) Handle {
+	k.work.Pushes++
 	if keyLess(ev.at, ev.seq, k.boundAt, k.boundSeq) {
 		k.boundAt, k.boundSeq = ev.at, ev.seq // see drain
 	}
@@ -391,6 +405,7 @@ func (k *Kernel) popDue(deadline Time) *event {
 		if ev.set == nil || ev.set.due() {
 			return ev
 		}
+		k.work.StalePops++
 	}
 }
 

@@ -269,9 +269,9 @@ func TestTimerSetOneQueueEntry(t *testing.T) {
 		t.Fatalf("Pending = %d, want %d armed items", k.Pending(), items)
 	}
 	n, prev := int32(0), int32(noItem)
-	for i := s.head; i != noItem; prev, i = i, s.items[i].next {
-		if want := (n + rounds - 1) % items; i != want || s.items[i].prev != prev {
-			t.Fatalf("list position %d holds item %d (prev %d), want %d (prev %d)", n, i, s.items[i].prev, want, prev)
+	for i := s.head; i != noItem; prev, i = i, s.items.At(i).next {
+		if want := (n + rounds - 1) % items; i != want || s.items.At(i).prev != prev {
+			t.Fatalf("list position %d holds item %d (prev %d), want %d (prev %d)", n, i, s.items.At(i).prev, want, prev)
 		}
 		n++
 	}
@@ -392,6 +392,14 @@ func TestEventRecordSize(t *testing.T) {
 func TestTimerSetItemSize(t *testing.T) {
 	if n := unsafe.Sizeof(setItem{}); n != 24 {
 		t.Fatalf("timer set item is %d B, want 24", n)
+	}
+}
+
+// TestTimerSetPageSize: a page of 16 items is 384 B, an exact size class,
+// on every word size: growing a set by a page wastes no byte.
+func TestTimerSetPageSize(t *testing.T) {
+	if n := unsafe.Sizeof([pageLen]setItem{}); n != 384 {
+		t.Fatalf("a page of timer set items is %d B, want 384", n)
 	}
 }
 

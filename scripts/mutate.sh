@@ -202,7 +202,7 @@ mutant "rng prefix: lfLazy raised past the tap, to 300" internal/rng/lagged.go \
 # at the head" edit mirrors link (head <-> tail, prev <-> next). ----
 setTests='TestTimerSetMatchesTimers|FuzzKernelDifferential'
 mutant "sim timer set: a stale pop fires" internal/sim/timerset.go \
-	's|h != noItem \&\& s.items\[h\].at == s.ev.at \&\& s.items\[h\].seq == s.ev.seq {|h != noItem {|' \
+	's#h != noItem \&\& s.items\(\[h\]\|\.At(h)\)\.at == s.ev.at \&\& s.items\(\[h\]\|\.At(h)\)\.seq == s.ev.seq {#h != noItem {#' \
 	$sim "$setTests"
 mutant "sim timer set: Reset stops drawing k.seq" internal/sim/timerset.go \
 	'/^\tk.seq++$/d' \
@@ -211,10 +211,10 @@ mutant "sim timer set: a Reset inserts at the head" internal/sim/timerset.go \
 	'/^func (s \*TimerSet) link/,/^}/{s/tail/@/g;s/head/tail/g;s/@/head/g;s/prev/@/g;s/next/prev/g;s/@/next/g}' \
 	$sim "$setTests"
 mutant "sim timer set: due() ignores seq" internal/sim/timerset.go \
-	's| \&\& s.items\[h\].seq == s.ev.seq {| {|' \
+	's# \&\& s.items\(\[h\]\|\.At(h)\)\.seq == s.ev.seq {# {#' \
 	$sim "$setTests"
 mutant "sim timer set: a requeue keeps the popped key, not the head's" internal/sim/timerset.go \
-	'/^\ts.ev.at, s.ev.seq = s.items\[s.head\].at, s.items\[s.head\].seq$/d' \
+	'/^\ts.ev.at, s.ev.seq = s.items\(\[s.head\]\|\.At(s.head)\)\.at, s.items\(\[s.head\]\|\.At(s.head)\)\.seq$/d' \
 	$sim "$setTests"
 mutant "sim timer set: Stop does not unlink" internal/sim/timerset.go \
 	'/^func (s \*TimerSet) Stop/,/^}/{/s.unlink(i)/d}' \
@@ -222,6 +222,33 @@ mutant "sim timer set: Stop does not unlink" internal/sim/timerset.go \
 mutant "sim timer set: a stale pop advances Now()" internal/sim/kernel.go \
 	's/if ev.set == nil || ev.set.due() {/if k.now = ev.at; ev.set == nil || ev.set.due() {/' \
 	$sim "$setTests"
+
+# ---- per-index state in pages (ROADMAP "Per-index state lives in pages"):
+# the page and the offset At computes, and the page Append opens. The
+# timer-set and route-table differentials kill them beside the Pages tests.
+# A revision without internal/sim/pages.go reads BROKEN on all three rows. ----
+pageTests='TestPages|TestTimerSetMatchesTimers|TestTableLazyPurgeMatchesEager'
+pagePkgs="$sim ./internal/routing/aodv ./internal/routing/dymo"
+mutant "sim Pages.At: the page shift off by one" internal/sim/pages.go \
+	's|\[i>>pageShift\]|[i>>(pageShift+1)]|' \
+	"$pagePkgs" "$pageTests"
+mutant "sim Pages.At: the offset mask off by one" internal/sim/pages.go \
+	's|\[i\&pageMask\]|[i\&(pageMask-1)]|' \
+	"$pagePkgs" "$pageTests"
+mutant "sim Pages.Append: a page opened one element late" internal/sim/pages.go \
+	's|if p.n == int32(len(p.pages))\*pageLen {|if p.n == int32(len(p.pages))*pageLen+1 {|' \
+	"$pagePkgs" "$pageTests"
+
+# ---- the kernel's work counts (ROADMAP item 15(b)-(c)): two changes that
+# keep every result byte and cost more queue work. TestWorkCounts sees them
+# only through its kernel line, so at a revision without that line both rows
+# read SURVIVED. ----
+mutant "sim Batch.Append: always refuses" internal/sim/batch.go \
+	's#if b == nil || at < b.members#if true || b == nil || at < b.members#' \
+	./internal/scenario '^TestWorkCounts$'
+mutant "sim TimerSet.Reset: cancels and re-pushes the entry on every Reset" internal/sim/timerset.go \
+	'/^func (s \*TimerSet) Reset/,/^}/s#^\tif s.ev == nil {$#\tif s.ev != nil {\n\t\ts.ev.set = nil\n\t\tk.Cancel(Handle{ev: s.ev, gen: s.ev.gen})\n\t\ts.ev = nil\n\t\tk.extra++\n\t}\n\t{#' \
+	./internal/scenario '^TestWorkCounts$'
 
 # ---- the batch sort, the clauses at sim.radixSort (ROADMAP "Fan-out
 # batches sort by radix"). A revision without insertionSort and radixSort
