@@ -246,6 +246,11 @@ func TestTableLazyPurgeMatchesEager(t *testing.T) {
 	}
 }
 
+// tableDsts is how many destinations the differential draws from: enough
+// for the entries to fill three pages of the shared table's storage, so an
+// index that reaches the wrong page or offset shows.
+const tableDsts = 40
+
 func tableDifferential(t *testing.T, probeEvery int) {
 	k := sim.NewKernel()
 	shared := netsim.NewRoutes(k)
@@ -260,7 +265,7 @@ func tableDifferential(t *testing.T, probeEvery int) {
 			}
 		}
 		at := fmt.Sprintf("cadence %d step %d", probeEvery, step)
-		dst := netsim.NodeID(rng.Intn(12))
+		dst := netsim.NodeID(rng.Intn(tableDsts))
 		switch rng.Intn(6) {
 		case 0:
 			seq, hops := uint32(rng.Intn(8)), 1+rng.Intn(4)
@@ -291,7 +296,7 @@ func tableDifferential(t *testing.T, probeEvery int) {
 		if step%probeEvery != 0 {
 			continue
 		}
-		for dst := netsim.NodeID(0); dst < 12; dst++ {
+		for dst := netsim.NodeID(0); dst < tableDsts; dst++ {
 			sameEntry(t, at, shared, oracle, dst)
 		}
 	}

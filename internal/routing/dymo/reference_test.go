@@ -204,6 +204,11 @@ func TestTableLazyPurgeMatchesEager(t *testing.T) {
 	}
 }
 
+// tableDsts is how many destinations the differential draws from: enough
+// for the entries to fill three pages of the shared table's storage, so an
+// index that reaches the wrong page or offset shows.
+const tableDsts = 40
+
 func tableDifferential(t *testing.T, probeEvery int) {
 	const timeout = 2 * sim.Second
 	k := sim.NewKernel()
@@ -217,7 +222,7 @@ func tableDifferential(t *testing.T, probeEvery int) {
 		k.Schedule(k.Now()+sim.Time(rng.Int63n(int64(500*sim.Millisecond))), func() {})
 		for k.Step() {
 		}
-		dst := netsim.NodeID(rng.Intn(12))
+		dst := netsim.NodeID(rng.Intn(tableDsts))
 		switch rng.Intn(5) {
 		case 0:
 			seq, hops := uint32(rng.Intn(8)), 1+rng.Intn(4)
@@ -254,7 +259,7 @@ func tableDifferential(t *testing.T, probeEvery int) {
 		if step%probeEvery != 0 {
 			continue
 		}
-		for dst := netsim.NodeID(0); dst < 12; dst++ {
+		for dst := netsim.NodeID(0); dst < tableDsts; dst++ {
 			gn, gh, gok := shared.Next(dst)
 			wn, wh, wok := oracle.Next(dst)
 			if gn != wn || gh != wh || gok != wok {

@@ -109,7 +109,7 @@ func timerWorkload(k *Kernel, set bool, seed int64, ops int) []timerStep {
 		}
 		return Time(rng.Int63n(int64(2 * Millisecond)))
 	}
-	sizes := [...]int32{16, 5}
+	sizes := [...]int32{40, 5} // the first set's items fill three pages
 	firstHolds := [...]Time{0, Microsecond, 2 * Microsecond, 700 * Microsecond, 15 * Second}
 	holds := [len(sizes)]Time{firstHolds[seed%int64(len(firstHolds))], delay()}
 	var sets [len(sizes)]timers
