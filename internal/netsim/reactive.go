@@ -72,6 +72,7 @@ func NewReactive(node *Node, p ReactiveProtocol) *Reactive {
 		Node:        node,
 		Routes:      NewRoutes(node.Kernel()),
 		proto:       p,
+		seen:        sim.NewExpiringSet[floodKey](p.SeenHold),
 		rebooted:    node.rebooted,
 		dropTTL:     p.Name + ":ttl",
 		dropNoRoute: p.Name + ":no-forward-route",
@@ -190,13 +191,13 @@ func (m *Reactive) unreachable(p *Packet, reason string) {
 
 // Seen reports whether the flood (orig, id) has been seen within the
 // protocol's hold, and remembers it from now on if not. Entries retire
-// through a lazy heap, so the purge tick costs O(expired).
+// from a FIFO of deadlines, so the purge tick costs O(expired).
 func (m *Reactive) Seen(orig NodeID, id uint32) bool {
 	key := floodKey{orig, id}
 	if m.seen.Contains(key) {
 		return true
 	}
-	m.seen.Add(key, m.Node.Kernel().Now()+m.proto.SeenHold)
+	m.seen.Add(key, m.Node.Kernel().Now())
 	return false
 }
 

@@ -103,8 +103,21 @@ type Channel struct {
 	impairRnd   *rand.Rand              // loss-draw stream; required before any lossy impairment
 	nextFrameID uint64
 	transmitted uint64
+	hearings    uint64
 	delivered   uint64
 	collided    uint64
+}
+
+// Work counts what the channel did, deterministically: frames transmitted,
+// hearings (a frame's signal scheduled at a receiver above carrier sense),
+// frames delivered to a receiver and receptions lost to collision.
+type Work struct {
+	Frames, Hearings, Delivered, Collided uint64
+}
+
+// Work reports the channel's work counts so far.
+func (c *Channel) Work() Work {
+	return Work{Frames: c.transmitted, Hearings: c.hearings, Delivered: c.delivered, Collided: c.collided}
 }
 
 // impairment is a fault-injected per-link degradation: gain multiplies the
@@ -276,6 +289,7 @@ func (c *Channel) propagate(starts sim.Batch, tx, rx *Radio, f *Frame) {
 		// arriving corrupted, so it contributes no interference.
 		return
 	}
+	c.hearings++
 	sig := c.newSignal()
 	sig.radio = rx
 	sig.frame = f

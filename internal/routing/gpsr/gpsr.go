@@ -87,7 +87,7 @@ type Router struct {
 	node *netsim.Node
 
 	neighbors map[netsim.NodeID]neighbor
-	expiry    sim.ExpiryHeap[netsim.NodeID]
+	expiry    sim.ExpiryHeap[netsim.NodeID] // a lazy heap: dropNeighbor ends a lifetime early
 	grid      *spatial.Grid
 
 	beaconTicker *sim.Ticker

@@ -2,7 +2,7 @@ package gpsr
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"cavenet/internal/geometry"
 	"cavenet/internal/netsim"
@@ -27,7 +27,7 @@ func (r *Router) planarNeighbors(self geometry.Vec2) []netsim.NodeID {
 	for id := range r.neighbors { // order-free: the keys are sorted below
 		all = append(all, id)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	r.allBuf = all
 
 	keep := r.planarBuf[:0]

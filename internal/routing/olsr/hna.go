@@ -96,7 +96,7 @@ func (r *Router) sendHNA() {
 	sort.Slice(nets, func(i, j int) bool { return nets[i].From < nets[j].From })
 	r.msgSeq++
 	msg := &HNA{Origin: r.node.ID(), Networks: nets, Seq: r.msgSeq}
-	r.recordDup(dupKey{origin: msg.Origin, seq: msg.Seq}, r.now())
+	r.recordDup(dupKey{origin: int32(msg.Origin), seq: msg.Seq}, r.now())
 	r.broadcast(netsim.DefaultTTL, hnaBytes(len(nets)), msg)
 }
 
@@ -109,14 +109,14 @@ func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {
 	if fi < 0 || !r.links[fi].present || r.links[fi].symUntil <= now {
 		return
 	}
-	key := dupKey{origin: msg.Origin, seq: msg.Seq}
+	key := dupKey{origin: int32(msg.Origin), seq: msg.Seq}
 	if !r.dups.Contains(key) {
 		r.recordDup(key, now)
 		for _, assoc := range msg.Networks {
 			r.installHNA(msg.Origin, assoc, now)
 		}
 		// HNA floods with the same MPR forwarding rule as TC.
-		if until, sel := r.selectors[from]; sel && until > now && p.TTL > 1 {
+		if s, sel := r.selectors[from]; sel && s.until > now && p.TTL > 1 {
 			fwd := *msg
 			fp := r.node.Packet(*p)
 			fp.TTL--

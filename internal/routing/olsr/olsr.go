@@ -10,15 +10,17 @@
 // slice/stamp scratch (zero steady-state allocations), recompute triggers
 // are coalesced to at most one stamp per kernel timestamp through a dirty
 // flag, the kernels themselves run only when somebody reads the result
-// (see recomputeNow), and tuple expiry is tracked by lazy min-heaps so the
-// periodic purge costs O(expired) instead of sweeping every live entry.
+// (see recomputeNow), and tuple expiry is tracked by lists in refresh order
+// and lazy min-heaps so the periodic purge costs O(expired) instead of
+// sweeping every live entry.
 // The original map-based recompute lives in oracle_test.go, the reference
 // the dense kernels and their deferral are tested against.
 package olsr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
@@ -103,7 +105,14 @@ type linkTuple struct {
 // route/MPR kernels and the oracle share.
 type twoHopEdge struct {
 	th    int32 // interned 2-hop node
+	item  int32 // the tuple's item in twoHopExp, which holds the neighbor
 	until sim.Time
+}
+
+// selector is an MPR selector tuple (RFC 3626 §4.3.4).
+type selector struct {
+	until sim.Time
+	item  int32 // the tuple's item in selExp
 }
 
 // topoEdge is one topology tuple (origin → dest); the per-origin edge
@@ -115,8 +124,11 @@ type topoEdge struct {
 	linkLQ float64 // originator's LQ toward dest (ETX mode)
 }
 
+// dupKey names a message for duplicate suppression (RFC 3626 §3.4). The
+// originator is a node's id, a world index, so it fits 32 bits, and an
+// 8-B key keeps a queued deadline at 16 B.
 type dupKey struct {
-	origin netsim.NodeID
+	origin int32
 	seq    uint16
 }
 
@@ -149,17 +161,22 @@ type Router struct {
 	topoInHeap []bool
 	topoN      int
 
-	selectors map[netsim.NodeID]sim.Time // nodes that chose us as MPR
+	selectors map[netsim.NodeID]selector // nodes that chose us as MPR
 	dups      sim.ExpiringSet[dupKey]
 
-	// Lazy expiry heaps: one item per live entry, surfaced at the deadline
-	// recorded when the entry was created and re-registered when the entry
-	// turns out to have been refreshed (see sim.ExpiryHeap).
-	linkExp   sim.ExpiryHeap[int32]
-	symExp    sim.ExpiryHeap[int32]
-	twoHopExp sim.ExpiryHeap[[2]int32]
-	topoExp   sim.ExpiryHeap[int32]
-	selExp    sim.ExpiryHeap[netsim.NodeID]
+	// Expiry lists for the tables whose every deadline is now +
+	// neighborHold and is never shortened: refresh order is deadline order,
+	// so purge pops from the head (see purge for why that is exact).
+	twoHopExp sim.HoldList[int32]
+	selExp    sim.HoldList[netsim.NodeID]
+
+	// Lazy expiry heaps where a lifetime can shrink: one item per live
+	// entry, surfaced at the deadline recorded when the entry was created
+	// and re-registered when it turns out to have been refreshed (see
+	// sim.ExpiryHeap).
+	linkExp sim.ExpiryHeap[int32] // LinkFailure zeroes deadlines, and a slot's reincarnation depends on when the heap surfaces it
+	symExp  sim.ExpiryHeap[int32] // LinkFailure zeroes symUntil; inSymHeap reincarnates with the heap item
+	topoExp sim.ExpiryHeap[int32] // an ANSN discard drops an originator's edges early
 
 	// Recompute output, epoch-stamped per interned index. A stamp equal to
 	// the current (non-zero) epoch marks the entry live; clearing the
@@ -203,7 +220,10 @@ func New(node *netsim.Node, cfg Config) *Router {
 	r := &Router{
 		cfg:           cfg,
 		node:          node,
-		selectors:     make(map[netsim.NodeID]sim.Time),
+		selectors:     make(map[netsim.NodeID]selector),
+		dups:          sim.NewExpiringSet[dupKey](dupHold),
+		twoHopExp:     sim.NewHoldList[int32](),
+		selExp:        sim.NewHoldList[netsim.NodeID](),
 		lastRecompute: -1,
 	}
 	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
@@ -252,7 +272,7 @@ func (r *Router) Stop() {
 	}
 }
 
-// TableStats reports live control-state sizes, including the expiry-heap
+// TableStats reports live control-state sizes, including the expiry
 // backlog (for analysis and the memory-stability tests), and how many
 // recompute stamps and kernel runs they cost so far.
 type TableStats struct {
@@ -261,7 +281,7 @@ type TableStats struct {
 	Topology     int
 	Selectors    int
 	Dups         int
-	HeapItems    int
+	HeapItems    int    // expiry-heap items, list items and queued dup deadlines
 	Recomputes   uint64 // coalesced stamps (see recomputeNow)
 	Materialized uint64 // MPR/route kernel runs readers demanded
 }
@@ -274,8 +294,8 @@ func (r *Router) TableStats() TableStats {
 		Topology:  r.topoN,
 		Selectors: len(r.selectors),
 		Dups:      r.dups.Len(),
-		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopExp.Len() +
-			r.topoExp.Len() + r.selExp.Len() + r.dups.Deadlines(),
+		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopN +
+			r.topoExp.Len() + len(r.selectors) + r.dups.Deadlines(),
 		Recomputes:   r.recomputes,
 		Materialized: r.materialized,
 	}
@@ -410,7 +430,7 @@ func (r *Router) broadcast(ttl, size int, msg any) {
 
 // helloLinks builds the link advertisements of a HELLO from current state.
 func (r *Router) helloLinks(now sim.Time) []HelloLink {
-	var links []HelloLink
+	links := make([]HelloLink, 0, len(r.linkList))
 	for _, fi := range r.linkList {
 		lt := &r.links[fi]
 		if lt.until <= now {
@@ -435,7 +455,8 @@ func (r *Router) helloLinks(now sim.Time) []HelloLink {
 		}
 		links = append(links, hl)
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i].Neighbor < links[j].Neighbor })
+	// Neighbours are unique, so every sort gives this order.
+	slices.SortFunc(links, func(a, b HelloLink) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	return links
 }
 
@@ -459,15 +480,15 @@ func (r *Router) sendHello() {
 // sequence number is assigned by sendTC.
 func (r *Router) makeTC(now sim.Time) *TC {
 	var adv []netsim.NodeID
-	for id, until := range r.selectors { // order-free: the advertised set is sorted below
-		if until > now {
+	for id, s := range r.selectors { // order-free: the advertised set is sorted below
+		if s.until > now {
 			adv = append(adv, id)
 		}
 	}
 	if len(adv) == 0 {
 		return nil
 	}
-	sort.Slice(adv, func(i, j int) bool { return adv[i] < adv[j] })
+	slices.Sort(adv)
 	msg := &TC{Origin: r.node.ID(), ANSN: r.ansn, Advertised: adv}
 	if r.cfg.ETX {
 		msg.LQs = make([]float64, len(adv))
@@ -490,14 +511,14 @@ func (r *Router) sendTC() {
 	}
 	r.msgSeq++
 	msg.Seq = r.msgSeq
-	r.recordDup(dupKey{origin: msg.Origin, seq: msg.Seq}, now)
+	r.recordDup(dupKey{origin: int32(msg.Origin), seq: msg.Seq}, now)
 	r.broadcast(netsim.DefaultTTL, tcBytes(len(msg.Advertised)), msg)
 }
 
 // recordDup installs a duplicate-suppression entry; keys are unique per
 // message, so one insert per key suffices.
 func (r *Router) recordDup(key dupKey, now sim.Time) {
-	r.dups.Add(key, now+dupHold)
+	r.dups.Add(key, now)
 }
 
 // Receive implements netsim.Router.
@@ -619,25 +640,20 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 		// RFC 3626 §9.3: the ANSN moves when the advertised set — our MPR
 		// selectors — changes, as it does on the expiry side; a selector
 		// repeating its HELLO only refreshes its tuple.
-		if _, known := r.selectors[from]; !known {
-			r.selExp.Push(from, now+neighborHold)
+		s, known := r.selectors[from]
+		if !known {
+			s.item = r.selExp.Add(from)
 			r.ansn++
+		} else {
+			r.selExp.Refresh(s.item)
 		}
-		r.selectors[from] = now + neighborHold
+		s.until = now + neighborHold
+		r.selectors[from] = s
 	}
 
 	// 2-hop set: symmetric neighbors of a symmetric neighbor.
-	if lt.symUntil > now {
-		for _, hl := range msg.Links {
-			if hl.Neighbor == me {
-				continue
-			}
-			if hl.Code == LinkSym || hl.Code == LinkMPR {
-				if r.upsertTwoHop(fi, hl.Neighbor, now+neighborHold, now) {
-					material = true
-				}
-			}
-		}
+	if lt.symUntil > now && r.mergeTwoHop(fi, me, msg.Links, now) {
+		material = true
 	}
 	// Pure lifetime refreshes cannot change recompute output; new links,
 	// asym→sym transitions and new/revived 2-hop edges can. Under ETX the
@@ -645,31 +661,52 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	r.noteChange(material || r.cfg.ETX)
 }
 
-// upsertTwoHop installs or refreshes the 2-hop tuple (nbr → th), keeping
-// the neighbor's edge list sorted by 2-hop NodeID. It reports whether the
-// edge is new or was revived from soft expiry (material for recompute).
-func (r *Router) upsertTwoHop(fi int32, th netsim.NodeID, until, now sim.Time) bool {
-	ti := r.intern(th)
+// mergeTwoHop installs or refreshes the 2-hop tuple (fi → th) for every
+// symmetric link th ≠ me that a HELLO from neighbor fi advertises, and
+// reports whether any tuple is new or was revived from soft expiry
+// (material for recompute). Links are interned in message order.
+//
+// The edge list is sorted by NodeID, and so are the links of a HELLO built
+// by helloLinks, so one cursor walks both: a link's edge is at or after
+// the previous link's. A link not above the previous one (a hand-built
+// HELLO, a repeated link) restarts the cursor, so any input merges
+// correctly. Each written deadline is now + neighborHold, the latest in
+// twoHopExp, so the tuple's item moves to the tail.
+func (r *Router) mergeTwoHop(fi int32, me netsim.NodeID, links []HelloLink, now sim.Time) bool {
+	until := now + neighborHold
 	edges := r.twoHopOf[fi]
-	pos := len(edges)
-	for j := range edges {
-		if edges[j].th == ti {
-			material := edges[j].until <= now
-			edges[j].until = until
-			return material
+	material := false
+	j, prev := 0, netsim.NodeID(0)
+	for _, hl := range links {
+		th := hl.Neighbor
+		if th == me || (hl.Code != LinkSym && hl.Code != LinkMPR) {
+			continue
 		}
-		if r.ids[edges[j].th] > th {
-			pos = j
-			break
+		ti := r.intern(th)
+		if th <= prev {
+			j = 0
 		}
+		prev = th
+		for j < len(edges) && r.ids[edges[j].th] < th {
+			j++
+		}
+		if j < len(edges) && edges[j].th == ti {
+			e := &edges[j]
+			if e.until <= now {
+				material = true
+			}
+			e.until = until
+			r.twoHopExp.Refresh(e.item)
+		} else {
+			item := r.twoHopExp.Add(fi)
+			edges = slices.Insert(edges, j, twoHopEdge{th: ti, item: item, until: until})
+			r.twoHopN++
+			material = true
+		}
+		j++
 	}
-	edges = append(edges, twoHopEdge{})
-	copy(edges[pos+1:], edges[pos:])
-	edges[pos] = twoHopEdge{th: ti, until: until}
 	r.twoHopOf[fi] = edges
-	r.twoHopN++
-	r.twoHopExp.Push([2]int32{fi, ti}, until)
-	return true
+	return material
 }
 
 func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
@@ -683,14 +720,14 @@ func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
 	if fi < 0 || !r.links[fi].present || r.links[fi].symUntil <= now {
 		return
 	}
-	key := dupKey{origin: msg.Origin, seq: msg.Seq}
+	key := dupKey{origin: int32(msg.Origin), seq: msg.Seq}
 	if r.dups.Contains(key) {
 		return
 	}
 	r.recordDup(key, now)
 	r.noteChange(r.processTC(msg, now))
 	// Forward iff the sender selected us as MPR.
-	if until, sel := r.selectors[from]; sel && until > now && p.TTL > 1 {
+	if s, sel := r.selectors[from]; sel && s.until > now && p.TTL > 1 {
 		fwd := *msg
 		fp := r.node.Packet(*p)
 		fp.TTL--
@@ -806,21 +843,24 @@ func (r *Router) removeLink(fi int32) {
 	r.linkPos[fi] = -1
 }
 
-// removeTwoHop deletes the (nbr → th) edge, preserving the sorted order.
-func (r *Router) removeTwoHop(fi, ti int32) {
-	edges := r.twoHopOf[fi]
-	for j := range edges {
-		if edges[j].th == ti {
-			r.twoHopOf[fi] = append(edges[:j], edges[j+1:]...)
-			r.twoHopN--
-			return
-		}
-	}
-}
-
-// purge retires expired tuples. The expiry heaps surface exactly the
-// entries whose deadlines passed, so the cost is O(expired) — and when
+// purge retires expired tuples. The expiry lists and heaps surface exactly
+// the entries whose deadlines passed, so the cost is O(expired) — and when
 // nothing material expired, no recompute is triggered at all.
+//
+// Why popping the 2-hop and selector lists from the head while the head is
+// due retires what the lazy heaps they replace did:
+//  1. A 2-hop tuple's until is written only in mergeTwoHop, always as
+//     now + neighborHold, which moves its item to the tail; the tuple
+//     leaves only here. So the list is in deadline order, and at every
+//     purge it removes exactly the tuples whose current until ≤ now.
+//  2. The heap removed the same set: a tuple's registered deadline is
+//     never later than its current one, and a refreshed tuple was
+//     re-registered at its current one.
+//  3. The removals commute: deleting an edge keeps the edge list's order,
+//     and twoHopN-- and material = true do not depend on order.
+//  4. A selector's until is likewise written only in handleHello, as
+//     now + neighborHold; its removals count ansn++ alone. The duplicate
+//     set (sim.ExpiringSet) is the same case with no refresh at all.
 func (r *Router) purge() {
 	now := r.now()
 	material := false
@@ -845,27 +885,19 @@ func (r *Router) purge() {
 		material = true
 	})
 
-	r.twoHopExp.Expire(now, func(key [2]int32) (sim.Time, bool) {
-		for _, e := range r.twoHopOf[key[0]] {
-			if e.th == key[1] {
-				return e.until, e.until > now
-			}
-		}
-		return 0, false
-	}, func(key [2]int32) {
-		r.removeTwoHop(key[0], key[1])
+	if r.expireTwoHop(now) {
 		material = true
-	})
+	}
 
-	r.selExp.Expire(now, func(id netsim.NodeID) (sim.Time, bool) {
-		until, ok := r.selectors[id]
-		return until, ok && until > now
-	}, func(id netsim.NodeID) {
-		if _, ok := r.selectors[id]; ok {
-			delete(r.selectors, id)
-			r.ansn++
+	for h, ok := r.selExp.Front(); ok; h, ok = r.selExp.Front() {
+		id := *r.selExp.At(h)
+		if r.selectors[id].until > now {
+			break
 		}
-	})
+		delete(r.selectors, id)
+		r.selExp.Remove(h)
+		r.ansn++
+	}
 
 	r.topoExp.Expire(now, func(oi int32) (sim.Time, bool) {
 		edges := r.topoOf[oi]
@@ -891,4 +923,26 @@ func (r *Router) purge() {
 
 	r.purgeHNA(now)
 	r.noteChange(material)
+}
+
+// expireTwoHop retires the 2-hop tuples whose deadline passed, from the
+// head of twoHopExp (see purge), and reports whether there were any.
+func (r *Router) expireTwoHop(now sim.Time) bool {
+	material := false
+	for h, ok := r.twoHopExp.Front(); ok; h, ok = r.twoHopExp.Front() {
+		fi := *r.twoHopExp.At(h)
+		edges := r.twoHopOf[fi]
+		j := 0
+		for edges[j].item != h {
+			j++
+		}
+		if edges[j].until > now {
+			break
+		}
+		r.twoHopOf[fi] = slices.Delete(edges, j, j+1)
+		r.twoHopExp.Remove(h)
+		r.twoHopN--
+		material = true
+	}
+	return material
 }

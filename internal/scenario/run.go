@@ -95,20 +95,21 @@ func (r *Result) TotalDelivered() uint64 {
 // RunOnTrace) is the retained differential oracle — bit-identical by the
 // streamed-vs-recorded property test.
 func Run(s Spec) (*Result, error) {
-	res, _, err := runCounted(s)
+	res, _, _, err := runCounted(s)
 	return res, err
 }
 
-// runCounted is Run, also reporting the kernel's work counts, which are
-// no part of the Result: TestWorkCounts pins them beside it.
-func runCounted(s Spec) (*Result, sim.Work, error) {
+// runCounted is Run, also reporting the kernel's and the channel's work
+// counts, which are no part of the Result: TestWorkCounts pins them beside
+// it.
+func runCounted(s Spec) (*Result, sim.Work, phy.Work, error) {
 	s = s.clone()
 	if err := s.normalize(); err != nil {
-		return nil, sim.Work{}, err
+		return nil, sim.Work{}, phy.Work{}, err
 	}
 	src, err := buildSource(&s, nil)
 	if err != nil {
-		return nil, sim.Work{}, err
+		return nil, sim.Work{}, phy.Work{}, err
 	}
 	return runOnSource(&s, src, nil)
 }
@@ -120,7 +121,7 @@ func RunOnSource(s Spec, src mobility.Source) (*Result, error) {
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}
-	res, _, err := runOnSource(&s, src, nil)
+	res, _, _, err := runOnSource(&s, src, nil)
 	return res, err
 }
 
@@ -195,7 +196,7 @@ func RunCheckedOnSource(s Spec, src mobility.Source) (*Result, *check.Report, er
 }
 
 func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
-	res, _, err := runOnSource(s, src, report)
+	res, _, _, err := runOnSource(s, src, report)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +232,7 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // non-nil report additionally installs the invariant ledger and runs the
 // post-run loop walk and custody settlement. Beside the Result it reports
 // the kernel's work counts.
-func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, sim.Work, error) {
+func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, sim.Work, phy.Work, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
@@ -249,7 +250,7 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, s
 		Mobility: src,
 	}, s.routerFactory())
 	if err != nil {
-		return nil, sim.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, sim.Work{}, phy.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 
 	collector := metrics.NewCollector(sim.Second, s.SimTime)
@@ -269,10 +270,10 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, s
 	if !s.Faults.Empty() {
 		plan, err := s.Faults.Build(s.Seed, s.Nodes, s.SimTime)
 		if err != nil {
-			return nil, sim.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, sim.Work{}, phy.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		if err := fault.Apply(world, plan); err != nil {
-			return nil, sim.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, sim.Work{}, phy.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		meter = fault.NewMeter(plan, s.SimTime)
 		world.AddHooks(meter.Hooks())
@@ -388,5 +389,5 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, s
 		res.MACStats.BytesTx += st.BytesTx
 		res.MACStats.NAVSettings += st.NAVSettings
 	}
-	return res, world.Kernel.Work(), nil
+	return res, world.Kernel.Work(), world.Channel.Work(), nil
 }

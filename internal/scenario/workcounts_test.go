@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"cavenet/internal/phy"
 	"cavenet/internal/sim"
 )
 
@@ -80,8 +81,10 @@ func workCountCells(t *testing.T) []Spec {
 // moves with any byte of the outcome, and beside it the integer counts that
 // say where a moved digest moved. The kernel line is the work the run cost,
 // which no Result byte shows: queue pushes and stale timer-set pops move
-// when the queue works harder for the same outcome.
-func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work sim.Work) error {
+// when the queue works harder for the same outcome. The phy line counts the
+// channel's per-receiver work: frames sent, hearings (signals scheduled at
+// a receiver above carrier sense), deliveries and collided receptions.
+func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work sim.Work, air phy.Work) error {
 	js, err := json.Marshal(res)
 	if err != nil {
 		return err
@@ -103,6 +106,7 @@ func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work sim.Work) err
 		m.DataTx, m.AckTx, m.RTSTx, m.CTSTx, m.Retries, m.Failures, m.QueueDrops, m.BytesTx)
 	fmt.Fprintf(b, "  control packets=%d bytes=%d\n", res.ControlPackets, res.ControlBytes)
 	fmt.Fprintf(b, "  kernel pushes=%d stale_pops=%d\n", work.Pushes, work.StalePops)
+	fmt.Fprintf(b, "  phy frames=%d hearings=%d delivered=%d collided=%d\n", air.Frames, air.Hearings, air.Delivered, air.Collided)
 	reasons := make([]string, 0, len(res.Drops))
 	for r := range res.Drops { // order-free: the reasons are sorted below
 		reasons = append(reasons, r)
@@ -123,11 +127,11 @@ func TestWorkCounts(t *testing.T) {
 	const path = "testdata/workcounts.golden"
 	var got bytes.Buffer
 	for _, spec := range workCountCells(t) {
-		res, work, err := runCounted(spec)
+		res, work, air, err := runCounted(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeWorkCounts(&got, spec, res, work); err != nil {
+		if err := writeWorkCounts(&got, spec, res, work, air); err != nil {
 			t.Fatal(err)
 		}
 	}

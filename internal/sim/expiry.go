@@ -84,24 +84,68 @@ func (h *ExpiryHeap[K]) Expire(now Time, current func(K) (Time, bool), expired f
 	}
 }
 
-// ExpiringSet is a keyed set with per-entry deadlines — the shape of a
-// protocol duplicate-suppression table. Entries are added once with a
-// fixed deadline (deadlines are not refreshed) and retired lazily by
-// Expire at O(expired) cost. The zero value is an empty set ready for use.
+// ExpiringSet is a keyed set whose entries expire a constant hold after
+// they were added — the shape of a protocol duplicate-suppression table
+// (RFC 3626's DUP_HOLD_TIME, a reactive router's flood dedup). The hold is
+// fixed when the set is built, so every Add's deadline is the latest yet:
+// the deadlines sit in a FIFO queue beside the map, in deadline order, and
+// Expire pops from its head at O(expired) cost.
+//
+// Exact against a lazy heap of the same deadlines: both retire a key at
+// the first Expire whose now reaches the deadline of its last Add. A key
+// added again before it expired has two queue entries; the older one pops
+// first and finds the map's deadline still in the future, so the key
+// survives until its own last entry pops.
 type ExpiringSet[K comparable] struct {
-	m map[K]Time
-	h ExpiryHeap[K]
+	m    map[K]Time
+	hold Time
+	q    []expiryItem[K] // ring buffer of n deadlines from head, oldest first
+	head int32
+	n    int32
 }
 
-// Add installs key with the given deadline. Adding a key that is already
-// present is allowed but wasteful (one extra heap item until it expires);
-// dedup tables check Contains first.
-func (s *ExpiringSet[K]) Add(key K, until Time) {
+// NewExpiringSet returns an empty set whose entries expire hold after they
+// are added. A negative hold panics.
+func NewExpiringSet[K comparable](hold Time) ExpiringSet[K] {
+	if hold < 0 {
+		panic("sim: expiring set with negative hold")
+	}
+	return ExpiringSet[K]{hold: hold}
+}
+
+// Add installs key until now + hold. now must not go back between Adds
+// (it is the kernel's clock). Adding a key that is already present extends
+// it, at the cost of one more queue entry until the older one pops; dedup
+// tables check Contains first.
+func (s *ExpiringSet[K]) Add(key K, now Time) {
+	until := now + s.hold
 	if s.m == nil {
 		s.m = make(map[K]Time)
 	}
+	if int(s.n) == len(s.q) {
+		s.grow()
+	}
+	if s.n > 0 && until < s.at(s.n-1).until {
+		panic("sim: ExpiringSet.Add behind the last deadline")
+	}
 	s.m[key] = until
-	s.h.Push(key, until)
+	*s.at(s.n) = expiryItem[K]{until: until, key: key}
+	s.n++
+}
+
+// at returns the i-th queued deadline, oldest first.
+func (s *ExpiringSet[K]) at(i int32) *expiryItem[K] {
+	return &s.q[(s.head+i)%int32(len(s.q))]
+}
+
+// grow doubles the ring, unwrapping it to start at index 0. From one slot
+// up to 256 the capacities are the ones append gives a growing slice.
+func (s *ExpiringSet[K]) grow() {
+	q := make([]expiryItem[K], max(1, 2*len(s.q)))
+	for i := int32(0); i < s.n; i++ {
+		q[i] = *s.at(i)
+	}
+	s.q, s.head = q, 0
 }
 
 // Contains reports whether key is present (and not yet expired by Expire).
@@ -113,13 +157,19 @@ func (s *ExpiringSet[K]) Contains(key K) bool {
 // Len reports the number of live entries.
 func (s *ExpiringSet[K]) Len() int { return len(s.m) }
 
-// Deadlines reports the number of registered heap items (for memory
-// accounting; at most one per live entry plus stale duplicates).
-func (s *ExpiringSet[K]) Deadlines() int { return s.h.Len() }
+// Deadlines reports the number of queued deadlines (for memory accounting:
+// one per live entry plus one per re-Add not yet popped).
+func (s *ExpiringSet[K]) Deadlines() int { return int(s.n) }
 
 // Expire deletes every entry whose deadline has passed.
 func (s *ExpiringSet[K]) Expire(now Time) {
-	s.h.Expire(now,
-		func(k K) (Time, bool) { u, ok := s.m[k]; return u, ok && u > now },
-		func(k K) { delete(s.m, k) })
+	for s.n > 0 && s.at(0).until <= now {
+		it := s.at(0)
+		if s.m[it.key] <= now {
+			delete(s.m, it.key)
+		}
+		*it = expiryItem[K]{} // release the key for GC
+		s.head = (s.head + 1) % int32(len(s.q))
+		s.n--
+	}
 }

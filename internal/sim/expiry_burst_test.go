@@ -102,19 +102,24 @@ func TestExpiryHeapIdlePurgeAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestExpiringSetMassBurst: a set built with a constant hold, filled over
+// 100 instants, retires exactly the entries added at or before now - hold
+// in one Expire, leaves the rest with one queued deadline each, and drains
+// at the end.
 func TestExpiringSetMassBurst(t *testing.T) {
-	var s ExpiringSet[uint64]
+	s := NewExpiringSet[uint64](1)
 	const n = 50000
+	added := func(i uint64) Time { return Time(i / 500) } // instants 0..99, ascending
 	for i := uint64(0); i < n; i++ {
-		s.Add(i, Time(i%100)+1)
+		s.Add(i, added(i))
 	}
 	if s.Len() != n || s.Deadlines() != n {
 		t.Fatalf("populated set has %d entries / %d deadlines", s.Len(), s.Deadlines())
 	}
 	s.Expire(50)
 	want := 0
-	for i := 0; i < n; i++ {
-		if Time(i%100)+1 > 50 {
+	for i := uint64(0); i < n; i++ {
+		if added(i)+1 > 50 {
 			want++
 		}
 	}
@@ -122,9 +127,9 @@ func TestExpiringSetMassBurst(t *testing.T) {
 		t.Fatalf("after the burst: %d live entries, want %d", s.Len(), want)
 	}
 	if s.Deadlines() != s.Len() {
-		t.Fatalf("%d heap items for %d live entries — the purge left stale deadlines", s.Deadlines(), s.Len())
+		t.Fatalf("%d queued deadlines for %d live entries — the purge left stale deadlines", s.Deadlines(), s.Len())
 	}
-	if s.Contains(0) || !s.Contains(99) {
+	if s.Contains(0) || s.Contains(24999) || !s.Contains(25000) || !s.Contains(n-1) {
 		t.Fatal("membership disagrees with deadlines after the burst")
 	}
 	s.Expire(1000)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestExpiryHeapOrdersAndExpires(t *testing.T) {
 	var h ExpiryHeap[string]
@@ -84,4 +87,103 @@ func TestExpiryHeapKeepWithPassedDeadlineExpires(t *testing.T) {
 	if expired != 1 || h.Len() != 0 {
 		t.Fatalf("stale keep must expire: expired=%d len=%d", expired, h.Len())
 	}
+}
+
+// heapExpiringSet is the duplicate set as it was before the hold moved to
+// construction: a map of deadlines retired through a lazy ExpiryHeap. It is
+// the reference the FIFO ExpiringSet is checked against.
+type heapExpiringSet[K comparable] struct {
+	m map[K]Time
+	h ExpiryHeap[K]
+}
+
+func (s *heapExpiringSet[K]) Add(key K, until Time) {
+	if s.m == nil {
+		s.m = make(map[K]Time)
+	}
+	s.m[key] = until
+	s.h.Push(key, until)
+}
+
+func (s *heapExpiringSet[K]) Expire(now Time) {
+	s.h.Expire(now,
+		func(k K) (Time, bool) { u, ok := s.m[k]; return u, ok && u > now },
+		func(k K) { delete(s.m, k) })
+}
+
+// TestExpiringSetMatchesHeap drives the FIFO set and the heap reference
+// through the same random stream of Adds (new keys and re-Adds of live and
+// expired ones), membership reads and Expires, some at the exact instant a
+// deadline falls due, and requires the same members after every step.
+func TestExpiringSetMatchesHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		hold := Time(1 + rnd.Intn(20))
+		got := NewExpiringSet[int](hold)
+		var want heapExpiringSet[int]
+		keys := 1 + rnd.Intn(40)
+		now := Time(0)
+		for step := 0; step < 2000; step++ {
+			switch r := rnd.Intn(10); {
+			case r < 5:
+				k := rnd.Intn(keys)
+				got.Add(k, now)
+				want.Add(k, now+hold)
+			case r < 7:
+				now += Time(rnd.Intn(4))
+			case r < 8:
+				now = now - now%hold + hold // a deadline boundary
+				fallthrough
+			default:
+				got.Expire(now)
+				want.Expire(now)
+			}
+			if got.Len() != len(want.m) {
+				t.Fatalf("seed %d step %d t=%d: %d entries, reference %d", seed, step, now, got.Len(), len(want.m))
+			}
+			for k := 0; k < keys; k++ {
+				if _, in := want.m[k]; got.Contains(k) != in {
+					t.Fatalf("seed %d step %d t=%d: Contains(%d) = %v, reference %v", seed, step, now, k, !in, in)
+				}
+			}
+			if got.Deadlines() < got.Len() {
+				t.Fatalf("seed %d step %d: %d deadlines for %d entries", seed, step, got.Deadlines(), got.Len())
+			}
+		}
+	}
+}
+
+// TestExpiringSetReAddedKeySurvives: a key added again before its first
+// deadline lives until the second, although its first queued deadline pops
+// before then.
+func TestExpiringSetReAddedKeySurvives(t *testing.T) {
+	s := NewExpiringSet[string](10)
+	s.Add("a", 0)
+	s.Add("b", 3)
+	s.Add("a", 5)
+	s.Expire(10)
+	if !s.Contains("a") || !s.Contains("b") {
+		t.Fatalf("at t=10: a %v, b %v; both live until 15 and 13", s.Contains("a"), s.Contains("b"))
+	}
+	s.Expire(13)
+	if !s.Contains("a") || s.Contains("b") {
+		t.Fatalf("at t=13: a %v, b %v; want a only", s.Contains("a"), s.Contains("b"))
+	}
+	s.Expire(15)
+	if s.Len() != 0 || s.Deadlines() != 0 {
+		t.Fatalf("at t=15: %d entries, %d deadlines left", s.Len(), s.Deadlines())
+	}
+}
+
+// TestExpiringSetAddBehindPanics: the queue is in deadline order only if
+// no Add goes back in time, so one that does is loud.
+func TestExpiringSetAddBehindPanics(t *testing.T) {
+	s := NewExpiringSet[int](5)
+	s.Add(1, 10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an Add behind the last deadline did not panic")
+		}
+	}()
+	s.Add(2, 9)
 }

@@ -14,36 +14,33 @@ package sim
 // out of the queue.
 //
 // How. The hold is the same for every Reset, so the last Reset is the
-// latest deadline: armed items form one list in last-Reset order, which is
-// their key order, and a Reset unlinks its item and appends it at the tail
-// (Varghese & Lauck's scheme 1 for a constant timeout). The set's queue
-// entry carries a key no later than the head's. A popped entry whose key
-// is not the head's fires nothing: the kernel requeues it at the head's
-// key.
+// latest deadline: armed items form one list in last-Reset order (a
+// holdList), which is their key order, and a Reset unlinks its item and
+// appends it at the tail (Varghese & Lauck's scheme 1 for a constant
+// timeout). The set's queue entry carries a key no later than the head's.
+// A popped entry whose key is not the head's fires nothing: the kernel
+// requeues it at the head's key.
 //
 // Items live in Pages: a Reset of an index past the last one appends items
 // up to it, 24 B each, a page of 16 at a time, and no item ever moves. A
 // TimerSet must not be copied.
 type TimerSet struct {
-	k          *Kernel
-	fn         func(i int32)
-	hold       Time
-	items      Pages[setItem]
-	head, tail int32  // armed items, earliest key first; noItem when empty
-	ev         *event // the queue entry, keyed no later than head; nil while not queued
+	holdList[timerKey] // armed items, earliest key first
+	k                  *Kernel
+	fn                 func(i int32)
+	hold               Time
+	ev                 *event // the queue entry, keyed no later than head; nil while not queued
 }
 
-// setItem is one timer: its key while armed, and its list neighbours.
-type setItem struct {
-	at         Time
-	seq        uint64
-	prev, next int32 // next is unlinked while the item is disarmed
+// timerKey is an armed item's key.
+type timerKey struct {
+	at  Time
+	seq uint64
 }
 
-const (
-	noItem   = -1 // no list neighbour
-	unlinked = -2 // setItem.next of a disarmed item
-)
+// setItem is one timer: its key while armed, and its list neighbours (next
+// is unlinked while the item is disarmed).
+type setItem = holdItem[timerKey]
 
 // NewTimerSet returns an empty set whose items fire fn(i) hold after their
 // last Reset. A negative hold panics.
@@ -54,7 +51,7 @@ func (k *Kernel) NewTimerSet(hold Time, fn func(i int32)) *TimerSet {
 	if hold < 0 {
 		panic("sim: timer set with negative hold")
 	}
-	return &TimerSet{k: k, fn: fn, hold: hold, head: noItem, tail: noItem}
+	return &TimerSet{holdList: holdList[timerKey]{head: noItem, tail: noItem}, k: k, fn: fn, hold: hold}
 }
 
 // Reset (re)arms item i to fire the set's hold from now, replacing its
@@ -72,7 +69,7 @@ func (s *TimerSet) Reset(i int32) {
 	} else {
 		s.unlink(i)
 	}
-	it.at, it.seq = k.now+s.hold, seq
+	it.val = timerKey{at: k.now + s.hold, seq: seq}
 	s.link(i)
 	if s.ev == nil {
 		s.requeue()
@@ -111,34 +108,6 @@ func (s *TimerSet) Active(i int32) bool {
 	return i < s.items.Len() && s.items.At(i).next != unlinked
 }
 
-// link appends item i at the tail of the list.
-func (s *TimerSet) link(i int32) {
-	it := s.items.At(i)
-	it.prev, it.next = s.tail, noItem
-	if s.tail != noItem {
-		s.items.At(s.tail).next = i
-	} else {
-		s.head = i
-	}
-	s.tail = i
-}
-
-// unlink takes item i out of the list, disarmed.
-func (s *TimerSet) unlink(i int32) {
-	it := s.items.At(i)
-	if it.prev != noItem {
-		s.items.At(it.prev).next = it.next
-	} else {
-		s.head = it.next
-	}
-	if it.next != noItem {
-		s.items.At(it.next).prev = it.prev
-	} else {
-		s.tail = it.prev
-	}
-	it.next = unlinked
-}
-
 // Queue accounting: k.extra counts armed items that no queue entry
 // counts, so while the set's entry is queued it holds (armed items - 1),
 // and while it is not, (armed items).
@@ -160,7 +129,7 @@ func (s *TimerSet) requeue() {
 		s.ev = k.record()
 		s.ev.set = s
 	}
-	s.ev.at, s.ev.seq = s.items.At(s.head).at, s.items.At(s.head).seq
+	s.ev.at, s.ev.seq = s.items.At(s.head).val.at, s.items.At(s.head).val.seq
 	k.extra-- // the entry counts one armed item
 	k.push(s.ev)
 }
@@ -171,7 +140,7 @@ func (s *TimerSet) requeue() {
 // empty, and reports false. A stale pop fires nothing: the clock and
 // Processed() do not move.
 func (s *TimerSet) due() bool {
-	if h := s.head; h != noItem && s.items.At(h).at == s.ev.at && s.items.At(h).seq == s.ev.seq {
+	if h := s.head; h != noItem && s.items.At(h).val.at == s.ev.at && s.items.At(h).val.seq == s.ev.seq {
 		return true
 	}
 	s.k.extra++ // popped

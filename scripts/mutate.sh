@@ -199,22 +199,24 @@ mutant "rng prefix: lfLazy raised past the tap, to 300" internal/rng/lagged.go \
 # liveness is one queue entry per router"): the list kept in key order, the
 # entry settled against the head, and Stop's unlink. A revision whose set
 # keeps a registration heap reads BROKEN on the list rows. The "inserting
-# at the head" edit mirrors link (head <-> tail, prev <-> next). ----
+# at the head" edit mirrors link (head <-> tail, prev <-> next), which since
+# PR 44 is the list TimerSet shares with sim.HoldList (internal/sim/holdlist.go;
+# a revision before it reads BROKEN on that row); an item's key is .val. ----
 setTests='TestTimerSetMatchesTimers|FuzzKernelDifferential'
 mutant "sim timer set: a stale pop fires" internal/sim/timerset.go \
-	's#h != noItem \&\& s.items\(\[h\]\|\.At(h)\)\.at == s.ev.at \&\& s.items\(\[h\]\|\.At(h)\)\.seq == s.ev.seq {#h != noItem {#' \
+	's#h != noItem \&\& s.items\(\[h\]\|\.At(h)\)\(\.val\)\?\.at == s.ev.at \&\& s.items\(\[h\]\|\.At(h)\)\(\.val\)\?\.seq == s.ev.seq {#h != noItem {#' \
 	$sim "$setTests"
 mutant "sim timer set: Reset stops drawing k.seq" internal/sim/timerset.go \
 	'/^\tk.seq++$/d' \
 	$sim "$setTests"
-mutant "sim timer set: a Reset inserts at the head" internal/sim/timerset.go \
-	'/^func (s \*TimerSet) link/,/^}/{s/tail/@/g;s/head/tail/g;s/@/head/g;s/prev/@/g;s/next/prev/g;s/@/next/g}' \
+mutant "sim timer set: a Reset inserts at the head" internal/sim/holdlist.go \
+	'/^func (l \*holdList\[T\]) link/,/^}/{s/tail/@/g;s/head/tail/g;s/@/head/g;s/prev/@/g;s/next/prev/g;s/@/next/g}' \
 	$sim "$setTests"
 mutant "sim timer set: due() ignores seq" internal/sim/timerset.go \
-	's# \&\& s.items\(\[h\]\|\.At(h)\)\.seq == s.ev.seq {# {#' \
+	's# \&\& s.items\(\[h\]\|\.At(h)\)\(\.val\)\?\.seq == s.ev.seq {# {#' \
 	$sim "$setTests"
 mutant "sim timer set: a requeue keeps the popped key, not the head's" internal/sim/timerset.go \
-	'/^\ts.ev.at, s.ev.seq = s.items\(\[s.head\]\|\.At(s.head)\)\.at, s.items\(\[s.head\]\|\.At(s.head)\)\.seq$/d' \
+	'/^\ts.ev.at, s.ev.seq = s.items\(\[s.head\]\|\.At(s.head)\)\(\.val\)\?\.at, s.items\(\[s.head\]\|\.At(s.head)\)\(\.val\)\?\.seq$/d' \
 	$sim "$setTests"
 mutant "sim timer set: Stop does not unlink" internal/sim/timerset.go \
 	'/^func (s \*TimerSet) Stop/,/^}/{/s.unlink(i)/d}' \
@@ -358,7 +360,7 @@ mutant "mac broadcast: the payload is handed back at tx-done" internal/mac/dcf.g
 # ROADMAP item 1(b)). A revision without the test runs nothing here and
 # reads SURVIVED. ----
 mutant "olsr handleHello: every selecting HELLO bumps the ANSN again" internal/routing/olsr/olsr.go \
-	's|^\t\tr.selectors\[from\] = now + neighborHold$|\t\tr.selectors[from] = now + neighborHold; r.ansn++|' \
+	's#^\t\tr.selectors\[from\] = \(now + neighborHold\|s\)$#\t\tr.selectors[from] = \1; r.ansn++#' \
 	./internal/routing/olsr '^TestANSNBumpsOnlyWhenSelectorsChange$'
 
 # ---- the last two references with an exported switch moved into their
@@ -473,6 +475,28 @@ mutant "netsim Reactive.Start: a rebuilt router does not wait before it sends" i
 mutant "netsim Reactive.Forward: data in the reboot wait does not restart it" internal/netsim/reactive.go \
 	'/^func (m \*Reactive) Forward(/,/^}$/{/m.quietUntil = /d}' \
 	"$reactive" 'TestRebootWaits'
+
+# ---- constant-hold soft state expires from lists (ROADMAP "Constant-hold
+# soft state expires from lists"): the 2-hop merge's cursor, a refresh's
+# move to the tail, the purge's boundary, the selector list's refresh, and
+# the FIFO duplicate set's rule for a re-added key. A revision without
+# mergeTwoHop, the selector list or the FIFO set reads BROKEN. ----
+twoHopTests='TestTwoHopMatchesReference|FuzzTwoHopMatchesReference'
+mutant "olsr mergeTwoHop: a refresh does not move its tuple to the tail" internal/routing/olsr/olsr.go \
+	'/^\t\t\tr.twoHopExp.Refresh(e.item)$/d' \
+	$olsr "$twoHopTests"
+mutant "olsr mergeTwoHop: the merge restarts only on th < prev" internal/routing/olsr/olsr.go \
+	's|^\t\tif th <= prev {$|\t\tif th < prev {|' \
+	$olsr "$twoHopTests"
+mutant "olsr expireTwoHop: purge stops at until < now" internal/routing/olsr/olsr.go \
+	's|^\t\tif edges\[j\].until > now {$|\t\tif edges[j].until >= now {|' \
+	$olsr "$twoHopTests"
+mutant "olsr handleHello: a selector's refresh does not move it to the tail" internal/routing/olsr/olsr.go \
+	'/^\t\t\tr.selExp.Refresh(s.item)$/d' \
+	$olsr '^TestANSNBumpsOnlyWhenSelectorsChange$'
+mutant "sim ExpiringSet.Expire: a re-added key is deleted at its older deadline" internal/sim/expiry.go \
+	's|^\t\tif s.m\[it.key\] <= now {$|\t\tif true {|' \
+	$sim 'TestExpiringSetMatchesHeap|TestExpiringSetReAddedKeySurvives'
 
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
