@@ -199,9 +199,10 @@ mutant "rng prefix: lfLazy raised past the tap, to 300" internal/rng/lagged.go \
 # liveness is one queue entry per router"): the list kept in key order, the
 # entry settled against the head, and Stop's unlink. A revision whose set
 # keeps a registration heap reads BROKEN on the list rows. The "inserting
-# at the head" edit mirrors link (head <-> tail, prev <-> next), which since
-# PR 44 is the list TimerSet shares with sim.HoldList (internal/sim/holdlist.go;
-# a revision before it reads BROKEN on that row); an item's key is .val. ----
+# at the head" edit mirrors link (head <-> tail, prev <-> next), now in the
+# list TimerSet shares with sim.HoldList (internal/sim/holdlist.go; a
+# revision before the shared list reads BROKEN on that row); an item's key
+# is .val. ----
 setTests='TestTimerSetMatchesTimers|FuzzKernelDifferential'
 mutant "sim timer set: a stale pop fires" internal/sim/timerset.go \
 	's#h != noItem \&\& s.items\(\[h\]\|\.At(h)\)\(\.val\)\?\.at == s.ev.at \&\& s.items\(\[h\]\|\.At(h)\)\(\.val\)\?\.seq == s.ev.seq {#h != noItem {#' \
