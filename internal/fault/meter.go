@@ -37,7 +37,7 @@ type Resilience struct {
 }
 
 // Meter observes a world run and classifies traffic against a fault plan.
-// Install its Hooks with World.AddHooks, then call Result after the run.
+// Install Observe with World.Observe, then call Result after the run.
 type Meter struct {
 	windows    []Window
 	recoveries []sim.Time
@@ -65,33 +65,29 @@ func (m *Meter) during(t sim.Time) bool {
 	return i < len(m.windows) && m.windows[i].From <= t
 }
 
-// Hooks returns the world hooks that feed the meter; World.AddHooks
-// installs them beside the collector's.
-func (m *Meter) Hooks() netsim.Hooks {
-	return netsim.Hooks{
-		DataSent: func(n *netsim.Node, p *netsim.Packet) {
-			if m.during(p.CreatedAt) {
-				m.res.SentDuring++
-			} else {
-				m.res.SentOutside++
-			}
-		},
-		DataDelivered: func(n *netsim.Node, p *netsim.Packet) {
-			if m.during(p.CreatedAt) {
-				m.res.DeliveredDuring++
-			} else {
-				m.res.DeliveredOutside++
-			}
-			now := n.Kernel().Now()
-			// Recoveries are sorted; the streaming index credits each one
-			// with the first delivery anywhere in the network at or after
-			// it — the coarse "data flows again" re-convergence signal.
-			for m.ri < len(m.recoveries) && m.recoveries[m.ri] <= now {
-				m.reconvSum += (now - m.recoveries[m.ri]).Seconds()
-				m.reconv++
-				m.ri++
-			}
-		},
+// Observe classifies one data-plane event; install it with World.Observe.
+func (m *Meter) Observe(e netsim.PacketEvent) {
+	switch e.Kind {
+	case netsim.Sent:
+		if m.during(e.Packet.CreatedAt) {
+			m.res.SentDuring++
+		} else {
+			m.res.SentOutside++
+		}
+	case netsim.Delivered:
+		if m.during(e.Packet.CreatedAt) {
+			m.res.DeliveredDuring++
+		} else {
+			m.res.DeliveredOutside++
+		}
+		// Recoveries are sorted; the streaming index credits each one
+		// with the first delivery anywhere in the network at or after
+		// it — the coarse "data flows again" re-convergence signal.
+		for m.ri < len(m.recoveries) && m.recoveries[m.ri] <= e.At {
+			m.reconvSum += (e.At - m.recoveries[m.ri]).Seconds()
+			m.reconv++
+			m.ri++
+		}
 	}
 }
 

@@ -5,90 +5,95 @@
 package metrics
 
 import (
-	"strings"
-
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
 )
 
-// Collector observes data-plane events via netsim.Hooks and aggregates
-// them. Attach with Bind before World.Run.
+// Collector observes a world's data-plane events and aggregates them.
+// Attach with Bind before World.Run.
 type Collector struct {
 	binWidth sim.Time
 	bins     int
 
-	sent        map[netsim.NodeID]uint64
+	world       *netsim.World
 	delivered   map[netsim.NodeID]uint64
-	bytesRx     map[netsim.NodeID]uint64
 	delaySum    map[netsim.NodeID]sim.Time
 	hopSum      map[netsim.NodeID]uint64
 	goodput     map[netsim.NodeID][]uint64 // received payload bits per bin, by sender
-	drops       map[string]uint64
+	drops       map[dropKey]uint64
 	unreachable map[netsim.NodeID]uint64 // per-sender routing-unreachable drops
+}
+
+// dropKey is what a drop is counted by; Drops renders it.
+type dropKey struct {
+	router string
+	cause  netsim.Cause
 }
 
 // NewCollector creates a collector with the given goodput bin width and
 // horizon (number of bins). The paper uses 1-second bins over 100 s.
 func NewCollector(binWidth sim.Time, horizon sim.Time) *Collector {
-	bins := int(horizon/binWidth) + 1
 	return &Collector{
 		binWidth:    binWidth,
-		bins:        bins,
-		sent:        make(map[netsim.NodeID]uint64),
+		bins:        int(horizon/binWidth) + 1,
 		delivered:   make(map[netsim.NodeID]uint64),
-		bytesRx:     make(map[netsim.NodeID]uint64),
 		delaySum:    make(map[netsim.NodeID]sim.Time),
 		hopSum:      make(map[netsim.NodeID]uint64),
 		goodput:     make(map[netsim.NodeID][]uint64),
-		drops:       make(map[string]uint64),
+		drops:       make(map[dropKey]uint64),
 		unreachable: make(map[netsim.NodeID]uint64),
 	}
 }
 
-// Bind installs the collector's observers on a world.
+// Bind installs the collector's observer on a world. Originations are not
+// observed: the source node counts them (Sent).
 func (c *Collector) Bind(w *netsim.World) {
-	w.AddHooks(netsim.Hooks{
-		DataSent: func(n *netsim.Node, p *netsim.Packet) {
-			c.sent[p.Src]++
-		},
-		DataDelivered: func(n *netsim.Node, p *netsim.Packet) {
-			now := n.Kernel().Now()
-			c.delivered[p.Src]++
-			payload := uint64(p.Size - netsim.IPHeaderBytes)
-			c.bytesRx[p.Src] += payload
-			c.delaySum[p.Src] += now - p.CreatedAt
-			c.hopSum[p.Src] += uint64(p.Hops)
-			series := c.goodput[p.Src]
-			if series == nil {
-				series = make([]uint64, c.bins)
-				c.goodput[p.Src] = series
-			}
-			bin := int(now / c.binWidth)
-			if bin >= 0 && bin < len(series) {
-				series[bin] += payload * 8
-			}
-		},
-		DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-			c.drops[reason]++
-			// Routing-unreachable drops get a per-sender attribution so a
-			// flow whose destination crashed (or never came up) is
-			// distinguishable from congestion or mobility loss.
-			if strings.HasSuffix(reason, ":no-route") || strings.HasSuffix(reason, ":no-forward-route") {
-				c.unreachable[p.Src]++
-			}
-		},
-	})
+	c.world = w
+	w.Observe(c.observe)
 }
 
-// Sent reports packets originated by src.
-func (c *Collector) Sent(src netsim.NodeID) uint64 { return c.sent[src] }
+func (c *Collector) observe(e netsim.PacketEvent) {
+	p := e.Packet
+	switch e.Kind {
+	case netsim.Delivered:
+		c.delivered[p.Src]++
+		c.delaySum[p.Src] += e.At - p.CreatedAt
+		c.hopSum[p.Src] += uint64(p.Hops)
+		series := c.goodput[p.Src]
+		if series == nil {
+			series = make([]uint64, c.bins)
+			c.goodput[p.Src] = series
+		}
+		if bin := int(e.At / c.binWidth); bin >= 0 && bin < len(series) {
+			series[bin] += uint64(p.Size-netsim.IPHeaderBytes) * 8
+		}
+	case netsim.Dropped:
+		c.drops[dropKey{e.Node.Router().Name(), e.Cause}]++
+		// Routing-unreachable drops get a per-sender attribution so a
+		// flow whose destination crashed (or never came up) is
+		// distinguishable from congestion or mobility loss.
+		if e.Cause == netsim.CauseNoRoute || e.Cause == netsim.CauseNoForwardRoute {
+			c.unreachable[p.Src]++
+		}
+	}
+}
+
+// Sent reports packets originated by src: its node's DataOriginated,
+// because SendData counts each packet at its source. An unbound collector
+// or an id outside the world reports zero.
+func (c *Collector) Sent(src netsim.NodeID) uint64 {
+	if c.world == nil || src < 0 || int(src) >= c.world.NumNodes() {
+		return 0
+	}
+	return c.world.Node(int(src)).Counters().DataOriginated
+}
 
 // Delivered reports packets from src that reached their destination.
 func (c *Collector) Delivered(src netsim.NodeID) uint64 { return c.delivered[src] }
 
 // PDR reports the packet delivery ratio for sender src (Fig. 11).
 func (c *Collector) PDR(src netsim.NodeID) float64 {
-	s := c.sent[src]
+	s := c.Sent(src)
 	if s == 0 {
 		return 0
 	}
@@ -99,13 +104,9 @@ func (c *Collector) PDR(src netsim.NodeID) float64 {
 // second per bin (Figs. 8–10). The slice has one entry per bin and is a
 // fresh copy.
 func (c *Collector) GoodputBPS(src netsim.NodeID) []float64 {
-	series := c.goodput[src]
 	out := make([]float64, c.bins)
-	if series == nil {
-		return out
-	}
 	scale := 1 / c.binWidth.Seconds()
-	for i, bits := range series {
+	for i, bits := range c.goodput[src] {
 		out[i] = float64(bits) * scale
 	}
 	return out
@@ -131,43 +132,32 @@ func (c *Collector) MeanHops(src netsim.NodeID) float64 {
 }
 
 // Unreachable reports packets from src dropped because routing had no
-// route to their destination (":no-route" / ":no-forward-route" reasons) —
-// the signature of a destination that is down or was never reachable.
+// route to their destination (CauseNoRoute, CauseNoForwardRoute) — the
+// signature of a destination that is down or was never reachable.
 func (c *Collector) Unreachable(src netsim.NodeID) uint64 { return c.unreachable[src] }
 
-// Drops reports drop counts by reason.
+// Drops reports drop counts by reason, "<router>:<cause>" as
+// netsim.Cause.Reason renders it.
 func (c *Collector) Drops() map[string]uint64 {
 	out := make(map[string]uint64, len(c.drops))
-	for k, v := range c.drops { // order-free: a copy
-		out[k] = v
+	for k, v := range c.drops { // order-free: an integer sum per reason
+		out[k.cause.Reason(k.router)] += v
 	}
 	return out
 }
 
-// Totals reports the data-plane ledger across all senders: packets
-// originated, delivered, and dropped with a recorded reason.
-func (c *Collector) Totals() (sent, delivered, dropped uint64) {
-	for _, s := range c.sent { // order-free: an integer sum
-		sent += s
-	}
-	for _, d := range c.delivered { // order-free: an integer sum
-		delivered += d
-	}
-	for _, d := range c.drops { // order-free: an integer sum
-		dropped += d
-	}
-	return sent, delivered, dropped
-}
-
-// InFlight reports sent − delivered − dropped: the packets still in MAC
-// queues or router buffers when the run ended. It can dip slightly
-// negative on 802.11 ACK-loss forks, where one packet legitimately earns
-// both a delivery and a link-failure drop. The scenario invariant harness
-// (internal/scenario/check) audits the per-packet version of this ledger
-// against actual end-of-run custody.
+// InFlight reports sent − delivered − dropped from the nodes' counters:
+// the packets with no terminal event at the end (held in MAC queues or
+// router buffers) minus every terminal event beyond a packet's first.
+// Drops counts each fork's witness drop (an ACK-loss link failure, or a
+// node:down flush of a copy decoded downstream), so it can be negative.
 func (c *Collector) InFlight() int64 {
-	sent, delivered, dropped := c.Totals()
-	return int64(sent) - int64(delivered) - int64(dropped)
+	var n int64
+	for _, node := range c.world.Nodes() {
+		k := node.Counters()
+		n += int64(k.DataOriginated) - int64(k.DataDelivered) - int64(k.DataDropped)
+	}
+	return n
 }
 
 // RoutingOverhead sums the control traffic every node of a world sent —

@@ -4,22 +4,29 @@ import (
 	"math"
 	"testing"
 
+	"cavenet/internal/fault"
 	"cavenet/internal/geometry"
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
 )
 
 // directRouter delivers everything locally on the destination node without
-// radio, so metric timing is fully controlled by the test.
+// radio, so metric timing is fully controlled by the test. With no
+// destination wired it holds what it is given, for the test to drop.
 type directRouter struct {
-	n   *netsim.Node
-	dst *netsim.Node
+	n    *netsim.Node
+	dst  *netsim.Node
+	held []*netsim.Packet
 }
 
 func (r *directRouter) Name() string { return "direct" }
 func (r *directRouter) Start()       {}
 func (r *directRouter) Stop()        {}
 func (r *directRouter) Origin(p *netsim.Packet) {
+	if r.dst == nil {
+		r.held = append(r.held, p)
+		return
+	}
 	p.Hops = 2
 	r.dst.DeliverLocal(p)
 }
@@ -161,13 +168,12 @@ func TestCollectorTotalsAndInFlight(t *testing.T) {
 	c := NewCollector(sim.Second, sim.Second)
 	c.Bind(world)
 	h := world.Node(0)
+	r := h.Router().(*directRouter)
 	// One packet delivered (dst == self short-circuits to DeliverLocal).
 	h.SendData(h.NewPacket(0, netsim.PortCBR, 100))
-	// One sent and then dropped (the send is recorded directly: the stub
-	// router would otherwise null-deref on an unwired destination).
-	p2 := h.NewPacket(1, netsim.PortCBR, 100)
-	c.sent[p2.Src]++
-	h.DropData(p2, "x:drop")
+	// One sent, held by the unwired router, then dropped.
+	h.SendData(h.NewPacket(1, netsim.PortCBR, 100))
+	h.DropData(r.held[0], netsim.CauseNoRoute)
 	sent, delivered, dropped := c.Totals()
 	if sent != 2 || delivered != 1 || dropped != 1 {
 		t.Fatalf("Totals = %d/%d/%d, want 2/1/1", sent, delivered, dropped)
@@ -175,10 +181,13 @@ func TestCollectorTotalsAndInFlight(t *testing.T) {
 	if got := c.InFlight(); got != 0 {
 		t.Fatalf("InFlight = %d, want 0", got)
 	}
-	// A third packet still unresolved at "end of run".
-	c.sent[0]++
+	// A third packet still held at "end of run".
+	h.SendData(h.NewPacket(1, netsim.PortCBR, 100))
 	if got := c.InFlight(); got != 1 {
 		t.Fatalf("InFlight = %d, want 1", got)
+	}
+	if got := c.Sent(0); got != 3 {
+		t.Fatalf("Sent(0) = %d, want 3", got)
 	}
 }
 
@@ -192,17 +201,93 @@ func TestCollectorDrops(t *testing.T) {
 	}
 	c := NewCollector(sim.Second, sim.Second)
 	c.Bind(world)
-	world.Node(0).DropData(&netsim.Packet{}, "x:reason")
-	world.Node(0).DropData(&netsim.Packet{}, "x:reason")
+	world.Node(0).DropData(&netsim.Packet{}, netsim.CauseTTL)
+	world.Node(0).DropData(&netsim.Packet{}, netsim.CauseTTL)
+	world.Node(0).DropData(&netsim.Packet{}, netsim.CauseNodeDown)
 	drops := c.Drops()
-	if drops["x:reason"] != 2 {
+	if len(drops) != 2 || drops["direct:ttl"] != 2 || drops["node:down"] != 1 {
 		t.Fatalf("drops = %v", drops)
 	}
 	// Returned map is a copy.
-	drops["x:reason"] = 99
-	if c.Drops()["x:reason"] != 2 {
+	drops["direct:ttl"] = 99
+	if c.Drops()["direct:ttl"] != 2 {
 		t.Fatal("Drops must return a copy")
 	}
+}
+
+// TestCollectorUnreachable pins which causes count as routing-unreachable:
+// no route at the originator or at a forwarder, and nothing else.
+func TestCollectorUnreachable(t *testing.T) {
+	world, err := netsim.NewWorld(netsim.WorldConfig{
+		Nodes:  1,
+		Static: []geometry.Vec2{{X: 0}},
+	}, func(n *netsim.Node) netsim.Router { return &directRouter{n: n} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector(sim.Second, sim.Second)
+	c.Bind(world)
+	n := world.Node(0)
+	for cause := netsim.CauseTTL; cause <= netsim.CauseNodeDown; cause++ {
+		n.DropData(&netsim.Packet{Src: 7}, cause)
+	}
+	n.DropData(&netsim.Packet{Src: 7}, netsim.CauseNoForwardRoute)
+	if got := c.Unreachable(7); got != 3 {
+		t.Fatalf("Unreachable = %d, want 3 (one no-route, two no-forward-route)", got)
+	}
+	if got := len(c.Drops()); got != 10 {
+		t.Fatalf("%d drop reasons, want one per cause: %v", got, c.Drops())
+	}
+}
+
+// TestEventCycleAllocFree pins the cost of the packet event stream: a
+// steady-state sent→delivered and sent→dropped cycle allocates nothing,
+// with no observer and with the collector and the fault meter installed.
+func TestEventCycleAllocFree(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		world, err := netsim.NewWorld(netsim.WorldConfig{
+			Nodes:  2,
+			Static: []geometry.Vec2{{X: 0}, {X: 10}},
+		}, func(n *netsim.Node) netsim.Router { return &directRouter{n: n} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observed {
+			NewCollector(sim.Second, sim.Second).Bind(world)
+			plan := fault.Plan{Events: []fault.Event{
+				{At: 0, Kind: fault.NodeDown, Node: 1},
+				{At: sim.Second, Kind: fault.NodeUp, Node: 1},
+			}}
+			world.Observe(fault.NewMeter(plan, sim.Second).Observe)
+		}
+		src, dst := world.Node(0), world.Node(1)
+		src.Router().(*directRouter).dst = dst
+		dst.AttachPort(netsim.PortCBR, netsim.PortFunc(func(*netsim.Packet, sim.Time) {}))
+		held := dst.Router().(*directRouter)
+		cycle := func() {
+			src.SendData(src.NewPacket(1, netsim.PortCBR, 100))
+			dst.SendData(dst.NewPacket(0, netsim.PortCBR, 100))
+			dst.DropData(held.held[0], netsim.CauseNoRoute)
+			held.held = held.held[:0]
+		}
+		cycle() // first packets: pool records, per-sender maps
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("observed=%v: %v allocations per cycle, want 0", observed, allocs)
+		}
+	}
+}
+
+// Totals reports the data-plane ledger across all senders: packets
+// originated, delivered, and dropped.
+func (c *Collector) Totals() (sent, delivered, dropped uint64) {
+	for _, src := range c.world.Nodes() {
+		sent += c.Sent(src.ID())
+		delivered += c.Delivered(src.ID())
+	}
+	for _, d := range c.Drops() {
+		dropped += d
+	}
+	return sent, delivered, dropped
 }
 
 // TotalPDR reports the delivery ratio across all senders.

@@ -40,24 +40,20 @@ type Discoveries struct {
 	usable  func(dst NodeID) bool
 	request func(d *Discovery) sim.Time // sends a request, returns its wait
 	origin  func(p *Packet)
-	full    string // "<proto>:buffer-full"
-	noRoute string // "<proto>:no-route"
 	open    map[NodeID]*Discovery
 	free    []*Discovery
 }
 
-// NewDiscoveries builds node's discovery buffer for the protocol named
-// proto. usable reports whether a route to dst can carry data now, request
-// sends the next request of a search and returns how long it waits for an
-// answer, and origin routes a released packet again (the router's Origin).
-func NewDiscoveries(node *Node, proto string, usable func(dst NodeID) bool, request func(d *Discovery) sim.Time, origin func(p *Packet)) *Discoveries {
+// NewDiscoveries builds node's discovery buffer. usable reports whether a
+// route to dst can carry data now, request sends the next request of a
+// search and returns how long it waits for an answer, and origin routes a
+// released packet again (the router's Origin).
+func NewDiscoveries(node *Node, usable func(dst NodeID) bool, request func(d *Discovery) sim.Time, origin func(p *Packet)) *Discoveries {
 	return &Discoveries{
 		node:    node,
 		usable:  usable,
 		request: request,
 		origin:  origin,
-		full:    proto + ":buffer-full",
-		noRoute: proto + ":no-route",
 		open:    make(map[NodeID]*Discovery),
 	}
 }
@@ -68,7 +64,7 @@ func NewDiscoveries(node *Node, proto string, usable func(dst NodeID) bool, requ
 func (ds *Discoveries) Park(p *Packet) {
 	if d := ds.open[p.Dst]; d != nil {
 		if len(d.buffer) >= discoveryCap {
-			ds.node.DropData(p, ds.full)
+			ds.node.DropData(p, CauseBufferFull)
 			return
 		}
 		d.buffer = append(d.buffer, p)
@@ -100,7 +96,7 @@ func (ds *Discoveries) retry(d *Discovery) {
 	d.Tries++
 	if d.Tries >= discoveryTries {
 		for _, p := range d.buffer {
-			ds.node.DropData(p, ds.noRoute)
+			ds.node.DropData(p, CauseNoRoute)
 		}
 		delete(ds.open, d.Dst)
 		ds.release(d)

@@ -27,10 +27,14 @@ func TestNodeDownUpLifecycle(t *testing.T) {
 	w.Node(1).OnLifecycle(func(up bool) { transitions = append(transitions, up) })
 	// Delivery is terminal custody: snapshot the value, not the pointer.
 	var delivered []Packet
-	drops := make(map[string]int)
-	w.AddHooks(Hooks{
-		DataDelivered: func(n *Node, p *Packet) { delivered = append(delivered, *p) },
-		DataDropped:   func(n *Node, p *Packet, reason string) { drops[reason]++ },
+	drops := make(map[Cause]int)
+	w.Observe(func(e PacketEvent) {
+		switch e.Kind {
+		case Delivered:
+			delivered = append(delivered, *e.Packet)
+		case Dropped:
+			drops[e.Cause]++
+		}
 	})
 	for i := 0; i < 3; i++ {
 		w.Node(i).AttachPort(PortCBR, PortFunc(func(*Packet, sim.Time) {}))
@@ -73,7 +77,7 @@ func TestNodeDownUpLifecycle(t *testing.T) {
 	w.Kernel.Schedule(200*sim.Millisecond, func() { send(0, 1) })
 	w.Run(sim.Second)
 
-	if drops["node:down"] != 1 {
+	if drops[CauseNodeDown] != 1 {
 		t.Fatalf("drops = %v, want the down node's own packet as one node:down", drops)
 	}
 	if len(delivered) != 2 {
@@ -105,14 +109,16 @@ func TestDownNodeSendsFlushAsDownDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops := make(map[string]int)
-	w.AddHooks(Hooks{
-		DataDropped: func(n *Node, p *Packet, reason string) { drops[reason]++ },
+	drops := make(map[Cause]int)
+	w.Observe(func(e PacketEvent) {
+		if e.Kind == Dropped {
+			drops[e.Cause]++
+		}
 	})
 	w.Node(0).Down(false)
 	w.Node(0).SendData(w.Node(0).NewPacket(1, PortCBR, 128))
 	w.Run(100 * sim.Millisecond)
-	if drops["node:down"] != 1 {
+	if drops[CauseNodeDown] != 1 {
 		t.Fatalf("drops = %v, want one node:down", drops)
 	}
 	if got := w.Node(0).MAC().Stats().DownDrops; got != 1 {
@@ -132,8 +138,10 @@ func TestDownNodeHearsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered int
-	w.AddHooks(Hooks{
-		DataDelivered: func(n *Node, p *Packet) { delivered++ },
+	w.Observe(func(e PacketEvent) {
+		if e.Kind == Delivered {
+			delivered++
+		}
 	})
 	w.Node(1).AttachPort(PortCBR, PortFunc(func(p *Packet, at sim.Time) {}))
 
@@ -215,14 +223,15 @@ func TestCrashReplacesRouterGracefulKeepsIt(t *testing.T) {
 // broadcast data frame on the air. The frame keeps airing, its receivers
 // decode the sender's packet at their own signal ends and flood it on, and
 // only when the frame dies does the MAC hand the packet back as the
-// node:down drop, which returns it to the pool. The run — every hook event
+// node:down drop, which returns it to the pool. The run — every event
 // with its time and the packet it saw, and every node's counters — must be
 // DeepEqual across two replays.
 func TestCrashMidBroadcastReplays(t *testing.T) {
 	type event struct {
 		at     sim.Time
 		node   NodeID
-		what   string
+		kind   EventKind
+		cause  Cause
 		packet Packet
 	}
 	run := func() ([]event, []NodeCounters, sim.Time) {
@@ -231,13 +240,8 @@ func TestCrashMidBroadcastReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		var log []event
-		note := func(n *Node, p *Packet, what string) {
-			log = append(log, event{w.Kernel.Now(), n.ID(), what, *p})
-		}
-		w.AddHooks(Hooks{
-			DataSent:      func(n *Node, p *Packet) { note(n, p, "sent") },
-			DataDelivered: func(n *Node, p *Packet) { note(n, p, "delivered") },
-			DataDropped:   func(n *Node, p *Packet, reason string) { note(n, p, reason) },
+		w.Observe(func(e PacketEvent) {
+			log = append(log, event{e.At, e.Node.ID(), e.Kind, e.Cause, *e.Packet})
 		})
 		for i := 0; i < 4; i++ {
 			w.Node(i).AttachPort(PortCBR, PortFunc(func(*Packet, sim.Time) {}))
@@ -276,10 +280,10 @@ func TestCrashMidBroadcastReplays(t *testing.T) {
 		if e.packet.UID != log[0].packet.UID {
 			continue
 		}
-		switch e.what {
-		case "node:down":
+		switch {
+		case e.cause == CauseNodeDown:
 			drop = e
-		case "delivered":
+		case e.kind == Delivered:
 			delivered = e
 		}
 	}
@@ -290,7 +294,7 @@ func TestCrashMidBroadcastReplays(t *testing.T) {
 		t.Fatalf("crashed broadcast never reached node 3: %+v", log)
 	}
 	if n := len(log); n < 8 {
-		t.Fatalf("%d hook events, want the three later packets sent and delivered too: %+v", n, log)
+		t.Fatalf("%d events, want the three later packets sent and delivered too: %+v", n, log)
 	}
 	log2, counters2, crashed2 := run()
 	if !reflect.DeepEqual(log, log2) || !reflect.DeepEqual(counters, counters2) || crashed != crashed2 {

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -40,7 +42,7 @@ func (f *floodRouter) Receive(p *Packet, from NodeID) {
 	}
 	p.TTL--
 	if p.TTL <= 0 {
-		f.node.DropData(p, "flood:ttl")
+		f.node.DropData(p, CauseTTL)
 		return
 	}
 	f.node.SendFrame(BroadcastID, p)
@@ -88,11 +90,13 @@ func TestEndToEndFloodDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Delivery is terminal custody: p is pooled after the hook returns, so
+	// Delivery is terminal custody: p is pooled after the observer returns, so
 	// snapshot the value rather than retaining the pointer.
 	var delivered []Packet
-	w.AddHooks(Hooks{
-		DataDelivered: func(n *Node, p *Packet) { delivered = append(delivered, *p) },
+	w.Observe(func(e PacketEvent) {
+		if e.Kind == Delivered {
+			delivered = append(delivered, *e.Packet)
+		}
 	})
 	sink := PortFunc(func(p *Packet, at sim.Time) {})
 	w.Node(3).AttachPort(PortCBR, sink)
@@ -213,11 +217,13 @@ func TestDropHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reasons []string
-	w.AddHooks(Hooks{DataDropped: func(n *Node, p *Packet, reason string) {
-		reasons = append(reasons, reason)
-	}})
-	w.Node(0).DropData(&Packet{}, "test:drop")
-	if len(reasons) != 1 || reasons[0] != "test:drop" {
+	w.Observe(func(e PacketEvent) {
+		if e.Kind == Dropped {
+			reasons = append(reasons, e.Cause.Reason(e.Node.Router().Name()))
+		}
+	})
+	w.Node(0).DropData(&Packet{}, CauseTTL)
+	if len(reasons) != 1 || reasons[0] != "flood:ttl" {
 		t.Fatalf("reasons = %v", reasons)
 	}
 	if w.Node(0).Counters().DataDropped != 1 {
@@ -225,36 +231,48 @@ func TestDropHook(t *testing.T) {
 	}
 }
 
-// TestAddHooksChains pins install order: every installed set sees every
-// event, earlier sets first, and a nil field is skipped.
-func TestAddHooksChains(t *testing.T) {
+// TestCauseReasons pins how a drop is written: "<router>:<cause>", with
+// the MAC's queue-full and a node's outage under their fixed prefixes.
+func TestCauseReasons(t *testing.T) {
+	want := []string{"aodv:ttl", "aodv:no-route", "aodv:no-forward-route", "aodv:link-failure",
+		"aodv:reboot-wait", "aodv:buffer-full", "aodv:no-location", "aodv:unreachable",
+		"mac:queue-full", "node:down"}
+	var got []string
+	for c := CauseTTL; c <= CauseNodeDown; c++ {
+		got = append(got, c.Reason("aodv"))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("reasons = %q, want %q", got, want)
+	}
+}
+
+// TestObserveChains pins install order: every observer sees every event,
+// earlier observers first, each with the event's kind, clock, node and
+// cause.
+func TestObserveChains(t *testing.T) {
 	w, err := NewWorld(WorldConfig{Nodes: 1, Static: staticPositions(1, 0)}, newFloodRouter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var order []string
-	w.AddHooks(Hooks{
-		DataSent:    func(n *Node, p *Packet) { order = append(order, "a.sent") },
-		DataDropped: func(n *Node, p *Packet, r string) { order = append(order, "a.drop") },
-	})
-	w.AddHooks(Hooks{
-		DataSent:      func(n *Node, p *Packet) { order = append(order, "b.sent") },
-		DataDelivered: func(n *Node, p *Packet) { order = append(order, "b.deliver") },
-	})
-	w.AddHooks(Hooks{
-		DataDropped: func(n *Node, p *Packet, r string) { order = append(order, "c.drop") },
-	})
-	n := w.Node(0)
-	n.SendData(n.NewPacket(0, PortCBR, 10)) // self: sent then delivered
-	n.DropData(&Packet{}, "x:drop")
-	want := []string{"a.sent", "b.sent", "b.deliver", "a.drop", "c.drop"}
-	if len(order) != len(want) {
-		t.Fatalf("hook calls = %v, want %v", order, want)
+	for _, name := range []string{"a", "b", "c"} {
+		w.Observe(func(e PacketEvent) {
+			if e.Node != w.Node(0) || e.At != w.Kernel.Now() {
+				t.Errorf("%s saw node %v at %v", name, e.Node, e.At)
+			}
+			order = append(order, fmt.Sprintf("%s.%d/%d", name, e.Kind, e.Cause))
+		})
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("hook calls = %v, want %v", order, want)
-		}
+	n := w.Node(0)
+	w.Kernel.Schedule(sim.Second, func() {
+		n.SendData(n.NewPacket(0, PortCBR, 10)) // self: sent then delivered
+		n.DropData(&Packet{}, CauseNodeDown)
+	})
+	for w.Kernel.Step() {
+	}
+	want := []string{"a.1/0", "b.1/0", "c.1/0", "a.2/0", "b.2/0", "c.2/0", "a.3/10", "b.3/10", "c.3/10"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("observer calls = %v, want %v", order, want)
 	}
 }
 
@@ -267,14 +285,18 @@ func TestMACQueueDropReachesHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops := map[string]int{}
-	w.AddHooks(Hooks{DataDropped: func(n *Node, p *Packet, reason string) { drops[reason]++ }})
+	drops := map[Cause]int{}
+	w.Observe(func(e PacketEvent) {
+		if e.Kind == Dropped {
+			drops[e.Cause]++
+		}
+	})
 	n := w.Node(0)
 	for i := 0; i < 55; i++ {
 		n.SendFrame(1, n.NewPacket(1, PortCBR, 10))
 	}
 	// One job is in service, 50 are queued (ns-2's ifq), 4 dropped.
-	if got := drops["mac:queue-full"]; got != 4 {
+	if got := drops[CauseQueueFull]; got != 4 {
 		t.Fatalf("mac:queue-full drops = %d, want 4", got)
 	}
 	if got := w.Node(0).Counters().DataDropped; got != 4 {

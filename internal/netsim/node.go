@@ -119,7 +119,7 @@ func (n *Node) Down(graceful bool) {
 	// macUpper.MACDownDrop and terminate in the ledger.
 	n.mac.Down()
 	if !graceful {
-		n.EachBuffered(func(p *Packet) { n.DropData(p, "node:down") })
+		n.EachBuffered(func(p *Packet) { n.DropData(p, CauseNodeDown) })
 		n.rebooted = true
 		n.router = n.world.factory(n)
 		if n.router == nil {
@@ -206,11 +206,7 @@ func (n *Node) NewPacket(dst NodeID, port, payloadBytes int) *Packet {
 // SendData originates a data packet toward dst via the routing protocol.
 func (n *Node) SendData(p *Packet) {
 	n.counters.DataOriginated++
-	for _, h := range n.world.hooks {
-		if h.DataSent != nil {
-			h.DataSent(n, p)
-		}
-	}
+	n.emit(Sent, p, 0)
 	if p.Dst == n.id {
 		n.DeliverLocal(p)
 		return
@@ -239,31 +235,31 @@ func (n *Node) SendFrame(next NodeID, p *Packet) {
 
 // DeliverLocal hands a data packet to its destination port. Delivery is a
 // terminal custody event: once the port handler returns, p goes back to
-// the world's packet pool, so neither handlers nor hooks may retain it.
+// the world's packet pool, so neither handlers nor observers may retain it.
 func (n *Node) DeliverLocal(p *Packet) {
 	n.counters.DataDelivered++
-	for _, h := range n.world.hooks {
-		if h.DataDelivered != nil {
-			h.DataDelivered(n, p)
-		}
-	}
+	n.emit(Delivered, p, 0)
 	if handler, ok := n.ports[p.Port]; ok {
 		handler.HandlePacket(p, n.world.Kernel.Now())
 	}
 	n.world.releasePacket(p)
 }
 
-// DropData records a data packet discarded by the router (no route, TTL).
-// A drop is a terminal custody event: once the hooks return, p goes back
-// to the world's packet pool, so callers must not touch it afterwards.
-func (n *Node) DropData(p *Packet, reason string) {
+// DropData records a data packet discarded for cause c (no route, TTL).
+// A drop is a terminal custody event: once the observers return, p goes
+// back to the world's packet pool, so callers must not touch it afterwards.
+func (n *Node) DropData(p *Packet, c Cause) {
 	n.counters.DataDropped++
-	for _, h := range n.world.hooks {
-		if h.DataDropped != nil {
-			h.DataDropped(n, p, reason)
-		}
-	}
+	n.emit(Dropped, p, c)
 	n.world.releasePacket(p)
+}
+
+// emit hands one data-plane event to the world's observers.
+func (n *Node) emit(kind EventKind, p *Packet, c Cause) {
+	e := PacketEvent{Kind: kind, At: n.world.Kernel.Now(), Node: n, Packet: p, Cause: c}
+	for _, f := range n.world.observe {
+		f(e)
+	}
 }
 
 // macUpper adapts the node to the MAC's Upper interface.
@@ -338,11 +334,11 @@ func (u macUpper) MACSendFailed(to mac.Address, payload any) {
 
 // MACQueueDrop implements mac.Upper: a drop-tail loss of a data
 // packet is a data-plane drop like any other and must reach the metrics
-// hooks — without this, queue-overflow losses silently violated packet
+// observers — without this, queue-overflow losses silently violated packet
 // conservation. Control packets are the routing protocol's own traffic and
 // are only counted in the MAC stats.
 func (u macUpper) MACQueueDrop(to mac.Address, payload any) {
-	u.n.macDrop(payload.(*Packet), "mac:queue-full")
+	u.n.macDrop(payload.(*Packet), CauseQueueFull)
 }
 
 // MACDownDrop implements mac.Upper: when fault injection takes the
@@ -350,14 +346,14 @@ func (u macUpper) MACQueueDrop(to mac.Address, payload any) {
 // explicit "node:down" drop so the conservation ledger sees where it died.
 // Control frames, as with queue drops, are only MAC statistics.
 func (u macUpper) MACDownDrop(to mac.Address, payload any) {
-	u.n.macDrop(payload.(*Packet), "node:down")
+	u.n.macDrop(payload.(*Packet), CauseNodeDown)
 }
 
 // macDrop terminates a packet the MAC gave up on: a data packet as a
 // drop, a control packet straight back to the pool.
-func (n *Node) macDrop(p *Packet, reason string) {
+func (n *Node) macDrop(p *Packet, c Cause) {
 	if p.Kind == KindData {
-		n.DropData(p, reason)
+		n.DropData(p, c)
 		return
 	}
 	n.world.releasePacket(p)

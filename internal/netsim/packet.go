@@ -84,7 +84,7 @@ func (p *Packet) String() string {
 // still need (say, the destination of a dropped packet) before the handoff,
 // and must not park the same pointer in two places (netsim.Discoveries
 // parks each once). Sending a zeroed packet panics.
-// World hooks and PortHandlers observe packets during their terminal
+// World observers and PortHandlers observe packets during their terminal
 // events and must copy values, never retain the pointer.
 type Router interface {
 	// Name identifies the protocol ("aodv", "olsr", "dymo", "static", ...).
@@ -118,3 +118,69 @@ type PortFunc func(p *Packet, at sim.Time)
 
 // HandlePacket implements PortHandler.
 func (f PortFunc) HandlePacket(p *Packet, at sim.Time) { f(p, at) }
+
+// EventKind says what happened to a data packet in a PacketEvent.
+type EventKind uint8
+
+// The data-plane events: an origination and the two terminal events.
+const (
+	Sent EventKind = iota + 1
+	Delivered
+	Dropped
+)
+
+// Cause says why a data packet was dropped. It is typed so that no drop
+// builds a string: Reason renders it, and nothing else does.
+type Cause uint8
+
+// The drop causes. The first eight are a router's and read
+// "<router>:<cause>"; the MAC's queue-full and a node's outage keep their
+// fixed prefixes.
+const (
+	CauseTTL            Cause = iota + 1 // TTL reached zero on a forward
+	CauseNoRoute                         // no route at the originator, or none found
+	CauseNoForwardRoute                  // no route at a forwarder
+	CauseLinkFailure                     // the MAC exhausted its retries to the next hop
+	CauseRebootWait                      // a router rebuilt by a crash is still silent
+	CauseBufferFull                      // a route search's buffer was full
+	CauseNoLocation                      // no position known for the destination
+	CauseUnreachable                     // a perimeter walk closed its face
+	CauseQueueFull                       // "mac:queue-full": the interface queue was full
+	CauseNodeDown                        // "node:down": the custodian went down
+)
+
+var causeNames = [...]string{
+	CauseTTL:            "ttl",
+	CauseNoRoute:        "no-route",
+	CauseNoForwardRoute: "no-forward-route",
+	CauseLinkFailure:    "link-failure",
+	CauseRebootWait:     "reboot-wait",
+	CauseBufferFull:     "buffer-full",
+	CauseNoLocation:     "no-location",
+	CauseUnreachable:    "unreachable",
+	CauseQueueFull:      "mac:queue-full",
+	CauseNodeDown:       "node:down",
+}
+
+// Reason renders a drop by the router named router for cause c, as
+// results key their drop counts: "aodv:no-forward-route", "node:down".
+func (c Cause) Reason(router string) string {
+	if c >= CauseQueueFull {
+		return causeNames[c]
+	}
+	return router + ":" + causeNames[c]
+}
+
+// PacketEvent is one data-plane event as an observer sees it: a data
+// packet originated (Sent) or met a terminal event (Delivered, Dropped)
+// at Node at simulated time At. Cause is set on drops only. The packet is
+// valid only for the call: a terminal event hands it back to the pool
+// once every observer has returned, so observers copy values and never
+// retain the pointer.
+type PacketEvent struct {
+	Kind   EventKind
+	At     sim.Time
+	Node   *Node
+	Packet *Packet
+	Cause  Cause
+}

@@ -62,24 +62,18 @@ type Reactive struct {
 	rerrBuf     []Unreachable // RERR scratch; never on the wire
 	helloTicker *sim.Ticker
 	purgeTicker *sim.Ticker
-
-	dropTTL, dropNoRoute, dropLink, dropWait string // "<proto>:…" drop reasons
 }
 
 // NewReactive builds node's reactive machine for protocol p.
 func NewReactive(node *Node, p ReactiveProtocol) *Reactive {
 	m := &Reactive{
-		Node:        node,
-		Routes:      NewRoutes(node.Kernel()),
-		proto:       p,
-		seen:        sim.NewExpiringSet[floodKey](p.SeenHold),
-		rebooted:    node.rebooted,
-		dropTTL:     p.Name + ":ttl",
-		dropNoRoute: p.Name + ":no-forward-route",
-		dropLink:    p.Name + ":link-failure",
-		dropWait:    p.Name + ":reboot-wait",
+		Node:     node,
+		Routes:   NewRoutes(node.Kernel()),
+		proto:    p,
+		seen:     sim.NewExpiringSet[floodKey](p.SeenHold),
+		rebooted: node.rebooted,
 	}
-	m.discoveries = NewDiscoveries(node, p.Name, m.Routes.Usable, p.SendRREQ, m.Origin)
+	m.discoveries = NewDiscoveries(node, m.Routes.Usable, p.SendRREQ, m.Origin)
 	m.neighbours = node.Kernel().NewTimerSet(p.NeighbourHold, func(x int32) { m.linkBroken(m.Routes.Dst(x)) })
 	m.helloTicker = sim.NewTicker(node.Kernel(), p.HelloInterval, node.Jitter(p.HelloInterval), p.SendHello)
 	m.purgeTicker = sim.NewTicker(node.Kernel(), sim.Second, nil, m.purge)
@@ -129,7 +123,7 @@ func (m *Reactive) Origin(p *Packet) {
 		return
 	}
 	if m.waiting() {
-		m.Node.DropData(p, m.dropWait)
+		m.Node.DropData(p, CauseRebootWait)
 		return
 	}
 	m.discoveries.Park(p)
@@ -154,17 +148,17 @@ func (m *Reactive) Send(next, dst NodeID, ttl, size int, msg any) {
 func (m *Reactive) Forward(p *Packet, from NodeID) {
 	p.TTL--
 	if p.TTL <= 0 {
-		m.Node.DropData(p, m.dropTTL)
+		m.Node.DropData(p, CauseTTL)
 		return
 	}
 	if m.waiting() {
 		m.quietUntil = m.Node.Kernel().Now() + m.proto.RebootWait
-		m.unreachable(p, m.dropWait)
+		m.unreachable(p, CauseRebootWait)
 		return
 	}
 	next, _, ok := m.Routes.Next(p.Dst)
 	if !ok {
-		m.unreachable(p, m.dropNoRoute)
+		m.unreachable(p, CauseNoForwardRoute)
 		return
 	}
 	// Active data refreshes destination, next-hop, source and previous-hop
@@ -180,10 +174,10 @@ func (m *Reactive) Forward(p *Packet, from NodeID) {
 
 // unreachable drops data for a destination it cannot forward to and
 // reports the destination in a RERR (RFC 3561 §6.11 case ii).
-func (m *Reactive) unreachable(p *Packet, reason string) {
+func (m *Reactive) unreachable(p *Packet, c Cause) {
 	// DropData may recycle p, so read the destination first.
 	dst := p.Dst
-	m.Node.DropData(p, reason)
+	m.Node.DropData(p, c)
 	seq, _, _ := m.Routes.LastSeq(dst)
 	m.rerrBuf = append(m.rerrBuf[:0], Unreachable{Dst: dst, Seq: seq})
 	m.proto.SendRERR(m.rerrBuf)
@@ -233,7 +227,7 @@ func (m *Reactive) ApplyRERR(lost []Unreachable, from NodeID) []Unreachable {
 // (RFC 3561 §6.11 case i).
 func (m *Reactive) LinkFailure(next NodeID, p *Packet) {
 	if p.Kind == KindData {
-		m.Node.DropData(p, m.dropLink)
+		m.Node.DropData(p, CauseLinkFailure)
 	}
 	m.linkBroken(next)
 }

@@ -15,15 +15,6 @@ import (
 // RouterFactory builds the routing protocol instance for a node.
 type RouterFactory func(n *Node) Router
 
-// Hooks let observers (the metrics collector, the invariant ledger, the
-// fault meter, a packet log) watch data-plane events without coupling the
-// stack to any of them. A nil field is not called.
-type Hooks struct {
-	DataSent      func(n *Node, p *Packet)
-	DataDelivered func(n *Node, p *Packet)
-	DataDropped   func(n *Node, p *Packet, reason string)
-}
-
 // WorldConfig assembles a scenario.
 type WorldConfig struct {
 	// Nodes is the station count.
@@ -60,7 +51,7 @@ type World struct {
 	src     *rng.Source
 	factory RouterFactory // kept for crash recovery: a crashed node gets a fresh router
 	uid     uint64
-	hooks   []Hooks // observers, in install order
+	observe []func(PacketEvent) // data-plane observers, in install order
 	// pktFree recycles the per-reception clones of control broadcasts
 	// (see macUpper.MACReceive); the world is single-kernel and
 	// single-goroutine, so a plain freelist suffices.
@@ -144,11 +135,10 @@ func NewWorld(cfg WorldConfig, factory RouterFactory) (*World, error) {
 	return w, nil
 }
 
-// AddHooks installs a set of observers beside those already installed;
-// call before Run. Each event reaches every set in install order, which is
-// what lets the metrics collector and the invariant harness watch the same
-// run independently.
-func (w *World) AddHooks(h Hooks) { w.hooks = append(w.hooks, h) }
+// Observe installs f after the observers already installed; call before
+// Run. Every data-plane event reaches every observer in install order, so
+// the collector, the ledger and the fault meter watch a run independently.
+func (w *World) Observe(f func(PacketEvent)) { w.observe = append(w.observe, f) }
 
 // Stream derives a named deterministic RNG stream from the world's seed;
 // the fault layer uses it so impairment loss draws stay decorrelated from

@@ -91,12 +91,12 @@ func TestNoRouteDropsAfterRetries(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
 	var droppedAt sim.Time
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		if reason == "aodv:no-route" {
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Cause == netsim.CauseNoRoute {
 			drops++
-			droppedAt = w.Kernel.Now()
+			droppedAt = e.At
 		}
-	}})
+	})
 	sendAt(w, sim.Second, 0, 1, 512)
 	w.Run(30 * sim.Second)
 	if drops != 1 {
@@ -117,11 +117,11 @@ func TestNoRouteDropsAfterRetries(t *testing.T) {
 func TestRecycledSearchRestartsRing(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	var dropped []sim.Time
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		if reason == "aodv:no-route" {
-			dropped = append(dropped, w.Kernel.Now())
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Cause == netsim.CauseNoRoute {
+			dropped = append(dropped, e.At)
 		}
-	}})
+	})
 	sendAt(w, sim.Second, 0, 1, 512)
 	sendAt(w, 6*sim.Second, 0, 1, 512)
 	w.Run(20 * sim.Second)
@@ -141,12 +141,14 @@ func TestGracefulRestartResumesSearch(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	drops := map[string]int{}
 	var noRouteAt sim.Time
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		drops[reason]++
-		if reason == "aodv:no-route" {
-			noRouteAt = w.Kernel.Now()
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Kind == netsim.Dropped {
+			drops[e.Cause.Reason(e.Node.Router().Name())]++
+			if e.Cause == netsim.CauseNoRoute {
+				noRouteAt = e.At
+			}
 		}
-	}})
+	})
 	sendAt(w, sim.Second, 0, 1, 512)
 	w.Kernel.Schedule(1100*sim.Millisecond, func() { w.Node(0).Down(true) })
 	w.Kernel.Schedule(1200*sim.Millisecond, func() { w.Node(0).Up() })
@@ -352,11 +354,11 @@ func TestControlOverheadCounted(t *testing.T) {
 func TestBufferCapDropsExcess(t *testing.T) {
 	w := chainWorld(t, 2, 5000, Config{})
 	var drops int
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		if reason == "aodv:buffer-full" {
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Cause == netsim.CauseBufferFull {
 			drops++
 		}
-	}})
+	})
 	// ns-2's 64-packet send buffer holds the first 64; 6 overflow.
 	for i := 0; i < 70; i++ {
 		sendAt(w, sim.Second, 0, 1, 512)
@@ -529,11 +531,11 @@ func TestRebootWaitsDeletePeriod(t *testing.T) {
 	}
 	relay := w.Node(1)
 	var drops []string
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, _ *netsim.Packet, reason string) {
-		if n == relay {
-			drops = append(drops, reason)
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Kind == netsim.Dropped && e.Node == relay {
+			drops = append(drops, e.Cause.Reason(e.Node.Router().Name()))
 		}
-	}})
+	})
 	w.Kernel.RunUntil(2 * sim.Second)
 	relay.Down(false)
 	w.Kernel.RunUntil(3 * sim.Second)

@@ -167,7 +167,7 @@ func (r *Router) purge() {
 func (r *Router) Origin(p *netsim.Packet) {
 	dstPos, ok := r.node.PeerPosition(p.Dst)
 	if !ok {
-		r.node.DropData(p, "gpsr:no-location")
+		r.node.DropData(p, netsim.CauseNoLocation)
 		return
 	}
 	p.Payload = &geoHeader{Mode: modeGreedy, Dst: dstPos, App: p.Payload}
@@ -187,7 +187,7 @@ func (r *Router) Receive(p *netsim.Packet, from netsim.NodeID) {
 	}
 	p.TTL--
 	if p.TTL <= 0 {
-		r.node.DropData(p, "gpsr:ttl")
+		r.node.DropData(p, netsim.CauseTTL)
 		return
 	}
 	// Any relayed beacon (data heard in promiscuous forwarding position)
@@ -196,7 +196,7 @@ func (r *Router) Receive(p *netsim.Packet, from netsim.NodeID) {
 	if _, ok := p.Payload.(*geoHeader); !ok {
 		// Data that never passed a GPSR origin — impossible in a
 		// single-protocol world, unroutable here.
-		r.node.DropData(p, "gpsr:no-location")
+		r.node.DropData(p, netsim.CauseNoLocation)
 		return
 	}
 	r.route(p, from)
@@ -208,7 +208,7 @@ func (r *Router) Receive(p *netsim.Packet, from netsim.NodeID) {
 func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 	r.dropNeighbor(next)
 	if p.Kind != netsim.KindControl {
-		r.node.DropData(p, "gpsr:link-failure")
+		r.node.DropData(p, netsim.CauseLinkFailure)
 	}
 }
 

@@ -224,9 +224,11 @@ func TestPerimeterRecoversAroundVoid(t *testing.T) {
 	sink := &traffic.Sink{}
 	w.Node(4).AttachPort(netsim.PortCBR, sink)
 	var dropReasons []string
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		dropReasons = append(dropReasons, reason)
-	}})
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Kind == netsim.Dropped {
+			dropReasons = append(dropReasons, e.Cause.Reason(e.Node.Router().Name()))
+		}
+	})
 	for i := 0; i < 5; i++ {
 		sendAt(w, 3*sim.Second+sim.Time(i)*sim.Second/5, 0, 4, 512)
 	}
@@ -242,9 +244,11 @@ func TestPerimeterRecoversAroundVoid(t *testing.T) {
 func TestPartitionDropsExplicitly(t *testing.T) {
 	w := staticWorld(t, []geometry.Vec2{{X: 0}, {X: 5000}})
 	drops := map[string]int{}
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		drops[reason]++
-	}})
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Kind == netsim.Dropped {
+			drops[e.Cause.Reason(e.Node.Router().Name())]++
+		}
+	})
 	sendAt(w, 3*sim.Second, 0, 1, 512)
 	w.Run(6 * sim.Second)
 	if drops["gpsr:no-route"] != 1 {

@@ -112,7 +112,7 @@ func (r *Router) perimeterForward(p *netsim.Packet, h *geoHeader, from netsim.No
 	planar := r.planarNeighbors(self)
 	if len(planar) == 0 {
 		// Isolated on the planar graph: nowhere to walk.
-		r.node.DropData(p, "gpsr:no-route")
+		r.node.DropData(p, netsim.CauseNoRoute)
 		return
 	}
 	// The header is mutated below (Lf, E0); take the private copy once.
@@ -146,7 +146,7 @@ func (r *Router) perimeterForward(p *netsim.Packet, h *geoHeader, from netsim.No
 			// The walk closed the face back onto its first edge without
 			// ever getting closer to the destination: unreachable on the
 			// planar graph (a true partition, not congestion).
-			r.node.DropData(p, "gpsr:unreachable")
+			r.node.DropData(p, netsim.CauseUnreachable)
 			return
 		}
 		if h.E0From < 0 {
@@ -155,5 +155,5 @@ func (r *Router) perimeterForward(p *netsim.Packet, h *geoHeader, from netsim.No
 		r.node.SendFrame(next, p)
 		return
 	}
-	r.node.DropData(p, "gpsr:no-route")
+	r.node.DropData(p, netsim.CauseNoRoute)
 }

@@ -50,11 +50,11 @@ func TestHNAGatewayScenario(t *testing.T) {
 func TestHNAUnknownExternalStillDrops(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	var drops int
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		if reason == "olsr:no-route" {
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Cause == netsim.CauseNoRoute {
 			drops++
 		}
-	}})
+	})
 	w.Kernel.Schedule(10*sim.Second, func() {
 		n := w.Node(0)
 		n.SendData(n.NewPacket(5555, netsim.PortCBR, 512))

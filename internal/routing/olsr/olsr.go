@@ -545,7 +545,7 @@ func (r *Router) Origin(p *netsim.Packet) {
 	if !ok {
 		// Proactive protocol: no buffering, packets without a current route
 		// are lost — a behaviour the paper's Fig. 9/11 comparison exposes.
-		r.node.DropData(p, "olsr:no-route")
+		r.node.DropData(p, netsim.CauseNoRoute)
 		return
 	}
 	r.node.SendFrame(next, p)
@@ -575,12 +575,12 @@ func (r *Router) forwardData(p *netsim.Packet) {
 	}
 	p.TTL--
 	if p.TTL <= 0 {
-		r.node.DropData(p, "olsr:ttl")
+		r.node.DropData(p, netsim.CauseTTL)
 		return
 	}
 	next, ok := r.nextHopFor(p.Dst)
 	if !ok {
-		r.node.DropData(p, "olsr:no-forward-route")
+		r.node.DropData(p, netsim.CauseNoForwardRoute)
 		return
 	}
 	r.node.SendFrame(next, p)
@@ -813,7 +813,7 @@ func minTopoUntil(edges []topoEdge) sim.Time {
 // link immediately (RFC 3626 §13 link-layer notification option).
 func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 	if p.Kind == netsim.KindData {
-		r.node.DropData(p, "olsr:link-failure")
+		r.node.DropData(p, netsim.CauseLinkFailure)
 	}
 	material := false
 	if fi := r.idx.Index(next); fi >= 0 {

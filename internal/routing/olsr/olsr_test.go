@@ -81,11 +81,11 @@ func TestDataDeliveryAfterConvergence(t *testing.T) {
 func TestNoRouteBeforeConvergenceDrops(t *testing.T) {
 	w := chainWorld(t, 4, 200, Config{})
 	var drops int
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		if reason == "olsr:no-route" {
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Cause == netsim.CauseNoRoute {
 			drops++
 		}
-	}})
+	})
 	// Send before any HELLO has been exchanged: proactive protocol must
 	// drop (no buffering) — the behaviour visible in the paper's Fig. 9.
 	sendAt(w, sim.Millisecond, 0, 3, 512)
@@ -301,11 +301,11 @@ func TestDataForwardTTLExpiry(t *testing.T) {
 	w := chainWorld(t, 3, 200, Config{})
 	w.Run(8 * sim.Second)
 	var ttlDrops int
-	w.AddHooks(netsim.Hooks{DataDropped: func(n *netsim.Node, p *netsim.Packet, reason string) {
-		if reason == "olsr:ttl" {
+	w.Observe(func(e netsim.PacketEvent) {
+		if e.Cause == netsim.CauseTTL {
 			ttlDrops++
 		}
-	}})
+	})
 	// Inject a packet with TTL 1 at node 0 toward node 2; the relay must
 	// kill it.
 	w.Kernel.Schedule(w.Kernel.Now(), func() {

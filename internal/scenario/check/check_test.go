@@ -26,38 +26,61 @@ func TestReportCapsPerCheck(t *testing.T) {
 	}
 }
 
-// mkPacket builds a data packet as the hooks would see it.
+// mkPacket builds a data packet as an observer would see it.
 func mkPacket(uid uint64, ttl, hops int) *netsim.Packet {
 	return &netsim.Packet{UID: uid, Kind: netsim.KindData, TTL: ttl, Hops: hops}
+}
+
+// eventNode is where synthetic events happen: the one node of a world
+// whose router, a loopRouter, names the drops it renders.
+var eventNode = func() *netsim.Node {
+	w, err := netsim.NewWorld(netsim.WorldConfig{Nodes: 1, Static: []geometry.Vec2{{}}},
+		func(*netsim.Node) netsim.Router { return &loopRouter{} })
+	if err != nil {
+		panic(err)
+	}
+	return w.Node(0)
+}()
+
+// sent, delivered and dropped build synthetic events at time 0.
+func sent(p *netsim.Packet) netsim.PacketEvent {
+	return netsim.PacketEvent{Kind: netsim.Sent, Node: eventNode, Packet: p}
+}
+
+func delivered(p *netsim.Packet) netsim.PacketEvent {
+	return netsim.PacketEvent{Kind: netsim.Delivered, Node: eventNode, Packet: p}
+}
+
+func dropped(p *netsim.Packet, c netsim.Cause) netsim.PacketEvent {
+	return netsim.PacketEvent{Kind: netsim.Dropped, Node: eventNode, Packet: p, Cause: c}
 }
 
 func TestLedgerCleanLifecycles(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
 
 	// Delivered after 3 hops: TTL decremented twice at forwarders.
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL, 0))
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL-2, 3))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL, 0)))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL-2, 3)))
 
 	// Dropped for TTL expiry exactly at zero.
-	h.DataSent(nil, mkPacket(2, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(2, 0, netsim.DefaultTTL), "aodv:ttl")
+	l.Observe(sent(mkPacket(2, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(2, 0, netsim.DefaultTTL), netsim.CauseTTL))
 
 	// ACK-loss fork: link-failure drop then delivery of the live copy.
-	h.DataSent(nil, mkPacket(3, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(3, netsim.DefaultTTL-1, 1), "aodv:link-failure")
-	h.DataDelivered(nil, mkPacket(3, netsim.DefaultTTL-1, 2))
+	l.Observe(sent(mkPacket(3, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(3, netsim.DefaultTTL-1, 1), netsim.CauseLinkFailure))
+	l.Observe(delivered(mkPacket(3, netsim.DefaultTTL-1, 2)))
 
 	// Still in flight, held in custody.
-	h.DataSent(nil, mkPacket(4, netsim.DefaultTTL, 0))
+	l.Observe(sent(mkPacket(4, netsim.DefaultTTL, 0)))
 	l.finish(map[uint64]bool{4: true})
 
 	if !rep.Ok() {
 		t.Fatalf("clean lifecycles flagged:\n%s", rep)
 	}
-	if s, d, dr := l.Counts(); s != 4 || d != 2 || dr != 2 {
-		t.Fatalf("counts = %d/%d/%d", s, d, dr)
+	if got := l.Active(); got != 4 {
+		t.Fatalf("%d live entries, want one per packet: nothing retires at a frozen clock", got)
 	}
 }
 
@@ -70,21 +93,23 @@ func TestLedgerCompactsSettledEntries(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
 	var now sim.Time
-	l.now = func(*netsim.Node) sim.Time { return now }
-	h := l.Hooks()
+	at := func(e netsim.PacketEvent) netsim.PacketEvent {
+		e.At = now
+		return e
+	}
 
 	const packets = 500
 	for i := 0; i < packets; i++ {
 		uid := uint64(i + 1)
 		now = sim.Time(i) * sim.Second
-		h.DataSent(nil, mkPacket(uid, netsim.DefaultTTL, 0))
+		l.Observe(at(sent(mkPacket(uid, netsim.DefaultTTL, 0))))
 		if i%3 == 0 {
 			// Loss-heavy fate: the packet's only terminal is the ACK-loss
 			// fork's link-failure drop — these must retire too, or the map
 			// grows O(total packets) in exactly the partition workloads.
-			h.DataDropped(nil, mkPacket(uid, netsim.DefaultTTL-1, 1), "aodv:link-failure")
+			l.Observe(at(dropped(mkPacket(uid, netsim.DefaultTTL-1, 1), netsim.CauseLinkFailure)))
 		} else {
-			h.DataDelivered(nil, mkPacket(uid, netsim.DefaultTTL-1, 2))
+			l.Observe(at(delivered(mkPacket(uid, netsim.DefaultTTL-1, 2))))
 		}
 	}
 	// Every entry beyond the grace window must be retired; the live count
@@ -103,19 +128,19 @@ func TestLedgerCompactsSettledEntries(t *testing.T) {
 	// A late ACK-loss fork within the grace window must still reconcile:
 	// deliver, then the sender's link-failure drop arrives a little later.
 	forkUID := uint64(packets + 1)
-	h.DataSent(nil, mkPacket(forkUID, netsim.DefaultTTL, 0))
-	h.DataDelivered(nil, mkPacket(forkUID, netsim.DefaultTTL-1, 2))
+	l.Observe(at(sent(mkPacket(forkUID, netsim.DefaultTTL, 0))))
+	l.Observe(at(delivered(mkPacket(forkUID, netsim.DefaultTTL-1, 2))))
 	now += 2 * sim.Second
-	h.DataDropped(nil, mkPacket(forkUID, netsim.DefaultTTL-1, 1), "aodv:link-failure")
+	l.Observe(at(dropped(mkPacket(forkUID, netsim.DefaultTTL-1, 1), netsim.CauseLinkFailure)))
 	if !rep.Ok() {
 		t.Fatalf("in-grace ACK-loss fork flagged:\n%s", rep)
 	}
 
 	// Retirement never hides a vanished packet: an unterminated entry
 	// survives compaction and still fails custody settlement.
-	h.DataSent(nil, mkPacket(uint64(packets+2), netsim.DefaultTTL, 0))
+	l.Observe(at(sent(mkPacket(uint64(packets+2), netsim.DefaultTTL, 0))))
 	now += settleGrace * 3
-	h.DataSent(nil, mkPacket(uint64(packets+3), netsim.DefaultTTL, 0))
+	l.Observe(at(sent(mkPacket(uint64(packets+3), netsim.DefaultTTL, 0))))
 	l.finish(map[uint64]bool{uint64(packets + 3): true})
 	if rep.Ok() || !strings.Contains(rep.String(), "vanished") {
 		t.Fatalf("compaction hid a vanished packet:\n%s", rep)
@@ -125,8 +150,7 @@ func TestLedgerCompactsSettledEntries(t *testing.T) {
 func TestLedgerCatchesVanishedPacket(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
-	h.DataSent(nil, mkPacket(9, netsim.DefaultTTL, 0))
+	l.Observe(sent(mkPacket(9, netsim.DefaultTTL, 0)))
 	l.finish(nil) // no terminal event, no custody
 	if rep.Ok() || !strings.Contains(rep.String(), "vanished") {
 		t.Fatalf("vanished packet not caught:\n%s", rep)
@@ -136,10 +160,9 @@ func TestLedgerCatchesVanishedPacket(t *testing.T) {
 func TestLedgerCatchesDuplicateDelivery(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL, 0))
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL, 1))
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL, 1))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL, 0)))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL, 1)))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL, 1)))
 	if rep.Ok() || !strings.Contains(rep.String(), "delivered 2 times") {
 		t.Fatalf("duplicate delivery not caught:\n%s", rep)
 	}
@@ -148,11 +171,10 @@ func TestLedgerCatchesDuplicateDelivery(t *testing.T) {
 func TestLedgerCatchesUnexplainedDropAfterDelivery(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL, 0))
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL, 1))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL, 0)))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL, 1)))
 	// A no-route drop after delivery has no ACK-loss fork to explain it.
-	h.DataDropped(nil, mkPacket(1, netsim.DefaultTTL-1, 1), "aodv:no-forward-route")
+	l.Observe(dropped(mkPacket(1, netsim.DefaultTTL-1, 1), netsim.CauseNoForwardRoute))
 	if rep.Ok() {
 		t.Fatal("unexplained second terminal not caught")
 	}
@@ -161,15 +183,14 @@ func TestLedgerCatchesUnexplainedDropAfterDelivery(t *testing.T) {
 func TestLedgerCatchesTTLAnomalies(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
 	// Originated with a pre-decremented TTL.
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL-1, 0))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL-1, 0)))
 	// Delivered with an impossible TTL/hop combination (skipped decrement).
-	h.DataSent(nil, mkPacket(2, netsim.DefaultTTL, 0))
-	h.DataDelivered(nil, mkPacket(2, netsim.DefaultTTL, 3))
+	l.Observe(sent(mkPacket(2, netsim.DefaultTTL, 0)))
+	l.Observe(delivered(mkPacket(2, netsim.DefaultTTL, 3)))
 	// TTL-expiry drop with TTL still positive.
-	h.DataSent(nil, mkPacket(3, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(3, 4, netsim.DefaultTTL-4), "olsr:ttl")
+	l.Observe(sent(mkPacket(3, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(3, 4, netsim.DefaultTTL-4), netsim.CauseTTL))
 	if got := len(rep.Violations()); got < 3 {
 		t.Fatalf("expected >= 3 TTL violations, got %d:\n%s", got, rep)
 	}

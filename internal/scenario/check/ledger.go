@@ -2,7 +2,6 @@ package check
 
 import (
 	"sort"
-	"strings"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
@@ -75,7 +74,7 @@ type settledEntry struct {
 	at  sim.Time
 }
 
-// Ledger audits the data plane of one world run through the netsim hooks:
+// Ledger audits the data plane of one world run as a netsim observer:
 // it keeps per-UID packet fates and verifies the TTL discipline at every
 // event. After the run, Finish settles the conservation equation
 //
@@ -94,31 +93,16 @@ type Ledger struct {
 	report *Report
 	fates  map[uint64]*fate
 	// queue is the FIFO of retirement candidates; event times are
-	// monotone (hooks fire in kernel order), so it is drained from the
+	// monotone (events arrive in kernel order), so it is drained from the
 	// front. head indexes the first live entry.
-	queue []settledEntry
-	head  int
-	// now supplies the simulation clock; overridable for synthetic tests.
-	// The default reads the observed node's kernel (nil nodes — as in
-	// synthetic hook tests — freeze the clock, disabling retirement).
-	now func(n *netsim.Node) sim.Time
-
-	sent, delivered, dropped uint64
-	retired                  uint64
+	queue   []settledEntry
+	head    int
+	retired uint64
 }
 
 // NewLedger creates a ledger reporting into report.
 func NewLedger(report *Report) *Ledger {
-	return &Ledger{
-		report: report,
-		fates:  make(map[uint64]*fate),
-		now: func(n *netsim.Node) sim.Time {
-			if n == nil {
-				return 0
-			}
-			return n.Kernel().Now()
-		},
-	}
+	return &Ledger{report: report, fates: make(map[uint64]*fate)}
 }
 
 // Active reports the live per-UID entry count (retired entries excluded).
@@ -126,15 +110,6 @@ func (l *Ledger) Active() int { return len(l.fates) }
 
 // Retired reports how many settled entries compaction has retired.
 func (l *Ledger) Retired() uint64 { return l.retired }
-
-// Hooks returns the observers to install with World.AddHooks.
-func (l *Ledger) Hooks() netsim.Hooks {
-	return netsim.Hooks{
-		DataSent:      l.onSent,
-		DataDelivered: l.onDelivered,
-		DataDropped:   l.onDropped,
-	}
-}
 
 // afterEvent runs the compaction bookkeeping once an event has been
 // applied to f: enqueue a (re-)settled entry and retire candidates whose
@@ -162,88 +137,86 @@ func (l *Ledger) afterEvent(uid uint64, f *fate, now sim.Time) {
 	}
 }
 
-func (l *Ledger) onSent(n *netsim.Node, p *netsim.Packet) {
-	l.sent++
-	if _, dup := l.fates[p.UID]; dup {
-		l.report.Add("conservation", "packet uid=%d originated twice", p.UID)
-		return
-	}
-	f := &fate{}
-	l.fates[p.UID] = f
-	if p.TTL != netsim.DefaultTTL {
-		l.report.Add("ttl", "packet uid=%d originated with TTL %d, want %d", p.UID, p.TTL, netsim.DefaultTTL)
-	}
-	if p.Hops != 0 {
-		l.report.Add("ttl", "packet uid=%d originated with hop count %d", p.UID, p.Hops)
-	}
-	l.afterEvent(p.UID, f, l.now(n))
-}
-
-func (l *Ledger) onDelivered(n *netsim.Node, p *netsim.Packet) {
-	l.delivered++
+// Observe audits one data-plane event; install it with World.Observe.
+func (l *Ledger) Observe(e netsim.PacketEvent) {
+	p := e.Packet
 	f := l.fates[p.UID]
-	if f == nil {
-		l.report.Add("conservation", "delivered packet uid=%d was never originated", p.UID)
-		return
-	}
-	f.delivered++
-	if f.delivered > 1 {
-		l.report.Add("conservation", "packet uid=%d delivered %d times", p.UID, f.delivered)
-	} else if f.terminals() > f.lfDropped+1 {
-		l.report.Add("conservation",
-			"packet uid=%d delivered after a drop no ACK-loss fork explains (%d drops, %d link failures)",
-			p.UID, f.dropped, f.lfDropped)
-	}
-	// TTL discipline at delivery: Hops counts MAC receptions, and every
-	// reception except the final one passed through a router that
-	// decremented TTL exactly once, so TTL + Hops == DefaultTTL + 1.
-	if p.Hops < 1 {
-		l.report.Add("ttl", "packet uid=%d delivered with hop count %d", p.UID, p.Hops)
-	}
-	if p.TTL < 1 {
-		l.report.Add("ttl", "packet uid=%d delivered with TTL %d", p.UID, p.TTL)
-	}
-	if p.TTL+p.Hops != netsim.DefaultTTL+1 {
-		l.report.Add("ttl", "packet uid=%d delivered with TTL %d after %d hops (want TTL+hops=%d)",
-			p.UID, p.TTL, p.Hops, netsim.DefaultTTL+1)
-	}
-	l.afterEvent(p.UID, f, l.now(n))
-}
-
-func (l *Ledger) onDropped(n *netsim.Node, p *netsim.Packet, reason string) {
-	l.dropped++
-	f := l.fates[p.UID]
-	if f == nil {
-		l.report.Add("conservation", "dropped packet uid=%d (%s) was never originated", p.UID, reason)
-		return
-	}
-	f.dropped++
-	// node:down is the custody rule for crashed custodians: like a
-	// link-failure, it can witness a fork whose other copy lives on
-	// downstream (see the fate invariant above).
-	if strings.HasSuffix(reason, ":link-failure") || reason == "node:down" {
-		f.lfDropped++
-	}
-	if f.terminals() > f.lfDropped+1 {
-		l.report.Add("conservation",
-			"packet uid=%d dropped (%s) beyond what ACK-loss forks explain (%d deliveries, %d drops, %d link failures)",
-			p.UID, reason, f.delivered, f.dropped, f.lfDropped)
-	}
-	// A drop either happens at a router after its decrement (TTL+hops ==
-	// DefaultTTL) or before any forwarding work on this hop (== +1, e.g. a
-	// queue drop at the originator). TTL expiry must fire exactly at zero.
-	if sum := p.TTL + p.Hops; sum != netsim.DefaultTTL && sum != netsim.DefaultTTL+1 {
-		l.report.Add("ttl", "packet uid=%d dropped (%s) with TTL %d after %d hops", p.UID, reason, p.TTL, p.Hops)
-	}
-	if strings.HasSuffix(reason, ":ttl") {
-		if p.TTL != 0 {
-			l.report.Add("ttl", "packet uid=%d dropped for TTL expiry with TTL %d", p.UID, p.TTL)
+	switch e.Kind {
+	case netsim.Sent:
+		if f != nil {
+			l.report.Add("conservation", "packet uid=%d originated twice", p.UID)
+			return
 		}
-	} else if p.TTL < 1 {
-		l.report.Add("ttl", "packet uid=%d dropped (%s) with non-positive TTL %d", p.UID, reason, p.TTL)
+		f = &fate{}
+		l.fates[p.UID] = f
+		if p.TTL != netsim.DefaultTTL {
+			l.report.Add("ttl", "packet uid=%d originated with TTL %d, want %d", p.UID, p.TTL, netsim.DefaultTTL)
+		}
+		if p.Hops != 0 {
+			l.report.Add("ttl", "packet uid=%d originated with hop count %d", p.UID, p.Hops)
+		}
+	case netsim.Delivered:
+		if f == nil {
+			l.report.Add("conservation", "delivered packet uid=%d was never originated", p.UID)
+			return
+		}
+		f.delivered++
+		if f.delivered > 1 {
+			l.report.Add("conservation", "packet uid=%d delivered %d times", p.UID, f.delivered)
+		} else if f.terminals() > f.lfDropped+1 {
+			l.report.Add("conservation",
+				"packet uid=%d delivered after a drop no ACK-loss fork explains (%d drops, %d link failures)",
+				p.UID, f.dropped, f.lfDropped)
+		}
+		// TTL discipline at delivery: Hops counts MAC receptions, and every
+		// reception except the final one passed through a router that
+		// decremented TTL exactly once, so TTL + Hops == DefaultTTL + 1.
+		if p.Hops < 1 {
+			l.report.Add("ttl", "packet uid=%d delivered with hop count %d", p.UID, p.Hops)
+		}
+		if p.TTL < 1 {
+			l.report.Add("ttl", "packet uid=%d delivered with TTL %d", p.UID, p.TTL)
+		}
+		if p.TTL+p.Hops != netsim.DefaultTTL+1 {
+			l.report.Add("ttl", "packet uid=%d delivered with TTL %d after %d hops (want TTL+hops=%d)",
+				p.UID, p.TTL, p.Hops, netsim.DefaultTTL+1)
+		}
+	case netsim.Dropped:
+		if f == nil {
+			l.report.Add("conservation", "dropped packet uid=%d (%s) was never originated", p.UID, reason(e))
+			return
+		}
+		f.dropped++
+		// node:down is the custody rule for crashed custodians: like a
+		// link-failure, it can witness a fork whose other copy lives on
+		// downstream (see the fate invariant above).
+		if e.Cause == netsim.CauseLinkFailure || e.Cause == netsim.CauseNodeDown {
+			f.lfDropped++
+		}
+		if f.terminals() > f.lfDropped+1 {
+			l.report.Add("conservation",
+				"packet uid=%d dropped (%s) beyond what ACK-loss forks explain (%d deliveries, %d drops, %d link failures)",
+				p.UID, reason(e), f.delivered, f.dropped, f.lfDropped)
+		}
+		// A drop either happens at a router after its decrement (TTL+hops ==
+		// DefaultTTL) or before any forwarding work on this hop (== +1, e.g. a
+		// queue drop at the originator). TTL expiry must fire exactly at zero.
+		if sum := p.TTL + p.Hops; sum != netsim.DefaultTTL && sum != netsim.DefaultTTL+1 {
+			l.report.Add("ttl", "packet uid=%d dropped (%s) with TTL %d after %d hops", p.UID, reason(e), p.TTL, p.Hops)
+		}
+		if e.Cause == netsim.CauseTTL {
+			if p.TTL != 0 {
+				l.report.Add("ttl", "packet uid=%d dropped for TTL expiry with TTL %d", p.UID, p.TTL)
+			}
+		} else if p.TTL < 1 {
+			l.report.Add("ttl", "packet uid=%d dropped (%s) with non-positive TTL %d", p.UID, reason(e), p.TTL)
+		}
 	}
-	l.afterEvent(p.UID, f, l.now(n))
+	l.afterEvent(p.UID, f, e.At)
 }
+
+// reason renders a drop the way Result.Drops keys it.
+func reason(e netsim.PacketEvent) string { return e.Cause.Reason(e.Node.Router().Name()) }
 
 // Finish settles the ledger against the world's end-of-run custody state.
 func (l *Ledger) Finish(w *netsim.World) {
@@ -277,9 +250,4 @@ func (l *Ledger) finish(custody map[uint64]bool) {
 		l.report.Add("conservation",
 			"packet uid=%d vanished: not delivered, not dropped, and not held by any MAC queue or router buffer", uid)
 	}
-}
-
-// Counts reports the ledger totals (hook events, not unique packets).
-func (l *Ledger) Counts() (sent, delivered, dropped uint64) {
-	return l.sent, l.delivered, l.dropped
 }

@@ -14,29 +14,28 @@ import (
 func TestLedgerNodeDownForkAllowsDownstreamDelivery(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
 
 	// Crash flush at the originator (no forwarding work yet: TTL untouched),
 	// then the copy already on the air is delivered downstream.
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(1, netsim.DefaultTTL, 0), "node:down")
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL-1, 2))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(1, netsim.DefaultTTL, 0), netsim.CauseNodeDown))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL-1, 2)))
 
 	// Crash flush at a forwarder, one hop in.
-	h.DataSent(nil, mkPacket(2, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(2, netsim.DefaultTTL-1, 1), "node:down")
-	h.DataDelivered(nil, mkPacket(2, netsim.DefaultTTL-2, 3))
+	l.Observe(sent(mkPacket(2, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(2, netsim.DefaultTTL-1, 1), netsim.CauseNodeDown))
+	l.Observe(delivered(mkPacket(2, netsim.DefaultTTL-2, 3)))
 
 	// Two custodians of ACK-loss replicas crash independently: two
 	// node:down witnesses, then the surviving copy is delivered.
-	h.DataSent(nil, mkPacket(3, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(3, netsim.DefaultTTL-1, 1), "node:down")
-	h.DataDropped(nil, mkPacket(3, netsim.DefaultTTL-2, 2), "node:down")
-	h.DataDelivered(nil, mkPacket(3, netsim.DefaultTTL-2, 3))
+	l.Observe(sent(mkPacket(3, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(3, netsim.DefaultTTL-1, 1), netsim.CauseNodeDown))
+	l.Observe(dropped(mkPacket(3, netsim.DefaultTTL-2, 2), netsim.CauseNodeDown))
+	l.Observe(delivered(mkPacket(3, netsim.DefaultTTL-2, 3)))
 
 	// A node:down drop can also just terminate the packet outright.
-	h.DataSent(nil, mkPacket(4, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(4, netsim.DefaultTTL, 0), "node:down")
+	l.Observe(sent(mkPacket(4, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(4, netsim.DefaultTTL, 0), netsim.CauseNodeDown))
 	l.finish(map[uint64]bool{})
 
 	if !rep.Ok() {
@@ -47,12 +46,11 @@ func TestLedgerNodeDownForkAllowsDownstreamDelivery(t *testing.T) {
 func TestLedgerNodeDownDoesNotExcuseDoubleDelivery(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
 
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(1, netsim.DefaultTTL-1, 1), "node:down")
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL-1, 2))
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL-1, 2))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(1, netsim.DefaultTTL-1, 1), netsim.CauseNodeDown))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL-1, 2)))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL-1, 2)))
 
 	if rep.Ok() {
 		t.Fatal("double delivery behind a node:down fork went unflagged")
@@ -62,13 +60,12 @@ func TestLedgerNodeDownDoesNotExcuseDoubleDelivery(t *testing.T) {
 func TestLedgerOrdinaryDropStillNotAForkWitness(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
 
 	// A queue-full drop followed by a delivery is the classic conservation
 	// bug; node:down's fork status must not have loosened it.
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL, 0))
-	h.DataDropped(nil, mkPacket(1, netsim.DefaultTTL, 0), "mac:queue-full")
-	h.DataDelivered(nil, mkPacket(1, netsim.DefaultTTL-1, 2))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL, 0)))
+	l.Observe(dropped(mkPacket(1, netsim.DefaultTTL, 0), netsim.CauseQueueFull))
+	l.Observe(delivered(mkPacket(1, netsim.DefaultTTL-1, 2)))
 
 	if rep.Ok() {
 		t.Fatal("delivery after a non-fork drop went unflagged")
@@ -78,12 +75,11 @@ func TestLedgerOrdinaryDropStillNotAForkWitness(t *testing.T) {
 func TestLedgerCrashedPacketsMayNotVanish(t *testing.T) {
 	rep := NewReport()
 	l := NewLedger(rep)
-	h := l.Hooks()
 
 	// A packet with no terminal event and no custody at settlement is the
 	// exact signature of a crash that silently discarded its queue instead
 	// of flushing it as node:down drops.
-	h.DataSent(nil, mkPacket(1, netsim.DefaultTTL, 0))
+	l.Observe(sent(mkPacket(1, netsim.DefaultTTL, 0)))
 	l.finish(map[uint64]bool{})
 
 	if rep.Ok() {

@@ -2,7 +2,11 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"cavenet/internal/fault"
+	"cavenet/internal/netsim"
 )
 
 // faultScenarios are the catalogue's fault-injection workloads.
@@ -164,5 +168,88 @@ func TestChurnCrashMidBroadcastReplays(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, res2) || !reflect.DeepEqual(rep, rep2) {
 		t.Fatalf("replays diverged:\n%+v\n%+v", res, res2)
+	}
+}
+
+// TestInFlightCountsForks pins how a fork is counted. A fork is a packet
+// with more than one terminal event: its frame was decoded downstream and
+// the copy lives on, while the sender's side records a drop — the
+// link-failure of an 802.11 ACK loss, or the node:down flush of a custodian
+// that went down. Drops counts that witness, so InFlight (sent − delivered
+// − dropped) is the packets with no terminal event minus every terminal
+// event beyond a packet's first, and is negative when forks outnumber the
+// packets still held. `scenario run churn -quick -protocol P -seed 8
+// -faults churn:1.5,4,graceful` ends at -1 under AODV and DYMO with every
+// invariant holding: in both runs nothing is held at the end and one
+// packet forks, witnessed by a shutdown's node:down flush.
+func TestInFlightCountsForks(t *testing.T) {
+	faults, err := fault.ParseSpec("churn:1.5,4,graceful")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		protocol  Protocol
+		witnesses []netsim.Cause // the forks' witness drops, sorted
+	}{
+		{AODV, []netsim.Cause{netsim.CauseNodeDown}},
+		{DYMO, []netsim.Cause{netsim.CauseNodeDown}},
+	} {
+		s, _ := Get("churn")
+		s.Protocol, s.Seed = c.protocol, 8
+		s = s.Shrunk()
+		s.Faults = faults
+		if err := s.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		src, err := buildSource(&s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Each packet's terminal events, by the cause of each: zero for
+		// a delivery.
+		terminals := map[uint64][]netsim.Cause{}
+		res, _, _, err := runOnSource(&s, src, nil, func(e netsim.PacketEvent) {
+			if e.Kind == netsim.Sent {
+				terminals[e.Packet.UID] = nil
+				return
+			}
+			terminals[e.Packet.UID] = append(terminals[e.Packet.UID], e.Cause)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var open, extra int64
+		var witnesses []netsim.Cause
+		for _, causes := range terminals { // order-free: integer sums, and the witnesses are sorted below
+			if len(causes) == 0 {
+				open++
+				continue
+			}
+			extra += int64(len(causes) - 1)
+			if len(causes) > 1 {
+				for _, cause := range causes {
+					if cause != 0 {
+						witnesses = append(witnesses, cause)
+					}
+				}
+			}
+		}
+		slices.Sort(witnesses)
+		if res.InFlight != open-extra {
+			t.Errorf("%s: InFlight = %d, want %d packets with no terminal event − %d terminal events beyond a first",
+				c.protocol, res.InFlight, open, extra)
+		}
+		if res.InFlight != -1 || !slices.Equal(witnesses, c.witnesses) {
+			t.Errorf("%s: InFlight = %d with fork witnesses %v, want -1 with %v",
+				c.protocol, res.InFlight, witnesses, c.witnesses)
+		}
+		_, rep, err := RunChecked(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Ok() {
+			t.Errorf("%s: invariants violated:\n%s", c.protocol, rep)
+		}
 	}
 }

@@ -36,8 +36,9 @@ type Result struct {
 	// ControlPackets and ControlBytes total the routing overhead every node
 	// sent, including what was sent by routers a crash later replaced.
 	ControlPackets, ControlBytes uint64
-	// InFlight is sent − delivered − dropped at end of run (can dip
-	// negative on ACK-loss forks; see metrics.Collector.InFlight).
+	// InFlight is sent − delivered − dropped at end of run. Drops counts
+	// each fork's witness drop, so it can be negative; see
+	// metrics.Collector.InFlight.
 	InFlight int64
 	// MACStats aggregates MAC counters over all nodes.
 	MACStats mac.Stats
@@ -111,7 +112,7 @@ func runCounted(s Spec) (*Result, sim.Work, phy.Work, error) {
 	if err != nil {
 		return nil, sim.Work{}, phy.Work{}, err
 	}
-	return runOnSource(&s, src, nil)
+	return runOnSource(&s, src, nil, nil)
 }
 
 // RunOnSource executes the scenario's network evaluation over a
@@ -121,7 +122,7 @@ func RunOnSource(s Spec, src mobility.Source) (*Result, error) {
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}
-	res, _, _, err := runOnSource(&s, src, nil)
+	res, _, _, err := runOnSource(&s, src, nil, nil)
 	return res, err
 }
 
@@ -196,7 +197,7 @@ func RunCheckedOnSource(s Spec, src mobility.Source) (*Result, *check.Report, er
 }
 
 func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
-	res, _, _, err := runOnSource(s, src, report)
+	res, _, _, err := runOnSource(s, src, report, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +231,9 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // where a protocol-evaluation world is wired together — and executes the
 // run, pulling node positions from the mobility source per tick. A
 // non-nil report additionally installs the invariant ledger and runs the
-// post-run loop walk and custody settlement. Beside the Result it reports
-// the kernel's work counts.
-func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, sim.Work, phy.Work, error) {
+// post-run loop walk and custody settlement, and a non-nil observe is
+// installed last. Beside the Result it reports the kernel's work counts.
+func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe func(netsim.PacketEvent)) (*Result, sim.Work, phy.Work, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
@@ -259,7 +260,7 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, s
 	var ledger *check.Ledger
 	if report != nil {
 		ledger = check.NewLedger(report)
-		world.AddHooks(ledger.Hooks())
+		world.Observe(ledger.Observe)
 	}
 
 	// Fault plan: expanded deterministically from the spec and applied as
@@ -276,7 +277,10 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, s
 			return nil, sim.Work{}, phy.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		meter = fault.NewMeter(plan, s.SimTime)
-		world.AddHooks(meter.Hooks())
+		world.Observe(meter.Observe)
+	}
+	if observe != nil {
+		world.Observe(observe)
 	}
 
 	// One sink per distinct destination node, attached before any source

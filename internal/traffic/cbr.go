@@ -97,7 +97,7 @@ func cbrEmit(a any) {
 }
 
 // Sink counts packets arriving on a port; deliveries are also visible to
-// the world metrics hooks, so Sink is mostly a convenience for examples and
+// the world's observers, so Sink is mostly a convenience for examples and
 // tests.
 type Sink struct {
 	Received uint64

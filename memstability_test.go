@@ -244,7 +244,7 @@ func TestLedgerMemoryBoundedUnderChurn(t *testing.T) {
 	}
 	report := check.NewReport()
 	ledger := check.NewLedger(report)
-	w.AddHooks(ledger.Hooks())
+	w.Observe(ledger.Observe)
 
 	plan, err := fault.Spec{ChurnRatePerMin: 4, ChurnDownSec: 2}.Build(3, n, horizon)
 	if err != nil {
@@ -282,7 +282,10 @@ func TestLedgerMemoryBoundedUnderChurn(t *testing.T) {
 	if !report.Ok() {
 		t.Fatalf("churn run violates conservation:\n%s", report)
 	}
-	sent, _, _ := ledger.Counts()
+	var sent uint64
+	for _, node := range w.Nodes() {
+		sent += node.Counters().DataOriginated
+	}
 	if sent < 1000 {
 		t.Fatalf("only %d packets originated; the pin is vacuous", sent)
 	}

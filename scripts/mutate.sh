@@ -285,11 +285,25 @@ mutant "metrics linkGrid: query radius not padded" internal/metrics/components.g
 	's|const linkMargin = 1.001|const linkMargin = 1|' \
 	$metrics 'TestComponents'
 
-# ---- the invariant harness itself ----
+# ---- the invariant harness itself, and the drop causes its ledger and the
+# metrics collector compare (ROADMAP "One packet event stream"). A revision
+# with string drop reasons reads BROKEN on the cause rows. ----
 check=./internal/scenario/check
 mutant "check ledger: node:down forgotten as a fork witness" internal/scenario/check/ledger.go \
-	's/ || reason == "node:down"//' \
+	's/ || e.Cause == netsim.CauseNodeDown//' \
 	$check 'TestLedgerNodeDown'
+mutant "check ledger: a link-failure drop is not a fork witness" internal/scenario/check/ledger.go \
+	's/e.Cause == netsim.CauseLinkFailure || //' \
+	$check 'TestLedgerCleanLifecycles|TestLedgerCompactsSettledEntries'
+mutant "check ledger: the TTL-drop check tests the wrong cause" internal/scenario/check/ledger.go \
+	's/if e.Cause == netsim.CauseTTL {/if e.Cause == netsim.CauseNoRoute {/' \
+	$check 'TestLedgerCleanLifecycles|TestLedgerCatchesTTLAnomalies'
+mutant "metrics collector: a no-forward-route drop is not unreachable" internal/metrics/collector.go \
+	's/ || e.Cause == netsim.CauseNoForwardRoute//' \
+	./internal/metrics 'TestCollectorUnreachable'
+mutant "metrics collector: a drop renders its reason string" internal/metrics/collector.go \
+	's|c.drops\[dropKey{e.Node.Router().Name(), e.Cause}\]++|c.drops[dropKey{e.Cause.Reason(e.Node.Router().Name()), e.Cause}]++|' \
+	./internal/metrics 'TestEventCycleAllocFree'
 mutant "check loops: the walk stops one hop early, on returning to its origin" internal/scenario/check/loops.go \
 	's/if int(next) == dst {/if int(next) == dst || int(next) == src {/' \
 	$check 'TestLoopsCatchesCrossNodeCycle'
@@ -317,7 +331,7 @@ mutant "rules reach: an exported func in internal/stats with no caller" internal
 	'$a func Unreached() {}' \
 	$rules 'TestRules'
 mutant "rules map order: a range over a map loses its order-free reason" internal/metrics/collector.go \
-	's|for _, s := range c.sent { // order-free: an integer sum|for _, s := range c.sent {|' \
+	's|for k, v := range c.drops { // order-free: an integer sum per reason|for k, v := range c.drops {|' \
 	$rules 'TestRules'
 mutant "rules rand: rand.New in internal/ca" internal/ca/lane.go \
 	'$a var _ = rand.New(nil)' \
