@@ -43,6 +43,8 @@ func TestExitCodes(t *testing.T) {
 		{"scenario run NaN time", []string{"scenario", "run", "highway", "-time", "NaN"}, 2},
 		{"scenario sweep negative time", []string{"scenario", "sweep", "-time", "-5"}, 2},
 		{"scenario sweep negative nodes", []string{"scenario", "sweep", "-nodes", "-3"}, 2},
+		{"scenario sweep oversized grid", []string{"scenario", "sweep", "-trials", "1099511627776"}, 2},
+		{"sweep oversized grid", []string{"sweep", "-trials", "1099511627776"}, 2},
 		// The reference-path flags are gone: a reference is chosen by a
 		// test inside internal/, never from the command line.
 		{"scenario run -kernel-oracle", []string{"scenario", "run", "highway", "-kernel-oracle"}, 2},

@@ -328,9 +328,6 @@ func scenarioSweep(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	if !(*simTime >= 0) || *nodes < 0 {
-		return badUsage("-time and -nodes must not be negative")
-	}
 	var names []string
 	if !strings.EqualFold(*scenarios, "all") {
 		for _, n := range strings.Split(*scenarios, ",") {
@@ -341,17 +338,20 @@ func scenarioSweep(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	rows, err := scenario.Sweep(scenario.SweepConfig{
+	grid, err := scenario.NewGrid(scenario.SweepConfig{
 		Scenarios:       names,
 		Protocols:       protoList,
 		Trials:          *trials,
 		Seed:            *seed,
-		Workers:         *workers,
 		Shrunk:          *quick,
 		Checked:         *checked,
 		OverrideTimeSec: *simTime,
 		OverrideNodes:   *nodes,
 	})
+	if err != nil {
+		return badUsage("%v", err)
+	}
+	rows, err := grid.Run(*workers)
 	if err != nil {
 		return err
 	}

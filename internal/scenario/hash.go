@@ -14,9 +14,9 @@ import (
 // (a flow, a seed, a fault clause, a protocol) changes the hash.
 //
 // Runs are deterministic (the PR 2 engine contract), so the hash
-// identifies the *result* of a run, not just its input: it is the
-// content address the experiment service's result cache keys on,
-// together with the code version. The encoding walks only exported
+// identifies the *result* of a run, not just its input. The experiment
+// service publishes it per catalogue entry; its result cache keys on the
+// equivalent Grid.ScenarioDigest. The encoding walks only exported
 // struct fields in declaration order over slices and plain values (no
 // maps anywhere in Spec), so it is reproducible within one build;
 // cross-build stability is the code-version component's job.
@@ -31,4 +31,21 @@ func (s Spec) Hash() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// ScenarioDigest is the SHA-256 of the canonical JSON of scenario i's
+// stored spec with Seed and Protocol cleared: what every run of the
+// scenario shares. (digest, protocol, seed) names the same run spec that
+// Spec.Hash of that spec names, because NewGrid stores the spec
+// normalized, a run changes only Seed (CellSpec) and Protocol (RunCell)
+// without re-normalizing, normalize only defaults an empty Protocol, and
+// no default depends on the seed. Computed on demand, never by NewGrid.
+func (g *Grid) ScenarioDigest(i int) ([32]byte, error) {
+	s := g.specs[i]
+	s.Seed, s.Protocol = 0, ""
+	b, err := json.Marshal(s)
+	if err != nil {
+		return [32]byte{}, fmt.Errorf("scenario: encoding spec %s: %w", s.Name, err)
+	}
+	return sha256.Sum256(b), nil
 }

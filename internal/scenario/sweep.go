@@ -123,6 +123,9 @@ type Grid struct {
 	specs []Spec
 }
 
+// maxGridRuns bounds a grid's scenarios × protocols × trials.
+const maxGridRuns = 1 << 16
+
 // NewGrid validates a sweep config and expands it: the scenario axis is
 // resolved to specs (shrunk and overridden as requested) and every one
 // normalized, the protocol axis is checked, and the trial count
@@ -174,6 +177,13 @@ func NewGrid(cfg SweepConfig) (*Grid, error) {
 	if cfg.Trials < 0 {
 		return nil, fmt.Errorf("scenario: negative trial count %d", cfg.Trials)
 	}
+	if !(cfg.OverrideTimeSec >= 0) || cfg.OverrideNodes < 0 {
+		return nil, fmt.Errorf("scenario: negative override (timeSec %v, nodes %d)", cfg.OverrideTimeSec, cfg.OverrideNodes)
+	}
+	// Bound the client-controlled run count before any per-cell work.
+	if n := len(specs) * len(cfg.Protocols); len(specs) > maxGridRuns/len(cfg.Protocols) || cfg.Trials > maxGridRuns/max(n, 1) {
+		return nil, fmt.Errorf("scenario: %d scenarios × %d protocols × %d trials exceed %d runs", len(specs), len(cfg.Protocols), cfg.Trials, maxGridRuns)
+	}
 	for i, s := range specs {
 		var err error
 		if cfg.Shrunk {
@@ -221,12 +231,12 @@ func (g *Grid) CellSpec(j int) (Spec, error) {
 		return Spec{}, fmt.Errorf("scenario: cell %d outside grid of %d", j, g.Cells())
 	}
 	base := g.specs[j/g.Trials].clone() // normalized by NewGrid; no default depends on the seed
-	base.Seed = g.cellSeed(j)
+	base.Seed = g.CellSeed(j)
 	return base, nil
 }
 
-// cellSeed is cell j's seed: root -> scenario -> trial.
-func (g *Grid) cellSeed(j int) int64 {
+// CellSeed is cell j's seed: root -> scenario -> trial.
+func (g *Grid) CellSeed(j int) int64 {
 	return rng.NewSource(g.Seed).Fork(j / g.Trials).Fork(j % g.Trials).Seed()
 }
 
@@ -347,7 +357,7 @@ func (g *Grid) Aggregate(cells [][]TrialResult) []SweepRow {
 				row.Violations += r.Violations
 				if r.Violations > 0 {
 					row.FailingCells = append(row.FailingCells,
-						FailingCell{Trial: t, Seed: g.cellSeed(si*nt + t), Violations: r.Violations})
+						FailingCell{Trial: t, Seed: g.CellSeed(si*nt + t), Violations: r.Violations})
 				}
 			}
 			out = append(out, row)

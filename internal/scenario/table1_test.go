@@ -220,9 +220,33 @@ func TestGridRejectsBeforeRunning(t *testing.T) {
 		"negative trials":                {Specs: ok, Trials: -1},
 		"override below a flow endpoint": {Specs: ok, OverrideNodes: 1},
 		"specs and names":                {Specs: ok, Scenarios: []string{"highway"}},
+		"negative time override":         {Specs: ok, OverrideTimeSec: -5},
+		"negative nodes override":        {Specs: ok, OverrideNodes: -3},
+		// The run bound, on each axis, and a run count that would wrap.
+		"one trial over the run bound": {Specs: ok, Protocols: []Protocol{AODV}, Trials: maxGridRuns + 1},
+		"over the bound by protocols":  {Specs: ok, Protocols: AllProtocols(), Trials: maxGridRuns/4 + 1},
+		"over the bound by scenarios":  {Specs: densitySpecs(10, 10), Protocols: AllProtocols(), Trials: maxGridRuns/8 + 1},
+		"a wrapping run count":         {Specs: densitySpecs(10, 10), Protocols: AllProtocols(), Trials: math.MaxInt/4 + 1},
 	} {
 		if _, err := NewGrid(cfg); err == nil {
 			t.Errorf("%s: grid accepted", name)
+		}
+	}
+}
+
+// TestGridRunBound: a grid of exactly maxGridRuns runs is accepted
+// (TestGridRejectsBeforeRunning refuses one more, on every axis).
+func TestGridRunBound(t *testing.T) {
+	for _, cfg := range []SweepConfig{
+		{Specs: densitySpecs(10), Protocols: []Protocol{AODV}, Trials: maxGridRuns},
+		{Specs: densitySpecs(10, 10), Protocols: AllProtocols(), Trials: maxGridRuns / 8},
+	} {
+		g, err := NewGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs := g.Cells() * len(g.Protocols); runs != maxGridRuns {
+			t.Fatalf("grid of %d runs, want %d", runs, maxGridRuns)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // artifacts in the same CSV/JSON dialect the CLI emits.
 //
 // Because runs are deterministic and specs are normalized, a
-// (canonical spec hash, protocol, seed, code version) tuple fully
+// (scenario digest, protocol, seed, checked, code version) tuple fully
 // determines a cell's result — so the service keeps a content-addressed
 // result cache and answers repeated cells with a lookup instead of a
 // simulation. Cached and freshly computed responses are byte-identical
@@ -16,7 +16,6 @@ package serve
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -63,22 +62,42 @@ func buildRevision() string {
 // CodeVersion reports the build identity mixed into every cache key.
 func CodeVersion() string { return codeVersion }
 
-// cacheKey derives the content address of one (cell, protocol) run. The
-// spec hash already covers the seed, the protocol and every normalized
-// knob; protocol and seed are mixed in redundantly so the key remains
-// self-describing, and checked runs key separately from unchecked ones
-// (only they carry invariant-violation counts).
-func cacheKey(specHash string, p scenario.Protocol, seed int64, checked bool) string {
-	// The preimage "specHash|protocol|seed|checked|codeVersion" is built
-	// on the stack: every submission derives one key per (cell, protocol).
+// cacheKey derives the content address of one (cell, protocol) run from
+// its scenario's digest (Grid.ScenarioDigest, which leaves out the seed
+// and the protocol), the protocol, the cell seed and whether the run is
+// checked: checked runs key separately from unchecked ones (only they
+// carry invariant-violation counts).
+func cacheKey(digest [32]byte, p scenario.Protocol, seed int64, checked bool) [32]byte {
+	// The preimage "digest|protocol|seed|checked|codeVersion" is built on
+	// the stack: every submission derives one key per (cell, protocol).
 	var buf [192]byte
-	b := append(buf[:0], specHash...)
+	b := append(buf[:0], digest[:]...)
 	b = append(append(b, '|'), p...)
 	b = strconv.AppendInt(append(b, '|'), seed, 10)
 	b = strconv.AppendBool(append(b, '|'), checked)
 	b = append(append(b, '|'), codeVersion...)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return sha256.Sum256(b)
+}
+
+// runKeys derives the cache key of every run of grid, cell-major
+// (keys[j*len(grid.Protocols)+pi]), hashing each scenario's spec once.
+func runKeys(grid *scenario.Grid) ([][32]byte, error) {
+	np := len(grid.Protocols)
+	keys := make([][32]byte, grid.Cells()*np)
+	var digest [32]byte
+	for j := 0; j < grid.Cells(); j++ {
+		if j%grid.Trials == 0 {
+			var err error
+			if digest, err = grid.ScenarioDigest(j / grid.Trials); err != nil {
+				return nil, err
+			}
+		}
+		seed := grid.CellSeed(j)
+		for pi, p := range grid.Protocols {
+			keys[j*np+pi] = cacheKey(digest, p, seed, grid.Checked)
+		}
+	}
+	return keys, nil
 }
 
 // resultCache is the in-memory content-addressed result store. Entries
@@ -86,21 +105,21 @@ func cacheKey(specHash string, p scenario.Protocol, seed int64, checked bool) st
 // identical value (determinism), so Put never compares.
 type resultCache struct {
 	mu sync.RWMutex
-	m  map[string]scenario.TrialResult
+	m  map[[32]byte]scenario.TrialResult
 }
 
 func newResultCache() *resultCache {
-	return &resultCache{m: make(map[string]scenario.TrialResult)}
+	return &resultCache{m: make(map[[32]byte]scenario.TrialResult)}
 }
 
-func (c *resultCache) get(key string) (scenario.TrialResult, bool) {
+func (c *resultCache) get(key [32]byte) (scenario.TrialResult, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	r, ok := c.m[key]
 	return r, ok
 }
 
-func (c *resultCache) put(key string, r scenario.TrialResult) {
+func (c *resultCache) put(key [32]byte, r scenario.TrialResult) {
 	c.mu.Lock()
 	c.m[key] = r
 	c.mu.Unlock()

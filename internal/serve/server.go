@@ -235,12 +235,11 @@ func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
 }
 
 // cellPlan is the submit-time cache partition of one cell: which
-// protocol-axis entries are already content-addressed and which must run.
+// protocol-axis entries must run, and their keys.
 type cellPlan struct {
-	cached  map[int]scenario.TrialResult // protocol index -> cached result
-	missing []int                        // protocol indexes to simulate
-	keys    []string                     // cache key per protocol index
-	simSec  float64                      // per-run simulated seconds
+	keys    [][32]byte // cache key per protocol index
+	missing []int      // protocol indexes to simulate
+	simSec  float64    // per-run simulated seconds
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -280,55 +279,50 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Partition the grid against the cache before admitting anything:
-	// cached runs are answered from memory and only the misses compete
-	// for queue slots.
+	// cached runs are answered from memory, in cell order, and only the
+	// misses compete for queue slots — one per cell with a miss.
+	keys, err := runKeys(grid)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	run := newSweepRun(grid)
+	np := len(grid.Protocols)
 	plans := make([]cellPlan, grid.Cells())
-	var hits, misses int
+	var jobs []int
+	var simSec, cachedSimSec float64
 	for j := range plans {
-		base, err := grid.CellSpec(j)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		plan := cellPlan{cached: make(map[int]scenario.TrialResult), keys: make([]string, len(grid.Protocols)), simSec: base.SimTime.Seconds()}
-		for pi, p := range grid.Protocols {
-			run := base
-			run.Protocol = p
-			h, err := run.Hash()
+		if j%grid.Trials == 0 {
+			base, err := grid.CellSpec(j)
 			if err != nil {
 				httpError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
-			key := cacheKey(h, p, base.Seed, grid.Checked)
-			plan.keys[pi] = key
+			simSec = base.SimTime.Seconds()
+		}
+		plan := cellPlan{keys: keys[j*np : (j+1)*np], simSec: simSec}
+		for pi, key := range plan.keys {
 			if res, ok := s.cache.get(key); ok {
-				plan.cached[pi] = res
-				hits++
+				run.complete(j, pi, res, true)
+				cachedSimSec += simSec
 			} else {
 				plan.missing = append(plan.missing, pi)
-				misses++
 			}
 		}
-		plans[j] = plan
-	}
-
-	// One queue slot per cell that needs fresh simulation.
-	var jobs []int
-	for j := range plans {
-		if len(plans[j].missing) > 0 {
+		if plans[j] = plan; len(plan.missing) > 0 {
 			jobs = append(jobs, j)
 		}
 	}
 	if err := s.gate.admit(len(jobs)); err != nil {
-		code := http.StatusServiceUnavailable
-		httpError(w, code, "%v", err)
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 
+	hits, misses := run.cacheHits, run.totalRuns()-run.cacheHits // not yet shared
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("s%d", s.nextID)
-	run := newSweepRun(id, grid)
+	run.id = id
 	s.sweeps[id] = run
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -336,17 +330,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.met.Lock()
 	s.met.cacheHits += uint64(hits)
 	s.met.cacheMisses += uint64(misses)
+	s.met.simSecondsServed += cachedSimSec
 	s.met.Unlock()
-
-	// Cached runs stream immediately, in cell order.
-	for j := range plans {
-		for pi := range grid.Protocols {
-			if res, ok := plans[j].cached[pi]; ok {
-				run.complete(j, pi, res, true)
-				s.serveSimSeconds(plans[j].simSec)
-			}
-		}
-	}
 
 	s.log.Printf("sweep %s: %d cells, %d runs (%d cached, %d fresh), code %s",
 		id, grid.Cells(), run.totalRuns(), hits, misses, codeVersion)
@@ -396,10 +381,10 @@ func (s *Server) runSweep(run *sweepRun, plans []cellPlan, jobs []int) {
 			for i, pi := range plan.missing {
 				s.cache.put(plan.keys[pi], results[i])
 				run.complete(j, pi, results[i], false)
-				s.serveSimSeconds(plan.simSec)
 			}
 			s.met.Lock()
 			s.met.jobsDone++
+			s.met.simSecondsServed += float64(plan.simSec * float64(len(plan.missing))) // not fused
 			s.met.Unlock()
 			return struct{}{}, nil
 		})
@@ -425,12 +410,6 @@ func protocolSubset(axis []scenario.Protocol, idx []int) []scenario.Protocol {
 		out[i] = axis[pi]
 	}
 	return out
-}
-
-func (s *Server) serveSimSeconds(sec float64) {
-	s.met.Lock()
-	s.met.simSecondsServed += sec
-	s.met.Unlock()
 }
 
 func (s *Server) lookup(id string) (*sweepRun, bool) {

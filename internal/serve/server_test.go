@@ -232,6 +232,12 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown scenario", "POST", "/sweeps", `{"scenarios":["motorway9"]}`, http.StatusBadRequest},
 		{"unknown protocol", "POST", "/sweeps", `{"protocols":["ospf"]}`, http.StatusBadRequest},
 		{"negative trials", "POST", "/sweeps", `{"scenarios":["highway"],"trials":-3}`, http.StatusBadRequest},
+		// A grid beyond the run bound is refused before anything is
+		// allocated per cell (2^40 cells would exhaust memory).
+		{"oversized grid", "POST", "/sweeps", `{"scenarios":["highway"],"trials":1099511627776}`, http.StatusBadRequest},
+		{"oversized catalogue grid", "POST", "/sweeps", `{"trials":100000}`, http.StatusBadRequest},
+		{"negative time override", "POST", "/sweeps", `{"scenarios":["highway"],"overrides":{"timeSec":-5}}`, http.StatusBadRequest},
+		{"negative nodes override", "POST", "/sweeps", `{"scenarios":["highway"],"overrides":{"nodes":-3}}`, http.StatusBadRequest},
 		{"unknown sweep status", "GET", "/sweeps/s999", "", http.StatusNotFound},
 		{"unknown sweep artifact", "GET", "/sweeps/s999/artifact", "", http.StatusNotFound},
 		{"unknown sweep stream", "GET", "/sweeps/s999/stream", "", http.StatusNotFound},

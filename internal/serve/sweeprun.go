@@ -55,17 +55,19 @@ type sweepRun struct {
 	cacheHits, cacheMisses int
 }
 
-func newSweepRun(id string, grid *scenario.Grid) *sweepRun {
+// newSweepRun builds a run's state; it takes its id when it is admitted.
+func newSweepRun(grid *scenario.Grid) *sweepRun {
 	r := &sweepRun{
-		id:     id,
 		grid:   grid,
 		update: make(chan struct{}),
 		cells:  make([][]scenario.TrialResult, grid.Cells()),
 		filled: make([][]bool, grid.Cells()),
 	}
+	r.events = make([]StreamEvent, 0, r.totalRuns())
+	np := len(grid.Protocols)
+	results, filled := make([]scenario.TrialResult, r.totalRuns()), make([]bool, r.totalRuns())
 	for j := range r.cells {
-		r.cells[j] = make([]scenario.TrialResult, len(grid.Protocols))
-		r.filled[j] = make([]bool, len(grid.Protocols))
+		r.cells[j], r.filled[j] = results[j*np:(j+1)*np:(j+1)*np], filled[j*np:(j+1)*np:(j+1)*np]
 	}
 	return r
 }
@@ -91,10 +93,10 @@ func (r *sweepRun) complete(cell, pi int, res scenario.TrialResult, cached bool)
 	} else {
 		r.cacheMisses++
 	}
-	ev := res
+	// The cell's slot is written once, here, so the event can point at it.
 	r.events = append(r.events, StreamEvent{
 		Type: "result", Cell: cell, Scenario: name, Trial: trial,
-		Protocol: r.grid.Protocols[pi], Cached: cached, Result: &ev,
+		Protocol: r.grid.Protocols[pi], Cached: cached, Result: &r.cells[cell][pi],
 	})
 	r.notify()
 }
@@ -140,10 +142,8 @@ func (r *sweepRun) status() Status {
 func (r *sweepRun) snapshot(from int) (events []StreamEvent, done bool, err error, update <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if from < len(r.events) {
-		events = append(events, r.events[from:]...)
-	}
-	return events, r.done, r.err, r.update
+	// Events are append-only, so the prefix can be shared without a copy.
+	return r.events[from:len(r.events):len(r.events)], r.done, r.err, r.update
 }
 
 // artifact aggregates the finished matrix into sweep rows. It is only

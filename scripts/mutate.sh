@@ -513,5 +513,22 @@ mutant "sim ExpiringSet.Expire: a re-added key is deleted at its older deadline"
 	's|^\t\tif s.m\[it.key\] <= now {$|\t\tif true {|' \
 	$sim 'TestExpiringSetMatchesHeap|TestExpiringSetReAddedKeySurvives'
 
+# ---- serve cache keys (ROADMAP "A grid hashes each scenario once"): a
+# run's key is its scenario's digest, which leaves out the seed and the
+# protocol, plus the protocol, the cell seed and the checked flag; each
+# scenario's runs take that scenario's digest. A revision without runKeys
+# reads BROKEN. ----
+serve=./internal/serve
+keyTests='TestCacheKeyPartition|TestCheckedRunsKeySeparately|TestProtocolAxisMissesCache'
+mutant "serve cacheKey: the key omits checked" internal/serve/cache.go \
+	'/strconv.AppendBool(append(b, .|.), checked)$/d' \
+	$serve "$keyTests"
+mutant "serve cacheKey: the key omits the protocol" internal/serve/cache.go \
+	'/^\tb = append(append(b, .|.), p...)$/d' \
+	$serve "$keyTests"
+mutant "serve runKeys: the digest is not refreshed per scenario" internal/serve/cache.go \
+	's|if j%grid.Trials == 0 {|if j == 0 {|' \
+	$serve "$keyTests"
+
 echo "mutate: $killed killed, $survived survived, $broken broken"
 [ "$survived" -eq 0 ] && [ "$broken" -eq 0 ]
