@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -362,5 +363,35 @@ func TestMeterClassifiesByWindow(t *testing.T) {
 	}
 	if m.during(6 * sim.Second) {
 		t.Fatal("t=6s classified as inside the half-open [4,6) window")
+	}
+}
+
+// TestImpairErrorsPinned pins the error of each impairment clause byte for
+// byte (the clause's name is formatted only on failure), and a spec that
+// validates costs no allocation however many clauses it has.
+func TestImpairErrorsPinned(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ok := Impair{A: 0, B: 3, StartSec: 4, DurSec: 12, Loss: 0.5, AttenDB: 3}
+	for _, c := range []struct {
+		bad  Impair
+		want string
+	}{
+		{Impair{A: 0, B: 3, StartSec: -1, DurSec: 12, Loss: 0.5, AttenDB: 3}, "fault: impair 1 start -1 is negative"},
+		{Impair{A: 0, B: 3, StartSec: 4, DurSec: nan, Loss: 0.5, AttenDB: 3}, "fault: impair 1 duration NaN is not finite"},
+		{Impair{A: 0, B: 3, StartSec: 4, DurSec: 12, Loss: 2, AttenDB: 3}, "fault: impair 1 loss 2 exceeds cap 1"},
+		{Impair{A: 0, B: 3, StartSec: 4, DurSec: 12, Loss: 0.5, AttenDB: inf}, "fault: impair 1 attenuation dB +Inf is not finite"},
+	} {
+		err := Spec{Impairs: []Impair{ok, c.bad}}.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Validate = %v, want %q", err, c.want)
+		}
+	}
+	s := Spec{Impairs: []Impair{ok, ok, ok, ok}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate of a valid spec allocates %.1f times, want 0", allocs)
 	}
 }

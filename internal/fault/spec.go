@@ -79,6 +79,10 @@ func (s Spec) Clone() Spec {
 	return s
 }
 
+// within reports whether v lies in [0, max]; NaN and ±Inf do not, for a
+// finite max. It is exactly the values finiteNonNeg accepts.
+func within(v, max float64) bool { return v >= 0 && v <= max }
+
 func finiteNonNeg(v float64, max float64, what string) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("fault: %s %v is not finite", what, v)
@@ -123,18 +127,19 @@ func (s Spec) Validate() error {
 		if im.A < 0 || im.B < 0 {
 			return fmt.Errorf("fault: impair %d has negative endpoint (%d,%d)", i, im.A, im.B)
 		}
-		pairs := []struct {
+		pairs := [...]struct {
 			v, max float64
 			what   string
 		}{
-			{im.StartSec, maxSpecSeconds, fmt.Sprintf("impair %d start", i)},
-			{im.DurSec, maxSpecSeconds, fmt.Sprintf("impair %d duration", i)},
-			{im.Loss, 1, fmt.Sprintf("impair %d loss", i)},
-			{im.AttenDB, maxAttenDB, fmt.Sprintf("impair %d attenuation dB", i)},
+			{im.StartSec, maxSpecSeconds, "start"},
+			{im.DurSec, maxSpecSeconds, "duration"},
+			{im.Loss, 1, "loss"},
+			{im.AttenDB, maxAttenDB, "attenuation dB"},
 		}
 		for _, c := range pairs {
-			if err := finiteNonNeg(c.v, c.max, c.what); err != nil {
-				return err
+			// The clause's name is formatted only for the error.
+			if !within(c.v, c.max) {
+				return finiteNonNeg(c.v, c.max, fmt.Sprintf("impair %d %s", i, c.what))
 			}
 		}
 	}

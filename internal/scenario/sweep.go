@@ -235,6 +235,10 @@ func (g *Grid) CellSpec(j int) (Spec, error) {
 	return base, nil
 }
 
+// SimTime is scenario i's simulated duration, read from the stored spec
+// without cloning it: every cell of the scenario runs that long.
+func (g *Grid) SimTime(i int) sim.Time { return g.specs[i].SimTime }
+
 // CellSeed is cell j's seed: root -> scenario -> trial.
 func (g *Grid) CellSeed(j int) int64 {
 	return rng.NewSource(g.Seed).Fork(j / g.Trials).Fork(j % g.Trials).Seed()

@@ -293,12 +293,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var simSec, cachedSimSec float64
 	for j := range plans {
 		if j%grid.Trials == 0 {
-			base, err := grid.CellSpec(j)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			simSec = base.SimTime.Seconds()
+			simSec = grid.SimTime(j / grid.Trials).Seconds()
 		}
 		plan := cellPlan{keys: keys[j*np : (j+1)*np], simSec: simSec}
 		for pi, key := range plan.keys {

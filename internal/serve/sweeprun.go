@@ -45,7 +45,7 @@ type sweepRun struct {
 	grid *scenario.Grid
 
 	mu     sync.Mutex
-	update chan struct{} // closed + replaced on every state change
+	update chan struct{} // made by a listener's snapshot, closed by the next change; nil while nobody waits
 	cells  [][]scenario.TrialResult
 	filled [][]bool
 	events []StreamEvent
@@ -59,7 +59,6 @@ type sweepRun struct {
 func newSweepRun(grid *scenario.Grid) *sweepRun {
 	r := &sweepRun{
 		grid:   grid,
-		update: make(chan struct{}),
 		cells:  make([][]scenario.TrialResult, grid.Cells()),
 		filled: make([][]bool, grid.Cells()),
 	}
@@ -72,10 +71,15 @@ func newSweepRun(grid *scenario.Grid) *sweepRun {
 	return r
 }
 
-// notify wakes every stream listener. Callers hold r.mu.
+// notify wakes every stream listener. Only a snapshot hands the channel
+// out, so while it is nil nobody can be waiting on it (the cached results
+// of a warm submit land before any stream exists) and there is nothing to
+// close. Callers hold r.mu.
 func (r *sweepRun) notify() {
-	close(r.update)
-	r.update = make(chan struct{})
+	if r.update != nil {
+		close(r.update)
+		r.update = nil
+	}
 }
 
 // complete records one (cell, protocol) result and streams it.
@@ -142,6 +146,9 @@ func (r *sweepRun) status() Status {
 func (r *sweepRun) snapshot(from int) (events []StreamEvent, done bool, err error, update <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.update == nil {
+		r.update = make(chan struct{})
+	}
 	// Events are append-only, so the prefix can be shared without a copy.
 	return r.events[from:len(r.events):len(r.events)], r.done, r.err, r.update
 }
