@@ -1,7 +1,7 @@
 package olsr
 
 import (
-	"sort"
+	"slices"
 
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
@@ -13,19 +13,18 @@ import (
 // bit-identical MPR sets, routes and wire contents to the map-based oracle
 // in oracle_test.go (asserted by TestDenseMatchesOracle).
 
-// denseScratch holds the reusable buffers of the dense kernels. Per-index
-// arrays are epoch-stamped so "clearing" them is a counter increment.
+// denseScratch holds the reusable buffers of the dense kernels. Their
+// per-index scratch sits in the slots (symStamp, thStamp, thPos),
+// epoch-stamped so "clearing" it is a counter increment.
 type denseScratch struct {
 	// Symmetric neighborhood of the current round, sorted by NodeID (the
-	// deterministic candidate order of the greedy MPR pass).
-	symList  []int32
-	symStamp []uint64
-	symSort  idxSorter
+	// deterministic candidate order of the greedy MPR pass), and the sort
+	// keys that order it.
+	symList []int32
+	symKeys []int64
 
 	// Strict 2-hop universe, compacted per round.
-	thStamp []uint64
-	thPos   []int32
-	thList  []int32
+	thList []int32
 
 	// CSR coverage: covTH[covOff[k]:covOff[k+1]] lists the compact 2-hop
 	// ids reachable through symList[k].
@@ -102,29 +101,6 @@ func djPop(h *[]djNode) djNode {
 	return top
 }
 
-// idxSorter sorts interned indices by their NodeID without allocating (a
-// sort.Slice closure would escape); the sorter lives in the scratch so the
-// interface conversion reuses its heap pointer.
-type idxSorter struct {
-	s   []int32
-	ids []netsim.NodeID
-}
-
-func (x *idxSorter) Len() int           { return len(x.s) }
-func (x *idxSorter) Swap(i, j int)      { x.s[i], x.s[j] = x.s[j], x.s[i] }
-func (x *idxSorter) Less(i, j int) bool { return x.ids[x.s[i]] < x.ids[x.s[j]] }
-
-// ensureScratch grows the per-index stamp arrays to the interned universe.
-func (r *Router) ensureScratch() {
-	n := len(r.ids)
-	sc := &r.scratch
-	for len(sc.symStamp) < n {
-		sc.symStamp = append(sc.symStamp, 0)
-		sc.thStamp = append(sc.thStamp, 0)
-		sc.thPos = append(sc.thPos, 0)
-	}
-}
-
 func resizeI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		s = make([]int32, n)
@@ -150,58 +126,102 @@ func resizeBool(s []bool, n int) []bool {
 }
 
 // recomputeDense materializes the recompute stamped at now (flush passes
-// the stamp's time, which may lie in the past; see recomputeNow).
+// the stamp's time, which may lie in the past; see recomputeNow): the MPR
+// set (RFC 3626 §8.3.1) and the routing table (§10). The 2-hop set feeds
+// both, so one walk over its chains builds the MPR coverage lists and
+// relaxes the 2-hop routes. The kernels skip tuples that lead back to this
+// node by its interned index, meIdx (-1 when nobody mentioned it yet), so
+// they read no slot's id.
 func (r *Router) recomputeDense(now sim.Time) {
 	epoch := r.nextEpoch()
-	r.ensureScratch()
-	r.denseSelectMPRs(now, epoch)
-	r.denseComputeRoutes(now, epoch)
+	meIdx := r.idx.Index(r.node.ID())
+	r.routeEpoch = epoch
+	r.denseNeighbors(now, epoch)
+	r.denseTwoHop(now, epoch, meIdx)
+	r.denseSelectMPRs(epoch)
+	r.denseTopologyRoutes(now, epoch, meIdx)
 }
 
-// denseSelectMPRs runs the greedy heuristic of RFC 3626 §8.3.1 — sole
-// providers first, then repeated max-coverage with ties to the lowest
-// NodeID — over CSR coverage lists instead of map-of-maps.
-func (r *Router) denseSelectMPRs(now sim.Time, epoch uint64) {
+// denseNeighbors lists the symmetric neighbors sorted by NodeID (the
+// deterministic candidate order of the greedy MPR pass and the visiting
+// order of the 2-hop routes) and gives each its distance-1 route.
+func (r *Router) denseNeighbors(now sim.Time, epoch uint64) {
 	sc := &r.scratch
-	me := r.node.ID()
-
-	sc.symList = sc.symList[:0]
+	// A key is the neighbor's NodeID (a world index, so it fits 32 bits)
+	// over its interned index: sorting the keys sorts by NodeID.
+	sc.symKeys = sc.symKeys[:0]
 	for _, fi := range r.linkList {
-		if r.links[fi].symUntil > now {
-			sc.symList = append(sc.symList, fi)
+		if s := r.slot(fi); s.link.symUntil > now {
+			s.symStamp = epoch
+			sc.symKeys = append(sc.symKeys, int64(s.id)<<32|int64(fi))
 		}
 	}
-	sc.symSort.s, sc.symSort.ids = sc.symList, r.ids
-	sort.Sort(&sc.symSort)
-	for _, fi := range sc.symList {
-		sc.symStamp[fi] = epoch
+	slices.Sort(sc.symKeys)
+	sc.symList = sc.symList[:0]
+	sc.labeled = sc.labeled[:0]
+	for _, key := range sc.symKeys {
+		fi := int32(key)
+		s := r.slot(fi)
+		s.route = routeEntry{next: s.id, hops: 1, cost: r.linkCost(&s.link)}
+		s.routeStamp = epoch
+		sc.symList = append(sc.symList, fi)
+		sc.labeled = append(sc.labeled, fi)
 	}
+}
 
-	// Coverage: for each symmetric neighbor, the strict 2-hop nodes it
-	// reaches (not us, not themselves symmetric neighbors).
+// denseTwoHop walks the 2-hop tuples of every symmetric neighbor, in
+// sorted (neighbor, 2-hop) order. For the MPR pass it lists the strict
+// 2-hop nodes each neighbor reaches (not us, not themselves symmetric
+// neighbors); for the routing table it offers each 2-hop node a route
+// through the neighbor. The base must still be a distance-1 route when
+// each tuple is visited — this single pass is order-dependent, so the
+// order is part of the shared contract with the oracle.
+func (r *Router) denseTwoHop(now sim.Time, epoch uint64, meIdx int32) {
+	sc := &r.scratch
 	sc.thList = sc.thList[:0]
 	sc.covOff = sc.covOff[:0]
 	sc.covTH = sc.covTH[:0]
 	for _, fi := range sc.symList {
 		sc.covOff = append(sc.covOff, int32(len(sc.covTH)))
-		for _, e := range r.twoHopOf[fi] {
-			if e.until <= now {
+		fs := r.slot(fi)
+		for i := fs.twoHop; i != noTuple; {
+			t := r.twoHopExp.At(i)
+			i = t.next
+			if t.until <= now || t.th == meIdx {
 				continue
 			}
-			ti := e.th
-			if r.ids[ti] == me || sc.symStamp[ti] == epoch {
+			ts := r.slot(t.th)
+			if ts.symStamp != epoch {
+				if ts.thStamp != epoch {
+					ts.thStamp = epoch
+					ts.thPos = int32(len(sc.thList))
+					sc.thList = append(sc.thList, t.th)
+				}
+				sc.covTH = append(sc.covTH, ts.thPos)
+			}
+			base := fs.route
+			if fs.routeStamp != epoch || base.hops != 1 {
 				continue
 			}
-			if sc.thStamp[ti] != epoch {
-				sc.thStamp[ti] = epoch
-				sc.thPos[ti] = int32(len(sc.thList))
-				sc.thList = append(sc.thList, ti)
+			cand := routeEntry{next: fs.id, hops: 2, cost: base.cost + 1}
+			if ts.routeStamp != epoch {
+				ts.routeStamp = epoch
+				ts.route = cand
+				sc.labeled = append(sc.labeled, t.th)
+			} else if lessRoute(cand, ts.route) {
+				ts.route = cand
 			}
-			sc.covTH = append(sc.covTH, sc.thPos[ti])
 		}
 	}
 	sc.covOff = append(sc.covOff, int32(len(sc.covTH)))
+}
 
+// denseSelectMPRs runs the greedy heuristic of RFC 3626 §8.3.1 — sole
+// providers first, then repeated max-coverage with ties to the lowest
+// NodeID — over the CSR coverage lists denseTwoHop built instead of
+// map-of-maps.
+func (r *Router) denseSelectMPRs(epoch uint64) {
+	sc := &r.scratch
 	nth := len(sc.thList)
 	sc.provCount = resizeI32(sc.provCount, nth)
 	sc.provLast = resizeI32(sc.provLast, nth)
@@ -218,12 +238,12 @@ func (r *Router) denseSelectMPRs(now sim.Time, epoch uint64) {
 	r.mprList = r.mprList[:0]
 	for c := 0; c < nth; c++ {
 		if sc.provCount[c] == 1 {
-			r.mprStamp[sc.symList[sc.provLast[c]]] = epoch
+			r.slot(sc.symList[sc.provLast[c]]).mprStamp = epoch
 		}
 	}
 	uncovered := nth
 	for k, fi := range sc.symList {
-		if r.mprStamp[fi] != epoch {
+		if r.slot(fi).mprStamp != epoch {
 			continue
 		}
 		for _, c := range sc.covTH[sc.covOff[k]:sc.covOff[k+1]] {
@@ -238,7 +258,7 @@ func (r *Router) denseSelectMPRs(now sim.Time, epoch uint64) {
 	for uncovered > 0 {
 		best, bestCount := -1, 0
 		for k, fi := range sc.symList {
-			if r.mprStamp[fi] == epoch {
+			if r.slot(fi).mprStamp == epoch {
 				continue
 			}
 			count := 0
@@ -254,8 +274,7 @@ func (r *Router) denseSelectMPRs(now sim.Time, epoch uint64) {
 		if best < 0 {
 			break // remaining 2-hop nodes are unreachable; sets will expire
 		}
-		fi := sc.symList[best]
-		r.mprStamp[fi] = epoch
+		r.slot(sc.symList[best]).mprStamp = epoch
 		for _, c := range sc.covTH[sc.covOff[best]:sc.covOff[best+1]] {
 			if !sc.covered[c] {
 				sc.covered[c] = true
@@ -265,89 +284,55 @@ func (r *Router) denseSelectMPRs(now sim.Time, epoch uint64) {
 	}
 
 	for _, fi := range sc.symList { // symList is NodeID-sorted
-		if r.mprStamp[fi] == epoch {
-			r.mprList = append(r.mprList, r.ids[fi])
+		if s := r.slot(fi); s.mprStamp == epoch {
+			r.mprList = append(r.mprList, s.id)
 		}
 	}
 }
 
-// denseComputeRoutes rebuilds the routing table (RFC 3626 §10): symmetric
-// neighbors at distance 1, 2-hop tuples through distance-1 bases, then a
-// lexicographic Dijkstra over the per-origin topology adjacency. All
-// weights are ≥ 1 and labels are totally ordered by (cost, hops, next), so
-// the result equals the oracle's relax-to-fixpoint outcome exactly.
-func (r *Router) denseComputeRoutes(now sim.Time, epoch uint64) {
+// denseTopologyRoutes finishes the routing table (RFC 3626 §10) with a
+// lexicographic Dijkstra over the per-origin topology chains. All weights
+// are ≥ 1 and labels are totally ordered by (cost, hops, next), so the
+// result equals the oracle's relax-to-fixpoint outcome exactly, and the
+// order in which a node's edges are relaxed cannot change it: a label is
+// replaced only by a strictly less one.
+func (r *Router) denseTopologyRoutes(now sim.Time, epoch uint64, meIdx int32) {
 	sc := &r.scratch
-	me := r.node.ID()
-	r.routeEpoch = epoch
-	sc.labeled = sc.labeled[:0]
-
-	// Phase 1: symmetric neighbors at distance 1.
-	for _, fi := range sc.symList {
-		r.routeOf[fi] = routeEntry{next: r.ids[fi], hops: 1, cost: r.linkCost(&r.links[fi])}
-		r.routeStamp[fi] = epoch
-		sc.labeled = append(sc.labeled, fi)
-	}
-
-	// Phase 2: 2-hop tuples in sorted (neighbor, 2-hop) order. The base
-	// must still be a distance-1 route when each tuple is visited — this
-	// single pass is order-dependent, so the order is part of the shared
-	// contract with the oracle.
-	for _, fi := range sc.symList {
-		for _, e := range r.twoHopOf[fi] {
-			if e.until <= now || r.ids[e.th] == me {
-				continue
-			}
-			base := r.routeOf[fi]
-			if r.routeStamp[fi] != epoch || base.hops != 1 {
-				continue
-			}
-			cand := routeEntry{next: r.ids[fi], hops: 2, cost: base.cost + 1}
-			ti := e.th
-			if r.routeStamp[ti] != epoch {
-				r.routeStamp[ti] = epoch
-				r.routeOf[ti] = cand
-				sc.labeled = append(sc.labeled, ti)
-			} else if lessRoute(cand, r.routeOf[ti]) {
-				r.routeOf[ti] = cand
-			}
-		}
-	}
-
-	// Phase 3: Dijkstra over topology edges, seeded with every label so
-	// far. Stale heap entries are skipped by comparing against the live
+	// Seeded with every label so far. Stale heap entries are skipped by comparing against the live
 	// label; strictly positive weights make popped labels final.
 	sc.heap = sc.heap[:0]
 	for _, idx := range sc.labeled {
-		e := r.routeOf[idx]
+		e := r.slot(idx).route
 		djPush(&sc.heap, djNode{cost: e.cost, hops: int32(e.hops), next: e.next, idx: idx})
 	}
 	for len(sc.heap) > 0 {
 		nd := djPop(&sc.heap)
-		cur := r.routeOf[nd.idx]
-		if r.routeStamp[nd.idx] != epoch ||
+		ns := r.slot(nd.idx)
+		cur := ns.route
+		if ns.routeStamp != epoch ||
 			cur.cost != nd.cost || int32(cur.hops) != nd.hops || cur.next != nd.next {
 			continue // superseded while queued
 		}
-		for _, e := range r.topoOf[nd.idx] {
-			if e.until <= now || r.ids[e.dest] == me {
+		for i := ns.topo; i != noTuple; {
+			t := r.topoExp.At(i)
+			i = t.next
+			if t.until <= now || t.dest == meIdx {
 				continue
 			}
 			w := 1.0
-			if r.cfg.ETX && e.linkLQ > 0 {
-				w = etxCost(e.linkLQ, e.linkLQ)
+			if r.cfg.ETX && t.linkLQ > 0 {
+				w = etxCost(t.linkLQ, t.linkLQ)
 			}
 			cand := routeEntry{next: cur.next, hops: cur.hops + 1, cost: cur.cost + w}
-			di := e.dest
-			if r.routeStamp[di] != epoch {
-				r.routeStamp[di] = epoch
-				r.routeOf[di] = cand
-			} else if lessRoute(cand, r.routeOf[di]) {
-				r.routeOf[di] = cand
+			if ds := r.slot(t.dest); ds.routeStamp != epoch {
+				ds.routeStamp = epoch
+				ds.route = cand
+			} else if lessRoute(cand, ds.route) {
+				ds.route = cand
 			} else {
 				continue
 			}
-			djPush(&sc.heap, djNode{cost: cand.cost, hops: int32(cand.hops), next: cand.next, idx: di})
+			djPush(&sc.heap, djNode{cost: cand.cost, hops: int32(cand.hops), next: cand.next, idx: t.dest})
 		}
 	}
 }

@@ -694,9 +694,9 @@ func (r *Router) routesSnapshot() map[netsim.NodeID]routeEntry {
 	if r.routeEpoch == 0 {
 		return out
 	}
-	for i, id := range r.ids {
-		if r.routeStamp[i] == r.routeEpoch {
-			out[id] = r.routeOf[i]
+	for i := int32(0); i < r.slots.Len(); i++ {
+		if s := r.slot(i); s.routeStamp == r.routeEpoch {
+			out[s.id] = s.route
 		}
 	}
 	return out

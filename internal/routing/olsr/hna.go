@@ -105,8 +105,7 @@ func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {
 	if msg.Origin == r.node.ID() {
 		return
 	}
-	fi := r.idx.Index(from)
-	if fi < 0 || !r.links[fi].present || r.links[fi].symUntil <= now {
+	if !r.symmetric(from, now) {
 		return
 	}
 	key := dupKey{origin: int32(msg.Origin), seq: msg.Seq}

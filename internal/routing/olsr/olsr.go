@@ -12,7 +12,9 @@
 // flag, the kernels themselves run only when somebody reads the result
 // (see recomputeNow), and tuple expiry is tracked by lists in refresh order
 // and lazy min-heaps so the periodic purge costs O(expired) instead of
-// sweeping every live entry.
+// sweeping every live entry. Per-node state lives in one paged slot per
+// interned index, and every 2-hop and topology tuple is an item of its
+// expiry list, chained from its key's slot: no table keeps a slice per key.
 // The original map-based recompute lives in oracle_test.go, the reference
 // the dense kernels and their deferral are tested against.
 package olsr
@@ -20,6 +22,7 @@ package olsr
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"cavenet/internal/netsim"
@@ -84,14 +87,13 @@ type Config struct {
 	ETX bool
 }
 
-// linkTuple is the link-set entry of RFC 3626 §4.2, stored in a dense
-// per-router slot addressed by the neighbor's interned index.
+// linkTuple is the link-set entry of RFC 3626 §4.2, stored in the
+// neighbor's slot (the slot's id is the neighbor's).
 type linkTuple struct {
 	present bool
 	// inSymHeap is true while symExp holds an entry for this index; it
 	// dedups pushes so the heap keeps one item per once-symmetric link.
 	inSymHeap bool
-	neighbor  netsim.NodeID
 	symUntil  sim.Time
 	asymUntil sim.Time
 	until     sim.Time
@@ -100,13 +102,41 @@ type linkTuple struct {
 	lq *lqEstimator
 }
 
-// twoHopEdge is one 2-hop tuple (neighbor → th), stored in the neighbor's
-// edge list sorted by the 2-hop node's NodeID — the iteration order the
-// route/MPR kernels and the oracle share.
-type twoHopEdge struct {
-	th    int32 // interned 2-hop node
-	item  int32 // the tuple's item in twoHopExp, which holds the neighbor
-	until sim.Time
+// slot is a router's state about one interned node: its id, the link
+// tuple, its place in linkList, the first items of the 2-hop chain through
+// it and of the topology chain it originated, its route and MPR stamps,
+// and the dense kernels' per-index scratch. Slots live in sim.Pages and
+// never move. On 64-bit a slot is two cache lines (128 B, a page of 16
+// fills a size class), and the first holds all that the kernels read of
+// a node they reach through a tuple.
+type slot struct {
+	symStamp   uint64 // epoch in which the node was a symmetric neighbor
+	thStamp    uint64 // epoch in which thPos was written
+	routeStamp uint64
+	route      routeEntry
+	twoHop     int32 // first 2-hop tuple through this neighbor, in twoHopExp; noTuple if none
+	topo       int32 // first topology tuple this node originated, in topoExp; noTuple if none
+	thPos      int32 // position of this strict 2-hop node in the scratch's thList
+	linkPos    int32 // position in linkList; -1 if no link tuple is present
+
+	id       netsim.NodeID
+	mprStamp uint64
+	link     linkTuple
+	_        [8]byte // to the second line's end
+}
+
+// noTuple ends a chain.
+const noTuple = -1
+
+// twoHopTuple is one 2-hop tuple (nb → th) of RFC 3626 §4.3.2, and it is
+// its own item in twoHopExp. The tuples through one neighbor form a chain
+// from the neighbor's slot, sorted by the 2-hop node's NodeID: the
+// iteration order the route/MPR kernels and the oracle share.
+type twoHopTuple struct {
+	nb, th int32 // interned neighbor and 2-hop node
+	thID   int32 // th's NodeID, a world index, which the merge compares
+	next   int32 // next tuple in nb's chain; noTuple at its end
+	until  sim.Time
 }
 
 // selector is an MPR selector tuple (RFC 3626 §4.3.4).
@@ -115,13 +145,16 @@ type selector struct {
 	item  int32 // the tuple's item in selExp
 }
 
-// topoEdge is one topology tuple (origin → dest); the per-origin edge
-// lists double as the adjacency list of the route Dijkstra.
-type topoEdge struct {
-	dest   int32
-	ansn   uint16
-	until  sim.Time
-	linkLQ float64 // originator's LQ toward dest (ETX mode)
+// topoTuple is one topology tuple (origin → dest) of RFC 3626 §4.4, and it
+// is its own item in topoExp. An originator's tuples form a chain from its
+// slot, sorted by dest NodeID; the chains double as the adjacency list of
+// the route Dijkstra.
+type topoTuple struct {
+	origin, dest int32
+	next         int32 // next tuple in origin's chain; noTuple at its end
+	ansn         uint16
+	until        sim.Time
+	linkLQ       float64 // originator's LQ toward dest (ETX mode)
 }
 
 // dupKey names a message for duplicate suppression (RFC 3626 §3.4). The
@@ -144,31 +177,27 @@ type Router struct {
 	node *netsim.Node
 
 	// NodeID interning: every node mentioned by control traffic gets a
-	// small dense index so the recompute kernels run over slices and
-	// epoch-stamp arrays instead of maps. Indices are never recycled; the
-	// universe is bounded by the number of distinct nodes ever heard of.
-	idx netsim.Interner
-	ids []netsim.NodeID // index -> NodeID
+	// small dense index and a slot, so the recompute kernels run over
+	// slots and epoch stamps instead of maps. Indices are never recycled;
+	// the universe is bounded by the number of distinct nodes ever heard
+	// of.
+	idx   netsim.Interner
+	slots sim.Pages[slot] // per interned index
 
-	links    []linkTuple // slot per interned id
-	linkList []int32     // indices of present link tuples
-	linkPos  []int32     // position of an index in linkList; -1 if absent
+	linkList []int32 // indices of present link tuples
 
-	twoHopOf [][]twoHopEdge // per 1-hop neighbor, sorted by 2-hop NodeID
-	twoHopN  int
-
-	topoOf     [][]topoEdge // per TC originator
-	topoInHeap []bool
-	topoN      int
+	// The 2-hop and topology sets, whose every deadline is now + a
+	// constant hold: each tuple is an item of its expiry list, so refresh
+	// order is deadline order and purge pops from the head (see purge for
+	// why that is exact). The selector list holds selectors' ids.
+	twoHopExp sim.HoldList[twoHopTuple]
+	twoHopN   int
+	topoExp   sim.HoldList[topoTuple]
+	topoN     int
+	selExp    sim.HoldList[netsim.NodeID]
 
 	selectors map[netsim.NodeID]selector // nodes that chose us as MPR
 	dups      sim.ExpiringSet[dupKey]
-
-	// Expiry lists for the tables whose every deadline is now +
-	// neighborHold and is never shortened: refresh order is deadline order,
-	// so purge pops from the head (see purge for why that is exact).
-	twoHopExp sim.HoldList[int32]
-	selExp    sim.HoldList[netsim.NodeID]
 
 	// Lazy expiry heaps where a lifetime can shrink: one item per live
 	// entry, surfaced at the deadline recorded when the entry was created
@@ -176,16 +205,12 @@ type Router struct {
 	// sim.ExpiryHeap).
 	linkExp sim.ExpiryHeap[int32] // LinkFailure zeroes deadlines, and a slot's reincarnation depends on when the heap surfaces it
 	symExp  sim.ExpiryHeap[int32] // LinkFailure zeroes symUntil; inSymHeap reincarnates with the heap item
-	topoExp sim.ExpiryHeap[int32] // an ANSN discard drops an originator's edges early
 
-	// Recompute output, epoch-stamped per interned index. A stamp equal to
-	// the current (non-zero) epoch marks the entry live; clearing the
-	// table is a counter increment, not a sweep.
+	// Recompute output, epoch-stamped in the slots. A stamp equal to the
+	// current (non-zero) epoch marks the entry live; clearing the table is
+	// a counter increment, not a sweep.
 	epochCounter uint64
-	routeOf      []routeEntry
-	routeStamp   []uint64
 	routeEpoch   uint64
-	mprStamp     []uint64
 	mprEpoch     uint64
 	mprList      []netsim.NodeID // sorted by NodeID
 
@@ -222,7 +247,8 @@ func New(node *netsim.Node, cfg Config) *Router {
 		node:          node,
 		selectors:     make(map[netsim.NodeID]selector),
 		dups:          sim.NewExpiringSet[dupKey](dupHold),
-		twoHopExp:     sim.NewHoldList[int32](),
+		twoHopExp:     sim.NewHoldList[twoHopTuple](),
+		topoExp:       sim.NewHoldList[topoTuple](),
 		selExp:        sim.NewHoldList[netsim.NodeID](),
 		lastRecompute: -1,
 	}
@@ -233,24 +259,17 @@ func New(node *netsim.Node, cfg Config) *Router {
 	return r
 }
 
-// intern maps id to its dense index, growing every per-index array when the
-// id is new.
+// intern maps id to its dense index, appending a slot when the id is new.
 func (r *Router) intern(id netsim.NodeID) int32 {
 	i, isNew := r.idx.Intern(id)
-	if !isNew {
-		return i
+	if isNew {
+		r.slots.Append(slot{id: id, linkPos: -1, twoHop: noTuple, topo: noTuple})
 	}
-	r.ids = append(r.ids, id)
-	r.links = append(r.links, linkTuple{})
-	r.linkPos = append(r.linkPos, -1)
-	r.twoHopOf = append(r.twoHopOf, nil)
-	r.topoOf = append(r.topoOf, nil)
-	r.topoInHeap = append(r.topoInHeap, false)
-	r.routeOf = append(r.routeOf, routeEntry{})
-	r.routeStamp = append(r.routeStamp, 0)
-	r.mprStamp = append(r.mprStamp, 0)
 	return i
 }
+
+// slot returns interned index i's slot; the pointer stays valid.
+func (r *Router) slot(i int32) *slot { return r.slots.At(i) }
 
 // Name implements netsim.Router.
 func (r *Router) Name() string { return "olsr" }
@@ -295,7 +314,7 @@ func (r *Router) TableStats() TableStats {
 		Selectors: len(r.selectors),
 		Dups:      r.dups.Len(),
 		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopN +
-			r.topoExp.Len() + len(r.selectors) + r.dups.Deadlines(),
+			r.topoN + len(r.selectors) + r.dups.Deadlines(),
 		Recomputes:   r.recomputes,
 		Materialized: r.materialized,
 	}
@@ -304,7 +323,7 @@ func (r *Router) TableStats() TableStats {
 // isMPR reports whether the interned neighbor was selected as MPR by the
 // last recompute.
 func (r *Router) isMPR(fi int32) bool {
-	return r.mprEpoch != 0 && r.mprStamp[fi] == r.mprEpoch
+	return r.mprEpoch != 0 && r.slot(fi).mprStamp == r.mprEpoch
 }
 
 // Route reports the computed next hop toward dst.
@@ -323,10 +342,13 @@ func (r *Router) routeFor(dst netsim.NodeID) (routeEntry, bool) {
 		return routeEntry{}, false
 	}
 	i := r.idx.Index(dst)
-	if i < 0 || r.routeStamp[i] != r.routeEpoch {
+	if i < 0 {
 		return routeEntry{}, false
 	}
-	return r.routeOf[i], true
+	if s := r.slot(i); s.routeStamp == r.routeEpoch {
+		return s.route, true
+	}
+	return routeEntry{}, false
 }
 
 func (r *Router) now() sim.Time { return r.node.Kernel().Now() }
@@ -432,7 +454,8 @@ func (r *Router) broadcast(ttl, size int, msg any) {
 func (r *Router) helloLinks(now sim.Time) []HelloLink {
 	links := make([]HelloLink, 0, len(r.linkList))
 	for _, fi := range r.linkList {
-		lt := &r.links[fi]
+		s := r.slot(fi)
+		lt := &s.link
 		if lt.until <= now {
 			continue
 		}
@@ -449,7 +472,7 @@ func (r *Router) helloLinks(now sim.Time) []HelloLink {
 		default:
 			code = LinkLost
 		}
-		hl := HelloLink{Neighbor: lt.neighbor, Code: code}
+		hl := HelloLink{Neighbor: s.id, Code: code}
 		if r.cfg.ETX && lt.lq != nil {
 			hl.LQ = lt.lq.ratio()
 		}
@@ -468,7 +491,7 @@ func (r *Router) sendHello() {
 	// Advance every neighbor's expected-hello window.
 	if r.cfg.ETX {
 		for _, fi := range r.linkList {
-			if lt := &r.links[fi]; lt.lq != nil {
+			if lt := &r.slot(fi).link; lt.lq != nil {
 				lt.lq.tick()
 			}
 		}
@@ -479,7 +502,7 @@ func (r *Router) sendHello() {
 // nil when there is nothing to advertise (RFC 3626 §9.3). The message
 // sequence number is assigned by sendTC.
 func (r *Router) makeTC(now sim.Time) *TC {
-	var adv []netsim.NodeID
+	adv := make([]netsim.NodeID, 0, len(r.selectors))
 	for id, s := range r.selectors { // order-free: the advertised set is sorted below
 		if s.until > now {
 			adv = append(adv, id)
@@ -494,7 +517,7 @@ func (r *Router) makeTC(now sim.Time) *TC {
 		msg.LQs = make([]float64, len(adv))
 		for i, id := range adv {
 			if fi := r.idx.Index(id); fi >= 0 {
-				if lt := &r.links[fi]; lt.present && lt.lq != nil {
+				if lt := &r.slot(fi).link; lt.present && lt.lq != nil {
 					msg.LQs[i] = lt.lq.ratio()
 				}
 			}
@@ -589,12 +612,13 @@ func (r *Router) forwardData(p *netsim.Packet) {
 func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	now := r.now()
 	fi := r.intern(from)
-	lt := &r.links[fi]
+	s := r.slot(fi)
+	lt := &s.link
 	material := false
 	if !lt.present {
 		// Reincarnate the slot with fresh link state; the symExp flag must
 		// survive (its heap entry, if any, is still registered).
-		*lt = linkTuple{present: true, neighbor: from, inSymHeap: lt.inSymHeap, lq: lt.lq}
+		*lt = linkTuple{present: true, inSymHeap: lt.inSymHeap, lq: lt.lq}
 		if r.cfg.ETX {
 			if lt.lq == nil {
 				lt.lq = newLQEstimator(lqWindow)
@@ -602,7 +626,7 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 				lt.lq.reset()
 			}
 		}
-		r.linkPos[fi] = int32(len(r.linkList))
+		s.linkPos = int32(len(r.linkList))
 		r.linkList = append(r.linkList, fi)
 		r.linkExp.Push(fi, now+neighborHold)
 		material = true
@@ -666,17 +690,19 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 // reports whether any tuple is new or was revived from soft expiry
 // (material for recompute). Links are interned in message order.
 //
-// The edge list is sorted by NodeID, and so are the links of a HELLO built
-// by helloLinks, so one cursor walks both: a link's edge is at or after
-// the previous link's. A link not above the previous one (a hand-built
-// HELLO, a repeated link) restarts the cursor, so any input merges
-// correctly. Each written deadline is now + neighborHold, the latest in
-// twoHopExp, so the tuple's item moves to the tail.
+// The neighbor's chain is sorted by NodeID, and so are the links of a
+// HELLO built by helloLinks, so one cursor walks both: a link's tuple is
+// at or after the previous link's. The cursor is the chain link the
+// current tuple hangs from, so a new tuple is inserted there. A link not
+// above the previous one (a hand-built HELLO, a repeated link) restarts
+// the cursor at the head, so any input merges correctly. Each written
+// deadline is now + neighborHold, the latest in twoHopExp, so the tuple
+// moves to the tail.
 func (r *Router) mergeTwoHop(fi int32, me netsim.NodeID, links []HelloLink, now sim.Time) bool {
 	until := now + neighborHold
-	edges := r.twoHopOf[fi]
+	head := &r.slot(fi).twoHop
 	material := false
-	j, prev := 0, netsim.NodeID(0)
+	at, prev := head, netsim.NodeID(0)
 	for _, hl := range links {
 		th := hl.Neighbor
 		if th == me || (hl.Code != LinkSym && hl.Code != LinkMPR) {
@@ -684,28 +710,26 @@ func (r *Router) mergeTwoHop(fi int32, me netsim.NodeID, links []HelloLink, now 
 		}
 		ti := r.intern(th)
 		if th <= prev {
-			j = 0
+			at = head
 		}
 		prev = th
-		for j < len(edges) && r.ids[edges[j].th] < th {
-			j++
+		for *at != noTuple && netsim.NodeID(r.twoHopExp.At(*at).thID) < th {
+			at = &r.twoHopExp.At(*at).next
 		}
-		if j < len(edges) && edges[j].th == ti {
-			e := &edges[j]
-			if e.until <= now {
+		if i := *at; i != noTuple && r.twoHopExp.At(i).th == ti {
+			t := r.twoHopExp.At(i)
+			if t.until <= now {
 				material = true
 			}
-			e.until = until
-			r.twoHopExp.Refresh(e.item)
+			t.until = until
+			r.twoHopExp.Refresh(i)
 		} else {
-			item := r.twoHopExp.Add(fi)
-			edges = slices.Insert(edges, j, twoHopEdge{th: ti, item: item, until: until})
+			*at = r.twoHopExp.Add(twoHopTuple{nb: fi, th: ti, thID: int32(th), next: i, until: until})
 			r.twoHopN++
 			material = true
 		}
-		j++
+		at = &r.twoHopExp.At(*at).next
 	}
-	r.twoHopOf[fi] = edges
 	return material
 }
 
@@ -716,8 +740,7 @@ func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
 	}
 	// Only process/forward messages received over a symmetric link
 	// (RFC 3626 §3.4 default forwarding algorithm).
-	fi := r.idx.Index(from)
-	if fi < 0 || !r.links[fi].present || r.links[fi].symUntil <= now {
+	if !r.symmetric(from, now) {
 		return
 	}
 	key := dupKey{origin: int32(msg.Origin), seq: msg.Seq}
@@ -737,76 +760,93 @@ func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
 }
 
 // processTC installs the advertised topology tuples (RFC 3626 §9.5) into
-// the per-origin adjacency, reporting whether anything material to route
-// computation changed (pure refreshes of live edges are not).
+// the originator's chain, reporting whether anything material to route
+// computation changed (pure refreshes of live tuples are not).
+//
+// The chain is sorted by dest NodeID, and so is a TC built by makeTC, so
+// one cursor merges both as mergeTwoHop does, restarting at the head on a
+// dest not above the previous one. The walk retires every tuple with an
+// older ANSN it passes, and it runs on to the chain's end after the last
+// dest, so each tuple is checked once at least; a tuple refreshed or added
+// here carries msg.ANSN and is never retired. Condition 1 cannot share
+// that walk: under wrapped ANSNs a chain can hold a live tuple newer than
+// msg and a tuple older than it (advertised at 0, then at 32768, neither
+// older than the other; msg at 16384), and the message must then change
+// nothing. So a read-only walk decides it first.
 func (r *Router) processTC(msg *TC, now sim.Time) bool {
 	oi := r.intern(msg.Origin)
-	edges := r.topoOf[oi]
+	head := &r.slot(oi).topo
 	// RFC 3626 §9.5 condition 1: a message older than the recorded state
 	// for this originator is discarded outright — a delayed out-of-order
 	// TC must not resurrect withdrawn topology edges.
-	for _, e := range edges {
-		if e.until > now && int16(e.ansn-msg.ANSN) > 0 {
+	for i := *head; i != noTuple; {
+		t := r.topoExp.At(i)
+		if t.until > now && int16(t.ansn-msg.ANSN) > 0 {
 			return false
 		}
+		i = t.next
 	}
+	until := now + topologyHold
 	material := false
-	// Discard tuples with a strictly older ANSN.
-	kept := edges[:0]
-	for _, e := range edges {
-		if int16(msg.ANSN-e.ansn) > 0 {
-			r.topoN--
-			material = true
-			continue
-		}
-		kept = append(kept, e)
-	}
-	edges = kept
-	for i, dest := range msg.Advertised {
+	at, prev := head, netsim.NodeID(0)
+	for k, dest := range msg.Advertised {
 		di := r.intern(dest)
 		var lq float64
 		if msg.LQs != nil {
-			lq = msg.LQs[i]
+			lq = msg.LQs[k]
 		}
-		found := false
-		for j := range edges {
-			if edges[j].dest != di {
-				continue
-			}
-			if edges[j].until <= now {
+		if dest <= prev {
+			at = head
+		}
+		prev = dest
+		var gone bool
+		if at, gone = r.seekTopo(at, dest, msg.ANSN); gone {
+			material = true
+		}
+		if i := *at; i != noTuple && r.topoExp.At(i).dest == di {
+			t := r.topoExp.At(i)
+			if t.until <= now {
 				material = true // revived from soft expiry
 			}
-			if r.cfg.ETX && edges[j].linkLQ != lq {
+			if r.cfg.ETX && t.linkLQ != lq {
 				material = true
 			}
-			edges[j].ansn = msg.ANSN
-			edges[j].until = now + topologyHold
-			edges[j].linkLQ = lq
-			found = true
-			break
-		}
-		if !found {
-			edges = append(edges, topoEdge{dest: di, ansn: msg.ANSN, until: now + topologyHold, linkLQ: lq})
+			t.ansn, t.until, t.linkLQ = msg.ANSN, until, lq
+			r.topoExp.Refresh(i)
+		} else {
+			*at = r.topoExp.Add(topoTuple{origin: oi, dest: di, next: i, ansn: msg.ANSN, until: until, linkLQ: lq})
 			r.topoN++
 			material = true
 		}
+		at = &r.topoExp.At(*at).next
 	}
-	r.topoOf[oi] = edges
-	if len(edges) > 0 && !r.topoInHeap[oi] {
-		r.topoInHeap[oi] = true
-		r.topoExp.Push(oi, minTopoUntil(edges))
+	if _, gone := r.seekTopo(at, math.MaxInt, msg.ANSN); gone {
+		material = true
 	}
 	return material
 }
 
-func minTopoUntil(edges []topoEdge) sim.Time {
-	min := edges[0].until
-	for _, e := range edges[1:] {
-		if e.until < min {
-			min = e.until
+// seekTopo moves a topology chain's cursor from the chain link at to the
+// link of the first tuple whose dest is not below dest, retiring on the way
+// every tuple whose ANSN is older than ansn (RFC 3626 §9.5: tuples of an
+// older advertised set are removed). It reports whether it retired any.
+func (r *Router) seekTopo(at *int32, dest netsim.NodeID, ansn uint16) (*int32, bool) {
+	gone := false
+	for i := *at; i != noTuple; i = *at {
+		t := r.topoExp.At(i)
+		if int16(ansn-t.ansn) > 0 {
+			*at = t.next
+			r.topoExp.Remove(i)
+			r.topoN--
+			gone = true
+			continue
 		}
+		if r.slot(t.dest).id >= dest {
+			break
+		}
+		at = &t.next
 	}
-	return min
+	return at, gone
 }
 
 // LinkFailure implements netsim.Router: link-layer feedback expires the
@@ -817,7 +857,7 @@ func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 	}
 	material := false
 	if fi := r.idx.Index(next); fi >= 0 {
-		lt := &r.links[fi]
+		lt := &r.slot(fi).link
 		if lt.present {
 			lt.symUntil, lt.asymUntil, lt.until = 0, 0, 0
 			material = true
@@ -828,37 +868,58 @@ func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 
 // removeLink deletes the link tuple at index fi from the live set.
 func (r *Router) removeLink(fi int32) {
-	lt := &r.links[fi]
+	s := r.slot(fi)
+	lt := &s.link
 	if !lt.present {
 		return
 	}
 	lt.present = false
 	lt.symUntil, lt.asymUntil, lt.until = 0, 0, 0
-	pos := r.linkPos[fi]
+	pos := s.linkPos
 	last := int32(len(r.linkList) - 1)
 	moved := r.linkList[last]
 	r.linkList[pos] = moved
-	r.linkPos[moved] = pos
+	r.slot(moved).linkPos = pos
 	r.linkList = r.linkList[:last]
-	r.linkPos[fi] = -1
+	s.linkPos = -1
+}
+
+// symmetric reports whether the link to id is present and symmetric at
+// now: the condition for processing and forwarding a flooded message
+// (RFC 3626 §3.4).
+func (r *Router) symmetric(id netsim.NodeID, now sim.Time) bool {
+	fi := r.idx.Index(id)
+	if fi < 0 {
+		return false
+	}
+	lt := &r.slot(fi).link
+	return lt.present && lt.symUntil > now
 }
 
 // purge retires expired tuples. The expiry lists and heaps surface exactly
 // the entries whose deadlines passed, so the cost is O(expired) — and when
 // nothing material expired, no recompute is triggered at all.
 //
-// Why popping the 2-hop and selector lists from the head while the head is
-// due retires what the lazy heaps they replace did:
+// Why popping the 2-hop, topology and selector lists from the head while
+// the head is due retires what the lazy heaps they replace did:
 //  1. A 2-hop tuple's until is written only in mergeTwoHop, always as
 //     now + neighborHold, which moves its item to the tail; the tuple
 //     leaves only here. So the list is in deadline order, and at every
 //     purge it removes exactly the tuples whose current until ≤ now.
-//  2. The heap removed the same set: a tuple's registered deadline is
-//     never later than its current one, and a refreshed tuple was
+//  2. The 2-hop heap removed the same set: a tuple's registered deadline
+//     is never later than its current one, and a refreshed tuple was
 //     re-registered at its current one.
-//  3. The removals commute: deleting an edge keeps the edge list's order,
-//     and twoHopN-- and material = true do not depend on order.
-//  4. A selector's until is likewise written only in handleHello, as
+//  3. A topology tuple's until is written only in processTC, always as
+//     now + topologyHold, with the same move to the tail; it leaves early
+//     only by an ANSN discard, which removes its item. So this list too
+//     removes exactly the tuples whose until ≤ now. The per-originator
+//     heap it replaces did the same: an originator's registered deadline
+//     was never later than its earliest tuple's, so every originator with
+//     a due tuple surfaced, and then exactly its tuples with until ≤ now
+//     were dropped.
+//  4. The removals commute: unlinking a tuple keeps its chain's order, and
+//     the count decrements and material = true do not depend on order.
+//  5. A selector's until is likewise written only in handleHello, as
 //     now + neighborHold; its removals count ansn++ alone. The duplicate
 //     set (sim.ExpiringSet) is the same case with no refresh at all.
 func (r *Router) purge() {
@@ -866,22 +927,22 @@ func (r *Router) purge() {
 	material := false
 
 	r.linkExp.Expire(now, func(fi int32) (sim.Time, bool) {
-		lt := &r.links[fi]
+		lt := &r.slot(fi).link
 		return lt.until, lt.present && lt.until > now
 	}, func(fi int32) {
-		if r.links[fi].present {
+		if r.slot(fi).link.present {
 			r.removeLink(fi)
 			material = true
 		}
 	})
 
 	r.symExp.Expire(now, func(fi int32) (sim.Time, bool) {
-		lt := &r.links[fi]
+		lt := &r.slot(fi).link
 		return lt.symUntil, lt.present && lt.symUntil > now
 	}, func(fi int32) {
 		// The symmetric window lapsed (or the link is gone): routes that
 		// used this neighbor must be recomputed.
-		r.links[fi].inSymHeap = false
+		r.slot(fi).link.inSymHeap = false
 		material = true
 	})
 
@@ -899,25 +960,9 @@ func (r *Router) purge() {
 		r.ansn++
 	}
 
-	r.topoExp.Expire(now, func(oi int32) (sim.Time, bool) {
-		edges := r.topoOf[oi]
-		kept := edges[:0]
-		for _, e := range edges {
-			if e.until > now {
-				kept = append(kept, e)
-			} else {
-				r.topoN--
-				material = true
-			}
-		}
-		r.topoOf[oi] = kept
-		if len(kept) == 0 {
-			return 0, false
-		}
-		return minTopoUntil(kept), true
-	}, func(oi int32) {
-		r.topoInHeap[oi] = false
-	})
+	if r.expireTopology(now) {
+		material = true
+	}
 
 	r.dups.Expire(now)
 
@@ -926,22 +971,42 @@ func (r *Router) purge() {
 }
 
 // expireTwoHop retires the 2-hop tuples whose deadline passed, from the
-// head of twoHopExp (see purge), and reports whether there were any.
+// head of twoHopExp (see purge), and reports whether there were any. Each
+// is unlinked from its neighbor's chain by a walk to its predecessor.
 func (r *Router) expireTwoHop(now sim.Time) bool {
 	material := false
-	for h, ok := r.twoHopExp.Front(); ok; h, ok = r.twoHopExp.Front() {
-		fi := *r.twoHopExp.At(h)
-		edges := r.twoHopOf[fi]
-		j := 0
-		for edges[j].item != h {
-			j++
-		}
-		if edges[j].until > now {
+	for i, ok := r.twoHopExp.Front(); ok; i, ok = r.twoHopExp.Front() {
+		t := r.twoHopExp.At(i)
+		if t.until > now {
 			break
 		}
-		r.twoHopOf[fi] = slices.Delete(edges, j, j+1)
-		r.twoHopExp.Remove(h)
+		at := &r.slot(t.nb).twoHop
+		for *at != i {
+			at = &r.twoHopExp.At(*at).next
+		}
+		*at = t.next
+		r.twoHopExp.Remove(i)
 		r.twoHopN--
+		material = true
+	}
+	return material
+}
+
+// expireTopology is expireTwoHop for the topology set.
+func (r *Router) expireTopology(now sim.Time) bool {
+	material := false
+	for i, ok := r.topoExp.Front(); ok; i, ok = r.topoExp.Front() {
+		t := r.topoExp.At(i)
+		if t.until > now {
+			break
+		}
+		at := &r.slot(t.origin).topo
+		for *at != i {
+			at = &r.topoExp.At(*at).next
+		}
+		*at = t.next
+		r.topoExp.Remove(i)
+		r.topoN--
 		material = true
 	}
 	return material

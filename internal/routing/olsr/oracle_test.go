@@ -67,8 +67,8 @@ func (r *Router) symNeighbors() []netsim.NodeID {
 	now := r.now()
 	var out []netsim.NodeID
 	for _, fi := range r.linkList {
-		if r.links[fi].symUntil > now {
-			out = append(out, r.links[fi].neighbor)
+		if s := r.slot(fi); s.link.symUntil > now {
+			out = append(out, s.id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -77,9 +77,22 @@ func (r *Router) symNeighbors() []netsim.NodeID {
 
 // eachTwoHop visits every stored 2-hop tuple.
 func (r *Router) eachTwoHop(f func(nbr, th netsim.NodeID, until sim.Time)) {
-	for fi, edges := range r.twoHopOf {
-		for _, e := range edges {
-			f(r.ids[fi], r.ids[e.th], e.until)
+	for fi := int32(0); fi < r.slots.Len(); fi++ {
+		for i := r.slot(fi).twoHop; i != noTuple; {
+			t := r.twoHopExp.At(i)
+			f(r.slot(fi).id, r.slot(t.th).id, t.until)
+			i = t.next
+		}
+	}
+}
+
+// eachTopo visits every stored topology tuple.
+func (r *Router) eachTopo(f func(origin, dest netsim.NodeID, t *topoTuple)) {
+	for oi := int32(0); oi < r.slots.Len(); oi++ {
+		for i := r.slot(oi).topo; i != noTuple; {
+			t := r.topoExp.At(i)
+			f(r.slot(oi).id, r.slot(t.dest).id, t)
+			i = t.next
 		}
 	}
 }
@@ -172,7 +185,7 @@ func (r *Router) oracleSelectMPRs(now sim.Time, epoch uint64) {
 	r.mprEpoch = epoch
 	r.mprList = r.mprList[:0]
 	for id := range mprs { // order-free: stamps a set; the list is sorted below
-		r.mprStamp[r.idx.Index(id)] = epoch
+		r.slot(r.idx.Index(id)).mprStamp = epoch
 		r.mprList = append(r.mprList, id)
 	}
 	sort.Slice(r.mprList, func(i, j int) bool { return r.mprList[i] < r.mprList[j] })
@@ -188,9 +201,9 @@ func (r *Router) oracleComputeRoutes(now sim.Time, epoch uint64) {
 	routes := make(map[netsim.NodeID]routeEntry)
 
 	for _, fi := range r.linkList {
-		lt := &r.links[fi]
-		if lt.symUntil > now {
-			routes[lt.neighbor] = routeEntry{next: lt.neighbor, hops: 1, cost: r.linkCost(lt)}
+		s := r.slot(fi)
+		if s.link.symUntil > now {
+			routes[s.id] = routeEntry{next: s.id, hops: 1, cost: r.linkCost(&s.link)}
 		}
 	}
 
@@ -230,28 +243,24 @@ func (r *Router) oracleComputeRoutes(now sim.Time, epoch uint64) {
 	// irrelevant here.
 	for changed := true; changed; {
 		changed = false
-		for oi, edges := range r.topoOf { // order-free: the lessRoute fixpoint is unique
-			origin := r.ids[oi]
-			for _, e := range edges {
-				if e.until <= now || r.ids[e.dest] == me {
-					continue
-				}
-				via, ok := routes[origin]
-				if !ok {
-					continue
-				}
-				w := 1.0
-				if r.cfg.ETX && e.linkLQ > 0 {
-					w = etxCost(e.linkLQ, e.linkLQ)
-				}
-				cand := routeEntry{next: via.next, hops: via.hops + 1, cost: via.cost + w}
-				dest := r.ids[e.dest]
-				if cur, exists := routes[dest]; !exists || lessRoute(cand, cur) {
-					routes[dest] = cand
-					changed = true
-				}
+		r.eachTopo(func(origin, dest netsim.NodeID, e *topoTuple) {
+			if e.until <= now || dest == me {
+				return
 			}
-		}
+			via, ok := routes[origin]
+			if !ok {
+				return
+			}
+			w := 1.0
+			if r.cfg.ETX && e.linkLQ > 0 {
+				w = etxCost(e.linkLQ, e.linkLQ)
+			}
+			cand := routeEntry{next: via.next, hops: via.hops + 1, cost: via.cost + w}
+			if cur, exists := routes[dest]; !exists || lessRoute(cand, cur) {
+				routes[dest] = cand
+				changed = true
+			}
+		})
 	}
 
 	// Publish through the shared epoch-stamped representation. Every route
@@ -259,8 +268,8 @@ func (r *Router) oracleComputeRoutes(now sim.Time, epoch uint64) {
 	// tuple), so the index lookup cannot miss.
 	r.routeEpoch = epoch
 	for id, e := range routes { // order-free: each route lands in its own slot
-		i := r.idx.Index(id)
-		r.routeOf[i] = e
-		r.routeStamp[i] = epoch
+		s := r.slot(r.idx.Index(id))
+		s.route = e
+		s.routeStamp = epoch
 	}
 }

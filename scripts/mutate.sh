@@ -387,7 +387,7 @@ mutant "olsr handleHello: every selecting HELLO bumps the ANSN again" internal/r
 # the same stamp), hence its own test. ----
 olsr=./internal/routing/olsr
 mutant "olsr sendHello: the hello windows close before the flush" internal/routing/olsr/olsr.go \
-	'/^func (r \*Router) sendHello() {$/,/^}$/{s|^\tr.flush()$|\tfor _, fi := range r.linkList {\n\t\tif lt := \&r.links[fi]; r.cfg.ETX \&\& lt.lq != nil {\n\t\t\tlt.lq.tick()\n\t\t}\n\t}\n\tr.flush()|;s|^\t\t\t\tlt.lq.tick()$|\t\t\t\t_ = lt|}' \
+	'/^func (r \*Router) sendHello() {$/,/^}$/{s|^\tr.flush()$|\tfor _, fi := range r.linkList {\n\t\tif lt := \&r.slot(fi).link; r.cfg.ETX \&\& lt.lq != nil {\n\t\t\tlt.lq.tick()\n\t\t}\n\t}\n\tr.flush()|;s|^\t\t\t\tlt.lq.tick()$|\t\t\t\t_ = lt|}' \
 	$olsr 'TestDeferredMatchesEagerTrajectory|FuzzDeferredMatchesEager'
 mutant "olsr handleHello: an ETX quality move left unreported" internal/routing/olsr/olsr.go \
 	's/r.noteChange(material || r.cfg.ETX)/r.noteChange(material)/' \
@@ -498,13 +498,13 @@ mutant "netsim Reactive.Forward: data in the reboot wait does not restart it" in
 # mergeTwoHop, the selector list or the FIFO set reads BROKEN. ----
 twoHopTests='TestTwoHopMatchesReference|FuzzTwoHopMatchesReference'
 mutant "olsr mergeTwoHop: a refresh does not move its tuple to the tail" internal/routing/olsr/olsr.go \
-	'/^\t\t\tr.twoHopExp.Refresh(e.item)$/d' \
+	'/^\t\t\tr.twoHopExp.Refresh(i)$/d' \
 	$olsr "$twoHopTests"
 mutant "olsr mergeTwoHop: the merge restarts only on th < prev" internal/routing/olsr/olsr.go \
 	's|^\t\tif th <= prev {$|\t\tif th < prev {|' \
 	$olsr "$twoHopTests"
 mutant "olsr expireTwoHop: purge stops at until < now" internal/routing/olsr/olsr.go \
-	's|^\t\tif edges\[j\].until > now {$|\t\tif edges[j].until >= now {|' \
+	'/^func (r \*Router) expireTwoHop(/,/^}/s|^\t\tif t.until > now {$|\t\tif t.until >= now {|' \
 	$olsr "$twoHopTests"
 mutant "olsr handleHello: a selector's refresh does not move it to the tail" internal/routing/olsr/olsr.go \
 	'/^\t\t\tr.selExp.Refresh(s.item)$/d' \
@@ -512,6 +512,24 @@ mutant "olsr handleHello: a selector's refresh does not move it to the tail" int
 mutant "sim ExpiringSet.Expire: a re-added key is deleted at its older deadline" internal/sim/expiry.go \
 	's|^\t\tif s.m\[it.key\] <= now {$|\t\tif true {|' \
 	$sim 'TestExpiringSetMatchesHeap|TestExpiringSetReAddedKeySurvives'
+
+# ---- OLSR's 2-hop and topology tuples are hold-list items chained per key
+# (ROADMAP "OLSR's tuples are hold-list items"): where a chain insert lands,
+# the unlink at expiry, an ANSN discard's removal and the TC merge's
+# restart. A revision without the chains reads BROKEN. ----
+topoTests='TestTopologyMatchesReference|FuzzTopologyMatchesReference'
+mutant "olsr mergeTwoHop: a new tuple lands one position late in its chain" internal/routing/olsr/olsr.go \
+	's|^\t\t\t\*at = r.twoHopExp.Add(|\t\t\tif i != noTuple {\n\t\t\t\tat, i = \&r.twoHopExp.At(i).next, r.twoHopExp.At(i).next\n\t\t\t}\n&|' \
+	$olsr "$twoHopTests"
+mutant "olsr expireTwoHop: the unlink walk stops one tuple early" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) expireTwoHop(/,/^}/s|^\t\tfor \*at != i {$|\t\tfor *at != i \&\& r.twoHopExp.At(*at).next != i {|' \
+	$olsr "$twoHopTests"
+mutant "olsr seekTopo: an ANSN discard unlinks its tuple but skips Remove" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) seekTopo(/,/^}/{/^\t\t\tr.topoExp.Remove(i)$/d}' \
+	$olsr "$topoTests"
+mutant "olsr processTC: the merge restarts only on dest < prev" internal/routing/olsr/olsr.go \
+	's|^\t\tif dest <= prev {$|\t\tif dest < prev {|' \
+	$olsr "$topoTests"
 
 # ---- serve cache keys (ROADMAP "A grid hashes each scenario once"): a
 # run's key is its scenario's digest, which leaves out the seed and the
