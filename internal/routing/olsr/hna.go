@@ -15,7 +15,8 @@ import (
 // other nodes route packets for those destinations toward the gateway —
 // the car-to-hotspot scenario of the paper's §II.
 
-// HNA is the network-association message (RFC 3626 §12).
+// HNA is the network-association message (RFC 3626 §12). Like a TC, it
+// is immutable once broadcast: forwarders share it.
 type HNA struct {
 	Origin   netsim.NodeID
 	Networks []NetworkAssoc
@@ -96,7 +97,6 @@ func (r *Router) sendHNA() {
 	sort.Slice(nets, func(i, j int) bool { return nets[i].From < nets[j].From })
 	r.msgSeq++
 	msg := &HNA{Origin: r.node.ID(), Networks: nets, Seq: r.msgSeq}
-	r.recordDup(dupKey{origin: int32(msg.Origin), seq: msg.Seq}, r.now())
 	r.broadcast(netsim.DefaultTTL, hnaBytes(len(nets)), msg)
 }
 
@@ -108,21 +108,15 @@ func (r *Router) handleHNA(p *netsim.Packet, msg *HNA, from netsim.NodeID) {
 	if !r.symmetric(from, now) {
 		return
 	}
-	key := dupKey{origin: int32(msg.Origin), seq: msg.Seq}
-	if !r.dups.Contains(key) {
-		r.recordDup(key, now)
-		for _, assoc := range msg.Networks {
-			r.installHNA(msg.Origin, assoc, now)
-		}
-		// HNA floods with the same MPR forwarding rule as TC.
-		if s, sel := r.selectors[from]; sel && s.until > now && p.TTL > 1 {
-			fwd := *msg
-			fp := r.node.Packet(*p)
-			fp.TTL--
-			fp.Payload = &fwd
-			r.node.SendFrame(netsim.BroadcastID, fp)
-		}
+	if r.isDup(msg.Origin, msg.Seq) {
+		return
 	}
+	r.recordDup(msg.Origin, msg.Seq, now)
+	for _, assoc := range msg.Networks {
+		r.installHNA(msg.Origin, assoc, now)
+	}
+	// HNA floods with the same MPR forwarding rule as TC.
+	r.forward(p, from, now)
 }
 
 func (r *Router) installHNA(gw netsim.NodeID, assoc NetworkAssoc, now sim.Time) {

@@ -13,8 +13,9 @@
 // (see recomputeNow), and tuple expiry is tracked by lists in refresh order
 // and lazy min-heaps so the periodic purge costs O(expired) instead of
 // sweeping every live entry. Per-node state lives in one paged slot per
-// interned index, and every 2-hop and topology tuple is an item of its
-// expiry list, chained from its key's slot: no table keeps a slice per key.
+// interned index, and every 2-hop, topology and duplicate tuple is an item
+// of its expiry list, chained from its key's slot: no table keeps a slice
+// or a map per key. A forwarded TC or HNA shares the received message.
 // The original map-based recompute lives in oracle_test.go, the reference
 // the dense kernels and their deferral are tested against.
 package olsr
@@ -55,7 +56,8 @@ type Hello struct {
 	Links []HelloLink
 }
 
-// TC is the topology-control message (RFC 3626 §9).
+// TC is the topology-control message (RFC 3626 §9). A TC is immutable
+// once broadcast: every router that forwards it sends the same message.
 type TC struct {
 	Origin     netsim.NodeID
 	ANSN       uint16
@@ -104,8 +106,9 @@ type linkTuple struct {
 
 // slot is a router's state about one interned node: its id, the link
 // tuple, its place in linkList, the first items of the 2-hop chain through
-// it and of the topology chain it originated, its route and MPR stamps,
-// and the dense kernels' per-index scratch. Slots live in sim.Pages and
+// it and of the topology chain it originated, the ends of the chain of
+// duplicate tuples it originated, its route and MPR stamps, and the dense
+// kernels' per-index scratch. Slots live in sim.Pages and
 // never move. On 64-bit a slot is two cache lines (128 B, a page of 16
 // fills a size class), and the first holds all that the kernels read of
 // a node they reach through a tuple.
@@ -122,7 +125,9 @@ type slot struct {
 	id       netsim.NodeID
 	mprStamp uint64
 	link     linkTuple
-	_        [8]byte // to the second line's end
+	// The oldest and newest duplicate tuple this node originated, in dups;
+	// noTuple if none.
+	dup, dupTail int32
 }
 
 // noTuple ends a chain.
@@ -157,12 +162,16 @@ type topoTuple struct {
 	linkLQ       float64 // originator's LQ toward dest (ETX mode)
 }
 
-// dupKey names a message for duplicate suppression (RFC 3626 §3.4). The
-// originator is a node's id, a world index, so it fits 32 bits, and an
-// 8-B key keeps a queued deadline at 16 B.
-type dupKey struct {
-	origin int32
+// dupTuple is one duplicate tuple of RFC 3626 §3.4, and it is its own
+// item in dups. An originator's tuples form a chain from its slot in the
+// order they were recorded, which is deadline order: every deadline is
+// now + dupHold and nothing refreshes one, so the head of dups is always
+// the head of its originator's chain.
+type dupTuple struct {
+	origin int32 // interned originator
 	seq    uint16
+	next   int32 // next newer tuple in origin's chain; noTuple at its end
+	until  sim.Time
 }
 
 type routeEntry struct {
@@ -197,7 +206,11 @@ type Router struct {
 	selExp    sim.HoldList[netsim.NodeID]
 
 	selectors map[netsim.NodeID]selector // nodes that chose us as MPR
-	dups      sim.ExpiringSet[dupKey]
+
+	// The duplicate set: other originators' messages this router processed
+	// in the last dupHold, in the order they were recorded (see dupTuple).
+	dups sim.HoldList[dupTuple]
+	dupN int
 
 	// Lazy expiry heaps where a lifetime can shrink: one item per live
 	// entry, surfaced at the deadline recorded when the entry was created
@@ -246,7 +259,7 @@ func New(node *netsim.Node, cfg Config) *Router {
 		cfg:           cfg,
 		node:          node,
 		selectors:     make(map[netsim.NodeID]selector),
-		dups:          sim.NewExpiringSet[dupKey](dupHold),
+		dups:          sim.NewHoldList[dupTuple](),
 		twoHopExp:     sim.NewHoldList[twoHopTuple](),
 		topoExp:       sim.NewHoldList[topoTuple](),
 		selExp:        sim.NewHoldList[netsim.NodeID](),
@@ -263,7 +276,7 @@ func New(node *netsim.Node, cfg Config) *Router {
 func (r *Router) intern(id netsim.NodeID) int32 {
 	i, isNew := r.idx.Intern(id)
 	if isNew {
-		r.slots.Append(slot{id: id, linkPos: -1, twoHop: noTuple, topo: noTuple})
+		r.slots.Append(slot{id: id, linkPos: -1, twoHop: noTuple, topo: noTuple, dup: noTuple, dupTail: noTuple})
 	}
 	return i
 }
@@ -299,8 +312,8 @@ type TableStats struct {
 	TwoHop       int
 	Topology     int
 	Selectors    int
-	Dups         int
-	HeapItems    int    // expiry-heap items, list items and queued dup deadlines
+	Dups         int    // duplicate tuples: other originators' messages (own ones are never looked up)
+	HeapItems    int    // expiry-heap items and list items, duplicate tuples included
 	Recomputes   uint64 // coalesced stamps (see recomputeNow)
 	Materialized uint64 // MPR/route kernel runs readers demanded
 }
@@ -312,9 +325,9 @@ func (r *Router) TableStats() TableStats {
 		TwoHop:    r.twoHopN,
 		Topology:  r.topoN,
 		Selectors: len(r.selectors),
-		Dups:      r.dups.Len(),
+		Dups:      r.dupN,
 		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopN +
-			r.topoN + len(r.selectors) + r.dups.Deadlines(),
+			r.topoN + len(r.selectors) + r.dupN,
 		Recomputes:   r.recomputes,
 		Materialized: r.materialized,
 	}
@@ -534,14 +547,49 @@ func (r *Router) sendTC() {
 	}
 	r.msgSeq++
 	msg.Seq = r.msgSeq
-	r.recordDup(dupKey{origin: int32(msg.Origin), seq: msg.Seq}, now)
 	r.broadcast(netsim.DefaultTTL, tcBytes(len(msg.Advertised)), msg)
 }
 
-// recordDup installs a duplicate-suppression entry; keys are unique per
-// message, so one insert per key suffices.
-func (r *Router) recordDup(key dupKey, now sim.Time) {
-	r.dups.Add(key, now)
+// isDup reports whether the duplicate set holds a tuple for (origin, seq).
+// An originator never interned has no tuples. A duplicate is nearly always
+// the originator's newest message heard again from another neighbour, so
+// the chain's tail is tried first and the walk from its head stops there.
+func (r *Router) isDup(origin netsim.NodeID, seq uint16) bool {
+	oi := r.idx.Index(origin)
+	if oi < 0 {
+		return false
+	}
+	s := r.slot(oi)
+	if s.dupTail == noTuple {
+		return false
+	}
+	if r.dups.At(s.dupTail).seq == seq {
+		return true
+	}
+	for i := s.dup; i != s.dupTail; i = r.dups.At(i).next {
+		if r.dups.At(i).seq == seq {
+			return true
+		}
+	}
+	return false
+}
+
+// recordDup adds the duplicate tuple (origin, seq), which isDup just
+// reported absent, at the tail of dups and of the originator's chain.
+// Only received messages are recorded: a router's own messages come back
+// to it, but both handlers drop them before the lookup (RFC 3626 §3.4
+// step 2), so their tuples would never be read.
+func (r *Router) recordDup(origin netsim.NodeID, seq uint16, now sim.Time) {
+	oi := r.intern(origin)
+	i := r.dups.Add(dupTuple{origin: oi, seq: seq, next: noTuple, until: now + dupHold})
+	s := r.slot(oi)
+	if s.dupTail == noTuple {
+		s.dup = i
+	} else {
+		r.dups.At(s.dupTail).next = i
+	}
+	s.dupTail = i
+	r.dupN++
 }
 
 // Receive implements netsim.Router.
@@ -743,18 +791,21 @@ func (r *Router) handleTC(p *netsim.Packet, msg *TC, from netsim.NodeID) {
 	if !r.symmetric(from, now) {
 		return
 	}
-	key := dupKey{origin: int32(msg.Origin), seq: msg.Seq}
-	if r.dups.Contains(key) {
+	if r.isDup(msg.Origin, msg.Seq) {
 		return
 	}
-	r.recordDup(key, now)
+	r.recordDup(msg.Origin, msg.Seq, now)
 	r.noteChange(r.processTC(msg, now))
-	// Forward iff the sender selected us as MPR.
+	r.forward(p, from, now)
+}
+
+// forward re-floods a TC or HNA iff its sender selected this router as MPR
+// (RFC 3626 §3.4 default forwarding algorithm). The copy of the packet
+// carries the received message itself, which nobody modifies.
+func (r *Router) forward(p *netsim.Packet, from netsim.NodeID, now sim.Time) {
 	if s, sel := r.selectors[from]; sel && s.until > now && p.TTL > 1 {
-		fwd := *msg
 		fp := r.node.Packet(*p)
 		fp.TTL--
-		fp.Payload = &fwd
 		r.node.SendFrame(netsim.BroadcastID, fp)
 	}
 }
@@ -920,8 +971,13 @@ func (r *Router) symmetric(id netsim.NodeID, now sim.Time) bool {
 //  4. The removals commute: unlinking a tuple keeps its chain's order, and
 //     the count decrements and material = true do not depend on order.
 //  5. A selector's until is likewise written only in handleHello, as
-//     now + neighborHold; its removals count ansn++ alone. The duplicate
-//     set (sim.ExpiringSet) is the same case with no refresh at all.
+//     now + neighborHold; its removals count ansn++ alone. A duplicate
+//     tuple's until is written once, in recordDup, as now + dupHold, and
+//     never refreshed: the list is in recording order, which is deadline
+//     order, and its head is the oldest tuple of its originator too, so
+//     expireDups unlinks it from the chain's head with no walk. It removes
+//     the keys whose deadline ≤ now, as the FIFO set it replaces did; that
+//     set also held this router's own keys, which no lookup ever read.
 func (r *Router) purge() {
 	now := r.now()
 	material := false
@@ -964,7 +1020,7 @@ func (r *Router) purge() {
 		material = true
 	}
 
-	r.dups.Expire(now)
+	r.expireDups(now)
 
 	r.purgeHNA(now)
 	r.noteChange(material)
@@ -1010,4 +1066,22 @@ func (r *Router) expireTopology(now sim.Time) bool {
 		material = true
 	}
 	return material
+}
+
+// expireDups retires the duplicate tuples whose deadline passed, from the
+// head of dups, which is the head of its originator's chain (see purge).
+func (r *Router) expireDups(now sim.Time) {
+	for i, ok := r.dups.Front(); ok; i, ok = r.dups.Front() {
+		t := r.dups.At(i)
+		if t.until > now {
+			break
+		}
+		s := r.slot(t.origin)
+		s.dup = t.next
+		if t.next == noTuple {
+			s.dupTail = noTuple
+		}
+		r.dups.Remove(i)
+		r.dupN--
+	}
 }

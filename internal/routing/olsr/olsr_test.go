@@ -192,6 +192,66 @@ func TestTCOnlyWithSelectors(t *testing.T) {
 	}
 }
 
+// tapRouter hands every control message its router receives to heard
+// before the router sees it.
+type tapRouter struct {
+	*Router
+	heard func(msg any, from netsim.NodeID)
+}
+
+func (t tapRouter) Receive(p *netsim.Packet, from netsim.NodeID) {
+	if p.Kind == netsim.KindControl {
+		t.heard(p.Payload, from)
+	}
+	t.Router.Receive(p, from)
+}
+
+// TestForwardSharesMessage: a forwarded TC or HNA carries the message it
+// was received with, not a copy. On a 4-node chain whose far end is a
+// gateway, TCs and HNAs are forwarded by MPRs, and every reception of one
+// message, first hand or forwarded, must see the same pointer.
+func TestForwardSharesMessage(t *testing.T) {
+	type key struct {
+		hna    bool
+		origin netsim.NodeID
+		seq    uint16
+	}
+	seen := make(map[key]any)
+	forwarded := map[bool]int{}
+	heard := func(msg any, from netsim.NodeID) {
+		var k key
+		switch m := msg.(type) {
+		case *TC:
+			k = key{false, m.Origin, m.Seq}
+		case *HNA:
+			k = key{true, m.Origin, m.Seq}
+		default:
+			return
+		}
+		if first, ok := seen[k]; ok && first != msg {
+			t.Fatalf("%+v arrives from %d as %p, first as %p", k, from, msg, first)
+		}
+		seen[k] = msg
+		if from != k.origin {
+			forwarded[k.hna]++
+		}
+	}
+	positions := make([]geometry.Vec2, 4)
+	for i := range positions {
+		positions[i] = geometry.Vec2{X: float64(i) * 200}
+	}
+	w, err := netsim.NewWorld(netsim.WorldConfig{Nodes: 4, Seed: 1, Static: positions},
+		func(node *netsim.Node) netsim.Router { return tapRouter{New(node, Config{}), heard} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Node(3).Router().(tapRouter).AdvertiseNetwork(NetworkAssoc{From: 1000, To: 1999})
+	w.Run(15 * sim.Second)
+	if forwarded[false] == 0 || forwarded[true] == 0 {
+		t.Fatalf("%d forwarded TCs and %d forwarded HNAs received, want some of each", forwarded[false], forwarded[true])
+	}
+}
+
 func TestLinkFailureFeedbackExpiresLink(t *testing.T) {
 	w := chainWorld(t, 2, 100, Config{})
 	w.Run(5 * sim.Second)

@@ -105,10 +105,10 @@ func (ref *refTwoHop) expire(now sim.Time) bool {
 	return material
 }
 
-// newTableRouter is a router with only what the 2-hop and topology sets
-// need: its interner and tables, no node.
+// newTableRouter is a router with only what the 2-hop, topology and
+// duplicate sets need: its interner and tables, no node.
 func newTableRouter() *Router {
-	return &Router{twoHopExp: sim.NewHoldList[twoHopTuple](), topoExp: sim.NewHoldList[topoTuple]()}
+	return &Router{twoHopExp: sim.NewHoldList[twoHopTuple](), topoExp: sim.NewHoldList[topoTuple](), dups: sim.NewHoldList[dupTuple]()}
 }
 
 // byteStream hands out a fuzz input's bytes, then zeros.
@@ -517,10 +517,11 @@ func FuzzTopologyMatchesReference(f *testing.F) {
 	f.Fuzz(runTopologyDifferential)
 }
 
-// TestTablePageSizes pins the three paged tables a router grows on 64-bit:
-// a page of 16 slots, 16 2-hop items or 16 topology items each fills a Go
-// size class (2 048, 512 and 640 B), so a new page wastes nothing, and a
-// slot is two cache lines, of which the kernels read the first.
+// TestTablePageSizes pins the four paged tables a router grows on 64-bit:
+// a page of 16 slots, 16 2-hop items, 16 topology items or 16 duplicate
+// items each fills a Go size class (2 048, 512, 640 and 512 B), so a new
+// page wastes nothing, and a slot is two cache lines, of which the kernels
+// read the first.
 func TestTablePageSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the sizes are pinned on 64-bit")
@@ -549,6 +550,7 @@ func TestTablePageSizes(t *testing.T) {
 		{"slot", page(reflect.TypeOf(sim.Pages[slot]{})), 2048},
 		{"2-hop item", items(reflect.TypeOf(sim.HoldList[twoHopTuple]{})), 512},
 		{"topology item", items(reflect.TypeOf(sim.HoldList[topoTuple]{})), 640},
+		{"duplicate item", items(reflect.TypeOf(sim.HoldList[dupTuple]{})), 512},
 	} {
 		if c.page.Len() != 16 || c.page.Size() != c.size {
 			t.Errorf("a %s page holds %d in %d B, want 16 in %d", c.what, c.page.Len(), c.page.Size(), c.size)
@@ -585,5 +587,161 @@ func TestTupleRefreshAllocFree(t *testing.T) {
 	}
 	if r.twoHopN != len(links) || r.topoN != len(tc.Advertised) {
 		t.Fatalf("%d 2-hop and %d topology tuples, want %d and %d", r.twoHopN, r.topoN, len(links), len(tc.Advertised))
+	}
+}
+
+// dupKey names a message in the reference duplicate set.
+type dupKey struct {
+	origin netsim.NodeID
+	seq    uint16
+}
+
+// runDupsDifferential decodes data into a stream of received messages,
+// probes and purges, and drives the router's duplicate set (isDup,
+// recordDup, expireDups) and the FIFO set it replaced, sim.ExpiringSet,
+// side by side. A message is looked up and, when both sides call it new,
+// recorded, as handleTC and handleHNA do; a probe only looks up, also for
+// originators never heard. Each originator's sequence number repeats,
+// steps by one either way (wrapping at 0 and 65 535), jumps, returns to
+// an earlier value or is any value. Time moves in steps of up to 12.8 s
+// against the 30-s hold, and some purges fall exactly on a deadline.
+// Every lookup must agree, and after every step dupN must equal the
+// reference's Len, every tuple must be a live reference key, and each
+// originator's chain must run from its slot's dup to its dupTail in
+// deadline order, each tuple naming its originator.
+func runDupsDifferential(t *testing.T, data []byte) {
+	in := byteStream(data)
+	got := newTableRouter()
+	want := sim.NewExpiringSet[dupKey](dupHold)
+	now := sim.Time(0)
+	var last [7]uint16 // per originator, the last sequence number
+	var heard []sim.Time
+	for step := 0; len(in) > 0; step++ {
+		op := "message"
+		switch c := in.next(); {
+		case c < 140:
+			origin := netsim.NodeID(1 + c%6)
+			seq := last[origin]
+			switch mode := in.next() % 8; mode {
+			case 1, 2:
+				seq++
+			case 3:
+				seq--
+			case 4:
+				seq += uint16(2 + in.next())
+			case 5:
+				seq = uint16(0xfffe + in.next()%4) // around the wrap
+			case 6:
+				seq = uint16(in.next()<<8 | in.next())
+			}
+			last[origin] = seq
+			g, w := got.isDup(origin, seq), want.Contains(dupKey{origin, seq})
+			if g != w {
+				t.Fatalf("step %d t=%v: message (%d, %d) is a duplicate: %v, reference %v", step, now, origin, seq, g, w)
+			}
+			if !g {
+				got.recordDup(origin, seq, now)
+				want.Add(dupKey{origin, seq}, now)
+				heard = append(heard, now)
+			}
+		case c < 170:
+			op = "probe"
+			origin := netsim.NodeID(1 + in.next()%9) // 7..9 never send
+			seq := last[min(origin, 6)] - uint16(in.next()%4)
+			if g, w := got.isDup(origin, seq), want.Contains(dupKey{origin, seq}); g != w {
+				t.Fatalf("step %d t=%v: probe (%d, %d) is a duplicate: %v, reference %v", step, now, origin, seq, g, w)
+			}
+		case c < 230:
+			now += sim.Time(1+in.next()) * 50 * sim.Millisecond
+			continue
+		default:
+			op = "purge"
+			if len(heard) > 0 && c%2 == 0 {
+				// Exactly at a deadline written earlier, if not yet past.
+				if at := heard[in.next()%len(heard)] + dupHold; at > now {
+					now = at
+				}
+			}
+			got.expireDups(now)
+			want.Expire(now)
+		}
+		compareDups(t, step, op, now, got, &want)
+	}
+}
+
+func compareDups(t *testing.T, step int, op string, now sim.Time, got *Router, want *sim.ExpiringSet[dupKey]) {
+	t.Helper()
+	if got.dupN != want.Len() {
+		t.Fatalf("step %d (%s at t=%v): dupN %d, reference %d", step, op, now, got.dupN, want.Len())
+	}
+	n := 0
+	for oi := int32(0); oi < int32(got.slots.Len()); oi++ {
+		s := got.slot(oi)
+		tail, prev := int32(noTuple), sim.Time(-1)
+		for i := s.dup; i != noTuple; i = got.dups.At(i).next {
+			d := got.dups.At(i)
+			if d.origin != oi || d.until < prev || !want.Contains(dupKey{s.id, d.seq}) {
+				t.Fatalf("step %d (%s at t=%v): originator %d's chain holds (%d, %d) until %v after a tuple until %v",
+					step, op, now, s.id, got.slot(d.origin).id, d.seq, d.until, prev)
+			}
+			tail, prev = i, d.until
+			n++
+		}
+		if s.dupTail != tail {
+			t.Fatalf("step %d (%s at t=%v): originator %d's chain ends at item %d, dupTail %d", step, op, now, s.id, tail, s.dupTail)
+		}
+	}
+	if n != got.dupN {
+		t.Fatalf("step %d (%s at t=%v): the chains hold %d tuples, dupN %d", step, op, now, n, got.dupN)
+	}
+}
+
+// TestDupsMatchReference runs the differential on random streams.
+func TestDupsMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		data := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(data)
+		runDupsDifferential(t, data)
+	}
+}
+
+func FuzzDupsMatchReference(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		data := make([]byte, 300)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	// Originator 1 sends one message at 0 s, a purge at its deadline, 30 s,
+	// empties its chain, and its next message must start the chain anew.
+	f.Add([]byte{0, 0, 229, 199, 229, 199, 229, 198, 230, 0, 0, 1})
+	f.Fuzz(runDupsDifferential)
+}
+
+// TestDupRecordAllocFree: once a router has recycled its first
+// DUP_HOLD_TIME of duplicate tuples, recording a new TC's tuple and the
+// purge that retires the oldest allocate nothing — removed items are
+// reused.
+func TestDupRecordAllocFree(t *testing.T) {
+	r := newTableRouter()
+	now, seq := sim.Time(0), uint16(0)
+	receive := func() {
+		now += tcInterval / 5
+		seq++
+		origin := netsim.NodeID(1 + seq%5)
+		if r.isDup(origin, seq) {
+			t.Fatalf("(%d, %d) is a duplicate", origin, seq)
+		}
+		r.recordDup(origin, seq, now)
+		r.expireDups(now)
+	}
+	for now < 2*dupHold {
+		receive()
+	}
+	live := r.dupN
+	if allocs := testing.AllocsPerRun(100, receive); allocs != 0 {
+		t.Fatalf("recording a duplicate tuple and purging allocate %.1f times, want 0", allocs)
+	}
+	if r.dupN != live {
+		t.Fatalf("%d duplicate tuples live, want %d", r.dupN, live)
 	}
 }

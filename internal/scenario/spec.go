@@ -522,8 +522,14 @@ func (s Spec) clone() Spec {
 // untouched.
 func (s Spec) Shrunk() Spec {
 	s = s.clone()
+	s.shrink()
+	return s
+}
+
+// shrink is Shrunk in place, for a spec the caller owns.
+func (s *Spec) shrink() {
 	if err := s.normalize(); err != nil {
-		return s
+		return
 	}
 	if s.SimTime > 20*sim.Second {
 		s.SimTime = 20 * sim.Second
@@ -538,7 +544,6 @@ func (s Spec) Shrunk() Spec {
 	if half := s.SimTime.Seconds() / 2; s.RampSeconds > half {
 		s.RampSeconds = half
 	}
-	return s
 }
 
 // WithVehicles returns a copy of the spec rescaled to a total of n
@@ -553,23 +558,28 @@ func (s Spec) Shrunk() Spec {
 // declared; scaling below a flow endpoint is a validation error.
 func (s Spec) WithVehicles(n int) (Spec, error) {
 	s = s.clone()
+	err := s.rescale(n)
+	return s, err
+}
+
+// rescale is WithVehicles in place, for a spec the caller owns.
+func (s *Spec) rescale(n int) error {
 	if err := s.normalize(); err != nil {
-		return s, err
+		return err
 	}
 	orig := s.TotalVehicles()
 	if n <= 0 {
-		return s, fmt.Errorf("scenario %s: cannot rescale to %d vehicles", s.Name, n)
+		return fmt.Errorf("scenario %s: cannot rescale to %d vehicles", s.Name, n)
 	}
 	if n == orig {
-		return s, nil
+		return nil
 	}
 	factor := float64(n) / float64(orig)
 	if s.Urban() {
 		s.GridVehicles = n
 		s.BlockMeters = math.Round(s.BlockMeters*factor/ca.CellLength) * ca.CellLength
 		s.Nodes = n + s.rsuCount()
-		err := s.normalize()
-		return s, err
+		return s.normalize()
 	}
 	// Largest-remainder apportionment keeps every lane populated and the
 	// counts summing exactly to n.
@@ -595,7 +605,7 @@ func (s Spec) WithVehicles(n int) (Spec, error) {
 	}
 	for i := range counts {
 		if counts[i] == 0 {
-			return s, fmt.Errorf("scenario %s: rescaling to %d vehicles empties lane %d", s.Name, n, i)
+			return fmt.Errorf("scenario %s: rescaling to %d vehicles empties lane %d", s.Name, n, i)
 		}
 	}
 	s.LaneVehicles = counts
@@ -604,8 +614,7 @@ func (s Spec) WithVehicles(n int) (Spec, error) {
 		s.Signals[i].PositionMeters *= factor
 	}
 	s.Nodes = n
-	err := s.normalize()
-	return s, err
+	return s.normalize()
 }
 
 // WithSimTime returns a copy of the spec with the simulated duration
@@ -614,12 +623,17 @@ func (s Spec) WithVehicles(n int) (Spec, error) {
 // scenario run` and `scenario sweep`. The copy is not normalized.
 func (s Spec) WithSimTime(d sim.Time) Spec {
 	s = s.clone()
+	s.setSimTime(d)
+	return s
+}
+
+// setSimTime is WithSimTime in place, for a spec the caller owns.
+func (s *Spec) setSimTime(d sim.Time) {
 	s.SimTime = d
 	for i := range s.Flows {
 		s.Flows[i].Start = 0
 		s.Flows[i].Stop = 0
 	}
-	return s
 }
 
 // activationSteps reports, for a ramp scenario, the trace sample index at

@@ -143,19 +143,23 @@ func NewGrid(cfg SweepConfig) (*Grid, error) {
 			specs = append(specs, s.clone())
 		}
 	default:
-		if len(cfg.Scenarios) == 0 {
-			// Heavy catalogue entries (10k-vehicle workloads) join a sweep
-			// only when named explicitly.
-			for _, name := range Names() {
-				if s, ok := Get(name); ok && !s.Heavy {
-					cfg.Scenarios = append(cfg.Scenarios, name)
-				}
-			}
+		all := len(cfg.Scenarios) == 0
+		names := cfg.Scenarios
+		if all {
+			names = Names()
 		}
-		for _, name := range cfg.Scenarios {
+		for _, name := range names {
 			s, ok := Get(name)
 			if !ok {
 				return nil, fmt.Errorf("scenario: unknown scenario %q", name)
+			}
+			if all {
+				// Heavy catalogue entries (10k-vehicle workloads) join a
+				// sweep only when named explicitly.
+				if s.Heavy {
+					continue
+				}
+				cfg.Scenarios = append(cfg.Scenarios, name)
 			}
 			specs = append(specs, s)
 		}
@@ -184,21 +188,23 @@ func NewGrid(cfg SweepConfig) (*Grid, error) {
 	if n := len(specs) * len(cfg.Protocols); len(specs) > maxGridRuns/len(cfg.Protocols) || cfg.Trials > maxGridRuns/max(n, 1) {
 		return nil, fmt.Errorf("scenario: %d scenarios × %d protocols × %d trials exceed %d runs", len(specs), len(cfg.Protocols), cfg.Trials, maxGridRuns)
 	}
-	for i, s := range specs {
-		var err error
+	// specs holds the grid's own copies (Get and the Specs case clone), so
+	// the rewrites apply in place: one clone per scenario.
+	for i := range specs {
+		s := &specs[i]
 		if cfg.Shrunk {
-			s = s.Shrunk()
+			s.shrink()
 		}
 		if cfg.OverrideNodes > 0 {
-			if s, err = s.WithVehicles(cfg.OverrideNodes); err != nil {
+			if err := s.rescale(cfg.OverrideNodes); err != nil {
 				return nil, err
 			}
 		}
 		if cfg.OverrideTimeSec > 0 {
-			s = s.WithSimTime(sim.Seconds(cfg.OverrideTimeSec))
+			s.setSimTime(sim.Seconds(cfg.OverrideTimeSec))
 		}
 		// Stored normalized: cells only fork the seed, rows read the fleet.
-		if specs[i], err = s.Normalized(); err != nil {
+		if err := s.normalize(); err != nil {
 			return nil, err
 		}
 	}

@@ -1,8 +1,8 @@
 package sim
 
-// ExpiryHeap tracks soft deadlines for keyed protocol state (link tuples,
-// topology tuples, duplicate-suppression entries) so that purging costs
-// O(expired) instead of a full sweep of every live entry.
+// ExpiryHeap tracks soft deadlines for keyed protocol state whose
+// lifetime can shrink (link tuples, neighbour entries) so that purging
+// costs O(expired) instead of a full sweep of every live entry.
 //
 // The heap is lazy: it records the deadline a key had when it was pushed.
 // If the underlying entry's lifetime is extended afterwards, the stale heap
@@ -85,10 +85,10 @@ func (h *ExpiryHeap[K]) Expire(now Time, current func(K) (Time, bool), expired f
 }
 
 // ExpiringSet is a keyed set whose entries expire a constant hold after
-// they were added — the shape of a protocol duplicate-suppression table
-// (RFC 3626's DUP_HOLD_TIME, a reactive router's flood dedup). The hold is
-// fixed when the set is built, so every Add's deadline is the latest yet:
-// the deadlines sit in a FIFO queue beside the map, in deadline order, and
+// they were added: a reactive router's flood dedup table (netsim.Reactive's
+// seen set, keyed by originator and request id). The hold is fixed when
+// the set is built, so every Add's deadline is the latest yet: the
+// deadlines sit in a FIFO queue beside the map, in deadline order, and
 // Expire pops from its head at O(expired) cost.
 //
 // Exact against a lazy heap of the same deadlines: both retire a key at
@@ -156,10 +156,6 @@ func (s *ExpiringSet[K]) Contains(key K) bool {
 
 // Len reports the number of live entries.
 func (s *ExpiringSet[K]) Len() int { return len(s.m) }
-
-// Deadlines reports the number of queued deadlines (for memory accounting:
-// one per live entry plus one per re-Add not yet popped).
-func (s *ExpiringSet[K]) Deadlines() int { return int(s.n) }
 
 // Expire deletes every entry whose deadline has passed.
 func (s *ExpiringSet[K]) Expire(now Time) {

@@ -113,8 +113,8 @@ func TestExpiringSetMassBurst(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		s.Add(i, added(i))
 	}
-	if s.Len() != n || s.Deadlines() != n {
-		t.Fatalf("populated set has %d entries / %d deadlines", s.Len(), s.Deadlines())
+	if s.Len() != n || int(s.n) != n {
+		t.Fatalf("populated set has %d entries / %d deadlines", s.Len(), s.n)
 	}
 	s.Expire(50)
 	want := 0
@@ -126,15 +126,15 @@ func TestExpiringSetMassBurst(t *testing.T) {
 	if s.Len() != want {
 		t.Fatalf("after the burst: %d live entries, want %d", s.Len(), want)
 	}
-	if s.Deadlines() != s.Len() {
-		t.Fatalf("%d queued deadlines for %d live entries — the purge left stale deadlines", s.Deadlines(), s.Len())
+	if int(s.n) != s.Len() {
+		t.Fatalf("%d queued deadlines for %d live entries — the purge left stale deadlines", s.n, s.Len())
 	}
 	if s.Contains(0) || s.Contains(24999) || !s.Contains(25000) || !s.Contains(n-1) {
 		t.Fatal("membership disagrees with deadlines after the burst")
 	}
 	s.Expire(1000)
-	if s.Len() != 0 || s.Deadlines() != 0 {
-		t.Fatalf("final purge left %d entries / %d deadlines", s.Len(), s.Deadlines())
+	if s.Len() != 0 || s.n != 0 {
+		t.Fatalf("final purge left %d entries / %d deadlines", s.Len(), s.n)
 	}
 }
 

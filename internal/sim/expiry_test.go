@@ -146,8 +146,8 @@ func TestExpiringSetMatchesHeap(t *testing.T) {
 					t.Fatalf("seed %d step %d t=%d: Contains(%d) = %v, reference %v", seed, step, now, k, !in, in)
 				}
 			}
-			if got.Deadlines() < got.Len() {
-				t.Fatalf("seed %d step %d: %d deadlines for %d entries", seed, step, got.Deadlines(), got.Len())
+			if int(got.n) < got.Len() {
+				t.Fatalf("seed %d step %d: %d deadlines for %d entries", seed, step, got.n, got.Len())
 			}
 		}
 	}
@@ -170,8 +170,8 @@ func TestExpiringSetReAddedKeySurvives(t *testing.T) {
 		t.Fatalf("at t=13: a %v, b %v; want a only", s.Contains("a"), s.Contains("b"))
 	}
 	s.Expire(15)
-	if s.Len() != 0 || s.Deadlines() != 0 {
-		t.Fatalf("at t=15: %d entries, %d deadlines left", s.Len(), s.Deadlines())
+	if s.Len() != 0 || s.n != 0 {
+		t.Fatalf("at t=15: %d entries, %d deadlines left", s.Len(), s.n)
 	}
 }
 

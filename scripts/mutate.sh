@@ -531,6 +531,28 @@ mutant "olsr processTC: the merge restarts only on dest < prev" internal/routing
 	's|^\t\tif dest <= prev {$|\t\tif dest < prev {|' \
 	$olsr "$topoTests"
 
+# ---- OLSR's duplicate tuples are hold-list items chained per originator
+# (ROADMAP "Duplicate tuples are chained per originator"): the lookup's
+# walk and its tail-first check, the tail a chain keeps when expiry
+# empties it, where a new tuple is linked, and the purge's boundary. A
+# revision without the chains reads BROKEN. ----
+dupTests='TestDupsMatchReference|FuzzDupsMatchReference'
+mutant "olsr isDup: the lookup starts at the chain's second tuple" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) isDup(/,/^}/s|^\t\tif r.dups.At(i).seq == seq {$|\t\tif i != s.dup \&\& r.dups.At(i).seq == seq {|' \
+	$olsr "$dupTests"
+mutant "olsr isDup: the newest tuple is not tried before the walk, which stops short of it" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) isDup(/,/^}/s|^\tif r.dups.At(s.dupTail).seq == seq {$|\tif false {|' \
+	$olsr "$dupTests"
+mutant "olsr expireDups: a chain emptied by expiry keeps its dupTail" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) expireDups(/,/^}/{/^\t\t\ts.dupTail = noTuple$/d}' \
+	$olsr "$dupTests"
+mutant "olsr recordDup: a new tuple is linked at its chain's head" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) recordDup(/,/^}/{s|^\t\tr.dups.At(s.dupTail).next = i$|\t\tr.dups.At(i).next, s.dup = s.dup, i|;s|^\ts.dupTail = i$|\tif s.dupTail == noTuple {\n\t\ts.dupTail = i\n\t}|}' \
+	$olsr "$dupTests"
+mutant "olsr expireDups: purge stops at until < now" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) expireDups(/,/^}/s|^\t\tif t.until > now {$|\t\tif t.until >= now {|' \
+	$olsr "$dupTests"
+
 # ---- serve cache keys (ROADMAP "A grid hashes each scenario once"): a
 # run's key is its scenario's digest, which leaves out the seed and the
 # protocol, plus the protocol, the cell seed and the checked flag; each
