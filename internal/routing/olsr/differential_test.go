@@ -609,9 +609,9 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 	if got := r.materialized - ran; got != 1 {
 		t.Fatalf("second read ran the kernels again (%d runs in total, want 1)", got)
 	}
-	if st := r.TableStats(); st.Recomputes != r.recomputes || st.Materialized != r.materialized {
-		t.Fatalf("TableStats reports %d stamps / %d kernel runs, want %d / %d",
-			st.Recomputes, st.Materialized, r.recomputes, r.materialized)
+	if st := r.TableStats(); st.Recomputes != r.recomputes || st.MPRRuns != r.materialized || st.RouteRuns != r.materialized {
+		t.Fatalf("TableStats reports %d stamps / %d MPR runs / %d route runs, want %d / %d / %d",
+			st.Recomputes, st.MPRRuns, st.RouteRuns, r.recomputes, r.materialized, r.materialized)
 	}
 }
 

@@ -308,14 +308,15 @@ func (r *Router) Stop() {
 // backlog (for analysis and the memory-stability tests), and how many
 // recompute stamps and kernel runs they cost so far.
 type TableStats struct {
-	Links        int
-	TwoHop       int
-	Topology     int
-	Selectors    int
-	Dups         int    // duplicate tuples: other originators' messages (own ones are never looked up)
-	HeapItems    int    // expiry-heap items and list items, duplicate tuples included
-	Recomputes   uint64 // coalesced stamps (see recomputeNow)
-	Materialized uint64 // MPR/route kernel runs readers demanded
+	Links      int
+	TwoHop     int
+	Topology   int
+	Selectors  int
+	Dups       int    // duplicate tuples: other originators' messages (own ones are never looked up)
+	HeapItems  int    // expiry-heap items and list items, duplicate tuples included
+	Recomputes uint64 // coalesced stamps (see recomputeNow)
+	MPRRuns    uint64 // MPR kernel runs readers demanded
+	RouteRuns  uint64 // route kernel runs readers demanded
 }
 
 // TableStats implements the memory introspection used by stability tests.
@@ -328,8 +329,9 @@ func (r *Router) TableStats() TableStats {
 		Dups:      r.dupN,
 		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopN +
 			r.topoN + len(r.selectors) + r.dupN,
-		Recomputes:   r.recomputes,
-		Materialized: r.materialized,
+		Recomputes: r.recomputes,
+		MPRRuns:    r.materialized,
+		RouteRuns:  r.materialized,
 	}
 }
 

@@ -209,7 +209,7 @@ func TestInFlightCountsForks(t *testing.T) {
 		// Each packet's terminal events, by the cause of each: zero for
 		// a delivery.
 		terminals := map[uint64][]netsim.Cause{}
-		res, _, _, err := runOnSource(&s, src, nil, func(e netsim.PacketEvent) {
+		res, _, err := runOnSource(&s, src, nil, func(e netsim.PacketEvent) {
 			if e.Kind == netsim.Sent {
 				terminals[e.Packet.UID] = nil
 				return

@@ -10,6 +10,7 @@ import (
 	"cavenet/internal/mobility"
 	"cavenet/internal/netsim"
 	"cavenet/internal/phy"
+	"cavenet/internal/routing/olsr"
 	"cavenet/internal/scenario/check"
 	"cavenet/internal/sim"
 	"cavenet/internal/traffic"
@@ -96,23 +97,45 @@ func (r *Result) TotalDelivered() uint64 {
 // RunOnTrace) is the retained differential oracle — bit-identical by the
 // streamed-vs-recorded property test.
 func Run(s Spec) (*Result, error) {
-	res, _, _, err := runCounted(s)
+	res, _, err := runCounted(s)
 	return res, err
 }
 
-// runCounted is Run, also reporting the kernel's and the channel's work
-// counts, which are no part of the Result: TestWorkCounts pins them beside
-// it.
-func runCounted(s Spec) (*Result, sim.Work, phy.Work, error) {
+// runWork is what a run cost, which no Result byte shows: the kernel's and
+// the channel's work counts, and OLSR's recompute stamps and kernel runs
+// summed over the routers alive at the horizon (a router rebuilt by a crash
+// starts from zero; the counts of the one it replaced leave with it).
+type runWork struct {
+	kernel sim.Work
+	air    phy.Work
+	olsr   olsr.TableStats
+}
+
+// runCounted is Run, also reporting its work counts: TestWorkCounts pins
+// them beside the Result.
+func runCounted(s Spec) (*Result, runWork, error) {
 	s = s.clone()
 	if err := s.normalize(); err != nil {
-		return nil, sim.Work{}, phy.Work{}, err
+		return nil, runWork{}, err
 	}
 	src, err := buildSource(&s, nil)
 	if err != nil {
-		return nil, sim.Work{}, phy.Work{}, err
+		return nil, runWork{}, err
 	}
-	return runOnSource(&s, src, nil, nil)
+	res, world, err := runOnSource(&s, src, nil, nil)
+	if err != nil {
+		return nil, runWork{}, err
+	}
+	w := runWork{kernel: world.Kernel.Work(), air: world.Channel.Work()}
+	for _, n := range world.Nodes() {
+		if r, ok := n.Router().(*olsr.Router); ok {
+			st := r.TableStats()
+			w.olsr.Recomputes += st.Recomputes
+			w.olsr.MPRRuns += st.MPRRuns
+			w.olsr.RouteRuns += st.RouteRuns
+		}
+	}
+	return res, w, nil
 }
 
 // RunOnSource executes the scenario's network evaluation over a
@@ -122,7 +145,7 @@ func RunOnSource(s Spec, src mobility.Source) (*Result, error) {
 	if err := s.normalize(); err != nil {
 		return nil, err
 	}
-	res, _, _, err := runOnSource(&s, src, nil, nil)
+	res, _, err := runOnSource(&s, src, nil, nil)
 	return res, err
 }
 
@@ -197,7 +220,7 @@ func RunCheckedOnSource(s Spec, src mobility.Source) (*Result, *check.Report, er
 }
 
 func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
-	res, _, _, err := runOnSource(s, src, report, nil)
+	res, _, err := runOnSource(s, src, report, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +255,8 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // run, pulling node positions from the mobility source per tick. A
 // non-nil report additionally installs the invariant ledger and runs the
 // post-run loop walk and custody settlement, and a non-nil observe is
-// installed last. Beside the Result it reports the kernel's work counts.
-func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe func(netsim.PacketEvent)) (*Result, sim.Work, phy.Work, error) {
+// installed last. Beside the Result it returns the finished world.
+func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe func(netsim.PacketEvent)) (*Result, *netsim.World, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
@@ -251,7 +274,7 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 		Mobility: src,
 	}, s.routerFactory())
 	if err != nil {
-		return nil, sim.Work{}, phy.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 
 	collector := metrics.NewCollector(sim.Second, s.SimTime)
@@ -271,10 +294,10 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 	if !s.Faults.Empty() {
 		plan, err := s.Faults.Build(s.Seed, s.Nodes, s.SimTime)
 		if err != nil {
-			return nil, sim.Work{}, phy.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		if err := fault.Apply(world, plan); err != nil {
-			return nil, sim.Work{}, phy.Work{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		meter = fault.NewMeter(plan, s.SimTime)
 		world.Observe(meter.Observe)
@@ -393,5 +416,5 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 		res.MACStats.BytesTx += st.BytesTx
 		res.MACStats.NAVSettings += st.NAVSettings
 	}
-	return res, world.Kernel.Work(), world.Channel.Work(), nil
+	return res, world, nil
 }

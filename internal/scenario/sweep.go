@@ -293,7 +293,7 @@ func (g *Grid) RunCell(j int, protocols []Protocol) ([]TrialResult, error) {
 			}
 			res, violations = r, report.Total()
 		} else {
-			r, _, _, err := runOnSource(&run, msrc, nil, nil)
+			r, _, err := runOnSource(&run, msrc, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: sweep %s/%s trial %d: %w", base.Name, p, trial, err)
 			}

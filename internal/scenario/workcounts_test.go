@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"cavenet/internal/phy"
 	"cavenet/internal/sim"
 )
 
@@ -83,8 +82,12 @@ func workCountCells(t *testing.T) []Spec {
 // which no Result byte shows: queue pushes and stale timer-set pops move
 // when the queue works harder for the same outcome. The phy line counts the
 // channel's per-receiver work: frames sent, hearings (signals scheduled at
-// a receiver above carrier sense), deliveries and collided receptions.
-func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work sim.Work, air phy.Work) error {
+// a receiver above carrier sense), deliveries and collided receptions. An
+// OLSR cell adds its routers' recompute stamps and the MPR and route kernel
+// runs readers demanded of them, summed over the routers alive at the
+// horizon: a router rebuilt by a crash starts from zero, and the counts of
+// the one it replaced leave with it.
+func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work runWork) error {
 	js, err := json.Marshal(res)
 	if err != nil {
 		return err
@@ -105,8 +108,12 @@ func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work sim.Work, air
 	fmt.Fprintf(b, "  mac DataTx=%d AckTx=%d RTSTx=%d CTSTx=%d Retries=%d Failures=%d QueueDrops=%d BytesTx=%d\n",
 		m.DataTx, m.AckTx, m.RTSTx, m.CTSTx, m.Retries, m.Failures, m.QueueDrops, m.BytesTx)
 	fmt.Fprintf(b, "  control packets=%d bytes=%d\n", res.ControlPackets, res.ControlBytes)
-	fmt.Fprintf(b, "  kernel pushes=%d stale_pops=%d\n", work.Pushes, work.StalePops)
+	k, air, o := work.kernel, work.air, work.olsr
+	fmt.Fprintf(b, "  kernel pushes=%d stale_pops=%d\n", k.Pushes, k.StalePops)
 	fmt.Fprintf(b, "  phy frames=%d hearings=%d delivered=%d collided=%d\n", air.Frames, air.Hearings, air.Delivered, air.Collided)
+	if res.Spec.Protocol == OLSR {
+		fmt.Fprintf(b, "  olsr stamps=%d mpr_runs=%d route_runs=%d\n", o.Recomputes, o.MPRRuns, o.RouteRuns)
+	}
 	reasons := make([]string, 0, len(res.Drops))
 	for r := range res.Drops { // order-free: the reasons are sorted below
 		reasons = append(reasons, r)
@@ -127,11 +134,11 @@ func TestWorkCounts(t *testing.T) {
 	const path = "testdata/workcounts.golden"
 	var got bytes.Buffer
 	for _, spec := range workCountCells(t) {
-		res, work, air, err := runCounted(spec)
+		res, work, err := runCounted(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeWorkCounts(&got, spec, res, work, air); err != nil {
+		if err := writeWorkCounts(&got, spec, res, work); err != nil {
 			t.Fatal(err)
 		}
 	}

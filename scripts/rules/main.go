@@ -47,7 +47,6 @@ var allow = map[string]string{
 	"phy.Config.NoPropDelay":    "mac/backoff_test.go varies it across the package boundary (PR 25)",
 	"sim.Kernel.Pending":        "phy/channel_test.go:321 checks that a drained kernel holds nothing",
 	"sim.Kernel.Processed":      "mac/backoff_test.go:301 and fault/fault_test.go:258 count fired events",
-	"olsr.Router.TableStats":    "memstability_test.go:130 pins OLSR table and heap sizes over a long run",
 	"check.Ledger.Retired":      "memstability_test.go:292 checks that compaction retires entries",
 }
 
