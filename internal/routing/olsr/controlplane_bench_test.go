@@ -41,7 +41,7 @@ func seedControlState(w *netsim.World, r *Router, n int) {
 // BenchmarkOLSRControlPlane measures one full MPR+route recompute on a
 // converged control table — the operation the seed implementation ran once
 // per received HELLO/TC. "dense" is the production path (zero steady-state
-// allocations; the flush is what runs its kernels — recomputeNow alone
+// allocations; materialize is what runs its kernels — recomputeNow alone
 // only stamps); "oracle" is the map-based reference of oracle_test.go,
 // which is also the pre-optimization cost profile. See PERF.md for the
 // table.
@@ -51,9 +51,9 @@ func BenchmarkOLSRControlPlane(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/N=%d", mode, n), func(b *testing.B) {
 				w, r := newBareRouter(b, Config{})
 				seedControlState(w, r, n)
-				flush := r.flush
+				flush := func() { r.materialize(partMPR | partRoutes) }
 				if mode == "oracle" {
-					flush = func() { r.flushOracle(b) }
+					flush = func() { r.materializeOracle(b) }
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

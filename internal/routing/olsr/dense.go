@@ -125,27 +125,37 @@ func resizeBool(s []bool, n int) []bool {
 	return s
 }
 
-// recomputeDense materializes the recompute stamped at now (flush passes
-// the stamp's time, which may lie in the past; see recomputeNow): the MPR
-// set (RFC 3626 §8.3.1) and the routing table (§10). The 2-hop set feeds
-// both, so one walk over its chains builds the MPR coverage lists and
-// relaxes the 2-hop routes. The kernels skip tuples that lead back to this
-// node by its interned index, meIdx (-1 when nobody mentioned it yet), so
-// they read no slot's id.
-func (r *Router) recomputeDense(now sim.Time) {
+// recomputeDense materializes the parts in run of the recompute stamped at
+// now (materialize passes the stamp's time, which may lie in the past; see
+// recomputeNow): the MPR set (RFC 3626 §8.3.1), the routing table (§10) or
+// both. The 2-hop set feeds both, so one walk over its chains builds the
+// MPR coverage lists and relaxes the 2-hop routes. The kernels skip tuples
+// that lead back to this node by its interned index, meIdx (-1 when nobody
+// mentioned it yet), so they read no slot's id.
+func (r *Router) recomputeDense(now sim.Time, run part) {
 	epoch := r.nextEpoch()
 	meIdx := r.idx.Index(r.node.ID())
-	r.routeEpoch = epoch
-	r.denseNeighbors(now, epoch)
-	r.denseTwoHop(now, epoch, meIdx)
-	r.denseSelectMPRs(epoch)
-	r.denseTopologyRoutes(now, epoch, meIdx)
+	mpr, routes := run&partMPR != 0, run&partRoutes != 0
+	if routes {
+		r.routeEpoch = epoch
+	}
+	r.denseNeighbors(now, epoch, routes)
+	r.denseTwoHop(now, epoch, meIdx, mpr, routes)
+	if mpr {
+		r.denseSelectMPRs(epoch)
+	}
+	if routes {
+		r.denseTopologyRoutes(now, epoch, meIdx)
+	}
 }
 
 // denseNeighbors lists the symmetric neighbors sorted by NodeID (the
 // deterministic candidate order of the greedy MPR pass and the visiting
-// order of the 2-hop routes) and gives each its distance-1 route.
-func (r *Router) denseNeighbors(now sim.Time, epoch uint64) {
+// order of the 2-hop routes) and, when routes are being built, gives each
+// its distance-1 route. A run without them leaves every routeStamp alone:
+// stamping one with this run's epoch would hide it from routeFor, which
+// reads the table of the last run that built routes.
+func (r *Router) denseNeighbors(now sim.Time, epoch uint64, routes bool) {
 	sc := &r.scratch
 	// A key is the neighbor's NodeID (a world index, so it fits 32 bits)
 	// over its interned index: sorting the keys sorts by NodeID.
@@ -161,28 +171,33 @@ func (r *Router) denseNeighbors(now sim.Time, epoch uint64) {
 	sc.labeled = sc.labeled[:0]
 	for _, key := range sc.symKeys {
 		fi := int32(key)
-		s := r.slot(fi)
-		s.route = routeEntry{next: s.id, hops: 1, cost: r.linkCost(&s.link)}
-		s.routeStamp = epoch
 		sc.symList = append(sc.symList, fi)
-		sc.labeled = append(sc.labeled, fi)
+		if routes {
+			s := r.slot(fi)
+			s.route = routeEntry{next: s.id, hops: 1, cost: r.linkCost(&s.link)}
+			s.routeStamp = epoch
+			sc.labeled = append(sc.labeled, fi)
+		}
 	}
 }
 
 // denseTwoHop walks the 2-hop tuples of every symmetric neighbor, in
-// sorted (neighbor, 2-hop) order. For the MPR pass it lists the strict
-// 2-hop nodes each neighbor reaches (not us, not themselves symmetric
-// neighbors); for the routing table it offers each 2-hop node a route
-// through the neighbor. The base must still be a distance-1 route when
-// each tuple is visited — this single pass is order-dependent, so the
-// order is part of the shared contract with the oracle.
-func (r *Router) denseTwoHop(now sim.Time, epoch uint64, meIdx int32) {
+// sorted (neighbor, 2-hop) order. For the MPR pass (mpr) it lists the
+// strict 2-hop nodes each neighbor reaches (not us, not themselves
+// symmetric neighbors); for the routing table (routes) it offers each
+// 2-hop node a route through the neighbor. The base must still be a
+// distance-1 route when each tuple is visited — this single pass is
+// order-dependent, so the order is part of the shared contract with the
+// oracle.
+func (r *Router) denseTwoHop(now sim.Time, epoch uint64, meIdx int32, mpr, routes bool) {
 	sc := &r.scratch
 	sc.thList = sc.thList[:0]
 	sc.covOff = sc.covOff[:0]
 	sc.covTH = sc.covTH[:0]
 	for _, fi := range sc.symList {
-		sc.covOff = append(sc.covOff, int32(len(sc.covTH)))
+		if mpr {
+			sc.covOff = append(sc.covOff, int32(len(sc.covTH)))
+		}
 		fs := r.slot(fi)
 		for i := fs.twoHop; i != noTuple; {
 			t := r.twoHopExp.At(i)
@@ -191,13 +206,16 @@ func (r *Router) denseTwoHop(now sim.Time, epoch uint64, meIdx int32) {
 				continue
 			}
 			ts := r.slot(t.th)
-			if ts.symStamp != epoch {
+			if mpr && ts.symStamp != epoch {
 				if ts.thStamp != epoch {
 					ts.thStamp = epoch
 					ts.thPos = int32(len(sc.thList))
 					sc.thList = append(sc.thList, t.th)
 				}
 				sc.covTH = append(sc.covTH, ts.thPos)
+			}
+			if !routes {
+				continue
 			}
 			base := fs.route
 			if fs.routeStamp != epoch || base.hops != 1 {
@@ -213,7 +231,9 @@ func (r *Router) denseTwoHop(now sim.Time, epoch uint64, meIdx int32) {
 			}
 		}
 	}
-	sc.covOff = append(sc.covOff, int32(len(sc.covTH)))
+	if mpr {
+		sc.covOff = append(sc.covOff, int32(len(sc.covTH)))
+	}
 }
 
 // denseSelectMPRs runs the greedy heuristic of RFC 3626 §8.3.1 — sole

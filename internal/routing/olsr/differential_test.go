@@ -173,9 +173,10 @@ func TestDenseMatchesOracle(t *testing.T) {
 			}
 			now := w.Kernel.Now()
 
-			// Both sides read through flush (routesSnapshot, MPRSet): after
-			// recomputeNow the dense kernels have been stamped, not run; on
-			// the oracle side flushOracle has run the map kernels already.
+			// Both sides read through materialize (routesSnapshot, MPRSet):
+			// after recomputeNow the dense kernels have been stamped, not
+			// run; on the oracle side materializeOracle has run the map
+			// kernels already.
 			r.recomputeNow()
 			denseRoutes := r.routesSnapshot()
 			denseMPRs := r.MPRSet()
@@ -183,7 +184,7 @@ func TestDenseMatchesOracle(t *testing.T) {
 			denseTC := r.makeTC(now)
 
 			r.recomputeNow()
-			r.flushOracle(t)
+			r.materializeOracle(t)
 			oracleRoutes := r.routesSnapshot()
 			oracleMPRs := r.MPRSet()
 			oracleHello := r.helloLinks(now)
@@ -230,9 +231,13 @@ type controlSnapshot struct {
 	tc    *TC
 }
 
+// readControl reads the routing table before the MPR set, so on the
+// deferring side a stamp's MPR part is often built after its routes were,
+// and the route lookups that follow must still see them.
 func readControl(r *Router) controlSnapshot {
 	now := r.now()
-	s := controlSnapshot{at: now, mprs: r.MPRSet(), routes: r.routesSnapshot()}
+	routes := r.routesSnapshot()
+	s := controlSnapshot{at: now, mprs: r.MPRSet(), routes: routes}
 	for id := range s.via {
 		v := &s.via[id]
 		v.next, v.hops, v.ok = r.Route(netsim.NodeID(id))
@@ -265,10 +270,10 @@ func (s *side) settle() {
 	}
 }
 
-// flush runs before every read.
-func (s *side) flush() {
+// beforeRead runs before every read.
+func (s *side) beforeRead() {
 	if s.eager {
-		s.r.flushOracle(s.tb)
+		s.r.materializeOracle(s.tb)
 	}
 }
 
@@ -290,23 +295,23 @@ func (s *side) runUntil(end sim.Time) {
 }
 
 func (s *side) read() controlSnapshot {
-	s.flush()
+	s.beforeRead()
 	return readControl(s.r)
 }
 
-// sendHello is the real reader: it flushes, emits, and (ETX) closes every
-// link's hello window, the one mutation never reported. When a stamp is
-// pending it is that stamp's first read, so the windows must close after
-// its flush.
+// sendHello is the real reader: it materializes, emits, and (ETX) closes
+// every link's hello window, the one mutation never reported. When a stamp
+// is pending it is that stamp's first read, so the windows must close after
+// its materialize.
 func (s *side) sendHello() {
-	s.flush()
+	s.beforeRead()
 	s.r.sendHello()
 }
 
 // compareSides fails on the first read the two sides saw differently, and
 // requires the deferral to be the only difference in the work done: the
-// same stamps, every one of them run eagerly, and (if wantDeferred) some
-// of them never run by the deferring side.
+// same stamps, both parts of every one of them run eagerly, and (if
+// wantDeferred) each part of some of them never run by the deferring side.
 func compareSides(t *testing.T, deferred, eager []controlSnapshot, dr, er *Router, wantDeferred bool) {
 	t.Helper()
 	if len(deferred) != len(eager) {
@@ -320,11 +325,15 @@ func compareSides(t *testing.T, deferred, eager []controlSnapshot, dr, er *Route
 	if dr.recomputes != er.recomputes {
 		t.Fatalf("stamp counts diverge: deferred %d, eager %d", dr.recomputes, er.recomputes)
 	}
-	if er.materialized != er.recomputes {
-		t.Fatalf("the eager driver ran its kernels %d times for %d stamps; it must recompute at every stamp", er.materialized, er.recomputes)
+	if er.mprRuns != er.recomputes || er.routeRuns != er.recomputes {
+		t.Fatalf("the eager driver built the MPR set %d times and the routes %d times for %d stamps; it must recompute both at every stamp",
+			er.mprRuns, er.routeRuns, er.recomputes)
 	}
-	if wantDeferred && dr.materialized >= dr.recomputes {
-		t.Fatalf("deferred side ran its kernels %d times for %d stamps: no stamp went unread, nothing was deferred", dr.materialized, dr.recomputes)
+	if wantDeferred && dr.mprRuns >= dr.recomputes {
+		t.Fatalf("deferred side built the MPR set %d times for %d stamps: no stamp's MPR part went unread, nothing was deferred", dr.mprRuns, dr.recomputes)
+	}
+	if wantDeferred && dr.routeRuns >= dr.recomputes {
+		t.Fatalf("deferred side built the routes %d times for %d stamps: no stamp's routes went unread, nothing was deferred", dr.routeRuns, dr.recomputes)
 	}
 }
 
@@ -553,7 +562,7 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 		t.Fatalf("pure refresh hello caused %d recomputes, want 0", got)
 	}
 
-	// Flush interleaving: a read flushes mid-slot, then another material
+	// Read interleaving: a read stamps mid-slot, then another material
 	// message re-dirties the router. The recompute already pending for
 	// this timestamp must stand down — the rebuild coalesces to now+1.
 	base = r.recomputes
@@ -563,22 +572,30 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 			return &TC{Origin: origin, ANSN: 1, Advertised: []netsim.NodeID{netsim.NodeID(90 + seq)}, Seq: 100 + seq}
 		}
 		r.handleTC(&netsim.Packet{Kind: netsim.KindControl, TTL: 4}, tc(1, 40), 1) // schedules event at `at`
-		r.Route(40)                                                                // flush: recompute #1 at `at`
+		r.Route(40)                                                                // read: recompute #1 at `at`
 		r.handleTC(&netsim.Packet{Kind: netsim.KindControl, TTL: 4}, tc(2, 41), 1) // re-dirty: schedules at+1
 	})
 	for w.Kernel.Step() {
 	}
 	if got := r.recomputes - base; got != 2 {
-		t.Fatalf("flush interleaving caused %d recomputes, want 2 (one per timestamp)", got)
+		t.Fatalf("read interleaving caused %d recomputes, want 2 (one per timestamp)", got)
 	}
 	if r.lastRecompute != at+1 {
 		t.Fatalf("second recompute ran at %v, want %v (the stale pending event must stand down)", r.lastRecompute, at+1)
 	}
 
-	// Demand-driven materialization: stamps nobody reads run no kernel, the
-	// first read runs exactly one (as of the last stamp), the next none.
-	r.flush()
-	base, ran := r.recomputes, r.materialized
+	// Demand-driven materialization, per part: stamps nobody reads run no
+	// kernel; the first route read builds the last stamp's routes and not
+	// its MPR set, the MPR read after it the MPR set alone, and a second
+	// read of either part nothing.
+	r.materialize(partMPR | partRoutes)
+	base, mprRan, routeRan := r.recomputes, r.mprRuns, r.routeRuns
+	runs := func(when string, wantMPR, wantRoutes uint64) {
+		t.Helper()
+		if m, rt := r.mprRuns-mprRan, r.routeRuns-routeRan; m != wantMPR || rt != wantRoutes {
+			t.Fatalf("%s: %d MPR runs and %d route runs in total, want %d and %d", when, m, rt, wantMPR, wantRoutes)
+		}
+	}
 	const k = 3
 	for i := 0; i < k; i++ {
 		seq := uint16(i)
@@ -593,54 +610,94 @@ func TestRecomputeCoalescedPerTimestamp(t *testing.T) {
 	if got := r.recomputes - base; got != k {
 		t.Fatalf("%d material timestamps caused %d stamps, want %d", k, got, k)
 	}
-	if got := r.materialized - ran; got != 0 {
-		t.Fatalf("%d unread stamps ran the kernels %d times, want 0", k, got)
-	}
+	runs(fmt.Sprintf("%d unread stamps", k), 0, 0)
 	if next, hops, ok := r.Route(60 + k - 1); !ok || next != 1 || hops != 2 {
 		t.Fatalf("first read: route to %d = next %d hops %d ok %v, want the last stamp's (via 1, 2 hops)", 60+k-1, next, hops, ok)
 	}
-	if got := r.materialized - ran; got != 1 {
-		t.Fatalf("first read ran the kernels %d times, want 1", got)
-	}
+	runs("first route read", 0, 1)
 	if _, _, ok := r.Route(60); ok {
 		t.Fatal("route to 60 survived the ANSN that withdrew it")
 	}
 	r.MPRSet()
-	if got := r.materialized - ran; got != 1 {
-		t.Fatalf("second read ran the kernels again (%d runs in total, want 1)", got)
+	runs("MPR read after it", 1, 1)
+	// The MPR run left the routes it did not build alone: the neighbor's
+	// distance-1 route is still there.
+	if next, hops, ok := r.Route(1); !ok || next != 1 || hops != 1 {
+		t.Fatalf("after the MPR run: route to 1 = next %d hops %d ok %v, want the direct link", next, hops, ok)
 	}
-	if st := r.TableStats(); st.Recomputes != r.recomputes || st.MPRRuns != r.materialized || st.RouteRuns != r.materialized {
+	r.MPRSet()
+	runs("second read of either part", 1, 1)
+	if st := r.TableStats(); st.Recomputes != r.recomputes || st.MPRRuns != r.mprRuns || st.RouteRuns != r.routeRuns {
 		t.Fatalf("TableStats reports %d stamps / %d MPR runs / %d route runs, want %d / %d / %d",
-			st.Recomputes, st.MPRRuns, st.RouteRuns, r.recomputes, r.materialized, r.materialized)
+			st.Recomputes, st.MPRRuns, st.RouteRuns, r.recomputes, r.mprRuns, r.routeRuns)
+	}
+}
+
+// TestHelloBuildsRoutesOnlyUnderETX: a HELLO emission reads the MPR set.
+// A router whose stamps are read by emissions alone never builds its
+// routing table with ETX off; with ETX on, every emission that finds a
+// stamp pending builds the routes too, because the hello windows it closes
+// move the link costs they are made of.
+func TestHelloBuildsRoutesOnlyUnderETX(t *testing.T) {
+	for _, etx := range []bool{false, true} {
+		t.Run(fmt.Sprintf("etx=%v", etx), func(t *testing.T) {
+			w, r := newBareRouter(t, Config{ETX: etx})
+			reads := rand.New(rand.NewSource(11))
+			hellos := 0
+			feedRandomControlState(w, r, rand.New(rand.NewSource(3)), etx, feedPlan{
+				rounds: 20,
+				probe: func() {
+					if reads.Intn(8) == 0 {
+						r.sendHello()
+						hellos++
+					}
+				},
+			})
+			r.sendHello()
+			if r.mprRuns == 0 || r.mprRuns >= r.recomputes {
+				t.Fatalf("%d emissions built the MPR set %d times for %d stamps; want some stamps built, some left unread",
+					hellos+1, r.mprRuns, r.recomputes)
+			}
+			want := uint64(0)
+			if etx {
+				want = r.mprRuns
+			}
+			if r.routeRuns != want {
+				t.Fatalf("%d emissions built the MPR set %d times and the routes %d times, want %d route runs",
+					hellos+1, r.mprRuns, r.routeRuns, want)
+			}
+		})
 	}
 }
 
 // TestRecomputeZeroAlloc asserts the steady-state allocation contract of
-// both halves of the dense recompute: the stamp and the kernels flush runs.
+// both halves of the dense recompute: the stamp and the kernels
+// materialize runs.
 func TestRecomputeZeroAlloc(t *testing.T) {
 	for _, etx := range []bool{false, true} {
 		t.Run(fmt.Sprintf("etx=%v", etx), func(t *testing.T) {
 			w, r := newBareRouter(t, Config{ETX: etx})
 			feedRandomControlState(w, r, rand.New(rand.NewSource(7)), etx, feedPlan{})
-			r.flush() // size the scratch
-			ran := r.materialized
+			both := partMPR | partRoutes
+			r.materialize(both) // size the scratch
+			mprRan, routeRan := r.mprRuns, r.routeRuns
 			if allocs := testing.AllocsPerRun(100, func() {
 				r.dirty = true
 				r.recomputeNow()
 			}); allocs != 0 {
 				t.Fatalf("recompute stamp allocates %.1f objects/op, want 0", allocs)
 			}
-			if r.materialized != ran {
-				t.Fatalf("stamping ran the kernels %d times, want 0", r.materialized-ran)
+			if r.mprRuns != mprRan || r.routeRuns != routeRan {
+				t.Fatalf("stamping ran the kernels %d+%d times, want 0", r.mprRuns-mprRan, r.routeRuns-routeRan)
 			}
 			if allocs := testing.AllocsPerRun(100, func() {
 				r.dirty = true
-				r.flush()
+				r.materialize(both)
 			}); allocs != 0 {
 				t.Fatalf("dense recompute allocates %.1f objects/op, want 0", allocs)
 			}
-			if got := r.materialized - ran; got != 101 { // AllocsPerRun warms up once
-				t.Fatalf("100 flushes of a dirty router ran the kernels %d times, want 101", got)
+			if m, rt := r.mprRuns-mprRan, r.routeRuns-routeRan; m != 101 || rt != 101 { // AllocsPerRun warms up once
+				t.Fatalf("100 reads of a dirty router built the MPR set %d times and the routes %d times, want 101 each", m, rt)
 			}
 		})
 	}
@@ -689,7 +746,7 @@ func TestLinkFailureFailsOverSameRecompute(t *testing.T) {
 
 // routesSnapshot materializes the route table as a map (tests only).
 func (r *Router) routesSnapshot() map[netsim.NodeID]routeEntry {
-	r.flush()
+	r.materialize(partRoutes)
 	out := make(map[netsim.NodeID]routeEntry)
 	if r.routeEpoch == 0 {
 		return out

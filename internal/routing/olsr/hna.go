@@ -57,7 +57,7 @@ func (r *Router) AdvertiseNetwork(assoc NetworkAssoc) {
 // GatewayFor reports the chosen gateway for an external destination, if the
 // association set knows one.
 func (r *Router) GatewayFor(dst netsim.NodeID) (netsim.NodeID, bool) {
-	r.flush()
+	r.materialize(partRoutes)
 	now := r.now()
 	best := netsim.NodeID(-1)
 	bestCost := 0.0

@@ -9,8 +9,9 @@
 // dense indices per router, MPR/route recomputation runs on reusable
 // slice/stamp scratch (zero steady-state allocations), recompute triggers
 // are coalesced to at most one stamp per kernel timestamp through a dirty
-// flag, the kernels themselves run only when somebody reads the result
-// (see recomputeNow), and tuple expiry is tracked by lists in refresh order
+// flag, the kernels themselves run only when somebody reads the result,
+// and only for the part read, the MPR set or the routing table (see
+// recomputeNow), and tuple expiry is tracked by lists in refresh order
 // and lazy min-heaps so the periodic purge costs O(expired) instead of
 // sweeping every live entry. Per-node state lives in one paged slot per
 // interned index, and every 2-hop, topology and duplicate tuple is an item
@@ -229,13 +230,15 @@ type Router struct {
 
 	// Coalesced, demand-driven recompute: handlers mark the router dirty
 	// and schedule at most one recompute event per kernel timestamp; the
-	// event only stamps the recompute as due as of lastRecompute, and reads
-	// flush synchronously so observable state is never stale.
+	// event only stamps the recompute as due as of lastRecompute, and each
+	// read materializes the part it reads synchronously, so observable state
+	// is never stale.
 	dirty         bool
 	lastRecompute sim.Time // time of the last stamp
 	recomputes    uint64   // stamps
-	pending       bool     // the last stamp has not been materialized yet
-	materialized  uint64   // kernel runs
+	pending       part     // parts of the last stamp not materialized yet
+	mprRuns       uint64   // kernel runs that built the MPR set
+	routeRuns     uint64   // kernel runs that built the routing table
 
 	scratch denseScratch
 
@@ -330,8 +333,8 @@ func (r *Router) TableStats() TableStats {
 		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopN +
 			r.topoN + len(r.selectors) + r.dupN,
 		Recomputes: r.recomputes,
-		MPRRuns:    r.materialized,
-		RouteRuns:  r.materialized,
+		MPRRuns:    r.mprRuns,
+		RouteRuns:  r.routeRuns,
 	}
 }
 
@@ -343,7 +346,7 @@ func (r *Router) isMPR(fi int32) bool {
 
 // Route reports the computed next hop toward dst.
 func (r *Router) Route(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
-	r.flush()
+	r.materialize(partRoutes)
 	e, found := r.routeFor(dst)
 	if !found {
 		return 0, 0, false
@@ -386,7 +389,7 @@ func (r *Router) markDirty() {
 	r.dirty = true
 	at := r.now()
 	if at <= r.lastRecompute {
-		// A recompute already ran at this timestamp (a read flushed);
+		// A stamp was already taken at this timestamp (by a read);
 		// nudge the coalesced run one tick so the once-per-timestamp
 		// contract holds.
 		at = r.lastRecompute + 1
@@ -398,7 +401,7 @@ func (r *Router) markDirty() {
 // closure allocation; see sim.ScheduleArg).
 func recomputeEvent(a any) {
 	r := a.(*Router)
-	// If a read already flushed at this timestamp and a later change
+	// If a read already stamped at this timestamp and a later change
 	// re-dirtied the router, that markDirty scheduled a fresh event at
 	// now+1 — running here would be a second rebuild in one timestamp,
 	// breaking the ≤1-recompute-per-(node, timestamp) contract.
@@ -407,24 +410,45 @@ func recomputeEvent(a any) {
 	}
 }
 
-// flush stamps synchronously if state changed since the last stamp and
-// materializes the pending stamp, so reads (route lookups, MPR queries,
+// part names one output of the recompute kernels. A stamp leaves both
+// pending, and each reader materializes only the part it reads.
+type part uint8
+
+const (
+	partMPR    part = 1 << iota // the MPR set (RFC 3626 §8.3.1), read by HELLO emission
+	partRoutes                  // the routing table (§10), read by route lookups
+)
+
+// materialize stamps synchronously if state changed since the last stamp,
+// then builds the parts in want that the stamp left pending, in one kernel
+// run evaluated at the stamp's τ, so reads (route lookups, MPR queries,
 // wire emission) never observe staleness from the coalescing or the
-// deferral. Every reader of mprStamp/mprList/routeOf goes through it.
-func (r *Router) flush() {
+// deferral. Every reader of mprStamp/mprList goes through it with partMPR,
+// every reader of routeStamp with partRoutes.
+func (r *Router) materialize(want part) {
 	if r.dirty {
 		r.recomputeNow()
 	}
-	if r.pending {
-		r.pending = false
-		r.materialized++
-		r.recomputeDense(r.lastRecompute)
+	run := want & r.pending
+	if run == 0 {
+		return
 	}
+	r.pending &^= run
+	if run&partMPR != 0 {
+		r.mprRuns++
+	}
+	if run&partRoutes != 0 {
+		r.routeRuns++
+	}
+	r.recomputeDense(r.lastRecompute, run)
 }
 
 // recomputeNow stamps the recompute as due as of τ = now; the dense
-// kernels run later, in flush, evaluated at τ — and not at all when another
-// stamp overwrites this one unread (nine in ten, on the urban workloads).
+// kernels run later, in materialize, evaluated at τ — and not at all when
+// another stamp overwrites this one unread (nine in ten, on the urban
+// workloads). Each part runs only when a reader of that part comes: most
+// stamps that are read at all are read by one HELLO emission, which needs
+// the MPR set and not the routing table.
 //
 // Lemma (why deferring is exact). Write R(S, τ) for the kernels' output on
 // control state S evaluated at time τ; they read S's lifetimes only through
@@ -435,10 +459,18 @@ func (r *Router) flush() {
 // later value, still valid at τ. Inserts, removals, revivals from soft
 // expiry, ANSN discards, link failures and every ETX quality move are
 // reported material; the one unreported mutation, lq.tick() in sendHello,
-// runs after that function's own flush. So R(state_at_read, τ) =
+// runs after that function's own materialize. So R(state_at_read, τ) =
 // R(state_at_τ, τ). The rule this imposes on handlers: a mutation not
 // reported through noteChange(true) must leave R(·, τ) unchanged for every
 // τ ≤ now.
+//
+// The MPR set and the routing table are projections of R(·, τ), so
+// building them at two different reads of one stamp is exact as well, with
+// one caveat: lq.tick() moves the ETX link costs the route kernel reads
+// (MPR selection reads none), and it runs right after a HELLO emission
+// that may be the stamp's first read. So under ETX sendHello materializes
+// the routing table together with the MPR set, and the tick finds no part
+// of the stamp pending.
 //
 // The coalesced event stays although it only stamps (O(1)): it is what pins
 // τ. Deriving τ inside markDirty would make it depend on whether another
@@ -452,7 +484,7 @@ func (r *Router) recomputeNow() {
 	r.dirty = false
 	r.lastRecompute = r.now()
 	r.recomputes++
-	r.pending = true
+	r.pending = partMPR | partRoutes
 }
 
 func (r *Router) nextEpoch() uint64 {
@@ -499,7 +531,14 @@ func (r *Router) helloLinks(now sim.Time) []HelloLink {
 }
 
 func (r *Router) sendHello() {
-	r.flush()
+	// The emission reads the MPR set; under ETX the windows it closes
+	// below move link costs, so the routing table is built first (see the
+	// lemma at recomputeNow).
+	want := partMPR
+	if r.cfg.ETX {
+		want |= partRoutes
+	}
+	r.materialize(want)
 	now := r.now()
 	links := r.helloLinks(now)
 	r.broadcast(1, helloBytes(len(links)), &Hello{From: r.node.ID(), Links: links})
@@ -627,7 +666,7 @@ func (r *Router) Origin(p *netsim.Packet) {
 // nextHopFor resolves a destination through the routing table, falling
 // back to the HNA association set for external destinations.
 func (r *Router) nextHopFor(dst netsim.NodeID) (netsim.NodeID, bool) {
-	r.flush()
+	r.materialize(partRoutes)
 	if e, ok := r.routeFor(dst); ok {
 		return e.next, true
 	}

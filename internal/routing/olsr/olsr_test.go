@@ -381,7 +381,7 @@ func TestDataForwardTTLExpiry(t *testing.T) {
 
 // MPRSet returns the current multipoint relays (for tests and analysis).
 func (r *Router) MPRSet() []netsim.NodeID {
-	r.flush()
+	r.materialize(partMPR)
 	return append([]netsim.NodeID(nil), r.mprList...)
 }
 

@@ -15,7 +15,7 @@ import (
 // against — and must stay semantically identical to dense.go:
 // TestDenseMatchesOracle asserts bit-identical routes, MPR sets and wire
 // contents across randomized topologies. Run at every stamp by the eager
-// driver (flushOracle, settleOracle), it is also the reference for the dense
+// driver (materializeOracle, settleOracle), it is also the reference for the dense
 // path's demand-driven materialization (see recomputeNow).
 //
 // Two deliberate deviations from the seed implementation, shared with the
@@ -40,21 +40,22 @@ func (r *Router) recomputeOracle() {
 // The stamp must be this instant's: a later call would be the deferral.
 func (r *Router) settleOracle(tb testing.TB) {
 	tb.Helper()
-	if !r.pending {
+	if r.pending == 0 {
 		return
 	}
 	if r.lastRecompute != r.now() {
 		tb.Fatalf("eager driver: stamp of %v left pending until %v", r.lastRecompute, r.now())
 	}
-	r.pending = false
-	r.materialized++
+	r.pending = 0
+	r.mprRuns++
+	r.routeRuns++
 	r.recomputeOracle()
 }
 
-// flushOracle is flush on the eager side: a read stamps a dirty router and
-// materializes the stamp with the map-based kernels, so the read's own flush
-// finds nothing to do.
-func (r *Router) flushOracle(tb testing.TB) {
+// materializeOracle is materialize on the eager side: a read stamps a dirty
+// router and materializes both parts of the stamp with the map-based
+// kernels, so the read's own materialize finds nothing to do.
+func (r *Router) materializeOracle(tb testing.TB) {
 	tb.Helper()
 	if r.dirty {
 		r.recomputeNow()
