@@ -207,8 +207,8 @@ bench-record:
 PAIRS ?= 10
 HELDOUT ?= 47
 bench-ab:
-	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make bench-ab W=<workload> BASE=<rev> [PAIRS=10] [HELDOUT=47]"; exit 2; }
-	bash scripts/bench-ab.sh $(W) $(BASE) $(PAIRS) $(HELDOUT)
+	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make bench-ab W=<workload> BASE=<rev> [PAIRS=10] [HELDOUT=47] [OUT=record.json]"; exit 2; }
+	bash scripts/bench-ab.sh $(W) $(BASE) $(PAIRS) $(HELDOUT) $(OUT)
 
 # The mutation gate (scripts/mutate.sh): apply each one-line mutant of a
 # lemma clause to a fresh copy of the tree and require the tests that claim

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench/README.md's A/B protocol ("Claiming a gain") as one command:
 #
-#   scripts/bench-ab.sh <workload> <base-rev> [pairs] [held-out-seed]
-#   make bench-ab W=urban_olsr BASE=HEAD~1
+#   scripts/bench-ab.sh <workload> <base-rev> [pairs] [held-out-seed] [record.json]
+#   make bench-ab W=urban_olsr BASE=HEAD~1 [OUT=docs/ab/NN-urban_olsr.json]
 #
 # Exports both sides into a temporary directory — <base-rev>'s committed
 # files, and as the change a snapshot of this working tree's tracked and
@@ -16,15 +16,18 @@
 # not reach it. Prints every run, then per seed and end-to-end metric both
 # sides' medians and quartiles, the pair wins, whether the median gap
 # clears the parent's own quartile spread, and whether the result digests
-# of the `-detail` reports agree. Exits non-zero when a run fails or
-# digests differ; the verdict on the timings is the reader's.
+# of the `-detail` reports agree. With a record file it also writes the
+# same evidence there as JSON: both revisions, and per seed and metric each
+# side's summary (the bench record's n/min/q1/median/q3/max/values), the
+# pair wins and losses, and each side's result digests. Exits non-zero when
+# a run fails or digests differ; the verdict on the timings is the reader's.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,20p' "$0" >&2
+	sed -n '2,24p' "$0" >&2
 	exit 2
 fi
-workload=$1 base=$2 pairs=${3:-10} heldout=${4:-47}
+workload=$1 base=$2 pairs=${3:-10} heldout=${4:-47} record=${5:-}
 seconds=10
 metrics="wall_s cpu_s setup_s alloc_mb peak_rss_mb"
 
@@ -81,27 +84,28 @@ done
 
 # Quartiles as Python's statistics.quantiles(values, n=4), the definition
 # bench/README.md calibrates its spreads with.
+stats='
+	function quart(x, n, k,    pos, lo, f) {
+		pos = k * (n + 1) / 4; lo = int(pos); f = pos - lo
+		if (lo < 1) return x[1]
+		if (lo >= n) return x[n]
+		return x[lo] + f * (x[lo + 1] - x[lo])
+	}
+	function sorted(src, n, dst,    i, j, t) {
+		for (i = 1; i <= n; i++) dst[i] = src[i]
+		for (i = 2; i <= n; i++) {
+			t = dst[i]
+			for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]
+			dst[j + 1] = t
+		}
+	}'
 status=0
 for seed in 1 "$heldout"; do
 	echo
 	echo "seed $seed"
 	col=5
 	for m in $metrics; do
-		awk -v seed="$seed" -v col="$col" -v m="$m" '
-			function quart(x, n, k,    pos, lo, f) {
-				pos = k * (n + 1) / 4; lo = int(pos); f = pos - lo
-				if (lo < 1) return x[1]
-				if (lo >= n) return x[n]
-				return x[lo] + f * (x[lo + 1] - x[lo])
-			}
-			function sorted(src, n, dst,    i, j, t) {
-				for (i = 1; i <= n; i++) dst[i] = src[i]
-				for (i = 2; i <= n; i++) {
-					t = dst[i]
-					for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]
-					dst[j + 1] = t
-				}
-			}
+		awk -v seed="$seed" -v col="$col" -v m="$m" "$stats"'
 			$2 == seed && $1 == "parent" { p[$3] = $col; n = $3 > n ? $3 : n }
 			$2 == seed && $1 == "change" { c[$3] = $col }
 			END {
@@ -125,4 +129,56 @@ for seed in 1 "$heldout"; do
 		status=1
 	fi
 done
+
+# The record: the runs file summarised per seed and metric, in the bench
+# record's field names where they overlap (commit, seed, end_to_end, n,
+# min, q1, median, q3, max, values, digest).
+if [ -n "$record" ]; then
+	change=$(git rev-parse HEAD)
+	if [ -n "$(git status --porcelain)" ]; then
+		change="$change+dirty"
+	fi
+	awk -v workload="$workload" -v parent="$(git rev-parse "$base")" -v change="$change" \
+		-v seeds="1 $heldout" -v metrics="$metrics" -v pairs="$pairs" -v seconds="$seconds" "$stats"'
+		function side(x, n,    s, i, out) {
+			sorted(x, n, s)
+			out = sprintf("{\"n\": %d, \"min\": %.10g, \"q1\": %.10g, \"median\": %.10g, \"q3\": %.10g, \"max\": %.10g, \"values\": [",
+				n, s[1], quart(s, n, 1), quart(s, n, 2), quart(s, n, 3), s[n])
+			for (i = 1; i <= n; i++) out = out (i > 1 ? ", " : "") sprintf("%.10g", x[i])
+			return out "]}"
+		}
+		function digests(sd, seed,    i, out, seen) {
+			out = ""
+			for (i = 1; i <= NR; i++)
+				if (rs[i] == sd && rseed[i] == seed && !((rd[i]) in seen)) {
+					seen[rd[i]] = 1
+					out = out (out == "" ? "" : ", ") "\"" rd[i] "\""
+				}
+			return "[" out "]"
+		}
+		{ rs[NR] = $1; rseed[NR] = $2; rpair[NR] = $3; rd[NR] = $4; for (f = 5; f <= NF; f++) rv[NR, f] = $f + 0 }
+		END {
+			ns = split(seeds, sv, " "); nm = split(metrics, mv, " ")
+			printf "{\n  \"workload\": \"%s\",\n  \"seconds\": %s,\n  \"pairs\": %d,\n", workload, seconds, pairs
+			printf "  \"parent\": {\"commit\": \"%s\"},\n  \"change\": {\"commit\": \"%s\"},\n  \"sets\": [\n", parent, change
+			for (si = 1; si <= ns; si++) {
+				printf "    {\n      \"seed\": %d,\n      \"end_to_end\": {\n", sv[si]
+				for (mi = 1; mi <= nm; mi++) {
+					delete p; delete c; n = 0; wins = 0; losses = 0
+					for (i = 1; i <= NR; i++) {
+						if (rseed[i] != sv[si]) continue
+						if (rs[i] == "parent") { p[rpair[i]] = rv[i, 4 + mi]; n = rpair[i] > n ? rpair[i] : n }
+						else c[rpair[i]] = rv[i, 4 + mi]
+					}
+					for (i = 1; i <= n; i++) { if (c[i] < p[i]) wins++; else if (c[i] > p[i]) losses++ }
+					printf "        \"%s\": {\"parent\": %s, \"change\": %s, \"change_wins\": %d, \"change_losses\": %d}%s\n",
+						mv[mi], side(p, n), side(c, n), wins, losses, mi < nm ? "," : ""
+				}
+				printf "      },\n      \"digest\": {\"parent\": %s, \"change\": %s}\n    }%s\n",
+					digests("parent", sv[si]), digests("change", sv[si]), si < ns ? "," : ""
+			}
+			printf "  ]\n}\n"
+		}' "$tmp/runs" >"$record"
+	echo "bench-ab: record written to $record"
+fi
 exit $status

@@ -134,8 +134,8 @@ mutant "ca step: ignores a signal added since the gaps were computed" internal/c
 	$ca "$caTests"
 
 # ---- PR 13: olsr flush evaluates at τ (ROADMAP "Stamp / materialize") ----
-mutant "olsr flush: kernels evaluated at now instead of τ" internal/routing/olsr/olsr.go \
-	's|r.recomputeDense(r.lastRecompute)|r.recomputeDense(r.now())|' \
+mutant "olsr materialize: kernels evaluated at now instead of τ" internal/routing/olsr/olsr.go \
+	's#r.recomputeDense(r.lastRecompute\(, run\)\{0,1\})#r.recomputeDense(r.now()\1)#' \
 	./internal/routing/olsr 'TestDeferredMatchesEagerTrajectory'
 
 # ---- PR 25: parameters that became constants, pinned by behaviour ----
@@ -386,8 +386,8 @@ mutant "olsr handleHello: every selecting HELLO bumps the ANSN again" internal/r
 # out of any differential's reach (both sides run the same handler and skip
 # the same stamp), hence its own test. ----
 olsr=./internal/routing/olsr
-mutant "olsr sendHello: the hello windows close before the flush" internal/routing/olsr/olsr.go \
-	'/^func (r \*Router) sendHello() {$/,/^}$/{s|^\tr.flush()$|\tfor _, fi := range r.linkList {\n\t\tif lt := \&r.slot(fi).link; r.cfg.ETX \&\& lt.lq != nil {\n\t\t\tlt.lq.tick()\n\t\t}\n\t}\n\tr.flush()|;s|^\t\t\t\tlt.lq.tick()$|\t\t\t\t_ = lt|}' \
+mutant "olsr sendHello: the hello windows close before the read" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) sendHello() {$/,/^}$/{s#^\tr.\(flush()\|materialize(want)\)$#\tfor _, fi := range r.linkList {\n\t\tif lt := \&r.slot(fi).link; r.cfg.ETX \&\& lt.lq != nil {\n\t\t\tlt.lq.tick()\n\t\t}\n\t}\n\tr.\1#;s|^\t\t\t\tlt.lq.tick()$|\t\t\t\t_ = lt|}' \
 	$olsr 'TestDeferredMatchesEagerTrajectory|FuzzDeferredMatchesEager'
 mutant "olsr handleHello: an ETX quality move left unreported" internal/routing/olsr/olsr.go \
 	's/r.noteChange(material || r.cfg.ETX)/r.noteChange(material)/' \
@@ -404,6 +404,23 @@ mutant "olsr handleTC: a topology change left unreported" internal/routing/olsr/
 mutant "olsr markDirty: no nudge past a timestamp a read already stamped" internal/routing/olsr/olsr.go \
 	's|at = r.lastRecompute + 1|at = r.lastRecompute|' \
 	$olsr 'TestRecomputeCoalescedPerTimestamp'
+
+# ---- PR 50: a stamp leaves the MPR set and the routing table pending
+# apart, and each reader builds only its own part (ROADMAP "MPR and routes
+# materialise on demand, separately"). A revision before the split reads
+# BROKEN on every row. ----
+mutant "olsr sendHello: under ETX the emission builds only the MPR set" internal/routing/olsr/olsr.go \
+	's#^\t\twant |= partRoutes$#\t\twant |= 0#' \
+	$olsr 'TestETXQualityMoveReroutesAtNextRead|FuzzDeferredMatchesEager'
+mutant "olsr recomputeNow: a stamp leaves only the routes pending" internal/routing/olsr/olsr.go \
+	's#r.pending = partMPR | partRoutes#r.pending = partRoutes#' \
+	$olsr 'TestDenseMatchesOracle|TestDeferredMatchesEagerTrajectory|TestRecomputeCoalescedPerTimestamp'
+mutant "olsr GatewayFor: reads the MPR set instead of the routes" internal/routing/olsr/hna.go \
+	'/^func (r \*Router) GatewayFor/,/^}/s#r.materialize(partRoutes)#r.materialize(partMPR)#' \
+	$olsr '^TestHNA'
+mutant "olsr denseNeighbors: an MPR-only run writes distance-1 routes" internal/routing/olsr/dense.go \
+	'/^func (r \*Router) denseNeighbors/,/^}/s#if routes {#if true {#' \
+	$olsr 'TestRecomputeCoalescedPerTimestamp|TestDeferredMatchesEagerTrajectory|FuzzDeferredMatchesEager'
 mutant "mac freeze: the slots owed round down" internal/mac/dcf.go \
 	's#int((left+\(d\.cfg\.SlotTime\|slotTime\)-1)/\1)#int(left/\1)#' \
 	$mac 'TestBackoff'
