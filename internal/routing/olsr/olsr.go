@@ -447,7 +447,7 @@ func (r *Router) materialize(want part) {
 // kernels run later, in materialize, evaluated at τ — and not at all when
 // another stamp overwrites this one unread (nine in ten, on the urban
 // workloads). Each part runs only when a reader of that part comes: most
-// stamps that are read at all are read by one HELLO emission, which needs
+// stamps that are read at all are read only by HELLO emissions, which need
 // the MPR set and not the routing table.
 //
 // Lemma (why deferring is exact). Write R(S, τ) for the kernels' output on

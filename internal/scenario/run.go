@@ -103,8 +103,7 @@ func Run(s Spec) (*Result, error) {
 
 // runWork is what a run cost, which no Result byte shows: the kernel's and
 // the channel's work counts, and OLSR's recompute stamps and kernel runs
-// summed over the routers alive at the horizon (a router rebuilt by a crash
-// starts from zero; the counts of the one it replaced leave with it).
+// summed over the routers alive at the horizon.
 type runWork struct {
 	kernel sim.Work
 	air    phy.Work

@@ -405,10 +405,10 @@ mutant "olsr markDirty: no nudge past a timestamp a read already stamped" intern
 	's|at = r.lastRecompute + 1|at = r.lastRecompute|' \
 	$olsr 'TestRecomputeCoalescedPerTimestamp'
 
-# ---- PR 50: a stamp leaves the MPR set and the routing table pending
-# apart, and each reader builds only its own part (ROADMAP "MPR and routes
-# materialise on demand, separately"). A revision before the split reads
-# BROKEN on every row. ----
+# ---- OLSR's per-part reads: a stamp leaves the MPR set and the routing
+# table pending apart, and each reader builds only its own part (ROADMAP
+# "MPR and routes materialise on demand, separately"). A revision before
+# the split reads BROKEN on every row. ----
 mutant "olsr sendHello: under ETX the emission builds only the MPR set" internal/routing/olsr/olsr.go \
 	's#^\t\twant |= partRoutes$#\t\twant |= 0#' \
 	$olsr 'TestETXQualityMoveReroutesAtNextRead|FuzzDeferredMatchesEager'
