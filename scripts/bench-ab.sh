@@ -21,13 +21,23 @@
 # side's summary (the bench record's n/min/q1/median/q3/max/values), the
 # pair wins and losses, and each side's result digests. Exits non-zero when
 # a run fails or digests differ; the verdict on the timings is the reader's.
+#
+# With LAYOUTS=1 in the environment every run first relinks its side with
+# GOFLAGS=-ldflags=-randlayout=<n>: the parent's run of pair p takes
+# n = 2p-1 and the change's n = 2p, at both seeds, so a re-run repeats the
+# layouts and no two runs of one pair share one. Function placement then
+# becomes noise the pair statistics see instead of a fixed bias of one
+# build per side; `bench-ab.sh <w> HEAD` compares a tree with itself and
+# measures that noise. The run lines name each layout and the record lists
+# them. Only the link re-runs, before the timed phase.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,24p' "$0" >&2
+	sed -n '2,33p' "$0" >&2
 	exit 2
 fi
 workload=$1 base=$2 pairs=${3:-10} heldout=${4:-47} record=${5:-}
+layouts=${LAYOUTS:-}
 seconds=10
 metrics="wall_s cpu_s setup_s alloc_mb peak_rss_mb"
 
@@ -43,12 +53,22 @@ git ls-files -z --cached --others --exclude-standard |
 	while IFS= read -r -d '' f; do [ ! -e "$f" ] || printf '%s\0' "$f"; done |
 	xargs -0 cp --parents -t "$tmp/change"
 
+# layout <side> <pair>: the -randlayout seed of side's run in pair (see
+# LAYOUTS above).
+layout() {
+	if [ "$1" = parent ]; then echo $((2 * $2 - 1)); else echo $((2 * $2)); fi
+}
+
 # run <side> <dir> <seed> <pair>: one benchmark process; appends
 # "side seed pair digest metric..." to $tmp/runs.
 run() {
-	local side=$1 dir=$2 seed=$3 pair=$4 out detail line digest vals=""
+	local side=$1 dir=$2 seed=$3 pair=$4 out detail line digest vals="" flags=${GOFLAGS:-} note=""
 	detail="$tmp/$side.$seed.$pair.json"
-	out=$(cd "$dir" && bash bench/run.sh --workload "$workload" --seed "$seed" \
+	if [ -n "$layouts" ]; then
+		flags="-ldflags=-randlayout=$(layout "$side" "$pair")"
+		note="  layout $(layout "$side" "$pair")"
+	fi
+	out=$(cd "$dir" && GOFLAGS="$flags" bash bench/run.sh --workload "$workload" --seed "$seed" \
 		--seconds "$seconds" --trace 0 --detail "$detail") || {
 		echo "bench-ab: $side run of $workload at seed $seed exited non-zero" >&2
 		exit 1
@@ -66,10 +86,10 @@ run() {
 	done
 	digest=$(grep -o '"digest": *"[0-9a-f]*"' "$detail" | grep -o '[0-9a-f]\{64\}')
 	echo "$side $seed $pair $digest$vals" >>"$tmp/runs"
-	echo "seed $seed pair $pair $side:$vals  digest ${digest:0:12}"
+	echo "seed $seed pair $pair $side:$vals  digest ${digest:0:12}$note"
 }
 
-echo "bench-ab: $workload, parent $(git rev-parse --short "$base") vs working tree, $pairs pairs at seeds 1 and $heldout ($metrics)"
+echo "bench-ab: $workload, parent $(git rev-parse --short "$base") vs working tree, $pairs pairs at seeds 1 and $heldout ($metrics)${layouts:+, randomized layouts}"
 for seed in 1 "$heldout"; do
 	for pair in $(seq 1 "$pairs"); do
 		if [ $((pair % 2)) -eq 1 ]; then
@@ -132,14 +152,15 @@ done
 
 # The record: the runs file summarised per seed and metric, in the bench
 # record's field names where they overlap (commit, seed, end_to_end, n,
-# min, q1, median, q3, max, values, digest).
+# min, q1, median, q3, max, values, digest), and with LAYOUTS each side's
+# -randlayout seeds in pair order.
 if [ -n "$record" ]; then
 	change=$(git rev-parse HEAD)
 	if [ -n "$(git status --porcelain)" ]; then
 		change="$change+dirty"
 	fi
 	awk -v workload="$workload" -v parent="$(git rev-parse "$base")" -v change="$change" \
-		-v seeds="1 $heldout" -v metrics="$metrics" -v pairs="$pairs" -v seconds="$seconds" "$stats"'
+		-v seeds="1 $heldout" -v metrics="$metrics" -v pairs="$pairs" -v seconds="$seconds" -v layouts="$layouts" "$stats"'
 		function side(x, n,    s, i, out) {
 			sorted(x, n, s)
 			out = sprintf("{\"n\": %d, \"min\": %.10g, \"q1\": %.10g, \"median\": %.10g, \"q3\": %.10g, \"max\": %.10g, \"values\": [",
@@ -160,6 +181,11 @@ if [ -n "$record" ]; then
 		END {
 			ns = split(seeds, sv, " "); nm = split(metrics, mv, " ")
 			printf "{\n  \"workload\": \"%s\",\n  \"seconds\": %s,\n  \"pairs\": %d,\n", workload, seconds, pairs
+			if (layouts != "") {
+				lp = ""; lc = ""
+				for (i = 1; i <= pairs; i++) { lp = lp (i > 1 ? ", " : "") (2 * i - 1); lc = lc (i > 1 ? ", " : "") (2 * i) }
+				printf "  \"layouts\": {\"parent\": [%s], \"change\": [%s]},\n", lp, lc
+			}
 			printf "  \"parent\": {\"commit\": \"%s\"},\n  \"change\": {\"commit\": \"%s\"},\n  \"sets\": [\n", parent, change
 			for (si = 1; si <= ns; si++) {
 				printf "    {\n      \"seed\": %d,\n      \"end_to_end\": {\n", sv[si]
