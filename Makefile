@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/routing/olsr/ -fuzz FuzzTwoHopMatchesReference -fuzztime 5s -run XXX
 	$(GO) test ./internal/routing/olsr/ -fuzz FuzzTopologyMatchesReference -fuzztime 5s -run XXX
 	$(GO) test ./internal/routing/olsr/ -fuzz FuzzDupsMatchReference -fuzztime 5s -run XXX
+	$(GO) test ./internal/routing/olsr/ -fuzz FuzzLinkSetMatchesReference -fuzztime 5s -run XXX
 	$(GO) test ./internal/ca/ -fuzz FuzzLaneDifferential -fuzztime 5s -run XXX
 	$(GO) test ./internal/rng/ -fuzz FuzzStreamMatchesMathRand -fuzztime 5s -run XXX
 	$(GO) test ./internal/netsim/ -fuzz FuzzInterner -fuzztime 5s -run XXX

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"cavenet/internal/geometry"
@@ -9,7 +10,8 @@ import (
 
 // probeRouter is the smallest protocol on the reactive machine: requests
 // flood with duplicate suppression and nothing ever answers them, so every
-// search spends its three tries.
+// search spends its three tries. A relay installs the reverse route to a
+// request's originator before it records the request, as AODV does.
 type probeRouter struct{ *Reactive }
 
 type probeRREQ struct {
@@ -30,7 +32,6 @@ func newProbeRouter(n *Node) Router {
 		SeenHold:      probeSeenHold,
 		SendRREQ: func(d *Discovery) sim.Time {
 			id++
-			r.Seen(n.ID(), id)
 			n.SendControl(BroadcastID, BroadcastID, 8, 16, &probeRREQ{n.ID(), id})
 			return sim.Second << d.Tries
 		},
@@ -46,9 +47,25 @@ func (r *probeRouter) Receive(p *Packet, from NodeID) {
 		return
 	}
 	msg := p.Payload.(*probeRREQ)
-	if msg.orig != r.Node.ID() && !r.Seen(msg.orig, msg.id) && p.TTL > 1 {
+	if msg.orig == r.Node.ID() || r.Seen(msg.orig, msg.id) {
+		return
+	}
+	r.Routes.Update(msg.orig, msg.id, true, 1, from, sim.Second)
+	r.MarkSeen(msg.orig, msg.id)
+	if p.TTL > 1 {
 		r.Node.SendControl(BroadcastID, BroadcastID, p.TTL-1, 16, msg)
 	}
+}
+
+// seenLen counts the floods m remembers, walking every originator's chain.
+func seenLen(m *Reactive) int {
+	n := 0
+	for x := range m.floods.Len() {
+		for i := m.floods.At(x).head; i != noFlood; i = m.seen.At(i).next {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSeenTableSteadyOverLongRun: the reactive machine's flood dedup table
@@ -75,7 +92,7 @@ func TestSeenTableSteadyOverLongRun(t *testing.T) {
 	var tick func()
 	tick = func() {
 		for i := range peak {
-			peak[i] = max(peak[i], w.Node(i).Router().(*probeRouter).seen.Len())
+			peak[i] = max(peak[i], seenLen(w.Node(i).Router().(*probeRouter).Reactive))
 		}
 		if w.Kernel.Now() < 60*sim.Second {
 			w.Kernel.After(sim.Second, tick)
@@ -87,13 +104,167 @@ func TestSeenTableSteadyOverLongRun(t *testing.T) {
 	// 9 senders × 3 tries per 8 s × a 10 s hold ⇒ a steady state of about
 	// 35 entries; the run floods 189 times, so a leak blows through this.
 	for i := range peak {
-		end := w.Node(i).Router().(*probeRouter).seen.Len()
+		end := seenLen(w.Node(i).Router().(*probeRouter).Reactive)
 		if peak[i] == 0 || peak[i] > 60 {
 			t.Errorf("node %d: seen table peaked at %d entries, want 1..60", i, peak[i])
 		}
 		if end > peak[i] {
 			t.Errorf("node %d: seen table still growing at end of run: %d > peak %d", i, end, peak[i])
 		}
+	}
+}
+
+// floodKey names a flood in the reference flood set.
+type floodKey struct {
+	orig NodeID
+	id   uint32
+}
+
+// runFloodSetDifferential decodes data into a stream of received floods,
+// probes and purges and drives a reactive machine's flood set (Seen,
+// MarkSeen after the handler's route update, expireFloods) and a map of
+// deadlines side by side: a key lives until the first purge with
+// now ≥ its deadline. A flood is looked up and, when both sides call it
+// new, recorded; a probe only looks up, also for originators the table has
+// never heard of. Each originator's ids repeat, step, jump or go back;
+// time moves in steps of up to 12.8 s against the 10-s hold, and some
+// purges fall exactly on a deadline. Every lookup must agree, and after
+// every step each originator's chain must hold exactly the reference's
+// keys for it, in deadline order.
+func runFloodSetDifferential(t *testing.T, data []byte) {
+	in := data
+	next := func() int {
+		if len(in) == 0 {
+			return 0
+		}
+		v := in[0]
+		in = in[1:]
+		return int(v)
+	}
+	w, err := NewWorld(WorldConfig{Nodes: 1, Static: []geometry.Vec2{{}}}, newProbeRouter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := w.Node(0).Router().(*probeRouter).Reactive
+	want := map[floodKey]sim.Time{}
+	var last [7]uint32
+	var heard []sim.Time
+	for step := 0; len(in) > 0; step++ {
+		now := w.Kernel.Now()
+		op := "flood"
+		switch c := next(); {
+		case c < 140:
+			orig := NodeID(1 + c%6)
+			id := last[orig]
+			switch next() % 6 {
+			case 1, 2:
+				id++
+			case 3:
+				id--
+			case 4:
+				id += uint32(2 + next())
+			}
+			last[orig] = id
+			_, w := want[floodKey{orig, id}]
+			if g := m.Seen(orig, id); g != w {
+				t.Fatalf("step %d t=%v: flood (%d, %d) seen %v, reference %v", step, now, orig, id, g, w)
+			}
+			if !w {
+				m.Routes.Update(orig, id, true, 1, orig, sim.Second)
+				m.MarkSeen(orig, id)
+				want[floodKey{orig, id}] = now + probeSeenHold
+				heard = append(heard, now)
+			}
+		case c < 170:
+			op = "probe"
+			orig := NodeID(1 + next()%9) // 7..9 never flood
+			id := last[min(orig, 6)] - uint32(next()%4)
+			_, w := want[floodKey{orig, id}]
+			if g := m.Seen(orig, id); g != w {
+				t.Fatalf("step %d t=%v: probe (%d, %d) seen %v, reference %v", step, now, orig, id, g, w)
+			}
+		case c < 230:
+			w.Kernel.RunUntil(now + sim.Time(1+next())*50*sim.Millisecond)
+			continue
+		default:
+			op = "purge"
+			if len(heard) > 0 && c%2 == 0 {
+				// Exactly at a deadline written earlier, if not yet past.
+				if at := heard[next()%len(heard)] + probeSeenHold; at > now {
+					w.Kernel.RunUntil(at)
+					now = at
+				}
+			}
+			m.expireFloods(now)
+			for k, until := range want { // order-free: deletes only
+				if until <= now {
+					delete(want, k)
+				}
+			}
+		}
+		n := 0
+		for x := range m.floods.Len() {
+			c := m.floods.At(x)
+			tail, prev := int32(noFlood), sim.Time(-1)
+			for i := c.head; i != noFlood; i = m.seen.At(i).next {
+				f := m.seen.At(i)
+				orig := m.Routes.Dst(f.orig)
+				if f.orig != x || f.until < prev || want[floodKey{orig, f.id}] != f.until {
+					t.Fatalf("step %d (%s at t=%v): entry %d's chain holds (%d, %d) until %v after one until %v",
+						step, op, now, x, orig, f.id, f.until, prev)
+				}
+				tail, prev = i, f.until
+				n++
+			}
+			if c.tail != tail {
+				t.Fatalf("step %d (%s at t=%v): entry %d's chain ends at item %d, tail %d", step, op, now, x, tail, c.tail)
+			}
+		}
+		if n != len(want) {
+			t.Fatalf("step %d (%s at t=%v): %d floods remembered, reference %d", step, op, now, n, len(want))
+		}
+	}
+}
+
+// TestFloodSetMatchesReference runs the differential on random streams.
+func TestFloodSetMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		data := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(data)
+		runFloodSetDifferential(t, data)
+	}
+}
+
+// TestFloodRecordAllocFree: once a machine has recycled its first hold
+// of floods, recording a new one and the purge that retires the oldest
+// allocate nothing: removed items are reused.
+func TestFloodRecordAllocFree(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Nodes: 1, Static: []geometry.Vec2{{}}}, newProbeRouter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := w.Node(0).Router().(*probeRouter).Reactive
+	id := uint32(0)
+	receive := func() {
+		w.Kernel.RunUntil(w.Kernel.Now() + sim.Second/5)
+		id++
+		orig := NodeID(1 + id%5)
+		if m.Seen(orig, id) {
+			t.Fatalf("(%d, %d) seen", orig, id)
+		}
+		m.Routes.Update(orig, id, true, 1, orig, sim.Second)
+		m.MarkSeen(orig, id)
+		m.expireFloods(w.Kernel.Now())
+	}
+	for w.Kernel.Now() < 2*probeSeenHold {
+		receive()
+	}
+	live := seenLen(m)
+	if allocs := testing.AllocsPerRun(100, receive); allocs != 0 {
+		t.Fatalf("recording a flood and purging allocate %.1f times, want 0", allocs)
+	}
+	if n := seenLen(m); n != live {
+		t.Fatalf("%d floods remembered, want %d", n, live)
 	}
 }
 

@@ -96,7 +96,6 @@ func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 		Src:         r.Node.ID(),
 		SrcSeq:      r.Seq,
 	}
-	r.Seen(r.Node.ID(), msg.ID)
 	r.Send(netsim.BroadcastID, netsim.BroadcastID, ttl, rreqBytes, msg)
 	return ringTraversalTime(ttl)
 }
@@ -133,6 +132,7 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 	hops := msg.HopCount + 1
 	minLifetime := 2*netTraversalTime - sim.Time(2*hops)*nodeTraversalTime
 	r.Routes.Update(msg.Src, msg.SrcSeq, true, hops, from, minLifetime)
+	r.MarkSeen(msg.Src, msg.ID)
 
 	if msg.Dst == me {
 		// RFC 3561 §6.6.1: destination replies, seq = max(own, RREQ's).

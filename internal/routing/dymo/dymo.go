@@ -131,7 +131,6 @@ func (r *Router) sendRREQ(d *netsim.Discovery) sim.Time {
 		msg.TargetSeq = seq
 		msg.TargetSeqKnown = true
 	}
-	r.Seen(r.Node.ID(), r.Seq)
 	r.Send(netsim.BroadcastID, netsim.BroadcastID, hopLimit, rmBytes(msg), msg)
 	// Exponential backoff across retries, as the draft recommends.
 	return rreqWaitTime << uint(d.Tries)
@@ -185,6 +184,7 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 	r.installFromRM(msg, from)
 
 	if !msg.IsReply {
+		r.MarkSeen(msg.Orig.Addr, msg.Orig.Seq)
 		if msg.Target == me {
 			// Target: answer with an RREP accumulated back (draft §5.2).
 			r.Seq++

@@ -76,10 +76,11 @@ type geoHeader struct {
 	App any
 }
 
-// neighbor is one beacon-learned entry.
+// neighbor is one beacon-learned entry and its item in the expiry list.
 type neighbor struct {
 	pos   geometry.Vec2
 	until sim.Time
+	item  int32
 }
 
 // Router is one node's GPSR instance.
@@ -87,8 +88,11 @@ type Router struct {
 	node *netsim.Node
 
 	neighbors map[netsim.NodeID]neighbor
-	expiry    sim.ExpiryHeap[netsim.NodeID] // a lazy heap: dropNeighbor ends a lifetime early
-	grid      *spatial.Grid
+	// Every until is written as now + neighborHold, so refresh order is
+	// deadline order: purge pops from the head, and an eviction removes
+	// the neighbor's item.
+	expiry sim.HoldList[netsim.NodeID]
+	grid   *spatial.Grid
 
 	beaconTicker *sim.Ticker
 	purgeTicker  *sim.Ticker
@@ -104,6 +108,7 @@ func New(node *netsim.Node) *Router {
 	r := &Router{
 		node:      node,
 		neighbors: make(map[netsim.NodeID]neighbor),
+		expiry:    sim.NewHoldList[netsim.NodeID](),
 		grid:      spatial.NewGrid(cellSize),
 	}
 	r.beaconTicker = sim.NewTicker(node.Kernel(), beaconInterval, node.Jitter(beaconInterval), r.sendBeacon)
@@ -133,33 +138,45 @@ func (r *Router) sendBeacon() {
 // learnNeighbor installs or refreshes a beacon-learned entry, keeping the
 // spatial index in lockstep with the neighbor map.
 func (r *Router) learnNeighbor(id netsim.NodeID, pos geometry.Vec2) {
-	until := r.node.Kernel().Now() + neighborHold
-	if _, ok := r.neighbors[id]; ok {
+	nb, ok := r.neighbors[id]
+	if ok {
 		r.grid.Move(int(id), pos)
+		r.expiry.Refresh(nb.item)
 	} else {
 		r.grid.Insert(int(id), pos)
-		r.expiry.Push(id, until)
+		nb.item = r.expiry.Add(id)
 	}
-	r.neighbors[id] = neighbor{pos: pos, until: until}
+	nb.pos, nb.until = pos, r.node.Kernel().Now()+neighborHold
+	r.neighbors[id] = nb
 }
 
-// dropNeighbor evicts id from the table and the index (no-op if absent).
+// dropNeighbor evicts id from the table, the index and the expiry list
+// (no-op if absent).
 func (r *Router) dropNeighbor(id netsim.NodeID) {
-	if _, ok := r.neighbors[id]; !ok {
+	nb, ok := r.neighbors[id]
+	if !ok {
 		return
 	}
 	delete(r.neighbors, id)
 	r.grid.Remove(int(id))
+	r.expiry.Remove(nb.item)
 }
 
+// purge evicts the neighbors whose until passed, from the head of the
+// expiry list. It drops each at the first purge with now ≥ until, as the
+// lazy heap it replaces did: that heap's items carried deadlines no later
+// than their neighbor's current one and were re-registered when found
+// refreshed, and the duplicates a re-learned neighbor left behind
+// surfaced at that same purge to find it gone.
 func (r *Router) purge() {
 	now := r.node.Kernel().Now()
-	r.expiry.Expire(now,
-		func(id netsim.NodeID) (sim.Time, bool) {
-			nb, ok := r.neighbors[id]
-			return nb.until, ok
-		},
-		r.dropNeighbor)
+	for i, ok := r.expiry.Front(); ok; i, ok = r.expiry.Front() {
+		id := *r.expiry.At(i)
+		if r.neighbors[id].until > now {
+			break
+		}
+		r.dropNeighbor(id)
+	}
 }
 
 // Origin implements netsim.Router: stamp the destination position from

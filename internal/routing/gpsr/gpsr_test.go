@@ -69,6 +69,70 @@ func TestGreedyDifferential(t *testing.T) {
 	}
 }
 
+// TestNeighborExpiryMatchesReference drives the router's neighbor table
+// through random beacons, evictions (a failed unicast's dropNeighbor) and
+// purges at random instants, some exactly on a deadline, beside a map of
+// deadlines: a neighbor lives until the first purge with now ≥ its
+// until. After every step both must hold the same neighbors with the same
+// deadlines, the expiry list's head must be a live neighbor, and the grid
+// must agree with the table.
+func TestNeighborExpiryMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(51))
+	w := staticWorld(t, []geometry.Vec2{{}})
+	r := w.Node(0).Router().(*Router)
+	want := map[netsim.NodeID]sim.Time{}
+	var heard []sim.Time
+	for step := 0; step < 20000; step++ {
+		now := w.Kernel.Now()
+		id := netsim.NodeID(1 + rnd.Intn(12))
+		op := "beacon"
+		switch c := rnd.Intn(10); {
+		case c < 4:
+			r.learnNeighbor(id, geometry.Vec2{X: float64(id) * 10})
+			want[id] = now + neighborHold
+			heard = append(heard, now)
+		case c < 5:
+			op = "drop"
+			if i, ok := r.expiry.Front(); ok && rnd.Intn(2) == 0 {
+				id = *r.expiry.At(i) // the oldest neighbor
+			}
+			r.dropNeighbor(id)
+			delete(want, id)
+		case c < 8:
+			w.Kernel.RunUntil(now + sim.Time(1+rnd.Intn(100))*10*sim.Millisecond)
+			continue
+		default:
+			op = "purge"
+			if len(heard) > 0 && c == 8 {
+				if at := heard[rnd.Intn(len(heard))] + neighborHold; at > now {
+					w.Kernel.RunUntil(at)
+					now = at
+				}
+			}
+			r.purge()
+			for id, until := range want { // order-free: deletes only
+				if until <= now {
+					delete(want, id)
+				}
+			}
+		}
+		if len(r.neighbors) != len(want) {
+			t.Fatalf("step %d (%s at t=%v): %d neighbors, reference %d", step, op, now, len(r.neighbors), len(want))
+		}
+		for id, until := range want { // order-free: lookups only
+			if nb, ok := r.neighbors[id]; !ok || nb.until != until {
+				t.Fatalf("step %d (%s at t=%v): neighbor %d until %v (%v), reference %v", step, op, now, id, nb.until, ok, until)
+			}
+		}
+		if i, ok := r.expiry.Front(); ok != (len(want) > 0) || ok && want[*r.expiry.At(i)] == 0 {
+			t.Fatalf("step %d (%s at t=%v): the expiry list's head (%v) is not a live neighbor", step, op, now, ok)
+		}
+		if got, ok := r.greedyNext(geometry.Vec2{}, math.Inf(1)); ok != (len(want) > 0) {
+			t.Fatalf("step %d (%s at t=%v): the grid offers %d (%v) for %d neighbors", step, op, now, got, ok, len(want))
+		}
+	}
+}
+
 // TestGreedyDifferentialTies pins the tie-break on exactly equidistant
 // candidates: both must pick the smallest id, independent of insertion
 // order.
@@ -257,7 +321,7 @@ func TestPartitionDropsExplicitly(t *testing.T) {
 }
 
 // TestBeaconsExpire: a silenced neighbor leaves the table after the hold
-// time — the ExpiryHeap purge actually runs.
+// time — the expiry list's purge actually runs.
 func TestBeaconsExpire(t *testing.T) {
 	positions := []geometry.Vec2{{X: 0}, {X: 200}}
 	w := staticWorld(t, positions)

@@ -97,3 +97,38 @@ func TestETXQualityMoveReroutesAtNextRead(t *testing.T) {
 		t.Fatalf("after 2's HELLO: route to 3 via %d, want 2 (ETX 1+1 against 4+1)", next)
 	}
 }
+
+// TestLinkFailureRestartsLQWindow pins what a link failure does to ETX:
+// it removes the link, so the neighbor's next HELLO creates it afresh and
+// its estimator (the same object, recycled) restarts from the optimistic
+// prior, however soon the HELLO comes. The window it had — one arrival in
+// three periods — does not carry over.
+func TestLinkFailureRestartsLQWindow(t *testing.T) {
+	w := chainWorld(t, 1, 0, Config{ETX: true})
+	r := w.Node(0).Router().(*Router)
+	const me, nb = netsim.NodeID(0), netsim.NodeID(1)
+	hello := []HelloLink{{Neighbor: me, Code: LinkSym}}
+	fi := r.intern(nb)
+	r.hearLink(fi, me, hello, 0)
+	lq := r.slot(fi).link.lq
+	for range 3 {
+		lq.tick()
+	}
+	if got := lq.ratio(); got != 1.0/3 {
+		t.Fatalf("before the failure the link's LQ is %v, want 1/3", got)
+	}
+	r.LinkFailure(nb, &netsim.Packet{Kind: netsim.KindControl})
+	if r.symmetric(nb, 0) || r.slot(fi).linkPos >= 0 {
+		t.Fatal("the failed link is still present")
+	}
+	if material, _ := r.hearLink(fi, me, hello, sim.Millisecond); !material {
+		t.Fatal("the HELLO after the failure did not report a new link")
+	}
+	if r.slot(fi).link.lq != lq {
+		t.Fatal("the returning link allocated a new estimator")
+	}
+	lq.tick()
+	if got := lq.ratio(); got != 1 {
+		t.Fatalf("after the failure and one HELLO the LQ is %v, want 1 (a restarted window)", got)
+	}
+}

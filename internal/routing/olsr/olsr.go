@@ -11,9 +11,9 @@
 // are coalesced to at most one stamp per kernel timestamp through a dirty
 // flag, the kernels themselves run only when somebody reads the result,
 // and only for the part read, the MPR set or the routing table (see
-// recomputeNow), and tuple expiry is tracked by lists in refresh order
-// and lazy min-heaps so the periodic purge costs O(expired) instead of
-// sweeping every live entry. Per-node state lives in one paged slot per
+// recomputeNow), and tuple expiry is tracked by lists in refresh order so
+// the periodic purge costs O(expired) instead of sweeping every live
+// entry. Per-node state lives in one paged slot per
 // interned index, and every 2-hop, topology and duplicate tuple is an item
 // of its expiry list, chained from its key's slot: no table keeps a slice
 // or a map per key. A forwarded TC or HNA shares the received message.
@@ -91,12 +91,12 @@ type Config struct {
 }
 
 // linkTuple is the link-set entry of RFC 3626 §4.2, stored in the
-// neighbor's slot (the slot's id is the neighbor's).
+// neighbor's slot (the slot's id is the neighbor's). It is present while
+// the slot's linkPos is; its item in linkExp carries until, and its item
+// in symExp, while it has one, symUntil.
 type linkTuple struct {
-	present bool
-	// inSymHeap is true while symExp holds an entry for this index; it
-	// dedups pushes so the heap keeps one item per once-symmetric link.
-	inSymHeap bool
+	linkItem  int32
+	symItem   int32 // noTuple once symUntil has expired, or before it is first written
 	symUntil  sim.Time
 	asymUntil sim.Time
 	until     sim.Time
@@ -213,12 +213,12 @@ type Router struct {
 	dups sim.HoldList[dupTuple]
 	dupN int
 
-	// Lazy expiry heaps where a lifetime can shrink: one item per live
-	// entry, surfaced at the deadline recorded when the entry was created
-	// and re-registered when it turns out to have been refreshed (see
-	// sim.ExpiryHeap).
-	linkExp sim.ExpiryHeap[int32] // LinkFailure zeroes deadlines, and a slot's reincarnation depends on when the heap surfaces it
-	symExp  sim.ExpiryHeap[int32] // LinkFailure zeroes symUntil; inSymHeap reincarnates with the heap item
+	// The link set's two deadlines, until and symUntil, each written only
+	// as now + neighborHold: one list item per present link and one per
+	// link with a pending symmetric deadline, each holding the neighbor's
+	// index. A link failure removes the link and both items.
+	linkExp sim.HoldList[int32]
+	symExp  sim.HoldList[int32]
 
 	// Recompute output, epoch-stamped in the slots. A stamp equal to the
 	// current (non-zero) epoch marks the entry live; clearing the table is
@@ -266,6 +266,8 @@ func New(node *netsim.Node, cfg Config) *Router {
 		twoHopExp:     sim.NewHoldList[twoHopTuple](),
 		topoExp:       sim.NewHoldList[topoTuple](),
 		selExp:        sim.NewHoldList[netsim.NodeID](),
+		linkExp:       sim.NewHoldList[int32](),
+		symExp:        sim.NewHoldList[int32](),
 		lastRecompute: -1,
 	}
 	r.helloTicker = sim.NewTicker(node.Kernel(), helloInterval, node.Jitter(helloInterval), r.sendHello)
@@ -308,7 +310,7 @@ func (r *Router) Stop() {
 }
 
 // TableStats reports live control-state sizes, including the expiry
-// backlog (for analysis and the memory-stability tests), and how many
+// lists' items (for analysis and the memory-stability tests), and how many
 // recompute stamps and kernel runs they cost so far.
 type TableStats struct {
 	Links      int
@@ -316,7 +318,7 @@ type TableStats struct {
 	Topology   int
 	Selectors  int
 	Dups       int    // duplicate tuples: other originators' messages (own ones are never looked up)
-	HeapItems  int    // expiry-heap items and list items, duplicate tuples included
+	Items      int    // expiry-list items, duplicate tuples included
 	Recomputes uint64 // coalesced stamps (see recomputeNow)
 	MPRRuns    uint64 // MPR kernel runs readers demanded
 	RouteRuns  uint64 // route kernel runs readers demanded
@@ -330,12 +332,23 @@ func (r *Router) TableStats() TableStats {
 		Topology:  r.topoN,
 		Selectors: len(r.selectors),
 		Dups:      r.dupN,
-		HeapItems: r.linkExp.Len() + r.symExp.Len() + r.twoHopN +
+		Items: len(r.linkList) + r.symItems() + r.twoHopN +
 			r.topoN + len(r.selectors) + r.dupN,
 		Recomputes: r.recomputes,
 		MPRRuns:    r.mprRuns,
 		RouteRuns:  r.routeRuns,
 	}
+}
+
+// symItems counts the links with an item in symExp.
+func (r *Router) symItems() int {
+	n := 0
+	for _, fi := range r.linkList {
+		if r.slot(fi).link.symItem != noTuple {
+			n++
+		}
+	}
+	return n
 }
 
 // isMPR reports whether the interned neighbor was selected as MPR by the
@@ -571,8 +584,8 @@ func (r *Router) makeTC(now sim.Time) *TC {
 		msg.LQs = make([]float64, len(adv))
 		for i, id := range adv {
 			if fi := r.idx.Index(id); fi >= 0 {
-				if lt := &r.slot(fi).link; lt.present && lt.lq != nil {
-					msg.LQs[i] = lt.lq.ratio()
+				if s := r.slot(fi); s.linkPos >= 0 && s.link.lq != nil {
+					msg.LQs[i] = s.link.lq.ratio()
 				}
 			}
 		}
@@ -701,53 +714,8 @@ func (r *Router) forwardData(p *netsim.Packet) {
 func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	now := r.now()
 	fi := r.intern(from)
-	s := r.slot(fi)
-	lt := &s.link
-	material := false
-	if !lt.present {
-		// Reincarnate the slot with fresh link state; the symExp flag must
-		// survive (its heap entry, if any, is still registered).
-		*lt = linkTuple{present: true, inSymHeap: lt.inSymHeap, lq: lt.lq}
-		if r.cfg.ETX {
-			if lt.lq == nil {
-				lt.lq = newLQEstimator(lqWindow)
-			} else {
-				lt.lq.reset()
-			}
-		}
-		s.linkPos = int32(len(r.linkList))
-		r.linkList = append(r.linkList, fi)
-		r.linkExp.Push(fi, now+neighborHold)
-		material = true
-	}
-	lt.asymUntil = now + neighborHold
-	lt.until = now + neighborHold
-	if lt.lq != nil {
-		lt.lq.heard()
-	}
-
 	me := r.node.ID()
-	wasSym := lt.symUntil > now
-	selected := false
-	for _, hl := range msg.Links {
-		if hl.Neighbor != me {
-			continue
-		}
-		if hl.Code == LinkMPR {
-			selected = true
-		}
-		if hl.Code != LinkLost {
-			// The neighbor hears us: the link is symmetric.
-			lt.symUntil = now + neighborHold
-		}
-	}
-	if lt.symUntil > now && !wasSym {
-		material = true
-		if !lt.inSymHeap {
-			lt.inSymHeap = true
-			r.symExp.Push(fi, lt.symUntil)
-		}
-	}
+	material, selected := r.hearLink(fi, me, msg.Links, now)
 
 	if selected {
 		// RFC 3626 §9.3: the ANSN moves when the advertised set — our MPR
@@ -765,13 +733,70 @@ func (r *Router) handleHello(msg *Hello, from netsim.NodeID) {
 	}
 
 	// 2-hop set: symmetric neighbors of a symmetric neighbor.
-	if lt.symUntil > now && r.mergeTwoHop(fi, me, msg.Links, now) {
+	if r.slot(fi).link.symUntil > now && r.mergeTwoHop(fi, me, msg.Links, now) {
 		material = true
 	}
 	// Pure lifetime refreshes cannot change recompute output; new links,
 	// asym→sym transitions and new/revived 2-hop edges can. Under ETX the
 	// carried link qualities move costs on every hello.
 	r.noteChange(material || r.cfg.ETX)
+}
+
+// hearLink applies a HELLO from neighbor fi, heard at now, to its link
+// tuple (RFC 3626 §7.1.1). A link not present is created with fresh state;
+// its lifetimes move to now + neighborHold, and so does symUntil when the
+// HELLO lists me with a code other than LOST. Each deadline written is the
+// latest in its list, so its item moves to the tail. It reports whether
+// the link is new or turned symmetric (material for recompute) and whether
+// the neighbor selected me as MPR.
+func (r *Router) hearLink(fi int32, me netsim.NodeID, links []HelloLink, now sim.Time) (material, selected bool) {
+	s := r.slot(fi)
+	lt := &s.link
+	if s.linkPos < 0 {
+		// A fresh tuple. The estimator is kept across incarnations to
+		// avoid reallocation, and restarts its window.
+		*lt = linkTuple{linkItem: r.linkExp.Add(fi), symItem: noTuple, lq: lt.lq}
+		if r.cfg.ETX {
+			if lt.lq == nil {
+				lt.lq = newLQEstimator(lqWindow)
+			} else {
+				lt.lq.reset()
+			}
+		}
+		s.linkPos = int32(len(r.linkList))
+		r.linkList = append(r.linkList, fi)
+		material = true
+	} else {
+		r.linkExp.Refresh(lt.linkItem)
+	}
+	lt.asymUntil = now + neighborHold
+	lt.until = now + neighborHold
+	if lt.lq != nil {
+		lt.lq.heard()
+	}
+
+	wasSym := lt.symUntil > now
+	hearsMe := false
+	for _, hl := range links {
+		if hl.Neighbor != me {
+			continue
+		}
+		if hl.Code == LinkMPR {
+			selected = true
+		}
+		// Any code but LOST: the neighbor hears us, the link is symmetric.
+		hearsMe = hearsMe || hl.Code != LinkLost
+	}
+	if hearsMe {
+		lt.symUntil = now + neighborHold
+		if lt.symItem == noTuple {
+			lt.symItem = r.symExp.Add(fi)
+		} else {
+			r.symExp.Refresh(lt.symItem)
+		}
+		material = material || !wasSym
+	}
+	return material, selected
 }
 
 // mergeTwoHop installs or refreshes the 2-hop tuple (fi → th) for every
@@ -941,32 +966,31 @@ func (r *Router) seekTopo(at *int32, dest netsim.NodeID, ansn uint16) (*int32, b
 	return at, gone
 }
 
-// LinkFailure implements netsim.Router: link-layer feedback expires the
-// link immediately (RFC 3626 §13 link-layer notification option).
+// LinkFailure implements netsim.Router: link-layer feedback removes the
+// link immediately (RFC 3626 §13 link-layer notification option), so the
+// neighbor's next HELLO creates it afresh.
 func (r *Router) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
 	if p.Kind == netsim.KindData {
 		r.node.DropData(p, netsim.CauseLinkFailure)
 	}
 	material := false
-	if fi := r.idx.Index(next); fi >= 0 {
-		lt := &r.slot(fi).link
-		if lt.present {
-			lt.symUntil, lt.asymUntil, lt.until = 0, 0, 0
-			material = true
-		}
+	if fi := r.idx.Index(next); fi >= 0 && r.slot(fi).linkPos >= 0 {
+		r.removeLink(fi)
+		material = true
 	}
 	r.noteChange(material)
 }
 
-// removeLink deletes the link tuple at index fi from the live set.
+// removeLink deletes the present link tuple at index fi from the live set,
+// with its items in linkExp and symExp.
 func (r *Router) removeLink(fi int32) {
 	s := r.slot(fi)
 	lt := &s.link
-	if !lt.present {
-		return
+	r.linkExp.Remove(lt.linkItem)
+	if lt.symItem != noTuple {
+		r.symExp.Remove(lt.symItem)
+		lt.symItem = noTuple
 	}
-	lt.present = false
-	lt.symUntil, lt.asymUntil, lt.until = 0, 0, 0
 	pos := s.linkPos
 	last := int32(len(r.linkList) - 1)
 	moved := r.linkList[last]
@@ -984,24 +1008,34 @@ func (r *Router) symmetric(id netsim.NodeID, now sim.Time) bool {
 	if fi < 0 {
 		return false
 	}
-	lt := &r.slot(fi).link
-	return lt.present && lt.symUntil > now
+	s := r.slot(fi)
+	return s.linkPos >= 0 && s.link.symUntil > now
 }
 
-// purge retires expired tuples. The expiry lists and heaps surface exactly
-// the entries whose deadlines passed, so the cost is O(expired) — and when
-// nothing material expired, no recompute is triggered at all.
+// purge retires expired tuples. Every table's deadlines are written only
+// as now + its constant hold, so each expiry list is in deadline order and
+// purge pops from its head while the head is due: the cost is O(expired),
+// and when nothing material expired, no recompute is triggered at all.
 //
-// Why popping the 2-hop, topology and selector lists from the head while
-// the head is due retires what the lazy heaps they replace did:
-//  1. A 2-hop tuple's until is written only in mergeTwoHop, always as
+// Why popping the lists retires what the lazy heaps they replace did:
+//  1. A link's until is written only in hearLink, always as
+//     now + neighborHold, which moves its item to the tail, and so is its
+//     symUntil, with its own item. A link leaves early only by LinkFailure,
+//     which removes it and both items. So expireLinks removes exactly the
+//     links whose until ≤ now and ends exactly the symmetric windows whose
+//     symUntil ≤ now. The link heap did the same for links no failure had
+//     touched: an item's registered deadline was never later than the
+//     link's current one, and a refreshed link was re-registered at it. A
+//     failure zeroed the deadlines and left the link present until its
+//     stale item surfaced; now the next HELLO creates it afresh.
+//  2. A 2-hop tuple's until is written only in mergeTwoHop, always as
 //     now + neighborHold, which moves its item to the tail; the tuple
 //     leaves only here. So the list is in deadline order, and at every
 //     purge it removes exactly the tuples whose current until ≤ now.
-//  2. The 2-hop heap removed the same set: a tuple's registered deadline
+//  3. The 2-hop heap removed the same set: a tuple's registered deadline
 //     is never later than its current one, and a refreshed tuple was
 //     re-registered at its current one.
-//  3. A topology tuple's until is written only in processTC, always as
+//  4. A topology tuple's until is written only in processTC, always as
 //     now + topologyHold, with the same move to the tail; it leaves early
 //     only by an ANSN discard, which removes its item. So this list too
 //     removes exactly the tuples whose until ≤ now. The per-originator
@@ -1009,9 +1043,10 @@ func (r *Router) symmetric(id netsim.NodeID, now sim.Time) bool {
 //     was never later than its earliest tuple's, so every originator with
 //     a due tuple surfaced, and then exactly its tuples with until ≤ now
 //     were dropped.
-//  4. The removals commute: unlinking a tuple keeps its chain's order, and
-//     the count decrements and material = true do not depend on order.
-//  5. A selector's until is likewise written only in handleHello, as
+//  5. The removals commute: unlinking a tuple keeps its chain's order,
+//     removing a link keeps the other links' state, and the count
+//     decrements and material = true do not depend on order.
+//  6. A selector's until is likewise written only in handleHello, as
 //     now + neighborHold; its removals count ansn++ alone. A duplicate
 //     tuple's until is written once, in recordDup, as now + dupHold, and
 //     never refreshed: the list is in recording order, which is deadline
@@ -1023,25 +1058,9 @@ func (r *Router) purge() {
 	now := r.now()
 	material := false
 
-	r.linkExp.Expire(now, func(fi int32) (sim.Time, bool) {
-		lt := &r.slot(fi).link
-		return lt.until, lt.present && lt.until > now
-	}, func(fi int32) {
-		if r.slot(fi).link.present {
-			r.removeLink(fi)
-			material = true
-		}
-	})
-
-	r.symExp.Expire(now, func(fi int32) (sim.Time, bool) {
-		lt := &r.slot(fi).link
-		return lt.symUntil, lt.present && lt.symUntil > now
-	}, func(fi int32) {
-		// The symmetric window lapsed (or the link is gone): routes that
-		// used this neighbor must be recomputed.
-		r.slot(fi).link.inSymHeap = false
+	if r.expireLinks(now) {
 		material = true
-	})
+	}
 
 	if r.expireTwoHop(now) {
 		material = true
@@ -1065,6 +1084,32 @@ func (r *Router) purge() {
 
 	r.purgeHNA(now)
 	r.noteChange(material)
+}
+
+// expireLinks retires the links whose until passed, each with its items,
+// and then the symmetric deadlines that passed, from the heads of linkExp
+// and symExp (see purge), and reports whether there were any: a link gone
+// or no longer symmetric moves the routes that used it.
+func (r *Router) expireLinks(now sim.Time) bool {
+	material := false
+	for i, ok := r.linkExp.Front(); ok; i, ok = r.linkExp.Front() {
+		fi := *r.linkExp.At(i)
+		if r.slot(fi).link.until > now {
+			break
+		}
+		r.removeLink(fi)
+		material = true
+	}
+	for i, ok := r.symExp.Front(); ok; i, ok = r.symExp.Front() {
+		lt := &r.slot(*r.symExp.At(i)).link
+		if lt.symUntil > now {
+			break
+		}
+		r.symExp.Remove(i)
+		lt.symItem = noTuple
+		material = true
+	}
+	return material
 }
 
 // expireTwoHop retires the 2-hop tuples whose deadline passed, from the

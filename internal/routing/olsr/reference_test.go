@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"cavenet/internal/geometry"
 	"cavenet/internal/netsim"
 	"cavenet/internal/sim"
 )
@@ -21,7 +22,7 @@ type refTwoHop struct {
 	r   *Router // only its interner and slot ids are used
 	of  [][]refEdge
 	n   int
-	exp sim.ExpiryHeap[[2]int32]
+	exp expiryHeap[[2]int32]
 }
 
 type refEdge struct {
@@ -261,7 +262,7 @@ type refTopology struct {
 	of     [][]refTopoEdge
 	inHeap []bool
 	n      int
-	exp    sim.ExpiryHeap[int32]
+	exp    expiryHeap[int32]
 }
 
 type refTopoEdge struct {
@@ -598,8 +599,9 @@ type dupKey struct {
 
 // runDupsDifferential decodes data into a stream of received messages,
 // probes and purges, and drives the router's duplicate set (isDup,
-// recordDup, expireDups) and the FIFO set it replaced, sim.ExpiringSet,
-// side by side. A message is looked up and, when both sides call it new,
+// recordDup, expireDups) and a map of deadlines, side by side: a key
+// lives until the first purge with now ≥ its deadline, the contract of
+// the FIFO set the chains replaced. A message is looked up and, when both sides call it new,
 // recorded, as handleTC and handleHNA do; a probe only looks up, also for
 // originators never heard. Each originator's sequence number repeats,
 // steps by one either way (wrapping at 0 and 65 535), jumps, returns to
@@ -612,7 +614,7 @@ type dupKey struct {
 func runDupsDifferential(t *testing.T, data []byte) {
 	in := byteStream(data)
 	got := newTableRouter()
-	want := sim.NewExpiringSet[dupKey](dupHold)
+	want := refDups{}
 	now := sim.Time(0)
 	var last [7]uint16 // per originator, the last sequence number
 	var heard []sim.Time
@@ -635,20 +637,20 @@ func runDupsDifferential(t *testing.T, data []byte) {
 				seq = uint16(in.next()<<8 | in.next())
 			}
 			last[origin] = seq
-			g, w := got.isDup(origin, seq), want.Contains(dupKey{origin, seq})
+			g, w := got.isDup(origin, seq), want.contains(dupKey{origin, seq})
 			if g != w {
 				t.Fatalf("step %d t=%v: message (%d, %d) is a duplicate: %v, reference %v", step, now, origin, seq, g, w)
 			}
 			if !g {
 				got.recordDup(origin, seq, now)
-				want.Add(dupKey{origin, seq}, now)
+				want[dupKey{origin, seq}] = now + dupHold
 				heard = append(heard, now)
 			}
 		case c < 170:
 			op = "probe"
 			origin := netsim.NodeID(1 + in.next()%9) // 7..9 never send
 			seq := last[min(origin, 6)] - uint16(in.next()%4)
-			if g, w := got.isDup(origin, seq), want.Contains(dupKey{origin, seq}); g != w {
+			if g, w := got.isDup(origin, seq), want.contains(dupKey{origin, seq}); g != w {
 				t.Fatalf("step %d t=%v: probe (%d, %d) is a duplicate: %v, reference %v", step, now, origin, seq, g, w)
 			}
 		case c < 230:
@@ -663,16 +665,33 @@ func runDupsDifferential(t *testing.T, data []byte) {
 				}
 			}
 			got.expireDups(now)
-			want.Expire(now)
+			want.expire(now)
 		}
-		compareDups(t, step, op, now, got, &want)
+		compareDups(t, step, op, now, got, want)
 	}
 }
 
-func compareDups(t *testing.T, step int, op string, now sim.Time, got *Router, want *sim.ExpiringSet[dupKey]) {
+// refDups is the reference duplicate set: each key's deadline.
+type refDups map[dupKey]sim.Time
+
+func (d refDups) contains(k dupKey) bool {
+	_, ok := d[k]
+	return ok
+}
+
+// expire drops every key whose deadline passed.
+func (d refDups) expire(now sim.Time) {
+	for k, until := range d { // order-free: deletes only
+		if until <= now {
+			delete(d, k)
+		}
+	}
+}
+
+func compareDups(t *testing.T, step int, op string, now sim.Time, got *Router, want refDups) {
 	t.Helper()
-	if got.dupN != want.Len() {
-		t.Fatalf("step %d (%s at t=%v): dupN %d, reference %d", step, op, now, got.dupN, want.Len())
+	if got.dupN != len(want) {
+		t.Fatalf("step %d (%s at t=%v): dupN %d, reference %d", step, op, now, got.dupN, len(want))
 	}
 	n := 0
 	for oi := int32(0); oi < int32(got.slots.Len()); oi++ {
@@ -680,7 +699,7 @@ func compareDups(t *testing.T, step int, op string, now sim.Time, got *Router, w
 		tail, prev := int32(noTuple), sim.Time(-1)
 		for i := s.dup; i != noTuple; i = got.dups.At(i).next {
 			d := got.dups.At(i)
-			if d.origin != oi || d.until < prev || !want.Contains(dupKey{s.id, d.seq}) {
+			if d.origin != oi || d.until < prev || want[dupKey{s.id, d.seq}] != d.until {
 				t.Fatalf("step %d (%s at t=%v): originator %d's chain holds (%d, %d) until %v after a tuple until %v",
 					step, op, now, s.id, got.slot(d.origin).id, d.seq, d.until, prev)
 			}
@@ -744,4 +763,404 @@ func TestDupRecordAllocFree(t *testing.T) {
 	if r.dupN != live {
 		t.Fatalf("%d duplicate tuples live, want %d", r.dupN, live)
 	}
+}
+
+// expiryHeap is the lazy deadline heap the expiry lists replaced, kept as
+// the references' expiry: it records the deadline a key had when it was
+// pushed, and when that deadline surfaces, Expire asks the caller for the
+// key's current one and re-registers the key if it was extended. Callers
+// push once per entry creation, never per refresh. The zero value is an
+// empty heap ready for use.
+type expiryHeap[K comparable] struct {
+	items []expiryItem[K]
+}
+
+type expiryItem[K comparable] struct {
+	until sim.Time
+	key   K
+}
+
+// Len reports the number of registered items (live keys plus any stale
+// duplicates that have not yet surfaced).
+func (h *expiryHeap[K]) Len() int { return len(h.items) }
+
+// Push registers key with the given deadline.
+func (h *expiryHeap[K]) Push(key K, until sim.Time) {
+	h.items = append(h.items, expiryItem[K]{until: until, key: key})
+	i := len(h.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h.items[p].until <= h.items[i].until {
+			break
+		}
+		h.items[p], h.items[i] = h.items[i], h.items[p]
+		i = p
+	}
+}
+
+func (h *expiryHeap[K]) pop() expiryItem[K] {
+	top := h.items[0]
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && h.items[l].until < h.items[least].until {
+			least = l
+		}
+		if r < n && h.items[r].until < h.items[least].until {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h.items[i], h.items[least] = h.items[least], h.items[i]
+		i = least
+	}
+	return top
+}
+
+// Expire surfaces every registered deadline that has passed. For each such
+// key it calls current, which reports the entry's live deadline: when keep
+// is true and the deadline is still in the future the key is re-registered
+// at it; otherwise expired(key) is invoked. Keys whose entries are already
+// gone must report keep=false.
+func (h *expiryHeap[K]) Expire(now sim.Time, current func(K) (sim.Time, bool), expired func(K)) {
+	for len(h.items) > 0 && h.items[0].until <= now {
+		it := h.pop()
+		if until, keep := current(it.key); keep && until > now {
+			h.Push(it.key, until)
+		} else {
+			expired(it.key)
+		}
+	}
+}
+
+func TestExpiryHeapOrdersAndExpires(t *testing.T) {
+	var h expiryHeap[string]
+	live := map[string]sim.Time{"a": 10, "b": 20, "c": 30}
+	h.Push("c", 30)
+	h.Push("a", 10)
+	h.Push("b", 20)
+
+	var gone []string
+	expire := func(now sim.Time) {
+		h.Expire(now,
+			func(k string) (sim.Time, bool) { u, ok := live[k]; return u, ok },
+			func(k string) { delete(live, k); gone = append(gone, k) })
+	}
+
+	expire(5)
+	if len(gone) != 0 || h.Len() != 3 {
+		t.Fatalf("nothing should expire at t=5: gone=%v len=%d", gone, h.Len())
+	}
+	expire(20)
+	if len(gone) != 2 || gone[0] != "a" || gone[1] != "b" {
+		t.Fatalf("want [a b] expired in deadline order, got %v", gone)
+	}
+	if h.Len() != 1 {
+		t.Fatalf("heap should still track c, len=%d", h.Len())
+	}
+}
+
+func TestExpiryHeapRefreshedEntryReRegisters(t *testing.T) {
+	var h expiryHeap[int]
+	until := sim.Time(10)
+	h.Push(1, until)
+
+	// The entry's lifetime was extended after the push: the stale deadline
+	// surfaces, the key is re-registered, nothing expires.
+	until = 50
+	expired := 0
+	h.Expire(25,
+		func(int) (sim.Time, bool) { return until, true },
+		func(int) { expired++ })
+	if expired != 0 {
+		t.Fatalf("refreshed entry expired %d times", expired)
+	}
+	if h.Len() != 1 {
+		t.Fatalf("key must stay registered, len=%d", h.Len())
+	}
+	// At the extended deadline it finally expires.
+	h.Expire(50,
+		func(int) (sim.Time, bool) { return until, false },
+		func(int) { expired++ })
+	if expired != 1 || h.Len() != 0 {
+		t.Fatalf("want exactly one expiry at the live deadline, got %d (len=%d)", expired, h.Len())
+	}
+}
+
+func TestExpiryHeapVanishedKeyExpiresOnce(t *testing.T) {
+	var h expiryHeap[int]
+	h.Push(7, 10)
+	var got []int
+	h.Expire(10,
+		func(int) (sim.Time, bool) { return 0, false },
+		func(k int) { got = append(got, k) })
+	if len(got) != 1 || got[0] != 7 {
+		t.Fatalf("vanished key must surface exactly once, got %v", got)
+	}
+	if h.Len() != 0 {
+		t.Fatal("heap not drained")
+	}
+}
+
+// TestExpiryHeapKeepWithPassedDeadlineExpires guards against an infinite
+// re-push loop: current reporting keep=true with a deadline that is not in
+// the future must be treated as expired.
+func TestExpiryHeapKeepWithPassedDeadlineExpires(t *testing.T) {
+	var h expiryHeap[int]
+	h.Push(1, 10)
+	expired := 0
+	h.Expire(10,
+		func(int) (sim.Time, bool) { return 10, true },
+		func(int) { expired++ })
+	if expired != 1 || h.Len() != 0 {
+		t.Fatalf("stale keep must expire: expired=%d len=%d", expired, h.Len())
+	}
+}
+
+// refLinks is the link set as it was kept before the expiry lists: per
+// neighbor a present flag and three deadlines, a lazy expiryHeap pushed
+// once per new link and re-registered when a surfaced link turns out
+// refreshed, and a second heap for the symmetric deadline, pushed when a
+// link turns symmetric and has no item registered yet (inSymHeap). One
+// thing is as it is now: a failure removes the link at once. Each heap
+// item is keyed by the link's incarnation, so the items a removed link
+// leaves behind surface to find it gone, where the heaps once kept the
+// link present with zeroed deadlines until its item surfaced.
+type refLinks struct {
+	links          map[netsim.NodeID]*refLink
+	linkExp, symEx expiryHeap[refLinkKey]
+	incarnations   int
+}
+
+type refLink struct {
+	inc                        int // incarnation: the key of its heap items
+	inSymHeap                  bool
+	until, symUntil, asymUntil sim.Time
+}
+
+type refLinkKey struct {
+	id  netsim.NodeID
+	inc int
+}
+
+// live returns id's link if key names its present incarnation.
+func (ref *refLinks) live(key refLinkKey) *refLink {
+	if l := ref.links[key.id]; l != nil && l.inc == key.inc {
+		return l
+	}
+	return nil
+}
+
+// hello is handleHello's link block as it was.
+func (ref *refLinks) hello(from, me netsim.NodeID, links []HelloLink, now sim.Time) (material, selected bool) {
+	l := ref.links[from]
+	if l == nil {
+		ref.incarnations++
+		l = &refLink{inc: ref.incarnations}
+		ref.links[from] = l
+		ref.linkExp.Push(refLinkKey{from, l.inc}, now+neighborHold)
+		material = true
+	}
+	l.asymUntil, l.until = now+neighborHold, now+neighborHold
+	wasSym := l.symUntil > now
+	for _, hl := range links {
+		if hl.Neighbor != me {
+			continue
+		}
+		if hl.Code == LinkMPR {
+			selected = true
+		}
+		if hl.Code != LinkLost {
+			l.symUntil = now + neighborHold
+		}
+	}
+	if l.symUntil > now && !wasSym {
+		material = true
+		if !l.inSymHeap {
+			l.inSymHeap = true
+			ref.symEx.Push(refLinkKey{from, l.inc}, l.symUntil)
+		}
+	}
+	return material, selected
+}
+
+// expire is purge's link block as it was.
+func (ref *refLinks) expire(now sim.Time) bool {
+	material := false
+	ref.linkExp.Expire(now, func(key refLinkKey) (sim.Time, bool) {
+		if l := ref.live(key); l != nil {
+			return l.until, l.until > now
+		}
+		return 0, false
+	}, func(key refLinkKey) {
+		if ref.live(key) != nil {
+			delete(ref.links, key.id)
+			material = true
+		}
+	})
+	ref.symEx.Expire(now, func(key refLinkKey) (sim.Time, bool) {
+		if l := ref.live(key); l != nil {
+			return l.symUntil, l.symUntil > now
+		}
+		return 0, false
+	}, func(key refLinkKey) {
+		if l := ref.live(key); l != nil {
+			l.inSymHeap = false
+			material = true
+		}
+	})
+	return material
+}
+
+// helloLinks is what the reference's HELLO would advertise (no MPRs).
+func (ref *refLinks) helloLinks(now sim.Time) []HelloLink {
+	var out []HelloLink
+	for id, l := range ref.links { // order-free: sorted below
+		if l.until <= now {
+			continue
+		}
+		code := LinkLost
+		switch {
+		case l.symUntil > now:
+			code = LinkSym
+		case l.asymUntil > now:
+			code = LinkAsym
+		}
+		out = append(out, HelloLink{Neighbor: id, Code: code})
+	}
+	slices.SortFunc(out, func(a, b HelloLink) int { return int(a.Neighbor - b.Neighbor) })
+	return out
+}
+
+// runLinkSetDifferential decodes data into a stream of HELLOs, link
+// failures and purges, ETX off, and drives a router (hearLink, LinkFailure,
+// expireLinks) and refLinks through it side by side. HELLOs come from
+// neighbors 1..6 and list me (node 0) with any code, or not at all, among
+// other links; time moves in sub-second steps, and some purges fall
+// exactly on a deadline written earlier. Every step must agree on the
+// material and MPR-selection flags, and after every step on what readers
+// see: the present links, the HELLO the router would send, symmetric for
+// every neighbor and the sorted symmetric-neighbor list the kernels
+// start from, and the number of links with a pending symmetric deadline.
+func runLinkSetDifferential(t *testing.T, data []byte) {
+	in := byteStream(data)
+	w, err := netsim.NewWorld(netsim.WorldConfig{Nodes: 1, Seed: 1, Static: []geometry.Vec2{{}}},
+		func(node *netsim.Node) netsim.Router { return New(node, Config{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := w.Node(0).Router().(*Router)
+	want := &refLinks{links: map[netsim.NodeID]*refLink{}}
+	const me = netsim.NodeID(0)
+	got.intern(me)
+	codes := []LinkCode{LinkSym, LinkMPR, LinkAsym, LinkLost}
+	now := sim.Time(0)
+	var heard []sim.Time
+	for step := 0; len(in) > 0; step++ {
+		op := "hello"
+		switch c := in.next(); {
+		case c < 120:
+			from := netsim.NodeID(1 + c%6)
+			var links []HelloLink
+			if k := in.next(); k%4 != 0 { // lists me
+				links = append(links, HelloLink{Neighbor: me, Code: codes[k%len(codes)]})
+			}
+			if k := in.next(); k%2 == 0 {
+				links = append(links, HelloLink{Neighbor: netsim.NodeID(1 + k%6), Code: LinkSym})
+			}
+			gm, gs := got.hearLink(got.intern(from), me, links, now)
+			wm, ws := want.hello(from, me, links, now)
+			if gm != wm || gs != ws {
+				t.Fatalf("step %d: HELLO from %d at t=%v: material %v selected %v, reference %v %v", step, from, now, gm, gs, wm, ws)
+			}
+			heard = append(heard, now)
+		case c < 150:
+			op = "failure"
+			id := netsim.NodeID(1 + in.next()%7) // 7 is never heard
+			got.LinkFailure(id, &netsim.Packet{Kind: netsim.KindControl})
+			delete(want.links, id)
+		case c < 220:
+			now += sim.Time(1+in.next()) * 10 * sim.Millisecond
+			continue
+		default:
+			op = "purge"
+			if len(heard) > 0 && c%2 == 0 {
+				// Exactly at a deadline written earlier, if not yet past.
+				if at := heard[in.next()%len(heard)] + neighborHold; at > now {
+					now = at
+				}
+			}
+			if gm, wm := got.expireLinks(now), want.expire(now); gm != wm {
+				t.Fatalf("step %d: purge at t=%v: material %v, reference %v", step, now, gm, wm)
+			}
+		}
+		compareLinks(t, step, op, now, got, want)
+	}
+}
+
+func compareLinks(t *testing.T, step int, op string, now sim.Time, got *Router, want *refLinks) {
+	t.Helper()
+	var present, wantPresent, wantSym []netsim.NodeID
+	pendingSym := 0
+	for _, fi := range got.linkList {
+		present = append(present, got.slot(fi).id)
+	}
+	for id, l := range want.links { // order-free: sorted below
+		wantPresent = append(wantPresent, id)
+		if l.symUntil > now {
+			wantSym = append(wantSym, id)
+		}
+		if l.inSymHeap {
+			pendingSym++
+		}
+	}
+	slices.Sort(present)
+	slices.Sort(wantPresent)
+	slices.Sort(wantSym)
+	if !slices.Equal(present, wantPresent) {
+		t.Fatalf("step %d (%s at t=%v): links %v, reference %v", step, op, now, present, wantPresent)
+	}
+	if g, w := got.helloLinks(now), want.helloLinks(now); !slices.Equal(g, w) {
+		t.Fatalf("step %d (%s at t=%v): HELLO advertises %v, reference %v", step, op, now, g, w)
+	}
+	for id := netsim.NodeID(1); id <= 7; id++ {
+		l := want.links[id]
+		if g, w := got.symmetric(id, now), l != nil && l.symUntil > now; g != w {
+			t.Fatalf("step %d (%s at t=%v): symmetric(%d) = %v, reference %v", step, op, now, id, g, w)
+		}
+	}
+	got.denseNeighbors(now, got.nextEpoch(), false)
+	var sym []netsim.NodeID
+	for _, fi := range got.scratch.symList {
+		sym = append(sym, got.slot(fi).id)
+	}
+	if !slices.Equal(sym, wantSym) {
+		t.Fatalf("step %d (%s at t=%v): symmetric neighbors %v, reference %v", step, op, now, sym, wantSym)
+	}
+	if g := got.symItems(); g != pendingSym {
+		t.Fatalf("step %d (%s at t=%v): %d links with a symmetric deadline pending, reference %d", step, op, now, g, pendingSym)
+	}
+}
+
+// TestLinkSetMatchesReference runs the differential on random streams.
+func TestLinkSetMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		data := make([]byte, 600)
+		rand.New(rand.NewSource(seed)).Read(data)
+		runLinkSetDifferential(t, data)
+	}
+}
+
+func FuzzLinkSetMatchesReference(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		data := make([]byte, 300)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(runLinkSetDifferential)
 }

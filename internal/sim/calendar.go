@@ -24,13 +24,13 @@ import (
 //
 // Rolling window. Events within len(buckets) days ahead of the cursor go
 // into buckets; everything farther out goes to overflow: a plain
-// (time, seq) min-heap, the same shape ExpiryHeap uses for protocol
-// deadlines. Overflow events are promoted into buckets when they become
-// due — next compares the overflow head against the bucket minimum on
-// every pop, so promotion can never be late. The window slides forward as
-// the cursor advances; scheduling before the cursor (always >= now, so
-// only possible after a peek advanced the cursor past a quiet stretch)
-// simply rolls the cursor back, paid for by the scheduler of that event.
+// (time, seq) min-heap. Overflow events are promoted into buckets when
+// they become due — next compares the overflow head against the bucket
+// minimum on every pop, so promotion can never be late. The window slides
+// forward as the cursor advances; scheduling before the cursor (always
+// >= now, so only possible after a peek advanced the cursor past a quiet
+// stretch) simply rolls the cursor back, paid for by the scheduler of that
+// event.
 //
 // Sizing. The bucket array doubles when live events exceed 2x the bucket
 // count and rebuilds down when they fall under a quarter of it; each

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -130,6 +132,29 @@ func TestKernelSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	k.Schedule(0, func() {})
+}
+
+// TestSchedulePastPanicCarriesClock pins the kernel's diagnostic contract:
+// scheduling behind the clock reports where the clock was, where the
+// request landed, and how far in the past it was.
+func TestSchedulePastPanicCarriesClock(t *testing.T) {
+	k := NewKernel()
+	k.Schedule(5*Second, func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("scheduling in the past did not panic")
+			}
+			msg := fmt.Sprint(r)
+			for _, want := range []string{"t=5", "2.000000s", "in the past"} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("panic %q lacks %q", msg, want)
+				}
+			}
+		}()
+		k.Schedule(3*Second, func() {})
+	})
+	k.Run()
 }
 
 func TestKernelNilCallbackPanics(t *testing.T) {

@@ -147,7 +147,7 @@ func TestOLSRTableSizesSteadyOverLongRun(t *testing.T) {
 			{"topology", mid[i].Topology, end.Topology},
 			{"twohop", mid[i].TwoHop, end.TwoHop},
 			{"links", mid[i].Links, end.Links},
-			{"heap", mid[i].HeapItems, end.HeapItems},
+			{"items", mid[i].Items, end.Items},
 		}
 		for _, c := range checks {
 			if c.end > c.mid+c.mid/2+4 {

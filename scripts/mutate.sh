@@ -489,7 +489,7 @@ mutant "netsim Reactive.ApplyRERR: AODV passes on routes without precursors" int
 	's/(propagate || !m.proto.Precursors)/(propagate || true)/' \
 	./internal/scenario '^TestWorkCounts$'
 mutant "netsim Reactive.purge: flood dedup entries never expire" internal/netsim/reactive.go \
-	's|^\tm.seen.Expire(m.Node.Kernel().Now())$|\t_ = m.seen|' \
+	's|^\tm.expireFloods(m.Node.Kernel().Now())$|\t_ = m.seen|' \
 	./internal/netsim '^TestSeenTableSteadyOverLongRun$'
 mutant "aodv: DYMO's 10 s dedup hold instead of PATH_DISCOVERY_TIME" internal/routing/aodv/aodv.go \
 	's|SeenHold:      2 \* netTraversalTime,|SeenHold:      10 * sim.Second,|' \
@@ -510,9 +510,8 @@ mutant "netsim Reactive.Forward: data in the reboot wait does not restart it" in
 
 # ---- constant-hold soft state expires from lists (ROADMAP "Constant-hold
 # soft state expires from lists"): the 2-hop merge's cursor, a refresh's
-# move to the tail, the purge's boundary, the selector list's refresh, and
-# the FIFO duplicate set's rule for a re-added key. A revision without
-# mergeTwoHop, the selector list or the FIFO set reads BROKEN. ----
+# move to the tail, the purge's boundary and the selector list's refresh.
+# A revision without mergeTwoHop or the selector list reads BROKEN. ----
 twoHopTests='TestTwoHopMatchesReference|FuzzTwoHopMatchesReference'
 mutant "olsr mergeTwoHop: a refresh does not move its tuple to the tail" internal/routing/olsr/olsr.go \
 	'/^\t\t\tr.twoHopExp.Refresh(i)$/d' \
@@ -526,9 +525,6 @@ mutant "olsr expireTwoHop: purge stops at until < now" internal/routing/olsr/ols
 mutant "olsr handleHello: a selector's refresh does not move it to the tail" internal/routing/olsr/olsr.go \
 	'/^\t\t\tr.selExp.Refresh(s.item)$/d' \
 	$olsr '^TestANSNBumpsOnlyWhenSelectorsChange$'
-mutant "sim ExpiringSet.Expire: a re-added key is deleted at its older deadline" internal/sim/expiry.go \
-	's|^\t\tif s.m\[it.key\] <= now {$|\t\tif true {|' \
-	$sim 'TestExpiringSetMatchesHeap|TestExpiringSetReAddedKeySurvives'
 
 # ---- OLSR's 2-hop and topology tuples are hold-list items chained per key
 # (ROADMAP "OLSR's tuples are hold-list items"): where a chain insert lands,
@@ -569,6 +565,29 @@ mutant "olsr recordDup: a new tuple is linked at its chain's head" internal/rout
 mutant "olsr expireDups: purge stops at until < now" internal/routing/olsr/olsr.go \
 	'/^func (r \*Router) expireDups(/,/^}/s|^\t\tif t.until > now {$|\t\tif t.until >= now {|' \
 	$olsr "$dupTests"
+
+# ---- all soft state is one hold list (ROADMAP "All soft state is one hold
+# list"): an early end of a lifetime is a Remove of every item the entry
+# holds (OLSR's link failure, its link and symmetric items, GPSR's
+# eviction), and the RREQ flood set's purge boundary and tail-first
+# lookup. A revision before the lists reads BROKEN. The GPSR row's mutant
+# loops in purge, so it is usually killed by the timeout. ----
+linkTests='TestLinkSetMatchesReference|FuzzLinkSetMatchesReference'
+mutant "olsr LinkFailure: the deadlines are zeroed and the link left present" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) LinkFailure(/,/^}/s|^\t\tr.removeLink(fi)$|\t\tlt := \&r.slot(fi).link\n\t\tlt.symUntil, lt.asymUntil, lt.until = 0, 0, 0|' \
+	$olsr "$linkTests"
+mutant "olsr removeLink: the symmetric item stays linked" internal/routing/olsr/olsr.go \
+	'/^func (r \*Router) removeLink(/,/^}/{/^\t\tr.symExp.Remove(lt.symItem)$/d}' \
+	$olsr "$linkTests"
+mutant "gpsr dropNeighbor: an evicted neighbor's item stays in the list" internal/routing/gpsr/gpsr.go \
+	's|^\tr.expiry.Remove(nb.item)$|\t_ = nb|' \
+	./internal/routing/gpsr '^TestNeighborExpiryMatchesReference$'
+mutant "netsim expireFloods: purge stops at until < now" internal/netsim/reactive.go \
+	'/^func (m \*Reactive) expireFloods(/,/^}/s|^\t\tif f.until > now {$|\t\tif f.until >= now {|' \
+	./internal/netsim '^TestFloodSetMatchesReference$'
+mutant "netsim Seen: the newest flood is not tried before the walk, which stops short of it" internal/netsim/reactive.go \
+	'/^func (m \*Reactive) Seen(/,/^}/s|^\tif m.seen.At(c.tail).id == id {$|\tif false {|' \
+	./internal/netsim '^TestFloodSetMatchesReference$'
 
 # ---- serve cache keys (ROADMAP "A grid hashes each scenario once"): a
 # run's key is its scenario's digest, which leaves out the seed and the
