@@ -27,25 +27,18 @@ type ReactiveProtocol struct {
 }
 
 // flood is one remembered flood, and it is its own item in the seen
-// list: its originator's route-table index, the originator's request id
-// (AODV's RREQ ID, DYMO's originator sequence number) and its deadline.
-// An originator's floods form a chain from its floodChain in the order
-// they were recorded, which is deadline order: every deadline is
-// now + SeenHold and nothing refreshes one, so the head of the seen list
-// is always the head of its originator's chain.
+// list: the originator, its request id (AODV's RREQ ID, DYMO's originator
+// sequence number), its deadline, and the flood recorded before it. Every
+// deadline is now + SeenHold and nothing refreshes one, so recording
+// order is deadline order: purge pops the oldest from the list's head,
+// and the newest live floods, followed through older from the newest, are
+// exactly the live ones.
 type flood struct {
-	orig  int32
+	orig  NodeID
 	id    uint32
-	next  int32 // next newer flood of orig; noFlood at its end
+	older int32
 	until sim.Time
 }
-
-// floodChain holds the oldest and newest remembered flood of one
-// originator, in the seen list; noFlood if none.
-type floodChain struct{ head, tail int32 }
-
-// noFlood ends a flood chain.
-const noFlood = -1
 
 // Reactive is the machine AODV and DYMO share: the sequence-numbered route
 // table, the router's own sequence number, flood duplicate suppression,
@@ -71,7 +64,8 @@ type Reactive struct {
 	quietUntil  sim.Time // end of the reboot wait, 0 if there is none
 	proto       ReactiveProtocol
 	seen        sim.HoldList[flood]
-	floods      sim.Pages[floodChain] // per route-table index
+	newest      int32 // the last flood recorded
+	nSeen       int   // live floods: the chain from newest that Seen walks
 	discoveries *Discoveries
 	neighbours  *sim.TimerSet // HELLO liveness, one item per table index
 	rerrBuf     []Unreachable // RERR scratch; never on the wire
@@ -205,52 +199,25 @@ func (m *Reactive) unreachable(p *Packet, c Cause) {
 	m.proto.SendRERR(m.rerrBuf)
 }
 
-// Seen reports whether the flood (orig, id) was recorded by MarkSeen
-// within the protocol's hold. It interns nothing: an originator without a
-// route entry has no flood recorded. A duplicate is nearly always the
-// originator's newest flood heard again from another neighbour, so the
-// chain's tail is tried first and the walk from its head stops there.
+// Seen reports whether the flood (orig, id) has been seen within the
+// protocol's hold, and remembers it from now on if not. The live floods
+// are walked newest first: a duplicate is nearly always a flood heard a
+// moment ago from another neighbour, and a router holds few floods at a
+// time, so a new flood walks them all cheaply. The walk follows nSeen
+// links and no more, since the oldest live flood's older may name an
+// item already expired and reused.
 //
 // A router's own floods are not recorded: both handlers drop a flood of
 // their own before they look it up, so no lookup would ever read one.
 func (m *Reactive) Seen(orig NodeID, id uint32) bool {
-	x := m.Routes.Index(orig)
-	if x < 0 || x >= m.floods.Len() {
-		return false
-	}
-	c := m.floods.At(x)
-	if c.tail == noFlood {
-		return false
-	}
-	if m.seen.At(c.tail).id == id {
-		return true
-	}
-	for i := c.head; i != c.tail; i = m.seen.At(i).next {
-		if m.seen.At(i).id == id {
+	for i, n := m.newest, 0; n < m.nSeen; i, n = m.seen.At(i).older, n+1 {
+		if f := m.seen.At(i); f.orig == orig && f.id == id {
 			return true
 		}
 	}
+	m.newest = m.seen.Add(flood{orig: orig, id: id, older: m.newest, until: m.Node.Kernel().Now() + m.proto.SeenHold})
+	m.nSeen++
 	return false
-}
-
-// MarkSeen records the flood (orig, id), which Seen just reported new,
-// for the protocol's hold. The handler calls it after its own Update of
-// orig's route, so orig has its entry index: keying by it, not interning
-// orig at the lookup, leaves the table's index order, which orders
-// BreakVia's RERR lists, as the handlers make it.
-func (m *Reactive) MarkSeen(orig NodeID, id uint32) {
-	x := m.Routes.Index(orig)
-	for m.floods.Len() <= x {
-		m.floods.Append(floodChain{noFlood, noFlood})
-	}
-	i := m.seen.Add(flood{orig: x, id: id, next: noFlood, until: m.Node.Kernel().Now() + m.proto.SeenHold})
-	c := m.floods.At(x)
-	if c.tail == noFlood {
-		c.head = i
-	} else {
-		m.seen.At(c.tail).next = i
-	}
-	c.tail = i
 }
 
 // Found ends dst's route search, if one is open (Discoveries.Found).
@@ -302,21 +269,16 @@ func (m *Reactive) purge() {
 	m.expireFloods(m.Node.Kernel().Now())
 }
 
-// expireFloods forgets the floods whose deadline passed, from the head of
-// the seen list, which is the head of its originator's chain (see flood):
-// O(expired) per purge, and exactly the floods a map of deadlines would
-// drop at the first purge with now ≥ deadline.
+// expireFloods forgets the floods whose deadline passed, oldest first
+// from the head of the seen list: O(expired) per purge, and exactly the
+// floods a map of deadlines would drop at the first purge with
+// now ≥ deadline.
 func (m *Reactive) expireFloods(now sim.Time) {
 	for i, ok := m.seen.Front(); ok; i, ok = m.seen.Front() {
-		f := m.seen.At(i)
-		if f.until > now {
+		if m.seen.At(i).until > now {
 			break
 		}
-		c := m.floods.At(f.orig)
-		c.head = f.next
-		if c.head == noFlood {
-			c.tail = noFlood
-		}
 		m.seen.Remove(i)
+		m.nSeen--
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 // probeRouter is the smallest protocol on the reactive machine: requests
 // flood with duplicate suppression and nothing ever answers them, so every
-// search spends its three tries. A relay installs the reverse route to a
-// request's originator before it records the request, as AODV does.
+// search spends its three tries.
 type probeRouter struct{ *Reactive }
 
 type probeRREQ struct {
@@ -47,25 +46,9 @@ func (r *probeRouter) Receive(p *Packet, from NodeID) {
 		return
 	}
 	msg := p.Payload.(*probeRREQ)
-	if msg.orig == r.Node.ID() || r.Seen(msg.orig, msg.id) {
-		return
-	}
-	r.Routes.Update(msg.orig, msg.id, true, 1, from, sim.Second)
-	r.MarkSeen(msg.orig, msg.id)
-	if p.TTL > 1 {
+	if msg.orig != r.Node.ID() && !r.Seen(msg.orig, msg.id) && p.TTL > 1 {
 		r.Node.SendControl(BroadcastID, BroadcastID, p.TTL-1, 16, msg)
 	}
-}
-
-// seenLen counts the floods m remembers, walking every originator's chain.
-func seenLen(m *Reactive) int {
-	n := 0
-	for x := range m.floods.Len() {
-		for i := m.floods.At(x).head; i != noFlood; i = m.seen.At(i).next {
-			n++
-		}
-	}
-	return n
 }
 
 // TestSeenTableSteadyOverLongRun: the reactive machine's flood dedup table
@@ -92,7 +75,7 @@ func TestSeenTableSteadyOverLongRun(t *testing.T) {
 	var tick func()
 	tick = func() {
 		for i := range peak {
-			peak[i] = max(peak[i], seenLen(w.Node(i).Router().(*probeRouter).Reactive))
+			peak[i] = max(peak[i], w.Node(i).Router().(*probeRouter).nSeen)
 		}
 		if w.Kernel.Now() < 60*sim.Second {
 			w.Kernel.After(sim.Second, tick)
@@ -104,7 +87,7 @@ func TestSeenTableSteadyOverLongRun(t *testing.T) {
 	// 9 senders × 3 tries per 8 s × a 10 s hold ⇒ a steady state of about
 	// 35 entries; the run floods 189 times, so a leak blows through this.
 	for i := range peak {
-		end := seenLen(w.Node(i).Router().(*probeRouter).Reactive)
+		end := w.Node(i).Router().(*probeRouter).nSeen
 		if peak[i] == 0 || peak[i] > 60 {
 			t.Errorf("node %d: seen table peaked at %d entries, want 1..60", i, peak[i])
 		}
@@ -120,17 +103,15 @@ type floodKey struct {
 	id   uint32
 }
 
-// runFloodSetDifferential decodes data into a stream of received floods,
-// probes and purges and drives a reactive machine's flood set (Seen,
-// MarkSeen after the handler's route update, expireFloods) and a map of
-// deadlines side by side: a key lives until the first purge with
-// now ≥ its deadline. A flood is looked up and, when both sides call it
-// new, recorded; a probe only looks up, also for originators the table has
-// never heard of. Each originator's ids repeat, step, jump or go back;
-// time moves in steps of up to 12.8 s against the 10-s hold, and some
-// purges fall exactly on a deadline. Every lookup must agree, and after
-// every step each originator's chain must hold exactly the reference's
-// keys for it, in deadline order.
+// runFloodSetDifferential decodes data into a stream of received floods
+// and purges and drives a reactive machine's flood set (Seen,
+// expireFloods) and a map of deadlines side by side: a key lives until
+// the first purge with now ≥ its deadline. Each originator's ids repeat,
+// step, jump or go back, and some floods come from originators never
+// heard before; time moves in steps of up to 12.8 s against the 10-s
+// hold, and some purges fall exactly on a deadline. Every lookup must
+// agree, and after every step the chain Seen walks must hold exactly the
+// reference's keys, newest first.
 func runFloodSetDifferential(t *testing.T, data []byte) {
 	in := data
 	next := func() int {
@@ -147,14 +128,14 @@ func runFloodSetDifferential(t *testing.T, data []byte) {
 	}
 	m := w.Node(0).Router().(*probeRouter).Reactive
 	want := map[floodKey]sim.Time{}
-	var last [7]uint32
+	var last [10]uint32
 	var heard []sim.Time
 	for step := 0; len(in) > 0; step++ {
 		now := w.Kernel.Now()
 		op := "flood"
 		switch c := next(); {
-		case c < 140:
-			orig := NodeID(1 + c%6)
+		case c < 170:
+			orig := NodeID(1 + c%9)
 			id := last[orig]
 			switch next() % 6 {
 			case 1, 2:
@@ -170,18 +151,8 @@ func runFloodSetDifferential(t *testing.T, data []byte) {
 				t.Fatalf("step %d t=%v: flood (%d, %d) seen %v, reference %v", step, now, orig, id, g, w)
 			}
 			if !w {
-				m.Routes.Update(orig, id, true, 1, orig, sim.Second)
-				m.MarkSeen(orig, id)
 				want[floodKey{orig, id}] = now + probeSeenHold
 				heard = append(heard, now)
-			}
-		case c < 170:
-			op = "probe"
-			orig := NodeID(1 + next()%9) // 7..9 never flood
-			id := last[min(orig, 6)] - uint32(next()%4)
-			_, w := want[floodKey{orig, id}]
-			if g := m.Seen(orig, id); g != w {
-				t.Fatalf("step %d t=%v: probe (%d, %d) seen %v, reference %v", step, now, orig, id, g, w)
 			}
 		case c < 230:
 			w.Kernel.RunUntil(now + sim.Time(1+next())*50*sim.Millisecond)
@@ -202,26 +173,17 @@ func runFloodSetDifferential(t *testing.T, data []byte) {
 				}
 			}
 		}
-		n := 0
-		for x := range m.floods.Len() {
-			c := m.floods.At(x)
-			tail, prev := int32(noFlood), sim.Time(-1)
-			for i := c.head; i != noFlood; i = m.seen.At(i).next {
-				f := m.seen.At(i)
-				orig := m.Routes.Dst(f.orig)
-				if f.orig != x || f.until < prev || want[floodKey{orig, f.id}] != f.until {
-					t.Fatalf("step %d (%s at t=%v): entry %d's chain holds (%d, %d) until %v after one until %v",
-						step, op, now, x, orig, f.id, f.until, prev)
-				}
-				tail, prev = i, f.until
-				n++
-			}
-			if c.tail != tail {
-				t.Fatalf("step %d (%s at t=%v): entry %d's chain ends at item %d, tail %d", step, op, now, x, tail, c.tail)
-			}
+		if m.nSeen != len(want) {
+			t.Fatalf("step %d (%s at t=%v): %d floods remembered, reference %d", step, op, now, m.nSeen, len(want))
 		}
-		if n != len(want) {
-			t.Fatalf("step %d (%s at t=%v): %d floods remembered, reference %d", step, op, now, n, len(want))
+		later := sim.MaxTime
+		for i, n := m.newest, 0; n < m.nSeen; i, n = m.seen.At(i).older, n+1 {
+			f := m.seen.At(i)
+			if f.until > later || want[floodKey{f.orig, f.id}] != f.until {
+				t.Fatalf("step %d (%s at t=%v): flood %d from the newest is (%d, %d) until %v, after one until %v",
+					step, op, now, n, f.orig, f.id, f.until, later)
+			}
+			later = f.until
 		}
 	}
 }
@@ -248,23 +210,20 @@ func TestFloodRecordAllocFree(t *testing.T) {
 	receive := func() {
 		w.Kernel.RunUntil(w.Kernel.Now() + sim.Second/5)
 		id++
-		orig := NodeID(1 + id%5)
-		if m.Seen(orig, id) {
-			t.Fatalf("(%d, %d) seen", orig, id)
+		if m.Seen(NodeID(1+id%5), id) {
+			t.Fatalf("flood %d seen", id)
 		}
-		m.Routes.Update(orig, id, true, 1, orig, sim.Second)
-		m.MarkSeen(orig, id)
 		m.expireFloods(w.Kernel.Now())
 	}
 	for w.Kernel.Now() < 2*probeSeenHold {
 		receive()
 	}
-	live := seenLen(m)
+	live := m.nSeen
 	if allocs := testing.AllocsPerRun(100, receive); allocs != 0 {
 		t.Fatalf("recording a flood and purging allocate %.1f times, want 0", allocs)
 	}
-	if n := seenLen(m); n != live {
-		t.Fatalf("%d floods remembered, want %d", n, live)
+	if m.nSeen != live {
+		t.Fatalf("%d floods remembered, want %d", m.nSeen, live)
 	}
 }
 

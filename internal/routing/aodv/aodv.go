@@ -132,7 +132,6 @@ func (r *Router) handleRREQ(p *netsim.Packet, msg *RREQ, from netsim.NodeID) {
 	hops := msg.HopCount + 1
 	minLifetime := 2*netTraversalTime - sim.Time(2*hops)*nodeTraversalTime
 	r.Routes.Update(msg.Src, msg.SrcSeq, true, hops, from, minLifetime)
-	r.MarkSeen(msg.Src, msg.ID)
 
 	if msg.Dst == me {
 		// RFC 3561 §6.6.1: destination replies, seq = max(own, RREQ's).

@@ -184,7 +184,6 @@ func (r *Router) handleRM(p *netsim.Packet, msg *RM, from netsim.NodeID) {
 	r.installFromRM(msg, from)
 
 	if !msg.IsReply {
-		r.MarkSeen(msg.Orig.Addr, msg.Orig.Seq)
 		if msg.Target == me {
 			// Target: answer with an RREP accumulated back (draft §5.2).
 			r.Seq++

@@ -1025,9 +1025,7 @@ func (r *Router) symmetric(id netsim.NodeID, now sim.Time) bool {
 //     links whose until ≤ now and ends exactly the symmetric windows whose
 //     symUntil ≤ now. The link heap did the same for links no failure had
 //     touched: an item's registered deadline was never later than the
-//     link's current one, and a refreshed link was re-registered at it. A
-//     failure zeroed the deadlines and left the link present until its
-//     stale item surfaced; now the next HELLO creates it afresh.
+//     link's current one, and a refreshed link was re-registered at it.
 //  2. A 2-hop tuple's until is written only in mergeTwoHop, always as
 //     now + neighborHold, which moves its item to the tail; the tuple
 //     leaves only here. So the list is in deadline order, and at every

@@ -579,8 +579,8 @@ mutant "check WriteLoops: the walk stops one hop short of the writer" internal/s
 # ---- all soft state is one hold list (ROADMAP "All soft state is one hold
 # list"): an early end of a lifetime is a Remove of every item the entry
 # holds (OLSR's link failure, its link and symmetric items, GPSR's
-# eviction), and the RREQ flood set's purge boundary and tail-first
-# lookup. A revision before the lists reads BROKEN. The GPSR row's mutant
+# eviction), and the RREQ flood set's purge boundary and the extent of
+# its walk. A revision before the lists reads BROKEN. The GPSR row's mutant
 # loops in purge, so it is usually killed by the timeout. ----
 linkTests='TestLinkSetMatchesReference|FuzzLinkSetMatchesReference'
 mutant "olsr LinkFailure: the deadlines are zeroed and the link left present" internal/routing/olsr/olsr.go \
@@ -593,10 +593,10 @@ mutant "gpsr dropNeighbor: an evicted neighbor's item stays in the list" interna
 	's|^\tr.expiry.Remove(nb.item)$|\t_ = nb|' \
 	./internal/routing/gpsr '^TestNeighborExpiryMatchesReference$'
 mutant "netsim expireFloods: purge stops at until < now" internal/netsim/reactive.go \
-	'/^func (m \*Reactive) expireFloods(/,/^}/s|^\t\tif f.until > now {$|\t\tif f.until >= now {|' \
+	'/^func (m \*Reactive) expireFloods(/,/^}/s|^\t\tif m.seen.At(i).until > now {$|\t\tif m.seen.At(i).until >= now {|' \
 	./internal/netsim '^TestFloodSetMatchesReference$'
-mutant "netsim Seen: the newest flood is not tried before the walk, which stops short of it" internal/netsim/reactive.go \
-	'/^func (m \*Reactive) Seen(/,/^}/s|^\tif m.seen.At(c.tail).id == id {$|\tif false {|' \
+mutant "netsim Seen: the walk stops one flood short of the oldest" internal/netsim/reactive.go \
+	'/^func (m \*Reactive) Seen(/,/^}/s|n < m.nSeen;|n < m.nSeen-1;|' \
 	./internal/netsim '^TestFloodSetMatchesReference$'
 
 # ---- serve cache keys (ROADMAP "A grid hashes each scenario once"): a
