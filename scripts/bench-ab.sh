@@ -52,6 +52,12 @@ git archive "$base" | tar -x -C "$tmp/parent"
 git ls-files -z --cached --others --exclude-standard |
 	while IFS= read -r -d '' f; do [ ! -e "$f" ] || printf '%s\0' "$f"; done |
 	xargs -0 cp --parents -t "$tmp/change"
+# The change's name is the tree the snapshot was taken from, not whatever
+# HEAD is by the time the record is written.
+change=$(git rev-parse HEAD)
+if [ -n "$(git status --porcelain)" ]; then
+	change="$change+dirty"
+fi
 
 # layout <side> <pair>: the -randlayout seed of side's run in pair (see
 # LAYOUTS above).
@@ -155,10 +161,6 @@ done
 # min, q1, median, q3, max, values, digest), and with LAYOUTS each side's
 # -randlayout seeds in pair order.
 if [ -n "$record" ]; then
-	change=$(git rev-parse HEAD)
-	if [ -n "$(git status --porcelain)" ]; then
-		change="$change+dirty"
-	fi
 	awk -v workload="$workload" -v parent="$(git rev-parse "$base")" -v change="$change" \
 		-v seeds="1 $heldout" -v metrics="$metrics" -v pairs="$pairs" -v seconds="$seconds" -v layouts="$layouts" "$stats"'
 		function side(x, n,    s, i, out) {
