@@ -13,10 +13,10 @@
 // and only for the part read, the MPR set or the routing table (see
 // recomputeNow), and tuple expiry is tracked by lists in refresh order so
 // the periodic purge costs O(expired) instead of sweeping every live
-// entry. Per-node state lives in one paged slot per
-// interned index, and every 2-hop, topology and duplicate tuple is an item
-// of its expiry list, chained from its key's slot: no table keeps a slice
-// or a map per key. A forwarded TC or HNA shares the received message.
+// entry. Per-node state lives in one paged slot per interned index, and
+// every 2-hop, topology and duplicate tuple is an item of its expiry
+// list, chained from its key's slot: no table keeps a slice or a map per
+// key. A forwarded TC or HNA shares the received message.
 // The original map-based recompute lives in oracle_test.go, the reference
 // the dense kernels and their deferral are tested against.
 package olsr

@@ -932,9 +932,9 @@ func TestExpiryHeapKeepWithPassedDeadlineExpires(t *testing.T) {
 // leaves behind surface to find it gone, where the heaps once kept the
 // link present with zeroed deadlines until its item surfaced.
 type refLinks struct {
-	links          map[netsim.NodeID]*refLink
-	linkExp, symEx expiryHeap[refLinkKey]
-	incarnations   int
+	links           map[netsim.NodeID]*refLink
+	linkExp, symExp expiryHeap[refLinkKey]
+	incarnations    int
 }
 
 type refLink struct {
@@ -983,7 +983,7 @@ func (ref *refLinks) hello(from, me netsim.NodeID, links []HelloLink, now sim.Ti
 		material = true
 		if !l.inSymHeap {
 			l.inSymHeap = true
-			ref.symEx.Push(refLinkKey{from, l.inc}, l.symUntil)
+			ref.symExp.Push(refLinkKey{from, l.inc}, l.symUntil)
 		}
 	}
 	return material, selected
@@ -1003,7 +1003,7 @@ func (ref *refLinks) expire(now sim.Time) bool {
 			material = true
 		}
 	})
-	ref.symEx.Expire(now, func(key refLinkKey) (sim.Time, bool) {
+	ref.symExp.Expire(now, func(key refLinkKey) (sim.Time, bool) {
 		if l := ref.live(key); l != nil {
 			return l.symUntil, l.symUntil > now
 		}
