@@ -122,13 +122,6 @@ func (m *Reactive) Table(dst NodeID) (next NodeID, hops int, ok bool) {
 	return m.Routes.Peek(dst)
 }
 
-// WatchRouteWrites has f told of every route write that leaves a route
-// live, with its destination and next hop. Only a route write can add an
-// edge to the next-hop graph Table reads, so a routing loop exists at
-// some instant only if the write that added its last edge closed it; a
-// checked run's loop harness sets f to walk from the new next hop.
-func (m *Reactive) WatchRouteWrites(f func(dst, next NodeID)) { m.Routes.onWrite = f }
-
 // Origin implements Router. A router in its reboot wait may not search,
 // so data with no route is dropped.
 func (m *Reactive) Origin(p *Packet) {

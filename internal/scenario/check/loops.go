@@ -139,70 +139,3 @@ func perTableTree(n int, query []func(netsim.NodeID) (netsim.NodeID, int, bool),
 		}
 	}
 }
-
-// routeWriter is a router whose route writes can be watched: AODV and DYMO,
-// through netsim.Reactive.
-type routeWriter interface {
-	WatchRouteWrites(func(dst, next netsim.NodeID))
-}
-
-// WriteLoops checks the cross-node walk at the instant a loop can form,
-// not only at the horizon. For AODV and DYMO the next-hop graph is what
-// the routers' Table answers (Routes.Peek), and only a route write adds an
-// edge to it: a deadline passing, a purge, a RERR, a broken link and a
-// crash's fresh table only take edges away. So a cycle exists at some
-// instant only if the write that added its last edge closed it. After
-// each write that leaves node w's route to dst live via v, the walk from
-// v through the other routers' tables toward dst must not reach w. One
-// O(path) walk per write, reading without side effects: a checked run
-// stays the unchecked one.
-type WriteLoops struct {
-	world  *netsim.World
-	report *Report
-}
-
-// NewWriteLoops returns a write-time loop check reporting to report.
-func NewWriteLoops(report *Report) *WriteLoops { return &WriteLoops{report: report} }
-
-// Wrap returns factory with every router it builds that writes
-// sequence-numbered routes watched, a router a crash rebuilds included.
-func (l *WriteLoops) Wrap(factory netsim.RouterFactory) netsim.RouterFactory {
-	return func(n *netsim.Node) netsim.Router {
-		r := factory(n)
-		if rw, ok := r.(routeWriter); ok {
-			writer := n.ID()
-			rw.WatchRouteWrites(func(dst, next netsim.NodeID) { l.wrote(writer, dst, next) })
-		}
-		return r
-	}
-}
-
-// Bind names the world whose routers the walks read; it must come before
-// the run.
-func (l *WriteLoops) Bind(w *netsim.World) { l.world = w }
-
-// wrote walks from next toward dst after writer's write. The walk ends
-// at dst, at a router without a live route, or after as many hops as
-// there are nodes (a cycle not through writer was reported by the write
-// that closed it).
-func (l *WriteLoops) wrote(writer, dst, next netsim.NodeID) {
-	n := l.world.NumNodes()
-	cur := next
-	for hops := 0; cur != dst && hops < n; hops++ {
-		if cur == writer {
-			l.report.Add("loops", "t=%v: node %d's route to %d via %d closes a routing loop",
-				l.world.Kernel.Now(), writer, dst, next)
-			return
-		}
-		if int(cur) < 0 || int(cur) >= n {
-			return
-		}
-		q, ok := l.world.Node(int(cur)).Router().(tableQuerier)
-		if !ok {
-			return
-		}
-		if cur, _, ok = q.Table(dst); !ok {
-			return
-		}
-	}
-}
