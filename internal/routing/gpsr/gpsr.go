@@ -167,15 +167,22 @@ func (r *Router) dropNeighbor(id netsim.NodeID) {
 // lazy heap it replaces did: that heap's items carried deadlines no later
 // than their neighbor's current one and were re-registered when found
 // refreshed, and the duplicates a re-learned neighbor left behind
-// surfaced at that same purge to find it gone.
+// surfaced at that same purge to find it gone. Each due head is removed
+// itself, so an item whose neighbor is already gone is passed over, as
+// the heap passed a vanished key, instead of stopping the walk.
 func (r *Router) purge() {
 	now := r.node.Kernel().Now()
 	for i, ok := r.expiry.Front(); ok; i, ok = r.expiry.Front() {
 		id := *r.expiry.At(i)
-		if r.neighbors[id].until > now {
+		nb, live := r.neighbors[id]
+		if live && nb.until > now {
 			break
 		}
-		r.dropNeighbor(id)
+		r.expiry.Remove(i)
+		if live {
+			delete(r.neighbors, id)
+			r.grid.Remove(int(id))
+		}
 	}
 }
 

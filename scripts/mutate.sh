@@ -570,8 +570,7 @@ mutant "olsr expireDups: purge stops at until < now" internal/routing/olsr/olsr.
 # list"): an early end of a lifetime is a Remove of every item the entry
 # holds (OLSR's link failure, its link and symmetric items, GPSR's
 # eviction), and the RREQ flood set's purge boundary and the extent of
-# its walk. A revision before the lists reads BROKEN. The GPSR row's mutant
-# loops in purge, so it is usually killed by the timeout. ----
+# its walk. A revision before the lists reads BROKEN. ----
 linkTests='TestLinkSetMatchesReference|FuzzLinkSetMatchesReference'
 mutant "olsr LinkFailure: the deadlines are zeroed and the link left present" internal/routing/olsr/olsr.go \
 	'/^func (r \*Router) LinkFailure(/,/^}/s|^\t\tr.removeLink(fi)$|\t\tlt := \&r.slot(fi).link\n\t\tlt.symUntil, lt.asymUntil, lt.until = 0, 0, 0|' \
