@@ -318,7 +318,7 @@ type TableStats struct {
 	Topology   int
 	Selectors  int
 	Dups       int    // duplicate tuples: other originators' messages (own ones are never looked up)
-	Items      int    // expiry-list items, duplicate tuples included
+	Items      int    // items in the expiry lists, as the lists count them
 	Recomputes uint64 // coalesced stamps (see recomputeNow)
 	MPRRuns    uint64 // MPR kernel runs readers demanded
 	RouteRuns  uint64 // route kernel runs readers demanded
@@ -332,23 +332,12 @@ func (r *Router) TableStats() TableStats {
 		Topology:  r.topoN,
 		Selectors: len(r.selectors),
 		Dups:      r.dupN,
-		Items: len(r.linkList) + r.symItems() + r.twoHopN +
-			r.topoN + len(r.selectors) + r.dupN,
+		Items: r.linkExp.Len() + r.symExp.Len() + r.twoHopExp.Len() +
+			r.topoExp.Len() + r.selExp.Len() + r.dups.Len(),
 		Recomputes: r.recomputes,
 		MPRRuns:    r.mprRuns,
 		RouteRuns:  r.routeRuns,
 	}
-}
-
-// symItems counts the links with an item in symExp.
-func (r *Router) symItems() int {
-	n := 0
-	for _, fi := range r.linkList {
-		if r.slot(fi).link.symItem != noTuple {
-			n++
-		}
-	}
-	return n
 }
 
 // isMPR reports whether the interned neighbor was selected as MPR by the

@@ -1142,8 +1142,11 @@ func compareLinks(t *testing.T, step int, op string, now sim.Time, got *Router, 
 	if !slices.Equal(sym, wantSym) {
 		t.Fatalf("step %d (%s at t=%v): symmetric neighbors %v, reference %v", step, op, now, sym, wantSym)
 	}
-	if g := got.symItems(); g != pendingSym {
+	if g := got.symExp.Len(); g != pendingSym {
 		t.Fatalf("step %d (%s at t=%v): %d links with a symmetric deadline pending, reference %d", step, op, now, g, pendingSym)
+	}
+	if g := got.linkExp.Len(); g != len(wantPresent) {
+		t.Fatalf("step %d (%s at t=%v): %d items in the link list for %d links", step, op, now, g, len(wantPresent))
 	}
 }
 

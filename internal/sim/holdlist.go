@@ -64,11 +64,13 @@ func (l *holdList[T]) unlink(i int32) {
 // finds the tuple again: Add a new tuple's item, Refresh it whenever its
 // deadline is rewritten, and expire by reading Front while it is due and
 // Removing it. Removed items are reused by later Adds, so the list holds
-// as many items as tuples were ever live at once. Build it with
-// NewHoldList; it must not be copied once used.
+// as many items as tuples were ever live at once, and Len counts the
+// items added and not yet removed. Build it with NewHoldList; it must not
+// be copied once used.
 type HoldList[T any] struct {
 	holdList[T]
 	free int32 // removed items, chained through prev; noItem when none
+	live int   // items added and not removed
 }
 
 // NewHoldList returns an empty list.
@@ -88,6 +90,7 @@ func (l *HoldList[T]) Add(v T) int32 {
 	}
 	l.items.At(i).val = v
 	l.link(i)
+	l.live++
 	return i
 }
 
@@ -109,4 +112,8 @@ func (l *HoldList[T]) Remove(i int32) {
 	l.unlink(i)
 	l.items.At(i).prev = l.free
 	l.free = i
+	l.live--
 }
+
+// Len reports how many items are in the list.
+func (l *HoldList[T]) Len() int { return l.live }

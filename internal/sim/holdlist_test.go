@@ -10,8 +10,8 @@ import (
 // TestHoldListMatchesOrder drives a HoldList and a plain slice of live
 // items in refresh order through random Adds, Refreshes and Removes from
 // the front or the middle, and requires after every step the same order
-// (walked forwards and backwards), the same values, and no more items
-// allocated than were ever live at once.
+// (walked forwards and backwards), the same values, Len the number of live
+// items, and no more items allocated than were ever live at once.
 func TestHoldListMatchesOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -60,6 +60,9 @@ func TestHoldListMatchesOrder(t *testing.T) {
 			slices.Reverse(back)
 			if !slices.Equal(fwd, order) || !slices.Equal(back, order) {
 				t.Fatalf("seed %d step %d: list %v (backwards %v), want %v", seed, step, fwd, back, order)
+			}
+			if l.Len() != len(order) {
+				t.Fatalf("seed %d step %d: Len = %d for %d live items", seed, step, l.Len(), len(order))
 			}
 			if int(l.items.Len()) > peak {
 				t.Fatalf("seed %d step %d: %d items allocated for at most %d live", seed, step, l.items.Len(), peak)

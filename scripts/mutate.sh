@@ -569,8 +569,9 @@ mutant "olsr expireDups: purge stops at until < now" internal/routing/olsr/olsr.
 # ---- all soft state is one hold list (ROADMAP "All soft state is one hold
 # list"): an early end of a lifetime is a Remove of every item the entry
 # holds (OLSR's link failure, its link and symmetric items, GPSR's
-# eviction), and the RREQ flood set's purge boundary and the extent of
-# its walk. A revision before the lists reads BROKEN. ----
+# eviction), the RREQ flood set's purge boundary and the extent of its
+# walk, and the live count OLSR's TableStats.Items is built from. A
+# revision before the lists reads BROKEN. ----
 linkTests='TestLinkSetMatchesReference|FuzzLinkSetMatchesReference'
 mutant "olsr LinkFailure: the deadlines are zeroed and the link left present" internal/routing/olsr/olsr.go \
 	'/^func (r \*Router) LinkFailure(/,/^}/s|^\t\tr.removeLink(fi)$|\t\tlt := \&r.slot(fi).link\n\t\tlt.symUntil, lt.asymUntil, lt.until = 0, 0, 0|' \
@@ -587,6 +588,9 @@ mutant "netsim expireFloods: purge stops at until < now" internal/netsim/reactiv
 mutant "netsim Seen: the walk stops one flood short of the oldest" internal/netsim/reactive.go \
 	'/^func (m \*Reactive) Seen(/,/^}/s|n < m.nSeen;|n < m.nSeen-1;|' \
 	./internal/netsim '^TestFloodSetMatchesReference$'
+mutant "sim HoldList.Remove: a removed item stays counted" internal/sim/holdlist.go \
+	'/^\tl.live--$/d' \
+	$sim '^TestHoldListMatchesOrder$'
 
 # ---- serve cache keys (ROADMAP "A grid hashes each scenario once"): a
 # run's key is its scenario's digest, which leaves out the seed and the
