@@ -22,22 +22,21 @@
 # pair wins and losses, and each side's result digests. Exits non-zero when
 # a run fails or digests differ; the verdict on the timings is the reader's.
 #
-# With LAYOUTS=1 in the environment every run first relinks its side with
-# GOFLAGS=-ldflags=-randlayout=<n>: the parent's run of pair p takes
-# n = 2p-1 and the change's n = 2p, at both seeds, so a re-run repeats the
-# layouts and no two runs of one pair share one. Function placement then
-# becomes noise the pair statistics see instead of a fixed bias of one
-# build per side; `bench-ab.sh <w> HEAD` compares a tree with itself and
-# measures that noise. The run lines name each layout and the record lists
-# them. Only the link re-runs, before the timed phase.
+# Every run first relinks its side with -ldflags=-randlayout=<n> added to
+# GOFLAGS: the parent's run of pair p takes n = 2p-1 and the change's
+# n = 2p, at both seeds, so a re-run repeats the layouts and no two runs of
+# one pair share one. Function placement is then noise the pair statistics
+# see instead of a fixed bias of one build per side; `bench-ab.sh <w> HEAD`
+# compares a tree with itself and measures that noise. The run lines name
+# each layout and the record lists them. Only the link re-runs, before the
+# timed phase.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,33p' "$0" >&2
+	sed -n '2,32p' "$0" >&2
 	exit 2
 fi
 workload=$1 base=$2 pairs=${3:-10} heldout=${4:-47} record=${5:-}
-layouts=${LAYOUTS:-}
 seconds=10
 metrics="wall_s cpu_s setup_s alloc_mb peak_rss_mb"
 
@@ -60,7 +59,7 @@ if [ -n "$(git status --porcelain)" ]; then
 fi
 
 # layout <side> <pair>: the -randlayout seed of side's run in pair (see
-# LAYOUTS above).
+# above).
 layout() {
 	if [ "$1" = parent ]; then echo $((2 * $2 - 1)); else echo $((2 * $2)); fi
 }
@@ -68,13 +67,10 @@ layout() {
 # run <side> <dir> <seed> <pair>: one benchmark process; appends
 # "side seed pair digest metric..." to $tmp/runs.
 run() {
-	local side=$1 dir=$2 seed=$3 pair=$4 out detail line digest vals="" flags=${GOFLAGS:-} note=""
+	local side=$1 dir=$2 seed=$3 pair=$4 out detail line digest vals="" n
 	detail="$tmp/$side.$seed.$pair.json"
-	if [ -n "$layouts" ]; then
-		flags="-ldflags=-randlayout=$(layout "$side" "$pair")"
-		note="  layout $(layout "$side" "$pair")"
-	fi
-	out=$(cd "$dir" && GOFLAGS="$flags" bash bench/run.sh --workload "$workload" --seed "$seed" \
+	n=$(layout "$side" "$pair")
+	out=$(cd "$dir" && GOFLAGS="${GOFLAGS:+$GOFLAGS }-ldflags=-randlayout=$n" bash bench/run.sh --workload "$workload" --seed "$seed" \
 		--seconds "$seconds" --trace 0 --detail "$detail") || {
 		echo "bench-ab: $side run of $workload at seed $seed exited non-zero" >&2
 		exit 1
@@ -92,10 +88,10 @@ run() {
 	done
 	digest=$(grep -o '"digest": *"[0-9a-f]*"' "$detail" | grep -o '[0-9a-f]\{64\}')
 	echo "$side $seed $pair $digest$vals" >>"$tmp/runs"
-	echo "seed $seed pair $pair $side:$vals  digest ${digest:0:12}$note"
+	echo "seed $seed pair $pair $side:$vals  digest ${digest:0:12}  layout $n"
 }
 
-echo "bench-ab: $workload, parent $(git rev-parse --short "$base") vs working tree, $pairs pairs at seeds 1 and $heldout ($metrics)${layouts:+, randomized layouts}"
+echo "bench-ab: $workload, parent $(git rev-parse --short "$base") vs working tree, $pairs pairs at seeds 1 and $heldout ($metrics), randomized layouts"
 for seed in 1 "$heldout"; do
 	for pair in $(seq 1 "$pairs"); do
 		if [ $((pair % 2)) -eq 1 ]; then
@@ -158,11 +154,11 @@ done
 
 # The record: the runs file summarised per seed and metric, in the bench
 # record's field names where they overlap (commit, seed, end_to_end, n,
-# min, q1, median, q3, max, values, digest), and with LAYOUTS each side's
-# -randlayout seeds in pair order.
+# min, q1, median, q3, max, values, digest), and each side's -randlayout
+# seeds in pair order.
 if [ -n "$record" ]; then
 	awk -v workload="$workload" -v parent="$(git rev-parse "$base")" -v change="$change" \
-		-v seeds="1 $heldout" -v metrics="$metrics" -v pairs="$pairs" -v seconds="$seconds" -v layouts="$layouts" "$stats"'
+		-v seeds="1 $heldout" -v metrics="$metrics" -v pairs="$pairs" -v seconds="$seconds" "$stats"'
 		function side(x, n,    s, i, out) {
 			sorted(x, n, s)
 			out = sprintf("{\"n\": %d, \"min\": %.10g, \"q1\": %.10g, \"median\": %.10g, \"q3\": %.10g, \"max\": %.10g, \"values\": [",
@@ -183,11 +179,9 @@ if [ -n "$record" ]; then
 		END {
 			ns = split(seeds, sv, " "); nm = split(metrics, mv, " ")
 			printf "{\n  \"workload\": \"%s\",\n  \"seconds\": %s,\n  \"pairs\": %d,\n", workload, seconds, pairs
-			if (layouts != "") {
-				lp = ""; lc = ""
-				for (i = 1; i <= pairs; i++) { lp = lp (i > 1 ? ", " : "") (2 * i - 1); lc = lc (i > 1 ? ", " : "") (2 * i) }
-				printf "  \"layouts\": {\"parent\": [%s], \"change\": [%s]},\n", lp, lc
-			}
+			lp = ""; lc = ""
+			for (i = 1; i <= pairs; i++) { lp = lp (i > 1 ? ", " : "") (2 * i - 1); lc = lc (i > 1 ? ", " : "") (2 * i) }
+			printf "  \"layouts\": {\"parent\": [%s], \"change\": [%s]},\n", lp, lc
 			printf "  \"parent\": {\"commit\": \"%s\"},\n  \"change\": {\"commit\": \"%s\"},\n  \"sets\": [\n", parent, change
 			for (si = 1; si <= ns; si++) {
 				printf "    {\n      \"seed\": %d,\n      \"end_to_end\": {\n", sv[si]
