@@ -194,11 +194,13 @@ func (m *Reactive) unreachable(p *Packet, c Cause) {
 
 // Seen reports whether the flood (orig, id) has been seen within the
 // protocol's hold, and remembers it from now on if not. The live floods
-// are walked newest first: a duplicate is nearly always a flood heard a
-// moment ago from another neighbour, and a router holds few floods at a
-// time, so a new flood walks them all cheaply. The walk follows nSeen
-// links and no more, since the oldest live flood's older may name an
-// item already expired and reused.
+// are walked newest first, so a lookup costs O(nSeen), and nSeen is the
+// discoveries in the router's part of the network within the hold: on a
+// 2000-vehicle AODV metro run it peaks at 9, 94-96 % of lookups are
+// duplicates, and a lookup compares 1.1-1.8 floods on average; 4000
+// vehicles double the peak (ROADMAP, "All soft state is one hold list").
+// The walk follows nSeen links and no more, since the oldest live flood's
+// older may name an item already expired and reused.
 //
 // A router's own floods are not recorded: both handlers drop a flood of
 // their own before they look it up, so no lookup would ever read one.
