@@ -163,13 +163,10 @@ func (r *Router) dropNeighbor(id netsim.NodeID) {
 }
 
 // purge evicts the neighbors whose until passed, from the head of the
-// expiry list. It drops each at the first purge with now ≥ until, as the
-// lazy heap it replaces did: that heap's items carried deadlines no later
-// than their neighbor's current one and were re-registered when found
-// refreshed, and the duplicates a re-learned neighbor left behind
-// surfaced at that same purge to find it gone. Each due head is removed
-// itself, so an item whose neighbor is already gone is passed over, as
-// the heap passed a vanished key, instead of stopping the walk.
+// expiry list: every until is now + neighborHold, so the head is the
+// earliest, and each neighbor goes at the first purge with now ≥ until.
+// Each due head item is removed itself, so an item whose neighbor is
+// already gone is passed over instead of stopping the walk.
 func (r *Router) purge() {
 	now := r.node.Kernel().Now()
 	for i, ok := r.expiry.Front(); ok; i, ok = r.expiry.Front() {
