@@ -70,7 +70,7 @@ func (l *holdList[T]) unlink(i int32) {
 type HoldList[T any] struct {
 	holdList[T]
 	free int32 // removed items, chained through prev; noItem when none
-	live int   // items added and not removed
+	live int32 // items added and not removed
 }
 
 // NewHoldList returns an empty list.
@@ -116,4 +116,4 @@ func (l *HoldList[T]) Remove(i int32) {
 }
 
 // Len reports how many items are in the list.
-func (l *HoldList[T]) Len() int { return l.live }
+func (l *HoldList[T]) Len() int { return int(l.live) }
