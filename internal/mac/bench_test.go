@@ -76,8 +76,8 @@ func BenchmarkDCFExchange(b *testing.B) {
 		for k.Step() {
 		}
 	}
-	// Warm up until the pools, the kernel's records and the calendar
-	// buckets the exchanges cycle through all have their storage.
+	// Warm up until the pools, the kernel's records and its heap all have
+	// the storage the exchanges cycle through.
 	const warm = 1000
 	for i := 0; i < warm; i++ {
 		exchange()

@@ -225,32 +225,20 @@ func batchWorkload(k *Kernel, batched bool, seed int64, ops int) []batchStep {
 // batches and submitting them as individual ScheduleArg events at the same
 // program points must be indistinguishable — identical (time, id) firing
 // sequences, identical Append decisions, identical Processed()/Pending() at
-// every firing and after every driver op — on the calendar queue and on the
-// heap oracle, for fan-outs of up to 13 members and of 17–600.
+// every firing and after every driver op — for fan-outs of up to 13
+// members and of 17–600.
 func TestBatchMatchesScheduleArg(t *testing.T) {
 	var accepted, refused, fired, wide int
 	for seed := int64(1); seed <= 24; seed++ {
 		ref := batchWorkload(NewKernel(), false, seed, 1500)
-		for _, c := range []struct {
-			name    string
-			oracle  bool
-			batched bool
-		}{
-			{"calendar/batched", false, true},
-			{"oracle/batched", true, true},
-			{"oracle/each", true, false},
-		} {
-			k := &Kernel{oracle: c.oracle}
-			got := batchWorkload(k, c.batched, seed, 1500)
-			for i := range got {
-				if i >= len(ref) || got[i] != ref[i] {
-					t.Fatalf("seed %d: %s diverged from calendar/each at observation %d: %+v",
-						seed, c.name, i, got[i])
-				}
+		got := batchWorkload(NewKernel(), true, seed, 1500)
+		for i := range got {
+			if i >= len(ref) || got[i] != ref[i] {
+				t.Fatalf("seed %d: batched diverged from each at observation %d: %+v", seed, i, got[i])
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %s made %d observations, calendar/each %d", seed, c.name, len(got), len(ref))
-			}
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("seed %d: batched made %d observations, each %d", seed, len(got), len(ref))
 		}
 		for _, s := range ref {
 			switch {
@@ -277,38 +265,37 @@ func TestBatchMatchesScheduleArg(t *testing.T) {
 // members fires between them, counters count members, and a finished (or
 // zero) batch refuses Appends.
 func TestBatchFiresInGlobalOrder(t *testing.T) {
-	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		var order []int
-		fn := func(a any) { order = append(order, a.(int)) }
-		b := k.NewBatch(fn)
-		for i := 0; i < 6; i++ {
-			b.Add(Time(6-i)*Microsecond, 6-i) // reverse order: Commit sorts
-		}
-		b.Commit()
-		k.ScheduleArg(3*Microsecond+500, fn, 100) // between members 3 and 4
-		if k.Pending() != 7 {
-			t.Fatalf("Pending = %d, want 7 (6 members + 1 event)", k.Pending())
-		}
-		k.Run()
-		want := []int{1, 2, 3, 100, 4, 5, 6}
-		if len(order) != len(want) {
+	k := NewKernel()
+	var order []int
+	fn := func(a any) { order = append(order, a.(int)) }
+	b := k.NewBatch(fn)
+	for i := 0; i < 6; i++ {
+		b.Add(Time(6-i)*Microsecond, 6-i) // reverse order: Commit sorts
+	}
+	b.Commit()
+	k.ScheduleArg(3*Microsecond+500, fn, 100) // between members 3 and 4
+	if k.Pending() != 7 {
+		t.Fatalf("Pending = %d, want 7 (6 members + 1 event)", k.Pending())
+	}
+	k.Run()
+	want := []int{1, 2, 3, 100, 4, 5, 6}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
 			t.Fatalf("fired %v, want %v", order, want)
 		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("fired %v, want %v", order, want)
-			}
-		}
-		if k.Processed() != 7 || k.Pending() != 0 {
-			t.Fatalf("Processed %d Pending %d, want 7 and 0", k.Processed(), k.Pending())
-		}
-		if b.Append(k.Now(), 7) {
-			t.Fatal("Append accepted by a finished batch")
-		}
-		if (Batch{}).Append(k.Now(), 7) {
-			t.Fatal("Append accepted by the zero Batch")
-		}
-	})
+	}
+	if k.Processed() != 7 || k.Pending() != 0 {
+		t.Fatalf("Processed %d Pending %d, want 7 and 0", k.Processed(), k.Pending())
+	}
+	if b.Append(k.Now(), 7) {
+		t.Fatal("Append accepted by a finished batch")
+	}
+	if (Batch{}).Append(k.Now(), 7) {
+		t.Fatal("Append accepted by the zero Batch")
+	}
 }
 
 func TestBatchMisusePanics(t *testing.T) {
@@ -339,29 +326,28 @@ func TestBatchMisusePanics(t *testing.T) {
 // fan-out, its arrivals 12 ns apart on the propagation grid) the radix
 // sort.
 func TestBatchSteadyStateAllocFree(t *testing.T) {
-	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		for _, c := range []struct {
-			members int
-			step    Time
-		}{{12, Microsecond}, {150, 12}} {
-			cycle := func() {
-				b := k.NewBatch(noopArg)
-				for i := 0; i < c.members; i++ {
-					b.Add(k.Now()+Time(c.members-i)*c.step, k)
-				}
-				b.Commit()
-				k.AfterArg(5*Microsecond, noopArg, k)
-				b.Append(k.Now()+20*Microsecond, k)
-				k.Run()
+	k := NewKernel()
+	for _, c := range []struct {
+		members int
+		step    Time
+	}{{12, Microsecond}, {150, 12}} {
+		cycle := func() {
+			b := k.NewBatch(noopArg)
+			for i := 0; i < c.members; i++ {
+				b.Add(k.Now()+Time(c.members-i)*c.step, k)
 			}
-			for i := 0; i < 8; i++ {
-				cycle()
-			}
-			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-				t.Fatalf("steady-state %d-member batch cycle allocated %v times per op", c.members, allocs)
-			}
+			b.Commit()
+			k.AfterArg(5*Microsecond, noopArg, k)
+			b.Append(k.Now()+20*Microsecond, k)
+			k.Run()
 		}
-	})
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Fatalf("steady-state %d-member batch cycle allocated %v times per op", c.members, allocs)
+		}
+	}
 }
 
 // refSortMembers is the comparator sort Batch.Commit used before

@@ -5,20 +5,19 @@ import (
 )
 
 // FuzzKernelDifferential feeds a byte stream as a schedule/cancel/fan-out/
-// phy-fan-out/append/timer-set/step/run-until op sequence to three kernels
-// in lockstep — the calendar queue and the heap oracle, both submitting
-// fan-outs as batches and per-peer deadlines as one TimerSet, and a
-// calendar kernel submitting the same members one ScheduleArg each
-// (eachFanout) and the same deadlines one Timer each (eachTimers) —
+// phy-fan-out/append/timer-set/step/run-until op sequence to two kernels
+// in lockstep — one submitting fan-outs as batches and per-peer deadlines
+// as one TimerSet, the other submitting the same members one ScheduleArg
+// each (eachFanout) and the same deadlines one Timer each (eachTimers) —
 // checking on every op that:
 //
 //   - pop sequences are bit-identical: same (time, payload id) in the same
 //     order, clocks in lockstep — the determinism contract every golden
-//     depends on, across queue implementations and across batching;
+//     depends on, across batching;
 //   - pop times are monotone non-decreasing and same-time events fire in
 //     seq (insertion) order;
 //   - no cancelled event ever fires, and Cancel/Append/Stop/Pending/
-//     Processed and the sequence counter agree between the three — a
+//     Processed and the sequence counter agree between the two — a
 //     free-list record reused after cancellation must never resurrect the
 //     old handle.
 //
@@ -49,12 +48,11 @@ func FuzzKernelDifferential(f *testing.F) {
 			timers  timers // item i fires as id -1-i
 		}
 		sides := []*side{
-			{name: "calendar", k: NewKernel(), batched: true},
-			{name: "oracle", k: newHeapKernel(), batched: true},
-			{name: "calendar/each", k: NewKernel()},
+			{name: "batched", k: NewKernel(), batched: true},
+			{name: "each", k: NewKernel()},
 		}
 		// The set's one hold comes from the last byte: zero, a 100 µs grid
-		// (ties with op 0's and op 4's times), or the overflow tier.
+		// (ties with op 0's and op 4's times), or far out.
 		var hold Time
 		if n := len(data); n > 0 {
 			switch b := Time(data[n-1]); {
@@ -94,7 +92,7 @@ func FuzzKernelDifferential(f *testing.F) {
 			switch kind {
 			case 0: // schedule a near event; b==0 makes same-time ties likely
 				schedule(now + a*Time(Millisecond) + b*Time(Microsecond))
-			case 1: // schedule far out: exercises the overflow tier
+			case 1: // schedule far out: a deep heap under the near churn
 				schedule(now + a*Time(10*Second) + b*Time(Millisecond))
 			case 2: // cancel a pseudo-random outstanding handle
 				if len(ids) > 0 {

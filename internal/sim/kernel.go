@@ -6,12 +6,21 @@
 // run is fully reproducible. The kernel is single-threaded by design — all
 // model code (PHY, MAC, routing, traffic) runs inside event callbacks.
 //
-// The event queue is a bucketed calendar queue (calendar.go): O(1)
-// amortized schedule and pop for the near-future timer churn that
-// dominates a protocol run. The original container/heap implementation is
-// kept as the reference this package's tests select (Kernel.oracle) — both
-// pop in the identical strict (time, seq) order, and the randomized
-// differential and fuzz tests assert bit-identical pop sequences.
+// The event queue is one 4-ary min-heap (queue.go) whose entries carry
+// their (time, seq) key inline, with lazy cancellation. It replaced a
+// calendar queue (Brown 1988) in PR 53: counted over highway, manhattan
+// and 2 000-vehicle metro runs, 96.9–98.8 % of the calendar's inserts were
+// positional (a binary search and a shift inside a bucket holding 26–262
+// live events) and only 0.2–0.5 % found an empty bucket — after one or two
+// early rebuilds fixed its day width it worked as a handful of sorted
+// arrays, the failure Tang, Goh & Thng describe for skewed event
+// distributions ("Ladder queue", ACM TOMACS 15(3), 2005). The calendar's
+// −38 % against a binary heap (PR 8) dates from when every receiver's edge
+// was its own queue entry; since fan-outs are one batch entry (PR 15) and
+// neighbour liveness one timer-set entry (PR 29), a run holds about 100–170
+// live entries (about 6 100 on 2 000-vehicle metro), where a heap of
+// inline keys is short and allocates almost nothing. queue_test.go holds
+// the heap to a container/heap reference.
 //
 // Event records are pooled: once an event fires or is cancelled its record
 // returns to a free list and is reused by a later Schedule, so the steady
@@ -23,7 +32,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strconv"
@@ -57,22 +65,11 @@ func (t Time) String() string {
 	return strconv.FormatFloat(t.Seconds(), 'f', 6, 64) + "s"
 }
 
-// Queue-position markers stored in event.index. The heap oracle keeps real
-// indices (>= 0); the calendar queue only records which tier holds the
-// record, because lazy cancellation never needs to locate it.
-const (
-	noIdx          = -1 // not queued
-	calBucketIdx   = -2 // resident in a calendar bucket
-	calOverflowIdx = -3 // resident in the far-future overflow heap
-)
-
 // event is a pooled scheduled-callback record. Exactly one of fn, afn,
 // batch and set is set while the event is pending; a batch's entry is keyed
 // by the batch's next member, a timer set's no later than its list head.
 // gen increments every time the record is released, invalidating
-// outstanding handles. dead marks a cancelled record that still physically
-// occupies a calendar bucket (lazy cancellation); it is skipped and
-// recycled when the scan reaches it. The record is 80 B.
+// outstanding handles. The record is 72 B.
 type event struct {
 	at    Time
 	seq   uint64
@@ -82,16 +79,11 @@ type event struct {
 	batch *batch
 	set   *TimerSet
 	gen   uint64
-	index int32 // heap position, or a cal*Idx tier marker, or noIdx
-	dead  bool
 }
 
-// eventLess is the kernel's total order: time, then insertion sequence.
-// Both queue implementations pop in exactly this order — it is the
+// keyLess is the kernel's total order on (time, seq) keys: time, then
+// insertion sequence. The queue pops in exactly this order — it is the
 // determinism contract every downstream golden depends on.
-func eventLess(a, b *event) bool { return keyLess(a.at, a.seq, b.at, b.seq) }
-
-// keyLess is the (time, seq) order on bare keys.
 func keyLess(at Time, seq uint64, bt Time, bseq uint64) bool {
 	if at != bt {
 		return at < bt
@@ -110,9 +102,14 @@ type Handle struct {
 }
 
 // live reports whether the handle still refers to the pending incarnation
-// of its event record. Cancellation bumps the generation immediately (even
-// when the record is reclaimed lazily), so live is false the moment the
-// event stops being pending.
+// of its event record. Firing and cancelling both bump the generation, so
+// live is false the moment the event stops being pending.
+//
+// Every handle a caller can hold is live only while its entry is queued
+// (live ⇒ queued): fire releases a record before its callback runs, a
+// batch's record is never handed out, and TimerSet.StopAll cancels only a
+// queued s.ev. So a Cancel that finds its handle live always leaves one
+// stale entry behind, which is what the queue's stale count counts.
 func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen }
 
 // Scheduled reports whether the event is still pending.
@@ -129,57 +126,16 @@ func (h Handle) At() Time {
 	return h.ev.at
 }
 
-// eventQueue is the container/heap implementation — the pre-calendar event
-// queue, kept as the differential reference (Kernel.oracle).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool { return eventLess(q[i], q[j]) }
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = int32(i)
-	q[j].index = int32(j)
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = int32(len(*q))
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = noIdx
-	*q = old[:n-1]
-	return ev
-}
-
 // Kernel is a discrete-event scheduler. Create one with NewKernel.
 type Kernel struct {
-	now Time
-	seq uint64
-	// oracle selects the original binary-heap event queue, the reference
-	// the calendar's pop order is held to. No exported switch sets it: the
-	// queue's contract is a value contract (same pushes and cancels ⇒ same
-	// (time, seq) pop sequence), which this package's own tests —
-	// TestCalendarMatchesHeapOracle, TestBatchMatchesScheduleArg,
-	// FuzzKernelDifferential — check by building &Kernel{oracle: true}
-	// (newHeapKernel in kernel_test.go). The fork stays in this file and
-	// not in a _test.go because lifting it out needs a queue interface on
-	// push/pop, the hottest calls in the program.
-	oracle    bool
-	heapq     eventQueue // reference path
-	cal       calendar   // the path every run takes
-	free      []*event   // recycled event records
-	batchFree []*batch   // recycled batch storage
-	sortBuf   []member   // radixSort's scratch, as long as the largest batch
-	extra     int        // batch members and set items not counted by a queue entry
-	boundAt   Time       // with boundSeq: drain's lower bound on queued keys
+	now       Time
+	seq       uint64
+	q         queue
+	free      []*event // recycled event records
+	batchFree []*batch // recycled batch storage
+	sortBuf   []member // radixSort's scratch, as long as the largest batch
+	extra     int      // batch members and set items not counted by a queue entry
+	boundAt   Time     // with boundSeq: drain's lower bound on queued keys
 	boundSeq  uint64
 	processed uint64
 	work      Work
@@ -198,8 +154,7 @@ type Work struct {
 // Work reports the kernel's work counts so far.
 func (k *Kernel) Work() Work { return k.work }
 
-// NewKernel returns an empty kernel positioned at time zero, using the
-// calendar-queue event set.
+// NewKernel returns an empty kernel positioned at time zero.
 func NewKernel() *Kernel {
 	return &Kernel{}
 }
@@ -208,14 +163,9 @@ func NewKernel() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of events waiting to fire, batch members and
-// armed TimerSet items included. Cancelled records awaiting lazy
-// reclamation are not counted.
-func (k *Kernel) Pending() int {
-	if k.oracle {
-		return len(k.heapq) + k.extra
-	}
-	return k.cal.pending() + k.extra
-}
+// armed TimerSet items included. Stale entries of cancelled events are
+// not counted.
+func (k *Kernel) Pending() int { return k.q.live() + k.extra }
 
 // Processed reports the total number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -228,7 +178,7 @@ func (k *Kernel) record() *event {
 		k.free = k.free[:n-1]
 		return ev
 	}
-	return &event{index: noIdx}
+	return &event{}
 }
 
 // alloc takes a record for a new event at time at and draws its sequence
@@ -241,29 +191,15 @@ func (k *Kernel) alloc(at Time) *event {
 	return ev
 }
 
-// invalidate bumps the record's generation (cutting off every outstanding
-// handle) and drops its callback references. The record may still occupy a
-// calendar bucket afterwards; recycle returns it to the free list once it
-// is physically out of the queue.
-func (k *Kernel) invalidate(ev *event) {
+// release bumps the record's generation (cutting off every outstanding
+// handle and staling any queue entry pushed under one), drops its callback
+// references and returns it to the free list.
+func (k *Kernel) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
-}
-
-// recycle returns a record that is no longer queued to the free list.
-func (k *Kernel) recycle(ev *event) {
-	ev.dead = false
-	ev.index = noIdx
 	k.free = append(k.free, ev)
-}
-
-// release invalidates outstanding handles to ev and returns the record to
-// the free list.
-func (k *Kernel) release(ev *event) {
-	k.invalidate(ev)
-	k.recycle(ev)
 }
 
 func (k *Kernel) push(ev *event) Handle {
@@ -271,12 +207,9 @@ func (k *Kernel) push(ev *event) Handle {
 	if keyLess(ev.at, ev.seq, k.boundAt, k.boundSeq) {
 		k.boundAt, k.boundSeq = ev.at, ev.seq // see drain
 	}
-	if k.oracle {
-		heap.Push(&k.heapq, ev)
-	} else {
-		k.cal.insert(k, ev)
-	}
-	return Handle{ev: ev, gen: ev.gen}
+	h := Handle{ev: ev, gen: ev.gen}
+	k.q.push(entry{at: ev.at, seq: ev.seq, h: h})
+	return h
 }
 
 // checkNotPast panics when at precedes the clock: scheduling in the past is
@@ -328,41 +261,26 @@ func (k *Kernel) AfterArg(d Time, fn func(any), arg any) Handle {
 // event was still pending; cancelling an already-fired, already-cancelled
 // or recycled handle is a harmless no-op.
 //
-// On the calendar path cancellation is lazy: the handle dies immediately
-// (Scheduled reports false, the generation is bumped), but the record stays
-// in its bucket marked dead until the scan reaches it or a compaction sweep
-// reclaims it — there is no positional removal to pay for.
+// Cancellation is lazy: the record is released at once (Scheduled reports
+// false, and a later Schedule may reuse it), and its queue entry, now
+// stale, is dropped when it surfaces or swept by a compaction — there is
+// no positional removal to pay for.
 func (k *Kernel) Cancel(h Handle) bool {
 	if !h.live() {
 		return false
 	}
-	ev := h.ev
-	if k.oracle {
-		if ev.index < 0 {
-			return false
-		}
-		heap.Remove(&k.heapq, int(ev.index))
-		ev.index = noIdx
-		k.release(ev)
-		return true
-	}
-	if ev.index != calBucketIdx && ev.index != calOverflowIdx {
-		return false
-	}
-	k.invalidate(ev)
-	ev.dead = true
-	k.cal.cancelled(k, ev)
+	k.release(h.ev)
+	k.q.cancelled()
 	return true
 }
 
 // popDue removes and returns the earliest pending event if it fires at or
 // before deadline, and nil otherwise: one minimum lookup serves both the
-// deadline test and the pop. On the calendar path the lookup may advance
-// the scan cursor and reclaim cancelled records even when nothing is due —
-// deterministic state changes that never affect pop order.
+// deadline test and the pop. The lookup may drop stale entries even when
+// nothing is due, which never affects pop order.
 //
 // A popped TimerSet entry not keyed at its list head is stale; it is
-// settled here, above both queues, and never returned: it fires nothing, so
+// settled here, above the queue, and never returned: it fires nothing, so
 // Now() and Processed() do not move. A set is exactly its items as
 // stand-alone Timers, by three clauses (L1 and L2 of drain, in the same
 // form):
@@ -393,15 +311,10 @@ func (k *Kernel) Cancel(h Handle) bool {
 // Processed() in every callback.
 func (k *Kernel) popDue(deadline Time) *event {
 	for {
-		var ev *event
-		if k.oracle {
-			if len(k.heapq) == 0 || k.heapq[0].at > deadline {
-				return nil
-			}
-			ev = heap.Pop(&k.heapq).(*event)
-		} else if ev = k.cal.popDue(k, deadline); ev == nil {
+		if e := k.q.min(); e == nil || e.at > deadline {
 			return nil
 		}
+		ev := k.q.pop().h.ev
 		if ev.set == nil || ev.set.due() {
 			return ev
 		}
@@ -409,17 +322,9 @@ func (k *Kernel) popDue(deadline Time) *event {
 	}
 }
 
-// peek returns the earliest pending event without removing it, or nil when
-// the queue is empty.
-func (k *Kernel) peek() *event {
-	if k.oracle {
-		if len(k.heapq) == 0 {
-			return nil
-		}
-		return k.heapq[0]
-	}
-	return k.cal.next(k)
-}
+// peek returns the earliest live queue entry without removing it, or nil
+// when the queue is empty.
+func (k *Kernel) peek() *entry { return k.q.next() }
 
 // fire executes a popped event, advancing the clock to its timestamp; a
 // batch entry fires every member that is due, or just one when single; a
@@ -474,8 +379,8 @@ func (k *Kernel) fire(ev *event, deadline Time, single bool) {
 // wrong firing.
 //
 // By induction the firing sequence, each callback's Now() and the k.seq
-// trajectory are those of per-member scheduling, on both queues (drain sits
-// above them and needs only peek/push/pop). Run, RunUntil and Step must not
+// trajectory are those of per-member scheduling (drain sits above the
+// queue and needs only peek/push/pop). Run, RunUntil and Step must not
 // be called from a callback: a nested pop would overtake the members still
 // held here.
 func (k *Kernel) drain(ev *event, deadline Time, single bool) {

@@ -6,20 +6,8 @@ import (
 	"testing"
 )
 
-// newHeapKernel is the one way to a kernel on the binary-heap reference
-// queue (Kernel.oracle): in-package tests only, no exported switch.
-func newHeapKernel() *Kernel { return &Kernel{oracle: true} }
-
 // Run executes events until the queue drains or Stop is called.
 func (k *Kernel) Run() { k.run(MaxTime) }
-
-// forBothKernels runs a test against the calendar queue and the retained
-// heap oracle; both must satisfy the same observable contract.
-func forBothKernels(t *testing.T, fn func(t *testing.T, k *Kernel)) {
-	t.Helper()
-	t.Run("calendar", func(t *testing.T) { fn(t, NewKernel()) })
-	t.Run("oracle", func(t *testing.T) { fn(t, newHeapKernel()) })
-}
 
 func TestTimeConversions(t *testing.T) {
 	if got := Seconds(1.5); got != 1500*Millisecond {
@@ -34,10 +22,7 @@ func TestTimeConversions(t *testing.T) {
 }
 
 func TestKernelOrdersByTime(t *testing.T) {
-	forBothKernels(t, testKernelOrdersByTime)
-}
-
-func testKernelOrdersByTime(t *testing.T, k *Kernel) {
+	k := NewKernel()
 	var order []int
 	k.Schedule(3*Second, func() { order = append(order, 3) })
 	k.Schedule(1*Second, func() { order = append(order, 1) })
@@ -52,10 +37,7 @@ func testKernelOrdersByTime(t *testing.T, k *Kernel) {
 }
 
 func TestKernelFIFOTieBreak(t *testing.T) {
-	forBothKernels(t, testKernelFIFOTieBreak)
-}
-
-func testKernelFIFOTieBreak(t *testing.T, k *Kernel) {
+	k := NewKernel()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -70,10 +52,7 @@ func testKernelFIFOTieBreak(t *testing.T, k *Kernel) {
 }
 
 func TestKernelCancel(t *testing.T) {
-	forBothKernels(t, testKernelCancel)
-}
-
-func testKernelCancel(t *testing.T, k *Kernel) {
+	k := NewKernel()
 	fired := false
 	ev := k.Schedule(Second, func() { fired = true })
 	if !k.Cancel(ev) {
@@ -99,10 +78,7 @@ func TestKernelCancelZeroHandle(t *testing.T) {
 }
 
 func TestKernelRunUntil(t *testing.T) {
-	forBothKernels(t, testKernelRunUntil)
-}
-
-func testKernelRunUntil(t *testing.T, k *Kernel) {
+	k := NewKernel()
 	var fired []int
 	k.Schedule(1*Second, func() { fired = append(fired, 1) })
 	k.Schedule(5*Second, func() { fired = append(fired, 5) })
@@ -229,10 +205,7 @@ func TestEventScheduledAccessors(t *testing.T) {
 }
 
 func TestKernelManyEventsHeapStress(t *testing.T) {
-	forBothKernels(t, testKernelManyEventsStress)
-}
-
-func testKernelManyEventsStress(t *testing.T, k *Kernel) {
+	k := NewKernel()
 	// Interleave schedules and cancels to exercise queue bookkeeping.
 	var events []Handle
 	for i := 0; i < 1000; i++ {
@@ -335,21 +308,20 @@ func TestKernelScheduleArg(t *testing.T) {
 }
 
 func TestKernelScheduleSteadyStateAllocFree(t *testing.T) {
-	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		var sink *Kernel = k
-		// Warm the pool, then check a schedule+run cycle allocates nothing.
-		for i := 0; i < 64; i++ {
-			sink.After(Time(i), noop)
-		}
-		k.Run()
-		allocs := testing.AllocsPerRun(200, func() {
-			sink.AfterArg(Microsecond, noopArg, sink)
-			sink.Run()
-		})
-		if allocs != 0 {
-			t.Fatalf("steady-state ScheduleArg+Run allocated %v times per op", allocs)
-		}
+	k := NewKernel()
+	var sink *Kernel = k
+	// Warm the pool, then check a schedule+run cycle allocates nothing.
+	for i := 0; i < 64; i++ {
+		sink.After(Time(i), noop)
+	}
+	k.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		sink.AfterArg(Microsecond, noopArg, sink)
+		sink.Run()
 	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ScheduleArg+Run allocated %v times per op", allocs)
+	}
 }
 
 func TestKernelCancelChurnAllocFree(t *testing.T) {
@@ -371,27 +343,26 @@ func TestKernelCancelChurnAllocFree(t *testing.T) {
 }
 
 func TestHandleWhen(t *testing.T) {
-	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		// A pending time-zero event is ambiguous through At alone, not
-		// together with Scheduled.
-		h := k.Schedule(0, noop)
-		if at, ok := h.At(), h.Scheduled(); !ok || at != 0 {
-			t.Fatalf("At, Scheduled = (%v, %v), want (0, true) while pending", at, ok)
-		}
-		h2 := k.Schedule(3*Second, noop)
-		if at, ok := h2.At(), h2.Scheduled(); !ok || at != 3*Second {
-			t.Fatalf("At, Scheduled = (%v, %v), want (3s, true)", at, ok)
-		}
-		k.Run()
-		if at, ok := h2.At(), h2.Scheduled(); ok || at != 0 {
-			t.Fatalf("At, Scheduled = (%v, %v) after firing, want (0, false)", at, ok)
-		}
-		h3 := k.Schedule(5*Second, noop)
-		k.Cancel(h3)
-		if h3.Scheduled() {
-			t.Fatal("Scheduled() reports pending after Cancel")
-		}
-	})
+	k := NewKernel()
+	// A pending time-zero event is ambiguous through At alone, not
+	// together with Scheduled.
+	h := k.Schedule(0, noop)
+	if at, ok := h.At(), h.Scheduled(); !ok || at != 0 {
+		t.Fatalf("At, Scheduled = (%v, %v), want (0, true) while pending", at, ok)
+	}
+	h2 := k.Schedule(3*Second, noop)
+	if at, ok := h2.At(), h2.Scheduled(); !ok || at != 3*Second {
+		t.Fatalf("At, Scheduled = (%v, %v), want (3s, true)", at, ok)
+	}
+	k.Run()
+	if at, ok := h2.At(), h2.Scheduled(); ok || at != 0 {
+		t.Fatalf("At, Scheduled = (%v, %v) after firing, want (0, false)", at, ok)
+	}
+	h3 := k.Schedule(5*Second, noop)
+	k.Cancel(h3)
+	if h3.Scheduled() {
+		t.Fatal("Scheduled() reports pending after Cancel")
+	}
 }
 
 func noop()       {}

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// Memory-stability pin for the calendar queue's lazy cancellation: dead
-// records are reclaimed by scan, compaction, and rebuild sweeps, so a
-// cancel-heavy workload must settle into a bounded steady state — the free
-// list, the bucket array, and the overflow heap all stop growing no matter
-// how long the churn runs.
+// Memory-stability pin for the queue's lazy cancellation: stale entries
+// are dropped as they surface and swept by compaction, so a cancel-heavy
+// workload must settle into a bounded steady state — the free list and
+// the heap stop growing no matter how long the churn runs.
 
 // TestKernelCancelChurnMemoryStable runs 1M schedule/cancel cycles against
 // a small live working set and pins the retained structures.
@@ -27,23 +26,11 @@ func TestKernelCancelChurnMemoryStable(t *testing.T) {
 
 	const cycles = 1_000_000
 	warm := cycles / 10
-	var freeHigh, bucketHigh, overflowHigh int
-	measure := func() {
-		if n := len(k.free); n > freeHigh {
-			freeHigh = n
-		}
-		if n := len(k.cal.buckets); n > bucketHigh {
-			bucketHigh = n
-		}
-		if n := len(k.cal.overflow); n > overflowHigh {
-			overflowHigh = n
-		}
-	}
-
+	var freeHigh int
 	var before, after runtime.MemStats
 	for i := 0; i < cycles; i++ {
-		// Mix near and far deadlines so both the bucket tier and the
-		// overflow heap see cancelled records.
+		// Mix near and far deadlines so stale entries sit both near the
+		// top of the heap and deep in it.
 		d := Time(i%43+1) * Millisecond
 		if i%11 == 0 {
 			d = Time(i%7+1) * 100 * Second
@@ -57,7 +44,10 @@ func TestKernelCancelChurnMemoryStable(t *testing.T) {
 			runtime.ReadMemStats(&before)
 		}
 		if i >= warm {
-			measure()
+			freeHigh = max(freeHigh, len(k.free))
+			if n, live := len(k.q.es), k.q.live(); n > 2*live+deadSlack {
+				t.Fatalf("cycle %d: heap holds %d entries for %d live, want ≤ 2·live + %d", i, n, live, deadSlack)
+			}
 		}
 	}
 	runtime.GC()
@@ -65,14 +55,8 @@ func TestKernelCancelChurnMemoryStable(t *testing.T) {
 
 	// Structural pins: the high-water marks after warm-up must stay within
 	// the compaction bound — O(live set + slack), not O(cycles).
-	if limit := 4 * (liveSet + calDeadSlack + calMinBuckets); freeHigh > limit {
+	if limit := 4 * (liveSet + deadSlack); freeHigh > limit {
 		t.Fatalf("free list grew to %d records under cancel churn (limit %d)", freeHigh, limit)
-	}
-	if bucketHigh > 16*calMinBuckets {
-		t.Fatalf("bucket array grew to %d under cancel churn", bucketHigh)
-	}
-	if limit := 4 * (liveSet + calDeadSlack); overflowHigh > limit {
-		t.Fatalf("overflow heap grew to %d entries under cancel churn (limit %d)", overflowHigh, limit)
 	}
 
 	// Heap pin: the post-warm-up retained bytes must not drift with cycle

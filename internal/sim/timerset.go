@@ -96,7 +96,7 @@ func (s *TimerSet) StopAll() {
 	}
 	s.head, s.tail = noItem, noItem
 	if s.ev != nil {
-		s.ev.set = nil // a lazily cancelled record is recycled as a plain event
+		s.ev.set = nil // Cancel returns the record to the pool as a plain one
 		s.k.Cancel(Handle{ev: s.ev, gen: s.ev.gen})
 		s.ev = nil
 		s.k.extra++

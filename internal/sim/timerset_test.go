@@ -80,7 +80,7 @@ const (
 // timerWorkload drives one kernel through a deterministic pseudo-random
 // mix of item Resets, Stops, StopAlls and Active queries on two timer sets
 // (one hold each: the first cycles by seed through zero, the same-instant
-// grid, a millisecond and the far-future tier, the second is drawn), plain
+// grid, a millisecond and 15 s, the second is drawn), plain
 // events, cancels, fan-out batches, bounded runs, single steps and Stop()
 // calls, issuing the same kinds of work from inside every callback, and
 // returns everything it observed. Items go through real TimerSets or
@@ -96,8 +96,8 @@ func timerWorkload(k *Kernel, set bool, seed int64, ops int) []timerStep {
 	nextID := 0
 	// Delays cluster on zero and a 3-value microsecond grid, so same-instant
 	// ties (ordered by seq alone) are common, spread over a few RunUntil
-	// horizons, so resets move deadlines both ways, and a tenth land in the
-	// calendar's far-future overflow tier.
+	// horizons, so resets move deadlines both ways, and a tenth land
+	// 10–30 s out, far behind the near churn.
 	delay := func() Time {
 		switch rng.Intn(10) {
 		case 0, 1:
@@ -201,34 +201,24 @@ func timerWorkload(k *Kernel, set bool, seed int64, ops int) []timerStep {
 // items of a TimerSet and one Timer per item must be indistinguishable —
 // identical (time, item) firing sequences, Stop and Active answers, Now(),
 // Processed(), Pending() and k.seq at every firing and after every driver
-// op — on the calendar queue and on the heap oracle.
+// op.
 func TestTimerSetMatchesTimers(t *testing.T) {
 	var items, stops, plains int
 	for seed := int64(1); seed <= 24; seed++ {
 		ref := timerWorkload(NewKernel(), false, seed, 2000)
-		for _, c := range []struct {
-			name   string
-			oracle bool
-			set    bool
-		}{
-			{"calendar/set", false, true},
-			{"oracle/set", true, true},
-			{"oracle/each", true, false},
-		} {
-			got := timerWorkload(&Kernel{oracle: c.oracle}, c.set, seed, 2000)
-			for i := range got {
-				if i >= len(ref) || got[i] != ref[i] {
-					var want timerStep
-					if i < len(ref) {
-						want = ref[i]
-					}
-					t.Fatalf("seed %d: %s diverged from calendar/each at observation %d:\n got %+v\nwant %+v",
-						seed, c.name, i, got[i], want)
+		got := timerWorkload(NewKernel(), true, seed, 2000)
+		for i := range got {
+			if i >= len(ref) || got[i] != ref[i] {
+				var want timerStep
+				if i < len(ref) {
+					want = ref[i]
 				}
+				t.Fatalf("seed %d: set diverged from each at observation %d:\n got %+v\nwant %+v",
+					seed, i, got[i], want)
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d: %s made %d observations, calendar/each %d", seed, c.name, len(got), len(ref))
-			}
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("seed %d: set made %d observations, each %d", seed, len(got), len(ref))
 		}
 		for _, s := range ref {
 			switch {
@@ -261,9 +251,8 @@ func TestTimerSetOneQueueEntry(t *testing.T) {
 		}
 		k.RunUntil(k.Now() + Millisecond)
 	}
-	c := &k.cal
-	if live, dead := c.bLive+c.ovLive, c.bDead+c.ovDead; live != 1 || dead != 0 {
-		t.Fatalf("queue holds %d live and %d cancelled records, want 1 and 0", live, dead)
+	if live, stale := k.q.live(), k.q.stale; live != 1 || stale != 0 {
+		t.Fatalf("queue holds %d live and %d stale entries, want 1 and 0", live, stale)
 	}
 	if k.Pending() != items {
 		t.Fatalf("Pending = %d, want %d armed items", k.Pending(), items)
@@ -287,51 +276,50 @@ func TestTimerSetOneQueueEntry(t *testing.T) {
 // nothing), Stop and StopAll silence items, and counters count items — on
 // both queues.
 func TestTimerSetFiresInGlobalOrder(t *testing.T) {
-	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		var order []int32
-		s := k.NewTimerSet(2*Second, func(i int32) { order = append(order, i) })
-		s.Reset(7) // the head; reset at 1 s, so the entry keyed here is stale
-		s.Reset(3)
-		k.Schedule(2*Second, func() { order = append(order, 100) })
-		s.Reset(1) // same instant, drawn after the plain event: fires after it
-		s.Reset(6)
-		s.Reset(5)
-		s.Stop(5)
-		if k.Pending() != 5 || !s.Active(6) || s.Active(5) || s.Active(99) {
-			t.Fatalf("Pending %d, Active(6, 5, 99) = %v %v %v; want 5, true false false",
-				k.Pending(), s.Active(6), s.Active(5), s.Active(99))
-		}
-		k.RunUntil(Second / 2)
-		s.Reset(2)
-		s.Reset(4)
-		k.RunUntil(Second)
-		s.Reset(7)
-		s.Reset(6)
-		s.Reset(4)
-		k.Run()
-		want := []int32{3, 100, 1, 2, 7, 6, 4}
-		if len(order) != len(want) {
+	k := NewKernel()
+	var order []int32
+	s := k.NewTimerSet(2*Second, func(i int32) { order = append(order, i) })
+	s.Reset(7) // the head; reset at 1 s, so the entry keyed here is stale
+	s.Reset(3)
+	k.Schedule(2*Second, func() { order = append(order, 100) })
+	s.Reset(1) // same instant, drawn after the plain event: fires after it
+	s.Reset(6)
+	s.Reset(5)
+	s.Stop(5)
+	if k.Pending() != 5 || !s.Active(6) || s.Active(5) || s.Active(99) {
+		t.Fatalf("Pending %d, Active(6, 5, 99) = %v %v %v; want 5, true false false",
+			k.Pending(), s.Active(6), s.Active(5), s.Active(99))
+	}
+	k.RunUntil(Second / 2)
+	s.Reset(2)
+	s.Reset(4)
+	k.RunUntil(Second)
+	s.Reset(7)
+	s.Reset(6)
+	s.Reset(4)
+	k.Run()
+	want := []int32{3, 100, 1, 2, 7, 6, 4}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
 			t.Fatalf("fired %v, want %v", order, want)
 		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("fired %v, want %v", order, want)
-			}
-		}
-		if k.Now() != 3*Second || k.Processed() != 7 || k.Pending() != 0 {
-			t.Fatalf("Now %v Processed %d Pending %d, want 3s, 7, 0", k.Now(), k.Processed(), k.Pending())
-		}
-		s.Reset(0)
-		s.Reset(1)
-		s.StopAll()
-		if k.Pending() != 0 || s.Stop(0) {
-			t.Fatalf("after StopAll: Pending %d, Stop(0) reported an armed item", k.Pending())
-		}
-		k.Run()
-		if len(order) != len(want) || k.Now() != 3*Second {
-			t.Fatalf("stopped items fired: %v, Now %v", order, k.Now())
-		}
-	})
+	}
+	if k.Now() != 3*Second || k.Processed() != 7 || k.Pending() != 0 {
+		t.Fatalf("Now %v Processed %d Pending %d, want 3s, 7, 0", k.Now(), k.Processed(), k.Pending())
+	}
+	s.Reset(0)
+	s.Reset(1)
+	s.StopAll()
+	if k.Pending() != 0 || s.Stop(0) {
+		t.Fatalf("after StopAll: Pending %d, Stop(0) reported an armed item", k.Pending())
+	}
+	k.Run()
+	if len(order) != len(want) || k.Now() != 3*Second {
+		t.Fatalf("stopped items fired: %v, Now %v", order, k.Now())
+	}
 }
 
 func TestTimerSetMisusePanics(t *testing.T) {
@@ -353,34 +341,34 @@ func TestTimerSetMisusePanics(t *testing.T) {
 // fired and re-armed allocates nothing — the items and the queue entry are
 // reused.
 func TestTimerSetSteadyStateAllocFree(t *testing.T) {
-	forBothKernels(t, func(t *testing.T, k *Kernel) {
-		s := k.NewTimerSet(3*Millisecond, func(i int32) {})
-		cycle := func() {
-			for i := int32(0); i < 32; i++ {
-				s.Reset(i)
-			}
-			k.RunUntil(k.Now() + Millisecond)
-			for i := int32(0); i < 32; i += 2 {
-				s.Reset(i)
-			}
-			s.Stop(3)
-			k.Run()
+	k := NewKernel()
+	s := k.NewTimerSet(3*Millisecond, func(i int32) {})
+	cycle := func() {
+		for i := int32(0); i < 32; i++ {
+			s.Reset(i)
 		}
-		for i := 0; i < 8; i++ {
-			cycle()
+		k.RunUntil(k.Now() + Millisecond)
+		for i := int32(0); i < 32; i += 2 {
+			s.Reset(i)
 		}
-		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-			t.Fatalf("steady-state set cycle allocated %v times per op", allocs)
-		}
-	})
+		s.Stop(3)
+		k.Run()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("steady-state set cycle allocated %v times per op", allocs)
+	}
 }
 
-// TestEventRecordSize: a timer set's pointer joined the record without
-// growing it past its 80-byte size class (56 B with 4-byte words).
+// TestEventRecordSize: the record is its key, its callback, its batch or
+// set and its generation, 72 B in the 80-byte size class (48 B with 4-byte
+// words); its queue position lives in the heap entry, not here.
 func TestEventRecordSize(t *testing.T) {
-	want := uintptr(80)
+	want := uintptr(72)
 	if unsafe.Sizeof(uintptr(0)) == 4 {
-		want = 56
+		want = 48
 	}
 	if n := unsafe.Sizeof(event{}); n != want {
 		t.Fatalf("event record is %d B, want %d", n, want)
@@ -440,8 +428,7 @@ func BenchmarkTimerSetHello(b *testing.B) {
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)
-			c := &k.cal
-			queued := c.bLive + c.bDead + c.ovLive + c.ovDead
+			queued := len(k.q.es)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {

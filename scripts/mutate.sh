@@ -195,6 +195,24 @@ mutant "rng prefix: lfLazy raised past the tap, to 300" internal/rng/lagged.go \
 	's|^\tlfLazy = 32$|\tlfLazy = 300|' \
 	$rng 'TestStreamMatchesMathRand'
 
+# ---- the event queue (ROADMAP "One event queue"): the heap's (time, seq)
+# order, the scan over a node's four children, the drop of stale entries
+# and the compaction that bounds them. A revision with the calendar queue
+# reads BROKEN on all four rows. ----
+queueTests='^(TestQueue[A-Za-z]*|TestKernelCancelChurnMemoryStable)$'
+mutant "sim queue: the sift compares time only" internal/sim/queue.go \
+	's|_, borrow := bits.Sub64(a.seq, b.seq, 0)|borrow := uint64(0)|' \
+	$sim "$queueTests"
+mutant "sim queue: the child scan stops one child short" internal/sim/queue.go \
+	's|min(c+4, n)|min(c+3, n)|' \
+	$sim "$queueTests"
+mutant "sim queue: a stale entry fires" internal/sim/queue.go \
+	's|for len(q.es) > 0 \&\& !q.es\[0\].h.live() {|for false \&\& len(q.es) > 0 {|' \
+	$sim "$queueTests"
+mutant "sim queue: compaction never runs" internal/sim/queue.go \
+	's|if q.stale > q.live()+deadSlack {|if false \&\& q.stale > q.live()+deadSlack {|' \
+	$sim "$queueTests"
+
 # ---- sim.TimerSet, the clauses at Kernel.popDue (ROADMAP "Neighbour
 # liveness is one queue entry per router"): the list kept in key order, the
 # entry settled against the head, and Stop's unlink. A revision whose set
@@ -316,9 +334,6 @@ mutant "spatial Nearest: a distance tie goes to the larger id" internal/spatial/
 mutant "gpsr dropNeighbor: the id stays in the spatial index" internal/routing/gpsr/gpsr.go \
 	'/^\tr.grid.Remove(int(id))$/d' \
 	./internal/routing/gpsr 'TestGreedyDifferential'
-mutant "sim calendar: positional insert compares time only" internal/sim/calendar.go \
-	's|return eventLess(ev, act\[i\])|return ev.at < act[i].at|' \
-	$sim 'TestCalendarMatchesHeapOracle|TestBatchMatchesScheduleArg'
 mutant "phy cullMargin below 1" internal/phy/channel.go \
 	's|const cullMargin = 1.001|const cullMargin = 0.9|' \
 	./internal/phy 'TestChannelGridMatchesBruteForce|TestChannelCullReachesCellEdge'
