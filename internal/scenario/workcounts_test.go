@@ -80,7 +80,8 @@ func workCountCells(t *testing.T) []Spec {
 // moves with any byte of the outcome, and beside it the integer counts that
 // say where a moved digest moved. The kernel line is the work the run cost,
 // which no Result byte shows: queue pushes and stale timer-set pops move
-// when the queue works harder for the same outcome. The phy line counts the
+// when the queue works harder for the same outcome, and the peak of live
+// queue entries is the queue's shape. The phy line counts the
 // channel's per-receiver work: frames sent, hearings (signals scheduled at
 // a receiver above carrier sense), deliveries and collided receptions. An
 // OLSR cell adds its routers' recompute stamps and the MPR and route kernel
@@ -109,7 +110,7 @@ func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work runWork) erro
 		m.DataTx, m.AckTx, m.RTSTx, m.CTSTx, m.Retries, m.Failures, m.QueueDrops, m.BytesTx)
 	fmt.Fprintf(b, "  control packets=%d bytes=%d\n", res.ControlPackets, res.ControlBytes)
 	k, air, o := work.kernel, work.air, work.olsr
-	fmt.Fprintf(b, "  kernel pushes=%d stale_pops=%d\n", k.Pushes, k.StalePops)
+	fmt.Fprintf(b, "  kernel pushes=%d stale_pops=%d peak_queued=%d\n", k.Pushes, k.StalePops, k.PeakQueued)
 	fmt.Fprintf(b, "  phy frames=%d hearings=%d delivered=%d collided=%d\n", air.Frames, air.Hearings, air.Delivered, air.Collided)
 	if res.Spec.Protocol == OLSR {
 		fmt.Fprintf(b, "  olsr stamps=%d mpr_runs=%d route_runs=%d\n", o.Recomputes, o.MPRRuns, o.RouteRuns)

@@ -142,13 +142,16 @@ type Kernel struct {
 	stopped   bool
 }
 
-// Work counts what the kernel did besides firing events. Both counts are
+// Work counts what the kernel did besides firing events. Every count is
 // deterministic: a change that keeps every result but makes the queue work
 // harder (a batch that stops taking Appends, a timer set that requeues on
-// every Reset) moves them.
+// every Reset) moves them. PeakQueued is the queue's shape, a property of
+// the event stream: it does not count stale entries, so no queue
+// implementation moves it.
 type Work struct {
-	Pushes    uint64 // queue insertions: every Schedule, every batch or timer-set entry (re)queued
-	StalePops uint64 // timer-set entries popped off their head's key, which fire nothing
+	Pushes     uint64 // queue insertions: every Schedule, every batch or timer-set entry (re)queued
+	StalePops  uint64 // timer-set entries popped off their head's key, which fire nothing
+	PeakQueued int    // the most live queue entries at once
 }
 
 // Work reports the kernel's work counts so far.
@@ -209,6 +212,9 @@ func (k *Kernel) push(ev *event) Handle {
 	}
 	h := Handle{ev: ev, gen: ev.gen}
 	k.q.push(entry{at: ev.at, seq: ev.seq, h: h})
+	if n := k.q.live(); n > k.work.PeakQueued {
+		k.work.PeakQueued = n
+	}
 	return h
 }
 
