@@ -14,9 +14,13 @@
 # (default 10) at seed 1 and again at a held-out seed (default 47),
 # swapping which side runs first every pair; edits made while it runs do
 # not reach it. Prints every run, then per seed and end-to-end metric both
-# sides' medians and quartiles, the pair wins, whether the median gap
-# clears the parent's own quartile spread, and whether the result digests
-# of the `-detail` reports agree. With a record file it also writes the
+# sides' medians and quartiles, the pair wins, a verdict, and whether the
+# result digests of the `-detail` reports agree. The verdict calls a side
+# better only as the choosing-metrics rule does: "lower" (or "HIGHER")
+# when the median gap exceeds the parent's own quartile spread (IQR) AND
+# the better side wins at least nine tenths of the pairs, ties counting
+# for neither; "unresolved" when the gap exceeds the IQR but the wins fall
+# short; "within" otherwise. With a record file it also writes the
 # same evidence there as JSON: both revisions, and per seed and metric each
 # side's summary (the bench record's n/min/q1/median/q3/max/values), the
 # pair wins and losses, and each side's result digests. Exits non-zero when
@@ -33,7 +37,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,32p' "$0" >&2
+	sed -n '2,36p' "$0" >&2
 	exit 2
 fi
 workload=$1 base=$2 pairs=${3:-10} heldout=${4:-47} record=${5:-}
@@ -136,10 +140,12 @@ for seed in 1 "$heldout"; do
 				pm = quart(ps, n, 2); cm = quart(cs, n, 2)
 				iqr = quart(ps, n, 3) - quart(ps, n, 1)
 				gap = pm - cm
-				printf "  %-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  %+.1f%%  change wins %d/%d (loses %d)  median %s parent IQR %.3g\n",
+				if (gap > iqr) verdict = 10 * wins >= 9 * n ? "lower: median gap beyond" : "unresolved: median lower beyond"
+				else if (-gap > iqr) verdict = 10 * losses >= 9 * n ? "HIGHER: median gap beyond" : "unresolved: median higher beyond"
+				else verdict = "within: median gap inside"
+				printf "  %-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  %+.1f%%  change wins %d/%d (loses %d)  %s parent IQR %.3g\n",
 					m, pm, quart(ps, n, 1), quart(ps, n, 3), cm, quart(cs, n, 1), quart(cs, n, 3),
-					pm ? 100 * (cm - pm) / pm : 0, wins, n, losses,
-					(gap > iqr ? "lower by more than" : (-gap > iqr ? "HIGHER by more than" : "within")), iqr
+					pm ? 100 * (cm - pm) / pm : 0, wins, n, losses, verdict, iqr
 			}' "$tmp/runs"
 		col=$((col + 1))
 	done
