@@ -125,9 +125,8 @@ fuzz-smoke:
 #    table in PERF.md. The CA benches ride along: kernel/reference
 #    pairs in ns/vehicle-step, the ledger's unit, show at a glance whether
 #    Lane.Step and Road.Step are still the array kernel.
-#  - sim: the 10k-ticker bench on the calendar queue and on the heap
-#    reference (in-package only: the bench builds it through newHeapKernel)
-#    catches the calendar losing its O(1) behavior; the fan-out bench's
+#  - sim: the 10k-ticker bench times the event queue's pop and push at a
+#    steady 10k pending; the fan-out bench's
 #    batch/each pair shows whether a sim.Batch still costs one queue entry
 #    per transmission rather than one requeue per member, the HELLO
 #    bench's set/timers pair whether a sim.TimerSet still holds one queued
@@ -174,7 +173,7 @@ bench-dataplane:
 	$(GO) test ./internal/netsim/ -bench Interner -benchmem -run XXX
 
 # Full event-kernel table (mixed workloads, schedule/pop at 1k/10k/100k
-# pending, the batched vs per-member fan-out, calendar vs heap reference,
+# pending, the batched vs per-member fan-out,
 # HELLO liveness as timer sets vs per-neighbour timers, and the batch sort
 # by path and size); see "Micro-benchmarks" in PERF.md.
 bench-kernel:

@@ -7,20 +7,27 @@
 // model code (PHY, MAC, routing, traffic) runs inside event callbacks.
 //
 // The event queue is one 4-ary min-heap (queue.go) whose entries carry
-// their (time, seq) key inline, with lazy cancellation. It replaced a
-// calendar queue (Brown 1988) in PR 53: counted over highway, manhattan
-// and 2 000-vehicle metro runs, 96.9–98.8 % of the calendar's inserts were
-// positional (a binary search and a shift inside a bucket holding 26–262
-// live events) and only 0.2–0.5 % found an empty bucket — after one or two
-// early rebuilds fixed its day width it worked as a handful of sorted
-// arrays, the failure Tang, Goh & Thng describe for skewed event
-// distributions ("Ladder queue", ACM TOMACS 15(3), 2005). The calendar's
-// −38 % against a binary heap (PR 8) dates from when every receiver's edge
-// was its own queue entry; since fan-outs are one batch entry (PR 15) and
-// neighbour liveness one timer-set entry (PR 29), a run holds about 100–170
-// live entries (about 6 100 on 2 000-vehicle metro), where a heap of
-// inline keys is short and allocates almost nothing. queue_test.go holds
-// the heap to a container/heap reference.
+// their (time, seq) key inline. Cancellation is lazy: Cancel releases the
+// record at once and leaves a stale entry, which is dropped when it
+// surfaces; once stale entries outnumber live ones by more than 64, one
+// pass compacts the heap, so after a cancel it holds at most 2·live + 64
+// entries. The stale count is exact because live ⇒ queued: a handle a
+// caller holds is live only while its entry is queued (Handle.live).
+//
+// The heap replaced a calendar queue (Brown 1988). Counted over highway,
+// manhattan and 2 000-vehicle metro runs, 96.9–98.8 % of the calendar's
+// inserts were positional (a binary search and a shift inside a bucket
+// holding 26–262 live events) and only 0.2–0.5 % found an empty bucket:
+// after one or two early rebuilds fixed its day width it worked as a
+// handful of sorted arrays, the failure Tang, Goh & Thng describe for
+// skewed event distributions ("Ladder queue", ACM TOMACS 15(3), 2005).
+// The calendar's −38 % metro wall-clock against a binary heap dates from
+// when every receiver's signal edge was its own queue entry. Since a
+// fan-out is one batch entry and a router's neighbour deadlines are one
+// timer-set entry, a run holds about 100–170 live entries (about 6 100 on
+// 2 000-vehicle metro), where a heap of inline keys is shallow and
+// allocates almost nothing. queue_test.go holds the heap to a
+// container/heap reference.
 //
 // Event records are pooled: once an event fires or is cancelled its record
 // returns to a free list and is reused by a later Schedule, so the steady

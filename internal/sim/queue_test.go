@@ -241,10 +241,11 @@ func TestQueuePendingMatchesReference(t *testing.T) {
 // TestQueueStreamsMatchReference drives the queue itself, as the kernel
 // does, beside refHeap: pushes on a handful of instants (so most keys tie
 // on time and order by seq alone), cancels that release the record to a
-// pool the next push reuses under a later generation, and pops that
-// release it likewise. After every op the live counts, and on a pop the
-// popped keys, must agree; after every cancel the heap must hold at most
-// 2·live + deadSlack entries.
+// pool the next push reuses under a later generation, pops that release
+// it likewise, and after half the pops a peek through next while the
+// pop's hole is open. After every op the live counts, and on a pop or a
+// peek the keys, must agree; after every cancel the heap must hold at
+// most 2·live + deadSlack entries.
 func TestQueueStreamsMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -308,6 +309,12 @@ func TestQueueStreamsMatchReference(t *testing.T) {
 				}
 				got.h.ev.gen++
 				pool = append(pool, got.h.ev)
+				if rng.Intn(2) == 0 { // drain's peek, with the pop's hole open
+					e := q.next()
+					if (e == nil) != (ref.Len() == 0) || e != nil && (e.at != ref[0].at || e.seq != ref[0].seq) {
+						t.Fatalf("seed %d op %d: next after a pop disagrees with the reference", seed, op)
+					}
+				}
 			}
 			if q.live() != ref.Len() {
 				t.Fatalf("seed %d op %d: %d live entries, reference %d", seed, op, q.live(), ref.Len())

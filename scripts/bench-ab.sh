@@ -16,7 +16,7 @@
 # not reach it. Prints every run, then per seed and end-to-end metric both
 # sides' medians and quartiles, the pair wins, a verdict, and whether the
 # result digests of the `-detail` reports agree. The verdict calls a side
-# better only as the choosing-metrics rule does: "lower" (or "HIGHER")
+# better only as bench/README.md's claim rule does: "lower" (or "HIGHER")
 # when the median gap exceeds the parent's own quartile spread (IQR) AND
 # the better side wins at least nine tenths of the pairs, ties counting
 # for neither; "unresolved" when the gap exceeds the IQR but the wins fall
