@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// refItem is one event in the reference: its key and its position in
-// refHeap, so a cancel removes it eagerly.
+// refItem is one event in the reference: its key, its callback (for
+// refKernel) and its position in refHeap, so a cancel removes it eagerly.
 type refItem struct {
 	at    Time
 	seq   uint64
+	fn    func()
 	index int // -1 once popped or removed
 }
 
@@ -47,13 +48,11 @@ type refKernel struct {
 	now Time
 	seq uint64
 	h   refHeap
-	fns map[*refItem]func()
 }
 
 // sched is what diffWorkload drives: a Kernel, or a refKernel.
 type sched interface {
 	Now() Time
-	Pending() int
 	schedule(at Time, fn func()) (cancel func() bool)
 	RunUntil(end Time)
 	Step() bool
@@ -66,22 +65,20 @@ func (k kernelSched) schedule(at Time, fn func()) func() bool {
 	return func() bool { return k.Cancel(h) }
 }
 
-func newRefKernel() *refKernel { return &refKernel{fns: map[*refItem]func(){}} }
+func newRefKernel() *refKernel { return &refKernel{} }
 
 func (r *refKernel) Now() Time    { return r.now }
 func (r *refKernel) Pending() int { return r.h.Len() }
 
 func (r *refKernel) schedule(at Time, fn func()) func() bool {
-	it := &refItem{at: at, seq: r.seq}
+	it := &refItem{at: at, seq: r.seq, fn: fn}
 	r.seq++
 	heap.Push(&r.h, it)
-	r.fns[it] = fn
 	return func() bool {
 		if it.index < 0 {
 			return false
 		}
 		heap.Remove(&r.h, it.index)
-		delete(r.fns, it)
 		return true
 	}
 }
@@ -92,9 +89,7 @@ func (r *refKernel) Step() bool {
 	}
 	it := heap.Pop(&r.h).(*refItem)
 	r.now = it.at
-	fn := r.fns[it]
-	delete(r.fns, it)
-	fn()
+	it.fn()
 	return true
 }
 
