@@ -225,7 +225,7 @@ func batchWorkload(k *Kernel, batched bool, seed int64, ops int) []batchStep {
 // batches and submitting them as individual ScheduleArg events at the same
 // program points must be indistinguishable — identical (time, id) firing
 // sequences, identical Append decisions, identical Processed()/Pending() at
-// every firing and after every driver op — for fan-outs of up to 13
+// every firing and after every workload op — for fan-outs of up to 13
 // members and of 17–600.
 func TestBatchMatchesScheduleArg(t *testing.T) {
 	var accepted, refused, fired, wide int
