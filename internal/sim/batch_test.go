@@ -265,7 +265,10 @@ func TestBatchMatchesScheduleArg(t *testing.T) {
 // members fires between them, counters count members, and a finished (or
 // zero) batch refuses Appends.
 func TestBatchFiresInGlobalOrder(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testBatchFiresInGlobalOrder)
+}
+
+func testBatchFiresInGlobalOrder(t *testing.T, k *Kernel) {
 	var order []int
 	fn := func(a any) { order = append(order, a.(int)) }
 	b := k.NewBatch(fn)
@@ -326,7 +329,10 @@ func TestBatchMisusePanics(t *testing.T) {
 // fan-out, its arrivals 12 ns apart on the propagation grid) the radix
 // sort.
 func TestBatchSteadyStateAllocFree(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testBatchSteadyStateAllocFree)
+}
+
+func testBatchSteadyStateAllocFree(t *testing.T, k *Kernel) {
 	for _, c := range []struct {
 		members int
 		step    Time

@@ -9,6 +9,34 @@ import (
 // Run executes events until the queue drains or Stop is called.
 func (k *Kernel) Run() { k.run(MaxTime) }
 
+// forBothKernels runs a contract test on a new kernel ("calendar") and on
+// a used one ("oracle"); both must satisfy it. The subtest names are those
+// of the two queues the kernel had before it had one, kept so that each
+// case keeps its name.
+func forBothKernels(t *testing.T, fn func(t *testing.T, k *Kernel)) {
+	t.Helper()
+	t.Run("calendar", func(t *testing.T) { fn(t, NewKernel()) })
+	t.Run("oracle", func(t *testing.T) { fn(t, usedKernel()) })
+}
+
+// usedKernel returns a kernel that has scheduled and cancelled events over
+// its first five seconds: its free list holds the recycled records under
+// later generations, and its heap holds their stale entries, which the
+// live events a test schedules must pass over without firing them or
+// moving the clock. There are fewer of them than deadSlack, so no
+// compaction sweeps them out first.
+func usedKernel() *Kernel {
+	k := NewKernel()
+	hs := make([]Handle, deadSlack*3/4)
+	for i := range hs {
+		hs[i] = k.Schedule(Time(i)*100*Millisecond, noop)
+	}
+	for _, h := range hs {
+		k.Cancel(h)
+	}
+	return k
+}
+
 func TestTimeConversions(t *testing.T) {
 	if got := Seconds(1.5); got != 1500*Millisecond {
 		t.Fatalf("Seconds(1.5) = %v, want %v", got, 1500*Millisecond)
@@ -22,7 +50,10 @@ func TestTimeConversions(t *testing.T) {
 }
 
 func TestKernelOrdersByTime(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testKernelOrdersByTime)
+}
+
+func testKernelOrdersByTime(t *testing.T, k *Kernel) {
 	var order []int
 	k.Schedule(3*Second, func() { order = append(order, 3) })
 	k.Schedule(1*Second, func() { order = append(order, 1) })
@@ -37,7 +68,10 @@ func TestKernelOrdersByTime(t *testing.T) {
 }
 
 func TestKernelFIFOTieBreak(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testKernelFIFOTieBreak)
+}
+
+func testKernelFIFOTieBreak(t *testing.T, k *Kernel) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -52,7 +86,10 @@ func TestKernelFIFOTieBreak(t *testing.T) {
 }
 
 func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testKernelCancel)
+}
+
+func testKernelCancel(t *testing.T, k *Kernel) {
 	fired := false
 	ev := k.Schedule(Second, func() { fired = true })
 	if !k.Cancel(ev) {
@@ -78,7 +115,10 @@ func TestKernelCancelZeroHandle(t *testing.T) {
 }
 
 func TestKernelRunUntil(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testKernelRunUntil)
+}
+
+func testKernelRunUntil(t *testing.T, k *Kernel) {
 	var fired []int
 	k.Schedule(1*Second, func() { fired = append(fired, 1) })
 	k.Schedule(5*Second, func() { fired = append(fired, 5) })
@@ -205,7 +245,10 @@ func TestEventScheduledAccessors(t *testing.T) {
 }
 
 func TestKernelManyEventsHeapStress(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testKernelManyEventsHeapStress)
+}
+
+func testKernelManyEventsHeapStress(t *testing.T, k *Kernel) {
 	// Interleave schedules and cancels to exercise queue bookkeeping.
 	var events []Handle
 	for i := 0; i < 1000; i++ {
@@ -308,7 +351,10 @@ func TestKernelScheduleArg(t *testing.T) {
 }
 
 func TestKernelScheduleSteadyStateAllocFree(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testKernelScheduleSteadyStateAllocFree)
+}
+
+func testKernelScheduleSteadyStateAllocFree(t *testing.T, k *Kernel) {
 	var sink *Kernel = k
 	// Warm the pool, then check a schedule+run cycle allocates nothing.
 	for i := 0; i < 64; i++ {
@@ -343,7 +389,10 @@ func TestKernelCancelChurnAllocFree(t *testing.T) {
 }
 
 func TestHandleWhen(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testHandleWhen)
+}
+
+func testHandleWhen(t *testing.T, k *Kernel) {
 	// A pending time-zero event is ambiguous through At alone, not
 	// together with Scheduled.
 	h := k.Schedule(0, noop)

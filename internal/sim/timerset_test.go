@@ -274,9 +274,12 @@ func TestTimerSetOneQueueEntry(t *testing.T) {
 // same-instant items fires between them, a Reset moves an item behind
 // every other (the head's included, whose stale entry then fires
 // nothing), Stop and StopAll silence items, and counters count items — on
-// both queues.
+// a new kernel and on a used one.
 func TestTimerSetFiresInGlobalOrder(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testTimerSetFiresInGlobalOrder)
+}
+
+func testTimerSetFiresInGlobalOrder(t *testing.T, k *Kernel) {
 	var order []int32
 	s := k.NewTimerSet(2*Second, func(i int32) { order = append(order, i) })
 	s.Reset(7) // the head; reset at 1 s, so the entry keyed here is stale
@@ -341,7 +344,10 @@ func TestTimerSetMisusePanics(t *testing.T) {
 // fired and re-armed allocates nothing — the items and the queue entry are
 // reused.
 func TestTimerSetSteadyStateAllocFree(t *testing.T) {
-	k := NewKernel()
+	forBothKernels(t, testTimerSetSteadyStateAllocFree)
+}
+
+func testTimerSetSteadyStateAllocFree(t *testing.T, k *Kernel) {
 	s := k.NewTimerSet(3*Millisecond, func(i int32) {})
 	cycle := func() {
 		for i := int32(0); i < 32; i++ {
