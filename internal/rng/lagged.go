@@ -22,13 +22,17 @@ const (
 	lfMul = 48271     // its multiplier (Park, Miller & Stockmeyer 1993)
 
 	// lfLazy is the number of draws served before the register is built.
-	// The prefix lemma (at prefix) allows up to lfTap. Below that it bounds
-	// waste, not cost: a stream that outgrows the prefix has computed
-	// 2·lfLazy seeded words, and build computes them again among its 607.
-	// At 32 that is ≈ 10 % of a build, while a metro world's network
-	// streams stay inside (25 of the 4 006 in a 2 000-vehicle, 4-s run
-	// draw more).
-	lfLazy = 32
+	// The prefix lemma (at prefix) allows up to lfTap. Below that it trades
+	// two wastes. A stream that outgrows the prefix has computed 2·lfLazy
+	// seeded words, and build computes them again among its 607: at 128
+	// that is 256 words, ≈ 42 % of a build, paid by every Fig. 4 lane
+	// (Perm(2000) outgrows any prefix at once). A stream that builds but
+	// draws little has allocated 4.9 KB it hardly reads: a Table I
+	// network stream draws a median of 51–80 words in 50 s, about one
+	// per HELLO, so at 128 a run builds 5–8 of its 60 streams under AODV
+	// and DYMO and 22–29 under OLSR, where at 32 all 60 built. A metro
+	// world's streams stay inside 32 already.
+	lfLazy = 128
 )
 
 var (

@@ -177,7 +177,7 @@ mutant "rng init: the cooked recovery's undo steps the pointers forward" interna
 	$rng 'TestStreamMatchesMathRand'
 
 # ---- the register built at the draw after the prefix (ROADMAP "Streams
-# build their register at the 33rd draw"): the prefix lemma, the build's
+# build their register at the 129th draw"): the prefix lemma, the build's
 # replay, Seed's reset and the lemma's bound. A revision whose lagged source
 # seeds the register in Seed reads BROKEN on every row. Serving one draw
 # more from the prefix (a < made <=) is an equivalent mutant below the
@@ -192,7 +192,7 @@ mutant "rng Seed: a built register kept" internal/rng/lagged.go \
 	'/^\tl.vec = nil$/d' \
 	$rng 'TestSeedResetsRegister'
 mutant "rng prefix: lfLazy raised past the tap, to 300" internal/rng/lagged.go \
-	's|^\tlfLazy = 32$|\tlfLazy = 300|' \
+	's|^\tlfLazy = 128$|\tlfLazy = 300|' \
 	$rng 'TestStreamMatchesMathRand'
 
 # ---- the event queue (ROADMAP "One event queue"): the heap's (time, seq)
