@@ -183,10 +183,6 @@ func NewLane(cfg Config, rnd *rand.Rand) (*Lane, error) {
 	if rnd == nil && (cfg.SlowdownP > 0 || cfg.Placement == RandomPlacement) {
 		return nil, fmt.Errorf("ca: config requires randomness but rnd is nil")
 	}
-	positions, err := initialPositions(cfg, rnd)
-	if err != nil {
-		return nil, err
-	}
 	l := &Lane{
 		cfg:     cfg,
 		cells:   make([]int32, cfg.Length),
@@ -199,11 +195,35 @@ func NewLane(cfg Config, rnd *rand.Rand) (*Lane, error) {
 	for i, a := range l.arrays() {
 		*a = buf[i*n : (i+1)*n : (i+1)*n]
 	}
+	switch cfg.Placement {
+	case EvenPlacement:
+		for i := range n {
+			l.pos[i] = int32(i * cfg.Length / n)
+		}
+	case CompactPlacement:
+		for i := range n {
+			l.pos[i] = int32(i)
+		}
+	case RandomPlacement:
+		// rnd.Perm(Length)[:n], sorted: math/rand's Perm loop (frozen since
+		// Go 1) run in cells, so the draws and the sites are Perm's without
+		// its Length-word slice.
+		m := l.cells
+		for i := range m {
+			j := rnd.Intn(i + 1)
+			m[i] = m[j]
+			m[j] = int32(i)
+		}
+		copy(l.pos, m)
+		slices.Sort(l.pos)
+	default:
+		return nil, fmt.Errorf("ca: unknown placement %d", cfg.Placement)
+	}
 	for i := range l.cells {
 		l.cells[i] = -1
 	}
-	for i, pos := range positions {
-		l.id[i], l.pos[i], l.vel[i] = int32(i), int32(pos), int32(cfg.InitialVel)
+	for i, pos := range l.pos {
+		l.id[i], l.vel[i] = int32(i), int32(cfg.InitialVel)
 		l.cells[pos] = int32(i)
 	}
 	return l, nil
@@ -213,27 +233,6 @@ func NewLane(cfg Config, rnd *rand.Rand) (*Lane, error) {
 // them together.
 func (l *Lane) arrays() [6]*[]int32 {
 	return [6]*[]int32{&l.pos, &l.vel, &l.gap, &l.id, &l.laps, &l.idx}
-}
-
-func initialPositions(cfg Config, rnd *rand.Rand) ([]int, error) {
-	n := cfg.Vehicles
-	positions := make([]int, 0, n)
-	switch cfg.Placement {
-	case EvenPlacement:
-		for i := 0; i < n; i++ {
-			positions = append(positions, i*cfg.Length/n)
-		}
-	case CompactPlacement:
-		for i := 0; i < n; i++ {
-			positions = append(positions, i)
-		}
-	case RandomPlacement:
-		positions = rnd.Perm(cfg.Length)[:n]
-		slices.Sort(positions)
-	default:
-		return nil, fmt.Errorf("ca: unknown placement %d", cfg.Placement)
-	}
-	return positions, nil
 }
 
 // Config returns the lane configuration after normalization.

@@ -10,6 +10,7 @@ package ca
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cavenet/internal/geometry"
 )
@@ -581,4 +582,27 @@ func (l *refLane) NumVehicles() int { return len(l.vehicles) }
 func (l *refLane) Len() int         { return l.cfg.Length }
 func (l *refLane) Density() float64 {
 	return float64(len(l.vehicles)) / float64(l.cfg.Length)
+}
+
+// initialPositions is refLane's placement and the reference for NewLane's:
+// random sites are the first n values of rand.Perm(Length), sorted.
+func initialPositions(cfg Config, rnd *rand.Rand) ([]int, error) {
+	n := cfg.Vehicles
+	positions := make([]int, 0, n)
+	switch cfg.Placement {
+	case EvenPlacement:
+		for i := 0; i < n; i++ {
+			positions = append(positions, i*cfg.Length/n)
+		}
+	case CompactPlacement:
+		for i := 0; i < n; i++ {
+			positions = append(positions, i)
+		}
+	case RandomPlacement:
+		positions = rnd.Perm(cfg.Length)[:n]
+		slices.Sort(positions)
+	default:
+		return nil, fmt.Errorf("ca: unknown placement %d", cfg.Placement)
+	}
+	return positions, nil
 }

@@ -132,6 +132,9 @@ mutant "ca step: does not mark the gaps stale" internal/ca/lane.go \
 mutant "ca step: ignores a signal added since the gaps were computed" internal/ca/lane.go \
 	's|^\tl.ruleGaps()$|\tl.readGaps()|' \
 	$ca "$caTests"
+mutant "ca NewLane: the placement's Perm loop drops the displaced site" internal/ca/lane.go \
+	's|^\t\t\tm\[i\] = m\[j\]$|\t\t\tm[i] = int32(j)|' \
+	$ca "$caTests"
 
 # ---- PR 13: olsr flush evaluates at τ (ROADMAP "Stamp / materialize") ----
 mutant "olsr materialize: kernels evaluated at now instead of τ" internal/routing/olsr/olsr.go \
