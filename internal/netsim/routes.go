@@ -42,6 +42,11 @@ type Routes struct {
 	entries   sim.Pages[route]
 	lastPurge sim.Time
 	purges    uint32 // Purge calls so far
+	// onWrite, when set, is told of every Update that leaves its entry
+	// live, with the destination and next hop: the only way an edge joins
+	// the cross-node next-hop graph (see Reactive.WatchRouteWrites). Nil
+	// outside a checked run.
+	onWrite func(dst, next NodeID)
 }
 
 type route struct {
@@ -176,6 +181,7 @@ func (t *Routes) Update(dst NodeID, seq uint32, seqKnown bool, hops int, next No
 		sameButShorter := seq == e.seq && hops < int(e.hops)
 		if !newer && !sameButShorter {
 			t.extend(e, lifetime)
+			t.wrote(e)
 			return
 		}
 	}
@@ -186,6 +192,16 @@ func (t *Routes) Update(dst NodeID, seq uint32, seqKnown bool, hops int, next No
 	e.valid = true
 	e.accepted = t.purges
 	t.extend(e, lifetime)
+	t.wrote(e)
+}
+
+// wrote tells onWrite, if set, of a write that leaves e live. The keep
+// branch reports too: extending an entry past its deadline that no purge
+// has flipped brings its edge back.
+func (t *Routes) wrote(e *route) {
+	if t.onWrite != nil && e.valid && t.kernel.Now() < e.expiresAt {
+		t.onWrite(NodeID(e.dst), NodeID(e.next))
+	}
 }
 
 // extend moves e's deadline to lifetime from now unless it is later

@@ -263,6 +263,73 @@ func TestLoopsCatchesCrossNodeCycle(t *testing.T) {
 	}
 }
 
+// seqRouter is the reactive machine with no messages of its own: tests
+// write its routes directly, as a protocol's handlers would.
+type seqRouter struct{ *netsim.Reactive }
+
+func (r *seqRouter) Receive(p *netsim.Packet, from netsim.NodeID) {}
+
+func newSeqRouter(n *netsim.Node) netsim.Router {
+	return &seqRouter{netsim.NewReactive(n, netsim.ReactiveProtocol{
+		Name:          "seq",
+		RouteLifetime: 5 * sim.Second,
+		HelloInterval: sim.Second,
+		NeighbourHold: 3 * sim.Second,
+		SeenHold:      sim.Second,
+		SendRREQ:      func(*netsim.Discovery) sim.Time { return sim.Second },
+		SendHello:     func() {},
+		SendRERR:      func([]netsim.Unreachable) {},
+	})}
+}
+
+// writeLoopWorld is four seqRouters whose route writes a WriteLoops
+// watches, and a way to write node i's route at a given instant.
+func writeLoopWorld(t *testing.T) (*Report, func(at sim.Time, i int, dst netsim.NodeID, seq uint32, hops int, next netsim.NodeID, life sim.Time)) {
+	rep := NewReport()
+	l := NewWriteLoops(rep)
+	w := staticWorld(t, 4, l.Wrap(newSeqRouter))
+	l.Bind(w)
+	return rep, func(at sim.Time, i int, dst netsim.NodeID, seq uint32, hops int, next netsim.NodeID, life sim.Time) {
+		w.Kernel.RunUntil(at)
+		w.Node(i).Router().(*seqRouter).Routes.Update(dst, seq, true, hops, next, life)
+	}
+}
+
+// TestWriteLoopsCatchesCycleAtWrite: 1 → 2 and 2 → 0 toward 3 are clean
+// writes; 0 → 1 closes the three-node cycle, and the walk from 1 must
+// take two hops to find it.
+func TestWriteLoopsCatchesCycleAtWrite(t *testing.T) {
+	rep, write := writeLoopWorld(t)
+	write(0, 1, 3, 1, 2, 2, 10*sim.Second)
+	write(0, 2, 3, 1, 2, 0, 10*sim.Second)
+	if !rep.Ok() {
+		t.Fatalf("clean writes flagged:\n%s", rep)
+	}
+	write(0, 0, 3, 1, 3, 1, 10*sim.Second)
+	if rep.Ok() || !strings.Contains(rep.String(), "node 0's route to 3 via 1 closes a routing loop") {
+		t.Fatalf("the write closing 0 → 1 → 2 → 0 was not caught:\n%s", rep)
+	}
+}
+
+// TestWriteLoopsCatchesKeepBranch: node 0's route to 3 via 1 passes its
+// deadline at 1 s with no purge to flip it, so 1 → 2 → 0 close nothing
+// at 2 s. An update with the same number and more hops takes the keep
+// branch, and stretching the old entry's lifetime brings 0 → 1 back: the
+// write that closes the cycle.
+func TestWriteLoopsCatchesKeepBranch(t *testing.T) {
+	rep, write := writeLoopWorld(t)
+	write(0, 0, 3, 5, 1, 1, sim.Second)
+	write(2*sim.Second, 1, 3, 5, 2, 2, 10*sim.Second)
+	write(2*sim.Second, 2, 3, 5, 2, 0, 10*sim.Second)
+	if !rep.Ok() {
+		t.Fatalf("writes around an expired route flagged:\n%s", rep)
+	}
+	write(2*sim.Second, 0, 3, 5, 3, 2, 10*sim.Second)
+	if rep.Ok() || !strings.Contains(rep.String(), "node 0's route to 3 via 1 closes a routing loop") {
+		t.Fatalf("the keep-branch write reviving 0 → 1 was not caught:\n%s", rep)
+	}
+}
+
 func TestLoopsAcceptsCleanChain(t *testing.T) {
 	// 0 -> 1 -> 2 (and each node routes 1 hop to its neighbor).
 	w := staticWorld(t, 3, func(n *netsim.Node) netsim.Router {

@@ -188,8 +188,9 @@ func Compare(s Spec, protocols []Protocol) (map[Protocol]*Result, error) {
 
 // RunChecked runs the scenario under the full invariant harness: CA and
 // trace sanity consumed from the mobility stream as it advances, the
-// packet-conservation ledger and TTL discipline during the run, the
-// routing-loop walk and custody settlement afterwards, and the spec's
+// packet-conservation ledger, TTL discipline and AODV/DYMO loop freedom at
+// every route write during the run, the routing-loop walk and custody
+// settlement afterwards, and the spec's
 // metric expectations on the result. The returned report lists every
 // violation; err covers configuration problems only.
 func RunChecked(s Spec) (*Result, *check.Report, error) {
@@ -252,13 +253,20 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // runOnSource assembles the world — this is the single place in the repo
 // where a protocol-evaluation world is wired together — and executes the
 // run, pulling node positions from the mobility source per tick. A
-// non-nil report additionally installs the invariant ledger and runs the
-// post-run loop walk and custody settlement, and a non-nil observe is
-// installed last. Beside the Result it returns the finished world.
+// non-nil report additionally installs the invariant ledger and the
+// write-time loop check, and runs the post-run loop walk and custody
+// settlement, and a non-nil observe is installed last. Beside the Result
+// it returns the finished world.
 func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe func(netsim.PacketEvent)) (*Result, *netsim.World, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
+	}
+	factory := s.routerFactory()
+	var writeLoops *check.WriteLoops
+	if report != nil {
+		writeLoops = check.NewWriteLoops(report)
+		factory = writeLoops.Wrap(factory)
 	}
 	world, err := netsim.NewWorld(netsim.WorldConfig{
 		Nodes:       s.Nodes,
@@ -271,9 +279,12 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 		},
 		MAC:      mac.Config{DataRateBPS: s.DataRateBPS, RTSThreshold: s.RTSThreshold},
 		Mobility: src,
-	}, s.routerFactory())
+	}, factory)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	if writeLoops != nil {
+		writeLoops.Bind(world)
 	}
 
 	collector := metrics.NewCollector(sim.Second, s.SimTime)

@@ -584,6 +584,16 @@ mutant "olsr expireDups: purge stops at until < now" internal/routing/olsr/olsr.
 	'/^func (r \*Router) expireDups(/,/^}/s|^\t\tif t.until > now {$|\t\tif t.until >= now {|' \
 	$olsr "$dupTests"
 
+# ---- loop freedom at every route write (ROADMAP item 19): Update tells
+# the watcher of a keep-branch write too, and the walk goes all the way to
+# the writer. A revision without the write-time check reads BROKEN. ----
+mutant "netsim Routes.Update: the keep branch tells no write watcher" internal/netsim/routes.go \
+	'/^func (t \*Routes) Update(/,/^}/{/^\t\t\tt.wrote(e)$/d}' \
+	$check '^TestWriteLoopsCatchesKeepBranch$'
+mutant "check WriteLoops: the walk stops one hop short of the writer" internal/scenario/check/loops.go \
+	's/if cur, _, ok = q.Table(dst); !ok {/if cur, _, ok = q.Table(dst); !ok || cur == writer {/' \
+	$check '^TestWriteLoopsCatchesCycleAtWrite$'
+
 # ---- all soft state is one hold list (ROADMAP "All soft state is one hold
 # list"): an early end of a lifetime is a Remove of every item the entry
 # holds (OLSR's link failure, its link and symmetric items, GPSR's
