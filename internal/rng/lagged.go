@@ -28,10 +28,10 @@ const (
 	// that is 256 words, ≈ 42 % of a build, paid by every Fig. 4 lane
 	// (Perm(2000) outgrows any prefix at once). A stream that builds but
 	// draws little has allocated 4.9 KB it hardly reads: a Table I
-	// network stream draws a median of 51–80 words in 50 s, about one
-	// per HELLO, so at 128 a run builds 5–8 of its 60 streams under AODV
-	// and DYMO and 22–29 under OLSR, where at 32 all 60 built. A metro
-	// world's streams stay inside 32 already.
+	// network stream draws a median of 50–77 words in 50 s, about one
+	// per HELLO, so at 128 a run builds 8 of its 60 under AODV, 8–25
+	// under DYMO and 22–29 under OLSR, where at 32 all 60 built. A metro
+	// world's streams mostly stay inside 32 already.
 	lfLazy = 128
 )
 
