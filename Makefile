@@ -144,9 +144,10 @@ fuzz-smoke:
 #    router's table and must not grow with the world's id range).
 #  - rng: building one seeded stream, the lagged source against math/rand's
 #    own (the power-table seeding silently falling back shows in ns/op,
-#    math/rand's larger register in B/op); light, New + 8 draws as a
-#    metro2k network stream draws, guards the prefix (a register built
-#    before the 33rd draw shows as ≈ 4.9 KB more B/op); outgrow, New +
+#    math/rand's larger register in B/op); light and hello, New + 8 and
+#    New + 64 draws as a metro2k and a Table I network stream draw, guard
+#    the prefix (a register built before the 129th draw shows as ≈ 4.9 KB
+#    more B/op); outgrow, New +
 #    Perm(2000) as one Fig. 4 lane's set-up, guards the build's cost; steady,
 #    Float64 on a built register, guards the draw (step no longer inlined
 #    into Int63 shows in ns/op).
