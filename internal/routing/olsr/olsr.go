@@ -201,9 +201,7 @@ type Router struct {
 	// order is deadline order and purge pops from the head (see purge for
 	// why that is exact). The selector list holds selectors' ids.
 	twoHopExp sim.HoldList[twoHopTuple]
-	twoHopN   int
 	topoExp   sim.HoldList[topoTuple]
-	topoN     int
 	selExp    sim.HoldList[netsim.NodeID]
 
 	selectors map[netsim.NodeID]selector // nodes that chose us as MPR
@@ -211,7 +209,6 @@ type Router struct {
 	// The duplicate set: other originators' messages this router processed
 	// in the last dupHold, in the order they were recorded (see dupTuple).
 	dups sim.HoldList[dupTuple]
-	dupN int
 
 	// The link set's two deadlines, until and symUntil, each written only
 	// as now + neighborHold: one list item per present link and one per
@@ -328,10 +325,10 @@ type TableStats struct {
 func (r *Router) TableStats() TableStats {
 	return TableStats{
 		Links:     len(r.linkList),
-		TwoHop:    r.twoHopN,
-		Topology:  r.topoN,
+		TwoHop:    r.twoHopExp.Len(),
+		Topology:  r.topoExp.Len(),
 		Selectors: len(r.selectors),
-		Dups:      r.dupN,
+		Dups:      r.dups.Len(),
 		Items: r.linkExp.Len() + r.symExp.Len() + r.twoHopExp.Len() +
 			r.topoExp.Len() + r.selExp.Len() + r.dups.Len(),
 		Recomputes: r.recomputes,
@@ -632,7 +629,6 @@ func (r *Router) recordDup(origin netsim.NodeID, seq uint16, now sim.Time) {
 		r.dups.At(s.dupTail).next = i
 	}
 	s.dupTail = i
-	r.dupN++
 }
 
 // Receive implements netsim.Router.
@@ -828,7 +824,6 @@ func (r *Router) mergeTwoHop(fi int32, me netsim.NodeID, links []HelloLink, now 
 			r.twoHopExp.Refresh(i)
 		} else {
 			*at = r.twoHopExp.Add(twoHopTuple{nb: fi, th: ti, thID: int32(th), next: i, until: until})
-			r.twoHopN++
 			material = true
 		}
 		at = &r.twoHopExp.At(*at).next
@@ -921,7 +916,6 @@ func (r *Router) processTC(msg *TC, now sim.Time) bool {
 			r.topoExp.Refresh(i)
 		} else {
 			*at = r.topoExp.Add(topoTuple{origin: oi, dest: di, next: i, ansn: msg.ANSN, until: until, linkLQ: lq})
-			r.topoN++
 			material = true
 		}
 		at = &r.topoExp.At(*at).next
@@ -943,7 +937,6 @@ func (r *Router) seekTopo(at *int32, dest netsim.NodeID, ansn uint16) (*int32, b
 		if int16(ansn-t.ansn) > 0 {
 			*at = t.next
 			r.topoExp.Remove(i)
-			r.topoN--
 			gone = true
 			continue
 		}
@@ -1115,7 +1108,6 @@ func (r *Router) expireTwoHop(now sim.Time) bool {
 		}
 		*at = t.next
 		r.twoHopExp.Remove(i)
-		r.twoHopN--
 		material = true
 	}
 	return material
@@ -1135,7 +1127,6 @@ func (r *Router) expireTopology(now sim.Time) bool {
 		}
 		*at = t.next
 		r.topoExp.Remove(i)
-		r.topoN--
 		material = true
 	}
 	return material
@@ -1155,6 +1146,5 @@ func (r *Router) expireDups(now sim.Time) {
 			s.dupTail = noTuple
 		}
 		r.dups.Remove(i)
-		r.dupN--
 	}
 }

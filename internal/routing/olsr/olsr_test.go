@@ -186,8 +186,8 @@ func TestTCOnlyWithSelectors(t *testing.T) {
 	w.Run(10 * sim.Second)
 	for i := 0; i < 2; i++ {
 		r := w.Node(i).Router().(*Router)
-		if r.topoN != 0 {
-			t.Fatalf("node %d learned %d topology tuples without any TC generator", i, r.topoN)
+		if r.topoExp.Len() != 0 {
+			t.Fatalf("node %d learned %d topology tuples without any TC generator", i, r.topoExp.Len())
 		}
 	}
 }

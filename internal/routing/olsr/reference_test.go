@@ -196,8 +196,8 @@ func runTwoHopDifferential(t *testing.T, data []byte) {
 func compareTwoHop(t *testing.T, step int, now sim.Time, got *Router, want *refTwoHop) {
 	t.Helper()
 	compareIDs(t, step, now, got, want.r)
-	if got.twoHopN != want.n {
-		t.Fatalf("step %d t=%v: twoHopN %d, reference %d", step, now, got.twoHopN, want.n)
+	if got.twoHopExp.Len() != want.n {
+		t.Fatalf("step %d t=%v: twoHopN %d, reference %d", step, now, got.twoHopExp.Len(), want.n)
 	}
 	for fi := range want.of {
 		ref := want.of[fi]
@@ -465,8 +465,8 @@ func runTopologyDifferential(t *testing.T, data []byte) {
 func compareTopology(t *testing.T, step int, now sim.Time, got *Router, want *refTopology) {
 	t.Helper()
 	compareIDs(t, step, now, got, want.r)
-	if got.topoN != want.n {
-		t.Fatalf("step %d t=%v: topoN %d, reference %d", step, now, got.topoN, want.n)
+	if got.topoExp.Len() != want.n {
+		t.Fatalf("step %d t=%v: topoN %d, reference %d", step, now, got.topoExp.Len(), want.n)
 	}
 	for oi := range want.of {
 		origin := got.slot(int32(oi)).id
@@ -586,8 +586,8 @@ func TestTupleRefreshAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("a refresh-only HELLO and TC allocate %.1f times, want 0", allocs)
 	}
-	if r.twoHopN != len(links) || r.topoN != len(tc.Advertised) {
-		t.Fatalf("%d 2-hop and %d topology tuples, want %d and %d", r.twoHopN, r.topoN, len(links), len(tc.Advertised))
+	if r.twoHopExp.Len() != len(links) || r.topoExp.Len() != len(tc.Advertised) {
+		t.Fatalf("%d 2-hop and %d topology tuples, want %d and %d", r.twoHopExp.Len(), r.topoExp.Len(), len(links), len(tc.Advertised))
 	}
 }
 
@@ -607,7 +607,7 @@ type dupKey struct {
 // steps by one either way (wrapping at 0 and 65 535), jumps, returns to
 // an earlier value or is any value. Time moves in steps of up to 12.8 s
 // against the 30-s hold, and some purges fall exactly on a deadline.
-// Every lookup must agree, and after every step dupN must equal the
+// Every lookup must agree, and after every step dups.Len() must equal the
 // reference's Len, every tuple must be a live reference key, and each
 // originator's chain must run from its slot's dup to its dupTail in
 // deadline order, each tuple naming its originator.
@@ -690,8 +690,8 @@ func (d refDups) expire(now sim.Time) {
 
 func compareDups(t *testing.T, step int, op string, now sim.Time, got *Router, want refDups) {
 	t.Helper()
-	if got.dupN != len(want) {
-		t.Fatalf("step %d (%s at t=%v): dupN %d, reference %d", step, op, now, got.dupN, len(want))
+	if got.dups.Len() != len(want) {
+		t.Fatalf("step %d (%s at t=%v): dupN %d, reference %d", step, op, now, got.dups.Len(), len(want))
 	}
 	n := 0
 	for oi := int32(0); oi < int32(got.slots.Len()); oi++ {
@@ -710,8 +710,8 @@ func compareDups(t *testing.T, step int, op string, now sim.Time, got *Router, w
 			t.Fatalf("step %d (%s at t=%v): originator %d's chain ends at item %d, dupTail %d", step, op, now, s.id, tail, s.dupTail)
 		}
 	}
-	if n != got.dupN {
-		t.Fatalf("step %d (%s at t=%v): the chains hold %d tuples, dupN %d", step, op, now, n, got.dupN)
+	if n != got.dups.Len() {
+		t.Fatalf("step %d (%s at t=%v): the chains hold %d tuples, dupN %d", step, op, now, n, got.dups.Len())
 	}
 }
 
@@ -756,12 +756,12 @@ func TestDupRecordAllocFree(t *testing.T) {
 	for now < 2*dupHold {
 		receive()
 	}
-	live := r.dupN
+	live := r.dups.Len()
 	if allocs := testing.AllocsPerRun(100, receive); allocs != 0 {
 		t.Fatalf("recording a duplicate tuple and purging allocate %.1f times, want 0", allocs)
 	}
-	if r.dupN != live {
-		t.Fatalf("%d duplicate tuples live, want %d", r.dupN, live)
+	if r.dups.Len() != live {
+		t.Fatalf("%d duplicate tuples live, want %d", r.dups.Len(), live)
 	}
 }
 
