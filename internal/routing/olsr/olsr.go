@@ -237,6 +237,10 @@ type Router struct {
 	mprRuns       uint64   // kernel runs that built the MPR set
 	routeRuns     uint64   // kernel runs that built the routing table
 
+	// routesBuilt, when set, is told at the end of every routing-table
+	// build (see WatchRouteBuilds). Nil outside checked runs.
+	routesBuilt func()
+
 	scratch denseScratch
 
 	hnaLocal []NetworkAssoc
@@ -343,14 +347,23 @@ func (r *Router) isMPR(fi int32) bool {
 	return r.mprEpoch != 0 && r.slot(fi).mprStamp == r.mprEpoch
 }
 
-// Route reports the computed next hop toward dst.
-func (r *Router) Route(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
-	r.materialize(partRoutes)
-	e, found := r.routeFor(dst)
-	if !found {
-		return 0, 0, false
+// WatchRouteBuilds has f told at the end of every routing-table build, a
+// build at a HELLO under ETX included, before anything reads the table;
+// EachRoute then visits what the build wrote. A nil f stops the telling.
+func (r *Router) WatchRouteBuilds(f func()) { r.routesBuilt = f }
+
+// EachRoute visits every entry of the routing table as the last build left
+// it, in interned order. It materializes nothing: inside a WatchRouteBuilds
+// watcher that is the table every lookup reads until the next build.
+func (r *Router) EachRoute(visit func(dst, next netsim.NodeID, hops int)) {
+	if r.routeEpoch == 0 {
+		return
 	}
-	return e.next, e.hops, true
+	for i := int32(0); i < r.slots.Len(); i++ {
+		if s := r.slot(i); s.routeStamp == r.routeEpoch {
+			visit(s.id, s.route.next, s.route.hops)
+		}
+	}
 }
 
 // routeFor looks dst up in the epoch-stamped route table.
@@ -423,7 +436,8 @@ const (
 // run evaluated at the stamp's τ, so reads (route lookups, MPR queries,
 // wire emission) never observe staleness from the coalescing or the
 // deferral. Every reader of mprStamp/mprList goes through it with partMPR,
-// every reader of routeStamp with partRoutes.
+// every reader of routeStamp with partRoutes. A run that built the routing
+// table tells the build watcher, if any, once it is done.
 func (r *Router) materialize(want part) {
 	if r.dirty {
 		r.recomputeNow()
@@ -440,6 +454,9 @@ func (r *Router) materialize(want part) {
 		r.routeRuns++
 	}
 	r.recomputeDense(r.lastRecompute, run)
+	if run&partRoutes != 0 && r.routesBuilt != nil {
+		r.routesBuilt()
+	}
 }
 
 // recomputeNow stamps the recompute as due as of τ = now; the dense

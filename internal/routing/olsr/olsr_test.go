@@ -33,6 +33,58 @@ func sendAt(w *netsim.World, at sim.Time, src, dst, size int) {
 	})
 }
 
+// Route reports the computed next hop toward dst, materializing the
+// routing table first as a data-plane lookup does.
+func (r *Router) Route(dst netsim.NodeID) (next netsim.NodeID, hops int, ok bool) {
+	r.materialize(partRoutes)
+	e, found := r.routeFor(dst)
+	if !found {
+		return 0, 0, false
+	}
+	return e.next, e.hops, true
+}
+
+// TestRouteBuildsWatched: a watcher is told of every routing-table build,
+// those a HELLO under ETX asks for included, and EachRoute then visits
+// exactly the entries a lookup finds, without building anything itself.
+func TestRouteBuildsWatched(t *testing.T) {
+	for _, cfg := range []Config{{}, {ETX: true}} {
+		w := chainWorld(t, 5, 200, cfg)
+		for i := 0; i < 10; i++ {
+			sendAt(w, sim.Time(i+5)*sim.Second, 0, 4, 512)
+			sendAt(w, sim.Time(i+5)*sim.Second+sim.Millisecond, 4, 1, 512)
+		}
+		builds := make([]uint64, 5)
+		for i := range builds {
+			r := w.Node(i).Router().(*Router)
+			r.WatchRouteBuilds(func() {
+				builds[i]++
+				runs, n := r.routeRuns, 0
+				r.EachRoute(func(dst, next netsim.NodeID, hops int) {
+					n++
+					if e, ok := r.routeFor(dst); !ok || e.next != next || e.hops != hops {
+						t.Fatalf("ETX=%v node %d visits %d via %d in %d hops, the table holds %+v (%v)", cfg.ETX, i, dst, next, hops, e, ok)
+					}
+				})
+				for id := netsim.NodeID(0); id < 5; id++ {
+					if _, ok := r.routeFor(id); ok {
+						n--
+					}
+				}
+				if n != 0 || r.routeRuns != runs {
+					t.Fatalf("ETX=%v node %d: EachRoute visits %d entries the table lacks, and builds %d times", cfg.ETX, i, n, r.routeRuns-runs)
+				}
+			})
+		}
+		w.Run(16 * sim.Second)
+		for i, b := range builds {
+			if runs := w.Node(i).Router().(*Router).TableStats().RouteRuns; b != runs || b == 0 {
+				t.Fatalf("ETX=%v node %d: the watcher was told of %d builds, the router ran %d", cfg.ETX, i, b, runs)
+			}
+		}
+	}
+}
+
 func TestNeighborSensingSymmetric(t *testing.T) {
 	w := chainWorld(t, 2, 100, Config{})
 	w.Run(5 * sim.Second)

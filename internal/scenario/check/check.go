@@ -9,8 +9,10 @@
 //     vanishes, nothing is delivered twice;
 //   - TTL monotonicity — TTL decreases by exactly one per forwarding hop,
 //     is never negative, and TTL-expiry drops happen exactly at zero;
-//   - no routing loops — the next-hop walk from every node toward every
-//     destination terminates;
+//   - no routing loops — checked where a loop can form: after every
+//     AODV/DYMO route write the next-hop walk toward its destination
+//     terminates short of the writer, and after every OLSR routing-table
+//     build the table is a self-consistent shortest-path tree;
 //   - CA sanity — the cellular-automaton mobility never puts two vehicles
 //     in one cell, never teleports a vehicle, and never exceeds the
 //     ring-lane flow capacity;

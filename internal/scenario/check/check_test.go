@@ -32,10 +32,10 @@ func mkPacket(uid uint64, ttl, hops int) *netsim.Packet {
 }
 
 // eventNode is where synthetic events happen: the one node of a world
-// whose router, a loopRouter, names the drops it renders.
+// whose router, a treeRouter, names the drops it renders.
 var eventNode = func() *netsim.Node {
 	w, err := netsim.NewWorld(netsim.WorldConfig{Nodes: 1, Static: []geometry.Vec2{{}}},
-		func(*netsim.Node) netsim.Router { return &loopRouter{} })
+		func(*netsim.Node) netsim.Router { return &treeRouter{} })
 	if err != nil {
 		panic(err)
 	}
@@ -196,28 +196,11 @@ func TestLedgerCatchesTTLAnomalies(t *testing.T) {
 	}
 }
 
-// loopRouter is a stub sequence-numbered-style router whose table is wired
-// into a cycle.
-type loopRouter struct {
-	id   netsim.NodeID
-	next map[netsim.NodeID]netsim.NodeID
-}
-
-func (r *loopRouter) Name() string                                 { return "loop" }
-func (r *loopRouter) Start()                                       {}
-func (r *loopRouter) Stop()                                        {}
-func (r *loopRouter) Origin(p *netsim.Packet)                      {}
-func (r *loopRouter) Receive(p *netsim.Packet, from netsim.NodeID) {}
-func (r *loopRouter) LinkFailure(next netsim.NodeID, p *netsim.Packet) {
-}
-func (r *loopRouter) Table(dst netsim.NodeID) (netsim.NodeID, int, bool) {
-	n, ok := r.next[dst]
-	return n, 1, ok
-}
-
-// treeRouter is a stub link-state-style router (Route method).
+// treeRouter is a stub link-state router: a table the test writes, and a
+// build that tells the watcher as an OLSR routing-table build does.
 type treeRouter struct {
 	routes map[netsim.NodeID][2]int // dst -> (next, hops)
+	built  func()
 }
 
 func (r *treeRouter) Name() string                                     { return "tree" }
@@ -226,9 +209,17 @@ func (r *treeRouter) Stop()                                            {}
 func (r *treeRouter) Origin(p *netsim.Packet)                          {}
 func (r *treeRouter) Receive(p *netsim.Packet, from netsim.NodeID)     {}
 func (r *treeRouter) LinkFailure(next netsim.NodeID, p *netsim.Packet) {}
-func (r *treeRouter) Route(dst netsim.NodeID) (netsim.NodeID, int, bool) {
-	e, ok := r.routes[dst]
-	return netsim.NodeID(e[0]), e[1], ok
+func (r *treeRouter) WatchRouteBuilds(f func())                        { r.built = f }
+func (r *treeRouter) EachRoute(visit func(dst, next netsim.NodeID, hops int)) {
+	for dst, e := range r.routes {
+		visit(dst, netsim.NodeID(e[0]), e[1])
+	}
+}
+
+// build replaces the table and tells the watcher.
+func (r *treeRouter) build(routes map[netsim.NodeID][2]int) {
+	r.routes = routes
+	r.built()
 }
 
 func staticWorld(t *testing.T, n int, factory netsim.RouterFactory) *netsim.World {
@@ -244,22 +235,78 @@ func staticWorld(t *testing.T, n int, factory netsim.RouterFactory) *netsim.Worl
 	return w
 }
 
-func TestLoopsCatchesCrossNodeCycle(t *testing.T) {
-	// 0 -> 1 -> 0 toward destination 2.
-	w := staticWorld(t, 3, func(n *netsim.Node) netsim.Router {
-		r := &loopRouter{id: n.ID(), next: map[netsim.NodeID]netsim.NodeID{}}
-		if n.ID() == 0 {
-			r.next[2] = 1
-		}
-		if n.ID() == 1 {
-			r.next[2] = 0
-		}
-		return r
-	})
+// treeWorld is four treeRouters whose builds a WriteLoops watches.
+func treeWorld(t *testing.T) (*Report, *WriteLoops, *netsim.World) {
 	rep := NewReport()
-	Loops(w, rep)
-	if rep.Ok() || !strings.Contains(rep.String(), "routing loop") {
-		t.Fatalf("cross-node cycle not caught:\n%s", rep)
+	l := NewWriteLoops(rep)
+	w := staticWorld(t, 4, l.Wrap(func(*netsim.Node) netsim.Router { return &treeRouter{} }))
+	l.Bind(w)
+	return rep, l, w
+}
+
+// TestTreeCatchesInconsistentTable: node 0's table after a build must be
+// a self-consistent shortest-path tree, entry by entry.
+func TestTreeCatchesInconsistentTable(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		routes map[netsim.NodeID][2]int
+		want   string // "" for a clean table
+	}{
+		{"clean tree", map[netsim.NodeID][2]int{1: {1, 1}, 2: {1, 2}, 3: {1, 3}}, ""},
+		{"via a node without a route", map[netsim.NodeID][2]int{2: {1, 2}}, "node 0 routes to 2 via 1, which is not a 1-hop neighbor route"},
+		{"via a node two hops away", map[netsim.NodeID][2]int{1: {3, 2}, 3: {3, 1}, 2: {1, 3}}, "node 0 routes to 2 via 1, which is not a 1-hop neighbor route"},
+		{"1-hop route via another node", map[netsim.NodeID][2]int{1: {1, 1}, 2: {1, 1}}, "node 0's 1-hop route to 2 goes via 1"},
+		{"via itself", map[netsim.NodeID][2]int{2: {0, 2}}, "node 0 routes to 2 via itself"},
+		{"in zero hops", map[netsim.NodeID][2]int{2: {2, 0}}, "node 0 routes to 2 in 0 hops"},
+		{"out of the world", map[netsim.NodeID][2]int{2: {7, 2}}, "node 0 routes to 2 via out-of-world next hop 7"},
+	} {
+		rep, _, w := treeWorld(t)
+		w.Node(0).Router().(*treeRouter).build(c.routes)
+		if c.want == "" && !rep.Ok() {
+			t.Errorf("%s flagged:\n%s", c.name, rep)
+		}
+		if c.want != "" && !strings.Contains(rep.String(), c.want) {
+			t.Errorf("%s not caught (want %q):\n%s", c.name, c.want, rep)
+		}
+	}
+}
+
+// TestTreeForgetsEarlierBuilds: a 1-hop route of node 0's earlier build,
+// or of another node's table, does not vouch for a route of this one.
+func TestTreeForgetsEarlierBuilds(t *testing.T) {
+	rep, _, w := treeWorld(t)
+	w.Node(0).Router().(*treeRouter).build(map[netsim.NodeID][2]int{1: {1, 1}})
+	w.Node(2).Router().(*treeRouter).build(map[netsim.NodeID][2]int{1: {1, 1}})
+	if !rep.Ok() {
+		t.Fatalf("clean tables flagged:\n%s", rep)
+	}
+	w.Node(0).Router().(*treeRouter).build(map[netsim.NodeID][2]int{3: {1, 2}})
+	if !strings.Contains(rep.String(), "node 0 routes to 3 via 1, which is not a 1-hop neighbor route") {
+		t.Fatalf("a route via an earlier build's neighbor passed:\n%s", rep)
+	}
+}
+
+// TestTreeSettleCountsBuilds: Settle holds the builds the check inspected
+// to the routers' count, and a router a crash rebuilds starts its count
+// afresh, as its TableStats do.
+func TestTreeSettleCountsBuilds(t *testing.T) {
+	rep, l, w := treeWorld(t)
+	clean := map[netsim.NodeID][2]int{}
+	w.Node(0).Router().(*treeRouter).build(clean)
+	w.Node(0).Router().(*treeRouter).build(clean)
+	w.Node(1).Router().(*treeRouter).build(clean)
+	l.Settle(3)
+	if !rep.Ok() {
+		t.Fatalf("three builds of three flagged:\n%s", rep)
+	}
+	w.Node(0).Down(false)
+	l.Settle(1)
+	if !rep.Ok() {
+		t.Fatalf("the crashed router's builds still count:\n%s", rep)
+	}
+	l.Settle(2)
+	if !strings.Contains(rep.String(), "the tree check inspected 1 routing-table builds, the routers ran 2") {
+		t.Fatalf("a build the check missed passed:\n%s", rep)
 	}
 }
 
@@ -311,6 +358,16 @@ func TestWriteLoopsCatchesCycleAtWrite(t *testing.T) {
 	}
 }
 
+// TestWriteLoopsCatchesOutOfWorldHop: a route whose next hop names no
+// node of the world is reported at its write.
+func TestWriteLoopsCatchesOutOfWorldHop(t *testing.T) {
+	rep, write := writeLoopWorld(t)
+	write(0, 0, 3, 1, 2, 7, 10*sim.Second)
+	if rep.Ok() || !strings.Contains(rep.String(), "node 0 routes to 3 via out-of-world next hop 7") {
+		t.Fatalf("the write via node 7 of a 4-node world was not caught:\n%s", rep)
+	}
+}
+
 // TestWriteLoopsCatchesKeepBranch: node 0's route to 3 via 1 passes its
 // deadline at 1 s with no purge to flip it, so 1 → 2 → 0 close nothing
 // at 2 s. An update with the same number and more hops takes the keep
@@ -327,44 +384,6 @@ func TestWriteLoopsCatchesKeepBranch(t *testing.T) {
 	write(2*sim.Second, 0, 3, 5, 3, 2, 10*sim.Second)
 	if rep.Ok() || !strings.Contains(rep.String(), "node 0's route to 3 via 1 closes a routing loop") {
 		t.Fatalf("the keep-branch write reviving 0 → 1 was not caught:\n%s", rep)
-	}
-}
-
-func TestLoopsAcceptsCleanChain(t *testing.T) {
-	// 0 -> 1 -> 2 (and each node routes 1 hop to its neighbor).
-	w := staticWorld(t, 3, func(n *netsim.Node) netsim.Router {
-		r := &loopRouter{id: n.ID(), next: map[netsim.NodeID]netsim.NodeID{}}
-		switch n.ID() {
-		case 0:
-			r.next[1], r.next[2] = 1, 1
-		case 1:
-			r.next[0], r.next[2] = 0, 2
-		case 2:
-			r.next[0], r.next[1] = 1, 1
-		}
-		return r
-	})
-	rep := NewReport()
-	Loops(w, rep)
-	if !rep.Ok() {
-		t.Fatalf("clean chain flagged:\n%s", rep)
-	}
-}
-
-func TestLoopsCatchesInconsistentTree(t *testing.T) {
-	// A link-state table whose 2-hop route goes via a node it has no
-	// 1-hop route to.
-	w := staticWorld(t, 3, func(n *netsim.Node) netsim.Router {
-		r := &treeRouter{routes: map[netsim.NodeID][2]int{}}
-		if n.ID() == 0 {
-			r.routes[2] = [2]int{1, 2} // via 1, but no route to 1 at all
-		}
-		return r
-	})
-	rep := NewReport()
-	Loops(w, rep)
-	if rep.Ok() || !strings.Contains(rep.String(), "not a 1-hop neighbor") {
-		t.Fatalf("inconsistent tree not caught:\n%s", rep)
 	}
 }
 

@@ -2,142 +2,28 @@ package check
 
 import "cavenet/internal/netsim"
 
-// The two next-hop query shapes the repo's routing protocols expose
-// encode two different loop-freedom guarantees:
+// The two route-table shapes the repo's routing protocols expose encode
+// two different loop-freedom guarantees, and each is checked at the
+// instant it can break:
 //
 //   - Table (AODV, DYMO): sequence-numbered distance vector. The protocol
 //     invariant is loop freedom across nodes at every instant — along any
 //     next-hop chain the (destination sequence number, −hops) pair
-//     strictly improves — so the harness walks the cross-node next-hop
-//     graph and any cycle is a bug.
+//     strictly improves — so a cycle in the cross-node next-hop graph is a
+//     bug. Only a route write adds an edge to that graph, so the walk runs
+//     after each write (wrote).
 //
-//   - Route (OLSR): link state. Each node's table is a shortest-path tree
-//     over that node's *own* topology view; during convergence two nodes'
-//     views may legitimately disagree, so transient cross-node micro-loops
-//     are textbook behavior (a looping packet burns TTL, which the TTL
-//     invariant audits). The per-node invariant that must always hold is
-//     self-consistency: every route's next hop is itself a valid one-hop
-//     route of the same table.
-type routeQuerier interface {
-	Route(dst netsim.NodeID) (netsim.NodeID, int, bool)
-}
-
+//   - Tree (OLSR): link state. Each node's table is a shortest-path tree
+//     over that node's *own* topology view (RFC 3626 §10); during
+//     convergence two nodes' views may legitimately disagree, so transient
+//     cross-node micro-loops are textbook behavior (a looping packet burns
+//     TTL, which the TTL invariant audits). The per-node invariant that
+//     must always hold is self-consistency: every route's next hop is
+//     itself a valid one-hop route of the same table. Only a build
+//     rewrites the table, so the check runs at the end of each build
+//     (built).
 type tableQuerier interface {
 	Table(dst netsim.NodeID) (netsim.NodeID, int, bool)
-}
-
-// Loops verifies the "no routing loops" invariant appropriate to each
-// node's protocol: the cross-node walk for sequence-numbered tables, the
-// per-table tree consistency for link-state tables (see above).
-func Loops(w *netsim.World, report *Report) {
-	n := w.NumNodes()
-	query := make([]func(dst netsim.NodeID) (netsim.NodeID, int, bool), n)
-	crossNode := true
-	for i := 0; i < n; i++ {
-		switch q := w.Node(i).Router().(type) {
-		case routeQuerier:
-			query[i] = q.Route
-			crossNode = false
-		case tableQuerier:
-			query[i] = q.Table
-		}
-	}
-	if crossNode {
-		crossNodeWalk(n, query, report)
-	} else {
-		perTableTree(n, query, report)
-	}
-}
-
-// crossNodeWalk follows next hops node to node from every (src, dst) pair;
-// any revisit is a loop. A walk may legitimately end early at a node
-// without a route (an incomplete table is not a loop); what it must never
-// do is cycle.
-func crossNodeWalk(n int, query []func(netsim.NodeID) (netsim.NodeID, int, bool), report *Report) {
-	// stamp is an epoch-marked scratch: stamp[v] == walkID marks v as on
-	// the current walk without clearing between the N² walks.
-	stamp := make([]int, n)
-	walkID := 0
-	for src := 0; src < n; src++ {
-		if query[src] == nil {
-			continue
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				continue
-			}
-			walkID++
-			cur := src
-			stamp[cur] = walkID
-			for {
-				if query[cur] == nil {
-					break
-				}
-				next, _, ok := query[cur](netsim.NodeID(dst))
-				if !ok {
-					break // no route here: the walk terminates
-				}
-				if int(next) < 0 || int(next) >= n {
-					report.Add("loops", "node %d routes to %d via out-of-world next hop %d", cur, dst, next)
-					break
-				}
-				if int(next) == dst {
-					break // reached the destination
-				}
-				if stamp[next] == walkID {
-					report.Add("loops", "routing loop toward %d: node %d's next hop %d was already visited (walk from %d)",
-						dst, cur, next, src)
-					break
-				}
-				cur = int(next)
-				stamp[cur] = walkID
-			}
-		}
-	}
-}
-
-// perTableTree checks that each node's table is a self-consistent
-// shortest-path tree: a one-hop route's next hop is the destination
-// itself, and a multi-hop route's next hop is a valid one-hop route of
-// the same table.
-func perTableTree(n int, query []func(netsim.NodeID) (netsim.NodeID, int, bool), report *Report) {
-	for src := 0; src < n; src++ {
-		if query[src] == nil {
-			continue
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				continue
-			}
-			next, hops, ok := query[src](netsim.NodeID(dst))
-			if !ok {
-				continue
-			}
-			if int(next) < 0 || int(next) >= n {
-				report.Add("loops", "node %d routes to %d via out-of-world next hop %d", src, dst, next)
-				continue
-			}
-			if int(next) == src {
-				report.Add("loops", "node %d routes to %d via itself", src, dst)
-				continue
-			}
-			if hops < 1 {
-				report.Add("loops", "node %d routes to %d in %d hops", src, dst, hops)
-				continue
-			}
-			if hops == 1 {
-				if int(next) != dst {
-					report.Add("loops", "node %d's 1-hop route to %d goes via %d", src, dst, next)
-				}
-				continue
-			}
-			nn, nhops, nok := query[src](next)
-			if !nok || nhops != 1 || nn != next {
-				report.Add("loops", "node %d routes to %d via %d, which is not a 1-hop neighbor route (hops=%d ok=%v)",
-					src, dst, next, nhops, nok)
-			}
-		}
-	}
 }
 
 // routeWriter is a router whose route writes can be watched: AODV and DYMO,
@@ -146,40 +32,87 @@ type routeWriter interface {
 	WatchRouteWrites(func(dst, next netsim.NodeID))
 }
 
-// WriteLoops checks the cross-node walk at the instant a loop can form,
-// not only at the horizon. For AODV and DYMO the next-hop graph is what
-// the routers' Table answers (Routes.Peek), and only a route write adds an
-// edge to it: a deadline passing, a purge, a RERR, a broken link and a
-// crash's fresh table only take edges away. So a cycle exists at some
-// instant only if the write that added its last edge closed it. After
-// each write that leaves node w's route to dst live via v, the walk from
-// v through the other routers' tables toward dst must not reach w. One
-// O(path) walk per write, reading without side effects: a checked run
-// stays the unchecked one.
+// routeBuilder is a router whose routing-table builds can be watched, and
+// whose table can be read without building it: OLSR.
+type routeBuilder interface {
+	WatchRouteBuilds(func())
+	EachRoute(visit func(dst, next netsim.NodeID, hops int))
+}
+
+// WriteLoops checks the "no routing loops" invariant at the instants a
+// loop can form, reading without side effects: a checked run stays the
+// unchecked one.
+//
+// For AODV and DYMO the next-hop graph is what the routers' Table answers
+// (Routes.Peek), and only a route write adds an edge to it: a deadline
+// passing, a purge, a RERR, a broken link and a crash's fresh table only
+// take edges away. So a cycle exists at some instant only if the write
+// that added its last edge closed it. After each write that leaves node
+// w's route to dst live via v, the walk from v through the other routers'
+// tables toward dst must not reach w: one O(path) walk per write.
+//
+// For OLSR each build's table must be a self-consistent tree, and the
+// check visits the table's own entries once per build.
 type WriteLoops struct {
 	world  *netsim.World
 	report *Report
+
+	// builds counts, per node, the table builds of its current OLSR router
+	// the tree check inspected; a router a crash rebuilds starts afresh,
+	// as its TableStats do.
+	builds []uint64
+	// oneHop[v] == epoch marks v as a 1-hop route of the table under
+	// inspection; a new epoch clears the marks.
+	oneHop []uint64
+	epoch  uint64
 }
 
-// NewWriteLoops returns a write-time loop check reporting to report.
+// NewWriteLoops returns a loop check reporting to report.
 func NewWriteLoops(report *Report) *WriteLoops { return &WriteLoops{report: report} }
 
 // Wrap returns factory with every router it builds that writes
-// sequence-numbered routes watched, a router a crash rebuilds included.
+// sequence-numbered routes or builds link-state tables watched, a router
+// a crash rebuilds included.
 func (l *WriteLoops) Wrap(factory netsim.RouterFactory) netsim.RouterFactory {
 	return func(n *netsim.Node) netsim.Router {
 		r := factory(n)
-		if rw, ok := r.(routeWriter); ok {
-			writer := n.ID()
-			rw.WatchRouteWrites(func(dst, next netsim.NodeID) { l.wrote(writer, dst, next) })
+		id := n.ID()
+		switch w := r.(type) {
+		case routeWriter:
+			w.WatchRouteWrites(func(dst, next netsim.NodeID) { l.wrote(id, dst, next) })
+		case routeBuilder:
+			for int(id) >= len(l.builds) {
+				l.builds = append(l.builds, 0)
+			}
+			l.builds[id] = 0
+			w.WatchRouteBuilds(func() { l.built(id, w) })
 		}
 		return r
 	}
 }
 
-// Bind names the world whose routers the walks read; it must come before
+// Bind names the world whose routers the checks read; it must come before
 // the run.
-func (l *WriteLoops) Bind(w *netsim.World) { l.world = w }
+func (l *WriteLoops) Bind(w *netsim.World) {
+	l.world = w
+	l.oneHop = make([]uint64, w.NumNodes())
+}
+
+// Settle reports a violation unless the tree check inspected routeRuns
+// builds: the route-kernel runs of the OLSR routers alive at the horizon
+// (olsr.TableStats.RouteRuns, summed). It comes after the run.
+func (l *WriteLoops) Settle(routeRuns uint64) {
+	var seen uint64
+	for _, b := range l.builds {
+		seen += b
+	}
+	if seen != routeRuns {
+		l.report.Add("loops", "the tree check inspected %d routing-table builds, the routers ran %d", seen, routeRuns)
+	}
+}
+
+// inWorld reports whether v names one of the world's nodes.
+func (l *WriteLoops) inWorld(v netsim.NodeID) bool { return int(v) >= 0 && int(v) < len(l.oneHop) }
 
 // wrote walks from next toward dst after writer's write. The walk ends
 // at dst, at a router without a live route, or after as many hops as
@@ -187,22 +120,56 @@ func (l *WriteLoops) Bind(w *netsim.World) { l.world = w }
 // that closed it).
 func (l *WriteLoops) wrote(writer, dst, next netsim.NodeID) {
 	n := l.world.NumNodes()
-	cur := next
+	from, cur := writer, next
 	for hops := 0; cur != dst && hops < n; hops++ {
 		if cur == writer {
 			l.report.Add("loops", "t=%v: node %d's route to %d via %d closes a routing loop",
 				l.world.Kernel.Now(), writer, dst, next)
 			return
 		}
-		if int(cur) < 0 || int(cur) >= n {
+		if !l.inWorld(cur) {
+			l.report.Add("loops", "t=%v: node %d routes to %d via out-of-world next hop %d",
+				l.world.Kernel.Now(), from, dst, cur)
 			return
 		}
 		q, ok := l.world.Node(int(cur)).Router().(tableQuerier)
 		if !ok {
 			return
 		}
+		from = cur
 		if cur, _, ok = q.Table(dst); !ok {
 			return
 		}
 	}
+}
+
+// built checks node's freshly built table: a one-hop route's next hop is
+// the destination itself, and a multi-hop route's next hop is a valid
+// one-hop route of the same table. One pass marks the one-hop routes, a
+// second applies the rules to every entry.
+func (l *WriteLoops) built(node netsim.NodeID, t routeBuilder) {
+	l.builds[node]++
+	l.epoch++
+	t.EachRoute(func(dst, next netsim.NodeID, hops int) {
+		if hops == 1 && next == dst && l.inWorld(dst) {
+			l.oneHop[dst] = l.epoch
+		}
+	})
+	now := l.world.Kernel.Now()
+	t.EachRoute(func(dst, next netsim.NodeID, hops int) {
+		switch {
+		case !l.inWorld(next):
+			l.report.Add("loops", "t=%v: node %d routes to %d via out-of-world next hop %d", now, node, dst, next)
+		case next == node:
+			l.report.Add("loops", "t=%v: node %d routes to %d via itself", now, node, dst)
+		case hops < 1:
+			l.report.Add("loops", "t=%v: node %d routes to %d in %d hops", now, node, dst, hops)
+		case hops == 1:
+			if next != dst {
+				l.report.Add("loops", "t=%v: node %d's 1-hop route to %d goes via %d", now, node, dst, next)
+			}
+		case l.oneHop[next] != l.epoch:
+			l.report.Add("loops", "t=%v: node %d routes to %d via %d, which is not a 1-hop neighbor route", now, node, dst, next)
+		}
+	})
 }

@@ -97,7 +97,15 @@ func (r *Result) TotalDelivered() uint64 {
 // RunOnTrace) is the retained differential oracle — bit-identical by the
 // streamed-vs-recorded property test.
 func Run(s Spec) (*Result, error) {
-	res, _, err := runCounted(s)
+	s = s.clone()
+	if err := s.normalize(); err != nil {
+		return nil, err
+	}
+	src, err := buildSource(&s, nil)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := runOnSource(&s, src, nil, nil)
 	return res, err
 }
 
@@ -108,33 +116,6 @@ type runWork struct {
 	kernel sim.Work
 	air    phy.Work
 	olsr   olsr.TableStats
-}
-
-// runCounted is Run, also reporting its work counts: TestWorkCounts pins
-// them beside the Result.
-func runCounted(s Spec) (*Result, runWork, error) {
-	s = s.clone()
-	if err := s.normalize(); err != nil {
-		return nil, runWork{}, err
-	}
-	src, err := buildSource(&s, nil)
-	if err != nil {
-		return nil, runWork{}, err
-	}
-	res, world, err := runOnSource(&s, src, nil, nil)
-	if err != nil {
-		return nil, runWork{}, err
-	}
-	w := runWork{kernel: world.Kernel.Work(), air: world.Channel.Work()}
-	for _, n := range world.Nodes() {
-		if r, ok := n.Router().(*olsr.Router); ok {
-			st := r.TableStats()
-			w.olsr.Recomputes += st.Recomputes
-			w.olsr.MPRRuns += st.MPRRuns
-			w.olsr.RouteRuns += st.RouteRuns
-		}
-	}
-	return res, w, nil
 }
 
 // RunOnSource executes the scenario's network evaluation over a
@@ -188,9 +169,9 @@ func Compare(s Spec, protocols []Protocol) (map[Protocol]*Result, error) {
 
 // RunChecked runs the scenario under the full invariant harness: CA and
 // trace sanity consumed from the mobility stream as it advances, the
-// packet-conservation ledger, TTL discipline and AODV/DYMO loop freedom at
-// every route write during the run, the routing-loop walk and custody
-// settlement afterwards, and the spec's
+// packet-conservation ledger, TTL discipline, AODV/DYMO loop freedom at
+// every route write and OLSR tree consistency at every routing-table
+// build during the run, custody settlement afterwards, and the spec's
 // metric expectations on the result. The returned report lists every
 // violation; err covers configuration problems only.
 func RunChecked(s Spec) (*Result, *check.Report, error) {
@@ -203,7 +184,7 @@ func RunChecked(s Spec) (*Result, *check.Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := runCheckedOnSource(&s, src, report)
+	res, _, err := runCheckedOnSource(&s, src, report)
 	return res, report, err
 }
 
@@ -215,17 +196,17 @@ func RunCheckedOnSource(s Spec, src mobility.Source) (*Result, *check.Report, er
 		return nil, nil, err
 	}
 	report := check.NewReport()
-	res, err := runCheckedOnSource(&s, src, report)
+	res, _, err := runCheckedOnSource(&s, src, report)
 	return res, report, err
 }
 
-func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, error) {
-	res, _, err := runOnSource(s, src, report, nil)
+func runCheckedOnSource(s *Spec, src mobility.Source, report *check.Report) (*Result, runWork, error) {
+	res, work, err := runOnSource(s, src, report, nil)
 	if err != nil {
-		return nil, err
+		return nil, runWork{}, err
 	}
 	checkExpect(s, res, report)
-	return res, nil
+	return res, work, nil
 }
 
 // checkExpect evaluates the spec's metric floors on a finished result.
@@ -253,11 +234,13 @@ func checkExpect(s *Spec, res *Result, report *check.Report) {
 // runOnSource assembles the world — this is the single place in the repo
 // where a protocol-evaluation world is wired together — and executes the
 // run, pulling node positions from the mobility source per tick. A
-// non-nil report additionally installs the invariant ledger and the
-// write-time loop check, and runs the post-run loop walk and custody
-// settlement, and a non-nil observe is installed last. Beside the Result
-// it returns the finished world.
-func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe func(netsim.PacketEvent)) (*Result, *netsim.World, error) {
+// non-nil report additionally installs the invariant ledger and the loop
+// checks, which run at every route write and routing-table build, and
+// after the run settles custody and holds the tree check to the routers'
+// build count; a non-nil observe is installed last. Beside the Result it
+// returns the run's work counts, which a checked run leaves equal to the
+// unchecked run's.
+func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe func(netsim.PacketEvent)) (*Result, runWork, error) {
 	capture := 10.0
 	if s.NoCapture {
 		capture = 0
@@ -281,7 +264,7 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 		Mobility: src,
 	}, factory)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, runWork{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if writeLoops != nil {
 		writeLoops.Bind(world)
@@ -304,10 +287,10 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 	if !s.Faults.Empty() {
 		plan, err := s.Faults.Build(s.Seed, s.Nodes, s.SimTime)
 		if err != nil {
-			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, runWork{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		if err := fault.Apply(world, plan); err != nil {
-			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, runWork{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		meter = fault.NewMeter(plan, s.SimTime)
 		world.Observe(meter.Observe)
@@ -345,8 +328,17 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 
 	world.Run(s.SimTime)
 
+	work := runWork{kernel: world.Kernel.Work(), air: world.Channel.Work()}
+	for _, n := range world.Nodes() {
+		if r, ok := n.Router().(*olsr.Router); ok {
+			st := r.TableStats()
+			work.olsr.Recomputes += st.Recomputes
+			work.olsr.MPRRuns += st.MPRRuns
+			work.olsr.RouteRuns += st.RouteRuns
+		}
+	}
 	if report != nil {
-		check.Loops(world, report)
+		writeLoops.Settle(work.olsr.RouteRuns)
 		ledger.Finish(world)
 	}
 
@@ -426,5 +418,5 @@ func runOnSource(s *Spec, src mobility.Source, report *check.Report, observe fun
 		res.MACStats.BytesTx += st.BytesTx
 		res.MACStats.NAVSettings += st.NAVSettings
 	}
-	return res, world, nil
+	return res, work, nil
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cavenet/internal/scenario/check"
 	"cavenet/internal/sim"
 )
 
@@ -132,29 +133,32 @@ func TestCatalogueInvariants(t *testing.T) {
 }
 
 // TestCheckedRunMatchesUnchecked: the invariant harness only reads, so a
-// checked run of every catalogue scenario under AODV and DYMO (the
-// protocols whose route writes it walks from) is deeply equal to the
-// unchecked run.
+// checked run of every catalogue scenario under every protocol is deeply
+// equal to the unchecked run, and does the same work: the same kernel,
+// channel and OLSR counts, so not one routing table more is built.
 func TestCheckedRunMatchesUnchecked(t *testing.T) {
 	for _, name := range propertyNames(t) {
 		spec, _ := Get(name)
-		for _, proto := range []Protocol{AODV, DYMO} {
+		for _, proto := range AllProtocols() {
 			t.Run(fmt.Sprintf("%s/%s", name, proto), func(t *testing.T) {
 				t.Parallel()
 				for _, seed := range []int64{1, 2} {
 					run := spec.Shrunk()
 					run.Protocol = proto
 					run.Seed = seed
-					plain, err := Run(run)
+					plain, plainWork, err := workedRun(run, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					checked, _, err := RunChecked(run)
+					checked, checkedWork, err := workedRun(run, check.NewReport())
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(plain, checked) {
 						t.Fatalf("seed %d: the checked run differs from the unchecked one", seed)
+					}
+					if plainWork != checkedWork {
+						t.Fatalf("seed %d: the checked run did other work than the unchecked one:\n got %+v\nwant %+v", seed, checkedWork, plainWork)
 					}
 				}
 			})

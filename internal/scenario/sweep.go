@@ -287,7 +287,7 @@ func (g *Grid) RunCell(j int, protocols []Protocol) ([]TrialResult, error) {
 		var violations int
 		if g.Checked {
 			report := check.NewReport()
-			r, err := runCheckedOnSource(&run, msrc, report)
+			r, _, err := runCheckedOnSource(&run, msrc, report)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: sweep %s/%s trial %d: %w", base.Name, p, trial, err)
 			}

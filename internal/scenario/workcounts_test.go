@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"cavenet/internal/scenario/check"
 	"cavenet/internal/sim"
 )
 
@@ -126,6 +127,23 @@ func writeWorkCounts(b *bytes.Buffer, spec Spec, res *Result, work runWork) erro
 	return nil
 }
 
+// workedRun is Run, or RunChecked under report when report is non-nil,
+// also reporting the run's work.
+func workedRun(s Spec, report *check.Report) (*Result, runWork, error) {
+	s = s.clone()
+	if err := s.normalize(); err != nil {
+		return nil, runWork{}, err
+	}
+	src, err := buildSource(&s, report)
+	if err != nil {
+		return nil, runWork{}, err
+	}
+	if report == nil {
+		return runOnSource(&s, src, nil, nil)
+	}
+	return runCheckedOnSource(&s, src, report)
+}
+
 // TestWorkCounts is a fixed point for changes that must not move a run:
 // every cell's result digest and integer work counts, as captured in
 // testdata/workcounts.golden. Regenerate with
@@ -135,7 +153,7 @@ func TestWorkCounts(t *testing.T) {
 	const path = "testdata/workcounts.golden"
 	var got bytes.Buffer
 	for _, spec := range workCountCells(t) {
-		res, work, err := runCounted(spec)
+		res, work, err := workedRun(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

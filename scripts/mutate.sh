@@ -325,9 +325,6 @@ mutant "metrics collector: a no-forward-route drop is not unreachable" internal/
 mutant "metrics collector: a drop renders its reason string" internal/metrics/collector.go \
 	's|c.drops\[dropKey{e.Node.Router().Name(), e.Cause}\]++|c.drops[dropKey{e.Cause.Reason(e.Node.Router().Name()), e.Cause}]++|' \
 	./internal/metrics 'TestEventCycleAllocFree'
-mutant "check loops: the walk stops one hop early, on returning to its origin" internal/scenario/check/loops.go \
-	's/if int(next) == dst {/if int(next) == dst || int(next) == src {/' \
-	$check 'TestLoopsCatchesCrossNodeCycle'
 
 # ---- the references PR 24 moved behind their in-package differentials,
 # each row killed by its package's own tests. ----
@@ -593,6 +590,17 @@ mutant "netsim Routes.Update: the keep branch tells no write watcher" internal/n
 mutant "check WriteLoops: the walk stops one hop short of the writer" internal/scenario/check/loops.go \
 	's/if cur, _, ok = q.Table(dst); !ok {/if cur, _, ok = q.Table(dst); !ok || cur == writer {/' \
 	$check '^TestWriteLoopsCatchesCycleAtWrite$'
+
+# ---- OLSR tree consistency at every routing-table build (ROADMAP item
+# 19): materialize tells the watcher of each build, and a multi-hop route
+# must go via a 1-hop route of the same table. A revision with the
+# post-run walk instead reads BROKEN. ----
+mutant "olsr materialize: a route build tells no watcher" internal/routing/olsr/olsr.go \
+	'/^\t\tr.routesBuilt()$/d' \
+	'./internal/routing/olsr ./internal/scenario' '^TestRouteBuildsWatched$|^TestCatalogueInvariants$'
+mutant "check tree: a multi-hop route via a node without a 1-hop route passes" internal/scenario/check/loops.go \
+	's/^\t\tcase l.oneHop\[next\] != l.epoch:$/\t\tcase false:/' \
+	$check '^TestTreeCatchesInconsistentTable$|^TestTreeForgetsEarlierBuilds$'
 
 # ---- all soft state is one hold list (ROADMAP "All soft state is one hold
 # list"): an early end of a lifetime is a Remove of every item the entry
