@@ -72,12 +72,17 @@ fma-audit:
 # The scenario catalogue end to end: list the registry, then run one ring
 # and one urban workload under the invariant harness (non-zero exit on any
 # violation). manhattan exercises the street-grid mobility substrate and
-# GPSR geographic forwarding; downtown covers the OLSR HNA V2I uplink.
+# GPSR geographic forwarding; downtown covers the OLSR HNA V2I uplink. The
+# two 2000-vehicle metro runs are checked Heavy specs: every AODV route
+# write and every OLSR routing-table build of a scale run is checked
+# (≈ 1 s and ≈ 5 s on one core).
 scenario-smoke:
 	$(GO) run ./cmd/cavenet scenario list
 	$(GO) run ./cmd/cavenet scenario run signalized -time 15 -seed 3
 	$(GO) run ./cmd/cavenet scenario run manhattan -time 15 -seed 3
 	$(GO) run ./cmd/cavenet scenario run downtown -time 15 -seed 3
+	$(GO) run ./cmd/cavenet scenario run metro -nodes 2000 -time 4
+	$(GO) run ./cmd/cavenet scenario run metro -nodes 2000 -time 4 -protocol olsr
 
 # The fault-injection substrate end to end: the churn workload under the
 # invariant harness for every protocol (non-zero exit on any conservation
